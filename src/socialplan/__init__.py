@@ -7,7 +7,6 @@ the other driver's reaction predictable (confidence).  The mixing weights of
 those three terms are estimated online from recorded trajectories with a
 particle posterior.
 """
-from ._kernels import available_backends, get_backend, set_backend
 from .core import (
     AgentState,
     ConflictPoint,

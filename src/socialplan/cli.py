@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="egoism|courtesy|confidence or 'w1,w2,w3'; repeatable (default: all three)",
     )
-    p_sim.add_argument("--threads", type=int, default=1, help="parallel policy runs")
+    p_sim.add_argument(
+        "--threads", type=int, default=1, help="accepted (>= 1); policies always run one after another"
+    )
 
     p_inf = sub.add_parser("infer", help="estimate reward weights from recorded tracks")
     common(p_inf)

@@ -55,6 +55,21 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """A JSON integer; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"config {name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"config {name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _check_integers(raw: dict, keys: tuple[str, ...], context: str) -> None:
+    for key in keys:
+        if key in raw:
+            _integer(raw[key], f"{context}.{key}")
+
+
 def _agent_state(obj: dict, context: str) -> AgentState:
     return AgentState(
         s=float(_require(obj, "s", context)),
@@ -90,6 +105,7 @@ def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         sampler_raw = dict(data.get("sampler", {}))
         if "terminal_speed_fractions" in sampler_raw:
             sampler_raw["terminal_speed_fractions"] = tuple(sampler_raw["terminal_speed_fractions"])
+        _check_integers(sampler_raw, ("horizon_steps",), "sampler")
         sampler = SamplerConfig(**sampler_raw)
         rewards_raw = dict(data.get("rewards", {}))
         for key in ("theta_ego", "theta_other"):
@@ -97,6 +113,7 @@ def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                 rewards_raw[key] = tuple(rewards_raw[key])
         rewards = RewardConfig(**rewards_raw)
         inf_raw = dict(data.get("inference", {}))
+        _check_integers(inf_raw, ("n_particles", "window_r"), "inference")
         if "prior" in inf_raw:
             inf_raw["prior"] = _prior(inf_raw["prior"])
         inference = InferenceConfig(**inf_raw)
@@ -110,10 +127,10 @@ def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
             sampler=sampler,
             rewards=rewards,
             inference=inference,
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0), "seed"),
             tracks_file=data.get("tracks"),
-            frame_period_ms=int(data.get("frame_period_ms", 50)),
-            max_steps=int(data.get("max_steps", 200)),
+            frame_period_ms=_integer(data.get("frame_period_ms", 50), "frame_period_ms", minimum=1),
+            max_steps=_integer(data.get("max_steps", 200), "max_steps", minimum=1),
             base_dir=Path(base_dir),
         )
     except (TypeError, ValueError) as exc:
@@ -150,6 +167,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "terminal_speed_fractions": list(cfg.sampler.terminal_speed_fractions),
             "accel_min": cfg.sampler.accel_min,
             "accel_max": cfg.sampler.accel_max,
+            "forbid_singleton": cfg.sampler.forbid_singleton,
         },
         "rewards": {
             "theta_ego": list(cfg.rewards.theta_ego),

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .core import AgentState, ConflictPoint, JointState, ReferencePath, step_dynamics
 from .errors import EmptyCandidateSetError
 from .rewards import RewardConfig, SocialComponents, social_components
@@ -188,9 +187,66 @@ class JointBehaviorSpace:
         )
 
 
+def rollout_batch(s0: float, v0: float, accels: np.ndarray, dt: float):
+    """Roll out n candidate acceleration sequences from a common start state.
+
+    accels: (n, N).  Returns (S, V) with shape (n, N+1).  Each step repeats
+    the float operations of core.step_dynamics in the same order, so the
+    result matches it bit for bit; a closed form or a hoisted 0.5*dt*dt
+    would round differently.
+    """
+    s_rows, v_rows = [], []
+    for row in np.asarray(accels, dtype=float).tolist():
+        s, v = float(s0), float(v0)
+        s_row, v_row = [s], [v]
+        for a in row:
+            v1 = v + a * dt
+            if v1 < 0.0:
+                t_stop = -v / a
+                s = s + v * t_stop + 0.5 * a * t_stop * t_stop
+                v = 0.0
+            else:
+                s = s + v * dt + 0.5 * a * dt * dt
+                v = v1
+            s_row.append(s)
+            v_row.append(v)
+        s_rows.append(s_row)
+        v_rows.append(v_row)
+    return np.array(s_rows), np.array(v_rows)
+
+
+def safety_matrix(
+    xy_ego: np.ndarray,
+    xy_other: np.ndarray,
+    s_ego: np.ndarray,
+    s_other: np.ndarray,
+    s_conflict_ego: float,
+    s_conflict_other: float,
+    sigma_d: float,
+    sigma_c: float,
+) -> np.ndarray:
+    """Accumulated pairwise proximity penalty over the horizon.
+
+    xy_ego: (ne, N+1, 2), xy_other: (no, N+1, 2), s_ego: (ne, N+1),
+    s_other: (no, N+1).  Entry [i, j] is
+
+        -sum_t exp(-|p_e - p_o| / sigma_d)
+              * exp(-(|s_e - s_ce| + |s_o - s_co|) / sigma_c)
+
+    summed over steps t = 0..N-1.
+    """
+    t = xy_ego.shape[1] - 1
+    diff = xy_ego[:, None, :t, :] - xy_other[None, :, :t, :]
+    d_rel = np.sqrt(np.sum(diff * diff, axis=3))
+    prox_e = np.exp(-np.abs(s_ego[:, :t] - s_conflict_ego) / sigma_c)
+    prox_o = np.exp(-np.abs(s_other[:, :t] - s_conflict_other) / sigma_c)
+    w = np.exp(-d_rel / sigma_d) * (prox_e[:, None, :] * prox_o[None, :, :])
+    return -np.sum(w, axis=2)
+
+
 def _batch_rollout(state: AgentState, seqs: list[ActionSequence], dt: float, path: ReferencePath):
     accels = np.stack([seq.accels for seq in seqs])
-    s, v = _kernels.rollout_batch(state.s, state.v, accels, dt)
+    s, v = rollout_batch(state.s, state.v, accels, dt)
     xy = path.position(s, state.d)
     return s, v, xy
 
@@ -227,7 +283,7 @@ def build_joint_space(
     eff_o, com_o = _utility_vectors(v_o, acc_o, x0.other.d, path_other.speed_limit, dt, reward_cfg)
 
     # the safety feature is symmetric in the pair, so one matrix serves both
-    safety = _kernels.safety_matrix(
+    safety = safety_matrix(
         xy_e, xy_o, s_e, s_o, conflict.s_ego, conflict.s_other,
         reward_cfg.sigma_d, reward_cfg.sigma_c,
     )

@@ -7,6 +7,7 @@ written with fixed 6-decimal formatting so outputs diff bit-exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def load_tracks(path) -> dict[int, list[TrackRecord]]:
     """Parse and group a track CSV; frames must increase within each track."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -57,10 +65,10 @@ def load_tracks(path) -> dict[int, list[TrackRecord]]:
                 track_id=int(parts[0]),
                 frame=int(parts[1]),
                 timestamp_ms=int(parts[2]),
-                x=float(parts[3]),
-                y=float(parts[4]),
-                vx=float(parts[5]),
-                vy=float(parts[6]),
+                x=_finite(parts[3]),
+                y=_finite(parts[4]),
+                vx=_finite(parts[5]),
+                vy=_finite(parts[6]),
             )
         except ValueError as exc:
             raise ParseError(str(exc), row=lineno) from exc
@@ -100,7 +108,7 @@ def load_path_csv(path, speed_limit: float) -> ReferencePath:
         if len(parts) != 2:
             raise ParseError("expected 2 fields", row=lineno)
         try:
-            pts.append((float(parts[0]), float(parts[1])))
+            pts.append((_finite(parts[0]), _finite(parts[1])))
         except ValueError as exc:
             raise ParseError(str(exc), row=lineno) from exc
     if len(pts) < 2:

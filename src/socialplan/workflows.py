@@ -1,12 +1,11 @@
 """The four end-to-end pipelines behind the CLI: sim, infer, regen, fixture.
 
 All file output is deterministic: fixed 6-decimal float formatting, sorted
-JSON keys, and ordered aggregation regardless of the worker thread count.
+JSON keys, and results written in the order the inputs were given.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -82,23 +81,25 @@ def _trace_sidecar(trace: InteractionTrace, cfg: ScenarioConfig, policy_name: st
 
 
 def run_sim(cfg: ScenarioConfig, policy_names: list[str], out_dir: Path, threads: int = 1) -> dict:
-    """Simulate one scenario under each requested ego policy and write traces + stats."""
+    """Simulate one scenario under each requested ego policy and write traces + stats.
+
+    threads must be at least 1 but does not change how the policies run: they
+    run one after another, because the planning work holds the interpreter
+    lock and a thread pool made it slower.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg.load_scenario()
-
-    def one(name: str) -> InteractionTrace:
-        return simulate(
+    traces = [
+        simulate(
             scenario,
             PolicySpec.fixed(parse_policy(name)),
             PolicySpec.follower(),
             max_steps=cfg.max_steps,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(one, policy_names))
-    else:
-        traces = [one(name) for name in policy_names]
+        for name in policy_names
+    ]
 
     stats: dict[str, dict] = {}
     for name, trace in zip(policy_names, traces):
@@ -283,8 +284,11 @@ def make_fixture(
 
     Returns the path of a scenario config referencing the written files and
     carrying the seed, ready for the infer/regen workflows.  With switch_step
-    set, the leader's weights change to lam_after from that step onward.
+    set, the leader's weights change to lam_after from that step onward;
+    it must lie in 1 .. cfg.max_steps - 1.
     """
+    if switch_step is not None and not 1 <= switch_step < cfg.max_steps:
+        raise ValueError(f"switch_step must be in 1..{cfg.max_steps - 1}, got {switch_step}")
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg.load_scenario()
     follower = PolicySpec.follower()

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 import socialplan as sp
 from socialplan.cli import main
-from socialplan.config import load_config, save_config
+from socialplan.config import config_from_dict, config_to_dict, load_config, save_config
 from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
 
 
@@ -22,6 +23,37 @@ def test_config_roundtrip(case_config, tmp_path):
     again = tmp_path / "again.json"
     save_config(cfg, again)
     assert json.loads(again.read_text()) == json.loads(case_config.read_text())
+
+
+def test_config_dict_roundtrip_keeps_forbid_singleton(case_config):
+    cfg = load_config(case_config)
+    cfg = replace(cfg, sampler=replace(cfg.sampler, forbid_singleton=True))
+    again = config_from_dict(config_to_dict(cfg), base_dir=cfg.base_dir)
+    assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("inference", "n_particles", 100.5),
+        ("inference", "window_r", 10.0),
+        ("sampler", "horizon_steps", 12.5),
+        (None, "max_steps", 150.7),
+        (None, "frame_period_ms", 50.5),
+        (None, "max_steps", True),
+        (None, "seed", 1.5),
+        (None, "frame_period_ms", 0),
+        (None, "max_steps", -1),
+    ],
+)
+def test_config_rejects_bad_integer_fields(tmp_path, case_config, section, key, value):
+    data = json.loads(case_config.read_text())
+    (data[section] if section else data)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(sp.SchemaError, match=key):
+        load_config(bad)
+    assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_config_rejects_bad_version(tmp_path, case_config):
@@ -58,6 +90,16 @@ def test_cli_usage_errors(tmp_path, case_config):
     assert main(["frobnicate", "--config", str(case_config), "--out", str(tmp_path)]) == 1
     assert main(["sim", "--out", str(tmp_path)]) == 1  # missing --config
     assert main(["sim", "--config", str(case_config), "--out", str(tmp_path), "--policy", "bogus"]) == 1
+    sim = ["sim", "--config", str(case_config), "--out", str(tmp_path / "sim")]
+    assert main([*sim, "--threads", "0"]) == 1
+    assert main([*sim, "--threads", "-3"]) == 1
+    fixture = [
+        "fixture", "--config", str(case_config), "--out", str(tmp_path / "fix"),
+        "--lambda-after", "confidence",
+    ]
+    max_steps = load_config(case_config).max_steps
+    for step in ("-5", "0", str(max_steps), "1000"):
+        assert main([*fixture, "--switch-step", step]) == 1
 
 
 def test_cli_json_errors(tmp_path, capsys):

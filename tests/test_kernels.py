@@ -1,9 +1,9 @@
 import numpy as np
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan import _kernels
-from socialplan._kernels import _py
+from socialplan import sampling
 
 
 def _random_inputs(rng, n=7, steps=12):
@@ -12,68 +12,40 @@ def _random_inputs(rng, n=7, steps=12):
     return s0, v0, accels
 
 
+def _assert_matches_step_dynamics(s0, v0, accels, dt):
+    S, V = sampling.rollout_batch(s0, v0, accels, dt)
+    assert S.shape == V.shape == (accels.shape[0], accels.shape[1] + 1)
+    for i in range(accels.shape[0]):
+        state = sp.AgentState(s=s0, v=v0)
+        assert S[i, 0] == s0 and V[i, 0] == v0
+        for k, a in enumerate(accels[i]):
+            state = sp.step_dynamics(state, float(a), dt)
+            assert state.s == S[i, k + 1] and state.v == V[i, k + 1]
+
+
 def test_rollout_matches_scalar_dynamics_exactly():
     rng = np.random.default_rng(0)
     for _ in range(50):
         s0, v0, accels = _random_inputs(rng)
-        S, V = _py.rollout_batch(s0, v0, accels, 0.25)
-        for i in range(accels.shape[0]):
-            st = sp.AgentState(s=s0, v=v0)
-            for k, a in enumerate(accels[i]):
-                st = sp.step_dynamics(st, float(a), 0.25)
-                assert st.s == S[i, k + 1] and st.v == V[i, k + 1]
+        _assert_matches_step_dynamics(s0, v0, accels, 0.25)
 
 
-@pytest.mark.skipif("compiled" not in _kernels.available_backends(), reason="extension not built")
-def test_compiled_rollout_matches_scalar_dynamics_exactly():
-    from socialplan._kernels import _speed
-
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        s0, v0, accels = _random_inputs(rng)
-        S, V = _speed.rollout_batch(s0, v0, np.ascontiguousarray(accels), 0.25)
-        for i in range(accels.shape[0]):
-            st = sp.AgentState(s=s0, v=v0)
-            for k, a in enumerate(accels[i]):
-                st = sp.step_dynamics(st, float(a), 0.25)
-                assert st.s == S[i, k + 1] and st.v == V[i, k + 1]
+_accel = st.floats(-8.0, 4.0, allow_nan=False)
 
 
-@pytest.mark.skipif("compiled" not in _kernels.available_backends(), reason="extension not built")
-def test_backends_agree():
-    from socialplan._kernels import _speed
-
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        s0, v0, accels = _random_inputs(rng, n=5, steps=10)
-        S1, V1 = _py.rollout_batch(s0, v0, accels, 0.2)
-        S2, V2 = _speed.rollout_batch(s0, v0, np.ascontiguousarray(accels), 0.2)
-        assert np.array_equal(S1, S2) and np.array_equal(V1, V2)
-
-        ne, no, steps = 4, 5, 10
-        xy_e = rng.uniform(-30, 30, size=(ne, steps + 1, 2))
-        xy_o = rng.uniform(-30, 30, size=(no, steps + 1, 2))
-        s_e = rng.uniform(0, 60, size=(ne, steps + 1))
-        s_o = rng.uniform(0, 60, size=(no, steps + 1))
-        m1 = _py.safety_matrix(xy_e, xy_o, s_e, s_o, 30.0, 25.0, 5.0, 10.0)
-        m2 = _speed.safety_matrix(
-            np.ascontiguousarray(xy_e), np.ascontiguousarray(xy_o),
-            np.ascontiguousarray(s_e), np.ascontiguousarray(s_o),
-            30.0, 25.0, 5.0, 10.0,
-        )
-        assert np.allclose(m1, m2, rtol=1e-12, atol=1e-12)
-
-
-def test_backend_selection_roundtrip():
-    initial = _kernels.get_backend()
-    try:
-        for name in _kernels.available_backends():
-            _kernels.set_backend(name)
-            assert _kernels.get_backend() == name
-        with pytest.raises(ValueError):
-            _kernels.set_backend("nonsense")
-    finally:
-        _kernels.set_backend(initial)
+@settings(max_examples=200, deadline=None)
+@given(
+    s0=st.floats(0.0, 100.0, allow_nan=False),
+    v0=st.one_of(st.just(0.0), st.floats(0.0, 20.0, allow_nan=False)),
+    dt=st.floats(0.01, 0.5, allow_nan=False),
+    rows=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_accel, min_size=n, max_size=n), min_size=1, max_size=6)
+    ),
+)
+@example(s0=5.0, v0=1.0, dt=0.25, rows=[[-8.0, 2.0], [-4.0, -4.0]])  # stops inside step 0
+@example(s0=0.0, v0=0.0, dt=0.1, rows=[[-1.0, 0.0, 3.0]])  # at rest, then pulls away
+def test_rollout_bit_exact_property(s0, v0, dt, rows):
+    _assert_matches_step_dynamics(s0, v0, np.array(rows), dt)
 
 
 def test_safety_matrix_reference_value():
@@ -81,16 +53,5 @@ def test_safety_matrix_reference_value():
     steps = 6
     xy = np.zeros((1, steps + 1, 2))
     s = np.full((1, steps + 1), 12.0)
-    m = _py.safety_matrix(xy, xy, s, s, 12.0, 12.0, 5.0, 10.0)
+    m = sampling.safety_matrix(xy, xy, s, s, 12.0, 12.0, 5.0, 10.0)
     assert abs(m[0, 0] + steps) < 1e-12
-
-
-def test_bench_runs_and_reports_both_backends():
-    from socialplan import bench
-
-    rows = bench.run(repeat=2)
-    names = [name for name, _ in rows]
-    assert any("rollout" in n for n in names) and any("safety" in n for n in names)
-    for _, timings in rows:
-        assert set(timings) == set(_kernels.available_backends())
-        assert all(t > 0 for t in timings.values())

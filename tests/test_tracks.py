@@ -45,6 +45,24 @@ def test_bad_value_is_parse_error(tmp_path):
         tk.load_tracks(f)
 
 
+@pytest.mark.parametrize("row", ["1,1,100,nan,0.0,1.0,0.0", "1,1,100,1.0,0.0,inf,0.0", "1,1,100,1.0,-inf,1.0,0.0"])
+def test_non_finite_track_value_is_parse_error(tmp_path, row):
+    f = tmp_path / "t.csv"
+    f.write_text(HEADER + "\n1,0,0,0.0,0.0,1.0,0.0\n" + row + "\n")
+    with pytest.raises(sp.ParseError, match="row 3") as info:
+        tk.load_tracks(f)
+    assert info.value.row == 3
+
+
+@pytest.mark.parametrize("row", ["nan,1.0", "1.0,inf"])
+def test_non_finite_path_value_is_parse_error(tmp_path, row):
+    f = tmp_path / "p.csv"
+    f.write_text("x,y\n0.0,0.0\n" + row + "\n5.0,5.0\n")
+    with pytest.raises(sp.ParseError, match="row 3") as info:
+        tk.load_path_csv(f, 8.0)
+    assert info.value.row == 3
+
+
 def test_inconsistent_frame_period(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text(
