@@ -38,6 +38,7 @@ from .inference import (
     infer_trace,
     init_particles,
     match_observed,
+    posterior_steps,
     update_posterior,
     window_likelihood,
 )
@@ -51,7 +52,15 @@ from .metrics import (
     psf,
     trajectory_mse,
 )
-from .planner import InteractionTrace, PolicySpec, Scenario, follower_response, plan_ego, simulate
+from .planner import (
+    InteractionTrace,
+    PolicySpec,
+    Scenario,
+    follower_response,
+    leader_label,
+    plan_ego,
+    simulate,
+)
 from .rewards import (
     FeatureVector,
     ResponseDistribution,

@@ -7,7 +7,7 @@ candidate trajectory.  The control is a scalar longitudinal acceleration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,11 @@ class ReferencePath:
     points: np.ndarray
     cumulative_arclength: np.ndarray
     speed_limit: float
+    # per-segment geometry, derived in __post_init__: lengths, unit
+    # directions and left normals
+    _seg_len: np.ndarray = field(init=False, repr=False, compare=False)
+    _unit: np.ndarray = field(init=False, repr=False, compare=False)
+    _normal: np.ndarray = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_points(cls, points, speed_limit: float) -> "ReferencePath":
@@ -46,6 +51,12 @@ class ReferencePath:
             raise ValueError("points/arclength length mismatch")
         if cum[0] != 0.0 or np.any(np.diff(cum) <= 0.0):
             raise ValueError("cumulative arclength must start at 0 and strictly increase")
+        seg = np.diff(self.points, axis=0)
+        seg_len = np.linalg.norm(seg, axis=-1)
+        unit = seg / seg_len[:, None]
+        object.__setattr__(self, "_seg_len", seg_len)
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_normal", np.stack([-unit[:, 1], unit[:, 0]], axis=-1))
 
     @property
     def length(self) -> float:
@@ -63,19 +74,13 @@ class ReferencePath:
         """
         s = np.asarray(s, dtype=float)
         idx = self._segment_index(s)
-        a = self.points[idx]
-        direction = self.points[idx + 1] - a
-        direction = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
         offset = (s - self.cumulative_arclength[idx])[..., None]
-        base = a + offset * direction
-        normal = np.stack([-direction[..., 1], direction[..., 0]], axis=-1)
-        return base + np.asarray(d, dtype=float)[..., None] * normal
+        base = self.points[idx] + offset * self._unit[idx]
+        return base + np.asarray(d, dtype=float)[..., None] * self._normal[idx]
 
     def tangent(self, s) -> np.ndarray:
         """Unit tangent of the segment containing arclength s."""
-        idx = self._segment_index(np.asarray(s, dtype=float))
-        direction = self.points[idx + 1] - self.points[idx]
-        return direction / np.linalg.norm(direction, axis=-1, keepdims=True)
+        return self._unit[self._segment_index(np.asarray(s, dtype=float))]
 
 
 def project_to_path(point, path: ReferencePath) -> tuple[float, float]:
@@ -88,10 +93,7 @@ def project_to_path(point, path: ReferencePath) -> tuple[float, float]:
     """
     p = np.asarray(point, dtype=float)
     a = path.points[:-1]
-    b = path.points[1:]
-    seg = b - a
-    seg_len = np.linalg.norm(seg, axis=1)
-    unit = seg / seg_len[:, None]
+    seg_len, unit = path._seg_len, path._unit
     rel = p[None, :] - a
     t = np.einsum("ij,ij->i", rel, unit)
     t_clamped = np.clip(t, 0.0, seg_len)

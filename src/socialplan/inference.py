@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -228,6 +228,47 @@ class InferenceSeries:
         return RewardWeights(self.lambdas[-1] / self.lambdas[-1].sum())
 
 
+def observed_state(obs_self, obs_other, k: int) -> JointState:
+    """Joint state at grid index k of two observed tracks (obs_self in the ego seat)."""
+    return JointState(
+        ego=AgentState(s=float(obs_self.s[k]), v=float(obs_self.v[k]), d=float(obs_self.d[k])),
+        other=AgentState(s=float(obs_other.s[k]), v=float(obs_other.v[k]), d=float(obs_other.d[k])),
+        t=k,
+    )
+
+
+def posterior_steps(
+    obs_self,
+    obs_other,
+    scenario: Scenario,
+    cfg: InferenceConfig,
+    seed: int = 0,
+) -> Iterator[tuple[int, JointBehaviorSpace, int, RewardWeights]]:
+    """The posterior loop for the agent in the scenario's ego seat, one frame at a time.
+
+    Yields (tau, space, k, estimate) for each posterior frame k in order:
+    the window start tau, the joint space built at the observed state tau,
+    and the posterior mean after the window tau..k.  A space is built only
+    when tau changes, so under growing_window the frame-0 space serves every
+    frame.  obs_self/obs_other expose s, v, d, xy arrays on the
+    planning-rate grid.
+    """
+    total = len(obs_self.s) - 1
+    r = cfg.window_r
+    if total < r:
+        raise ShortTrackError(f"track has {total} steps, window needs {r}")
+    pset = init_particles(cfg, seed)
+    built_at, space = None, None
+    for k in range(r, total + 1):
+        tau = 0 if cfg.growing_window else k - r
+        if tau != built_at:
+            space = scenario.space_at(observed_state(obs_self, obs_other, tau))
+            built_at = tau
+        matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates)
+        pset = update_posterior(pset, matched, space, cfg)
+        yield tau, space, k, estimate_lambda(pset)
+
+
 def infer_agent(
     obs_self,
     obs_other,
@@ -235,28 +276,11 @@ def infer_agent(
     cfg: InferenceConfig,
     seed: int = 0,
 ) -> InferenceSeries:
-    """Run the posterior loop for the agent sitting in the scenario's ego seat.
-
-    obs_self/obs_other expose s, v, d, xy arrays on the planning-rate grid.
-    """
-    total = len(obs_self.s) - 1
-    r = cfg.window_r
-    if total < r:
-        raise ShortTrackError(f"track has {total} steps, window needs {r}")
-    pset = init_particles(cfg, seed)
+    """Per-frame weight estimates for the agent sitting in the scenario's ego seat."""
     frames, lams = [], []
-    for k in range(r, total + 1):
-        tau = 0 if cfg.growing_window else k - r
-        x0 = JointState(
-            ego=AgentState(s=float(obs_self.s[tau]), v=float(obs_self.v[tau]), d=float(obs_self.d[tau])),
-            other=AgentState(s=float(obs_other.s[tau]), v=float(obs_other.v[tau]), d=float(obs_other.d[tau])),
-            t=tau,
-        )
-        space = scenario.space_at(x0)
-        matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates)
-        pset = update_posterior(pset, matched, space, cfg)
+    for _, _, k, estimate in posterior_steps(obs_self, obs_other, scenario, cfg, seed):
         frames.append(k)
-        lams.append(estimate_lambda(pset).values)
+        lams.append(estimate.values)
     return InferenceSeries(frames=np.array(frames), lambdas=np.stack(lams))
 
 

@@ -83,16 +83,19 @@ class PolicySpec:
         return cls(kind="follower")
 
 
-def plan_ego(x0: JointState, lam: RewardWeights, scenario: Scenario) -> tuple[ActionSequence, JointBehaviorSpace]:
-    """Leader decision: the ego candidate with maximal social reward.
+def leader_label(space: JointBehaviorSpace, lam: RewardWeights) -> int:
+    """Label of the ego candidate with maximal social reward under weights lam.
 
     Ties break toward the lowest candidate label (np.argmax takes the first
     maximum and labels are the candidate indices).
     """
+    return int(np.argmax(social_reward_vector(space, lam)))
+
+
+def plan_ego(x0: JointState, lam: RewardWeights, scenario: Scenario) -> tuple[ActionSequence, JointBehaviorSpace]:
+    """Leader decision on a fresh joint space at x0 (see leader_label)."""
     space = scenario.space_at(x0)
-    scores = social_reward_vector(space, lam)
-    label = int(np.argmax(scores))
-    return space.ego_candidates[label].seq, space
+    return space.ego_candidates[leader_label(space, lam)].seq, space
 
 
 def follower_response(space: JointBehaviorSpace, ego_label: int) -> ActionSequence:

@@ -8,7 +8,7 @@ written with fixed 6-decimal formatting so outputs diff bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +143,11 @@ class ObservedPair:
 
 @dataclass(frozen=True)
 class InteractionPair:
-    """Two tracks on distinct, conflicting paths that cross near in time."""
+    """Two tracks on distinct, conflicting paths that cross near in time.
+
+    proj_ego/proj_other hold each track's (s, d) projection onto its path,
+    one row per record, as computed when the track was fitted.
+    """
 
     ego_id: int
     other_id: int
@@ -152,6 +156,8 @@ class InteractionPair:
     overlap: tuple[int, int]  # first/last shared frame
     t_cross_ego_ms: float
     t_cross_other_ms: float
+    proj_ego: np.ndarray = field(repr=False, compare=False)
+    proj_other: np.ndarray = field(repr=False, compare=False)
 
 
 def _fit_path(records: list[TrackRecord], path: ReferencePath):
@@ -228,17 +234,18 @@ def extract_pairs(
                     overlap=overlap,
                     t_cross_ego_ms=cross_e,
                     t_cross_other_ms=cross_o,
+                    proj_ego=proj_e,
+                    proj_other=proj_o,
                 )
             )
     return pairs
 
 
-def _resample_role(records: list[TrackRecord], path: ReferencePath, grid_ms: np.ndarray) -> ObservedTrack:
+def _resample_role(records: list[TrackRecord], proj: np.ndarray, grid_ms: np.ndarray) -> ObservedTrack:
     times = np.array([r.timestamp_ms for r in records], dtype=float)
     xs = np.array([r.x for r in records])
     ys = np.array([r.y for r in records])
     speeds = np.array([r.speed for r in records])
-    proj = np.array([project_to_path((r.x, r.y), path) for r in records])
     return ObservedTrack(
         track_id=records[0].track_id,
         times_ms=grid_ms,
@@ -252,7 +259,11 @@ def _resample_role(records: list[TrackRecord], path: ReferencePath, grid_ms: np.
 def resample_pair(
     tracks: dict[int, list[TrackRecord]], pair: InteractionPair, dt: float
 ) -> ObservedPair:
-    """Put both tracks of a pair on a shared planning-rate time grid."""
+    """Put both tracks of a pair on a shared planning-rate time grid.
+
+    tracks must be the records the pair was extracted from: the path
+    projections are the ones the pair carries.
+    """
     rec_e, rec_o = tracks[pair.ego_id], tracks[pair.other_id]
     t0 = max(rec_e[0].timestamp_ms, rec_o[0].timestamp_ms)
     t1 = min(rec_e[-1].timestamp_ms, rec_o[-1].timestamp_ms)
@@ -262,8 +273,8 @@ def resample_pair(
         raise ShortTrackError("tracks share less than one planning step of overlap")
     grid = t0 + dt_ms * np.arange(n + 1)
     return ObservedPair(
-        ego=_resample_role(rec_e, pair.path_ego, grid),
-        other=_resample_role(rec_o, pair.path_other, grid),
+        ego=_resample_role(rec_e, pair.proj_ego, grid),
+        other=_resample_role(rec_o, pair.proj_other, grid),
         dt=dt,
     )
 

@@ -13,10 +13,11 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config
-from .core import AgentState, JointState
 from .errors import NonTerminatingError, ParseError, ShortTrackError
-from .inference import InferenceSeries, infer_trace
-from .planner import InteractionTrace, PolicySpec, Scenario, plan_ego, simulate
+from .inference import InferenceSeries, infer_trace, observed_state, posterior_steps
+# plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
+# by attribute lookup, so the name must stay importable from this module.
+from .planner import InteractionTrace, PolicySpec, Scenario, leader_label, plan_ego, simulate  # noqa: F401
 from .rewards import RewardWeights
 from .tracks import (
     ObservedPair,
@@ -199,37 +200,47 @@ class _ObsWindow:
     dt: float
 
 
-def _regen_agent(
-    obs_self,
-    obs_other,
-    scenario: Scenario,
-    cfg: ScenarioConfig,
-    series: InferenceSeries,
-) -> dict:
-    """Mean regeneration MSE per policy and horizon for one agent."""
+def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -> dict:
+    """Mean regeneration MSE per policy and horizon for one agent.
+
+    One posterior pass over the seat builds each observed state's joint space
+    once; the space serves the posterior update at that window start and then
+    the leader decisions of all four policies regenerated from that state.
+    The estimate used at regeneration frame k is the one recorded at
+    posterior frame k, r frames before the pass starts a window at k.  Frames
+    the pass never starts a window at (window_r above the longest horizon's
+    step count, or growing_window) get their space built on the spot, so
+    only one space is live at a time.
+    """
     dt = cfg.sampler.dt
     max_steps = int(np.floor(max(REGEN_HORIZONS) / dt + 1e-9))
     total = len(obs_self.s) - 1
-    r = cfg.inference.window_r
-    frames = [k for k in range(r, total + 1 - max_steps)]
+    frames = range(cfg.inference.window_r, total + 1 - max_steps)
     if not frames:
         raise ShortTrackError("track too short to regenerate at the longest horizon")
-    lam_at = dict(zip(series.frames.tolist(), series.lambdas))
+    fixed = [(name, make()) for name, make in POLICIES.items()]
+    sums = {name: dict.fromkeys(REGEN_HORIZONS, 0.0) for name in [*POLICIES, "estimated"]}
+    lam_at: dict[int, RewardWeights] = {}
 
-    sums = {name: {h: 0.0 for h in REGEN_HORIZONS} for name in [*POLICIES, "estimated"]}
-    for k in frames:
-        x0 = JointState(
-            ego=AgentState(s=float(obs_self.s[k]), v=float(obs_self.v[k]), d=float(obs_self.d[k])),
-            other=AgentState(s=float(obs_other.s[k]), v=float(obs_other.v[k]), d=float(obs_other.d[k])),
-            t=k,
-        )
+    def regenerate(k: int, space) -> None:
         observed = _ObsWindow(xy=obs_self.xy[k : k + max_steps + 1], dt=dt)
-        for name in sums:
-            lam = RewardWeights(lam_at[k]) if name == "estimated" else POLICIES[name]()
-            seq, space = plan_ego(x0, lam, scenario)
-            traj = space.ego_candidates[seq.label].traj
-            for h in REGEN_HORIZONS:
-                sums[name][h] += metrics.trajectory_mse(traj, observed, h)
+        mse_by_label: dict[int, list[float]] = {}
+        for name, lam in (*fixed, ("estimated", lam_at.pop(k))):
+            label = leader_label(space, lam)
+            if label not in mse_by_label:
+                traj = space.ego_candidates[label].traj
+                mse_by_label[label] = [metrics.trajectory_mse(traj, observed, h) for h in REGEN_HORIZONS]
+            for h, mse in zip(REGEN_HORIZONS, mse_by_label[label]):
+                sums[name][h] += mse
+
+    next_k = frames.start
+    for tau, space, k, estimate in posterior_steps(obs_self, obs_other, scenario, cfg.inference, cfg.seed):
+        lam_at[k] = estimate
+        if tau == next_k < frames.stop:
+            regenerate(tau, space)
+            next_k += 1
+    for k in range(next_k, frames.stop):
+        regenerate(k, scenario.space_at(observed_state(obs_self, obs_other, k)))
 
     return {
         name: {str(h): round(per_h[h] / len(frames), 6) for h in REGEN_HORIZONS}
@@ -244,12 +255,9 @@ def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
     report: dict[str, dict] = {}
     for idx, pair in observed_pairs(cfg):
         try:
-            estimates = infer_trace(pair, scenario, cfg.inference, seed=cfg.seed)
             roles = {
-                "ego": _regen_agent(pair.ego, pair.other, scenario, cfg, estimates["ego"]),
-                "other": _regen_agent(
-                    pair.other, pair.ego, scenario.swapped(), cfg, estimates["other"]
-                ),
+                "ego": _regen_agent(pair.ego, pair.other, scenario, cfg),
+                "other": _regen_agent(pair.other, pair.ego, scenario.swapped(), cfg),
             }
         except ShortTrackError:
             continue

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
 from example_checks import (
@@ -186,3 +188,41 @@ def test_conflict_point_consistent_on_both_paths():
             continue
         assert np.linalg.norm(c.position - pe.position(c.s_ego, 0.0)) < 1e-6
         assert np.linalg.norm(c.position - po.position(c.s_other, 0.0)) < 1e-6
+
+
+def _position_by_segment(path, s, d):
+    """ReferencePath.position as first written: each call renormalises its segments."""
+    s = np.asarray(s, dtype=float)
+    idx = np.clip(np.searchsorted(path.cumulative_arclength, s, side="right") - 1, 0, len(path.points) - 2)
+    a = path.points[idx]
+    direction = path.points[idx + 1] - a
+    direction = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
+    offset = (s - path.cumulative_arclength[idx])[..., None]
+    base = a + offset * direction
+    normal = np.stack([-direction[..., 1], direction[..., 0]], axis=-1)
+    return base + np.asarray(d, dtype=float)[..., None] * normal
+
+
+_coord = st.floats(-200.0, 200.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vertices=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6),
+    fractions=st.lists(st.floats(-0.5, 1.5, allow_nan=False), min_size=1, max_size=13),
+    rows=st.integers(1, 6),
+    d=st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False)),
+)
+def test_position_matches_per_call_segment_formula_bit_for_bit(vertices, fractions, rows, d):
+    pts = np.array(vertices)
+    assume(np.all(np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-6))
+    path = sp.ReferencePath.from_points(pts, 10.0)
+    # fractions outside [0, 1] put arclengths beyond both endpoints
+    s = np.tile(np.array(fractions) * path.length, (rows, 1))
+    assert np.array_equal(path.position(s, d), _position_by_segment(path, s, d))
+    d_rows = np.full(s.shape, d)
+    assert np.array_equal(path.position(s, d_rows), _position_by_segment(path, s, d_rows))
+    assert np.array_equal(path.position(s[0, 0], d), _position_by_segment(path, s[0, 0], d))
+    idx = np.clip(np.searchsorted(path.cumulative_arclength, s, side="right") - 1, 0, len(pts) - 2)
+    direction = path.points[idx + 1] - path.points[idx]
+    assert np.array_equal(path.tangent(s), direction / np.linalg.norm(direction, axis=-1, keepdims=True))

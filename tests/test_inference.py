@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan.inference import _sample_simplex, infer_agent
@@ -189,3 +191,31 @@ def test_likelihood_normalizes_on_real_space():
             sp.window_likelihood(m, lam, space) for m in range(len(space.ego_candidates))
         )
         assert abs(total - 1.0) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_particles=st.integers(2, 60),
+    init=st.sampled_from(["stratified", "iid"]),
+    resample=st.booleans(),
+    seed=st.integers(0, 2**16),
+    updates=st.integers(1, 4).flatmap(
+        lambda n_cand: st.lists(
+            st.tuples(
+                st.integers(0, n_cand - 1),
+                st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=3 * n_cand, max_size=3 * n_cand),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    ),
+)
+def test_posterior_stays_on_simplex_property(n_particles, init, resample, seed, updates):
+    cfg = sp.InferenceConfig(n_particles=n_particles, init=init, resample=resample)
+    pset = sp.init_particles(cfg, seed=seed)
+    for matched, flat in updates:
+        pset = sp.update_posterior(pset, matched, FakeSpace(np.reshape(flat, (3, -1))), cfg)
+        assert np.all(pset.weights >= 0.0)
+        assert abs(pset.weights.sum() - 1.0) < 1e-9
+        est = sp.estimate_lambda(pset).values
+        assert np.all(est >= 0.0) and abs(est.sum() - 1.0) < 1e-9

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan.sampling import JointBehaviorSpace
@@ -175,3 +177,26 @@ def test_egoism_normalization_constant_rows():
     )
     comps = space.components()
     assert np.allclose(comps.egoism_norm, 0.0, atol=0)
+
+
+@st.composite
+def _spaces(draw):
+    ne, no = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    # magnitudes up to 100: inside the log-domain softmax envelope
+    value = st.floats(-100.0, 100.0, allow_nan=False)
+    return JointBehaviorSpace.from_matrices(
+        np.reshape(draw(st.lists(value, min_size=ne * no, max_size=ne * no)), (ne, no)),
+        np.reshape(draw(st.lists(value, min_size=ne * no, max_size=ne * no)), (ne, no)),
+        draw(st.lists(value, min_size=no, max_size=no)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=_spaces())
+def test_courtesy_and_confidence_reward_ranges_property(space):
+    comps = space.components()
+    assert np.all((comps.courtesy > 0.0) & (comps.courtesy <= 1.0))
+    assert np.all((comps.confidence_reward >= 1.0) & (comps.confidence_reward <= math.e))
+    for label in range(len(space.ego_candidates)):
+        assert 0.0 < sp.courtesy_reward(space, label) <= 1.0
+        assert 1.0 <= sp.confidence_reward(space, label) <= math.e

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan import tracks as tk
@@ -208,3 +210,48 @@ def test_fixture_with_parallel_paths_raises_no_conflict(tmp_path):
     )
     with pytest.raises(sp.NoConflictError):
         workflows.make_fixture(cfg, sp.RewardWeights.egoism(), seed=0, out_dir=tmp_path / "out")
+
+
+def test_resample_pair_reuses_fit_projections(tmp_path):
+    _, out, scn = _fixture(tmp_path)
+    tracks = tk.load_tracks(out / "tracks.csv")
+    [pair] = tk.extract_pairs(tracks, [scn.path_ego], [scn.path_other])
+    obs = tk.resample_pair(tracks, pair, scn.sampler.dt)
+    for records, path, proj, track in (
+        (tracks[pair.ego_id], pair.path_ego, pair.proj_ego, obs.ego),
+        (tracks[pair.other_id], pair.path_other, pair.proj_other, obs.other),
+    ):
+        fresh = np.array([sp.project_to_path((r.x, r.y), path) for r in records])
+        assert np.array_equal(proj, fresh)
+        times = np.array([r.timestamp_ms for r in records], dtype=float)
+        assert np.array_equal(track.s, np.interp(track.times_ms, times, fresh[:, 0]))
+        assert np.array_equal(track.d, np.interp(track.times_ms, times, fresh[:, 1]))
+
+
+# values on the 6-decimal grid the writer uses, so a round trip is exact
+_micro = st.integers(-10**9, 10**9).map(lambda n: n / 1e6)
+
+
+@st.composite
+def _track_records(draw):
+    records = []
+    for tid in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True)):
+        n = draw(st.integers(1, 6))
+        frames = sorted(draw(st.lists(st.integers(0, 10**5), min_size=n, max_size=n, unique=True)))
+        t0, period = draw(st.integers(0, 10**6)), draw(st.integers(1, 200))
+        for i, frame in enumerate(frames):
+            records.append(tk.TrackRecord(
+                tid, frame, t0 + i * period, draw(_micro), draw(_micro), draw(_micro), draw(_micro)
+            ))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_track_records())
+def test_write_load_tracks_roundtrip(tmp_path_factory, records):
+    f = tmp_path_factory.mktemp("tracks") / "t.csv"
+    tk.write_tracks(f, records)
+    expected: dict[int, list] = {}
+    for r in records:
+        expected.setdefault(r.track_id, []).append(r)
+    assert tk.load_tracks(f) == expected
