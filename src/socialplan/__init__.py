@@ -77,14 +77,13 @@ from .rewards import (
     social_reward,
 )
 from .sampling import (
-    ActionSequence,
-    Candidate,
+    CandidateFan,
     JointBehaviorSpace,
     SamplerConfig,
     Trajectory,
     build_joint_space,
     rollout,
-    sample_sequences,
+    sample_accels,
 )
 
 __version__ = "0.1.0"

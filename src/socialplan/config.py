@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .core import AgentState, JointState
@@ -64,59 +66,92 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
-def _check_integers(raw: dict, keys: tuple[str, ...], context: str) -> None:
-    for key in keys:
+def _number(value, name: str):
+    """A finite JSON number, returned as given so the config echo keeps its form.
+
+    NaN fails the bound comparison, as do infinities and integers too large
+    for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"config {name} must be a finite number, got {value!r}")
+    return value
+
+
+def _numbers(value, name: str, length: int | None = None) -> tuple:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise SchemaError(f"config {name} must be a list of {length or 'finite'} numbers, got {value!r}")
+    return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value))
+
+
+def _of_type(kind, what: str):
+    def check(value, name: str):
+        if not isinstance(value, kind):
+            raise SchemaError(f"config {name} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_triple = partial(_numbers, length=3)
+_object = _of_type(dict, "an object")
+_boolean = _of_type(bool, "true or false")
+_file_name = _of_type((str, type(None)), "a file name")
+
+
+def _checked(obj, context: str, kinds: dict) -> dict:
+    """A copy of the object obj with each known field checked; unknown fields pass through."""
+    raw = dict(_object(obj, context))
+    for key, check in kinds.items():
         if key in raw:
-            _integer(raw[key], f"{context}.{key}")
+            raw[key] = check(raw[key], f"{context}.{key}")
+    return raw
 
 
-def _agent_state(obj: dict, context: str) -> AgentState:
+def _agent_state(obj, context: str) -> AgentState:
+    obj = _checked(obj, context, dict.fromkeys(("s", "v", "d"), _number))
     return AgentState(
-        s=float(_require(obj, "s", context)),
-        v=float(_require(obj, "v", context)),
-        d=float(obj.get("d", 0.0)),
+        s=float(_require(obj, "s", context)), v=float(_require(obj, "v", context)), d=float(obj.get("d", 0.0))
     )
 
 
-def _path_spec(obj: dict, context: str) -> PathSpec:
-    return PathSpec(
-        file=str(_require(obj, "file", context)),
-        speed_limit=float(_require(obj, "speed_limit", context)),
-    )
+def _path_spec(obj, context: str) -> PathSpec:
+    speed_limit = float(_require(_checked(obj, context, {"speed_limit": _number}), "speed_limit", context))
+    if speed_limit <= 0.0:
+        raise SchemaError(f"config {context}.speed_limit must be positive, got {speed_limit}")
+    return PathSpec(file=str(_require(obj, "file", context)), speed_limit=speed_limit)
 
 
-def _prior(obj: dict) -> PriorSpec:
-    kind = obj.get("kind", "uniform")
+def _prior(obj, context: str) -> PriorSpec:
+    obj = _checked(obj, context, {"alpha": _triple, "fractions": _triple, "concentration": _number})
     return PriorSpec(
-        kind=kind,
-        alpha=tuple(obj["alpha"]) if "alpha" in obj else None,
-        fractions=tuple(obj["fractions"]) if "fractions" in obj else None,
+        kind=obj.get("kind", "uniform"), alpha=obj.get("alpha"), fractions=obj.get("fractions"),
         concentration=float(obj.get("concentration", 8.0)),
     )
+
+
+_SAMPLER_FIELDS = {
+    "horizon_steps": _integer, "terminal_speed_fractions": _numbers, "forbid_singleton": _boolean,
+    **dict.fromkeys(("dt", "accel_min", "accel_max"), _number),
+}
+_REWARD_FIELDS = {
+    "theta_ego": _triple, "theta_other": _triple,
+    **dict.fromkeys(("beta", "d0", "a0", "j0", "sigma_d", "sigma_c"), _number),
+}
+_INFERENCE_FIELDS = {
+    "n_particles": _integer, "window_r": _integer, "prior": _prior,
+    **dict.fromkeys(("resample", "growing_window"), _boolean),
+}
 
 
 def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
-    paths = _require(data, "paths", "")
-    initial = _require(data, "initial", "")
+    paths = _object(_require(data, "paths", ""), "paths")
+    initial = _object(_require(data, "initial", ""), "initial")
     try:
-        sampler_raw = dict(data.get("sampler", {}))
-        if "terminal_speed_fractions" in sampler_raw:
-            sampler_raw["terminal_speed_fractions"] = tuple(sampler_raw["terminal_speed_fractions"])
-        _check_integers(sampler_raw, ("horizon_steps",), "sampler")
-        sampler = SamplerConfig(**sampler_raw)
-        rewards_raw = dict(data.get("rewards", {}))
-        for key in ("theta_ego", "theta_other"):
-            if key in rewards_raw:
-                rewards_raw[key] = tuple(rewards_raw[key])
-        rewards = RewardConfig(**rewards_raw)
-        inf_raw = dict(data.get("inference", {}))
-        _check_integers(inf_raw, ("n_particles", "window_r"), "inference")
-        if "prior" in inf_raw:
-            inf_raw["prior"] = _prior(inf_raw["prior"])
-        inference = InferenceConfig(**inf_raw)
+        sampler = SamplerConfig(**_checked(data.get("sampler", {}), "sampler", _SAMPLER_FIELDS))
+        rewards = RewardConfig(**_checked(data.get("rewards", {}), "rewards", _REWARD_FIELDS))
+        inference = InferenceConfig(**_checked(data.get("inference", {}), "inference", _INFERENCE_FIELDS))
         cfg = ScenarioConfig(
             path_ego=_path_spec(_require(paths, "ego", "paths"), "paths.ego"),
             path_other=_path_spec(_require(paths, "other", "paths"), "paths.other"),
@@ -128,7 +163,7 @@ def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
             rewards=rewards,
             inference=inference,
             seed=_integer(data.get("seed", 0), "seed"),
-            tracks_file=data.get("tracks"),
+            tracks_file=_file_name(data.get("tracks"), "tracks"),
             frame_period_ms=_integer(data.get("frame_period_ms", 50), "frame_period_ms", minimum=1),
             max_steps=_integer(data.get("max_steps", 200), "max_steps", minimum=1),
             base_dir=Path(base_dir),

@@ -15,20 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .core import AgentState, JointState
-from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError, UnknownCandidateError
+from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError
 from .planner import Scenario
-from .rewards import RewardWeights
-from .sampling import Candidate, JointBehaviorSpace
-
-
-class Particle(NamedTuple):
-    lam: RewardWeights
-    weight: float
+from .rewards import RewardWeights, check_ego_label
+from .sampling import JointBehaviorSpace
 
 
 @dataclass(frozen=True)
@@ -96,13 +91,6 @@ class ParticleSet:
         if w.shape != (lam.shape[0],) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be non-negative and sum to 1")
 
-    @property
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(lam=RewardWeights(l / l.sum()), weight=float(w))
-            for l, w in zip(self.lambdas, self.weights)
-        ]
-
 
 def _subdivided_triangles(k: int) -> list[np.ndarray]:
     """Barycentric corner triples of the k^2 congruent subtriangles of the simplex."""
@@ -150,39 +138,33 @@ def init_particles(cfg: InferenceConfig, seed: int | np.random.Generator = 0) ->
     return ParticleSet(lambdas=lambdas, weights=weights)
 
 
-def match_observed(observed_xy: np.ndarray, candidates: list[Candidate]) -> int:
-    """Label of the candidate whose trajectory is MSE-closest to the observation.
+def match_observed(observed_xy: np.ndarray, candidate_xy: np.ndarray) -> int:
+    """Label of the candidate whose positions are MSE-closest to the observation.
 
-    Compared over min(len(observed), N+1) positions; ties break to the lowest
-    label.
+    candidate_xy is (n, N+1, 2), row i the candidate labeled i.  Compared
+    over min(len(observed), N+1) positions; ties break to the lowest label.
     """
-    if not candidates:
+    candidate_xy = np.asarray(candidate_xy, dtype=float)
+    if len(candidate_xy) == 0:
         raise EmptyCandidateSetError("cannot match against an empty candidate set")
     observed_xy = np.asarray(observed_xy, dtype=float)
-    w = min(len(observed_xy), len(candidates[0].traj.xy))
+    w = min(len(observed_xy), candidate_xy.shape[1])
     if w < 2:
         raise ShortTrackError("observation window shorter than one step")
-    best_label, best_mse = 0, np.inf
-    for cand in candidates:
-        diff = cand.traj.xy[:w] - observed_xy[:w]
-        mse = float(np.mean(np.sum(diff * diff, axis=1)))
-        if mse < best_mse:
-            best_label, best_mse = cand.seq.label, mse
-    return best_label
+    diff = candidate_xy[:, :w] - observed_xy[None, :w]
+    return int(np.argmin(np.mean(np.sum(diff * diff, axis=2), axis=1)))
 
 
-def _log_likelihoods(space: JointBehaviorSpace, matched_label: int, lambdas: np.ndarray, beta=None) -> np.ndarray:
-    scores = lambdas @ space.components(beta).stacked()  # (n_particles, n_candidates)
+def _log_likelihoods(space: JointBehaviorSpace, matched_label: int, lambdas: np.ndarray) -> np.ndarray:
+    scores = lambdas @ space.components().stacked()  # (n_particles, n_candidates)
     shifted = scores - scores.max(axis=1, keepdims=True)
     return shifted[:, matched_label] - np.log(np.exp(shifted).sum(axis=1))
 
 
-def window_likelihood(matched_label: int, lam: RewardWeights, space: JointBehaviorSpace, beta=None) -> float:
+def window_likelihood(matched_label: int, lam: RewardWeights, space: JointBehaviorSpace) -> float:
     """Boltzmann probability of the matched action under weights lam."""
-    label = int(matched_label)
-    if not 0 <= label < len(space.ego_candidates):
-        raise UnknownCandidateError(f"no candidate labeled {matched_label}")
-    return float(np.exp(_log_likelihoods(space, label, lam.values[None, :], beta))[0])
+    label = check_ego_label(space, matched_label)
+    return float(np.exp(_log_likelihoods(space, label, lam.values[None, :]))[0])
 
 
 def _systematic_resample(pset: ParticleSet) -> ParticleSet:
@@ -196,10 +178,7 @@ def update_posterior(
     pset: ParticleSet, matched_label: int, space: JointBehaviorSpace, cfg: InferenceConfig
 ) -> ParticleSet:
     """One Bayes step: weight *= likelihood of the matched action, renormalize."""
-    label = int(matched_label)
-    if not 0 <= label < len(space.ego_candidates):
-        raise UnknownCandidateError(f"no candidate labeled {matched_label}")
-    loglik = _log_likelihoods(space, label, pset.lambdas)
+    loglik = _log_likelihoods(space, check_ego_label(space, matched_label), pset.lambdas)
     with np.errstate(divide="ignore"):
         logw = np.log(pset.weights) + loglik
     peak = logw.max()
@@ -264,7 +243,7 @@ def posterior_steps(
         if tau != built_at:
             space = scenario.space_at(observed_state(obs_self, obs_other, tau))
             built_at = tau
-        matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates)
+        matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates.xy)
         pset = update_posterior(pset, matched, space, cfg)
         yield tau, space, k, estimate_lambda(pset)
 

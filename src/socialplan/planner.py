@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
-from .errors import UnknownCandidateError
-from .rewards import RewardConfig, RewardWeights, social_reward_vector
-from .sampling import ActionSequence, JointBehaviorSpace, SamplerConfig, build_joint_space
+from .rewards import RewardConfig, RewardWeights, check_ego_label, social_reward_vector
+from .sampling import JointBehaviorSpace, SamplerConfig, build_joint_space
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,15 @@ def leader_label(space: JointBehaviorSpace, lam: RewardWeights) -> int:
     return int(np.argmax(social_reward_vector(space, lam)))
 
 
-def plan_ego(x0: JointState, lam: RewardWeights, scenario: Scenario) -> tuple[ActionSequence, JointBehaviorSpace]:
-    """Leader decision on a fresh joint space at x0 (see leader_label)."""
+def plan_ego(x0: JointState, lam: RewardWeights, scenario: Scenario) -> tuple[int, JointBehaviorSpace]:
+    """Leader decision on a fresh joint space at x0: (ego label, space); see leader_label."""
     space = scenario.space_at(x0)
-    return space.ego_candidates[leader_label(space, lam)].seq, space
+    return leader_label(space, lam), space
 
 
-def follower_response(space: JointBehaviorSpace, ego_label: int) -> ActionSequence:
-    """Best response of the other car to a committed ego action (Stackelberg follower)."""
-    ego_label = int(ego_label)
-    if not 0 <= ego_label < space.reward_other.shape[0]:
-        raise UnknownCandidateError(f"no ego candidate labeled {ego_label}")
-    j = int(np.argmax(space.reward_other[ego_label]))
-    return space.other_candidates[j].seq
+def follower_response(space: JointBehaviorSpace, ego_label: int) -> int:
+    """Label of the other car's best response to a committed ego action (Stackelberg follower)."""
+    return int(np.argmax(space.reward_other[check_ego_label(space, ego_label)]))
 
 
 @dataclass
@@ -186,9 +181,9 @@ def simulate(
     a_other: list[float] = []
     terminated = _crossed(x, conflict)
     while not terminated and len(a_ego) < max_steps:
-        seq_e, space = plan_ego(x, ego_policy.lam, scenario)
-        seq_o = follower_response(space, seq_e.label)
-        ae, ao = float(seq_e.accels[0]), float(seq_o.accels[0])
+        label, space = plan_ego(x, ego_policy.lam, scenario)
+        ae = float(space.ego_candidates.accels[label, 0])
+        ao = float(space.other_candidates.accels[follower_response(space, label), 0])
         x = JointState(
             ego=step_dynamics(x.ego, ae, scenario.sampler.dt),
             other=step_dynamics(x.other, ao, scenario.sampler.dt),

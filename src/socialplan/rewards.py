@@ -193,16 +193,17 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted)))
 
 
-def _check_label(space, label: int) -> int:
+def check_ego_label(space, label: int) -> int:
+    """label as an int, after checking that the space has an ego candidate with it."""
     label = int(label)
-    if not 0 <= label < space.reward_other.shape[0]:
+    if not 0 <= label < len(space.ego_candidates):
         raise UnknownCandidateError(f"no ego candidate labeled {label}")
     return label
 
 
 def response_distribution(space: "JointBehaviorSpace", ego_label: int, beta: float | None = None) -> ResponseDistribution:
     """Boltzmann distribution over the other car's responses to one ego action."""
-    label = _check_label(space, ego_label)
+    label = check_ego_label(space, ego_label)
     beta = space.reward_cfg.beta if beta is None else beta
     probs = np.exp(_log_softmax(beta * space.reward_other[label]))
     return ResponseDistribution(probs=probs, conditioning=label)
@@ -221,7 +222,7 @@ def absence_distribution(space: "JointBehaviorSpace", beta: float | None = None)
 
 def egoism_reward(space, ego_label: int, beta: float | None = None) -> float:
     """Expected ego utility under the other car's response distribution."""
-    label = _check_label(space, ego_label)
+    label = check_ego_label(space, ego_label)
     dist = response_distribution(space, label, beta)
     return float(np.dot(dist.probs, space.reward_ego[label]))
 
@@ -232,7 +233,7 @@ def _kl(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> float:
 
 def courtesy_reward(space, ego_label: int, beta: float | None = None) -> float:
     """exp(-KL(absence || presence)): 1 means the ego action leaves the other's plan untouched."""
-    label = _check_label(space, ego_label)
+    label = check_ego_label(space, ego_label)
     beta = space.reward_cfg.beta if beta is None else beta
     log_q = _log_softmax(beta * space.absence_other)
     log_p = _log_softmax(beta * space.reward_other[label])
@@ -242,7 +243,7 @@ def courtesy_reward(space, ego_label: int, beta: float | None = None) -> float:
 
 def confidence(space, ego_label: int, beta: float | None = None) -> float:
     """Gap between the two highest response probabilities; 1 for a singleton set."""
-    label = _check_label(space, ego_label)
+    label = check_ego_label(space, ego_label)
     probs = response_distribution(space, label, beta).probs
     if len(probs) == 1:
         return 1.0
@@ -264,15 +265,16 @@ class SocialComponents:
     courtesy: np.ndarray  # (ne,) in (0, 1]
     confidence: np.ndarray  # (ne,) in [0, 1]
     confidence_reward: np.ndarray  # (ne,) in [1, e]
+    terms: np.ndarray  # (3, ne) read-only stack of egoism_norm, courtesy, confidence_reward
 
     def stacked(self) -> np.ndarray:
         """(3, ne) matrix of the mixable terms."""
-        return np.stack([self.egoism_norm, self.courtesy, self.confidence_reward])
+        return self.terms
 
 
-def social_components(space: "JointBehaviorSpace", beta: float | None = None) -> SocialComponents:
+def social_components(space: "JointBehaviorSpace") -> SocialComponents:
     """Evaluate all three reward terms for every ego candidate at once."""
-    beta = space.reward_cfg.beta if beta is None else beta
+    beta = space.reward_cfg.beta
     logits = beta * space.reward_other
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -296,26 +298,29 @@ def social_components(space: "JointBehaviorSpace", beta: float | None = None) ->
         top2 = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
         conf = top2[:, 1] - top2[:, 0]
 
+    conf_reward = np.exp(conf)
+    terms = np.stack([egoism_norm, court, conf_reward])
+    terms.flags.writeable = False
     return SocialComponents(
         presence_logp=log_p,
         egoism_raw=egoism_raw,
         egoism_norm=egoism_norm,
         courtesy=court,
         confidence=conf,
-        confidence_reward=np.exp(conf),
+        confidence_reward=conf_reward,
+        terms=terms,
     )
 
 
-def social_reward_vector(space, lam: RewardWeights, beta: float | None = None) -> np.ndarray:
+def social_reward_vector(space, lam: RewardWeights) -> np.ndarray:
     """Combined social reward of every ego candidate under mixing weights lam.
 
     The egoism term is min-max normalized over the candidate set before
     mixing so that all three terms share an O(1) range.
     """
-    comps = space.components(beta)
-    return lam.values @ comps.stacked()
+    return lam.values @ space.components().stacked()
 
 
-def social_reward(space, ego_label: int, lam: RewardWeights, beta: float | None = None) -> float:
-    label = _check_label(space, ego_label)
-    return float(social_reward_vector(space, lam, beta)[label])
+def social_reward(space, ego_label: int, lam: RewardWeights) -> float:
+    label = check_ego_label(space, ego_label)
+    return float(social_reward_vector(space, lam)[label])

@@ -1,15 +1,15 @@
 """Candidate action sampling and joint behavior space construction.
 
 Each agent's candidate set is a fan of constant-acceleration profiles toward
-a grid of terminal speeds (fractions of the path speed limit).  Pairing the
-two fans yields the discrete joint behavior space; both agents' utilities
-are cached as |ego| x |other| matrices at build time so every downstream
-reward term reduces to row/column operations.
+a grid of terminal speeds (fractions of the path speed limit).  A fan is
+held as arrays with one row per candidate; the row index is the candidate's
+label.  Pairing the two fans yields the discrete joint behavior space; both
+agents' utilities are cached as |ego| x |other| matrices at build time so
+every downstream reward term reduces to row/column operations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,21 +39,6 @@ class SamplerConfig:
         if self.accel_min >= self.accel_max:
             raise ValueError("accel_min must be below accel_max")
 
-    @property
-    def horizon_seconds(self) -> float:
-        return self.horizon_steps * self.dt
-
-
-@dataclass(frozen=True)
-class ActionSequence:
-    """A candidate control sequence: one acceleration per step."""
-
-    label: int
-    accels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "accels", np.asarray(self.accels, dtype=float))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -70,47 +55,58 @@ class Trajectory:
     dt: float
     xy: np.ndarray
 
-    @property
-    def states(self) -> tuple[AgentState, ...]:
-        return tuple(AgentState(s=float(si), v=float(vi), d=self.d) for si, vi in zip(self.s, self.v))
 
+@dataclass(frozen=True)
+class CandidateFan:
+    """One side's candidates as arrays; row i is the candidate labeled i.
 
-class Candidate(NamedTuple):
-    seq: ActionSequence
-    traj: Trajectory
-
-
-def sample_sequences(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> list[ActionSequence]:
-    """Constant-acceleration candidates toward each terminal-speed fraction.
-
-    a = (v_target - v) / (N dt), clamped to the acceleration bounds.  After
-    clamping, duplicate accelerations are removed; labels are assigned in
-    ascending target-speed order.
+    accels: (n, N); s, v: (n, N+1); xy: (n, N+1, 2) at lateral offset d.
     """
-    targets = sorted(f * path.speed_limit for f in cfg.terminal_speed_fractions)
+
+    accels: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    xy: np.ndarray
+    d: float
+    dt: float
+
+    def __len__(self) -> int:
+        return len(self.accels)
+
+    def trajectory(self, label: int) -> Trajectory:
+        """The candidate labeled label as a single trajectory."""
+        return Trajectory(
+            s=self.s[label], v=self.v[label], accels=self.accels[label], d=self.d, dt=self.dt, xy=self.xy[label]
+        )
+
+
+def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> np.ndarray:
+    """Constant accelerations (n,) toward each terminal-speed fraction.
+
+    a = (v_target - v) / (N dt), clamped to the acceleration bounds.  The
+    targets ascend, so the clamped values do too and duplicates are
+    adjacent; each run of equal values keeps one entry.  The index of an
+    acceleration is its candidate label.
+    """
+    targets = np.sort(np.asarray(cfg.terminal_speed_fractions, dtype=float) * path.speed_limit, kind="stable")
     horizon = cfg.horizon_steps * cfg.dt
-    accels = np.clip([(vt - state.v) / horizon for vt in targets], cfg.accel_min, cfg.accel_max)
-    unique = []
-    for a in accels:
-        if not unique or a != unique[-1]:
-            unique.append(float(a))
+    accels = np.clip((targets - state.v) / horizon, cfg.accel_min, cfg.accel_max)
+    unique = accels[np.concatenate(([True], accels[1:] != accels[:-1]))]
     if len(unique) == 1 and len(accels) > 1 and cfg.forbid_singleton:
         raise EmptyCandidateSetError("all candidates collapsed to a single acceleration")
-    return [
-        ActionSequence(label=i, accels=np.full(cfg.horizon_steps, a))
-        for i, a in enumerate(unique)
-    ]
+    return unique
 
 
-def rollout(state: AgentState, seq: ActionSequence, dt: float, path: ReferencePath | None = None) -> Trajectory:
-    """Integrate one candidate through the step dynamics (N+1 states)."""
+def rollout(state: AgentState, accels: np.ndarray, dt: float, path: ReferencePath | None = None) -> Trajectory:
+    """Integrate one acceleration sequence through the step dynamics (N+1 states)."""
+    accels = np.asarray(accels, dtype=float)
     states = [state]
-    for a in seq.accels:
+    for a in accels:
         states.append(step_dynamics(states[-1], float(a), dt))
     s = np.array([st.s for st in states])
     v = np.array([st.v for st in states])
     xy = path.position(s, state.d) if path is not None else np.full((len(s), 2), np.nan)
-    return Trajectory(s=s, v=v, accels=np.asarray(seq.accels, dtype=float), d=state.d, dt=dt, xy=xy)
+    return Trajectory(s=s, v=v, accels=accels, d=state.d, dt=dt, xy=xy)
 
 
 @dataclass
@@ -123,15 +119,14 @@ class JointBehaviorSpace:
     ego car removed.
     """
 
-    ego_candidates: list[Candidate]
-    other_candidates: list[Candidate]
+    ego_candidates: CandidateFan
+    other_candidates: CandidateFan
     reward_ego: np.ndarray
     reward_other: np.ndarray
     absence_other: np.ndarray
     reward_cfg: RewardConfig
-    dt: float
     conflict: ConflictPoint | None = None
-    _components: dict[float, SocialComponents] = field(default_factory=dict, repr=False)
+    _components: SocialComponents | None = field(default=None, repr=False)
 
     def __post_init__(self):
         ne, no = len(self.ego_candidates), len(self.other_candidates)
@@ -146,11 +141,11 @@ class JointBehaviorSpace:
         ):
             raise ValueError("reward matrices must be finite")
 
-    def components(self, beta: float | None = None) -> SocialComponents:
-        key = self.reward_cfg.beta if beta is None else float(beta)
-        if key not in self._components:
-            self._components[key] = social_components(self, key)
-        return self._components[key]
+    def components(self) -> SocialComponents:
+        """The social reward terms at the configured beta, computed once."""
+        if self._components is None:
+            self._components = social_components(self)
+        return self._components
 
     @classmethod
     def from_matrices(
@@ -161,20 +156,16 @@ class JointBehaviorSpace:
         reward_cfg: RewardConfig | None = None,
         dt: float = 0.25,
     ) -> "JointBehaviorSpace":
-        """Synthetic space from raw matrices (testing and fuzzing)."""
+        """Synthetic space from raw matrices (testing and fuzzing); the fans are zero stubs."""
         reward_ego = np.asarray(reward_ego, dtype=float)
         reward_other = np.asarray(reward_other, dtype=float)
         ne, no = reward_other.shape
         if absence_other is None:
             absence_other = np.zeros(no)
-        placeholder = AgentState(s=0.0, v=0.0)
 
-        def stub(n: int) -> list[Candidate]:
-            out = []
-            for i in range(n):
-                seq = ActionSequence(label=i, accels=np.zeros(1))
-                out.append(Candidate(seq=seq, traj=rollout(placeholder, seq, dt)))
-            return out
+        def stub(n: int) -> CandidateFan:
+            zeros = np.zeros((n, 2))
+            return CandidateFan(accels=np.zeros((n, 1)), s=zeros, v=zeros, xy=np.zeros((n, 2, 2)), d=0.0, dt=dt)
 
         return cls(
             ego_candidates=stub(ne),
@@ -183,7 +174,6 @@ class JointBehaviorSpace:
             reward_other=reward_other,
             absence_other=np.asarray(absence_other, dtype=float),
             reward_cfg=reward_cfg or RewardConfig(),
-            dt=dt,
         )
 
 
@@ -244,19 +234,25 @@ def safety_matrix(
     return -np.sum(w, axis=2)
 
 
-def _batch_rollout(state: AgentState, seqs: list[ActionSequence], dt: float, path: ReferencePath):
-    accels = np.stack([seq.accels for seq in seqs])
-    s, v = rollout_batch(state.s, state.v, accels, dt)
-    xy = path.position(s, state.d)
-    return s, v, xy
+def _fan(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> CandidateFan:
+    """Sample one side's accelerations and roll the whole fan out at once."""
+    a = sample_accels(state, path, cfg)
+    accels = np.repeat(a[:, None], cfg.horizon_steps, 1)
+    s, v = rollout_batch(state.s, state.v, accels, cfg.dt)
+    return CandidateFan(accels=accels, s=s, v=v, xy=path.position(s, state.d), d=state.d, dt=cfg.dt)
 
 
-def _utility_vectors(v: np.ndarray, accels: np.ndarray, d: float, v_des: float, dt: float, cfg: RewardConfig):
-    """Per-candidate accumulated efficiency and comfort (steps 0..N-1)."""
+def _utility_vectors(fan: CandidateFan, v_des: float, cfg: RewardConfig):
+    """Per-candidate accumulated efficiency and comfort (steps 0..N-1).
+
+    The comfort sum runs over the N equal terms of each constant row; an
+    N * a**2 closed form would round differently.
+    """
+    accels = fan.accels
     n = accels.shape[1]
-    dev = (v[:, :n] - v_des) / v_des
-    eff = -(np.sum(dev * dev, axis=1) + n * (d / cfg.d0) ** 2)
-    jerk = np.diff(accels, axis=1) / dt
+    dev = (fan.v[:, :n] - v_des) / v_des
+    eff = -(np.sum(dev * dev, axis=1) + n * (fan.d / cfg.d0) ** 2)
+    jerk = np.diff(accels, axis=1) / fan.dt
     com = -(np.sum((accels / cfg.a0) ** 2, axis=1) + np.sum((jerk / cfg.j0) ** 2, axis=1))
     return eff, com
 
@@ -270,21 +266,14 @@ def build_joint_space(
     reward_cfg: RewardConfig,
 ) -> JointBehaviorSpace:
     """Sample both candidate fans and cache every pairwise utility."""
-    dt = sampler_cfg.dt
-    ego_seqs = sample_sequences(x0.ego, path_ego, sampler_cfg)
-    other_seqs = sample_sequences(x0.other, path_other, sampler_cfg)
-
-    s_e, v_e, xy_e = _batch_rollout(x0.ego, ego_seqs, dt, path_ego)
-    s_o, v_o, xy_o = _batch_rollout(x0.other, other_seqs, dt, path_other)
-
-    acc_e = np.stack([seq.accels for seq in ego_seqs])
-    acc_o = np.stack([seq.accels for seq in other_seqs])
-    eff_e, com_e = _utility_vectors(v_e, acc_e, x0.ego.d, path_ego.speed_limit, dt, reward_cfg)
-    eff_o, com_o = _utility_vectors(v_o, acc_o, x0.other.d, path_other.speed_limit, dt, reward_cfg)
+    ego = _fan(x0.ego, path_ego, sampler_cfg)
+    other = _fan(x0.other, path_other, sampler_cfg)
+    eff_e, com_e = _utility_vectors(ego, path_ego.speed_limit, reward_cfg)
+    eff_o, com_o = _utility_vectors(other, path_other.speed_limit, reward_cfg)
 
     # the safety feature is symmetric in the pair, so one matrix serves both
     safety = safety_matrix(
-        xy_e, xy_o, s_e, s_o, conflict.s_ego, conflict.s_other,
+        ego.xy, other.xy, ego.s, other.s, conflict.s_ego, conflict.s_other,
         reward_cfg.sigma_d, reward_cfg.sigma_c,
     )
 
@@ -293,22 +282,12 @@ def build_joint_space(
     reward_other = to[0] * eff_o[None, :] + to[1] * com_o[None, :] + to[2] * safety
     absence_other = to[0] * eff_o + to[1] * com_o
 
-    def pack(seqs, s, v, xy, d) -> list[Candidate]:
-        return [
-            Candidate(
-                seq=seq,
-                traj=Trajectory(s=s[i], v=v[i], accels=seq.accels, d=d, dt=dt, xy=xy[i]),
-            )
-            for i, seq in enumerate(seqs)
-        ]
-
     return JointBehaviorSpace(
-        ego_candidates=pack(ego_seqs, s_e, v_e, xy_e, x0.ego.d),
-        other_candidates=pack(other_seqs, s_o, v_o, xy_o, x0.other.d),
+        ego_candidates=ego,
+        other_candidates=other,
         reward_ego=reward_ego,
         reward_other=reward_other,
         absence_other=absence_other,
         reward_cfg=reward_cfg,
-        dt=dt,
         conflict=conflict,
     )

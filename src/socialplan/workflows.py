@@ -228,7 +228,7 @@ def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -
         for name, lam in (*fixed, ("estimated", lam_at.pop(k))):
             label = leader_label(space, lam)
             if label not in mse_by_label:
-                traj = space.ego_candidates[label].traj
+                traj = space.ego_candidates.trajectory(label)
                 mse_by_label[label] = [metrics.trajectory_mse(traj, observed, h) for h in REGEN_HORIZONS]
             for h, mse in zip(REGEN_HORIZONS, mse_by_label[label]):
                 sums[name][h] += mse

@@ -32,7 +32,7 @@ class FakeSpace:
         self._comps = FakeComponents(stacked)
         self.ego_candidates = [None] * self._comps.stacked().shape[1]
 
-    def components(self, beta=None):
+    def components(self):
         return self._comps
 
 
@@ -90,37 +90,34 @@ def check_conflict_diagonal():
 
 def check_sample_at_target():
     cfg = sp.SamplerConfig(horizon_steps=4, dt=0.25, terminal_speed_fractions=(1.0,))
-    seqs = sp.sample_sequences(sp.AgentState(s=0, v=10.0), straight_path(), cfg)
-    assert len(seqs) == 1 and np.all(seqs[0].accels == 0.0)
+    accels = sp.sample_accels(sp.AgentState(s=0, v=10.0), straight_path(), cfg)
+    assert accels.tolist() == [0.0]
 
 def check_sample_acceleration_grid():
     # derived: a = (v_target - v) / (N dt); rollout terminal speeds verify
     cfg = sp.SamplerConfig(horizon_steps=10, dt=0.3, terminal_speed_fractions=(0.0, 0.5, 1.0), accel_max=5.0)
-    seqs = sp.sample_sequences(sp.AgentState(s=0, v=0.0), straight_path(), cfg)
-    accels = [s.accels[0] for s in seqs]
+    accels = sp.sample_accels(sp.AgentState(s=0, v=0.0), straight_path(), cfg)
     assert np.allclose(accels, [0.0, 5.0 / 3.0, 10.0 / 3.0], atol=1e-9)
-    for seq, target in zip(seqs, (0.0, 5.0, 10.0)):
-        traj = sp.rollout(sp.AgentState(s=0, v=0.0), seq, cfg.dt)
+    for a, target in zip(accels, (0.0, 5.0, 10.0)):
+        traj = sp.rollout(sp.AgentState(s=0, v=0.0), np.full(cfg.horizon_steps, a), cfg.dt)
         assert abs(traj.v[-1] - target) < 1e-9
 
 def check_sample_default_count():
-    seqs = sp.sample_sequences(sp.AgentState(s=0, v=5.0), straight_path(), sp.SamplerConfig())
-    assert [s.label for s in seqs] == [0, 1, 2, 3, 4, 5]
+    # labels are row indices, in ascending target-speed order
+    accels = sp.sample_accels(sp.AgentState(s=0, v=5.0), straight_path(), sp.SamplerConfig())
+    assert len(accels) == 6 and np.all(np.diff(accels) > 0.0)
 
 def check_rollout_uniform():
-    seq = sp.ActionSequence(label=0, accels=np.zeros(3))
-    traj = sp.rollout(sp.AgentState(s=0, v=10.0), seq, 0.5)
+    traj = sp.rollout(sp.AgentState(s=0, v=10.0), np.zeros(3), 0.5)
     assert np.allclose(traj.s, [0, 5, 10, 15], atol=0) and np.all(traj.v == 10.0)
 
 def check_rollout_from_rest():
-    seq = sp.ActionSequence(label=0, accels=np.full(2, 2.0))
-    traj = sp.rollout(sp.AgentState(s=0, v=0.0), seq, 1.0)
+    traj = sp.rollout(sp.AgentState(s=0, v=0.0), np.full(2, 2.0), 1.0)
     assert np.allclose(traj.s, [0, 1, 4], atol=0) and np.allclose(traj.v, [0, 2, 4], atol=0)
 
 def check_rollout_standstill():
     # derived: stops inside step 0 at s = 0.25, stays put afterward (fine-step oracle)
-    seq = sp.ActionSequence(label=0, accels=np.full(4, -2.0))
-    traj = sp.rollout(sp.AgentState(s=0, v=1.0), seq, 1.0)
+    traj = sp.rollout(sp.AgentState(s=0, v=1.0), np.full(4, -2.0), 1.0)
     assert np.allclose(traj.s, [0, 0.25, 0.25, 0.25, 0.25], atol=1e-12)
     assert np.all(traj.v[1:] == 0.0)
 
@@ -281,11 +278,11 @@ def check_social_degenerate_argmaxes():
 
 def check_follower_argmax():
     space = _space([[0.0] * 3], [[1.0, 5.0, 3.0]])
-    assert sp.follower_response(space, 0).label == 1
+    assert sp.follower_response(space, 0) == 1
 
 def check_follower_tie_break():
     space = _space([[0.0] * 2], [[5.0, 5.0]])
-    assert sp.follower_response(space, 0).label == 0
+    assert sp.follower_response(space, 0) == 0
 
 def check_plan_dominant_candidate():
     reward_ego = np.array([[1.0, 1.0], [5.0, 5.0], [2.0, 2.0]])
@@ -323,41 +320,36 @@ def check_init_deterministic():
     b = sp.init_particles(cfg, seed=123)
     assert np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.weights, b.weights)
 
-def _candidates(n=4, steps=6, dt=0.25):
+def _candidate_xy(n=4, steps=6, dt=0.25):
+    """(n, steps+1, 2) positions of a sampled fan, row i the candidate labeled i."""
     path = straight_path(limit=10.0)
     cfg = sp.SamplerConfig(
         horizon_steps=steps, dt=dt,
         terminal_speed_fractions=tuple(np.linspace(0, 1, n)),
     )
-    seqs = sp.sample_sequences(sp.AgentState(s=0.0, v=5.0), path, cfg)
-    return [(seq, sp.rollout(sp.AgentState(s=0.0, v=5.0), seq, dt, path)) for seq in seqs]
+    state = sp.AgentState(s=0.0, v=5.0)
+    return np.stack([
+        sp.rollout(state, np.full(steps, a), dt, path).xy for a in sp.sample_accels(state, path, cfg)
+    ])
 
 def check_match_exact():
-    from socialplan.sampling import Candidate
-
-    cands = [Candidate(*c) for c in _candidates()]
-    assert sp.match_observed(cands[2].traj.xy, cands) == 2
+    xy = _candidate_xy()
+    assert sp.match_observed(xy[2], xy) == 2
 
 def check_match_tie_prefers_low_label():
-    from socialplan.sampling import ActionSequence, Candidate, Trajectory
-
-    def cand(label, xs):
+    def on_x_axis(xs):
         xs = np.asarray(xs, dtype=float)
-        xy = np.stack([xs, np.zeros_like(xs)], axis=1)
-        traj = Trajectory(s=xs, v=np.ones_like(xs), accels=np.zeros(len(xs) - 1), d=0.0, dt=0.25, xy=xy)
-        return Candidate(seq=ActionSequence(label=label, accels=traj.accels), traj=traj)
+        return np.stack([xs, np.zeros_like(xs)], axis=1)
 
-    cands = [cand(0, [0.0, 1.0, 2.0]), cand(1, [0.0, 1.5, 3.0])]
-    midway = np.stack([[0.0, 1.25, 2.5], np.zeros(3)], axis=1)  # dyadic: exact MSE tie
+    cands = np.stack([on_x_axis([0.0, 1.0, 2.0]), on_x_axis([0.0, 1.5, 3.0])])
+    midway = on_x_axis([0.0, 1.25, 2.5])  # dyadic: exact MSE tie
     assert sp.match_observed(midway, cands) == 0
 
 def check_match_offset_stable():
     # derived: +0.1 m uniform offset preserves the MSE ordering
-    from socialplan.sampling import Candidate
-
-    cands = [Candidate(*c) for c in _candidates()]
-    shifted = cands[2].traj.xy + np.array([0.1, 0.1])
-    assert sp.match_observed(shifted, cands) == 2
+    xy = _candidate_xy()
+    shifted = xy[2] + np.array([0.1, 0.1])
+    assert sp.match_observed(shifted, xy) == 2
 
 def check_likelihood_uniform():
     for k in (2, 4, 7):

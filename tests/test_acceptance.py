@@ -192,8 +192,8 @@ def _regen_reduction(fcfg, pair, scn, seed, horizon=1.0):
         observed = SimpleNamespace(xy=pair.ego.xy[k : k + hsteps + 1], dt=dt)
         for kind in ("est", "ego"):
             lam = sp.RewardWeights(lam_at[k]) if kind == "est" else sp.RewardWeights.egoism()
-            seq, space = plan_ego(x0, lam, scn)
-            mse = sp.trajectory_mse(space.ego_candidates[seq.label].traj, observed, horizon)
+            label, space = plan_ego(x0, lam, scn)
+            mse = sp.trajectory_mse(space.ego_candidates.trajectory(label), observed, horizon)
             if kind == "est":
                 mse_est += mse
             else:

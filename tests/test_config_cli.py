@@ -56,6 +56,39 @@ def test_config_rejects_bad_integer_fields(tmp_path, case_config, section, key, 
     assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("inference.prior", "uniform"),
+        ("sampler.terminal_speed_fractions", ["fast", 1.0]),
+        ("rewards.theta_ego", [1.0, 0.5]),
+        ("rewards.theta_ego", [1.0, 0.5, 10.0, 2.0]),
+        ("rewards.beta", float("nan")),
+        ("initial.ego.s", float("nan")),
+        ("initial.other.v", float("inf")),
+        ("paths.ego.speed_limit", float("nan")),
+        ("paths.other.speed_limit", 0),
+        ("sampler.dt", float("inf")),
+        ("sampler.accel_min", float("-inf")),
+        ("inference.resample", "false"),
+        ("tracks", 5),
+    ],
+)
+def test_cli_rejects_bad_config_values(tmp_path, case_config, capsys, field, value):
+    """Each value once gave a traceback, a usage error or silently changed results."""
+    data = json.loads(case_config.read_text())
+    *parents, key = field.split(".")
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # NaN and Infinity are written as JSON literals
+    assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and field in err
+
+
 def test_config_rejects_bad_version(tmp_path, case_config):
     data = json.loads(case_config.read_text())
     data["schema_version"] = 99

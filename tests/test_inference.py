@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
@@ -44,6 +44,40 @@ def test_spec_examples():
         check_estimate_midpoint,
     ):
         fn()
+
+
+def _per_row_match(observed, candidate_xy):
+    """The per-candidate loop: first label with the strictly smallest MSE."""
+    w = min(len(observed), candidate_xy.shape[1])
+    best_label, best_mse = 0, np.inf
+    for label, row in enumerate(candidate_xy):
+        diff = row[:w] - observed[:w]
+        mse = float(np.mean(np.sum(diff * diff, axis=1)))
+        if mse < best_mse:
+            best_label, best_mse = label, mse
+    return best_label
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(2, 31),
+    w=st.integers(2, 31),
+    seed=st.integers(0, 2**32 - 1),
+    integral=st.booleans(),
+    repeat=st.booleans(),
+)
+@example(n=2, m=3, w=3, seed=0, integral=True, repeat=True)  # two equal rows: label 0 must win
+def test_match_observed_matches_per_row_loop(n, m, w, seed, integral, repeat):
+    rng = np.random.default_rng(seed)
+    xy = rng.normal(scale=5.0, size=(n, m, 2))
+    observed = rng.normal(scale=5.0, size=(w, 2))
+    if integral:  # integer coordinates make equal MSEs likely and exact
+        xy, observed = np.round(xy), np.round(observed)
+    if repeat and n > 1:  # an exact tie: a later label repeats an earlier one
+        i = int(rng.integers(n - 1))
+        xy[int(rng.integers(i + 1, n))] = xy[i]
+    assert sp.match_observed(observed, xy) == _per_row_match(observed, xy)
 
 
 def test_simplex_sampling_uniform_and_on_simplex():

@@ -150,6 +150,6 @@ def test_regen_self_consistency_on_egoistic_agent():
         )
         observed = NS(xy=xy_obs[k : k + hsteps + 1], dt=tr.dt)
         for name in mse:
-            seq, space = plan_ego(x0, getattr(sp.RewardWeights, name)(), scn)
-            mse[name] += sp.trajectory_mse(space.ego_candidates[seq.label].traj, observed, 1.0)
+            label, space = plan_ego(x0, getattr(sp.RewardWeights, name)(), scn)
+            mse[name] += sp.trajectory_mse(space.ego_candidates.trajectory(label), observed, 1.0)
     assert mse["egoism"] < mse["courtesy"]

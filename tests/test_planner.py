@@ -32,12 +32,13 @@ def test_single_other_candidate_reduces_to_column_argmax():
 def test_case1_policy_choice_ordering():
     # ego precedes: the courteous leader speeds up, the confident leader slows down
     scn = case_scenario("I")
-    seq_e, _ = sp.plan_ego(scn.initial, sp.RewardWeights.egoism(), scn)
-    seq_c, _ = sp.plan_ego(scn.initial, sp.RewardWeights.courtesy(), scn)
-    seq_f, _ = sp.plan_ego(scn.initial, sp.RewardWeights.confidence(), scn)
-    assert seq_c.label >= seq_e.label  # labels ascend with target speed
-    assert seq_f.label <= seq_e.label
-    assert seq_c.accels[0] > seq_e.accels[0] > seq_f.accels[0]
+    label_e, space = sp.plan_ego(scn.initial, sp.RewardWeights.egoism(), scn)
+    label_c, _ = sp.plan_ego(scn.initial, sp.RewardWeights.courtesy(), scn)
+    label_f, _ = sp.plan_ego(scn.initial, sp.RewardWeights.confidence(), scn)
+    assert label_c >= label_e  # labels ascend with target speed
+    assert label_f <= label_e
+    first = space.ego_candidates.accels[:, 0]
+    assert first[label_c] > first[label_e] > first[label_f]
 
 
 def _simulate(scn, lam, max_steps=200):
@@ -151,6 +152,6 @@ def test_follower_choice_mirrors_swapped_leader_rows():
     swapped = scn.swapped()
     space_sw = swapped.space_at(swapped.initial)
     for i in range(len(space.ego_candidates)):
-        follower = sp.follower_response(space, i).label
+        follower = sp.follower_response(space, i)
         # the same utilities sit in the swapped space's ego matrix, transposed
         assert follower == int(np.argmax(space_sw.reward_ego[:, i]))

@@ -60,9 +60,9 @@ def _reference_seat(obs_self, obs_other, scenario, cfg) -> dict:
         observed = SimpleNamespace(xy=obs_self.xy[k : k + longest + 1], dt=dt)
         for name in sums:
             lam = sp.RewardWeights(lam_at[k]) if name == "estimated" else workflows.POLICIES[name]()
-            seq, space = plan_ego(x0, lam, scenario)
+            label, space = plan_ego(x0, lam, scenario)
             for h in workflows.REGEN_HORIZONS:
-                sums[name][h] += sp.trajectory_mse(space.ego_candidates[seq.label].traj, observed, h)
+                sums[name][h] += sp.trajectory_mse(space.ego_candidates.trajectory(label), observed, h)
     return {
         name: {str(h): round(v / len(frames), 6) for h, v in per_h.items()}
         for name, per_h in sums.items()

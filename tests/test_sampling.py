@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan.rewards import cumulative_reward
@@ -27,9 +29,8 @@ def test_dedup_after_clamping():
     path = sp.ReferencePath.from_points([(0, 0), (100, 0)], 10.0)
     # from rest, targets 10 and 12.5 both clamp to accel_max
     cfg = sp.SamplerConfig(horizon_steps=4, dt=0.25, terminal_speed_fractions=(0.0, 1.0, 1.25))
-    seqs = sp.sample_sequences(sp.AgentState(s=0, v=0.0), path, cfg)
-    assert len(seqs) == 2
-    assert [s.label for s in seqs] == [0, 1]
+    accels = sp.sample_accels(sp.AgentState(s=0, v=0.0), path, cfg)
+    assert accels.tolist() == [0.0, 3.0]
 
 
 def test_forbid_singleton():
@@ -38,7 +39,48 @@ def test_forbid_singleton():
         horizon_steps=2, dt=0.1, terminal_speed_fractions=(1.0, 1.25), forbid_singleton=True
     )
     with pytest.raises(sp.EmptyCandidateSetError):
-        sp.sample_sequences(sp.AgentState(s=0, v=0.0), path, cfg)
+        sp.sample_accels(sp.AgentState(s=0, v=0.0), path, cfg)
+
+
+def _clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max):
+    """The per-candidate loop: clamp each target's acceleration, skip repeats of the last kept one."""
+    unique = []
+    for vt in sorted(f * limit for f in fractions):
+        a = min(max((vt - v) / (steps * dt), a_min), a_max)
+        if not unique or a != unique[-1]:
+            unique.append(a)
+    return unique
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=st.one_of(st.just(0.0), st.floats(0.0, 25.0)),
+    limit=st.floats(0.5, 20.0),
+    fractions=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25]), st.floats(0.0, 2.0)), min_size=1, max_size=7
+    ),
+    steps=st.integers(1, 30),
+    dt=st.sampled_from([0.08, 0.1, 0.25]),
+    a_min=st.floats(-8.0, -0.1),
+    a_max=st.floats(0.1, 4.0),
+    forbid=st.booleans(),
+)
+@example(v=0.0, limit=10.0, fractions=[1.0, 1.25], steps=2, dt=0.1, a_min=-6.0, a_max=3.0, forbid=True)
+@example(v=0.0, limit=10.0, fractions=[1.0, 1.25], steps=2, dt=0.1, a_min=-6.0, a_max=3.0, forbid=False)
+@example(v=25.0, limit=10.0, fractions=[0.0, 0.25, 0.5], steps=1, dt=0.08, a_min=-6.0, a_max=3.0, forbid=True)
+def test_sample_accels_matches_clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max, forbid):
+    path = sp.ReferencePath.from_points([(0, 0), (100, 0)], limit)
+    cfg = sp.SamplerConfig(
+        horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions),
+        accel_min=a_min, accel_max=a_max, forbid_singleton=forbid,
+    )
+    expected = _clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max)
+    state = sp.AgentState(s=0.0, v=v)
+    if forbid and len(expected) == 1 and len(fractions) > 1:
+        with pytest.raises(sp.EmptyCandidateSetError):
+            sp.sample_accels(state, path, cfg)
+    else:
+        assert sp.sample_accels(state, path, cfg).tolist() == expected
 
 
 def fine_rollout_oracle(state, accels, dt, n_sub=2000):
@@ -65,7 +107,7 @@ def test_rollout_against_fine_integration():
     for _ in range(10):
         accels = rng.uniform(-6, 3, size=8)
         st = sp.AgentState(s=rng.uniform(0, 10), v=rng.uniform(0, 12))
-        traj = sp.rollout(st, sp.ActionSequence(label=0, accels=accels), 0.25)
+        traj = sp.rollout(st, accels, 0.25)
         s_ref, v_ref = fine_rollout_oracle(st, accels, 0.25)
         assert np.allclose(traj.s, s_ref, atol=1e-5)
         assert np.allclose(traj.v, v_ref, atol=1e-6)
@@ -102,12 +144,13 @@ def test_joint_space_symmetry_under_role_swap():
 def test_trajectories_satisfy_dynamics_exactly():
     scn, space = _case_space()
     dt = scn.sampler.dt
-    for cand in space.ego_candidates + space.other_candidates:
-        st = cand.traj.states[0]
-        for k, a in enumerate(cand.seq.accels):
-            st = sp.step_dynamics(st, float(a), dt)
-            assert st.s == cand.traj.s[k + 1]
-            assert st.v == cand.traj.v[k + 1]
+    for fan in (space.ego_candidates, space.other_candidates):
+        for i in range(len(fan)):
+            st = sp.AgentState(s=float(fan.s[i, 0]), v=float(fan.v[i, 0]), d=fan.d)
+            for k, a in enumerate(fan.accels[i]):
+                st = sp.step_dynamics(st, float(a), dt)
+                assert st.s == fan.s[i, k + 1]
+                assert st.v == fan.v[i, k + 1]
 
 
 def test_build_deterministic():
@@ -115,15 +158,17 @@ def test_build_deterministic():
     space2 = scn.space_at(scn.initial)
     assert np.array_equal(space1.reward_ego, space2.reward_ego)
     assert np.array_equal(space1.reward_other, space2.reward_other)
-    assert [c.seq.label for c in space1.ego_candidates] == [c.seq.label for c in space2.ego_candidates]
+    assert np.array_equal(space1.ego_candidates.accels, space2.ego_candidates.accels)
 
 
 def test_matrix_cache_consistency_against_features():
     """Every cached entry equals an independent scalar recomputation."""
     scn, space = _case_space()
     cfg = scn.rewards
-    for i, (eseq, etraj) in enumerate(space.ego_candidates):
-        for j, (oseq, otraj) in enumerate(space.other_candidates):
+    for i in range(len(space.ego_candidates)):
+        etraj = space.ego_candidates.trajectory(i)
+        for j in range(len(space.other_candidates)):
+            otraj = space.other_candidates.trajectory(j)
             r_e = cumulative_reward(
                 etraj, otraj, cfg.theta_ego, scn.path_ego, scn.conflict, cfg
             )
@@ -138,7 +183,8 @@ def test_matrix_cache_consistency_against_features():
 def test_absence_excludes_safety():
     scn, space = _case_space()
     cfg = scn.rewards
-    for j, (seq, traj) in enumerate(space.other_candidates):
+    for j in range(len(space.other_candidates)):
+        traj = space.other_candidates.trajectory(j)
         phi = sp.features(traj, None, scn.path_other, None, cfg)
         expected = cfg.theta_other[0] * phi.efficiency + cfg.theta_other[1] * phi.comfort
         assert abs(space.absence_other[j] - expected) < 1e-12 * max(1.0, abs(expected))
