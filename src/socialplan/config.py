@@ -51,9 +51,13 @@ class ScenarioConfig:
         return Scenario.create(ego, other, self.initial, self.sampler, self.rewards)
 
 
+def _name(context: str, key: str) -> str:
+    return f"{context}.{key}" if context else key
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
-        raise SchemaError(f"config is missing {context}.{key}" if context else f"config is missing {key}")
+        raise SchemaError(f"config is missing {_name(context, key)}")
     return mapping[key]
 
 
@@ -94,16 +98,21 @@ def _of_type(kind, what: str):
 _triple = partial(_numbers, length=3)
 _object = _of_type(dict, "an object")
 _boolean = _of_type(bool, "true or false")
+_string = _of_type(str, "a string")
 _file_name = _of_type((str, type(None)), "a file name")
 
 
 def _checked(obj, context: str, kinds: dict) -> dict:
-    """A copy of the object obj with each known field checked; unknown fields pass through."""
-    raw = dict(_object(obj, context))
-    for key, check in kinds.items():
-        if key in raw:
-            raw[key] = check(raw[key], f"{context}.{key}")
-    return raw
+    """A copy of the object obj with each field checked by its entry in kinds.
+
+    A field kinds does not name is a SchemaError, so a misspelt key cannot
+    silently leave its default in place.
+    """
+    obj = _object(obj, context or "root")
+    for key in obj:
+        if key not in kinds:
+            raise SchemaError(f"config has unknown key {_name(context, key)}")
+    return {key: kinds[key](value, _name(context, key)) for key, value in obj.items()}
 
 
 def _agent_state(obj, context: str) -> AgentState:
@@ -114,18 +123,29 @@ def _agent_state(obj, context: str) -> AgentState:
 
 
 def _path_spec(obj, context: str) -> PathSpec:
-    speed_limit = float(_require(_checked(obj, context, {"speed_limit": _number}), "speed_limit", context))
+    obj = _checked(obj, context, {"file": _string, "speed_limit": _number})
+    speed_limit = float(_require(obj, "speed_limit", context))
     if speed_limit <= 0.0:
         raise SchemaError(f"config {context}.speed_limit must be positive, got {speed_limit}")
-    return PathSpec(file=str(_require(obj, "file", context)), speed_limit=speed_limit)
+    return PathSpec(file=_require(obj, "file", context), speed_limit=speed_limit)
 
 
 def _prior(obj, context: str) -> PriorSpec:
-    obj = _checked(obj, context, {"alpha": _triple, "fractions": _triple, "concentration": _number})
+    obj = _checked(obj, context, {"kind": _string, "alpha": _triple, "fractions": _triple, "concentration": _number})
     return PriorSpec(
         kind=obj.get("kind", "uniform"), alpha=obj.get("alpha"), fractions=obj.get("fractions"),
         concentration=float(obj.get("concentration", 8.0)),
     )
+
+
+def _section(cls, kinds: dict):
+    """The check of a config block whose keys are the keyword arguments of cls."""
+    return lambda obj, context: cls(**_checked(obj, context, kinds))
+
+
+def _ego_other(check):
+    """The check of a block with one entry per role, ego and other, each checked by check."""
+    return partial(_checked, kinds={"ego": check, "other": check})
 
 
 _SAMPLER_FIELDS = {
@@ -137,8 +157,19 @@ _REWARD_FIELDS = {
     **dict.fromkeys(("beta", "d0", "a0", "j0", "sigma_d", "sigma_c"), _number),
 }
 _INFERENCE_FIELDS = {
-    "n_particles": _integer, "window_r": _integer, "prior": _prior,
+    "n_particles": _integer, "window_r": _integer, "prior": _prior, "init": _string,
     **dict.fromkeys(("resample", "growing_window"), _boolean),
+}
+_CONFIG_FIELDS = {
+    "schema_version": _integer,  # its value is checked first
+    "seed": _integer,
+    "paths": _ego_other(_path_spec),
+    "initial": _ego_other(_agent_state),
+    "sampler": _section(SamplerConfig, _SAMPLER_FIELDS),
+    "rewards": _section(RewardConfig, _REWARD_FIELDS),
+    "inference": _section(InferenceConfig, _INFERENCE_FIELDS),
+    "tracks": _file_name,
+    **dict.fromkeys(("frame_period_ms", "max_steps"), partial(_integer, minimum=1)),
 }
 
 
@@ -146,31 +177,24 @@ def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
-    paths = _object(_require(data, "paths", ""), "paths")
-    initial = _object(_require(data, "initial", ""), "initial")
     try:
-        sampler = SamplerConfig(**_checked(data.get("sampler", {}), "sampler", _SAMPLER_FIELDS))
-        rewards = RewardConfig(**_checked(data.get("rewards", {}), "rewards", _REWARD_FIELDS))
-        inference = InferenceConfig(**_checked(data.get("inference", {}), "inference", _INFERENCE_FIELDS))
-        cfg = ScenarioConfig(
-            path_ego=_path_spec(_require(paths, "ego", "paths"), "paths.ego"),
-            path_other=_path_spec(_require(paths, "other", "paths"), "paths.other"),
-            initial=JointState(
-                ego=_agent_state(_require(initial, "ego", "initial"), "initial.ego"),
-                other=_agent_state(_require(initial, "other", "initial"), "initial.other"),
-            ),
-            sampler=sampler,
-            rewards=rewards,
-            inference=inference,
-            seed=_integer(data.get("seed", 0), "seed"),
-            tracks_file=_file_name(data.get("tracks"), "tracks"),
-            frame_period_ms=_integer(data.get("frame_period_ms", 50), "frame_period_ms", minimum=1),
-            max_steps=_integer(data.get("max_steps", 200), "max_steps", minimum=1),
+        top = _checked(data, "", _CONFIG_FIELDS)
+        paths, initial = _require(top, "paths", ""), _require(top, "initial", "")
+        return ScenarioConfig(
+            path_ego=_require(paths, "ego", "paths"),
+            path_other=_require(paths, "other", "paths"),
+            initial=JointState(ego=_require(initial, "ego", "initial"), other=_require(initial, "other", "initial")),
+            sampler=top.get("sampler", SamplerConfig()),
+            rewards=top.get("rewards", RewardConfig()),
+            inference=top.get("inference", InferenceConfig()),
+            seed=top.get("seed", 0),
+            tracks_file=top.get("tracks"),
+            frame_period_ms=top.get("frame_period_ms", 50),
+            max_steps=top.get("max_steps", 200),
             base_dir=Path(base_dir),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid config value: {exc}") from exc
-    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
@@ -230,7 +254,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "frame_period_ms": cfg.frame_period_ms,
         "max_steps": cfg.max_steps,
     }
-    if cfg.tracks_file:
+    if cfg.tracks_file is not None:
         data["tracks"] = cfg.tracks_file
     return data
 

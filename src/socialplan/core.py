@@ -83,26 +83,28 @@ class ReferencePath:
         return self._unit[self._segment_index(np.asarray(s, dtype=float))]
 
 
-def project_to_path(point, path: ReferencePath) -> tuple[float, float]:
-    """Project a Cartesian point onto a path: (arclength, signed lateral offset).
+def project_to_path(points, path: ReferencePath):
+    """Project Cartesian points onto a path: (arclength, signed lateral offset).
 
-    The offset sign is positive to the left of the travel direction.  The
-    arclength is clamped to [0, path.length]; the offset is the perpendicular
-    distance to the nearest segment's line, so points beyond the path ends
-    report only their lateral component.
+    points has shape (..., 2); s and d come back with shape (...), so one
+    point gives two scalars.  The offset sign is positive to the left of the
+    travel direction.  The arclength is clamped to [0, path.length]; the
+    offset is the perpendicular distance to the nearest segment's line, so
+    points beyond the path ends report only their lateral component.  A point
+    equally near two segments goes to the first.
     """
-    p = np.asarray(point, dtype=float)
+    p = np.asarray(points, dtype=float)[..., None, :]
     a = path.points[:-1]
     seg_len, unit = path._seg_len, path._unit
-    rel = p[None, :] - a
-    t = np.einsum("ij,ij->i", rel, unit)
-    t_clamped = np.clip(t, 0.0, seg_len)
-    closest = a + t_clamped[:, None] * unit
-    dist2 = np.sum((p[None, :] - closest) ** 2, axis=1)
-    i = int(np.argmin(dist2))
-    s = float(path.cumulative_arclength[i] + t_clamped[i])
-    d = float(unit[i, 0] * rel[i, 1] - unit[i, 1] * rel[i, 0])
-    return s, d
+    rel = p - a
+    t_clamped = np.clip(np.einsum("...ij,ij->...i", rel, unit), 0.0, seg_len)
+    closest = a + t_clamped[..., None] * unit
+    dist2 = np.sum((p - closest) ** 2, axis=-1)
+    side = unit[:, 0] * rel[..., 1] - unit[:, 1] * rel[..., 0]
+    i = np.argmin(dist2, axis=-1)[..., None]
+    s = path.cumulative_arclength[i] + np.take_along_axis(t_clamped, i, axis=-1)
+    d = np.take_along_axis(side, i, axis=-1)
+    return s[..., 0][()], d[..., 0][()]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ class DegenerateWeightsError(SocialPlanError):
     """All particle weights collapsed to zero during a posterior update."""
 
 
+class NonFiniteRewardError(SocialPlanError):
+    """The social reward terms overflowed: rewards.beta is too large for the utilities."""
+
+
 class NonTerminatingError(SocialPlanError):
     """The interaction hit the step limit before a conflict-point crossing."""
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import UnknownCandidateError
+from .errors import NonFiniteRewardError, UnknownCandidateError
 
 if TYPE_CHECKING:
     from .core import ConflictPoint, ReferencePath
@@ -201,29 +201,27 @@ def check_ego_label(space, label: int) -> int:
     return label
 
 
-def response_distribution(space: "JointBehaviorSpace", ego_label: int, beta: float | None = None) -> ResponseDistribution:
+def response_distribution(space: "JointBehaviorSpace", ego_label: int) -> ResponseDistribution:
     """Boltzmann distribution over the other car's responses to one ego action."""
     label = check_ego_label(space, ego_label)
-    beta = space.reward_cfg.beta if beta is None else beta
-    probs = np.exp(_log_softmax(beta * space.reward_other[label]))
+    probs = np.exp(_log_softmax(space.reward_cfg.beta * space.reward_other[label]))
     return ResponseDistribution(probs=probs, conditioning=label)
 
 
-def absence_distribution(space: "JointBehaviorSpace", beta: float | None = None) -> ResponseDistribution:
+def absence_distribution(space: "JointBehaviorSpace") -> ResponseDistribution:
     """The other car's behavior distribution with the ego car removed.
 
     Built from efficiency and comfort only; without the ego car there is no
     interaction and the safety feature does not apply.
     """
-    beta = space.reward_cfg.beta if beta is None else beta
-    probs = np.exp(_log_softmax(beta * space.absence_other))
+    probs = np.exp(_log_softmax(space.reward_cfg.beta * space.absence_other))
     return ResponseDistribution(probs=probs, conditioning=None)
 
 
-def egoism_reward(space, ego_label: int, beta: float | None = None) -> float:
+def egoism_reward(space, ego_label: int) -> float:
     """Expected ego utility under the other car's response distribution."""
     label = check_ego_label(space, ego_label)
-    dist = response_distribution(space, label, beta)
+    dist = response_distribution(space, label)
     return float(np.dot(dist.probs, space.reward_ego[label]))
 
 
@@ -231,28 +229,28 @@ def _kl(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> float:
     return float(np.sum(p * (log_p - log_q)))
 
 
-def courtesy_reward(space, ego_label: int, beta: float | None = None) -> float:
+def courtesy_reward(space, ego_label: int) -> float:
     """exp(-KL(absence || presence)): 1 means the ego action leaves the other's plan untouched."""
     label = check_ego_label(space, ego_label)
-    beta = space.reward_cfg.beta if beta is None else beta
+    beta = space.reward_cfg.beta
     log_q = _log_softmax(beta * space.absence_other)
     log_p = _log_softmax(beta * space.reward_other[label])
     kl = max(_kl(np.exp(log_q), log_q, log_p), 0.0)  # floor float noise at KL = 0
     return float(np.exp(-kl))
 
 
-def confidence(space, ego_label: int, beta: float | None = None) -> float:
+def confidence(space, ego_label: int) -> float:
     """Gap between the two highest response probabilities; 1 for a singleton set."""
     label = check_ego_label(space, ego_label)
-    probs = response_distribution(space, label, beta).probs
+    probs = response_distribution(space, label).probs
     if len(probs) == 1:
         return 1.0
     top = np.sort(probs)[-2:]
     return float(top[1] - top[0])
 
 
-def confidence_reward(space, ego_label: int, beta: float | None = None) -> float:
-    return float(np.exp(confidence(space, ego_label, beta)))
+def confidence_reward(space, ego_label: int) -> float:
+    return float(np.exp(confidence(space, ego_label)))
 
 
 @dataclass(frozen=True)
@@ -273,24 +271,29 @@ class SocialComponents:
 
 
 def social_components(space: "JointBehaviorSpace") -> SocialComponents:
-    """Evaluate all three reward terms for every ego candidate at once."""
+    """Evaluate all three reward terms for every ego candidate at once.
+
+    A beta too large for the utilities overflows the softmax logits; the
+    terms then come out NaN, and that raises NonFiniteRewardError.
+    """
     beta = space.reward_cfg.beta
-    logits = beta * space.reward_other
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    p = np.exp(log_p)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
+        logits = beta * space.reward_other
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        p = np.exp(log_p)
 
-    egoism_raw = np.sum(p * space.reward_ego, axis=1)
-    span = egoism_raw.max() - egoism_raw.min()
-    if span > _MINMAX_EPS:
-        egoism_norm = (egoism_raw - egoism_raw.min()) / span
-    else:
-        egoism_norm = np.zeros_like(egoism_raw)
+        egoism_raw = np.sum(p * space.reward_ego, axis=1)
+        span = egoism_raw.max() - egoism_raw.min()
+        if span > _MINMAX_EPS:
+            egoism_norm = (egoism_raw - egoism_raw.min()) / span
+        else:
+            egoism_norm = np.zeros_like(egoism_raw)
 
-    log_q = _log_softmax(beta * space.absence_other)
-    q = np.exp(log_q)
-    kl = np.sum(q[None, :] * (log_q[None, :] - log_p), axis=1)
-    court = np.exp(-np.maximum(kl, 0.0))
+        log_q = _log_softmax(beta * space.absence_other)
+        q = np.exp(log_q)
+        kl = np.sum(q[None, :] * (log_q[None, :] - log_p), axis=1)
+        court = np.exp(-np.maximum(kl, 0.0))
 
     if p.shape[1] == 1:
         conf = np.ones(p.shape[0])
@@ -300,6 +303,8 @@ def social_components(space: "JointBehaviorSpace") -> SocialComponents:
 
     conf_reward = np.exp(conf)
     terms = np.stack([egoism_norm, court, conf_reward])
+    if not np.isfinite(terms).all():
+        raise NonFiniteRewardError(f"rewards.beta = {beta!r} overflows the social reward terms; use a smaller beta")
     terms.flags.writeable = False
     return SocialComponents(
         presence_logp=log_p,

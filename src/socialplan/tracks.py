@@ -22,19 +22,18 @@ PATH_HEADER = ["x", "y"]
 MAX_LATERAL_FIT = 3.0  # m, a track must stay this close to its path
 
 
-@dataclass(frozen=True)
-class TrackRecord:
-    track_id: int
-    frame: int
-    timestamp_ms: int
-    x: float
-    y: float
-    vx: float
-    vy: float
+@dataclass(frozen=True, eq=False)  # array fields: compare columns with np.array_equal
+class Track:
+    """One track's records as columns: row i is the track's i-th record."""
 
-    @property
-    def speed(self) -> float:
-        return float(np.hypot(self.vx, self.vy))
+    track_id: int
+    frame: np.ndarray  # (m,) int
+    timestamp_ms: np.ndarray  # (m,) int
+    xy: np.ndarray  # (m, 2) m
+    vxy: np.ndarray  # (m, 2) m/s
+
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
 def _fmt(x: float) -> str:
@@ -48,12 +47,19 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_tracks(path) -> dict[int, list[TrackRecord]]:
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"integer {text!r} out of range")
+    return value
+
+
+def load_tracks(path) -> dict[int, Track]:
     """Parse and group a track CSV; frames must increase within each track."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split(",") != TRACK_HEADER:
         raise SchemaError(f"expected track header {','.join(TRACK_HEADER)!r}")
-    tracks: dict[int, list[TrackRecord]] = {}
+    rows: dict[int, list[tuple]] = {}  # track id -> (frame, timestamp_ms, x, y, vx, vy) rows
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -61,38 +67,31 @@ def load_tracks(path) -> dict[int, list[TrackRecord]]:
         if len(parts) != len(TRACK_HEADER):
             raise ParseError(f"expected {len(TRACK_HEADER)} fields, got {len(parts)}", row=lineno)
         try:
-            rec = TrackRecord(
-                track_id=int(parts[0]),
-                frame=int(parts[1]),
-                timestamp_ms=int(parts[2]),
-                x=_finite(parts[3]),
-                y=_finite(parts[4]),
-                vx=_finite(parts[5]),
-                vy=_finite(parts[6]),
-            )
+            tid = int(parts[0])
+            row = (_int64(parts[1]), _int64(parts[2]), *map(_finite, parts[3:]))
         except ValueError as exc:
             raise ParseError(str(exc), row=lineno) from exc
-        group = tracks.setdefault(rec.track_id, [])
-        if group and rec.frame <= group[-1].frame:
-            raise ParseError(
-                f"track {rec.track_id} frames must increase ({group[-1].frame} -> {rec.frame})",
-                row=lineno,
-            )
-        group.append(rec)
-    for tid, group in tracks.items():
-        stamps = np.array([r.timestamp_ms for r in group])
+        group = rows.setdefault(tid, [])
+        if group and row[0] <= group[-1][0]:
+            raise ParseError(f"track {tid} frames must increase ({group[-1][0]} -> {row[0]})", row=lineno)
+        group.append(row)
+    tracks = {}
+    for tid, group in rows.items():
+        frame, stamps, x, y, vx, vy = map(np.array, zip(*group))
         if len(stamps) >= 3 and len(set(np.diff(stamps))) > 1:
             raise ParseError(f"track {tid} timestamps are not on a constant frame period")
+        tracks[tid] = Track(tid, frame, stamps, np.stack([x, y], axis=1), np.stack([vx, vy], axis=1))
     return tracks
 
 
-def write_tracks(path, records: list[TrackRecord]) -> None:
+def write_tracks(path, tracks: list[Track]) -> None:
+    """Write the tracks in the given order, each track's records in row order."""
     rows = [",".join(TRACK_HEADER)]
-    for r in records:
-        rows.append(
-            f"{r.track_id},{r.frame},{r.timestamp_ms},"
-            f"{_fmt(r.x)},{_fmt(r.y)},{_fmt(r.vx)},{_fmt(r.vy)}"
-        )
+    for t in tracks:
+        for frame, stamp, (x, y), (vx, vy) in zip(
+            t.frame.tolist(), t.timestamp_ms.tolist(), t.xy.tolist(), t.vxy.tolist()
+        ):
+            rows.append(f"{t.track_id},{frame},{stamp},{_fmt(x)},{_fmt(y)},{_fmt(vx)},{_fmt(vy)}")
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -138,7 +137,6 @@ class ObservedTrack:
 class ObservedPair:
     ego: ObservedTrack
     other: ObservedTrack
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -153,16 +151,13 @@ class InteractionPair:
     other_id: int
     path_ego: ReferencePath
     path_other: ReferencePath
-    overlap: tuple[int, int]  # first/last shared frame
-    t_cross_ego_ms: float
-    t_cross_other_ms: float
     proj_ego: np.ndarray = field(repr=False, compare=False)
     proj_other: np.ndarray = field(repr=False, compare=False)
 
 
-def _fit_path(records: list[TrackRecord], path: ReferencePath):
-    """(s, d) projections, or None when the track strays beyond the lateral bound."""
-    proj = np.array([project_to_path((r.x, r.y), path) for r in records])
+def _fit_path(track: Track, path: ReferencePath):
+    """(m, 2) rows of (s, d) projections, or None when the track strays beyond the lateral bound."""
+    proj = np.stack(project_to_path(track.xy, path), axis=-1)
     if np.max(np.abs(proj[:, 1])) >= MAX_LATERAL_FIT:
         return None
     return proj
@@ -185,7 +180,7 @@ def _crossing_time_ms(times: np.ndarray, s: np.ndarray, s_conflict: float) -> fl
 
 
 def extract_pairs(
-    tracks: dict[int, list[TrackRecord]],
+    tracks: dict[int, Track],
     paths_ego: list[ReferencePath],
     paths_other: list[ReferencePath],
     conflict_window_s: float = 10.0,
@@ -214,68 +209,47 @@ def extract_pairs(
                 conflict = find_conflict_point(path_e, path_o)
             except NoConflictError:
                 continue
-            te = np.array([r.timestamp_ms for r in tracks[ego_id]], dtype=float)
-            to = np.array([r.timestamp_ms for r in tracks[other_id]], dtype=float)
-            cross_e = _crossing_time_ms(te, proj_e[:, 0], conflict.s_ego)
-            cross_o = _crossing_time_ms(to, proj_o[:, 0], conflict.s_other)
+            track_e, track_o = tracks[ego_id], tracks[other_id]
+            cross_e = _crossing_time_ms(track_e.timestamp_ms.astype(float), proj_e[:, 0], conflict.s_ego)
+            cross_o = _crossing_time_ms(track_o.timestamp_ms.astype(float), proj_o[:, 0], conflict.s_other)
             if abs(cross_e - cross_o) > conflict_window_s * 1000.0:
                 continue
-            fe = [r.frame for r in tracks[ego_id]]
-            fo = [r.frame for r in tracks[other_id]]
-            overlap = (max(fe[0], fo[0]), min(fe[-1], fo[-1]))
-            if overlap[0] > overlap[1]:
-                continue
-            pairs.append(
-                InteractionPair(
-                    ego_id=ego_id,
-                    other_id=other_id,
-                    path_ego=path_e,
-                    path_other=path_o,
-                    overlap=overlap,
-                    t_cross_ego_ms=cross_e,
-                    t_cross_other_ms=cross_o,
-                    proj_ego=proj_e,
-                    proj_other=proj_o,
-                )
-            )
+            fe, fo = track_e.frame, track_o.frame
+            if max(fe[0], fo[0]) > min(fe[-1], fo[-1]):
+                continue  # no shared frame
+            pairs.append(InteractionPair(ego_id, other_id, path_e, path_o, proj_ego=proj_e, proj_other=proj_o))
     return pairs
 
 
-def _resample_role(records: list[TrackRecord], proj: np.ndarray, grid_ms: np.ndarray) -> ObservedTrack:
-    times = np.array([r.timestamp_ms for r in records], dtype=float)
-    xs = np.array([r.x for r in records])
-    ys = np.array([r.y for r in records])
-    speeds = np.array([r.speed for r in records])
+def _resample_role(track: Track, proj: np.ndarray, grid_ms: np.ndarray) -> ObservedTrack:
+    times = track.timestamp_ms.astype(float)
     return ObservedTrack(
-        track_id=records[0].track_id,
+        track_id=track.track_id,
         times_ms=grid_ms,
         s=np.interp(grid_ms, times, proj[:, 0]),
-        v=np.interp(grid_ms, times, speeds),
+        v=np.interp(grid_ms, times, np.hypot(*track.vxy.T)),
         d=np.interp(grid_ms, times, proj[:, 1]),
-        xy=np.stack([np.interp(grid_ms, times, xs), np.interp(grid_ms, times, ys)], axis=1),
+        xy=np.stack([np.interp(grid_ms, times, col) for col in track.xy.T], axis=1),
     )
 
 
-def resample_pair(
-    tracks: dict[int, list[TrackRecord]], pair: InteractionPair, dt: float
-) -> ObservedPair:
+def resample_pair(tracks: dict[int, Track], pair: InteractionPair, dt: float) -> ObservedPair:
     """Put both tracks of a pair on a shared planning-rate time grid.
 
-    tracks must be the records the pair was extracted from: the path
+    tracks must be the ones the pair was extracted from: the path
     projections are the ones the pair carries.
     """
-    rec_e, rec_o = tracks[pair.ego_id], tracks[pair.other_id]
-    t0 = max(rec_e[0].timestamp_ms, rec_o[0].timestamp_ms)
-    t1 = min(rec_e[-1].timestamp_ms, rec_o[-1].timestamp_ms)
+    track_e, track_o = tracks[pair.ego_id], tracks[pair.other_id]
+    t0 = max(track_e.timestamp_ms[0], track_o.timestamp_ms[0])
+    t1 = min(track_e.timestamp_ms[-1], track_o.timestamp_ms[-1])
     dt_ms = dt * 1000.0
     n = int(np.floor((t1 - t0) / dt_ms + 1e-9))
     if n < 1:
         raise ShortTrackError("tracks share less than one planning step of overlap")
     grid = t0 + dt_ms * np.arange(n + 1)
     return ObservedPair(
-        ego=_resample_role(rec_e, pair.proj_ego, grid),
-        other=_resample_role(rec_o, pair.proj_other, grid),
-        dt=dt,
+        ego=_resample_role(track_e, pair.proj_ego, grid),
+        other=_resample_role(track_o, pair.proj_other, grid),
     )
 
 
@@ -291,8 +265,8 @@ def _exact_substates(s0: float, v0: float, a: float, taus: np.ndarray):
     return s, v
 
 
-def trace_to_records(trace: InteractionTrace, frame_period_ms: int = 50) -> list[TrackRecord]:
-    """Sample a simulated trace into track records at the given frame period.
+def trace_to_records(trace: InteractionTrace, frame_period_ms: int = 50) -> list[Track]:
+    """Sample a simulated trace into two tracks (ids 0 and 1) at the given frame period.
 
     The dynamics are exactly integrable inside each applied step, so frames
     are exact states, not interpolations.  The step length in milliseconds
@@ -301,34 +275,16 @@ def trace_to_records(trace: InteractionTrace, frame_period_ms: int = 50) -> list
     dt_ms = round(trace.dt * 1000.0)
     if abs(trace.dt * 1000.0 - dt_ms) > 1e-6 or dt_ms % frame_period_ms != 0:
         raise ValueError("frame period must divide the planning step length")
-    per_step = dt_ms // frame_period_ms
-    records = []
-    for track_id, path, getter, accels in (
-        (0, trace.path_ego, lambda js: js.ego, trace.a_ego),
-        (1, trace.path_other, lambda js: js.other, trace.a_other),
+    taus = (np.arange(dt_ms // frame_period_ms) * frame_period_ms) / 1000.0
+    tracks = []
+    for track_id, path, states, accels in (
+        (0, trace.path_ego, [js.ego for js in trace.joint_states], trace.a_ego),
+        (1, trace.path_other, [js.other for js in trace.joint_states], trace.a_other),
     ):
-        rows: list[tuple[int, float, float]] = []  # (t_ms, s, v)
-        for k, a in enumerate(accels):
-            st = getter(trace.joint_states[k])
-            taus = (np.arange(per_step) * frame_period_ms) / 1000.0
-            s, v = _exact_substates(st.s, st.v, float(a), taus)
-            rows += [(k * dt_ms + i * frame_period_ms, si, vi) for i, (si, vi) in enumerate(zip(s, v))]
-        last = getter(trace.joint_states[-1])
-        rows.append((len(accels) * dt_ms, last.s, last.v))
-        d = getter(trace.joint_states[0]).d
-        s_arr = np.array([r[1] for r in rows])
-        xy = path.position(s_arr, d)
-        tan = path.tangent(s_arr)
-        for frame, ((t_ms, _, v), (x, y), (tx, ty)) in enumerate(zip(rows, xy, tan)):
-            records.append(
-                TrackRecord(
-                    track_id=track_id,
-                    frame=frame,
-                    timestamp_ms=int(t_ms),
-                    x=float(x),
-                    y=float(y),
-                    vx=float(v * tx),
-                    vy=float(v * ty),
-                )
-            )
-    return records
+        steps = [_exact_substates(st.s, st.v, float(a), taus) for st, a in zip(states, accels)]
+        s = np.concatenate([*(s for s, _ in steps), [states[-1].s]])
+        v = np.concatenate([*(v for _, v in steps), [states[-1].v]])
+        frame = np.arange(len(s))
+        xy, vxy = path.position(s, states[0].d), v[:, None] * path.tangent(s)
+        tracks.append(Track(track_id, frame, frame * frame_period_ms, xy, vxy))
+    return tracks

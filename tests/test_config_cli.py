@@ -1,11 +1,15 @@
 import json
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan.cli import main
-from socialplan.config import config_from_dict, config_to_dict, load_config, save_config
+from socialplan.config import PathSpec, ScenarioConfig, config_from_dict, config_to_dict, load_config, save_config
 from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
 
 
@@ -87,6 +91,97 @@ def test_cli_rejects_bad_config_values(tmp_path, case_config, capsys, field, val
     assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "SchemaError" in err and field in err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "max_stepz",
+        "paths.ego.speed_limt",
+        "paths.third",
+        "initial.ego.vv",
+        "inference.prior.concentraton",
+        "sampler.horizon_stepz",
+        "rewards.betta",
+    ],
+)
+def test_cli_rejects_unknown_config_keys(tmp_path, case_config, capsys, field):
+    """A misspelt key once left its default in place and the run exited 0."""
+    data = json.loads(case_config.read_text())
+    *parents, key = field.split(".")
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and f"unknown key {field}" in err
+
+
+def test_cli_rejects_beta_that_overflows_the_social_terms(tmp_path, case_config, capsys):
+    """A finite but huge beta once gave NaN terms, overflow warnings and changed results with exit 0."""
+    data = json.loads(case_config.read_text())
+    data["rewards"]["beta"] = 1e308
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("socialplan: NonFiniteRewardError:") and "rewards.beta" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_positive = st.floats(1e-3, 1e6)
+_triples = st.tuples(_finite, _finite, _finite)
+_positive_triples = st.tuples(_positive, _positive, _positive)
+_priors = st.one_of(
+    st.builds(sp.PriorSpec, kind=st.just("uniform"), concentration=_finite),
+    st.builds(sp.PriorSpec, kind=st.just("dirichlet"), alpha=_positive_triples),
+    st.builds(sp.PriorSpec, kind=st.just("dop"), fractions=_positive_triples, concentration=_finite),
+)
+_configs = st.builds(
+    ScenarioConfig,
+    path_ego=st.builds(PathSpec, file=st.text(), speed_limit=_positive),
+    path_other=st.builds(PathSpec, file=st.text(), speed_limit=_positive),
+    initial=st.builds(
+        sp.JointState,
+        ego=st.builds(sp.AgentState, s=_positive, v=_positive, d=_finite),
+        other=st.builds(sp.AgentState, s=_positive, v=_positive, d=_finite),
+    ),
+    sampler=st.builds(
+        sp.SamplerConfig,
+        horizon_steps=st.integers(1, 100),
+        dt=_positive,
+        terminal_speed_fractions=st.lists(_finite, min_size=1, max_size=6).map(tuple),
+        accel_min=st.floats(-1e6, -1e-3),
+        accel_max=_positive,
+        forbid_singleton=st.booleans(),
+    ),
+    rewards=st.builds(
+        sp.RewardConfig, theta_ego=_triples, theta_other=_triples, beta=_positive, d0=_positive,
+        a0=_positive, j0=_positive, sigma_d=_positive, sigma_c=_positive,
+    ),
+    inference=st.builds(
+        sp.InferenceConfig, n_particles=st.integers(2, 10**6), window_r=st.integers(1, 1000), prior=_priors,
+        init=st.sampled_from(["stratified", "iid"]), resample=st.booleans(), growing_window=st.booleans(),
+    ),
+    seed=st.integers(-(2**63), 2**63 - 1),
+    tracks_file=st.one_of(st.none(), st.text()),
+    frame_period_ms=st.integers(1, 10**6),
+    max_steps=st.integers(1, 10**6),
+    base_dir=st.just(Path("base")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_configs)
+def test_config_dict_roundtrip_property(cfg):
+    assert config_from_dict(config_to_dict(cfg), base_dir=cfg.base_dir) == cfg
 
 
 def test_config_rejects_bad_version(tmp_path, case_config):

@@ -100,6 +100,54 @@ def test_projection_offset_sign():
     assert abs(d + 2.0) < 1e-12
 
 
+def reference_projection(point, path):
+    """One point at a time, as project_to_path was before it took arrays of points."""
+    p = np.asarray(point, dtype=float)
+    a = path.points[:-1]
+    seg_len, unit = path._seg_len, path._unit
+    rel = p[None, :] - a
+    t = np.einsum("ij,ij->i", rel, unit)
+    t_clamped = np.clip(t, 0.0, seg_len)
+    closest = a + t_clamped[:, None] * unit
+    dist2 = np.sum((p[None, :] - closest) ** 2, axis=1)
+    i = int(np.argmin(dist2))
+    s = float(path.cumulative_arclength[i] + t_clamped[i])
+    d = float(unit[i, 0] * rel[i, 1] - unit[i, 1] * rel[i, 0])
+    return s, d
+
+
+_grid_coord = st.one_of(st.integers(-6, 6).map(float), st.integers(-2000, 2000).map(lambda n: n / 100))
+
+
+@st.composite
+def _polyline_and_points(draw):
+    """Vertices on a coarse grid (so points tie between segments), plus query points
+    that include the vertices, integer points and points beyond both ends."""
+    verts = draw(st.lists(st.tuples(_grid_coord, _grid_coord), min_size=2, max_size=6))
+    verts = [v for k, v in enumerate(verts) if k == 0 or v != verts[k - 1]]
+    assume(len(verts) >= 2)
+    path = sp.ReferencePath.from_points(verts, 10.0)
+    reach = draw(st.floats(0.0, 30.0))
+    beyond = [path.points[0] - reach * path._unit[0], path.points[-1] + reach * path._unit[-1]]
+    extra = draw(st.lists(st.tuples(_grid_coord, _grid_coord), max_size=12))
+    return path, np.array([*path.points, *beyond, *extra], dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_polyline_and_points())
+def test_batched_projection_matches_per_point_reference(case):
+    path, points = case
+    s, d = sp.project_to_path(points, path)
+    assert s.shape == d.shape == (len(points),)
+    for k, point in enumerate(points):
+        ref = reference_projection(point, path)
+        assert (s[k], d[k]) == ref
+        assert np.signbit(d[k]) == np.signbit(ref[1])
+        assert sp.project_to_path(point, path) == ref  # one point still gives two scalars
+    s2, d2 = sp.project_to_path(np.stack([points, points[::-1]]), path)
+    assert np.array_equal(s2, np.stack([s, s[::-1]])) and np.array_equal(d2, np.stack([d, d[::-1]]))
+
+
 def dense_conflict_oracle(pa, pb, n=200001):
     """Closest pair of densely sampled path points."""
     sa = np.linspace(0, pa.length, n)

@@ -23,8 +23,12 @@ def test_load_empty_body(tmp_path):
 def test_load_mini_fixture():
     tracks = tk.load_tracks(DATA / "mini_tracks.csv")
     assert list(tracks) == [7]
-    assert len(tracks[7]) == 2
-    assert tracks[7][0].speed == 5.0
+    track = tracks[7]
+    assert len(track) == 2
+    assert track.track_id == 7
+    assert track.frame.tolist() == [0, 1] and track.timestamp_ms.tolist() == [0, 100]
+    assert track.xy.tolist() == [[0.0, 0.0], [0.5, 0.0]]
+    assert np.hypot(*track.vxy[0]) == 5.0
 
 
 def test_non_monotone_frames_named_row(tmp_path):
@@ -54,6 +58,16 @@ def test_non_finite_track_value_is_parse_error(tmp_path, row):
     with pytest.raises(sp.ParseError, match="row 3") as info:
         tk.load_tracks(f)
     assert info.value.row == 3
+
+
+@pytest.mark.parametrize(
+    "row", ["1,9223372036854775808,100,1.0,0.0,1.0,0.0", "1,1,-9223372036854775809,1.0,0.0,1.0,0.0"]
+)
+def test_out_of_range_frame_or_timestamp_is_parse_error(tmp_path, row):
+    f = tmp_path / "t.csv"
+    f.write_text(HEADER + "\n1,0,0,0.0,0.0,1.0,0.0\n" + row + "\n")
+    with pytest.raises(sp.ParseError, match="row 3"):
+        tk.load_tracks(f)
 
 
 @pytest.mark.parametrize("row", ["nan,1.0", "1.0,inf"])
@@ -166,11 +180,13 @@ def test_fixture_deterministic_bytes(tmp_path):
 def test_extract_pairs_disjoint_paths_empty():
     path_a = sp.ReferencePath.from_points([(0, 0), (10, 0)], 10.0)
     path_b = sp.ReferencePath.from_points([(0, 5), (10, 5)], 10.0)
-    recs = {
-        1: [tk.TrackRecord(1, k, 100 * k, float(k), 0.0, 5.0, 0.0) for k in range(5)],
-        2: [tk.TrackRecord(2, k, 100 * k, float(k), 5.0, 5.0, 0.0) for k in range(5)],
+    k = np.arange(5)
+    vxy = np.tile([5.0, 0.0], (5, 1))
+    tracks = {
+        tid: tk.Track(tid, k, 100 * k, np.stack([k.astype(float), np.full(5, y)], axis=1), vxy)
+        for tid, y in ((1, 0.0), (2, 5.0))
     }
-    assert tk.extract_pairs(recs, [path_a], [path_b]) == []
+    assert tk.extract_pairs(tracks, [path_a], [path_b]) == []
 
 
 def test_extract_pairs_excludes_same_track(tmp_path):
@@ -217,15 +233,15 @@ def test_resample_pair_reuses_fit_projections(tmp_path):
     tracks = tk.load_tracks(out / "tracks.csv")
     [pair] = tk.extract_pairs(tracks, [scn.path_ego], [scn.path_other])
     obs = tk.resample_pair(tracks, pair, scn.sampler.dt)
-    for records, path, proj, track in (
+    for track, path, proj, observed in (
         (tracks[pair.ego_id], pair.path_ego, pair.proj_ego, obs.ego),
         (tracks[pair.other_id], pair.path_other, pair.proj_other, obs.other),
     ):
-        fresh = np.array([sp.project_to_path((r.x, r.y), path) for r in records])
+        fresh = np.array([sp.project_to_path(point, path) for point in track.xy])  # one point at a time
         assert np.array_equal(proj, fresh)
-        times = np.array([r.timestamp_ms for r in records], dtype=float)
-        assert np.array_equal(track.s, np.interp(track.times_ms, times, fresh[:, 0]))
-        assert np.array_equal(track.d, np.interp(track.times_ms, times, fresh[:, 1]))
+        times = track.timestamp_ms.astype(float)
+        assert np.array_equal(observed.s, np.interp(observed.times_ms, times, fresh[:, 0]))
+        assert np.array_equal(observed.d, np.interp(observed.times_ms, times, fresh[:, 1]))
 
 
 # values on the 6-decimal grid the writer uses, so a round trip is exact
@@ -233,25 +249,26 @@ _micro = st.integers(-10**9, 10**9).map(lambda n: n / 1e6)
 
 
 @st.composite
-def _track_records(draw):
-    records = []
+def _tracks(draw):
+    tracks = []
     for tid in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True)):
         n = draw(st.integers(1, 6))
         frames = sorted(draw(st.lists(st.integers(0, 10**5), min_size=n, max_size=n, unique=True)))
         t0, period = draw(st.integers(0, 10**6)), draw(st.integers(1, 200))
-        for i, frame in enumerate(frames):
-            records.append(tk.TrackRecord(
-                tid, frame, t0 + i * period, draw(_micro), draw(_micro), draw(_micro), draw(_micro)
-            ))
-    return records
+        values = np.array(draw(st.lists(_micro, min_size=4 * n, max_size=4 * n))).reshape(n, 4)
+        tracks.append(tk.Track(tid, np.array(frames), t0 + period * np.arange(n), values[:, :2], values[:, 2:]))
+    return tracks
 
 
 @settings(max_examples=100, deadline=None)
-@given(records=_track_records())
-def test_write_load_tracks_roundtrip(tmp_path_factory, records):
+@given(tracks=_tracks())
+def test_write_load_tracks_roundtrip(tmp_path_factory, tracks):
     f = tmp_path_factory.mktemp("tracks") / "t.csv"
-    tk.write_tracks(f, records)
-    expected: dict[int, list] = {}
-    for r in records:
-        expected.setdefault(r.track_id, []).append(r)
-    assert tk.load_tracks(f) == expected
+    tk.write_tracks(f, tracks)
+    loaded = tk.load_tracks(f)
+    assert list(loaded) == [t.track_id for t in tracks]
+    for want in tracks:
+        got = loaded[want.track_id]
+        assert got.track_id == want.track_id and len(got) == len(want)
+        for name in ("frame", "timestamp_ms", "xy", "vxy"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
