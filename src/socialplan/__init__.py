@@ -49,6 +49,7 @@ from .metrics import (
     are,
     dominant_policy,
     dop,
+    horizon_mse,
     interaction_stats,
     psf,
     trajectory_mse,
@@ -83,6 +84,7 @@ from .sampling import (
     SamplerConfig,
     Trajectory,
     build_joint_space,
+    build_joint_spaces,
     rollout,
     sample_accels,
 )

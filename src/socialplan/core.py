@@ -63,8 +63,10 @@ class ReferencePath:
         return float(self.cumulative_arclength[-1])
 
     def _segment_index(self, s):
-        idx = np.searchsorted(self.cumulative_arclength, s, side="right") - 1
-        return np.clip(idx, 0, len(self.points) - 2)
+        # the ufuncs and the array method, not np.clip / np.searchsorted: this
+        # runs twice per joint space, and those wrappers cost more than the work
+        idx = self.cumulative_arclength.searchsorted(s, side="right") - 1
+        return np.minimum(np.maximum(idx, 0), len(self.points) - 2)
 
     def position(self, s, d=0.0) -> np.ndarray:
         """Cartesian position at arclength s and lateral offset d (positive = left).

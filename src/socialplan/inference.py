@@ -92,28 +92,29 @@ class ParticleSet:
             raise ValueError("weights must be non-negative and sum to 1")
 
 
-def _subdivided_triangles(k: int) -> list[np.ndarray]:
-    """Barycentric corner triples of the k^2 congruent subtriangles of the simplex."""
-    def bary(i: int, j: int) -> np.ndarray:
-        return np.array([1.0 - (i + j) / k, i / k, j / k])
+def _subdivided_triangles(k: int) -> np.ndarray:
+    """Barycentric corner triples (k^2, 3, 3) of the k^2 congruent subtriangles of the simplex.
 
-    tris = []
-    for i in range(k):
-        for j in range(k - i):
-            tris.append(np.stack([bary(i, j), bary(i + 1, j), bary(i, j + 1)]))
-            if i + j < k - 1:
-                tris.append(np.stack([bary(i + 1, j), bary(i + 1, j + 1), bary(i, j + 1)]))
-    return tris
+    Row by row: for i = 0..k-1 and j = 0..k-1-i the upward triangle at
+    (i, j), then the downward one next to it while i + j < k - 1.
+    """
+    per_row = np.arange(k, 0, -1)
+    i = np.repeat(np.arange(k), per_row)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    # grid offsets of the corners of the upward and the downward triangle at (i, j)
+    ci = i[:, None, None] + np.array([[0, 1, 0], [1, 1, 0]])
+    cj = j[:, None, None] + np.array([[0, 0, 1], [0, 1, 1]])
+    corners = np.stack([1.0 - (ci + cj) / k, ci / k, cj / k], axis=-1)  # (len(i), 2, 3, 3)
+    return corners[(np.arange(2) == 0) | (i + j < k - 1)[:, None]]
 
 
 def _sample_simplex(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
     if scheme == "iid":
         return rng.dirichlet(np.ones(3), size=n)
     k = int(math.isqrt(n))
-    tris = _subdivided_triangles(k)[: k * k]
-    r1 = np.sqrt(rng.random(len(tris)))
-    r2 = rng.random(len(tris))
-    corners = np.stack(tris)  # (k^2, 3, 3)
+    corners = _subdivided_triangles(k)  # (k^2, 3, 3)
+    r1 = np.sqrt(rng.random(len(corners)))
+    r2 = rng.random(len(corners))
     pts = (
         (1.0 - r1)[:, None] * corners[:, 0]
         + (r1 * (1.0 - r2))[:, None] * corners[:, 1]
@@ -216,6 +217,20 @@ def observed_state(obs_self, obs_other, k: int) -> JointState:
     )
 
 
+# Observed states per batched build in replay: enough to amortise the
+# per-call overhead of the array pass, few enough that one chunk's arrays
+# stay small.  Only one chunk is alive at a time.
+CHUNK = 8
+
+
+def replay_spaces(obs_self, obs_other, scenario: Scenario, frames) -> Iterator[tuple[int, JointBehaviorSpace]]:
+    """(k, joint space at observed state k) for each frame k in order, built CHUNK states at a time."""
+    frames = list(frames)
+    for i in range(0, len(frames), CHUNK):
+        chunk = frames[i : i + CHUNK]
+        yield from zip(chunk, scenario.spaces_at([observed_state(obs_self, obs_other, k) for k in chunk]))
+
+
 def posterior_steps(
     obs_self,
     obs_other,
@@ -227,22 +242,22 @@ def posterior_steps(
 
     Yields (tau, space, k, estimate) for each posterior frame k in order:
     the window start tau, the joint space built at the observed state tau,
-    and the posterior mean after the window tau..k.  A space is built only
-    when tau changes, so under growing_window the frame-0 space serves every
-    frame.  obs_self/obs_other expose s, v, d, xy arrays on the
-    planning-rate grid.
+    and the posterior mean after the window tau..k.  Each window start's
+    space is built once (under growing_window the frame-0 space serves every
+    frame), CHUNK window starts ahead at most.  obs_self/obs_other expose
+    s, v, d, xy arrays on the planning-rate grid.
     """
     total = len(obs_self.s) - 1
     r = cfg.window_r
     if total < r:
         raise ShortTrackError(f"track has {total} steps, window needs {r}")
     pset = init_particles(cfg, seed)
+    spaces = replay_spaces(obs_self, obs_other, scenario, [0] if cfg.growing_window else range(total - r + 1))
     built_at, space = None, None
     for k in range(r, total + 1):
         tau = 0 if cfg.growing_window else k - r
         if tau != built_at:
-            space = scenario.space_at(observed_state(obs_self, obs_other, tau))
-            built_at = tau
+            built_at, space = next(spaces)
         matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates.xy)
         pset = update_posterior(pset, matched, space, cfg)
         yield tau, space, k, estimate_lambda(pset)

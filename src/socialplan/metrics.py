@@ -51,6 +51,28 @@ def interaction_stats(trace) -> InteractionStats:
     return InteractionStats(are=float(dist.mean()), ait=ait(trace), min_distance=float(dist.min()))
 
 
+def horizon_mse(generated_xy: np.ndarray, truth_xy: np.ndarray, dt: float, horizons) -> np.ndarray:
+    """Mean squared Cartesian error of each generated row at each horizon: (len(horizons), n).
+
+    generated_xy (n, T, 2) holds n trajectories and truth_xy (m, 2) the
+    ground truth, all sampled every dt from the same start.  At horizon h
+    the steps k with k*dt <= h contribute.  One squared-distance matrix
+    serves every horizon; each takes the mean of its prefix.
+    """
+    steps = []
+    for horizon in horizons:
+        k = int(np.floor(horizon / dt + 1e-9))
+        if k >= generated_xy.shape[-2] or k >= len(truth_xy):
+            raise HorizonExceedsTraceError(
+                f"horizon {horizon} s needs {k + 1} samples, have {generated_xy.shape[-2]} and {len(truth_xy)}"
+            )
+        steps.append(k)
+    w = max(steps) + 1
+    diff = generated_xy[:, :w] - truth_xy[None, :w]
+    sq = np.sum(diff * diff, axis=-1)
+    return np.array([np.mean(sq[:, : k + 1], axis=-1) for k in steps])
+
+
 def trajectory_mse(generated, ground_truth, horizon: float) -> float:
     """Mean squared Cartesian error over the steps within the horizon.
 
@@ -58,14 +80,7 @@ def trajectory_mse(generated, ground_truth, horizon: float) -> float:
     """
     if abs(generated.dt - ground_truth.dt) > 1e-12:
         raise ValueError("trajectories must share dt")
-    steps = int(np.floor(horizon / generated.dt + 1e-9))
-    if steps >= len(generated.xy) or steps >= len(ground_truth.xy):
-        raise HorizonExceedsTraceError(
-            f"horizon {horizon} s needs {steps + 1} samples, have "
-            f"{len(generated.xy)} and {len(ground_truth.xy)}"
-        )
-    diff = generated.xy[: steps + 1] - ground_truth.xy[: steps + 1]
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    return float(horizon_mse(generated.xy[None], ground_truth.xy, generated.dt, (horizon,))[0, 0])
 
 
 def _dominant_series(lambda_series) -> list[str]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
 from .rewards import RewardConfig, RewardWeights, check_ego_label, social_reward_vector
-from .sampling import JointBehaviorSpace, SamplerConfig, build_joint_space
+from .sampling import JointBehaviorSpace, SamplerConfig, build_joint_space, build_joint_spaces
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ class Scenario:
 
     def space_at(self, x0: JointState) -> JointBehaviorSpace:
         return build_joint_space(x0, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
+
+    def spaces_at(self, states: list[JointState]) -> list[JointBehaviorSpace]:
+        """space_at for each state, built in array passes (see build_joint_spaces)."""
+        return build_joint_spaces(states, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
 
 @dataclass(frozen=True)

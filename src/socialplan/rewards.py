@@ -13,7 +13,7 @@ exponential.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -189,8 +189,9 @@ def cumulative_reward(
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    """Log-softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def check_ego_label(space, label: int) -> int:
@@ -255,7 +256,11 @@ def confidence_reward(space, ego_label: int) -> float:
 
 @dataclass(frozen=True)
 class SocialComponents:
-    """Per-ego-candidate reward terms cached for one joint behavior space."""
+    """Per-ego-candidate reward terms cached for one joint behavior space.
+
+    Out of component_arrays every field also carries the leading axes of the
+    reward matrices it was given.
+    """
 
     presence_logp: np.ndarray  # (ne, no) log response probabilities
     egoism_raw: np.ndarray  # (ne,)
@@ -269,42 +274,42 @@ class SocialComponents:
         """(3, ne) matrix of the mixable terms."""
         return self.terms
 
+    def at(self, i: int) -> "SocialComponents":
+        """Entry i along the leading axis of batched components (views, not copies)."""
+        return SocialComponents(*(getattr(self, f.name)[i] for f in fields(self)))
 
-def social_components(space: "JointBehaviorSpace") -> SocialComponents:
-    """Evaluate all three reward terms for every ego candidate at once.
 
-    A beta too large for the utilities overflows the softmax logits; the
-    terms then come out NaN, and that raises NonFiniteRewardError.
+def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> SocialComponents:
+    """The three reward terms of every ego candidate, not checked for overflow.
+
+    reward_ego, reward_other: (..., ne, no); absence_other: (..., no).  Any
+    leading axes carry through, and every reduction runs over the last axis,
+    so entry i of a batch equals the terms of space i alone.  A beta that
+    overflows leaves NaN terms; check_finite_terms reports it.
     """
-    beta = space.reward_cfg.beta
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
-        logits = beta * space.reward_other
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_p = _log_softmax(beta * reward_other)
         p = np.exp(log_p)
 
-        egoism_raw = np.sum(p * space.reward_ego, axis=1)
-        span = egoism_raw.max() - egoism_raw.min()
-        if span > _MINMAX_EPS:
-            egoism_norm = (egoism_raw - egoism_raw.min()) / span
-        else:
-            egoism_norm = np.zeros_like(egoism_raw)
+        egoism_raw = np.sum(p * reward_ego, axis=-1)
+        low = egoism_raw.min(axis=-1, keepdims=True)
+        span = egoism_raw.max(axis=-1, keepdims=True) - low
+        egoism_norm = np.divide(egoism_raw - low, span, out=np.zeros_like(egoism_raw), where=span > _MINMAX_EPS)
 
-        log_q = _log_softmax(beta * space.absence_other)
+        log_q = _log_softmax(beta * absence_other)[..., None, :]
         q = np.exp(log_q)
-        kl = np.sum(q[None, :] * (log_q[None, :] - log_p), axis=1)
+        kl = np.sum(q * (log_q - log_p), axis=-1)
         court = np.exp(-np.maximum(kl, 0.0))
 
-    if p.shape[1] == 1:
-        conf = np.ones(p.shape[0])
+    no = p.shape[-1]
+    if no == 1:
+        conf = np.ones(p.shape[:-1])
     else:
-        top2 = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
-        conf = top2[:, 1] - top2[:, 0]
+        top2 = np.partition(p, no - 2, axis=-1)[..., -2:]
+        conf = top2[..., 1] - top2[..., 0]
 
     conf_reward = np.exp(conf)
-    terms = np.stack([egoism_norm, court, conf_reward])
-    if not np.isfinite(terms).all():
-        raise NonFiniteRewardError(f"rewards.beta = {beta!r} overflows the social reward terms; use a smaller beta")
+    terms = np.stack([egoism_norm, court, conf_reward], axis=-2)
     terms.flags.writeable = False
     return SocialComponents(
         presence_logp=log_p,
@@ -315,6 +320,24 @@ def social_components(space: "JointBehaviorSpace") -> SocialComponents:
         confidence_reward=conf_reward,
         terms=terms,
     )
+
+
+def check_finite_terms(finite: bool, beta: float) -> None:
+    """Raise NonFiniteRewardError unless the social terms at this beta are finite."""
+    if not finite:
+        raise NonFiniteRewardError(f"rewards.beta = {beta!r} overflows the social reward terms; use a smaller beta")
+
+
+def social_components(space: "JointBehaviorSpace") -> SocialComponents:
+    """Evaluate all three reward terms for every ego candidate at once.
+
+    A beta too large for the utilities overflows the softmax logits; the
+    terms then come out NaN, and that raises NonFiniteRewardError.
+    """
+    beta = space.reward_cfg.beta
+    comps = component_arrays(space.reward_ego, space.reward_other, space.absence_other, beta)
+    check_finite_terms(np.isfinite(comps.terms).all(), beta)
+    return comps
 
 
 def social_reward_vector(space, lam: RewardWeights) -> np.ndarray:

@@ -6,6 +6,12 @@ held as arrays with one row per candidate; the row index is the candidate's
 label.  Pairing the two fans yields the discrete joint behavior space; both
 agents' utilities are cached as |ego| x |other| matrices at build time so
 every downstream reward term reduces to row/column operations.
+
+The kernels (rollout, path position, utility vectors, safety, social terms)
+take arrays with optional leading axes and reduce over the last axis only.
+build_joint_space runs them on one state; build_joint_spaces runs them once
+per group of states whose fans have equal sizes, so every reduction sees the
+same contiguous rows as in the one-state build and gives the same bits.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ import numpy as np
 
 from .core import AgentState, ConflictPoint, JointState, ReferencePath, step_dynamics
 from .errors import EmptyCandidateSetError
-from .rewards import RewardConfig, SocialComponents, social_components
+from .rewards import RewardConfig, SocialComponents, component_arrays, check_finite_terms, social_components
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,8 @@ class CandidateFan:
     """One side's candidates as arrays; row i is the candidate labeled i.
 
     accels: (n, N); s, v: (n, N+1); xy: (n, N+1, 2) at lateral offset d.
+    Inside build_joint_spaces a fan also carries a leading state axis, with
+    one offset per state in d; a joint space only holds one-state fans.
     """
 
     accels: np.ndarray
@@ -79,6 +87,41 @@ class CandidateFan:
             s=self.s[label], v=self.v[label], accels=self.accels[label], d=self.d, dt=self.dt, xy=self.xy[label]
         )
 
+    def at(self, i: int) -> "CandidateFan":
+        """State i's fan out of a fan with a leading state axis (views, not copies)."""
+        return CandidateFan(
+            accels=self.accels[i], s=self.s[i], v=self.v[i], xy=self.xy[i], d=float(self.d[i]), dt=self.dt
+        )
+
+
+def _accel_grid(v, path: ReferencePath, cfg: SamplerConfig) -> np.ndarray:
+    """Clamped constant accelerations (..., n_targets) from speeds v (...).
+
+    a = (v_target - v) / (N dt) toward each terminal speed, ascending, then
+    clamped to the acceleration bounds, so equal values are adjacent.
+    """
+    targets = np.asarray(cfg.terminal_speed_fractions, dtype=float) * path.speed_limit
+    targets.sort(kind="stable")
+    horizon = cfg.horizon_steps * cfg.dt
+    accels = (targets - np.asarray(v, dtype=float)[..., None]) / horizon
+    return np.minimum(np.maximum(accels, cfg.accel_min), cfg.accel_max)  # np.clip, without its wrapper cost
+
+
+def _first_of_runs(grid: np.ndarray) -> np.ndarray:
+    """Mask of the entries that keep the first of each run of equal values along the last axis."""
+    keep = np.empty(grid.shape, dtype=bool)
+    keep[..., 0] = True
+    np.not_equal(grid[..., 1:], grid[..., :-1], out=keep[..., 1:])
+    return keep
+
+
+def _collapsed(n_unique, grid: np.ndarray, cfg: SamplerConfig):
+    """Whether forbid_singleton rejects a fan of n_unique distinct accelerations out of grid's targets."""
+    return (n_unique == 1) & (grid.shape[-1] > 1) & cfg.forbid_singleton
+
+
+_COLLAPSED = "all candidates collapsed to a single acceleration"
+
 
 def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> np.ndarray:
     """Constant accelerations (n,) toward each terminal-speed fraction.
@@ -88,12 +131,10 @@ def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) ->
     adjacent; each run of equal values keeps one entry.  The index of an
     acceleration is its candidate label.
     """
-    targets = np.sort(np.asarray(cfg.terminal_speed_fractions, dtype=float) * path.speed_limit, kind="stable")
-    horizon = cfg.horizon_steps * cfg.dt
-    accels = np.clip((targets - state.v) / horizon, cfg.accel_min, cfg.accel_max)
-    unique = accels[np.concatenate(([True], accels[1:] != accels[:-1]))]
-    if len(unique) == 1 and len(accels) > 1 and cfg.forbid_singleton:
-        raise EmptyCandidateSetError("all candidates collapsed to a single acceleration")
+    grid = _accel_grid(state.v, path, cfg)
+    unique = grid[_first_of_runs(grid)]
+    if _collapsed(len(unique), grid, cfg):
+        raise EmptyCandidateSetError(_COLLAPSED)
     return unique
 
 
@@ -177,32 +218,57 @@ class JointBehaviorSpace:
         )
 
 
-def rollout_batch(s0: float, v0: float, accels: np.ndarray, dt: float):
-    """Roll out n candidate acceleration sequences from a common start state.
+def _rollout_row(s: float, v: float, row: list[float], dt: float) -> tuple[list[float], list[float]]:
+    """One row through core.step_dynamics' float operations, step by step."""
+    s_row, v_row = [s], [v]
+    for a in row:
+        v1 = v + a * dt
+        if v1 < 0.0:
+            t_stop = -v / a
+            s = s + v * t_stop + 0.5 * a * t_stop * t_stop
+            v = 0.0
+        else:
+            s = s + v * dt + 0.5 * a * dt * dt
+            v = v1
+        s_row.append(s)
+        v_row.append(v)
+    return s_row, v_row
 
-    accels: (n, N).  Returns (S, V) with shape (n, N+1).  Each step repeats
-    the float operations of core.step_dynamics in the same order, so the
-    result matches it bit for bit; a closed form or a hoisted 0.5*dt*dt
-    would round differently.
+
+def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
+    """Roll out acceleration sequences accels (..., n, N), row by row from s0, v0.
+
+    s0 and v0 broadcast to accels.shape[:-1].  Returns (S, V), each
+    (..., N+1).  Both are running sums along the step axis (np.add.accumulate
+    adds left to right) that repeat the float operations of
+    core.step_dynamics in its order:
+
+        V over [v0, a0*dt, a1*dt, ...]                    v' = v + a*dt
+        S over [s0, v0*dt, 0.5*a0*dt*dt, v1*dt, ...]      s' = s + v*dt + 0.5*a*dt*dt
+
+    so the result matches it bit for bit; a closed form or a hoisted
+    0.5*dt*dt would round differently.  A row whose speed would go negative
+    is exact up to the step the car stops in; from that step on it is
+    rolled out step by step, through step_dynamics' stop branch.
     """
-    s_rows, v_rows = [], []
-    for row in np.asarray(accels, dtype=float).tolist():
-        s, v = float(s0), float(v0)
-        s_row, v_row = [s], [v]
-        for a in row:
-            v1 = v + a * dt
-            if v1 < 0.0:
-                t_stop = -v / a
-                s = s + v * t_stop + 0.5 * a * t_stop * t_stop
-                v = 0.0
-            else:
-                s = s + v * dt + 0.5 * a * dt * dt
-                v = v1
-            s_row.append(s)
-            v_row.append(v)
-        s_rows.append(s_row)
-        v_rows.append(v_row)
-    return np.array(s_rows), np.array(v_rows)
+    accels = np.asarray(accels, dtype=float)
+    n = accels.shape[-1]
+    dv = np.empty(accels.shape[:-1] + (n + 1,))
+    dv[..., 0] = v0
+    np.multiply(accels, dt, out=dv[..., 1:])
+    V = np.add.accumulate(dv, axis=-1)
+    ds = np.empty(accels.shape[:-1] + (2 * n + 1,))
+    ds[..., 0] = s0
+    np.multiply(V[..., :-1], dt, out=ds[..., 1::2])
+    ds[..., 2::2] = 0.5 * accels * dt * dt
+    S = np.add.accumulate(ds, axis=-1)[..., ::2]
+
+    negative = V < 0.0
+    if negative.any():
+        for row in zip(*negative.any(axis=-1).nonzero()):
+            j = int(negative[row].argmax()) - 1  # the step the car stops in
+            S[row][j:], V[row][j:] = _rollout_row(float(S[row][j]), float(V[row][j]), accels[row][j:].tolist(), dt)
+    return S, V
 
 
 def safety_matrix(
@@ -217,44 +283,71 @@ def safety_matrix(
 ) -> np.ndarray:
     """Accumulated pairwise proximity penalty over the horizon.
 
-    xy_ego: (ne, N+1, 2), xy_other: (no, N+1, 2), s_ego: (ne, N+1),
-    s_other: (no, N+1).  Entry [i, j] is
+    xy_ego: (..., ne, N+1, 2), xy_other: (..., no, N+1, 2), s_ego:
+    (..., ne, N+1), s_other: (..., no, N+1).  Entry [..., i, j] is
 
         -sum_t exp(-|p_e - p_o| / sigma_d)
               * exp(-(|s_e - s_ce| + |s_o - s_co|) / sigma_c)
 
     summed over steps t = 0..N-1.
     """
-    t = xy_ego.shape[1] - 1
-    diff = xy_ego[:, None, :t, :] - xy_other[None, :, :t, :]
-    d_rel = np.sqrt(np.sum(diff * diff, axis=3))
-    prox_e = np.exp(-np.abs(s_ego[:, :t] - s_conflict_ego) / sigma_c)
-    prox_o = np.exp(-np.abs(s_other[:, :t] - s_conflict_other) / sigma_c)
-    w = np.exp(-d_rel / sigma_d) * (prox_e[:, None, :] * prox_o[None, :, :])
-    return -np.sum(w, axis=2)
+    t = xy_ego.shape[-2] - 1
+    diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
+    d_rel = np.sqrt(np.sum(diff * diff, axis=-1))
+    prox_e = np.exp(-np.abs(s_ego[..., :t] - s_conflict_ego) / sigma_c)
+    prox_o = np.exp(-np.abs(s_other[..., :t] - s_conflict_other) / sigma_c)
+    w = np.exp(-d_rel / sigma_d) * (prox_e[..., :, None, :] * prox_o[..., None, :, :])
+    return -np.sum(w, axis=-1)
 
 
-def _fan(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> CandidateFan:
-    """Sample one side's accelerations and roll the whole fan out at once."""
-    a = sample_accels(state, path, cfg)
-    accels = np.repeat(a[:, None], cfg.horizon_steps, 1)
-    s, v = rollout_batch(state.s, state.v, accels, cfg.dt)
-    return CandidateFan(accels=accels, s=s, v=v, xy=path.position(s, state.d), d=state.d, dt=cfg.dt)
+def _fan(accels: np.ndarray, s0, v0, d, path: ReferencePath, cfg: SamplerConfig) -> CandidateFan:
+    """Roll out constant-acceleration fans accels (..., n) from start states (...) at once."""
+    rows = np.repeat(accels[..., None], cfg.horizon_steps, -1)
+    s, v = rollout_batch(np.asarray(s0)[..., None], np.asarray(v0)[..., None], rows, cfg.dt)
+    xy = path.position(s, np.asarray(d, dtype=float)[..., None, None])
+    return CandidateFan(accels=rows, s=s, v=v, xy=xy, d=d, dt=cfg.dt)
 
 
 def _utility_vectors(fan: CandidateFan, v_des: float, cfg: RewardConfig):
-    """Per-candidate accumulated efficiency and comfort (steps 0..N-1).
+    """Per-candidate accumulated efficiency and comfort (steps 0..N-1), shape (..., n).
 
     The comfort sum runs over the N equal terms of each constant row; an
-    N * a**2 closed form would round differently.
+    N * a**2 closed form would round differently.  The lateral term is
+    computed in Python floats, one offset at a time: float ** 2 and numpy's
+    square round differently for about 1 value in 1000.
     """
     accels = fan.accels
-    n = accels.shape[1]
-    dev = (fan.v[:, :n] - v_des) / v_des
-    eff = -(np.sum(dev * dev, axis=1) + n * (fan.d / cfg.d0) ** 2)
-    jerk = np.diff(accels, axis=1) / fan.dt
-    com = -(np.sum((accels / cfg.a0) ** 2, axis=1) + np.sum((jerk / cfg.j0) ** 2, axis=1))
+    n = accels.shape[-1]
+
+    def lateral(d: float) -> float:
+        return n * (d / cfg.d0) ** 2
+
+    dev = (fan.v[..., :n] - v_des) / v_des
+    if isinstance(fan.d, np.ndarray):  # one offset per state of a batch
+        eff = -(np.sum(dev * dev, axis=-1) + np.array([lateral(d) for d in fan.d.tolist()])[:, None])
+    else:
+        eff = -(np.sum(dev * dev, axis=-1) + lateral(fan.d))
+    jerk = np.diff(accels, axis=-1) / fan.dt
+    com = -(np.sum((accels / cfg.a0) ** 2, axis=-1) + np.sum((jerk / cfg.j0) ** 2, axis=-1))
     return eff, com
+
+
+def _joint_rewards(ego: CandidateFan, other: CandidateFan, path_ego, path_other, conflict, reward_cfg):
+    """reward_ego, reward_other (..., ne, no) and absence_other (..., no) of two fans."""
+    eff_e, com_e = _utility_vectors(ego, path_ego.speed_limit, reward_cfg)
+    eff_o, com_o = _utility_vectors(other, path_other.speed_limit, reward_cfg)
+
+    # the safety feature is symmetric in the pair, so one matrix serves both
+    safety = safety_matrix(
+        ego.xy, other.xy, ego.s, other.s, conflict.s_ego, conflict.s_other,
+        reward_cfg.sigma_d, reward_cfg.sigma_c,
+    )
+
+    te, to = reward_cfg.theta_ego, reward_cfg.theta_other
+    reward_ego = te[0] * eff_e[..., :, None] + te[1] * com_e[..., :, None] + te[2] * safety
+    reward_other = to[0] * eff_o[..., None, :] + to[1] * com_o[..., None, :] + to[2] * safety
+    absence_other = to[0] * eff_o + to[1] * com_o
+    return reward_ego, reward_other, absence_other
 
 
 def build_joint_space(
@@ -266,28 +359,77 @@ def build_joint_space(
     reward_cfg: RewardConfig,
 ) -> JointBehaviorSpace:
     """Sample both candidate fans and cache every pairwise utility."""
-    ego = _fan(x0.ego, path_ego, sampler_cfg)
-    other = _fan(x0.other, path_other, sampler_cfg)
-    eff_e, com_e = _utility_vectors(ego, path_ego.speed_limit, reward_cfg)
-    eff_o, com_o = _utility_vectors(other, path_other.speed_limit, reward_cfg)
-
-    # the safety feature is symmetric in the pair, so one matrix serves both
-    safety = safety_matrix(
-        ego.xy, other.xy, ego.s, other.s, conflict.s_ego, conflict.s_other,
-        reward_cfg.sigma_d, reward_cfg.sigma_c,
-    )
-
-    te, to = reward_cfg.theta_ego, reward_cfg.theta_other
-    reward_ego = te[0] * eff_e[:, None] + te[1] * com_e[:, None] + te[2] * safety
-    reward_other = to[0] * eff_o[None, :] + to[1] * com_o[None, :] + to[2] * safety
-    absence_other = to[0] * eff_o + to[1] * com_o
-
+    fans = [
+        _fan(sample_accels(x, path, sampler_cfg), x.s, x.v, x.d, path, sampler_cfg)
+        for x, path in ((x0.ego, path_ego), (x0.other, path_other))
+    ]
+    reward_ego, reward_other, absence_other = _joint_rewards(*fans, path_ego, path_other, conflict, reward_cfg)
     return JointBehaviorSpace(
-        ego_candidates=ego,
-        other_candidates=other,
+        ego_candidates=fans[0],
+        other_candidates=fans[1],
         reward_ego=reward_ego,
         reward_other=reward_other,
         absence_other=absence_other,
         reward_cfg=reward_cfg,
         conflict=conflict,
     )
+
+
+def build_joint_spaces(
+    states: list[JointState],
+    path_ego: ReferencePath,
+    path_other: ReferencePath,
+    conflict: ConflictPoint,
+    sampler_cfg: SamplerConfig,
+    reward_cfg: RewardConfig,
+) -> list[JointBehaviorSpace]:
+    """build_joint_space for each state, one array pass per group of states.
+
+    A group holds the states whose two fans have the same sizes after the
+    clamped accelerations are deduplicated, so no fan is padded.  Each space
+    equals build_joint_space at its state bit for bit and comes with its
+    social components already computed; its arrays are views into the
+    group's.  A failing state raises what build_joint_space and then
+    components() raise at it, and the first failing state in order wins.
+    """
+    if not states:
+        return []
+    paths = (path_ego, path_other)
+    starts = np.array([[(a.s, a.v, a.d) for a in (x.ego, x.other)] for x in states])  # (F, side, s/v/d)
+    grids = [_accel_grid(starts[:, k, 1], paths[k], sampler_cfg) for k in (0, 1)]
+    keeps = [_first_of_runs(grid) for grid in grids]
+    sizes = np.stack([keep.sum(axis=-1) for keep in keeps], axis=1)  # (F, side) fan sizes
+    collapsed = _collapsed(sizes[:, 0], grids[0], sampler_cfg) | _collapsed(sizes[:, 1], grids[1], sampler_cfg)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, size in enumerate(sizes.tolist()):
+        groups.setdefault(tuple(size), []).append(i)
+
+    slots: list[tuple] = [()] * len(states)
+    for idx in groups.values():
+        ego, other = (
+            _fan(grids[k][idx][keeps[k][idx]].reshape(len(idx), -1), *starts[idx, k].T, paths[k], sampler_cfg)
+            for k in (0, 1)
+        )
+        rewards = _joint_rewards(ego, other, path_ego, path_other, conflict, reward_cfg)
+        comps = component_arrays(*rewards, reward_cfg.beta)
+        finite = np.isfinite(comps.terms).all(axis=(-2, -1))
+        for j, i in enumerate(idx):
+            slots[i] = (ego, other, rewards, comps, finite, j)
+
+    spaces = []
+    for i, (ego, other, rewards, comps, finite, j) in enumerate(slots):
+        if collapsed[i]:
+            raise EmptyCandidateSetError(_COLLAPSED)
+        space = JointBehaviorSpace(
+            ego_candidates=ego.at(j),
+            other_candidates=other.at(j),
+            reward_ego=rewards[0][j],
+            reward_other=rewards[1][j],
+            absence_other=rewards[2][j],
+            reward_cfg=reward_cfg,
+            conflict=conflict,
+        )
+        check_finite_terms(finite[j], reward_cfg.beta)
+        space._components = comps.at(j)
+        spaces.append(space)
+    return spaces

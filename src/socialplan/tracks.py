@@ -55,7 +55,11 @@ def _int64(text: str) -> int:
 
 
 def load_tracks(path) -> dict[int, Track]:
-    """Parse and group a track CSV; frames must increase within each track."""
+    """Parse and group a track CSV.
+
+    Within each track the frames must increase and the timestamps must
+    increase by one constant frame period.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split(",") != TRACK_HEADER:
         raise SchemaError(f"expected track header {','.join(TRACK_HEADER)!r}")
@@ -72,14 +76,19 @@ def load_tracks(path) -> dict[int, Track]:
         except ValueError as exc:
             raise ParseError(str(exc), row=lineno) from exc
         group = rows.setdefault(tid, [])
-        if group and row[0] <= group[-1][0]:
-            raise ParseError(f"track {tid} frames must increase ({group[-1][0]} -> {row[0]})", row=lineno)
+        if group:
+            last = group[-1]
+            if row[0] <= last[0]:
+                raise ParseError(f"track {tid} frames must increase ({last[0]} -> {row[0]})", row=lineno)
+            period = row[1] - last[1]
+            if period <= 0:
+                raise ParseError(f"track {tid} timestamps must increase ({last[1]} -> {row[1]})", row=lineno)
+            if len(group) >= 2 and period != last[1] - group[-2][1]:
+                raise ParseError(f"track {tid} timestamps are not on a constant frame period", row=lineno)
         group.append(row)
     tracks = {}
     for tid, group in rows.items():
         frame, stamps, x, y, vx, vy = map(np.array, zip(*group))
-        if len(stamps) >= 3 and len(set(np.diff(stamps))) > 1:
-            raise ParseError(f"track {tid} timestamps are not on a constant frame period")
         tracks[tid] = Track(tid, frame, stamps, np.stack([x, y], axis=1), np.stack([vx, vy], axis=1))
     return tracks
 

@@ -6,7 +6,7 @@ JSON keys, and results written in the order the inputs were given.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config
 from .errors import NonTerminatingError, ParseError, ShortTrackError
-from .inference import InferenceSeries, infer_trace, observed_state, posterior_steps
+from .inference import InferenceSeries, infer_trace, posterior_steps, replay_spaces
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
 from .planner import InteractionTrace, PolicySpec, Scenario, leader_label, plan_ego, simulate  # noqa: F401
@@ -194,12 +194,6 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class _ObsWindow:
-    xy: np.ndarray
-    dt: float
-
-
 def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -> dict:
     """Mean regeneration MSE per policy and horizon for one agent.
 
@@ -209,8 +203,9 @@ def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -
     The estimate used at regeneration frame k is the one recorded at
     posterior frame k, r frames before the pass starts a window at k.  Frames
     the pass never starts a window at (window_r above the longest horizon's
-    step count, or growing_window) get their space built on the spot, so
-    only one space is live at a time.
+    step count, or growing_window) get their spaces built the same way after
+    the pass, a chunk at a time.  Each regeneration frame scores every ego
+    candidate at every horizon at once; the policies pick their rows.
     """
     dt = cfg.sampler.dt
     max_steps = int(np.floor(max(REGEN_HORIZONS) / dt + 1e-9))
@@ -223,15 +218,12 @@ def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -
     lam_at: dict[int, RewardWeights] = {}
 
     def regenerate(k: int, space) -> None:
-        observed = _ObsWindow(xy=obs_self.xy[k : k + max_steps + 1], dt=dt)
-        mse_by_label: dict[int, list[float]] = {}
+        observed = obs_self.xy[k : k + max_steps + 1]
+        mse = metrics.horizon_mse(space.ego_candidates.xy, observed, dt, REGEN_HORIZONS).tolist()
         for name, lam in (*fixed, ("estimated", lam_at.pop(k))):
             label = leader_label(space, lam)
-            if label not in mse_by_label:
-                traj = space.ego_candidates.trajectory(label)
-                mse_by_label[label] = [metrics.trajectory_mse(traj, observed, h) for h in REGEN_HORIZONS]
-            for h, mse in zip(REGEN_HORIZONS, mse_by_label[label]):
-                sums[name][h] += mse
+            for h, per_label in zip(REGEN_HORIZONS, mse):
+                sums[name][h] += per_label[label]
 
     next_k = frames.start
     for tau, space, k, estimate in posterior_steps(obs_self, obs_other, scenario, cfg.inference, cfg.seed):
@@ -239,8 +231,8 @@ def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -
         if tau == next_k < frames.stop:
             regenerate(tau, space)
             next_k += 1
-    for k in range(next_k, frames.stop):
-        regenerate(k, scenario.space_at(observed_state(obs_self, obs_other, k)))
+    for k, space in replay_spaces(obs_self, obs_other, scenario, range(next_k, frames.stop)):
+        regenerate(k, space)
 
     return {
         name: {str(h): round(per_h[h] / len(frames), 6) for h in REGEN_HORIZONS}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +89,62 @@ def test_simplex_sampling_uniform_and_on_simplex():
         assert pts.shape == (100, 3)
         assert np.all(pts >= 0)
         assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _reference_triangles(k: int) -> list[np.ndarray]:
+    """The per-triangle loop the simplex covering was first written as."""
+    def bary(i: int, j: int) -> np.ndarray:
+        return np.array([1.0 - (i + j) / k, i / k, j / k])
+
+    tris = []
+    for i in range(k):
+        for j in range(k - i):
+            tris.append(np.stack([bary(i, j), bary(i + 1, j), bary(i, j + 1)]))
+            if i + j < k - 1:
+                tris.append(np.stack([bary(i + 1, j), bary(i + 1, j + 1), bary(i, j + 1)]))
+    return tris
+
+
+def _reference_init_particles(cfg, seed):
+    rng = np.random.default_rng(seed)
+    n = cfg.n_particles
+    if cfg.init == "iid":
+        lambdas = rng.dirichlet(np.ones(3), size=n)
+    else:
+        k = int(math.isqrt(n))
+        tris = _reference_triangles(k)[: k * k]
+        r1 = np.sqrt(rng.random(len(tris)))
+        r2 = rng.random(len(tris))
+        corners = np.stack(tris)
+        lambdas = (
+            (1.0 - r1)[:, None] * corners[:, 0]
+            + (r1 * (1.0 - r2))[:, None] * corners[:, 1]
+            + (r1 * r2)[:, None] * corners[:, 2]
+        )
+        if n > len(lambdas):
+            lambdas = np.concatenate([lambdas, rng.dirichlet(np.ones(3), size=n - len(lambdas))])
+    alpha = cfg.prior.dirichlet_alpha()
+    if alpha is None:
+        weights = np.full(n, 1.0 / n)
+    else:
+        logdens = np.sum((alpha - 1.0) * np.log(np.clip(lambdas, 1e-12, None)), axis=1)
+        weights = np.exp(logdens - logdens.max())
+        weights /= weights.sum()
+    return lambdas, weights
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 137])
+@pytest.mark.parametrize("init", ["stratified", "iid"])
+@pytest.mark.parametrize(
+    "prior",
+    [sp.PriorSpec(), sp.PriorSpec("dirichlet", alpha=(2.0, 1.0, 0.5)), sp.PriorSpec("dop", fractions=(0.2, 0.5, 0.3))],
+)
+def test_init_particles_matches_reference_bit_for_bit(n, init, prior):
+    cfg = sp.InferenceConfig(n_particles=n, init=init, prior=prior)
+    for seed in (0, 7):
+        pset = sp.init_particles(cfg, seed)
+        lambdas, weights = _reference_init_particles(cfg, seed)
+        assert pset.lambdas.tobytes() == lambdas.tobytes() and pset.weights.tobytes() == weights.tobytes()
 
 
 def test_stratified_covers_corners():

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan.scenarios import case_scenario
@@ -77,6 +79,39 @@ def test_mse_symmetry_and_zero_iff():
         assert sp.trajectory_mse(a, a, h) == 0.0
         if not np.array_equal(a.xy, b.xy):
             assert sp.trajectory_mse(a, b, h) > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    length=st.integers(1, 35),
+    extra=st.integers(0, 5),
+    dt=st.sampled_from([0.08, 0.1, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_horizon_mse_matches_trajectory_mse_bit_for_bit(n, length, extra, dt, seed, fractions):
+    rng = np.random.default_rng(seed)
+    generated = rng.normal(scale=20.0, size=(n, length + extra, 2))
+    truth = rng.normal(scale=20.0, size=(length, 2))
+    horizons = [f * (length - 1) * dt for f in fractions]
+    table = sp.horizon_mse(generated, truth, dt, horizons)
+    assert table.shape == (len(horizons), n)
+    observed = SimpleNamespace(xy=truth, dt=dt)
+    for row, horizon in zip(table, horizons):
+        steps = int(np.floor(horizon / dt + 1e-9))
+        for label in range(n):
+            one = sp.trajectory_mse(SimpleNamespace(xy=generated[label], dt=dt), observed, horizon)
+            # the one-pair arithmetic trajectory_mse was first written as
+            diff = generated[label][: steps + 1] - truth[: steps + 1]
+            reference = float(np.mean(np.sum(diff * diff, axis=1)))
+            assert row[label].tobytes() == np.float64(one).tobytes() == np.float64(reference).tobytes()
+
+
+def test_horizon_mse_checks_every_horizon():
+    xy = np.zeros((2, 5, 2))
+    with pytest.raises(sp.HorizonExceedsTraceError, match="horizon 1.0 s needs 5 samples, have 5 and 4"):
+        sp.horizon_mse(xy, np.zeros((4, 2)), 0.25, (0.5, 1.0))
 
 
 def test_mse_errors():

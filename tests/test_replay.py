@@ -3,8 +3,10 @@
 The definition of a regeneration table is two passes per seat: the full
 posterior series (infer_agent), then one fresh leader decision (plan_ego)
 per policy at every regeneration frame.  run_regen shares one joint space
-per observed state between the posterior and the policies; these tests pin
-that it gives the same table and builds each state at most once per seat.
+per observed state between the posterior and the policies, and builds the
+spaces of a seat in batches (build_joint_spaces); these tests pin that it
+gives the same table, builds each state at most once per seat, and never
+builds more than one chunk ahead.
 """
 from collections import Counter
 from dataclasses import replace
@@ -16,7 +18,7 @@ import pytest
 import socialplan as sp
 from socialplan import planner, workflows
 from socialplan.config import load_config
-from socialplan.inference import infer_agent
+from socialplan.inference import CHUNK, infer_agent
 from socialplan.planner import plan_ego
 from socialplan.scenarios import fixture_scenario, write_scenario_config
 
@@ -70,15 +72,23 @@ def _reference_seat(obs_self, obs_other, scenario, cfg) -> dict:
 
 
 def _count_builds(monkeypatch) -> list:
-    """Record (seat path, ego state, other state) of every joint space built."""
+    """Record (seat path, ego state, other state) of every state a joint space is built at.
+
+    Replay builds through the batch builder; a one-state build there would
+    bypass it, so one fails the test.
+    """
     built = []
-    real = planner.build_joint_space
+    real = planner.build_joint_spaces
 
-    def counting(x0, path_ego, *args):
-        built.append((id(path_ego), x0.ego, x0.other))
-        return real(x0, path_ego, *args)
+    def counting(states, path_ego, *args):
+        built.extend((id(path_ego), x0.ego, x0.other) for x0 in states)
+        return real(states, path_ego, *args)
 
-    monkeypatch.setattr(planner, "build_joint_space", counting)
+    def one_state(*args):
+        raise AssertionError("replay built a joint space outside the batch builder")
+
+    monkeypatch.setattr(planner, "build_joint_spaces", counting)
+    monkeypatch.setattr(planner, "build_joint_space", one_state)
     return built
 
 
@@ -128,9 +138,12 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
     r = fixture_cfg.inference.window_r
     for n, (tau, space, k, estimate) in enumerate(steps, start=1):
         assert tau == k - r
-        assert len(built) == n
+        # the n window starts used so far, and the rest of their chunk at most
+        assert n <= len(built) < n + CHUNK
+        assert (built[tau][1].s, built[tau][2].s) == (space.ego_candidates.s[0, 0], space.other_candidates.s[0, 0])
         assert len(space.ego_candidates) >= 1
         assert abs(estimate.values.sum() - 1.0) < 1e-9
+    assert len(built) == n
 
 
 def test_leader_label_breaks_ties_to_lowest_label():

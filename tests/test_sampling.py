@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -189,3 +192,100 @@ def test_absence_excludes_safety():
         expected = cfg.theta_other[0] * phi.efficiency + cfg.theta_other[1] * phi.comfort
         assert abs(space.absence_other[j] - expected) < 1e-12 * max(1.0, abs(expected))
         assert phi.safety == 0.0
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+def _assert_same_space(one, batched):
+    for side in ("ego_candidates", "other_candidates"):
+        a, b = getattr(one, side), getattr(batched, side)
+        for name in ("accels", "s", "v", "xy"):
+            assert _same_bits(getattr(a, name), getattr(b, name)), (side, name)
+        assert (a.d, a.dt) == (b.d, b.dt)
+    for name in ("reward_ego", "reward_other", "absence_other"):
+        assert _same_bits(getattr(one, name), getattr(batched, name)), name
+    # the batch sets the components at build time; the one-state space computes them now
+    assert batched._components is not None
+    ca, cb = one.components(), batched.components()
+    for name in ("presence_logp", "egoism_raw", "egoism_norm", "courtesy", "confidence", "confidence_reward", "terms"):
+        assert _same_bits(getattr(ca, name), getattr(cb, name)), name
+    assert not cb.terms.flags.writeable
+
+
+_agent_state = st.tuples(
+    st.floats(0.0, 60.0), st.one_of(st.just(0.0), st.floats(0.0, 18.0)), st.floats(-1.5, 1.5)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.integers(1, 30),
+    dt=st.sampled_from([0.08, 0.1, 0.25]),
+    fractions=st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]), min_size=1, max_size=6, unique=True
+    ),
+    a_min=st.floats(-8.0, -1.0),
+    a_max=st.floats(0.5, 4.0),
+    forbid=st.booleans(),
+    limits=st.tuples(st.floats(3.0, 15.0), st.floats(3.0, 15.0)),
+    states=st.lists(st.tuples(_agent_state, _agent_state), min_size=1, max_size=10),
+)
+# fan sizes (5, 6) from rest and (6, 6) at 5 m/s in one batch; at 5 m/s the
+# row braking to 0 ends a hair below zero, so its last step takes the stop branch
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], a_min=-6.0, a_max=3.0, forbid=False,
+    limits=(10.0, 10.0), states=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3)), ((40.0, 5.0, -0.2), (45.0, 5.0, 0.0))],
+)
+# a collapsed ego fan (every target clamps to a_min) is an error under forbid_singleton
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25], a_min=-1.0, a_max=3.0, forbid=True,
+    limits=(10.0, 10.0), states=[((40.0, 5.0, 0.0), (45.0, 5.0, 0.0)), ((40.0, 18.0, 0.0), (45.0, 5.0, 0.0))],
+)
+def test_build_joint_spaces_matches_one_state_builds(steps, dt, fractions, a_min, a_max, forbid, limits, states):
+    sampler = sp.SamplerConfig(
+        horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(sorted(fractions)),
+        accel_min=a_min, accel_max=a_max, forbid_singleton=forbid,
+    )
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
+    xs = [sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(*o)) for e, o in states]
+    expected, error = [], None
+    for x in xs:  # the one-state builds in order, each then asked for its components
+        try:
+            space = scn.space_at(x)
+            space.components()
+        except sp.SocialPlanError as exc:
+            error = exc
+            break
+        expected.append(space)
+    if error is not None:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            scn.spaces_at(xs)
+        return
+    got = scn.spaces_at(xs)
+    assert len(got) == len(xs)
+    for one, batched in zip(expected, got):
+        _assert_same_space(one, batched)
+
+
+def test_build_joint_spaces_keeps_the_first_error_in_state_order():
+    sampler = sp.SamplerConfig(terminal_speed_fractions=(0.0, 0.25), accel_min=-1.0, forbid_singleton=True)
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, sampler=sampler)
+    ok = sp.JointState(ego=sp.AgentState(s=40.0, v=5.0), other=sp.AgentState(s=45.0, v=5.0))
+    collapsed = sp.JointState(ego=sp.AgentState(s=40.0, v=18.0), other=sp.AgentState(s=45.0, v=5.0))
+    assert len(scn.spaces_at([ok, ok])) == 2
+    with pytest.raises(sp.EmptyCandidateSetError, match="collapsed to a single acceleration"):
+        scn.spaces_at([ok, collapsed, ok])
+    overflow = replace(scn, rewards=sp.RewardConfig(beta=1e308))
+    with pytest.raises(sp.NonFiniteRewardError):
+        overflow.space_at(ok).components()
+    with pytest.raises(sp.EmptyCandidateSetError):
+        overflow.spaces_at([collapsed, ok])
+    with pytest.raises(sp.NonFiniteRewardError, match="rewards.beta"):
+        overflow.spaces_at([ok, collapsed])

@@ -89,6 +89,27 @@ def test_inconsistent_frame_period(tmp_path):
         tk.load_tracks(f)
 
 
+@pytest.mark.parametrize(
+    "stamps, row",
+    [((200, 100, 0), 3), ((0, 0), 3), ((0, 100, 100), 4)],
+    ids=["decreasing", "two_records_equal", "stalls"],
+)
+def test_timestamps_must_increase(tmp_path, stamps, row):
+    f = tmp_path / "t.csv"
+    f.write_text(HEADER + "\n" + "".join(f"1,{i},{t},{i}.0,0.0,1.0,0.0\n" for i, t in enumerate(stamps)))
+    with pytest.raises(sp.ParseError, match="track 1 timestamps must increase") as info:
+        tk.load_tracks(f)
+    assert info.value.row == row
+
+
+def test_changing_frame_period_names_the_row(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text(HEADER + "\n" + "".join(f"1,{i},{t},{i}.0,0.0,1.0,0.0\n" for i, t in enumerate((0, 100, 200, 350))))
+    with pytest.raises(sp.ParseError, match="track 1 timestamps are not on a constant frame period") as info:
+        tk.load_tracks(f)
+    assert info.value.row == 5
+
+
 def _mutations(header):
     cols = header.split(",")
     muts = [
