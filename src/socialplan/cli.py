@@ -71,6 +71,8 @@ def _load(args):
     if args.seed is not None:
         from dataclasses import replace
 
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     return cfg
 

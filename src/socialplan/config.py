@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 
@@ -115,32 +115,30 @@ def _checked(obj, context: str, kinds: dict) -> dict:
     return {key: kinds[key](value, _name(context, key)) for key, value in obj.items()}
 
 
-def _agent_state(obj, context: str) -> AgentState:
-    obj = _checked(obj, context, dict.fromkeys(("s", "v", "d"), _number))
-    return AgentState(
-        s=float(_require(obj, "s", context)), v=float(_require(obj, "v", context)), d=float(obj.get("d", 0.0))
-    )
+def _float(value, name: str) -> float:
+    return float(_number(value, name))
 
 
-def _path_spec(obj, context: str) -> PathSpec:
-    obj = _checked(obj, context, {"file": _string, "speed_limit": _number})
-    speed_limit = float(_require(obj, "speed_limit", context))
-    if speed_limit <= 0.0:
-        raise SchemaError(f"config {context}.speed_limit must be positive, got {speed_limit}")
-    return PathSpec(file=_require(obj, "file", context), speed_limit=speed_limit)
-
-
-def _prior(obj, context: str) -> PriorSpec:
-    obj = _checked(obj, context, {"kind": _string, "alpha": _triple, "fractions": _triple, "concentration": _number})
-    return PriorSpec(
-        kind=obj.get("kind", "uniform"), alpha=obj.get("alpha"), fractions=obj.get("fractions"),
-        concentration=float(obj.get("concentration", 8.0)),
-    )
+def _positive(value, name: str) -> float:
+    value = _float(value, name)
+    if value <= 0.0:
+        raise SchemaError(f"config {name} must be positive, got {value}")
+    return value
 
 
 def _section(cls, kinds: dict):
-    """The check of a config block whose keys are the keyword arguments of cls."""
-    return lambda obj, context: cls(**_checked(obj, context, kinds))
+    """The check of a config block whose keys are the fields of the dataclass cls.
+
+    A missing key takes the field's default; a field with no default is required.
+    """
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+
+    def check(obj, context: str):
+        obj = _checked(obj, context, kinds)
+        for key in required:
+            _require(obj, key, context)
+        return cls(**obj)
+    return check
 
 
 def _ego_other(check):
@@ -156,15 +154,16 @@ _REWARD_FIELDS = {
     "theta_ego": _triple, "theta_other": _triple,
     **dict.fromkeys(("beta", "d0", "a0", "j0", "sigma_d", "sigma_c"), _number),
 }
+_PRIOR_FIELDS = {"kind": _string, "alpha": _triple, "fractions": _triple, "concentration": _float}
 _INFERENCE_FIELDS = {
-    "n_particles": _integer, "window_r": _integer, "prior": _prior, "init": _string,
+    "n_particles": _integer, "window_r": _integer, "prior": _section(PriorSpec, _PRIOR_FIELDS), "init": _string,
     **dict.fromkeys(("resample", "growing_window"), _boolean),
 }
 _CONFIG_FIELDS = {
     "schema_version": _integer,  # its value is checked first
-    "seed": _integer,
-    "paths": _ego_other(_path_spec),
-    "initial": _ego_other(_agent_state),
+    "seed": partial(_integer, minimum=0),
+    "paths": _ego_other(_section(PathSpec, {"file": _string, "speed_limit": _positive})),
+    "initial": _ego_other(_section(AgentState, dict.fromkeys(("s", "v", "d"), _float))),
     "sampler": _section(SamplerConfig, _SAMPLER_FIELDS),
     "rewards": _section(RewardConfig, _REWARD_FIELDS),
     "inference": _section(InferenceConfig, _INFERENCE_FIELDS),
@@ -180,18 +179,15 @@ def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     try:
         top = _checked(data, "", _CONFIG_FIELDS)
         paths, initial = _require(top, "paths", ""), _require(top, "initial", "")
+        del top["schema_version"], top["paths"], top["initial"]
+        if "tracks" in top:
+            top["tracks_file"] = top.pop("tracks")
         return ScenarioConfig(
             path_ego=_require(paths, "ego", "paths"),
             path_other=_require(paths, "other", "paths"),
             initial=JointState(ego=_require(initial, "ego", "initial"), other=_require(initial, "other", "initial")),
-            sampler=top.get("sampler", SamplerConfig()),
-            rewards=top.get("rewards", RewardConfig()),
-            inference=top.get("inference", InferenceConfig()),
-            seed=top.get("seed", 0),
-            tracks_file=top.get("tracks"),
-            frame_period_ms=top.get("frame_period_ms", 50),
-            max_steps=top.get("max_steps", 200),
             base_dir=Path(base_dir),
+            **top,
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid config value: {exc}") from exc
@@ -208,49 +204,28 @@ def load_config(path) -> ScenarioConfig:
     return config_from_dict(data, base_dir=path.parent)
 
 
+def _block(obj) -> dict:
+    """A config block as JSON: the dataclass obj's fields, tuples as lists, nested blocks as objects.
+
+    A field holding None is left out.
+    """
+    data = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None:
+            data[f.name] = _block(value) if is_dataclass(value) else list(value) if isinstance(value, tuple) else value
+    return data
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     data = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
-        "paths": {
-            "ego": {"file": cfg.path_ego.file, "speed_limit": cfg.path_ego.speed_limit},
-            "other": {"file": cfg.path_other.file, "speed_limit": cfg.path_other.speed_limit},
-        },
-        "initial": {
-            "ego": {"s": cfg.initial.ego.s, "v": cfg.initial.ego.v, "d": cfg.initial.ego.d},
-            "other": {"s": cfg.initial.other.s, "v": cfg.initial.other.v, "d": cfg.initial.other.d},
-        },
-        "sampler": {
-            "horizon_steps": cfg.sampler.horizon_steps,
-            "dt": cfg.sampler.dt,
-            "terminal_speed_fractions": list(cfg.sampler.terminal_speed_fractions),
-            "accel_min": cfg.sampler.accel_min,
-            "accel_max": cfg.sampler.accel_max,
-            "forbid_singleton": cfg.sampler.forbid_singleton,
-        },
-        "rewards": {
-            "theta_ego": list(cfg.rewards.theta_ego),
-            "theta_other": list(cfg.rewards.theta_other),
-            "beta": cfg.rewards.beta,
-            "d0": cfg.rewards.d0,
-            "a0": cfg.rewards.a0,
-            "j0": cfg.rewards.j0,
-            "sigma_d": cfg.rewards.sigma_d,
-            "sigma_c": cfg.rewards.sigma_c,
-        },
-        "inference": {
-            "n_particles": cfg.inference.n_particles,
-            "window_r": cfg.inference.window_r,
-            "prior": {
-                "kind": cfg.inference.prior.kind,
-                **({"alpha": list(cfg.inference.prior.alpha)} if cfg.inference.prior.alpha else {}),
-                **({"fractions": list(cfg.inference.prior.fractions)} if cfg.inference.prior.fractions else {}),
-                "concentration": cfg.inference.prior.concentration,
-            },
-            "init": cfg.inference.init,
-            "resample": cfg.inference.resample,
-            "growing_window": cfg.inference.growing_window,
-        },
+        "paths": {"ego": _block(cfg.path_ego), "other": _block(cfg.path_other)},
+        "initial": {"ego": _block(cfg.initial.ego), "other": _block(cfg.initial.other)},
+        "sampler": _block(cfg.sampler),
+        "rewards": _block(cfg.rewards),
+        "inference": _block(cfg.inference),
         "frame_period_ms": cfg.frame_period_ms,
         "max_steps": cfg.max_steps,
     }

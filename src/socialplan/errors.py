@@ -26,7 +26,7 @@ class DegenerateWeightsError(SocialPlanError):
 
 
 class NonFiniteRewardError(SocialPlanError):
-    """The social reward terms overflowed: rewards.beta is too large for the utilities."""
+    """The rewards overflowed: a rewards.theta_* weight or rewards.beta is too large for the utilities."""
 
 
 class NonTerminatingError(SocialPlanError):

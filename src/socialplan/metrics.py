@@ -39,6 +39,11 @@ def are(trace) -> float:
     return float(np.mean(_pairwise_distances(trace)))
 
 
+def min_distance(trace) -> float:
+    """Smallest Euclidean distance between the two cars over the recorded states."""
+    return float(np.min(_pairwise_distances(trace)))
+
+
 def ait(trace) -> float:
     """Elapsed time until the first conflict-point crossing."""
     if not trace.terminated:
@@ -47,8 +52,7 @@ def ait(trace) -> float:
 
 
 def interaction_stats(trace) -> InteractionStats:
-    dist = _pairwise_distances(trace)
-    return InteractionStats(are=float(dist.mean()), ait=ait(trace), min_distance=float(dist.min()))
+    return InteractionStats(are=are(trace), ait=ait(trace), min_distance=min_distance(trace))
 
 
 def horizon_mse(generated_xy: np.ndarray, truth_xy: np.ndarray, dt: float, horizons) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AgentState, ConflictPoint, JointState, ReferencePath, step_dynamics
-from .errors import EmptyCandidateSetError
+from .errors import EmptyCandidateSetError, NonFiniteRewardError
 from .rewards import RewardConfig, SocialComponents, component_arrays, check_finite_terms, social_components
 
 
@@ -175,12 +175,12 @@ class JointBehaviorSpace:
             raise EmptyCandidateSetError("joint space needs candidates on both sides")
         if self.reward_ego.shape != (ne, no) or self.reward_other.shape != (ne, no):
             raise ValueError("reward matrix shape does not match candidate counts")
-        if not (
-            np.all(np.isfinite(self.reward_ego))
-            and np.all(np.isfinite(self.reward_other))
-            and np.all(np.isfinite(self.absence_other))
-        ):
-            raise ValueError("reward matrices must be finite")
+        finite_ego = np.all(np.isfinite(self.reward_ego))
+        if not (finite_ego and np.all(np.isfinite(self.reward_other)) and np.all(np.isfinite(self.absence_other))):
+            # finite features times a huge finite weight overflow: name the weight
+            name = "theta_other" if finite_ego else "theta_ego"
+            theta = list(getattr(self.reward_cfg, name))
+            raise NonFiniteRewardError(f"rewards.{name} = {theta!r} overflows the utility matrices; use smaller weights")
 
     def components(self) -> SocialComponents:
         """The social reward terms at the configured beta, computed once."""
@@ -344,9 +344,10 @@ def _joint_rewards(ego: CandidateFan, other: CandidateFan, path_ego, path_other,
     )
 
     te, to = reward_cfg.theta_ego, reward_cfg.theta_other
-    reward_ego = te[0] * eff_e[..., :, None] + te[1] * com_e[..., :, None] + te[2] * safety
-    reward_other = to[0] * eff_o[..., None, :] + to[1] * com_o[..., None, :] + to[2] * safety
-    absence_other = to[0] * eff_o + to[1] * com_o
+    with np.errstate(over="ignore", invalid="ignore"):  # JointBehaviorSpace reports what overflowed
+        reward_ego = te[0] * eff_e[..., :, None] + te[1] * com_e[..., :, None] + te[2] * safety
+        reward_other = to[0] * eff_o[..., None, :] + to[1] * com_o[..., None, :] + to[2] * safety
+        absence_other = to[0] * eff_o + to[1] * com_o
     return reward_ego, reward_other, absence_other
 
 

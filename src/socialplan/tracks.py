@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ReferencePath, find_conflict_point, project_to_path
-from .errors import NoConflictError, ParseError, SchemaError, ShortTrackError
-from .planner import InteractionTrace
+from .core import ReferencePath, project_to_path
+from .errors import ParseError, SchemaError, ShortTrackError
+from .planner import InteractionTrace, Scenario
 
 TRACK_HEADER = ["track_id", "frame_id", "timestamp_ms", "x", "y", "vx", "vy"]
 PATH_HEADER = ["x", "y"]
@@ -150,7 +150,7 @@ class ObservedPair:
 
 @dataclass(frozen=True)
 class InteractionPair:
-    """Two tracks on distinct, conflicting paths that cross near in time.
+    """Two tracks, one on each of the scenario's paths, that cross its conflict point near in time.
 
     proj_ego/proj_other hold each track's (s, d) projection onto its path,
     one row per record, as computed when the track was fitted.
@@ -158,8 +158,6 @@ class InteractionPair:
 
     ego_id: int
     other_id: int
-    path_ego: ReferencePath
-    path_other: ReferencePath
     proj_ego: np.ndarray = field(repr=False, compare=False)
     proj_other: np.ndarray = field(repr=False, compare=False)
 
@@ -189,44 +187,33 @@ def _crossing_time_ms(times: np.ndarray, s: np.ndarray, s_conflict: float) -> fl
 
 
 def extract_pairs(
-    tracks: dict[int, Track],
-    paths_ego: list[ReferencePath],
-    paths_other: list[ReferencePath],
-    conflict_window_s: float = 10.0,
+    tracks: dict[int, Track], scenario: Scenario, conflict_window_s: float = 10.0
 ) -> list[InteractionPair]:
-    """Pairs of tracks on conflicting paths whose crossings fall within the window."""
-    assignments: dict[str, list[tuple[int, ReferencePath, np.ndarray]]] = {"ego": [], "other": []}
-    for role, paths in (("ego", paths_ego), ("other", paths_other)):
+    """Pairs of tracks on the scenario's two paths whose conflict crossings fall within the window.
+
+    Every track is fitted once to each path, and the crossings are taken at
+    scenario.conflict; the two tracks of a pair differ and share a frame.
+    """
+    fits: dict[str, list[tuple[int, np.ndarray, float]]] = {"ego": [], "other": []}  # (track id, proj, crossing ms)
+    for role, path, s_conflict in (
+        ("ego", scenario.path_ego, scenario.conflict.s_ego),
+        ("other", scenario.path_other, scenario.conflict.s_other),
+    ):
         for tid in sorted(tracks):
-            best = None
-            for ref in paths:
-                proj = _fit_path(tracks[tid], ref)
-                if proj is None:
-                    continue
-                rms = float(np.mean(proj[:, 1] ** 2))
-                if best is None or rms < best[0]:
-                    best = (rms, ref, proj)
-            if best is not None:
-                assignments[role].append((tid, best[1], best[2]))
+            proj = _fit_path(tracks[tid], path)
+            if proj is not None:
+                cross = _crossing_time_ms(tracks[tid].timestamp_ms.astype(float), proj[:, 0], s_conflict)
+                fits[role].append((tid, proj, cross))
 
     pairs = []
-    for ego_id, path_e, proj_e in assignments["ego"]:
-        for other_id, path_o, proj_o in assignments["other"]:
-            if ego_id == other_id or path_e is path_o:
+    for ego_id, proj_e, cross_e in fits["ego"]:
+        for other_id, proj_o, cross_o in fits["other"]:
+            if ego_id == other_id or abs(cross_e - cross_o) > conflict_window_s * 1000.0:
                 continue
-            try:
-                conflict = find_conflict_point(path_e, path_o)
-            except NoConflictError:
-                continue
-            track_e, track_o = tracks[ego_id], tracks[other_id]
-            cross_e = _crossing_time_ms(track_e.timestamp_ms.astype(float), proj_e[:, 0], conflict.s_ego)
-            cross_o = _crossing_time_ms(track_o.timestamp_ms.astype(float), proj_o[:, 0], conflict.s_other)
-            if abs(cross_e - cross_o) > conflict_window_s * 1000.0:
-                continue
-            fe, fo = track_e.frame, track_o.frame
+            fe, fo = tracks[ego_id].frame, tracks[other_id].frame
             if max(fe[0], fo[0]) > min(fe[-1], fo[-1]):
                 continue  # no shared frame
-            pairs.append(InteractionPair(ego_id, other_id, path_e, path_o, proj_ego=proj_e, proj_other=proj_o))
+            pairs.append(InteractionPair(ego_id, other_id, proj_ego=proj_e, proj_other=proj_o))
     return pairs
 
 

@@ -107,12 +107,10 @@ def run_sim(cfg: ScenarioConfig, policy_names: list[str], out_dir: Path, threads
         safe = name.replace(",", "_")
         write_trace_csv(out_dir / f"trace_{safe}.csv", trace)
         _write_json(out_dir / f"trace_{safe}.json", _trace_sidecar(trace, cfg, name))
-        pos_e, pos_o = trace.positions()
-        dist = np.linalg.norm(pos_e - pos_o, axis=1)
         stats[name] = {
             "terminated": trace.terminated,
-            "are": round(float(dist.mean()), 6),
-            "min_distance": round(float(dist.min()), 6),
+            "are": round(metrics.are(trace), 6),
+            "min_distance": round(metrics.min_distance(trace), 6),
             "ait": round(metrics.ait(trace), 6) if trace.terminated else None,
         }
     _write_json(out_dir / "stats.json", {"policies": stats})
@@ -124,7 +122,7 @@ def observed_pairs(cfg: ScenarioConfig) -> list[tuple[int, ObservedPair]]:
         raise ParseError("config has no tracks file for this workflow")
     tracks = load_tracks(cfg.resolve(cfg.tracks_file))
     scenario = cfg.load_scenario()
-    pairs = extract_pairs(tracks, [scenario.path_ego], [scenario.path_other])
+    pairs = extract_pairs(tracks, scenario)
     return [(i, resample_pair(tracks, p, cfg.sampler.dt)) for i, p in enumerate(pairs)]
 
 

@@ -46,6 +46,7 @@ def test_config_dict_roundtrip_keeps_forbid_singleton(case_config):
         (None, "frame_period_ms", 50.5),
         (None, "max_steps", True),
         (None, "seed", 1.5),
+        (None, "seed", -1),
         (None, "frame_period_ms", 0),
         (None, "max_steps", -1),
     ],
@@ -120,10 +121,17 @@ def test_cli_rejects_unknown_config_keys(tmp_path, case_config, capsys, field):
     assert "SchemaError" in err and f"unknown key {field}" in err
 
 
-def test_cli_rejects_beta_that_overflows_the_social_terms(tmp_path, case_config, capsys):
-    """A finite but huge beta once gave NaN terms, overflow warnings and changed results with exit 0."""
+@pytest.mark.parametrize(
+    "key,value", [("beta", 1e308), ("theta_ego", [1e308, 0.5, 10]), ("theta_other", [1, 1e308, 10])],
+    ids=["beta", "theta_ego", "theta_other"],
+)
+def test_cli_rejects_beta_that_overflows_the_social_terms(tmp_path, case_config, capsys, key, value):
+    """A finite but huge beta once gave NaN terms, overflow warnings and changed results with exit 0.
+
+    A huge theta weight gave an overflow warning and a usage error that named no field.
+    """
     data = json.loads(case_config.read_text())
-    data["rewards"]["beta"] = 1e308
+    data["rewards"][key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     with warnings.catch_warnings(record=True) as caught:
@@ -131,7 +139,7 @@ def test_cli_rejects_beta_that_overflows_the_social_terms(tmp_path, case_config,
         assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert caught == []
     err = capsys.readouterr().err
-    assert err.startswith("socialplan: NonFiniteRewardError:") and "rewards.beta" in err
+    assert err.startswith("socialplan: NonFiniteRewardError:") and f"rewards.{key}" in err
     assert "Traceback" not in err and err.count("\n") == 1
 
 
@@ -170,7 +178,7 @@ _configs = st.builds(
         sp.InferenceConfig, n_particles=st.integers(2, 10**6), window_r=st.integers(1, 1000), prior=_priors,
         init=st.sampled_from(["stratified", "iid"]), resample=st.booleans(), growing_window=st.booleans(),
     ),
-    seed=st.integers(-(2**63), 2**63 - 1),
+    seed=st.integers(0, 2**63 - 1),
     tracks_file=st.one_of(st.none(), st.text()),
     frame_period_ms=st.integers(1, 10**6),
     max_steps=st.integers(1, 10**6),
@@ -221,6 +229,7 @@ def test_cli_usage_errors(tmp_path, case_config):
     sim = ["sim", "--config", str(case_config), "--out", str(tmp_path / "sim")]
     assert main([*sim, "--threads", "0"]) == 1
     assert main([*sim, "--threads", "-3"]) == 1
+    assert main([*sim, "--seed", "-1"]) == 1
     fixture = [
         "fixture", "--config", str(case_config), "--out", str(tmp_path / "fix"),
         "--lambda-after", "confidence",

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import socialplan as sp
 from socialplan import tracks as tk
 from socialplan import workflows
+from socialplan.cli import main
+from socialplan.config import PathSpec, ScenarioConfig, save_config
 from socialplan.scenarios import fixture_scenario, write_scenario_config
 
 DATA = Path(__file__).parent / "data"
@@ -173,7 +175,7 @@ def _fixture(tmp_path, name="courtesy", lam=None, seed=0):
 def test_fixture_roundtrip_recovers_states(tmp_path):
     cfg_path, out, scn = _fixture(tmp_path)
     tracks = tk.load_tracks(out / "tracks.csv")
-    pairs = tk.extract_pairs(tracks, [scn.path_ego], [scn.path_other])
+    pairs = tk.extract_pairs(tracks, scn)
     assert len(pairs) == 1
     pair = pairs[0]
     assert (pair.ego_id, pair.other_id) == (0, 1)
@@ -198,29 +200,17 @@ def test_fixture_deterministic_bytes(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_extract_pairs_disjoint_paths_empty():
-    path_a = sp.ReferencePath.from_points([(0, 0), (10, 0)], 10.0)
-    path_b = sp.ReferencePath.from_points([(0, 5), (10, 5)], 10.0)
-    k = np.arange(5)
-    vxy = np.tile([5.0, 0.0], (5, 1))
-    tracks = {
-        tid: tk.Track(tid, k, 100 * k, np.stack([k.astype(float), np.full(5, y)], axis=1), vxy)
-        for tid, y in ((1, 0.0), (2, 5.0))
-    }
-    assert tk.extract_pairs(tracks, [path_a], [path_b]) == []
-
-
 def test_extract_pairs_excludes_same_track(tmp_path):
     cfg_path, out, scn = _fixture(tmp_path)
     tracks = tk.load_tracks(out / "tracks.csv")
     only_ego = {0: tracks[0]}
-    assert tk.extract_pairs(only_ego, [scn.path_ego], [scn.path_other]) == []
+    assert tk.extract_pairs(only_ego, scn) == []
 
 
 def test_crossing_window_filter(tmp_path):
     cfg_path, out, scn = _fixture(tmp_path)
     tracks = tk.load_tracks(out / "tracks.csv")
-    assert tk.extract_pairs(tracks, [scn.path_ego], [scn.path_other], conflict_window_s=0.001) == []
+    assert tk.extract_pairs(tracks, scn, conflict_window_s=0.001) == []
 
 
 def test_trace_to_records_requires_divisible_period(tmp_path):
@@ -232,31 +222,46 @@ def test_trace_to_records_requires_divisible_period(tmp_path):
         tk.trace_to_records(trace, frame_period_ms=30)  # 80 ms steps, not divisible
 
 
-def test_fixture_with_parallel_paths_raises_no_conflict(tmp_path):
-    from socialplan.config import PathSpec, ScenarioConfig
-
-    p1 = sp.ReferencePath.from_points([(0, 0), (100, 0)], 10.0)
-    p2 = sp.ReferencePath.from_points([(0, 5), (100, 5)], 10.0)
-    tk.write_path_csv(tmp_path / "a.csv", p1)
-    tk.write_path_csv(tmp_path / "b.csv", p2)
-    cfg = ScenarioConfig(
+def _parallel_paths_config(tmp_path) -> ScenarioConfig:
+    """A scenario on two parallel paths, with one track recorded on each."""
+    k = np.arange(5)
+    for name, y in (("a.csv", 0.0), ("b.csv", 5.0)):
+        tk.write_path_csv(tmp_path / name, sp.ReferencePath.from_points([(0, y), (100, y)], 10.0))
+    tk.write_tracks(tmp_path / "tracks.csv", [
+        tk.Track(tid, k, 100 * k, np.stack([k.astype(float), np.full(5, y)], axis=1), np.tile([5.0, 0.0], (5, 1)))
+        for tid, y in ((1, 0.0), (2, 5.0))
+    ])
+    return ScenarioConfig(
         path_ego=PathSpec(file="a.csv", speed_limit=10.0),
         path_other=PathSpec(file="b.csv", speed_limit=10.0),
         initial=sp.JointState(ego=sp.AgentState(s=0, v=5.0), other=sp.AgentState(s=0, v=5.0)),
+        tracks_file="tracks.csv",
         base_dir=tmp_path,
     )
+
+
+def test_fixture_with_parallel_paths_raises_no_conflict(tmp_path):
+    cfg = _parallel_paths_config(tmp_path)
     with pytest.raises(sp.NoConflictError):
         workflows.make_fixture(cfg, sp.RewardWeights.egoism(), seed=0, out_dir=tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["infer", "regen"])
+def test_cli_tracks_on_parallel_paths_raise_no_conflict(tmp_path, capsys, command):
+    """Tracks on paths that never cross form no pair: the scenario itself is a data error."""
+    save_config(_parallel_paths_config(tmp_path), tmp_path / "scenario.json")
+    assert main([command, "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("socialplan: NoConflictError:")
 
 
 def test_resample_pair_reuses_fit_projections(tmp_path):
     _, out, scn = _fixture(tmp_path)
     tracks = tk.load_tracks(out / "tracks.csv")
-    [pair] = tk.extract_pairs(tracks, [scn.path_ego], [scn.path_other])
+    [pair] = tk.extract_pairs(tracks, scn)
     obs = tk.resample_pair(tracks, pair, scn.sampler.dt)
     for track, path, proj, observed in (
-        (tracks[pair.ego_id], pair.path_ego, pair.proj_ego, obs.ego),
-        (tracks[pair.other_id], pair.path_other, pair.proj_other, obs.other),
+        (tracks[pair.ego_id], scn.path_ego, pair.proj_ego, obs.ego),
+        (tracks[pair.other_id], scn.path_other, pair.proj_other, obs.other),
     ):
         fresh = np.array([sp.project_to_path(point, path) for point in track.xy])  # one point at a time
         assert np.array_equal(proj, fresh)
