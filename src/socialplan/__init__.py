@@ -62,6 +62,7 @@ from .planner import (
     leader_label,
     plan_ego,
     simulate,
+    simulate_policies,
 )
 from .rewards import (
     FeatureVector,

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="egoism|courtesy|confidence or 'w1,w2,w3'; repeatable (default: all three)",
     )
     p_sim.add_argument(
-        "--threads", type=int, default=1, help="accepted (>= 1); policies always run one after another"
+        "--threads", type=int, default=1, help="accepted (>= 1) and ignored; the policies step in lockstep"
     )
 
     p_inf = sub.add_parser("infer", help="estimate reward weights from recorded tracks")

@@ -26,7 +26,7 @@ class DegenerateWeightsError(SocialPlanError):
 
 
 class NonFiniteRewardError(SocialPlanError):
-    """The rewards overflowed: a rewards.theta_* weight or rewards.beta is too large for the utilities."""
+    """The rewards overflowed: a state or path value, a rewards.theta_* weight or rewards.beta is out of range."""
 
 
 class NonTerminatingError(SocialPlanError):

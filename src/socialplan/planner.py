@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
+from .errors import SocialPlanError
 from .rewards import RewardConfig, RewardWeights, check_ego_label, social_reward_vector
 from .sampling import JointBehaviorSpace, SamplerConfig, build_joint_space, build_joint_spaces
 
@@ -60,7 +61,7 @@ class Scenario:
         return build_joint_space(x0, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
     def spaces_at(self, states: list[JointState]) -> list[JointBehaviorSpace]:
-        """space_at for each state, built in array passes (see build_joint_spaces)."""
+        """space_at for each state, built in one array pass (see build_joint_spaces)."""
         return build_joint_spaces(states, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
 
@@ -159,6 +160,86 @@ def _crossed(x: JointState, conflict: ConflictPoint) -> bool:
     return x.ego.s >= conflict.s_ego or x.other.s >= conflict.s_other
 
 
+def _step(space: JointBehaviorSpace, lam: RewardWeights, x: JointState, dt: float):
+    """One receding-horizon step from x on its space: (ego control, other control, next state)."""
+    label = leader_label(space, lam)
+    ae = float(space.ego_candidates.accels[label, 0])
+    ao = float(space.other_candidates.accels[follower_response(space, label), 0])
+    return ae, ao, JointState(ego=step_dynamics(x.ego, ae, dt), other=step_dynamics(x.other, ao, dt), t=x.t + 1)
+
+
+def simulate_policies(
+    scenario: Scenario,
+    ego_policies: list[PolicySpec],
+    other_policy: PolicySpec,
+    max_steps: int = 200,
+    start_state: JointState | None = None,
+) -> list[InteractionTrace]:
+    """simulate under each ego policy, all policies stepped in lockstep.
+
+    Each round builds the joint spaces of every running policy's state in
+    one Scenario.spaces_at call; a policy leaves the round once it crosses
+    or reaches max_steps.  The traces equal simulate's, policy by policy.
+    A SocialPlanError is the one simulate would raise running the policies
+    in order: the lowest-index failing policy's, whatever the round.  A
+    failing round is redone one policy at a time, in order, to find that
+    policy; it and every later policy stop there, and the earlier ones run on.
+    """
+    if any(policy.kind != "fixed" for policy in ego_policies):
+        raise ValueError("the ego car is the leader and needs a fixed-weights policy")
+    if other_policy.kind != "follower":
+        raise ValueError("two-leader configurations are not supported; the other car must be a follower")
+    x0 = scenario.initial if start_state is None else start_state
+    conflict, dt = scenario.conflict, scenario.sampler.dt
+    states = [[x0] for _ in ego_policies]
+    a_ego: list[list[float]] = [[] for _ in ego_policies]
+    a_other: list[list[float]] = [[] for _ in ego_policies]
+    running = [p for p in range(len(ego_policies)) if not _crossed(x0, conflict) and max_steps > 0]
+    error: SocialPlanError | None = None
+    while running:
+        xs = [states[p][-1] for p in running]
+        try:
+            moves = [
+                _step(space, ego_policies[p].lam, x, dt) for p, x, space in zip(running, xs, scenario.spaces_at(xs))
+            ]
+        except SocialPlanError:  # redo the round one policy at a time, in order, to find the policy that fails
+            moves = []
+            for p, x in zip(running, xs):
+                try:
+                    moves.append(_step(scenario.spaces_at([x])[0], ego_policies[p].lam, x, dt))
+                except SocialPlanError as exc:
+                    # any error kept so far came from a later policy, which simulate would never reach
+                    error = exc
+                    running = running[: len(moves)]
+                    break
+        for p, (ae, ao, x) in zip(running, moves):
+            states[p].append(x)
+            a_ego[p].append(ae)
+            a_other[p].append(ao)
+        running = [p for p in running if not _crossed(states[p][-1], conflict) and len(a_ego[p]) < max_steps]
+    if error is not None:
+        raise error
+
+    traces = []
+    for policy, xs, ae, ao in zip(ego_policies, states, a_ego, a_other):
+        steps = len(ae)
+        traces.append(
+            InteractionTrace(
+                joint_states=xs,
+                a_ego=np.array(ae),
+                a_other=np.array(ao),
+                lambda_ego=np.tile(policy.lam.values, (steps, 1)),
+                lambda_other=np.tile(_FOLLOWER_LAMBDA, (steps, 1)),
+                dt=dt,
+                conflict=conflict,
+                path_ego=scenario.path_ego,
+                path_other=scenario.path_other,
+                terminated=_crossed(xs[-1], conflict),
+            )
+        )
+    return traces
+
+
 def simulate(
     scenario: Scenario,
     ego_policy: PolicySpec,
@@ -172,42 +253,6 @@ def simulate(
     best-responds to the committed action, and both apply only their first
     control.  The loop ends when either car's arclength passes its conflict
     arclength; hitting max_steps first leaves terminated=False in the trace.
+    This is simulate_policies with one ego policy.
     """
-    if ego_policy.kind != "fixed":
-        raise ValueError("the ego car is the leader and needs a fixed-weights policy")
-    if other_policy.kind != "follower":
-        raise ValueError("two-leader configurations are not supported; the other car must be a follower")
-
-    x = scenario.initial if start_state is None else start_state
-    conflict = scenario.conflict
-    states = [x]
-    a_ego: list[float] = []
-    a_other: list[float] = []
-    terminated = _crossed(x, conflict)
-    while not terminated and len(a_ego) < max_steps:
-        label, space = plan_ego(x, ego_policy.lam, scenario)
-        ae = float(space.ego_candidates.accels[label, 0])
-        ao = float(space.other_candidates.accels[follower_response(space, label), 0])
-        x = JointState(
-            ego=step_dynamics(x.ego, ae, scenario.sampler.dt),
-            other=step_dynamics(x.other, ao, scenario.sampler.dt),
-            t=x.t + 1,
-        )
-        states.append(x)
-        a_ego.append(ae)
-        a_other.append(ao)
-        terminated = _crossed(x, conflict)
-
-    steps = len(a_ego)
-    return InteractionTrace(
-        joint_states=states,
-        a_ego=np.array(a_ego),
-        a_other=np.array(a_other),
-        lambda_ego=np.tile(ego_policy.lam.values, (steps, 1)),
-        lambda_other=np.tile(_FOLLOWER_LAMBDA, (steps, 1)),
-        dt=scenario.sampler.dt,
-        conflict=conflict,
-        path_ego=scenario.path_ego,
-        path_other=scenario.path_other,
-        terminated=terminated,
-    )
+    return simulate_policies(scenario, [ego_policy], other_policy, max_steps, start_state)[0]

@@ -13,7 +13,7 @@ exponential.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -276,7 +276,7 @@ class SocialComponents:
 
     def at(self, i: int) -> "SocialComponents":
         """Entry i along the leading axis of batched components (views, not copies)."""
-        return SocialComponents(*(getattr(self, f.name)[i] for f in fields(self)))
+        return SocialComponents(*(value[i] for value in vars(self).values()))
 
 
 def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> SocialComponents:
@@ -291,14 +291,14 @@ def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> So
         log_p = _log_softmax(beta * reward_other)
         p = np.exp(log_p)
 
-        egoism_raw = np.sum(p * reward_ego, axis=-1)
+        egoism_raw = (p * reward_ego).sum(axis=-1)
         low = egoism_raw.min(axis=-1, keepdims=True)
         span = egoism_raw.max(axis=-1, keepdims=True) - low
-        egoism_norm = np.divide(egoism_raw - low, span, out=np.zeros_like(egoism_raw), where=span > _MINMAX_EPS)
+        egoism_norm = np.divide(egoism_raw - low, span, out=np.zeros(egoism_raw.shape), where=span > _MINMAX_EPS)
 
         log_q = _log_softmax(beta * absence_other)[..., None, :]
         q = np.exp(log_q)
-        kl = np.sum(q * (log_q - log_p), axis=-1)
+        kl = (q * (log_q - log_p)).sum(axis=-1)
         court = np.exp(-np.maximum(kl, 0.0))
 
     no = p.shape[-1]

@@ -7,14 +7,17 @@ label.  Pairing the two fans yields the discrete joint behavior space; both
 agents' utilities are cached as |ego| x |other| matrices at build time so
 every downstream reward term reduces to row/column operations.
 
-The kernels (rollout, path position, utility vectors, safety, social terms)
-take arrays with optional leading axes and reduce over the last axis only.
-build_joint_space runs them on one state; build_joint_spaces runs them once
-per group of states whose fans have equal sizes, so every reduction sees the
-same contiguous rows as in the one-state build and gives the same bits.
+build_joint_spaces is the one builder.  It puts both sides of every state
+on the full target grid, padding each fan to the number of terminal speeds,
+and runs rollout, path position, utility vectors, safety and the weighted
+sums once over that grid.  Every kernel reduces over the last axis only, so
+each row and pair gives the same bits as on its own.  Only the social terms
+run per group of states with equal fan sizes.  build_joint_space is its
+one-state case.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +70,6 @@ class CandidateFan:
     """One side's candidates as arrays; row i is the candidate labeled i.
 
     accels: (n, N); s, v: (n, N+1); xy: (n, N+1, 2) at lateral offset d.
-    Inside build_joint_spaces a fan also carries a leading state axis, with
-    one offset per state in d; a joint space only holds one-state fans.
     """
 
     accels: np.ndarray
@@ -87,20 +88,15 @@ class CandidateFan:
             s=self.s[label], v=self.v[label], accels=self.accels[label], d=self.d, dt=self.dt, xy=self.xy[label]
         )
 
-    def at(self, i: int) -> "CandidateFan":
-        """State i's fan out of a fan with a leading state axis (views, not copies)."""
-        return CandidateFan(
-            accels=self.accels[i], s=self.s[i], v=self.v[i], xy=self.xy[i], d=float(self.d[i]), dt=self.dt
-        )
 
-
-def _accel_grid(v, path: ReferencePath, cfg: SamplerConfig) -> np.ndarray:
+def _accel_grid(v, speed_limit, cfg: SamplerConfig) -> np.ndarray:
     """Clamped constant accelerations (..., n_targets) from speeds v (...).
 
     a = (v_target - v) / (N dt) toward each terminal speed, ascending, then
     clamped to the acceleration bounds, so equal values are adjacent.
+    speed_limit broadcasts against v.
     """
-    targets = np.asarray(cfg.terminal_speed_fractions, dtype=float) * path.speed_limit
+    targets = np.asarray(cfg.terminal_speed_fractions, dtype=float) * np.asarray(speed_limit)[..., None]
     targets.sort(kind="stable")
     horizon = cfg.horizon_steps * cfg.dt
     accels = (targets - np.asarray(v, dtype=float)[..., None]) / horizon
@@ -115,9 +111,9 @@ def _first_of_runs(grid: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _collapsed(n_unique, grid: np.ndarray, cfg: SamplerConfig):
-    """Whether forbid_singleton rejects a fan of n_unique distinct accelerations out of grid's targets."""
-    return (n_unique == 1) & (grid.shape[-1] > 1) & cfg.forbid_singleton
+def _forbids_singleton(grid: np.ndarray, cfg: SamplerConfig) -> bool:
+    """Whether a fan of one distinct acceleration out of grid's targets is an error."""
+    return cfg.forbid_singleton and grid.shape[-1] > 1
 
 
 _COLLAPSED = "all candidates collapsed to a single acceleration"
@@ -131,9 +127,9 @@ def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) ->
     adjacent; each run of equal values keeps one entry.  The index of an
     acceleration is its candidate label.
     """
-    grid = _accel_grid(state.v, path, cfg)
+    grid = _accel_grid(state.v, path.speed_limit, cfg)
     unique = grid[_first_of_runs(grid)]
-    if _collapsed(len(unique), grid, cfg):
+    if len(unique) == 1 and _forbids_singleton(grid, cfg):
         raise EmptyCandidateSetError(_COLLAPSED)
     return unique
 
@@ -175,8 +171,8 @@ class JointBehaviorSpace:
             raise EmptyCandidateSetError("joint space needs candidates on both sides")
         if self.reward_ego.shape != (ne, no) or self.reward_other.shape != (ne, no):
             raise ValueError("reward matrix shape does not match candidate counts")
-        finite_ego = np.all(np.isfinite(self.reward_ego))
-        if not (finite_ego and np.all(np.isfinite(self.reward_other)) and np.all(np.isfinite(self.absence_other))):
+        finite_ego = np.isfinite(self.reward_ego).all()
+        if not (finite_ego and np.isfinite(self.reward_other).all() and np.isfinite(self.absence_other).all()):
             # finite features times a huge finite weight overflow: name the weight
             name = "theta_other" if finite_ego else "theta_ego"
             theta = list(getattr(self.reward_cfg, name))
@@ -293,87 +289,41 @@ def safety_matrix(
     """
     t = xy_ego.shape[-2] - 1
     diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
-    d_rel = np.sqrt(np.sum(diff * diff, axis=-1))
+    d_rel = np.sqrt((diff * diff).sum(axis=-1))
     prox_e = np.exp(-np.abs(s_ego[..., :t] - s_conflict_ego) / sigma_c)
     prox_o = np.exp(-np.abs(s_other[..., :t] - s_conflict_other) / sigma_c)
     w = np.exp(-d_rel / sigma_d) * (prox_e[..., :, None, :] * prox_o[..., None, :, :])
-    return -np.sum(w, axis=-1)
+    return -w.sum(axis=-1)
 
 
-def _fan(accels: np.ndarray, s0, v0, d, path: ReferencePath, cfg: SamplerConfig) -> CandidateFan:
-    """Roll out constant-acceleration fans accels (..., n) from start states (...) at once."""
-    rows = np.repeat(accels[..., None], cfg.horizon_steps, -1)
-    s, v = rollout_batch(np.asarray(s0)[..., None], np.asarray(v0)[..., None], rows, cfg.dt)
-    xy = path.position(s, np.asarray(d, dtype=float)[..., None, None])
-    return CandidateFan(accels=rows, s=s, v=v, xy=xy, d=d, dt=cfg.dt)
+def _lateral(d: float, n: int, d0: float) -> float:
+    """The efficiency feature's lateral term n * (d/d0)**2 in Python floats; inf where it overflows.
 
-
-def _utility_vectors(fan: CandidateFan, v_des: float, cfg: RewardConfig):
-    """Per-candidate accumulated efficiency and comfort (steps 0..N-1), shape (..., n).
-
-    The comfort sum runs over the N equal terms of each constant row; an
-    N * a**2 closed form would round differently.  The lateral term is
-    computed in Python floats, one offset at a time: float ** 2 and numpy's
-    square round differently for about 1 value in 1000.
+    float ** 2 and numpy's square round differently for about 1 value in 1000.
     """
-    accels = fan.accels
-    n = accels.shape[-1]
-
-    def lateral(d: float) -> float:
-        return n * (d / cfg.d0) ** 2
-
-    dev = (fan.v[..., :n] - v_des) / v_des
-    if isinstance(fan.d, np.ndarray):  # one offset per state of a batch
-        eff = -(np.sum(dev * dev, axis=-1) + np.array([lateral(d) for d in fan.d.tolist()])[:, None])
-    else:
-        eff = -(np.sum(dev * dev, axis=-1) + lateral(fan.d))
-    jerk = np.diff(accels, axis=-1) / fan.dt
-    com = -(np.sum((accels / cfg.a0) ** 2, axis=-1) + np.sum((jerk / cfg.j0) ** 2, axis=-1))
-    return eff, com
+    try:
+        return n * (d / d0) ** 2
+    except OverflowError:
+        return math.inf
 
 
-def _joint_rewards(ego: CandidateFan, other: CandidateFan, path_ego, path_other, conflict, reward_cfg):
-    """reward_ego, reward_other (..., ne, no) and absence_other (..., no) of two fans."""
-    eff_e, com_e = _utility_vectors(ego, path_ego.speed_limit, reward_cfg)
-    eff_o, com_o = _utility_vectors(other, path_other.speed_limit, reward_cfg)
+def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRewardError | None:
+    """The error for one state whose real candidates have a non-finite feature, else None.
 
-    # the safety feature is symmetric in the pair, so one matrix serves both
-    safety = safety_matrix(
-        ego.xy, other.xy, ego.s, other.s, conflict.s_ego, conflict.s_other,
-        reward_cfg.sigma_d, reward_cfg.sigma_c,
-    )
-
-    te, to = reward_cfg.theta_ego, reward_cfg.theta_other
-    with np.errstate(over="ignore", invalid="ignore"):  # JointBehaviorSpace reports what overflowed
-        reward_ego = te[0] * eff_e[..., :, None] + te[1] * com_e[..., :, None] + te[2] * safety
-        reward_other = to[0] * eff_o[..., None, :] + to[1] * com_o[..., None, :] + to[2] * safety
-        absence_other = to[0] * eff_o + to[1] * com_o
-    return reward_ego, reward_other, absence_other
-
-
-def build_joint_space(
-    x0: JointState,
-    path_ego: ReferencePath,
-    path_other: ReferencePath,
-    conflict: ConflictPoint,
-    sampler_cfg: SamplerConfig,
-    reward_cfg: RewardConfig,
-) -> JointBehaviorSpace:
-    """Sample both candidate fans and cache every pairwise utility."""
-    fans = [
-        _fan(sample_accels(x, path, sampler_cfg), x.s, x.v, x.d, path, sampler_cfg)
-        for x, path in ((x0.ego, path_ego), (x0.other, path_other))
-    ]
-    reward_ego, reward_other, absence_other = _joint_rewards(*fans, path_ego, path_other, conflict, reward_cfg)
-    return JointBehaviorSpace(
-        ego_candidates=fans[0],
-        other_candidates=fans[1],
-        reward_ego=reward_ego,
-        reward_other=reward_other,
-        absence_other=absence_other,
-        reward_cfg=reward_cfg,
-        conflict=conflict,
-    )
+    eff, com: (side, nt); safety: (nt, nt); sizes: (side,) fan sizes.
+    """
+    for k, (side, agent) in enumerate((("ego", x.ego), ("other", x.other))):
+        n = sizes[k]
+        if not (np.isfinite(eff[k, :n]).all() and np.isfinite(com[k, :n]).all()):
+            return NonFiniteRewardError(
+                f"the {side} car's utility features overflow at s={agent.s!r}, v={agent.v!r}, d={agent.d!r} "
+                f"with path speed_limit={paths[k].speed_limit!r}; use smaller state values or a larger speed limit"
+            )
+    if not np.isfinite(safety[: sizes[0], : sizes[1]]).all():
+        return NonFiniteRewardError(
+            f"the safety feature overflows at ego s={x.ego.s!r}, other s={x.other.s!r}; use smaller state values"
+        )
+    return None
 
 
 def build_joint_spaces(
@@ -384,53 +334,108 @@ def build_joint_spaces(
     sampler_cfg: SamplerConfig,
     reward_cfg: RewardConfig,
 ) -> list[JointBehaviorSpace]:
-    """build_joint_space for each state, one array pass per group of states.
+    """The joint behavior space at each state, all built in one array pass.
 
-    A group holds the states whose two fans have the same sizes after the
-    clamped accelerations are deduplicated, so no fan is padded.  Each space
-    equals build_joint_space at its state bit for bit and comes with its
-    social components already computed; its arrays are views into the
-    group's.  A failing state raises what build_joint_space and then
-    components() raise at it, and the first failing state in order wins.
+    Both sides of every state sit on one grid (side, state, target): each
+    row holds its distinct clamped accelerations first, in order, and 0.0
+    after them.  Rollout, path position, utility vectors, safety and the
+    weighted sums run on the whole grid; padding rows are computed but never
+    read.  The social components run once per group of states with equal fan
+    sizes, on just their candidates.  Every space holds views into these
+    arrays and comes with its components set.
+
+    A failing state raises, in this order: a collapsed fan under
+    forbid_singleton, a non-finite feature (naming the state and path
+    values), finite features that overflow under the weights (naming the
+    weight), and social terms that overflow under beta.  The first failing
+    state in order wins.
     """
     if not states:
         return []
     paths = (path_ego, path_other)
-    starts = np.array([[(a.s, a.v, a.d) for a in (x.ego, x.other)] for x in states])  # (F, side, s/v/d)
-    grids = [_accel_grid(starts[:, k, 1], paths[k], sampler_cfg) for k in (0, 1)]
-    keeps = [_first_of_runs(grid) for grid in grids]
-    sizes = np.stack([keep.sum(axis=-1) for keep in keeps], axis=1)  # (F, side) fan sizes
-    collapsed = _collapsed(sizes[:, 0], grids[0], sampler_cfg) | _collapsed(sizes[:, 1], grids[1], sampler_cfg)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, size in enumerate(sizes.tolist()):
-        groups.setdefault(tuple(size), []).append(i)
+    n, dt = sampler_cfg.horizon_steps, sampler_cfg.dt
+    s0, v0, d = np.array([[(a.s, a.v, a.d) for a in (x.ego, x.other)] for x in states]).T  # each (side, F)
+    limits = np.array([path_ego.speed_limit, path_other.speed_limit])[:, None]
 
+    grid = _accel_grid(v0, limits, sampler_cfg)  # (side, F, nt)
+    keep = _first_of_runs(grid)
+    sizes = keep.sum(axis=-1)  # (side, F) fan sizes
+    real = np.arange(grid.shape[-1]) < sizes[..., None]  # a row's first `size` entries are its candidates
+    accels = np.zeros(grid.shape)
+    accels[real] = grid[keep]  # both masks run row by row, so each row gets its own values, in order
+    rows = accels[..., None].repeat(n, axis=-1)  # (side, F, nt, N)
+    forbid = _forbids_singleton(grid, sampler_cfg)
+    collapsed = (sizes == 1).any(axis=0).tolist() if forbid else [False] * len(states)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported per state below
+        S, V = rollout_batch(s0[..., None], v0[..., None], rows, dt)
+        xy = [paths[k].position(S[k], d[k][:, None, None]) for k in (0, 1)]  # each (F, nt, N+1, 2)
+
+        # accumulated efficiency and comfort over steps 0..N-1; each row's
+        # comfort sum runs over its N equal terms (an N * a**2 closed form
+        # would round differently), and its jerk term is exactly 0.0
+        dev = (V[..., :n] - limits[..., None, None]) / limits[..., None, None]
+        lateral = np.array([[_lateral(x, n, reward_cfg.d0) for x in side] for side in d.tolist()])
+        eff = -((dev * dev).sum(axis=-1) + lateral[..., None])  # (side, F, nt)
+        com = -((rows / reward_cfg.a0) ** 2).sum(axis=-1)
+
+        # the safety feature is symmetric in the pair, so one matrix serves both
+        safety = safety_matrix(
+            xy[0], xy[1], S[0], S[1], conflict.s_ego, conflict.s_other, reward_cfg.sigma_d, reward_cfg.sigma_c
+        )  # (F, nt, nt)
+        te, to = reward_cfg.theta_ego, reward_cfg.theta_other
+        reward_ego = te[0] * eff[0][..., :, None] + te[1] * com[0][..., :, None] + te[2] * safety
+        reward_other = to[0] * eff[1][..., None, :] + to[1] * com[1][..., None, :] + to[2] * safety
+        absence_other = to[0] * eff[1] + to[1] * com[1]
+
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, size in enumerate(sizes.T.tolist()):
+        groups.setdefault(tuple(size), []).append(i)
     slots: list[tuple] = [()] * len(states)
-    for idx in groups.values():
-        ego, other = (
-            _fan(grids[k][idx][keeps[k][idx]].reshape(len(idx), -1), *starts[idx, k].T, paths[k], sampler_cfg)
-            for k in (0, 1)
+    for (ne, no), idx in groups.items():
+        comps = component_arrays(
+            reward_ego[idx, :ne, :no], reward_other[idx, :ne, :no], absence_other[idx, :no], reward_cfg.beta
         )
-        rewards = _joint_rewards(ego, other, path_ego, path_other, conflict, reward_cfg)
-        comps = component_arrays(*rewards, reward_cfg.beta)
         finite = np.isfinite(comps.terms).all(axis=(-2, -1))
         for j, i in enumerate(idx):
-            slots[i] = (ego, other, rewards, comps, finite, j)
+            slots[i] = (ne, no, comps, finite, j)
 
     spaces = []
-    for i, (ego, other, rewards, comps, finite, j) in enumerate(slots):
+    for i, (x, (ne, no, comps, finite, j)) in enumerate(zip(states, slots)):
         if collapsed[i]:
             raise EmptyCandidateSetError(_COLLAPSED)
-        space = JointBehaviorSpace(
-            ego_candidates=ego.at(j),
-            other_candidates=other.at(j),
-            reward_ego=rewards[0][j],
-            reward_other=rewards[1][j],
-            absence_other=rewards[2][j],
-            reward_cfg=reward_cfg,
-            conflict=conflict,
-        )
+        fans = [
+            CandidateFan(accels=rows[k, i, :m], s=S[k, i, :m], v=V[k, i, :m], xy=xy[k][i, :m], d=a.d, dt=dt)
+            for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
+        ]
+        try:
+            space = JointBehaviorSpace(
+                ego_candidates=fans[0],
+                other_candidates=fans[1],
+                reward_ego=reward_ego[i, :ne, :no],
+                reward_other=reward_other[i, :ne, :no],
+                absence_other=absence_other[i, :no],
+                reward_cfg=reward_cfg,
+                conflict=conflict,
+            )
+        except NonFiniteRewardError:  # a non-finite feature, or finite ones that overflow under the weights
+            error = _feature_error(x, paths, eff[:, i], com[:, i], safety[i], (ne, no))
+            if error is None:
+                raise
+            raise error from None
         check_finite_terms(finite[j], reward_cfg.beta)
         space._components = comps.at(j)
         spaces.append(space)
     return spaces
+
+
+def build_joint_space(
+    x0: JointState,
+    path_ego: ReferencePath,
+    path_other: ReferencePath,
+    conflict: ConflictPoint,
+    sampler_cfg: SamplerConfig,
+    reward_cfg: RewardConfig,
+) -> JointBehaviorSpace:
+    """The joint behavior space at one state (see build_joint_spaces)."""
+    return build_joint_spaces([x0], path_ego, path_other, conflict, sampler_cfg, reward_cfg)[0]

@@ -17,7 +17,9 @@ from .errors import NonTerminatingError, ParseError, ShortTrackError
 from .inference import InferenceSeries, infer_trace, posterior_steps, replay_spaces
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
-from .planner import InteractionTrace, PolicySpec, Scenario, leader_label, plan_ego, simulate  # noqa: F401
+from .planner import (  # noqa: F401
+    InteractionTrace, PolicySpec, Scenario, leader_label, plan_ego, simulate, simulate_policies,
+)
 from .rewards import RewardWeights
 from .tracks import (
     ObservedPair,
@@ -84,23 +86,19 @@ def _trace_sidecar(trace: InteractionTrace, cfg: ScenarioConfig, policy_name: st
 def run_sim(cfg: ScenarioConfig, policy_names: list[str], out_dir: Path, threads: int = 1) -> dict:
     """Simulate one scenario under each requested ego policy and write traces + stats.
 
-    threads must be at least 1 but does not change how the policies run: they
-    run one after another, because the planning work holds the interpreter
-    lock and a thread pool made it slower.
+    The policies step in lockstep, one batched build per round (see
+    simulate_policies).  threads must be at least 1 and changes nothing:
+    everything runs in this thread.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = cfg.load_scenario()
-    traces = [
-        simulate(
-            scenario,
-            PolicySpec.fixed(parse_policy(name)),
-            PolicySpec.follower(),
-            max_steps=cfg.max_steps,
-        )
-        for name in policy_names
-    ]
+    traces = simulate_policies(
+        cfg.load_scenario(),
+        [PolicySpec.fixed(parse_policy(name)) for name in policy_names],
+        PolicySpec.follower(),
+        max_steps=cfg.max_steps,
+    )
 
     stats: dict[str, dict] = {}
     for name, trace in zip(policy_names, traces):

@@ -1,0 +1,104 @@
+"""Independent references for the joint-space builder and the closed loop.
+
+reference_space is the one-state build the library used before every build
+went through sampling.build_joint_spaces: each side's fan is sampled and
+rolled out on its own, its utility vectors keep the jerk term of the comfort
+feature, and the social components are left to JointBehaviorSpace to compute
+on demand.  reference_simulate is the one-policy receding-horizon loop on
+that build.  Tests compare the library against both bit for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from socialplan.core import JointState, step_dynamics
+from socialplan.planner import InteractionTrace, follower_response, leader_label
+from socialplan.sampling import CandidateFan, JointBehaviorSpace, rollout_batch, safety_matrix, sample_accels
+
+
+def _fan(accels, state, path, cfg) -> CandidateFan:
+    rows = np.repeat(accels[:, None], cfg.horizon_steps, -1)
+    s, v = rollout_batch(np.asarray(state.s)[None], np.asarray(state.v)[None], rows, cfg.dt)
+    xy = path.position(s, np.asarray(state.d, dtype=float)[None, None])
+    return CandidateFan(accels=rows, s=s, v=v, xy=xy, d=state.d, dt=cfg.dt)
+
+
+def _utility_vectors(fan: CandidateFan, v_des: float, cfg):
+    """Accumulated efficiency and comfort (steps 0..N-1) of every candidate, jerk term included."""
+    accels = fan.accels
+    n = accels.shape[-1]
+    dev = (fan.v[:, :n] - v_des) / v_des
+    eff = -(np.sum(dev * dev, axis=-1) + n * (fan.d / cfg.d0) ** 2)
+    jerk = np.diff(accels, axis=-1) / fan.dt
+    com = -(np.sum((accels / cfg.a0) ** 2, axis=-1) + np.sum((jerk / cfg.j0) ** 2, axis=-1))
+    return eff, com
+
+
+def reference_space(x0: JointState, path_ego, path_other, conflict, sampler_cfg, reward_cfg) -> JointBehaviorSpace:
+    """The joint behavior space at x0, built one side at a time."""
+    ego, other = (
+        _fan(sample_accels(x, path, sampler_cfg), x, path, sampler_cfg)
+        for x, path in ((x0.ego, path_ego), (x0.other, path_other))
+    )
+    eff_e, com_e = _utility_vectors(ego, path_ego.speed_limit, reward_cfg)
+    eff_o, com_o = _utility_vectors(other, path_other.speed_limit, reward_cfg)
+    safety = safety_matrix(
+        ego.xy, other.xy, ego.s, other.s, conflict.s_ego, conflict.s_other, reward_cfg.sigma_d, reward_cfg.sigma_c
+    )
+    te, to = reward_cfg.theta_ego, reward_cfg.theta_other
+    with np.errstate(over="ignore", invalid="ignore"):  # JointBehaviorSpace reports what overflowed
+        reward_ego = te[0] * eff_e[:, None] + te[1] * com_e[:, None] + te[2] * safety
+        reward_other = to[0] * eff_o[None, :] + to[1] * com_o[None, :] + to[2] * safety
+        absence_other = to[0] * eff_o + to[1] * com_o
+    return JointBehaviorSpace(
+        ego_candidates=ego,
+        other_candidates=other,
+        reward_ego=reward_ego,
+        reward_other=reward_other,
+        absence_other=absence_other,
+        reward_cfg=reward_cfg,
+        conflict=conflict,
+    )
+
+
+def scenario_space(scenario, x0: JointState) -> JointBehaviorSpace:
+    return reference_space(
+        x0, scenario.path_ego, scenario.path_other, scenario.conflict, scenario.sampler, scenario.rewards
+    )
+
+
+def reference_simulate(scenario, lam, max_steps: int = 200, start_state=None, build=scenario_space) -> InteractionTrace:
+    """One policy's receding-horizon loop, one build(scenario, state) per step."""
+    x = scenario.initial if start_state is None else start_state
+    conflict = scenario.conflict
+
+    def crossed(x):
+        return x.ego.s >= conflict.s_ego or x.other.s >= conflict.s_other
+
+    states, a_ego, a_other = [x], [], []
+    while not crossed(x) and len(a_ego) < max_steps:
+        space = build(scenario, x)
+        label = leader_label(space, lam)
+        ae = float(space.ego_candidates.accels[label, 0])
+        ao = float(space.other_candidates.accels[follower_response(space, label), 0])
+        x = JointState(
+            ego=step_dynamics(x.ego, ae, scenario.sampler.dt),
+            other=step_dynamics(x.other, ao, scenario.sampler.dt),
+            t=x.t + 1,
+        )
+        states.append(x)
+        a_ego.append(ae)
+        a_other.append(ao)
+    steps = len(a_ego)
+    return InteractionTrace(
+        joint_states=states,
+        a_ego=np.array(a_ego),
+        a_other=np.array(a_other),
+        lambda_ego=np.tile(lam.values, (steps, 1)),
+        lambda_other=np.tile(np.array([1.0, 0.0, 0.0]), (steps, 1)),
+        dt=scenario.sampler.dt,
+        conflict=conflict,
+        path_ego=scenario.path_ego,
+        path_other=scenario.path_other,
+        terminated=crossed(x),
+    )

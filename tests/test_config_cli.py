@@ -143,6 +143,38 @@ def test_cli_rejects_beta_that_overflows_the_social_terms(tmp_path, case_config,
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field,value,named",
+    [
+        ("initial.ego.d", 1e200, "d=1e+200"),
+        ("initial.ego.v", 1e200, "v=1e+200"),
+        ("paths.ego.speed_limit", 1e-300, "speed_limit=1e-300"),
+    ],
+    ids=["ego_d", "ego_v", "ego_speed_limit"],
+)
+def test_cli_names_the_state_or_path_value_that_overflows_the_features(
+    tmp_path, case_config, capsys, field, value, named
+):
+    """A huge offset once escaped as an OverflowError traceback; a huge speed or a tiny
+    speed limit printed overflow warnings and then blamed rewards.theta_ego."""
+    data = json.loads(case_config.read_text())
+    *parents, key = field.split(".")
+    node = data
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("socialplan: NonFiniteRewardError: the ego car's utility features overflow")
+    assert named in err
+    assert "theta" not in err and "Traceback" not in err and err.count("\n") == 1
+
+
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 _positive = st.floats(1e-3, 1e6)
 _triples = st.tuples(_finite, _finite, _finite)

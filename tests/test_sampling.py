@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import socialplan as sp
 from socialplan.rewards import cumulative_reward
 from socialplan.scenarios import crossing_scenario
+from reference_builder import scenario_space
 from example_checks import (
     check_rollout_from_rest,
     check_rollout_standstill,
@@ -211,7 +212,7 @@ def _assert_same_space(one, batched):
         assert (a.d, a.dt) == (b.d, b.dt)
     for name in ("reward_ego", "reward_other", "absence_other"):
         assert _same_bits(getattr(one, name), getattr(batched, name)), name
-    # the batch sets the components at build time; the one-state space computes them now
+    # the batch sets the components at build time; the reference space computes them now
     assert batched._components is not None
     ca, cb = one.components(), batched.components()
     for name in ("presence_logp", "egoism_raw", "egoism_norm", "courtesy", "confidence", "confidence_reward", "terms"):
@@ -228,9 +229,7 @@ _agent_state = st.tuples(
 @given(
     steps=st.integers(1, 30),
     dt=st.sampled_from([0.08, 0.1, 0.25]),
-    fractions=st.lists(
-        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]), min_size=1, max_size=6, unique=True
-    ),
+    fractions=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]), min_size=1, max_size=12),
     a_min=st.floats(-8.0, -1.0),
     a_max=st.floats(0.5, 4.0),
     forbid=st.booleans(),
@@ -248,17 +247,24 @@ _agent_state = st.tuples(
     steps=12, dt=0.25, fractions=[0.0, 0.25], a_min=-1.0, a_max=3.0, forbid=True,
     limits=(10.0, 10.0), states=[((40.0, 5.0, 0.0), (45.0, 5.0, 0.0)), ((40.0, 18.0, 0.0), (45.0, 5.0, 0.0))],
 )
+# twelve targets, unsorted and repeated, so every fan is padded on the full grid
+@example(
+    steps=30, dt=0.08, fractions=[1.5, 0.0, 0.25, 0.25, 1.0, 0.5, 0.75, 1.25, 1.0, 0.0, 1.5, 0.5], a_min=-6.0,
+    a_max=3.0, forbid=False, limits=(10.0, 4.0),
+    states=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3)), ((40.0, 12.0, -0.2), (45.0, 2.0, 0.0))],
+)
 def test_build_joint_spaces_matches_one_state_builds(steps, dt, fractions, a_min, a_max, forbid, limits, states):
+    """The batch builder against reference_space, the one-side-at-a-time build it replaced."""
     sampler = sp.SamplerConfig(
-        horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(sorted(fractions)),
+        horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions),
         accel_min=a_min, accel_max=a_max, forbid_singleton=forbid,
     )
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
     xs = [sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(*o)) for e, o in states]
     expected, error = [], None
-    for x in xs:  # the one-state builds in order, each then asked for its components
+    for x in xs:  # the reference builds in order, each then asked for its components
         try:
-            space = scn.space_at(x)
+            space = scenario_space(scn, x)
             space.components()
         except sp.SocialPlanError as exc:
             error = exc
@@ -272,6 +278,7 @@ def test_build_joint_spaces_matches_one_state_builds(steps, dt, fractions, a_min
     assert len(got) == len(xs)
     for one, batched in zip(expected, got):
         _assert_same_space(one, batched)
+    _assert_same_space(expected[-1], scn.space_at(xs[-1]))
 
 
 def test_build_joint_spaces_keeps_the_first_error_in_state_order():
@@ -289,3 +296,22 @@ def test_build_joint_spaces_keeps_the_first_error_in_state_order():
         overflow.spaces_at([collapsed, ok])
     with pytest.raises(sp.NonFiniteRewardError, match="rewards.beta"):
         overflow.spaces_at([ok, collapsed])
+
+
+def test_non_finite_features_name_the_state_in_state_order():
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0)
+    ok = sp.JointState(ego=sp.AgentState(s=40.0, v=5.0), other=sp.AgentState(s=45.0, v=5.0))
+    wide = sp.JointState(ego=sp.AgentState(s=40.0, v=5.0), other=sp.AgentState(s=45.0, v=5.0, d=1e200))
+    fast = sp.JointState(ego=sp.AgentState(s=40.0, v=1e200), other=sp.AgentState(s=45.0, v=5.0))
+    other_named = re.escape("the other car's utility features overflow at s=45.0, v=5.0, d=1e+200")
+    with pytest.raises(sp.NonFiniteRewardError, match=other_named):
+        scn.spaces_at([ok, wide, fast])
+    ego_named = re.escape("the ego car's utility features overflow at s=40.0, v=1e+200")
+    with pytest.raises(sp.NonFiniteRewardError, match=ego_named):
+        scn.spaces_at([fast, wide])
+    # finite features under a huge weight still name the weight
+    heavy = replace(scn, rewards=sp.RewardConfig(theta_other=(1e308, 0.5, 10.0)))
+    with pytest.raises(sp.NonFiniteRewardError, match="rewards.theta_other"):
+        heavy.spaces_at([ok, fast])
+    with pytest.raises(sp.NonFiniteRewardError, match="the ego car's utility features"):
+        heavy.spaces_at([fast, ok])
