@@ -21,6 +21,7 @@ from .errors import (
     EmptyCandidateSetError,
     HorizonExceedsTraceError,
     NoConflictError,
+    NonFiniteDistanceError,
     NonFiniteRewardError,
     NonTerminatingError,
     ParseError,

@@ -29,6 +29,10 @@ class NonFiniteRewardError(SocialPlanError):
     """The rewards overflowed: a state or path value, a rewards.theta_* weight or rewards.beta is out of range."""
 
 
+class NonFiniteDistanceError(SocialPlanError):
+    """The distance between the two cars overflowed: a state value is out of range."""
+
+
 class NonTerminatingError(SocialPlanError):
     """The interaction hit the step limit before a conflict-point crossing."""
 

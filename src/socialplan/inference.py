@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Generator, Iterator
 
 import numpy as np
 
 from .core import AgentState, JointState
-from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError
+from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError, SocialPlanError
 from .planner import Scenario
 from .rewards import RewardWeights, check_ego_label
 from .sampling import JointBehaviorSpace
@@ -223,12 +223,91 @@ def observed_state(obs_self, obs_other, k: int) -> JointState:
 CHUNK = 8
 
 
-def replay_spaces(obs_self, obs_other, scenario: Scenario, frames) -> Iterator[tuple[int, JointBehaviorSpace]]:
-    """(k, joint space at observed state k) for each frame k in order, built CHUNK states at a time."""
-    frames = list(frames)
-    for i in range(0, len(frames), CHUNK):
-        chunk = frames[i : i + CHUNK]
-        yield from zip(chunk, scenario.spaces_at([observed_state(obs_self, obs_other, k) for k in chunk]))
+class PairReplay:
+    """Replay of one observed pair, for both of its seats, from one build per chunk.
+
+    Seat 0 is the agent in the scenario's ego seat (obs_ego) and seat 1 the
+    other driver, in scenario.swapped()'s terms.  The observed states are
+    built CHUNK at a time (Scenario.arrays_at); a chunk is built when a seat
+    first asks for it and kept until a seat asks for another, so two seats
+    stepped in lockstep (run_seats) share every build.  Seat 1's spaces are
+    views of seat 0's arrays (JointArrays.swapped) and equal, bit for bit,
+    the spaces the swapped scenario would build on its own.
+    """
+
+    def __init__(self, obs_ego, obs_other, scenario: Scenario):
+        self.obs = (obs_ego, obs_other)
+        self.scenario = scenario
+        self._swapped = scenario.swapped()
+        self._chunk: list[int] | None = None
+        self._arrays = None
+
+    def spaces(self, seat: int, frames) -> Iterator[tuple[int, JointBehaviorSpace]]:
+        """(k, the seat's joint space at observed state k) for each frame k in order, CHUNK states a build."""
+        frames = list(frames)
+        for i in range(0, len(frames), CHUNK):
+            chunk = frames[i : i + CHUNK]
+            if chunk != self._chunk:
+                self._arrays = self.scenario.arrays_at([observed_state(*self.obs, k) for k in chunk])
+                self._chunk = chunk
+            arrays = self._arrays if seat == 0 else self._arrays.swapped(self._swapped.conflict, self._swapped.rewards)
+            yield from zip(chunk, arrays.spaces())
+
+    def posterior_steps(
+        self, seat: int, cfg: InferenceConfig, seed: int = 0
+    ) -> Iterator[tuple[int, JointBehaviorSpace, int, RewardWeights]]:
+        """The posterior loop for the agent in the seat, one frame at a time.
+
+        Yields (tau, space, k, estimate) for each posterior frame k in order:
+        the window start tau, the seat's joint space at the observed state
+        tau, and the posterior mean after the window tau..k.  Each window
+        start's space is built once (under growing_window the frame-0 space
+        serves every frame), CHUNK window starts ahead at most.
+        """
+        obs_self = self.obs[seat]
+        total = len(obs_self.s) - 1
+        r = cfg.window_r
+        if total < r:
+            raise ShortTrackError(f"track has {total} steps, window needs {r}")
+        pset = init_particles(cfg, seed)
+        spaces = self.spaces(seat, [0] if cfg.growing_window else range(total - r + 1))
+        built_at, space = None, None
+        for k in range(r, total + 1):
+            tau = 0 if cfg.growing_window else k - r
+            if tau != built_at:
+                built_at, space = next(spaces)
+            matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates.xy)
+            pset = update_posterior(pset, matched, space, cfg)
+            yield tau, space, k, estimate_lambda(pset)
+
+
+def run_seats(*seats: Generator) -> list:
+    """Step the seats' generators in lockstep, one frame each in turn, and return their results.
+
+    Each generator yields once per frame and returns its result.  Errors
+    come out as if the seats ran one after another: a SocialPlanError stops
+    only its own seat, the first seat's error is raised at once, and a later
+    seat's is held until every seat has finished; then the first held error
+    in seat order is raised.
+    """
+    results: list = [None] * len(seats)
+    errors: dict[int, SocialPlanError] = {}
+    live = dict(enumerate(seats))
+    while live:
+        for i, seat in list(live.items()):
+            try:
+                next(seat)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]
+            except SocialPlanError as exc:
+                if i == 0:
+                    raise
+                errors[i] = exc
+                del live[i]
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def posterior_steps(
@@ -238,29 +317,21 @@ def posterior_steps(
     cfg: InferenceConfig,
     seed: int = 0,
 ) -> Iterator[tuple[int, JointBehaviorSpace, int, RewardWeights]]:
-    """The posterior loop for the agent in the scenario's ego seat, one frame at a time.
+    """The posterior loop for the agent sitting in the scenario's ego seat (PairReplay.posterior_steps, seat 0).
 
-    Yields (tau, space, k, estimate) for each posterior frame k in order:
-    the window start tau, the joint space built at the observed state tau,
-    and the posterior mean after the window tau..k.  Each window start's
-    space is built once (under growing_window the frame-0 space serves every
-    frame), CHUNK window starts ahead at most.  obs_self/obs_other expose
-    s, v, d, xy arrays on the planning-rate grid.
+    obs_self/obs_other expose s, v, d, xy arrays on the planning-rate grid.
     """
-    total = len(obs_self.s) - 1
-    r = cfg.window_r
-    if total < r:
-        raise ShortTrackError(f"track has {total} steps, window needs {r}")
-    pset = init_particles(cfg, seed)
-    spaces = replay_spaces(obs_self, obs_other, scenario, [0] if cfg.growing_window else range(total - r + 1))
-    built_at, space = None, None
-    for k in range(r, total + 1):
-        tau = 0 if cfg.growing_window else k - r
-        if tau != built_at:
-            built_at, space = next(spaces)
-        matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates.xy)
-        pset = update_posterior(pset, matched, space, cfg)
-        yield tau, space, k, estimate_lambda(pset)
+    return PairReplay(obs_self, obs_other, scenario).posterior_steps(0, cfg, seed)
+
+
+def _series(steps) -> Generator[None, None, InferenceSeries]:
+    """One seat's per-frame estimates from its posterior steps, a frame per yield."""
+    frames, lams = [], []
+    for _, _, k, estimate in steps:
+        frames.append(k)
+        lams.append(estimate.values)
+        yield
+    return InferenceSeries(frames=np.array(frames), lambdas=np.stack(lams))
 
 
 def infer_agent(
@@ -271,16 +342,16 @@ def infer_agent(
     seed: int = 0,
 ) -> InferenceSeries:
     """Per-frame weight estimates for the agent sitting in the scenario's ego seat."""
-    frames, lams = [], []
-    for _, _, k, estimate in posterior_steps(obs_self, obs_other, scenario, cfg, seed):
-        frames.append(k)
-        lams.append(estimate.values)
-    return InferenceSeries(frames=np.array(frames), lambdas=np.stack(lams))
+    return run_seats(_series(posterior_steps(obs_self, obs_other, scenario, cfg, seed)))[0]
 
 
 def infer_trace(pair, scenario: Scenario, cfg: InferenceConfig, seed: int = 0) -> dict[str, InferenceSeries]:
-    """Estimate both drivers' weights independently (roles swapped for the other car)."""
-    return {
-        "ego": infer_agent(pair.ego, pair.other, scenario, cfg, seed),
-        "other": infer_agent(pair.other, pair.ego, scenario.swapped(), cfg, seed),
-    }
+    """Estimate both drivers' weights independently, the other car's in scenario.swapped()'s terms.
+
+    One replay serves both seats: their posteriors step in lockstep on one
+    build per chunk (PairReplay), and the result and any error are those of
+    infer_agent on the ego seat and then on the swapped seat.
+    """
+    replay = PairReplay(pair.ego, pair.other, scenario)
+    ego, other = run_seats(*(_series(replay.posterior_steps(seat, cfg, seed)) for seat in (0, 1)))
+    return {"ego": ego, "other": other}

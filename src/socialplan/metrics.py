@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceedsTraceError, NonTerminatingError
+from .errors import HorizonExceedsTraceError, NonFiniteDistanceError, NonTerminatingError
 
 POLICY_LABELS = ("egoism", "courtesy", "confidence")
 
@@ -30,8 +30,18 @@ class InteractionStats:
 
 
 def _pairwise_distances(trace) -> np.ndarray:
-    pos_e, pos_o = trace.positions()
-    return np.linalg.norm(pos_e - pos_o, axis=1)
+    """Distance between the cars at every recorded state; NonFiniteDistanceError names the first that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos_e, pos_o = trace.positions()
+        dist = np.linalg.norm(pos_e - pos_o, axis=1)
+    finite = np.isfinite(dist)
+    if not finite.all():
+        x = trace.joint_states[int(np.argmin(finite))]
+        raise NonFiniteDistanceError(
+            f"the distance between the cars overflows at t={x.t}: ego s={x.ego.s!r}, d={x.ego.d!r}, "
+            f"other s={x.other.s!r}, d={x.other.d!r}; use smaller state values"
+        )
+    return dist
 
 
 def are(trace) -> float:

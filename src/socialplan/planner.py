@@ -15,7 +15,9 @@ import numpy as np
 from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
 from .errors import SocialPlanError
 from .rewards import RewardConfig, RewardWeights, check_ego_label, social_reward_vector
-from .sampling import JointBehaviorSpace, SamplerConfig, build_joint_space, build_joint_spaces
+from .sampling import (
+    JointArrays, JointBehaviorSpace, SamplerConfig, build_joint_arrays, build_joint_space, build_joint_spaces,
+)
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,10 @@ class Scenario:
     def spaces_at(self, states: list[JointState]) -> list[JointBehaviorSpace]:
         """space_at for each state, built in one array pass (see build_joint_spaces)."""
         return build_joint_spaces(states, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
+
+    def arrays_at(self, states: list[JointState]) -> JointArrays:
+        """The array stage of spaces_at, for the ego seat and, through JointArrays.swapped(), the other seat."""
+        return build_joint_arrays(states, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,12 @@ sums once over that grid.  Every kernel reduces over the last axis only, so
 each row and pair gives the same bits as on its own.  Only the social terms
 run per group of states with equal fan sizes.  build_joint_space is its
 one-state case.
+
+The builder has two stages: build_joint_arrays runs the array pass, and
+JointArrays.spaces() assembles one seat's spaces from it.  Replay serves
+the other driver's seat from the same pass (JointArrays.swapped()): its
+spaces are the ego seat's arrays with the sides swapped and the matrices
+transposed, plus its own absence row and social terms.
 """
 from __future__ import annotations
 
@@ -326,32 +332,136 @@ def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRe
     return None
 
 
-def build_joint_spaces(
+@dataclass(frozen=True, eq=False)
+class JointArrays:
+    """One seat's view of a build_joint_arrays pass over a list of states.
+
+    The side axis runs (this seat's car, the other car), and the matrices'
+    target axes in the same order.  spaces() assembles the seat's joint
+    spaces; swapped() is the other driver's seat, as views of the same
+    arrays.
+    """
+
+    states: list[JointState]
+    paths: tuple[ReferencePath, ReferencePath]
+    conflict: ConflictPoint
+    reward_cfg: RewardConfig
+    dt: float
+    collapsed: list[bool]  # per state: a fan collapsed under forbid_singleton
+    sizes: np.ndarray  # (side, F) fan sizes
+    rows: np.ndarray  # (side, F, nt, N)
+    S: np.ndarray  # (side, F, nt, N+1)
+    V: np.ndarray  # (side, F, nt, N+1)
+    xy: list[np.ndarray]  # per side (F, nt, N+1, 2)
+    eff: np.ndarray  # (side, F, nt)
+    com: np.ndarray  # (side, F, nt)
+    safety: np.ndarray  # (F, nt, nt)
+    reward_ego: np.ndarray  # (F, nt, nt)
+    reward_other: np.ndarray  # (F, nt, nt)
+
+    def swapped(self, conflict: ConflictPoint, reward_cfg: RewardConfig) -> "JointArrays":
+        """The other driver's seat, with its conflict point and reward config (as Scenario.swapped() has them).
+
+        Its spaces are the ones build_joint_spaces gives for the swapped
+        states under the swapped scenario, bit for bit: the sides swap, the
+        safety feature is symmetric in the pair and transposes, and so do
+        the reward matrices, each side's weighted sum trading places.
+        """
+        return JointArrays(
+            states=[x.swapped() for x in self.states],
+            paths=self.paths[::-1],
+            conflict=conflict,
+            reward_cfg=reward_cfg,
+            dt=self.dt,
+            collapsed=self.collapsed,
+            sizes=self.sizes[::-1],
+            rows=self.rows[::-1],
+            S=self.S[::-1],
+            V=self.V[::-1],
+            xy=self.xy[::-1],
+            eff=self.eff[::-1],
+            com=self.com[::-1],
+            safety=self.safety.transpose(0, 2, 1),
+            reward_ego=self.reward_other.transpose(0, 2, 1),
+            reward_other=self.reward_ego.transpose(0, 2, 1),
+        )
+
+    def spaces(self) -> list[JointBehaviorSpace]:
+        """The joint behavior space at each state, each with its components set.
+
+        The social components run once per group of states with equal fan
+        sizes, on just their candidates.  A failing state raises, in this
+        order: a collapsed fan under forbid_singleton, a non-finite feature
+        (naming the state and path values), finite features that overflow
+        under the weights (naming the weight), and social terms that
+        overflow under beta.  The first failing state in order wins.
+        """
+        cfg = self.reward_cfg
+        to = cfg.theta_other
+        with np.errstate(over="ignore", invalid="ignore"):  # reported per state below
+            absence_other = to[0] * self.eff[1] + to[1] * self.com[1]
+
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, size in enumerate(self.sizes.T.tolist()):
+            groups.setdefault(tuple(size), []).append(i)
+        slots: list[tuple] = [()] * len(self.states)
+        for (ne, no), idx in groups.items():
+            # contiguous, as the other seat's matrices are transposed views: numpy sums
+            # 8 or more terms along a strided axis in another order than along a contiguous one
+            matrices = (np.ascontiguousarray(m[idx, :ne, :no]) for m in (self.reward_ego, self.reward_other))
+            comps = component_arrays(*matrices, absence_other[idx, :no], cfg.beta)
+            finite = np.isfinite(comps.terms).all(axis=(-2, -1))
+            for j, i in enumerate(idx):
+                slots[i] = (ne, no, comps, finite, j)
+
+        spaces = []
+        for i, (x, (ne, no, comps, finite, j)) in enumerate(zip(self.states, slots)):
+            if self.collapsed[i]:
+                raise EmptyCandidateSetError(_COLLAPSED)
+            fans = [
+                CandidateFan(
+                    accels=self.rows[k, i, :m], s=self.S[k, i, :m], v=self.V[k, i, :m], xy=self.xy[k][i, :m],
+                    d=a.d, dt=self.dt,
+                )
+                for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
+            ]
+            try:
+                space = JointBehaviorSpace(
+                    ego_candidates=fans[0],
+                    other_candidates=fans[1],
+                    reward_ego=self.reward_ego[i, :ne, :no],
+                    reward_other=self.reward_other[i, :ne, :no],
+                    absence_other=absence_other[i, :no],
+                    reward_cfg=cfg,
+                    conflict=self.conflict,
+                )
+            except NonFiniteRewardError:  # a non-finite feature, or finite ones that overflow under the weights
+                error = _feature_error(x, self.paths, self.eff[:, i], self.com[:, i], self.safety[i], (ne, no))
+                if error is None:
+                    raise
+                raise error from None
+            check_finite_terms(finite[j], cfg.beta)
+            space._components = comps.at(j)
+            spaces.append(space)
+        return spaces
+
+
+def build_joint_arrays(
     states: list[JointState],
     path_ego: ReferencePath,
     path_other: ReferencePath,
     conflict: ConflictPoint,
     sampler_cfg: SamplerConfig,
     reward_cfg: RewardConfig,
-) -> list[JointBehaviorSpace]:
-    """The joint behavior space at each state, all built in one array pass.
+) -> JointArrays:
+    """The array stage of build_joint_spaces: every state's fans, features and reward matrices.
 
     Both sides of every state sit on one grid (side, state, target): each
     row holds its distinct clamped accelerations first, in order, and 0.0
     after them.  Rollout, path position, utility vectors, safety and the
     weighted sums run on the whole grid; padding rows are computed but never
-    read.  The social components run once per group of states with equal fan
-    sizes, on just their candidates.  Every space holds views into these
-    arrays and comes with its components set.
-
-    A failing state raises, in this order: a collapsed fan under
-    forbid_singleton, a non-finite feature (naming the state and path
-    values), finite features that overflow under the weights (naming the
-    weight), and social terms that overflow under beta.  The first failing
-    state in order wins.
+    read.  Nothing here raises: each seat's spaces() reports what failed.
     """
-    if not states:
-        return []
     paths = (path_ego, path_other)
     n, dt = sampler_cfg.horizon_steps, sampler_cfg.dt
     s0, v0, d = np.array([[(a.s, a.v, a.d) for a in (x.ego, x.other)] for x in states]).T  # each (side, F)
@@ -367,7 +477,7 @@ def build_joint_spaces(
     forbid = _forbids_singleton(grid, sampler_cfg)
     collapsed = (sizes == 1).any(axis=0).tolist() if forbid else [False] * len(states)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported per state below
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported per state
         S, V = rollout_batch(s0[..., None], v0[..., None], rows, dt)
         xy = [paths[k].position(S[k], d[k][:, None, None]) for k in (0, 1)]  # each (F, nt, N+1, 2)
 
@@ -386,47 +496,31 @@ def build_joint_spaces(
         te, to = reward_cfg.theta_ego, reward_cfg.theta_other
         reward_ego = te[0] * eff[0][..., :, None] + te[1] * com[0][..., :, None] + te[2] * safety
         reward_other = to[0] * eff[1][..., None, :] + to[1] * com[1][..., None, :] + to[2] * safety
-        absence_other = to[0] * eff[1] + to[1] * com[1]
 
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, size in enumerate(sizes.T.tolist()):
-        groups.setdefault(tuple(size), []).append(i)
-    slots: list[tuple] = [()] * len(states)
-    for (ne, no), idx in groups.items():
-        comps = component_arrays(
-            reward_ego[idx, :ne, :no], reward_other[idx, :ne, :no], absence_other[idx, :no], reward_cfg.beta
-        )
-        finite = np.isfinite(comps.terms).all(axis=(-2, -1))
-        for j, i in enumerate(idx):
-            slots[i] = (ne, no, comps, finite, j)
+    return JointArrays(
+        states=list(states), paths=paths, conflict=conflict, reward_cfg=reward_cfg, dt=dt, collapsed=collapsed,
+        sizes=sizes, rows=rows, S=S, V=V, xy=xy, eff=eff, com=com, safety=safety,
+        reward_ego=reward_ego, reward_other=reward_other,
+    )
 
-    spaces = []
-    for i, (x, (ne, no, comps, finite, j)) in enumerate(zip(states, slots)):
-        if collapsed[i]:
-            raise EmptyCandidateSetError(_COLLAPSED)
-        fans = [
-            CandidateFan(accels=rows[k, i, :m], s=S[k, i, :m], v=V[k, i, :m], xy=xy[k][i, :m], d=a.d, dt=dt)
-            for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
-        ]
-        try:
-            space = JointBehaviorSpace(
-                ego_candidates=fans[0],
-                other_candidates=fans[1],
-                reward_ego=reward_ego[i, :ne, :no],
-                reward_other=reward_other[i, :ne, :no],
-                absence_other=absence_other[i, :no],
-                reward_cfg=reward_cfg,
-                conflict=conflict,
-            )
-        except NonFiniteRewardError:  # a non-finite feature, or finite ones that overflow under the weights
-            error = _feature_error(x, paths, eff[:, i], com[:, i], safety[i], (ne, no))
-            if error is None:
-                raise
-            raise error from None
-        check_finite_terms(finite[j], reward_cfg.beta)
-        space._components = comps.at(j)
-        spaces.append(space)
-    return spaces
+
+def build_joint_spaces(
+    states: list[JointState],
+    path_ego: ReferencePath,
+    path_other: ReferencePath,
+    conflict: ConflictPoint,
+    sampler_cfg: SamplerConfig,
+    reward_cfg: RewardConfig,
+) -> list[JointBehaviorSpace]:
+    """The joint behavior space at each state, all built in one array pass.
+
+    build_joint_arrays runs the pass and JointArrays.spaces() assembles the
+    ego seat's spaces from it (see both for the layout and the errors).
+    Every space holds views into the pass's arrays.
+    """
+    if not states:
+        return []
+    return build_joint_arrays(states, path_ego, path_other, conflict, sampler_cfg, reward_cfg).spaces()
 
 
 def build_joint_space(

@@ -6,15 +6,19 @@ JSON keys, and results written in the order the inputs were given.
 from __future__ import annotations
 
 import json
+import logging
+import math
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Generator
 
 import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config
 from .errors import NonTerminatingError, ParseError, ShortTrackError
-from .inference import InferenceSeries, infer_trace, posterior_steps, replay_spaces
+from .inference import InferenceSeries, PairReplay, infer_trace, run_seats
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
 from .planner import (  # noqa: F401
@@ -38,13 +42,50 @@ POLICIES = {
 }
 REGEN_HORIZONS = (0.3, 0.5, 1.0)
 
+# Skipped pairs are recorded at INFO; with no handler configured that is silent.
+_log = logging.getLogger("socialplan.workflows")
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _scalar(value) -> str:
+    """One scalar as json writes it."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _dumps(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for value nested at indent; dict keys must be strings.
+
+    With indent set, json runs its pure-Python encoder item by item.  Here
+    scalars take a short path, and a list renders each distinct item once:
+    items with equal repr render alike, and the per-step weight rows of a
+    trace sidecar are tiles of one vector.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner) for key, item in sorted(value.items())]
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        keys = list(map(repr, value))
+        rendered = {key: _dumps(item, inner) for key, item in dict(zip(keys, value)).items()}
+        return "[\n" + inner + sep.join(map(rendered.__getitem__, keys)) + "\n" + indent + "]"
+    return _scalar(value)
+
+
 def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_dumps(data) + "\n", encoding="utf-8")
 
 
 def parse_policy(text: str) -> RewardWeights:
@@ -92,36 +133,53 @@ def run_sim(cfg: ScenarioConfig, policy_names: list[str], out_dir: Path, threads
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     traces = simulate_policies(
         cfg.load_scenario(),
         [PolicySpec.fixed(parse_policy(name)) for name in policy_names],
         PolicySpec.follower(),
         max_steps=cfg.max_steps,
     )
-
-    stats: dict[str, dict] = {}
-    for name, trace in zip(policy_names, traces):
-        safe = name.replace(",", "_")
-        write_trace_csv(out_dir / f"trace_{safe}.csv", trace)
-        _write_json(out_dir / f"trace_{safe}.json", _trace_sidecar(trace, cfg, name))
-        stats[name] = {
+    # every statistic first, so that one that fails leaves no artefact behind
+    stats = {
+        name: {
             "terminated": trace.terminated,
             "are": round(metrics.are(trace), 6),
             "min_distance": round(metrics.min_distance(trace), 6),
             "ait": round(metrics.ait(trace), 6) if trace.terminated else None,
         }
+        for name, trace in zip(policy_names, traces)
+    }
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, trace in zip(policy_names, traces):
+        safe = name.replace(",", "_")
+        write_trace_csv(out_dir / f"trace_{safe}.csv", trace)
+        _write_json(out_dir / f"trace_{safe}.json", _trace_sidecar(trace, cfg, name))
     _write_json(out_dir / "stats.json", {"policies": stats})
     return stats
 
 
+def _skip(idx: int, ego_track: int, other_track: int, exc: ShortTrackError) -> None:
+    _log.info("pair %d (tracks %d, %d) skipped: %s", idx, ego_track, other_track, exc)
+
+
 def observed_pairs(cfg: ScenarioConfig) -> list[tuple[int, ObservedPair]]:
+    """(index, pair on the planning-rate grid) for every extracted pair that shares a planning step.
+
+    The index is the pair's position in extract_pairs order; a pair that
+    shares less than one planning step is skipped (and logged).
+    """
     if not cfg.tracks_file:
         raise ParseError("config has no tracks file for this workflow")
     tracks = load_tracks(cfg.resolve(cfg.tracks_file))
     scenario = cfg.load_scenario()
-    pairs = extract_pairs(tracks, scenario)
-    return [(i, resample_pair(tracks, p, cfg.sampler.dt)) for i, p in enumerate(pairs)]
+    observed = []
+    for i, pair in enumerate(extract_pairs(tracks, scenario)):
+        try:
+            observed.append((i, resample_pair(tracks, pair, cfg.sampler.dt)))
+        except ShortTrackError as exc:
+            _skip(i, pair.ego_id, pair.other_id, exc)
+    return observed
 
 
 def write_lambda_csv(path: Path, series_by_agent: dict[int, InferenceSeries]) -> None:
@@ -152,7 +210,8 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
     for idx, pair in observed_pairs(cfg):
         try:
             result = infer_trace(pair, scenario, cfg.inference, seed=cfg.seed)
-        except ShortTrackError:
+        except ShortTrackError as exc:
+            _skip(idx, pair.ego.track_id, pair.other.track_id, exc)
             continue
         by_agent = {
             pair.ego.track_id: ("ego", result["ego"]),
@@ -190,19 +249,22 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
     return report
 
 
-def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -> dict:
-    """Mean regeneration MSE per policy and horizon for one agent.
+def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> Generator[None, None, dict]:
+    """Mean regeneration MSE per policy and horizon for the agent in one seat of a pair.
 
-    One posterior pass over the seat builds each observed state's joint space
-    once; the space serves the posterior update at that window start and then
-    the leader decisions of all four policies regenerated from that state.
-    The estimate used at regeneration frame k is the one recorded at
-    posterior frame k, r frames before the pass starts a window at k.  Frames
-    the pass never starts a window at (window_r above the longest horizon's
-    step count, or growing_window) get their spaces built the same way after
-    the pass, a chunk at a time.  Each regeneration frame scores every ego
+    A generator for run_seats: it yields once per frame and returns the
+    table.  The seat's posterior pass (PairReplay.posterior_steps) gets each
+    observed state's joint space from the pair's one build of that state;
+    the space serves the posterior update at that window start and then the
+    leader decisions of all four policies regenerated from that state.  The
+    estimate used at regeneration frame k is the one recorded at posterior
+    frame k, r frames before the pass starts a window at k.  Frames the pass
+    never starts a window at (window_r above the longest horizon's step
+    count, or growing_window) get their spaces from the replay after the
+    pass, a chunk at a time.  Each regeneration frame scores every ego
     candidate at every horizon at once; the policies pick their rows.
     """
+    obs_self = replay.obs[seat]
     dt = cfg.sampler.dt
     max_steps = int(np.floor(max(REGEN_HORIZONS) / dt + 1e-9))
     total = len(obs_self.s) - 1
@@ -222,13 +284,15 @@ def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -
                 sums[name][h] += per_label[label]
 
     next_k = frames.start
-    for tau, space, k, estimate in posterior_steps(obs_self, obs_other, scenario, cfg.inference, cfg.seed):
+    for tau, space, k, estimate in replay.posterior_steps(seat, cfg.inference, cfg.seed):
         lam_at[k] = estimate
         if tau == next_k < frames.stop:
             regenerate(tau, space)
             next_k += 1
-    for k, space in replay_spaces(obs_self, obs_other, scenario, range(next_k, frames.stop)):
+        yield
+    for k, space in replay.spaces(seat, range(next_k, frames.stop)):
         regenerate(k, space)
+        yield
 
     return {
         name: {str(h): round(per_h[h] / len(frames), 6) for h in REGEN_HORIZONS}
@@ -237,17 +301,21 @@ def _regen_agent(obs_self, obs_other, scenario: Scenario, cfg: ScenarioConfig) -
 
 
 def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    """Table of regeneration MSE by policy and horizon (plus change vs egoism)."""
+    """Table of regeneration MSE by policy and horizon (plus change vs egoism).
+
+    Both seats of a pair replay in lockstep on one build per chunk of
+    observed states (PairReplay, run_seats); a pair too short to regenerate
+    is skipped.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg.load_scenario()
     report: dict[str, dict] = {}
     for idx, pair in observed_pairs(cfg):
+        replay = PairReplay(pair.ego, pair.other, scenario)
         try:
-            roles = {
-                "ego": _regen_agent(pair.ego, pair.other, scenario, cfg),
-                "other": _regen_agent(pair.other, pair.ego, scenario.swapped(), cfg),
-            }
-        except ShortTrackError:
+            roles = dict(zip(("ego", "other"), run_seats(_regen_agent(replay, 0, cfg), _regen_agent(replay, 1, cfg))))
+        except ShortTrackError as exc:
+            _skip(idx, pair.ego.track_id, pair.other.track_id, exc)
             continue
         for role, table in roles.items():
             for name, per_h in list(table.items()):

@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -174,6 +178,22 @@ def test_cli_names_the_state_or_path_value_that_overflows_the_features(
     assert named in err
     assert "theta" not in err and "Traceback" not in err and err.count("\n") == 1
 
+
+
+def test_cli_rejects_a_start_state_whose_distance_overflows(tmp_path, case_config, capsys):
+    """An ego car starting at s=1e300 once gave an overflow warning and "are": Infinity in stats.json."""
+    data = json.loads(case_config.read_text())
+    data["initial"]["ego"]["s"] = 1e300
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("socialplan: NonFiniteDistanceError: the distance between the cars overflows at t=0")
+    assert "ego s=1e+300" in err and "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 _positive = st.floats(1e-3, 1e6)
@@ -365,3 +385,78 @@ def test_config_prior_variants_roundtrip(tmp_path, case_config):
     f.write_text(json.dumps(data))
     with pytest.raises(sp.SchemaError):
         load_config(f)
+
+
+@pytest.fixture(scope="module")
+def short_overlap(tmp_path_factory):
+    """A fixture, and the same tracks plus a third on the other path that shares one frame with the ego track.
+
+    The third track starts at the ego track's last frame, 20 m before the
+    conflict point; pair (0, 2) then shares less than one planning step and
+    pair (0, 1) is the fixture's.  "renumbered" swaps ids 1 and 2, so the
+    short pair comes first in extract_pairs order.
+    """
+    tmp = tmp_path_factory.mktemp("short_overlap")
+    tcfg = write_scenario_config(fixture_scenario("switch"), tmp / "tpl", seed=1)
+    save_config(tcfg, tmp / "tpl" / "config.json")
+    fixture = tmp / "fixture"
+    assert main(["fixture", "--config", str(tmp / "tpl" / "config.json"), "--out", str(fixture)]) == 0
+    text = (fixture / "tracks.csv").read_text()
+    ego_rows = [line.split(",") for line in text.splitlines()[1:] if line.startswith("0,")]
+    last_frame, last_stamp = int(ego_rows[-1][1]), int(ego_rows[-1][2])
+    period = load_config(fixture / "scenario.json").frame_period_ms
+    third = [
+        f"2,{last_frame + i},{last_stamp + i * period},0.000000,{-20.0 + 3.0 * i * period / 1000:.6f},0.000000,3.000000"
+        for i in range(21)
+    ]
+    variants = {"fixture": text, "third_track": text + "\n".join(third) + "\n"}
+    variants["renumbered"] = "\n".join(
+        {"1": "2", "2": "1"}.get(line[0], line[0]) + line[1:] if line[:2] in ("1,", "2,") else line
+        for line in variants["third_track"].splitlines()
+    ) + "\n"
+    configs = {}
+    for name, tracks in variants.items():
+        (tmp / name).mkdir(exist_ok=True)
+        (tmp / name / "tracks.csv").write_text(tracks)
+        save_config(replace(load_config(fixture / "scenario.json"), base_dir=tmp / name), tmp / name / "scenario.json")
+        for path in ("path_ego.csv", "path_other.csv"):
+            (tmp / name / path).write_bytes((fixture / path).read_bytes())
+        configs[name] = tmp / name / "scenario.json"
+    return configs
+
+
+@pytest.mark.parametrize("command,report", [("infer", "inference.json"), ("regen", "regen.json")])
+def test_cli_skips_a_pair_that_shares_less_than_one_planning_step(
+    short_overlap, tmp_path, caplog, command, report
+):
+    """Such a pair once stopped infer and regen with exit 2, although pair (0, 1) is fine."""
+    caplog.set_level(logging.INFO, logger="socialplan.workflows")
+    runs = {}
+    for name, config in short_overlap.items():
+        caplog.clear()
+        assert main([command, "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        runs[name] = [r.getMessage() for r in caplog.records]
+    assert runs["fixture"] == []
+    reason = "skipped: tracks share less than one planning step of overlap"
+    assert runs["third_track"] == [f"pair 1 (tracks 0, 2) {reason}"]
+    assert runs["renumbered"] == [f"pair 0 (tracks 0, 1) {reason}"]
+    # the good pair keeps its index in extract_pairs order, and its results
+    plain = {p.name: p.read_bytes() for p in (tmp_path / "fixture").iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "third_track").iterdir()} == plain
+    pairs = json.loads((tmp_path / "renumbered" / report).read_text())["pairs"]
+    assert list(pairs) == ["1"] and (pairs["1"]["ego_track"], pairs["1"]["other_track"]) == (0, 2)
+    if command == "infer":
+        assert sorted(p.name for p in (tmp_path / "renumbered").iterdir()) == [report, "lambdas_pair1.csv"]
+
+
+def test_cli_skipped_pair_is_silent_by_default_and_import_stays_free_of_logging(short_overlap, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-m", "socialplan.cli", "infer", "--config", str(short_overlap["third_track"]),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+    probe = "import socialplan, sys; print('logging' in sys.modules)"
+    imported = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert imported.stdout == "False\n"

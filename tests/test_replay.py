@@ -1,12 +1,15 @@
-"""Offline replay: run_regen against its definition, and how many spaces it builds.
+"""Offline replay: run_regen and run_infer against their definitions, and how many spaces they build.
 
-The definition of a regeneration table is two passes per seat: the full
-posterior series (infer_agent), then one fresh leader decision (plan_ego)
-per policy at every regeneration frame.  run_regen shares one joint space
-per observed state between the posterior and the policies, and builds the
-spaces of a seat in batches (build_joint_spaces); these tests pin that it
-gives the same table, builds each state at most once per seat, and never
-builds more than one chunk ahead.
+The definition replays each seat of a pair on its own: the full posterior
+series (infer_agent) for the pair's ego seat and then for the other seat
+under scenario.swapped(), and for regeneration one fresh leader decision
+(plan_ego) per policy at every regeneration frame.  The workflows instead
+replay both seats in lockstep from one build per chunk of observed states
+(PairReplay): the other seat's spaces are views of the ego seat's arrays,
+and each space serves the posterior and the policies.  These tests pin that
+this gives the same regen.json and inference.json bytes and raises the
+definition's error, builds each observed state at most once per pair, and
+never builds more than one chunk ahead.
 """
 from collections import Counter
 from dataclasses import replace
@@ -16,9 +19,9 @@ import numpy as np
 import pytest
 
 import socialplan as sp
-from socialplan import planner, workflows
+from socialplan import planner, sampling, workflows
 from socialplan.config import load_config
-from socialplan.inference import CHUNK, infer_agent
+from socialplan.inference import CHUNK, infer_agent, infer_trace
 from socialplan.planner import plan_ego
 from socialplan.scenarios import fixture_scenario, write_scenario_config
 
@@ -29,13 +32,25 @@ CONFIGS = {
     "window_above_horizon": {"window_r": 14},
     "growing_window": {"growing_window": True},
 }
+TEMPLATES = ("egoism", "courtesy", "confidence", "switch")
+
+
+def _make_fixture(tmp, name: str):
+    cfg = write_scenario_config(fixture_scenario(name), tmp / f"template_{name}", seed=2)
+    lam = workflows.POLICIES["egoism" if name == "switch" else name]()
+    switch = {"switch_step": 20, "lam_after": sp.RewardWeights.confidence()} if name == "switch" else {}
+    return load_config(workflows.make_fixture(cfg, lam, seed=2, out_dir=tmp / f"fixture_{name}", **switch))
 
 
 @pytest.fixture(scope="module")
-def fixture_cfg(tmp_path_factory):
+def fixtures(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("replay")
-    cfg = write_scenario_config(fixture_scenario("switch"), tmp / "template", seed=2)
-    return load_config(workflows.make_fixture(cfg, sp.RewardWeights.egoism(), seed=2, out_dir=tmp / "fixture"))
+    return {name: _make_fixture(tmp, name) for name in TEMPLATES}
+
+
+@pytest.fixture(scope="module")
+def fixture_cfg(fixtures):
+    return fixtures["switch"]
 
 
 def _with_inference(cfg, **changes):
@@ -71,14 +86,26 @@ def _reference_seat(obs_self, obs_other, scenario, cfg) -> dict:
     }
 
 
+def _seat_by_seat(pair, scenario, cfg, seed=0):
+    """infer_trace's definition: infer_agent on the ego seat, then on the swapped seat."""
+    return {
+        "ego": infer_agent(pair.ego, pair.other, scenario, cfg, seed),
+        "other": infer_agent(pair.other, pair.ego, scenario.swapped(), cfg, seed),
+    }
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
 def _count_builds(monkeypatch) -> list:
     """Record (seat path, ego state, other state) of every state a joint space is built at.
 
-    Replay builds through the batch builder; a one-state build there would
-    bypass it, so one fails the test.
+    Replay builds through the array stage of the batch builder; a one-state
+    build there would bypass it, so one fails the test.
     """
     built = []
-    real = planner.build_joint_spaces
+    real = planner.build_joint_arrays
 
     def counting(states, path_ego, *args):
         built.extend((id(path_ego), x0.ego, x0.other) for x0 in states)
@@ -87,7 +114,7 @@ def _count_builds(monkeypatch) -> list:
     def one_state(*args):
         raise AssertionError("replay built a joint space outside the batch builder")
 
-    monkeypatch.setattr(planner, "build_joint_spaces", counting)
+    monkeypatch.setattr(planner, "build_joint_arrays", counting)
     monkeypatch.setattr(planner, "build_joint_space", one_state)
     return built
 
@@ -108,18 +135,56 @@ def test_regen_matches_two_pass_definition(fixture_cfg, tmp_path, changes):
             assert {h: got[name][h] for h in per_h} == per_h, (role, name)
 
 
+@pytest.mark.parametrize("name", TEMPLATES)
 @pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS.keys())
-def test_regen_builds_each_state_at_most_once_per_seat(fixture_cfg, tmp_path, monkeypatch, changes):
+def test_outputs_match_seat_by_seat_definition(fixtures, tmp_path, monkeypatch, name, changes):
+    """regen.json and inference.json (and the lambda CSVs) byte for byte, reference computed here."""
+    cfg = _with_inference(fixtures[name], **changes)
+    workflows.run_regen(cfg, tmp_path / "regen")
+    workflows.run_infer(cfg, tmp_path / "infer")
+
+    scenario = cfg.load_scenario()
+    tables = {
+        idx: [_reference_seat(pair.ego, pair.other, scenario, cfg),
+              _reference_seat(pair.other, pair.ego, scenario.swapped(), cfg)]
+        for idx, pair in workflows.observed_pairs(cfg)
+    }
+    # run_regen's table assembly and writer, on the seat-by-seat tables
+    replays = iter(tables.values())
+    monkeypatch.setattr(workflows, "run_seats", lambda *seats: next(replays))
+    workflows.run_regen(cfg, tmp_path / "regen_ref")
+    monkeypatch.setattr(workflows, "infer_trace", _seat_by_seat)
+    workflows.run_infer(cfg, tmp_path / "infer_ref")
+
+    assert _files(tmp_path / "regen") == _files(tmp_path / "regen_ref")
+    got, want = _files(tmp_path / "infer"), _files(tmp_path / "infer_ref")
+    assert sorted(got) == ["inference.json", "lambdas_pair0.csv"]
+    assert got == want
+
+
+@pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS.keys())
+def test_regen_builds_each_state_at_most_once_per_pair(fixture_cfg, tmp_path, monkeypatch, changes):
     cfg = _with_inference(fixture_cfg, **changes)
     [(_, pair)] = workflows.observed_pairs(cfg)
     built = _count_builds(monkeypatch)
     workflows.run_regen(cfg, tmp_path)
     assert built
     assert max(Counter(built).values()) == 1
+    # every build is in one seat's terms: the other seat reads it swapped
+    assert len({path for path, _, _ in built}) == 1
     if not changes:
-        # every regeneration state is a posterior window start: one build per window
+        # every regeneration state is a posterior window start: one build per window, both seats
         total, r = len(pair.ego.s) - 1, cfg.inference.window_r
-        assert len(built) == 2 * (total - r + 1)
+        assert len(built) == total - r + 1
+
+
+def test_infer_trace_builds_each_state_once_per_pair(fixture_cfg, monkeypatch):
+    [(_, pair)] = workflows.observed_pairs(fixture_cfg)
+    built = _count_builds(monkeypatch)
+    result = infer_trace(pair, fixture_cfg.load_scenario(), fixture_cfg.inference, seed=fixture_cfg.seed)
+    total, r = len(pair.ego.s) - 1, fixture_cfg.inference.window_r
+    assert len(built) == len(set(built)) == total - r + 1
+    assert [len(series.frames) for series in result.values()] == [total - r + 1] * 2
 
 
 def test_growing_window_builds_one_space(fixture_cfg, monkeypatch):
@@ -144,6 +209,60 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
         assert len(space.ego_candidates) >= 1
         assert abs(estimate.values.sum() - 1.0) < 1e-9
     assert len(built) == n
+
+
+def _failing_seats(monkeypatch, scenario, fail_at: set) -> None:
+    """Make a seat's build raise at the first of its states whose (seat, frame) is in fail_at.
+
+    The seat is told by its own car's path, so the swapped scenario's builds
+    count as seat 1 too.
+    """
+    real = sampling.JointArrays.spaces
+
+    def spaces(self):
+        seat = 0 if np.array_equal(self.paths[0].points, scenario.path_ego.points) else 1
+        for x in self.states:
+            if (seat, x.t) in fail_at:
+                raise sp.DegenerateWeightsError(f"seat {seat} fails at frame {x.t}")
+        return real(self)
+
+    monkeypatch.setattr(sampling.JointArrays, "spaces", spaces)
+
+
+@pytest.mark.parametrize(
+    "fail_at,expected",
+    [
+        ({(1, 3), (0, 20)}, "seat 0 fails at frame 20"),  # the ego seat's later error wins
+        ({(0, 3), (1, 20)}, "seat 0 fails at frame 3"),
+        ({(1, 3)}, "seat 1 fails at frame 3"),
+        ({(1, 20), (1, 3)}, "seat 1 fails at frame 3"),
+    ],
+)
+def test_errors_come_out_as_seat_by_seat(fixture_cfg, tmp_path, monkeypatch, fail_at, expected):
+    [(_, pair)] = workflows.observed_pairs(fixture_cfg)
+    scenario = fixture_cfg.load_scenario()
+    _failing_seats(monkeypatch, scenario, fail_at)
+    with pytest.raises(sp.DegenerateWeightsError, match=expected):
+        _seat_by_seat(pair, scenario, fixture_cfg.inference)
+    with pytest.raises(sp.DegenerateWeightsError, match=expected):
+        infer_trace(pair, scenario, fixture_cfg.inference)
+    with pytest.raises(sp.DegenerateWeightsError, match=expected):
+        workflows.run_regen(fixture_cfg, tmp_path)
+
+
+def test_error_only_the_other_seat_hits_keeps_its_message(fixture_cfg, tmp_path):
+    """A huge theta_ego makes the other seat's social terms overflow under a beta the ego seat's survive."""
+    cfg = replace(fixture_cfg, rewards=replace(fixture_cfg.rewards, theta_ego=(1e300, 0.5, 10.0), beta=1e10))
+    [(_, pair)] = workflows.observed_pairs(cfg)
+    scenario = cfg.load_scenario()
+    infer_agent(pair.ego, pair.other, scenario, cfg.inference)  # the ego seat alone runs
+    with pytest.raises(sp.NonFiniteRewardError) as definition:
+        infer_agent(pair.other, pair.ego, scenario.swapped(), cfg.inference)
+    assert "rewards.beta = 10000000000.0" in str(definition.value)
+    for run in (lambda: infer_trace(pair, scenario, cfg.inference), lambda: workflows.run_regen(cfg, tmp_path)):
+        with pytest.raises(sp.NonFiniteRewardError) as got:
+            run()
+        assert str(got.value) == str(definition.value)
 
 
 def test_leader_label_breaks_ties_to_lowest_label():

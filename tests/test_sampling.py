@@ -315,3 +315,89 @@ def test_non_finite_features_name_the_state_in_state_order():
         heavy.spaces_at([ok, fast])
     with pytest.raises(sp.NonFiniteRewardError, match="the ego car's utility features"):
         heavy.spaces_at([fast, ok])
+
+
+_FRACTIONS = [k / 8 for k in range(13)]  # 0.0, 0.125, ..., 1.5
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.integers(1, 30),
+    dt=st.sampled_from([0.08, 0.1, 0.25]),
+    fractions=st.lists(st.sampled_from(_FRACTIONS), min_size=1, max_size=12),
+    a_min=st.floats(-8.0, -1.0),
+    a_max=st.floats(0.5, 4.0),
+    forbid=st.booleans(),
+    limits=st.tuples(st.floats(3.0, 15.0), st.floats(3.0, 15.0)),
+    thetas=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    beta=st.sampled_from([1.0, 0.5, 30.0]),
+    states=st.lists(st.tuples(_agent_state, _agent_state), min_size=1, max_size=10),
+)
+# fans of 8 or more candidates: numpy sums 8 or more terms along a strided axis in another
+# order, so the other seat's social terms must not run on its transposed matrices
+@example(
+    steps=30, dt=0.08, fractions=[1.5, 0.0, 0.25, 0.125, 1.0, 0.5, 0.75, 1.25, 1.0, 0.375, 0.625, 0.875],
+    a_min=-8.0, a_max=4.0, forbid=False, limits=(10.0, 4.0), thetas=(1.0, 2.0), beta=1.0,
+    states=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3)), ((40.0, 12.0, -0.2), (45.0, 2.0, 0.0))],
+)
+# a collapsed other fan: the swapped seat's own fan, an error under forbid_singleton
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25], a_min=-1.0, a_max=3.0, forbid=True, limits=(10.0, 10.0),
+    thetas=(1.0, 1.0), beta=1.0, states=[((40.0, 5.0, 0.0), (45.0, 5.0, 0.0)), ((40.0, 5.0, 0.0), (45.0, 18.0, 0.0))],
+)
+# unequal fan sizes in one batch, (5, 6) from rest and (6, 6) at 5 m/s
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], a_min=-6.0, a_max=3.0, forbid=False,
+    limits=(10.0, 7.0), thetas=(1.0, 3.0), beta=1.0,
+    states=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3)), ((40.0, 5.0, -0.2), (45.0, 5.0, 0.0))],
+)
+def test_swapped_seat_of_a_shared_build_matches_its_own_build(
+    steps, dt, fractions, a_min, a_max, forbid, limits, thetas, beta, states
+):
+    """The other seat, read off the ego seat's arrays, against reference_space on scenario.swapped()."""
+    sampler = sp.SamplerConfig(
+        horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions),
+        accel_min=a_min, accel_max=a_max, forbid_singleton=forbid,
+    )
+    rewards = sp.RewardConfig(theta_ego=(thetas[0], 0.5, 10.0), theta_other=(thetas[1], 1.5, 5.0), beta=beta)
+    scn = crossing_scenario(
+        20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler, rewards=rewards
+    )
+    swapped = scn.swapped()
+    xs = [sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(*o), t=k) for k, (e, o) in enumerate(states)]
+    expected, error = [], None
+    for x in xs:
+        try:
+            space = scenario_space(swapped, x.swapped())
+            space.components()
+        except sp.SocialPlanError as exc:
+            error = exc
+            break
+        expected.append(space)
+    seat = scn.arrays_at(xs).swapped(swapped.conflict, swapped.rewards)
+    if error is not None:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            seat.spaces()
+        return
+    got = seat.spaces()
+    assert len(got) == len(xs)
+    for one, shared in zip(expected, got):
+        _assert_same_space(one, shared)
+        assert (shared.reward_cfg, shared.conflict) == (swapped.rewards, swapped.conflict)
+
+
+def test_swapped_seat_names_its_own_car_and_weight():
+    """Overflows name the car and the weight in the swapped seat's own terms, as its own build does."""
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0)
+    ok = sp.JointState(ego=sp.AgentState(s=40.0, v=5.0), other=sp.AgentState(s=45.0, v=5.0))
+    wide = sp.JointState(ego=sp.AgentState(s=40.0, v=5.0), other=sp.AgentState(s=45.0, v=5.0, d=1e200))
+    heavy = replace(scn, rewards=sp.RewardConfig(theta_ego=(1e308, 0.5, 10.0)))
+    for source, xs, named in (
+        (scn, [ok, wide], "the ego car's utility features overflow at s=45.0, v=5.0, d=1e+200"),
+        (heavy, [ok], "rewards.theta_other = [1e+308, 0.5, 10.0]"),
+    ):
+        swapped = source.swapped()
+        with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
+            swapped.spaces_at([x.swapped() for x in xs])
+        with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
+            source.arrays_at(xs).swapped(swapped.conflict, swapped.rewards).spaces()
