@@ -23,7 +23,7 @@ from .core import AgentState, JointState
 from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError, SocialPlanError
 from .planner import Scenario
 from .rewards import RewardWeights, check_ego_label
-from .sampling import JointBehaviorSpace
+from .sampling import JointArrays, JointBehaviorSpace
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class PriorSpec:
             # rounded percentages are fine; they get normalized
             if any(f < 0 for f in self.fractions) or sum(self.fractions) <= 0:
                 raise ValueError("dop fractions must be non-negative with positive sum")
+            # below 0 the alpha of dirichlet_alpha drops under 1 and the prior no longer peaks at the fractions
+            if not self.concentration >= 0:
+                raise ValueError(f"dop concentration must be non-negative, got {self.concentration!r}")
 
     def dirichlet_alpha(self) -> np.ndarray | None:
         if self.kind == "dirichlet":
@@ -168,11 +171,25 @@ def window_likelihood(matched_label: int, lam: RewardWeights, space: JointBehavi
     return float(np.exp(_log_likelihoods(space, label, lam.values[None, :]))[0])
 
 
-def _systematic_resample(pset: ParticleSet) -> ParticleSet:
-    n = len(pset.weights)
+def _reweigh(weights: np.ndarray, loglik: np.ndarray, resample: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One Bayes step on the particle weights, given each particle's log-likelihood of the matched action.
+
+    weight *= likelihood, renormalized; with resample, a systematic
+    resample follows.  Returns the new weights and, after a resample, the
+    index of the particle each new one copies (else None).
+    """
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights) + loglik
+    peak = logw.max()
+    if not np.isfinite(peak):
+        raise DegenerateWeightsError("all particle weights vanished in an update")
+    w = np.exp(logw - peak)
+    w = w / w.sum()
+    if not resample:
+        return w, None
+    n = len(w)
     positions = (np.arange(n) + 0.5) / n
-    idx = np.searchsorted(np.cumsum(pset.weights), positions)
-    return ParticleSet(lambdas=pset.lambdas[idx], weights=np.full(n, 1.0 / n))
+    return np.full(n, 1.0 / n), np.searchsorted(np.cumsum(w), positions)
 
 
 def update_posterior(
@@ -180,21 +197,18 @@ def update_posterior(
 ) -> ParticleSet:
     """One Bayes step: weight *= likelihood of the matched action, renormalize."""
     loglik = _log_likelihoods(space, check_ego_label(space, matched_label), pset.lambdas)
-    with np.errstate(divide="ignore"):
-        logw = np.log(pset.weights) + loglik
-    peak = logw.max()
-    if not np.isfinite(peak):
-        raise DegenerateWeightsError("all particle weights vanished in an update")
-    w = np.exp(logw - peak)
-    updated = ParticleSet(lambdas=pset.lambdas, weights=w / w.sum())
-    return _systematic_resample(updated) if cfg.resample else updated
+    weights, copied = _reweigh(pset.weights, loglik, cfg.resample)
+    return ParticleSet(lambdas=pset.lambdas if copied is None else pset.lambdas[copied], weights=weights)
+
+
+def _mean(weights: np.ndarray, lambdas: np.ndarray) -> RewardWeights:
+    mean = np.maximum(weights @ lambdas, 0.0)  # np.clip(mean, 0.0, None), without its wrapper cost
+    return RewardWeights(mean / mean.sum())
 
 
 def estimate_lambda(pset: ParticleSet) -> RewardWeights:
     """Posterior mean, renormalized onto the simplex against rounding."""
-    mean = pset.weights @ pset.lambdas
-    mean = np.clip(mean, 0.0, None)
-    return RewardWeights(mean / mean.sum())
+    return _mean(pset.weights, pset.lambdas)
 
 
 @dataclass(frozen=True)
@@ -223,6 +237,72 @@ def observed_state(obs_self, obs_other, k: int) -> JointState:
 CHUNK = 8
 
 
+class ReplayChunk:
+    """One seat's joint spaces at a chunk of observed states, read in batches.
+
+    frames[i] is the observed state of entry i.  Making a chunk checks every
+    state (JointArrays.social_terms), so its build errors come before any of
+    its frames.  Each method repeats, for many entries at once, the
+    arithmetic of a per-space function, bit for bit: the social terms come
+    from the one component_arrays call per group of equal fan sizes, every
+    product keeps a single weight matrix on the left ((P, 3) or (1, 3)
+    against (G, 3, ne)), and every reduction runs over the last axis.
+    """
+
+    def __init__(self, frames: list[int], arrays: JointArrays):
+        self.frames = frames
+        self.arrays = arrays
+        self.terms = arrays.social_terms()
+        self.ego_xy = arrays.xy[0]  # (C, nt, N+1, 2), padding rows included
+        self._real = np.arange(self.ego_xy.shape[1]) < arrays.sizes[0][:, None]  # (C, nt) real ego candidates
+        self._group, self._row = np.array(self.terms.slots).T
+
+    def matched_labels(self, observed_xy: np.ndarray, entries, stops) -> np.ndarray:
+        """match_observed(observed_xy[tau : k + 1], the ego candidates at tau = frames[i]) for each i, k in zip(entries, stops).
+
+        One pass per window width; each mean is sum / width, as np.mean
+        computes it, and padding rows never match.
+        """
+        entries = np.asarray(entries)
+        starts = np.asarray(self.frames)[entries]
+        widths = np.minimum(np.asarray(stops) - starts + 1, self.ego_xy.shape[-2])
+        labels = np.empty(len(entries), dtype=np.intp)
+        for w in set(widths.tolist()):  # not np.unique: it imports numpy.ma, about 1 MB
+            sel = widths == w
+            windows = observed_xy[starts[sel, None] + np.arange(w)]  # (n, w, 2)
+            diff = self.ego_xy[entries[sel], :, :w] - windows[:, None]  # (n, nt, w, 2)
+            mse = (diff * diff).sum(axis=-1).sum(axis=-1) / w
+            labels[sel] = np.where(self._real[entries[sel]], mse, np.inf).argmin(axis=-1)
+        return labels
+
+    def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
+        """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P)."""
+        entries, labels = np.asarray(entries), np.asarray(labels)
+        group, row = self._group[entries], self._row[entries]
+        out = np.empty((len(entries), len(lambdas)))
+        for g, (_, _, _, comps) in enumerate(self.terms.groups):
+            sel = group == g
+            if sel.any():
+                scores = lambdas @ comps.terms  # (G, P, ne)
+                shifted = scores - scores.max(axis=-1, keepdims=True)
+                lse = np.log(np.exp(shifted).sum(axis=-1))
+                out[sel] = shifted[row[sel], :, labels[sel]] - lse[row[sel]]
+        return out
+
+    def leader_labels(self, lam: RewardWeights) -> list[int]:
+        """leader_label(space, lam) at every entry."""
+        labels = [0] * len(self.frames)
+        for states, _, _, comps in self.terms.groups:
+            for i, label in zip(states, (lam.values[None] @ comps.terms).argmax(axis=-1)[:, 0].tolist()):
+                labels[i] = label
+        return labels
+
+    def leader_label(self, i: int, lam: RewardWeights) -> int:
+        """leader_label(space, lam) at entry i."""
+        comps = self.terms.groups[self._group[i]][3]
+        return int((lam.values @ comps.terms[self._row[i]]).argmax())
+
+
 class PairReplay:
     """Replay of one observed pair, for both of its seats, from one build per chunk.
 
@@ -230,9 +310,9 @@ class PairReplay:
     other driver, in scenario.swapped()'s terms.  The observed states are
     built CHUNK at a time (Scenario.arrays_at); a chunk is built when a seat
     first asks for it and kept until a seat asks for another, so two seats
-    stepped in lockstep (run_seats) share every build.  Seat 1's spaces are
-    views of seat 0's arrays (JointArrays.swapped) and equal, bit for bit,
-    the spaces the swapped scenario would build on its own.
+    stepped in lockstep (run_seats) share every build.  Seat 1's arrays are
+    views of seat 0's (JointArrays.swapped) and give, bit for bit, the
+    spaces the swapped scenario would build on its own.
     """
 
     def __init__(self, obs_ego, obs_other, scenario: Scenario):
@@ -242,8 +322,8 @@ class PairReplay:
         self._chunk: list[int] | None = None
         self._arrays = None
 
-    def spaces(self, seat: int, frames) -> Iterator[tuple[int, JointBehaviorSpace]]:
-        """(k, the seat's joint space at observed state k) for each frame k in order, CHUNK states a build."""
+    def chunks(self, seat: int, frames) -> Iterator[ReplayChunk]:
+        """The seat's ReplayChunk for each run of CHUNK frames in order."""
         frames = list(frames)
         for i in range(0, len(frames), CHUNK):
             chunk = frames[i : i + CHUNK]
@@ -251,18 +331,21 @@ class PairReplay:
                 self._arrays = self.scenario.arrays_at([observed_state(*self.obs, k) for k in chunk])
                 self._chunk = chunk
             arrays = self._arrays if seat == 0 else self._arrays.swapped(self._swapped.conflict, self._swapped.rewards)
-            yield from zip(chunk, arrays.spaces())
+            yield ReplayChunk(chunk, arrays)
 
     def posterior_steps(
         self, seat: int, cfg: InferenceConfig, seed: int = 0
-    ) -> Iterator[tuple[int, JointBehaviorSpace, int, RewardWeights]]:
+    ) -> Iterator[tuple[ReplayChunk, int, int, RewardWeights]]:
         """The posterior loop for the agent in the seat, one frame at a time.
 
-        Yields (tau, space, k, estimate) for each posterior frame k in order:
-        the window start tau, the seat's joint space at the observed state
-        tau, and the posterior mean after the window tau..k.  Each window
-        start's space is built once (under growing_window the frame-0 space
-        serves every frame), CHUNK window starts ahead at most.
+        Yields (chunk, i, k, estimate) for each posterior frame k in order:
+        the chunk whose entry i is the window start tau, and the posterior
+        mean after the window tau..k.  Window starts are built CHUNK at a
+        time (under growing_window the frame-0 state serves every frame).
+        A chunk's matched labels and log-likelihoods come from one array
+        pass; the weight recursion (_reweigh, as in update_posterior, then
+        the mean, as in estimate_lambda) runs per frame.  With resampling,
+        each frame reads its log-likelihoods at the particles it copied.
         """
         obs_self = self.obs[seat]
         total = len(obs_self.s) - 1
@@ -270,15 +353,21 @@ class PairReplay:
         if total < r:
             raise ShortTrackError(f"track has {total} steps, window needs {r}")
         pset = init_particles(cfg, seed)
-        spaces = self.spaces(seat, [0] if cfg.growing_window else range(total - r + 1))
-        built_at, space = None, None
-        for k in range(r, total + 1):
-            tau = 0 if cfg.growing_window else k - r
-            if tau != built_at:
-                built_at, space = next(spaces)
-            matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates.xy)
-            pset = update_posterior(pset, matched, space, cfg)
-            yield tau, space, k, estimate_lambda(pset)
+        lambdas, weights, copied = pset.lambdas, pset.weights, None
+        for chunk in self.chunks(seat, [0] if cfg.growing_window else range(total - r + 1)):
+            if cfg.growing_window:
+                stops = list(range(r, total + 1))
+                entries = [0] * len(stops)
+            else:
+                stops = [tau + r for tau in chunk.frames]
+                entries = list(range(len(stops)))
+            labels = chunk.matched_labels(obs_self.xy, entries, stops)
+            for i, k, loglik in zip(entries, stops, chunk.log_likelihoods(pset.lambdas, entries, labels)):
+                weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
+                if idx is not None:
+                    copied = idx if copied is None else copied[idx]
+                    lambdas = lambdas[idx]
+                yield chunk, i, k, _mean(weights, lambdas)
 
 
 def run_seats(*seats: Generator) -> list:
@@ -316,7 +405,7 @@ def posterior_steps(
     scenario: Scenario,
     cfg: InferenceConfig,
     seed: int = 0,
-) -> Iterator[tuple[int, JointBehaviorSpace, int, RewardWeights]]:
+) -> Iterator[tuple[ReplayChunk, int, int, RewardWeights]]:
     """The posterior loop for the agent sitting in the scenario's ego seat (PairReplay.posterior_steps, seat 0).
 
     obs_self/obs_other expose s, v, d, xy arrays on the planning-rate grid.
@@ -327,7 +416,7 @@ def posterior_steps(
 def _series(steps) -> Generator[None, None, InferenceSeries]:
     """One seat's per-frame estimates from its posterior steps, a frame per yield."""
     frames, lams = [], []
-    for _, _, k, estimate in steps:
+    for *_, k, estimate in steps:
         frames.append(k)
         lams.append(estimate.values)
         yield

@@ -66,25 +66,26 @@ def interaction_stats(trace) -> InteractionStats:
 
 
 def horizon_mse(generated_xy: np.ndarray, truth_xy: np.ndarray, dt: float, horizons) -> np.ndarray:
-    """Mean squared Cartesian error of each generated row at each horizon: (len(horizons), n).
+    """Mean squared Cartesian error of each generated row at each horizon: (..., len(horizons), n).
 
-    generated_xy (n, T, 2) holds n trajectories and truth_xy (m, 2) the
-    ground truth, all sampled every dt from the same start.  At horizon h
-    the steps k with k*dt <= h contribute.  One squared-distance matrix
-    serves every horizon; each takes the mean of its prefix.
+    generated_xy (..., n, T, 2) holds n trajectories and truth_xy (..., m, 2)
+    the ground truth, all sampled every dt from the same start; leading axes
+    broadcast, and each entry equals its own call.  At horizon h the steps
+    k with k*dt <= h contribute.  One squared-distance array serves every
+    horizon; each takes the mean of its prefix (sum / count, as np.mean).
     """
     steps = []
     for horizon in horizons:
         k = int(np.floor(horizon / dt + 1e-9))
-        if k >= generated_xy.shape[-2] or k >= len(truth_xy):
+        if k >= generated_xy.shape[-2] or k >= truth_xy.shape[-2]:
             raise HorizonExceedsTraceError(
-                f"horizon {horizon} s needs {k + 1} samples, have {generated_xy.shape[-2]} and {len(truth_xy)}"
+                f"horizon {horizon} s needs {k + 1} samples, have {generated_xy.shape[-2]} and {truth_xy.shape[-2]}"
             )
         steps.append(k)
     w = max(steps) + 1
-    diff = generated_xy[:, :w] - truth_xy[None, :w]
-    sq = np.sum(diff * diff, axis=-1)
-    return np.array([np.mean(sq[:, : k + 1], axis=-1) for k in steps])
+    diff = generated_xy[..., :w, :] - truth_xy[..., None, :w, :]
+    sq = (diff * diff).sum(axis=-1)
+    return np.stack([sq[..., : k + 1].sum(axis=-1) / (k + 1) for k in steps], axis=-2)
 
 
 def trajectory_mse(generated, ground_truth, horizon: float) -> float:

@@ -67,9 +67,9 @@ class RewardWeights:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (3,):
             raise ValueError("reward weights must be a 3-vector")
-        if np.any(v < -1e-9) or abs(v.sum() - 1.0) > 1e-9:
+        if (v < -1e-9).any() or abs(v.sum() - 1.0) > 1e-9:
             raise ValueError(f"reward weights must be non-negative and sum to 1, got {v}")
-        object.__setattr__(self, "values", np.clip(v, 0.0, None))
+        object.__setattr__(self, "values", np.maximum(v, 0.0))  # np.clip(v, 0.0, None), without its wrapper cost
 
     @classmethod
     def of(cls, egoism: float, courtesy: float, confidence: float) -> "RewardWeights":

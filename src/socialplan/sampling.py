@@ -16,10 +16,12 @@ run per group of states with equal fan sizes.  build_joint_space is its
 one-state case.
 
 The builder has two stages: build_joint_arrays runs the array pass, and
-JointArrays.spaces() assembles one seat's spaces from it.  Replay serves
-the other driver's seat from the same pass (JointArrays.swapped()): its
-spaces are the ego seat's arrays with the sides swapped and the matrices
-transposed, plus its own absence row and social terms.
+JointArrays.spaces() assembles one seat's spaces from it, on the social
+terms and checks of JointArrays.social_terms().  Replay reads those terms
+in batches and builds no per-state spaces.  It serves the other driver's
+seat from the same pass (JointArrays.swapped()): its spaces are the ego
+seat's arrays with the sides swapped and the matrices transposed, plus its
+own absence row and social terms.
 """
 from __future__ import annotations
 
@@ -177,12 +179,11 @@ class JointBehaviorSpace:
             raise EmptyCandidateSetError("joint space needs candidates on both sides")
         if self.reward_ego.shape != (ne, no) or self.reward_other.shape != (ne, no):
             raise ValueError("reward matrix shape does not match candidate counts")
-        finite_ego = np.isfinite(self.reward_ego).all()
-        if not (finite_ego and np.isfinite(self.reward_other).all() and np.isfinite(self.absence_other).all()):
-            # finite features times a huge finite weight overflow: name the weight
-            name = "theta_other" if finite_ego else "theta_ego"
-            theta = list(getattr(self.reward_cfg, name))
-            raise NonFiniteRewardError(f"rewards.{name} = {theta!r} overflows the utility matrices; use smaller weights")
+        # JointArrays.spaces() passes components only with matrices it has checked (social_terms)
+        if self._components is None:
+            error = _weight_error(self.reward_cfg, self.reward_ego, self.reward_other, self.absence_other)
+            if error is not None:
+                raise error
 
     def components(self) -> SocialComponents:
         """The social reward terms at the configured beta, computed once."""
@@ -313,6 +314,20 @@ def _lateral(d: float, n: int, d0: float) -> float:
         return math.inf
 
 
+def _weight_error(reward_cfg: RewardConfig, reward_ego, reward_other, absence_other) -> NonFiniteRewardError | None:
+    """The error for utility matrices of one space that are not all finite, else None.
+
+    With finite features a huge finite weight overflows, so the error names
+    the weight: theta_ego when reward_ego overflows, else theta_other.
+    """
+    finite_ego = np.isfinite(reward_ego).all()
+    if finite_ego and np.isfinite(reward_other).all() and np.isfinite(absence_other).all():
+        return None
+    name = "theta_other" if finite_ego else "theta_ego"
+    theta = list(getattr(reward_cfg, name))
+    return NonFiniteRewardError(f"rewards.{name} = {theta!r} overflows the utility matrices; use smaller weights")
+
+
 def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRewardError | None:
     """The error for one state whose real candidates have a non-finite feature, else None.
 
@@ -330,6 +345,21 @@ def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRe
             f"the safety feature overflows at ego s={x.ego.s!r}, other s={x.other.s!r}; use smaller state values"
         )
     return None
+
+
+@dataclass(frozen=True, eq=False)
+class SeatTerms:
+    """One seat's social terms over a build_joint_arrays pass (JointArrays.social_terms).
+
+    groups holds (states, ne, no, components) per group of states with
+    equal fan sizes, each field of the components with the group's states
+    on its leading axis; slots[i] = (g, j) says that state i is entry j of
+    group g.
+    """
+
+    absence_other: np.ndarray  # (F, nt)
+    groups: list[tuple[list[int], int, int, SocialComponents]]
+    slots: list[tuple[int, int]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,8 +416,8 @@ class JointArrays:
             reward_other=self.reward_ego.transpose(0, 2, 1),
         )
 
-    def spaces(self) -> list[JointBehaviorSpace]:
-        """The joint behavior space at each state, each with its components set.
+    def social_terms(self) -> SeatTerms:
+        """The seat's social terms, after checking every state in order.
 
         The social components run once per group of states with equal fan
         sizes, on just their candidates.  A failing state raises, in this
@@ -401,23 +431,47 @@ class JointArrays:
         with np.errstate(over="ignore", invalid="ignore"):  # reported per state below
             absence_other = to[0] * self.eff[1] + to[1] * self.com[1]
 
-        groups: dict[tuple[int, int], list[int]] = {}
+        by_size: dict[tuple[int, int], list[int]] = {}
         for i, size in enumerate(self.sizes.T.tolist()):
-            groups.setdefault(tuple(size), []).append(i)
-        slots: list[tuple] = [()] * len(self.states)
-        for (ne, no), idx in groups.items():
+            by_size.setdefault(tuple(size), []).append(i)
+        groups, slots = [], [(0, 0)] * len(self.states)
+        finite_terms = np.empty(len(self.states), dtype=bool)
+        for g, ((ne, no), idx) in enumerate(by_size.items()):
             # contiguous, as the other seat's matrices are transposed views: numpy sums
             # 8 or more terms along a strided axis in another order than along a contiguous one
             matrices = (np.ascontiguousarray(m[idx, :ne, :no]) for m in (self.reward_ego, self.reward_other))
             comps = component_arrays(*matrices, absence_other[idx, :no], cfg.beta)
-            finite = np.isfinite(comps.terms).all(axis=(-2, -1))
+            finite_terms[idx] = np.isfinite(comps.terms).all(axis=(-2, -1))
+            groups.append((idx, ne, no, comps))
             for j, i in enumerate(idx):
-                slots[i] = (ne, no, comps, finite, j)
+                slots[i] = (g, j)
+        self._check(absence_other, finite_terms)
+        return SeatTerms(absence_other=absence_other, groups=groups, slots=slots)
 
-        spaces = []
-        for i, (x, (ne, no, comps, finite, j)) in enumerate(zip(self.states, slots)):
+    def _check(self, absence_other: np.ndarray, finite_terms: np.ndarray) -> None:
+        """Raise the error of the first failing state (see social_terms); one pass over the arrays when none fails."""
+        matrices = (self.reward_ego, self.reward_other, absence_other)
+        finite = all(np.isfinite(m).all() for m in matrices)  # padding included: no state can fail on these
+        if finite and finite_terms.all() and not any(self.collapsed):
+            return
+        for i, (x, (ne, no)) in enumerate(zip(self.states, self.sizes.T.tolist())):
             if self.collapsed[i]:
                 raise EmptyCandidateSetError(_COLLAPSED)
+            if not finite:
+                weights = _weight_error(
+                    self.reward_cfg, self.reward_ego[i, :ne, :no], self.reward_other[i, :ne, :no], absence_other[i, :no]
+                )
+                if weights is not None:  # a non-finite feature, or finite ones that overflow under the weights
+                    features = _feature_error(x, self.paths, self.eff[:, i], self.com[:, i], self.safety[i], (ne, no))
+                    raise features or weights
+            check_finite_terms(finite_terms[i], self.reward_cfg.beta)
+
+    def spaces(self) -> list[JointBehaviorSpace]:
+        """The joint behavior space at each state, each with its components set (errors: see social_terms)."""
+        terms = self.social_terms()
+        spaces = []
+        for i, (x, (g, j)) in enumerate(zip(self.states, terms.slots)):
+            _, ne, no, comps = terms.groups[g]
             fans = [
                 CandidateFan(
                     accels=self.rows[k, i, :m], s=self.S[k, i, :m], v=self.V[k, i, :m], xy=self.xy[k][i, :m],
@@ -425,23 +479,16 @@ class JointArrays:
                 )
                 for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
             ]
-            try:
-                space = JointBehaviorSpace(
-                    ego_candidates=fans[0],
-                    other_candidates=fans[1],
-                    reward_ego=self.reward_ego[i, :ne, :no],
-                    reward_other=self.reward_other[i, :ne, :no],
-                    absence_other=absence_other[i, :no],
-                    reward_cfg=cfg,
-                    conflict=self.conflict,
-                )
-            except NonFiniteRewardError:  # a non-finite feature, or finite ones that overflow under the weights
-                error = _feature_error(x, self.paths, self.eff[:, i], self.com[:, i], self.safety[i], (ne, no))
-                if error is None:
-                    raise
-                raise error from None
-            check_finite_terms(finite[j], cfg.beta)
-            space._components = comps.at(j)
+            space = JointBehaviorSpace(
+                ego_candidates=fans[0],
+                other_candidates=fans[1],
+                reward_ego=self.reward_ego[i, :ne, :no],
+                reward_other=self.reward_other[i, :ne, :no],
+                absence_other=terms.absence_other[i, :no],
+                reward_cfg=self.reward_cfg,
+                conflict=self.conflict,
+                _components=comps.at(j),
+            )
             spaces.append(space)
         return spaces
 

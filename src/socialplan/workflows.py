@@ -22,7 +22,7 @@ from .inference import InferenceSeries, PairReplay, infer_trace, run_seats
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
 from .planner import (  # noqa: F401
-    InteractionTrace, PolicySpec, Scenario, leader_label, plan_ego, simulate, simulate_policies,
+    InteractionTrace, PolicySpec, Scenario, plan_ego, simulate, simulate_policies,
 )
 from .rewards import RewardWeights
 from .tracks import (
@@ -253,16 +253,16 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> Generato
     """Mean regeneration MSE per policy and horizon for the agent in one seat of a pair.
 
     A generator for run_seats: it yields once per frame and returns the
-    table.  The seat's posterior pass (PairReplay.posterior_steps) gets each
-    observed state's joint space from the pair's one build of that state;
-    the space serves the posterior update at that window start and then the
-    leader decisions of all four policies regenerated from that state.  The
-    estimate used at regeneration frame k is the one recorded at posterior
-    frame k, r frames before the pass starts a window at k.  Frames the pass
-    never starts a window at (window_r above the longest horizon's step
-    count, or growing_window) get their spaces from the replay after the
-    pass, a chunk at a time.  Each regeneration frame scores every ego
-    candidate at every horizon at once; the policies pick their rows.
+    table.  The seat's posterior pass (PairReplay.posterior_steps) hands
+    over each window start's chunk; the chunk that holds regeneration frame
+    k serves the leader decisions of all four policies regenerated from k.
+    The estimate used at k is the one recorded at posterior frame k, r
+    frames before the pass starts a window at k.  Frames the pass never
+    starts a window at (window_r above the longest horizon's step count, or
+    growing_window) get their chunks from the replay after the pass.  At a
+    chunk's first regeneration frame, one array pass scores every ego
+    candidate of its regeneration frames at every horizon and takes the
+    fixed policies' decisions; the estimated policy decides per frame.
     """
     obs_self = replay.obs[seat]
     dt = cfg.sampler.dt
@@ -274,25 +274,35 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> Generato
     fixed = [(name, make()) for name, make in POLICIES.items()]
     sums = {name: dict.fromkeys(REGEN_HORIZONS, 0.0) for name in [*POLICIES, "estimated"]}
     lam_at: dict[int, RewardWeights] = {}
+    scored = None  # (chunk, MSE rows by frame, fixed policies' labels by entry) of the last chunk regenerated from
 
-    def regenerate(k: int, space) -> None:
-        observed = obs_self.xy[k : k + max_steps + 1]
-        mse = metrics.horizon_mse(space.ego_candidates.xy, observed, dt, REGEN_HORIZONS).tolist()
-        for name, lam in (*fixed, ("estimated", lam_at.pop(k))):
-            label = leader_label(space, lam)
-            for h, per_label in zip(REGEN_HORIZONS, mse):
+    def regenerate(chunk, i: int) -> None:
+        nonlocal scored
+        k = chunk.frames[i]
+        if scored is None or scored[0] is not chunk:
+            entries = [j for j, f in enumerate(chunk.frames) if f in frames]
+            ks = np.asarray(chunk.frames)[entries]
+            truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
+            mse = metrics.horizon_mse(chunk.ego_xy[entries], truth, dt, REGEN_HORIZONS)
+            scored = chunk, dict(zip(ks.tolist(), mse.tolist())), [chunk.leader_labels(lam) for _, lam in fixed]
+        _, mse, labels = scored
+        decisions = [(name, by_entry[i]) for (name, _), by_entry in zip(fixed, labels)]
+        decisions.append(("estimated", chunk.leader_label(i, lam_at.pop(k))))
+        for name, label in decisions:
+            for h, per_label in zip(REGEN_HORIZONS, mse[k]):
                 sums[name][h] += per_label[label]
 
     next_k = frames.start
-    for tau, space, k, estimate in replay.posterior_steps(seat, cfg.inference, cfg.seed):
+    for chunk, i, k, estimate in replay.posterior_steps(seat, cfg.inference, cfg.seed):
         lam_at[k] = estimate
-        if tau == next_k < frames.stop:
-            regenerate(tau, space)
+        if chunk.frames[i] == next_k < frames.stop:
+            regenerate(chunk, i)
             next_k += 1
         yield
-    for k, space in replay.spaces(seat, range(next_k, frames.stop)):
-        regenerate(k, space)
-        yield
+    for chunk in replay.chunks(seat, range(next_k, frames.stop)):
+        for i in range(len(chunk.frames)):
+            regenerate(chunk, i)
+            yield
 
     return {
         name: {str(h): round(per_h[h] / len(frames), 6) for h in REGEN_HORIZONS}

@@ -202,7 +202,7 @@ _positive_triples = st.tuples(_positive, _positive, _positive)
 _priors = st.one_of(
     st.builds(sp.PriorSpec, kind=st.just("uniform"), concentration=_finite),
     st.builds(sp.PriorSpec, kind=st.just("dirichlet"), alpha=_positive_triples),
-    st.builds(sp.PriorSpec, kind=st.just("dop"), fractions=_positive_triples, concentration=_finite),
+    st.builds(sp.PriorSpec, kind=st.just("dop"), fractions=_positive_triples, concentration=st.floats(0.0, 1e6)),
 )
 _configs = st.builds(
     ScenarioConfig,
@@ -387,6 +387,21 @@ def test_config_prior_variants_roundtrip(tmp_path, case_config):
         load_config(f)
 
 
+def test_cli_rejects_a_negative_dop_concentration(tmp_path, case_config, capsys):
+    """Its alpha (-29, -14, -4) is no Dirichlet: infer put one particle at weight 0.9999999 and exited 0."""
+    data = json.loads(case_config.read_text())
+    data["inference"]["prior"] = {"kind": "dop", "fractions": [0.6, 0.3, 0.1], "concentration": -50}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["infer", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("socialplan: SchemaError: ") and "dop concentration must be non-negative" in err
+    assert not (tmp_path / "o").exists()
+    data["inference"]["prior"]["concentration"] = 0
+    bad.write_text(json.dumps(data))
+    assert load_config(bad).inference.prior.dirichlet_alpha().tolist() == [1.0, 1.0, 1.0]
+
+
 @pytest.fixture(scope="module")
 def short_overlap(tmp_path_factory):
     """A fixture, and the same tracks plus a third on the other path that shares one frame with the ego track.
@@ -460,3 +475,23 @@ def test_cli_skipped_pair_is_silent_by_default_and_import_stays_free_of_logging(
     probe = "import socialplan, sys; print('logging' in sys.modules)"
     imported = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert imported.stdout == "False\n"
+
+
+def test_python_dash_m_socialplan_runs_the_cli(tmp_path):
+    """A source checkout on PYTHONPATH has the CLI as python -m socialplan, with its exit codes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).parent.parent)}
+    save_config(write_scenario_config(fixture_scenario("egoism"), tmp_path / "template", seed=1),
+                tmp_path / "template" / "scenario.json")
+
+    def run(*args):
+        out = subprocess.run([sys.executable, "-W", "error", "-m", "socialplan", *args],
+                             capture_output=True, text=True, env=env, timeout=120)
+        return out.returncode, out.stderr
+
+    fixture = ["fixture", "--config", str(tmp_path / "template" / "scenario.json"), "--out", str(tmp_path / "f")]
+    assert run(*fixture) == (0, "")
+    assert (tmp_path / "f" / "tracks.csv").exists()
+    code, err = run("fixture", "--config", str(tmp_path / "template" / "scenario.json"))
+    assert code == 1 and err.startswith("socialplan: usage: ")
+    code, err = run("infer", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o"))
+    assert code == 2 and err.startswith("socialplan: ")

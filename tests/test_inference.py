@@ -311,3 +311,16 @@ def test_posterior_stays_on_simplex_property(n_particles, init, resample, seed, 
         assert abs(pset.weights.sum() - 1.0) < 1e-9
         est = sp.estimate_lambda(pset).values
         assert np.all(est >= 0.0) and abs(est.sum() - 1.0) < 1e-9
+
+
+def test_clipping_at_zero_keeps_the_bytes_of_np_clip():
+    """RewardWeights and estimate_lambda clip with np.maximum(x, 0.0): the bytes of np.clip(x, 0.0, None)."""
+    edge = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-10, 1.0, -1.0])
+    assert np.maximum(edge, 0.0).tobytes() == np.clip(edge, 0.0, None).tobytes()
+    for values in ([-0.0, 0.25, 0.75], [-1e-10, 5e-324, 1.0 + 1e-10], [1.0, 0.0, -0.0]):
+        v = np.array(values)
+        assert sp.RewardWeights(v).values.tobytes() == np.clip(v, 0.0, None).tobytes()
+    lambdas = np.array([[1.0, -0.0, 0.0], [1.0, 5e-324, -0.0], [1.0, -1e-300, 0.0]])
+    pset = sp.ParticleSet(lambdas=lambdas, weights=np.full(3, 1 / 3))
+    mean = np.clip(pset.weights @ pset.lambdas, 0.0, None)
+    assert sp.estimate_lambda(pset).values.tobytes() == np.clip(mean / mean.sum(), 0.0, None).tobytes()

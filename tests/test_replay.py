@@ -1,29 +1,37 @@
 """Offline replay: run_regen and run_infer against their definitions, and how many spaces they build.
 
-The definition replays each seat of a pair on its own: the full posterior
-series (infer_agent) for the pair's ego seat and then for the other seat
-under scenario.swapped(), and for regeneration one fresh leader decision
-(plan_ego) per policy at every regeneration frame.  The workflows instead
-replay both seats in lockstep from one build per chunk of observed states
-(PairReplay): the other seat's spaces are views of the ego seat's arrays,
-and each space serves the posterior and the policies.  These tests pin that
-this gives the same regen.json and inference.json bytes and raises the
-definition's error, builds each observed state at most once per pair, and
-never builds more than one chunk ahead.
+The definition replays each seat of a pair on its own: the per-frame
+posterior loop (reference_builder.reference_posterior_steps) for the pair's
+ego seat and then for the other seat under scenario.swapped(), and for
+regeneration one fresh leader decision (plan_ego) per policy at every
+regeneration frame.  The workflows instead replay both seats in lockstep
+from one build per chunk of observed states (PairReplay): the other seat's
+arrays are views of the ego seat's, and each chunk's matched labels,
+log-likelihoods, leader decisions and regeneration errors come from one
+array pass (ReplayChunk).  These tests pin that this gives the same bytes
+and raises the definition's first error, builds each observed state at most
+once per pair, and never builds more than one chunk ahead.
 """
+import itertools
+import json
+import shutil
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan import planner, sampling, workflows
+from socialplan import inference, planner, sampling, workflows
+from socialplan.cli import main
 from socialplan.config import load_config
-from socialplan.inference import CHUNK, infer_agent, infer_trace
+from socialplan.inference import CHUNK, PairReplay, infer_agent, infer_trace
 from socialplan.planner import plan_ego
-from socialplan.scenarios import fixture_scenario, write_scenario_config
+from socialplan.scenarios import crossing_scenario, fixture_scenario, write_scenario_config
+from reference_builder import reference_infer, reference_posterior_steps
 
 # dt 0.08 and the 1.0 s longest horizon give 12 regeneration steps; a window
 # of 14 leaves the last regeneration frames without a posterior window start
@@ -64,7 +72,7 @@ def _longest_steps(cfg) -> int:
 def _reference_seat(obs_self, obs_other, scenario, cfg) -> dict:
     dt = cfg.sampler.dt
     longest = _longest_steps(cfg)
-    series = infer_agent(obs_self, obs_other, scenario, cfg.inference, seed=cfg.seed)
+    series = reference_infer(obs_self, obs_other, scenario, cfg.inference, seed=cfg.seed)
     lam_at = dict(zip(series.frames.tolist(), series.lambdas))
     frames = range(cfg.inference.window_r, len(obs_self.s) - longest)
     sums = {name: dict.fromkeys(workflows.REGEN_HORIZONS, 0.0) for name in [*workflows.POLICIES, "estimated"]}
@@ -87,10 +95,10 @@ def _reference_seat(obs_self, obs_other, scenario, cfg) -> dict:
 
 
 def _seat_by_seat(pair, scenario, cfg, seed=0):
-    """infer_trace's definition: infer_agent on the ego seat, then on the swapped seat."""
+    """infer_trace's definition: the per-frame loop on the ego seat, then on the swapped seat."""
     return {
-        "ego": infer_agent(pair.ego, pair.other, scenario, cfg, seed),
-        "other": infer_agent(pair.other, pair.ego, scenario.swapped(), cfg, seed),
+        "ego": reference_infer(pair.ego, pair.other, scenario, cfg, seed),
+        "other": reference_infer(pair.other, pair.ego, scenario.swapped(), cfg, seed),
     }
 
 
@@ -201,12 +209,13 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
     built = _count_builds(monkeypatch)
     steps = sp.posterior_steps(pair.ego, pair.other, fixture_cfg.load_scenario(), fixture_cfg.inference)
     r = fixture_cfg.inference.window_r
-    for n, (tau, space, k, estimate) in enumerate(steps, start=1):
+    for n, (chunk, i, k, estimate) in enumerate(steps, start=1):
+        tau = chunk.frames[i]
         assert tau == k - r
         # the n window starts used so far, and the rest of their chunk at most
         assert n <= len(built) < n + CHUNK
-        assert (built[tau][1].s, built[tau][2].s) == (space.ego_candidates.s[0, 0], space.other_candidates.s[0, 0])
-        assert len(space.ego_candidates) >= 1
+        assert (built[tau][1].s, built[tau][2].s) == (chunk.arrays.S[0, i, 0, 0], chunk.arrays.S[1, i, 0, 0])
+        assert chunk.arrays.sizes[0, i] >= 1
         assert abs(estimate.values.sum() - 1.0) < 1e-9
     assert len(built) == n
 
@@ -214,19 +223,45 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
 def _failing_seats(monkeypatch, scenario, fail_at: set) -> None:
     """Make a seat's build raise at the first of its states whose (seat, frame) is in fail_at.
 
-    The seat is told by its own car's path, so the swapped scenario's builds
-    count as seat 1 too.
+    The error comes from the checks every seat's build runs, in replay and
+    in JointArrays.spaces() alike.  The seat is told by its own car's path,
+    so the swapped scenario's builds count as seat 1 too.
     """
-    real = sampling.JointArrays.spaces
+    real = sampling.JointArrays.social_terms
 
-    def spaces(self):
+    def social_terms(self):
         seat = 0 if np.array_equal(self.paths[0].points, scenario.path_ego.points) else 1
         for x in self.states:
             if (seat, x.t) in fail_at:
                 raise sp.DegenerateWeightsError(f"seat {seat} fails at frame {x.t}")
         return real(self)
 
-    monkeypatch.setattr(sampling.JointArrays, "spaces", spaces)
+    monkeypatch.setattr(sampling.JointArrays, "social_terms", social_terms)
+
+
+_REWEIGH = inference._reweigh
+
+
+def _degenerate_at(monkeypatch, r: int, fail_at: set) -> None:
+    """Make the weight recursion raise DegenerateWeightsError at each (seat, frame) in fail_at.
+
+    A seat's weights pass from each step to the next, so a step is told by
+    the chain its input weights belong to.  Chains start in seat order, in
+    the lockstep replay and in the seat-by-seat definition alike, and the
+    first step of each is at frame r.  Call it again before each run.
+    """
+    at, seats, kept = {}, itertools.count(), []
+
+    def reweigh(weights, loglik, resample):
+        seat, k = at.pop(id(weights), None) or (next(seats), r)
+        if (seat, k) in fail_at:
+            raise sp.DegenerateWeightsError(f"seat {seat} degenerates at frame {k}")
+        out = _REWEIGH(weights, loglik, resample)
+        kept.append(out[0])  # alive, so that no later array takes its id
+        at[id(out[0])] = (seat, k + 1)
+        return out
+
+    monkeypatch.setattr(inference, "_reweigh", reweigh)
 
 
 @pytest.mark.parametrize(
@@ -255,9 +290,9 @@ def test_error_only_the_other_seat_hits_keeps_its_message(fixture_cfg, tmp_path)
     cfg = replace(fixture_cfg, rewards=replace(fixture_cfg.rewards, theta_ego=(1e300, 0.5, 10.0), beta=1e10))
     [(_, pair)] = workflows.observed_pairs(cfg)
     scenario = cfg.load_scenario()
-    infer_agent(pair.ego, pair.other, scenario, cfg.inference)  # the ego seat alone runs
+    reference_infer(pair.ego, pair.other, scenario, cfg.inference)  # the ego seat alone runs
     with pytest.raises(sp.NonFiniteRewardError) as definition:
-        infer_agent(pair.other, pair.ego, scenario.swapped(), cfg.inference)
+        reference_infer(pair.other, pair.ego, scenario.swapped(), cfg.inference)
     assert "rewards.beta = 10000000000.0" in str(definition.value)
     for run in (lambda: infer_trace(pair, scenario, cfg.inference), lambda: workflows.run_regen(cfg, tmp_path)):
         with pytest.raises(sp.NonFiniteRewardError) as got:
@@ -269,3 +304,161 @@ def test_leader_label_breaks_ties_to_lowest_label():
     space = sp.JointBehaviorSpace.from_matrices(np.zeros((3, 2)), np.zeros((3, 2)))
     for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence()):
         assert sp.leader_label(space, lam) == 0
+
+
+# r = 10 and CHUNK = 8: chunk 0 holds window starts 0..7 (posterior frames
+# 10..17), chunk 1 window starts 8..15 (frames 18..25)
+@pytest.mark.parametrize(
+    "degenerate,fail_at,expected",
+    [
+        ({(0, 13)}, set(), "seat 0 degenerates at frame 13"),  # inside a chunk
+        ({(1, 13)}, set(), "seat 1 degenerates at frame 13"),
+        ({(1, 11), (0, 22)}, set(), "seat 0 degenerates at frame 22"),  # the ego seat's later error wins
+        ({(0, 17)}, {(0, 8)}, "seat 0 degenerates at frame 17"),  # late in chunk 0, before chunk 1's build
+        ({(0, 18)}, {(0, 15)}, "seat 0 fails at frame 15"),  # a chunk's build comes before its frames
+        ({(0, 30)}, {(1, 8)}, "seat 0 degenerates at frame 30"),
+        ({(1, 17)}, {(1, 8)}, "seat 1 degenerates at frame 17"),
+        ({(1, 18)}, {(1, 15)}, "seat 1 fails at frame 15"),
+    ],
+)
+def test_frame_errors_come_out_in_frame_order(fixture_cfg, tmp_path, monkeypatch, degenerate, fail_at, expected):
+    [(_, pair)] = workflows.observed_pairs(fixture_cfg)
+    scenario = fixture_cfg.load_scenario()
+    r = fixture_cfg.inference.window_r
+    _failing_seats(monkeypatch, scenario, fail_at)
+    runs = (
+        lambda: _seat_by_seat(pair, scenario, fixture_cfg.inference),
+        lambda: infer_trace(pair, scenario, fixture_cfg.inference),
+        lambda: workflows.run_regen(fixture_cfg, tmp_path),
+    )
+    for run in runs:
+        _degenerate_at(monkeypatch, r, degenerate)
+        with pytest.raises(sp.DegenerateWeightsError, match=expected):
+            run()
+
+
+@pytest.mark.parametrize(
+    "degenerate,expected",
+    [
+        (set(), "HorizonExceedsTraceError: horizon 1.0 s needs 13 samples, have 11 and 13"),
+        # the first regeneration frame, 10, is regenerated after the posterior step at frame 20
+        ({(0, 20)}, "DegenerateWeightsError: seat 0 degenerates at frame 20"),
+        ({(0, 21)}, "HorizonExceedsTraceError: horizon 1.0 s needs 13 samples"),
+        ({(1, 15)}, "HorizonExceedsTraceError: horizon 1.0 s needs 13 samples"),
+    ],
+)
+def test_regen_raises_the_horizon_error_at_the_first_regeneration_frame(
+    fixtures, tmp_path, monkeypatch, capsys, degenerate, expected
+):
+    """horizon_steps 10 at dt 0.08 rolls out 11 samples, and the 1.0 s horizon needs 13."""
+    cfg = fixtures["egoism"]
+    shutil.copytree(cfg.base_dir, tmp_path / "in")
+    data = json.loads((tmp_path / "in" / "scenario.json").read_text())
+    data["sampler"]["horizon_steps"] = 10
+    (tmp_path / "in" / "scenario.json").write_text(json.dumps(data))
+    _degenerate_at(monkeypatch, cfg.inference.window_r, degenerate)
+    assert main(["regen", "--config", str(tmp_path / "in" / "scenario.json"), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"socialplan: {expected}")
+
+
+_FRACTIONS = [k / 8 for k in range(13)]
+_PRIORS = [
+    sp.PriorSpec(),
+    sp.PriorSpec(kind="dirichlet", alpha=(2.0, 1.0, 0.5)),
+    sp.PriorSpec(kind="dop", fractions=(0.6, 0.3, 0.1), concentration=8.0),
+]
+
+
+# per car: s, v, d and the offset of the observed xy from the path, one value per frame
+_RANGES = ((0.0, 90.0), (0.0, 25.0), (-1.0, 1.0), (-1.0, 1.0)) * 2
+_tracks = st.integers(2, 41).flatmap(
+    lambda n: st.tuples(*(st.lists(st.floats(lo, hi), min_size=n, max_size=n) for lo, hi in _RANGES))
+)
+
+
+def _example_tracks(n: int) -> tuple:
+    """Tracks whose values sweep their whole range once per CHUNK frames."""
+    ramp = np.arange(n) % CHUNK / (CHUNK - 1)
+    return tuple((lo + (hi - lo) * (ramp if c % 2 else ramp[::-1])).tolist() for c, (lo, hi) in enumerate(_RANGES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(1, 12),
+    dt=st.sampled_from([0.08, 0.25]),
+    fractions=st.lists(st.sampled_from(_FRACTIONS), min_size=1, max_size=9),
+    tracks=_tracks,
+    window_r=st.integers(1, 44),
+    growing=st.booleans(),
+    resample=st.booleans(),
+    prior=st.sampled_from(_PRIORS),
+    n_particles=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+)
+# speeds sweep 0..25 m/s within each chunk, over a 0.5 s rollout: fans of 1 to 4 candidates
+# in one chunk; window_r below CHUNK, resampling
+@example(
+    horizon=2, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], tracks=_example_tracks(21),
+    window_r=3, growing=False, resample=True, prior=_PRIORS[2], n_particles=30, seed=1,
+)
+# window_r above N + 1, so every window is cut to the rollout's length
+@example(
+    horizon=4, dt=0.08, fractions=[0.0, 0.5, 1.0], tracks=_example_tracks(30),
+    window_r=9, growing=False, resample=False, prior=_PRIORS[1], n_particles=7, seed=2,
+)
+# growing_window with a window longer than CHUNK
+@example(
+    horizon=12, dt=0.08, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], tracks=_example_tracks(30),
+    window_r=12, growing=True, resample=True, prior=_PRIORS[0], n_particles=16, seed=3,
+)
+def test_chunk_arithmetic_matches_the_per_frame_loop(
+    horizon, dt, fractions, tracks, window_r, growing, resample, prior, n_particles, seed
+):
+    """Estimates, matched labels, leader labels and regeneration errors, chunked against per frame, as bytes."""
+    sampler = sp.SamplerConfig(horizon_steps=horizon, dt=dt, terminal_speed_fractions=tuple(fractions))
+    rewards = sp.RewardConfig(theta_other=(1.0, 1.5, 5.0))
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_other=7.0, sampler=sampler, rewards=rewards)
+    cfg = sp.InferenceConfig(
+        n_particles=n_particles, window_r=window_r, prior=prior, resample=resample, growing_window=growing
+    )
+    steps = len(tracks[0]) - 1
+    obs = []
+    for path, columns in ((scn.path_ego, tracks[:4]), (scn.path_other, tracks[4:])):
+        s, v, d, off = map(np.array, columns)
+        obs.append(SimpleNamespace(s=s, v=v, d=d, xy=path.position(s, d) + off[:, None]))
+    replay = PairReplay(*obs, scn)
+    horizons = sorted({dt, horizon * dt})
+    fixed = [make() for make in workflows.POLICIES.values()]
+    for seat, seat_scenario in enumerate((scn, scn.swapped())):
+        obs_self, obs_other = obs[seat], obs[1 - seat]
+        if steps < window_r:
+            for steps_of in (replay.posterior_steps(seat, cfg, seed), reference_posterior_steps(
+                obs_self, obs_other, seat_scenario, cfg, seed
+            )):
+                with pytest.raises(sp.ShortTrackError):
+                    next(steps_of)
+            continue
+        got = list(replay.posterior_steps(seat, cfg, seed))
+        want = list(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
+        assert [(chunk.frames[i], k) for chunk, i, k, _ in got] == [(tau, k) for tau, _, k, _, _ in want]
+        assert [e.values.tobytes() for *_, e in got] == [e.values.tobytes() for *_, e in want]
+
+        space_at = {tau: space for tau, space, *_ in want}
+        for _, items in itertools.groupby(zip(got, want), key=lambda pair: id(pair[0][0])):
+            items = list(items)
+            chunk = items[0][0][0]
+            entries = [i for (_, i, _, _), _ in items]
+            stops = [k for (_, _, k, _), _ in items]
+            assert chunk.matched_labels(obs_self.xy, entries, stops).tolist() == [m for _, (*_, m, _) in items]
+            for lam in fixed:
+                assert chunk.leader_labels(lam) == [sp.leader_label(space_at[tau], lam) for tau in chunk.frames]
+            for (_, i, _, estimate), _ in items:
+                assert chunk.leader_label(i, estimate) == sp.leader_label(space_at[chunk.frames[i]], estimate)
+            scored = [i for i, tau in enumerate(chunk.frames) if tau + horizon <= steps]
+            truth = np.stack([obs_self.xy[chunk.frames[i] : chunk.frames[i] + horizon + 1] for i in scored] or
+                             [np.zeros((horizon + 1, 2))])
+            mse = sp.horizon_mse(chunk.ego_xy[scored], truth[: len(scored)], dt, horizons)
+            for row, i in zip(mse, scored):
+                xy = space_at[chunk.frames[i]].ego_candidates.xy
+                one = sp.horizon_mse(xy, truth[scored.index(i)], dt, horizons)
+                assert row[:, : len(xy)].tobytes() == one.tobytes()
