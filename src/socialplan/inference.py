@@ -240,22 +240,22 @@ CHUNK = 8
 class ReplayChunk:
     """One seat's joint spaces at a chunk of observed states, read in batches.
 
-    frames[i] is the observed state of entry i.  Making a chunk checks every
-    state (JointArrays.social_terms), so its build errors come before any of
-    its frames.  Each method repeats, for many entries at once, the
-    arithmetic of a per-space function, bit for bit: the social terms come
-    from the one component_arrays call per group of equal fan sizes, every
-    product keeps a single weight matrix on the left ((P, 3) or (1, 3)
-    against (G, 3, ne)), and every reduction runs over the last axis.
+    frames[i] is the observed state of entry i.  Making a chunk raises its
+    first failing state's error, so its build errors come before any of its
+    frames.  Each method repeats, for many entries at once, the arithmetic
+    of a per-space function, bit for bit, on the seat's terms (SeatTerms,
+    which also holds the leader decisions): products keep one weight matrix
+    on the left, and every reduction runs over the last axis.
     """
 
     def __init__(self, frames: list[int], arrays: JointArrays):
         self.frames = frames
         self.arrays = arrays
         self.terms = arrays.social_terms()
+        if self.terms.error is not None:
+            raise self.terms.error[1]
         self.ego_xy = arrays.xy[0]  # (C, nt, N+1, 2), padding rows included
         self._real = np.arange(self.ego_xy.shape[1]) < arrays.sizes[0][:, None]  # (C, nt) real ego candidates
-        self._group, self._row = np.array(self.terms.slots).T
 
     def matched_labels(self, observed_xy: np.ndarray, entries, stops) -> np.ndarray:
         """match_observed(observed_xy[tau : k + 1], the ego candidates at tau = frames[i]) for each i, k in zip(entries, stops).
@@ -278,7 +278,7 @@ class ReplayChunk:
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
         """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P)."""
         entries, labels = np.asarray(entries), np.asarray(labels)
-        group, row = self._group[entries], self._row[entries]
+        group, row = np.array(self.terms.slots)[entries].T
         out = np.empty((len(entries), len(lambdas)))
         for g, (_, _, _, comps) in enumerate(self.terms.groups):
             sel = group == g
@@ -288,19 +288,6 @@ class ReplayChunk:
                 lse = np.log(np.exp(shifted).sum(axis=-1))
                 out[sel] = shifted[row[sel], :, labels[sel]] - lse[row[sel]]
         return out
-
-    def leader_labels(self, lam: RewardWeights) -> list[int]:
-        """leader_label(space, lam) at every entry."""
-        labels = [0] * len(self.frames)
-        for states, _, _, comps in self.terms.groups:
-            for i, label in zip(states, (lam.values[None] @ comps.terms).argmax(axis=-1)[:, 0].tolist()):
-                labels[i] = label
-        return labels
-
-    def leader_label(self, i: int, lam: RewardWeights) -> int:
-        """leader_label(space, lam) at entry i."""
-        comps = self.terms.groups[self._group[i]][3]
-        return int((lam.values @ comps.terms[self._row[i]]).argmax())
 
 
 class PairReplay:

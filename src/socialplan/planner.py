@@ -15,9 +15,8 @@ import numpy as np
 from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
 from .errors import SocialPlanError
 from .rewards import RewardConfig, RewardWeights, check_ego_label, social_reward_vector
-from .sampling import (
-    JointArrays, JointBehaviorSpace, SamplerConfig, build_joint_arrays, build_joint_space, build_joint_spaces,
-)
+from .sampling import JointArrays, JointBehaviorSpace, SamplerConfig, SeatTerms
+from .sampling import build_joint_arrays, build_joint_space, build_joint_spaces
 
 
 @dataclass(frozen=True)
@@ -166,12 +165,11 @@ def _crossed(x: JointState, conflict: ConflictPoint) -> bool:
     return x.ego.s >= conflict.s_ego or x.other.s >= conflict.s_other
 
 
-def _step(space: JointBehaviorSpace, lam: RewardWeights, x: JointState, dt: float):
-    """One receding-horizon step from x on its space: (ego control, other control, next state)."""
-    label = leader_label(space, lam)
-    ae = float(space.ego_candidates.accels[label, 0])
-    ao = float(space.other_candidates.accels[follower_response(space, label), 0])
-    return ae, ao, JointState(ego=step_dynamics(x.ego, ae, dt), other=step_dynamics(x.other, ao, dt), t=x.t + 1)
+def decide(arrays: JointArrays, terms: SeatTerms, i: int, lam: RewardWeights) -> tuple[int, int, float, float]:
+    """leader_label and follower_response at state i of a build: (ego label, other label, their first controls)."""
+    label = terms.leader_label(i, lam)
+    response = int(arrays.reward_other[i, label, : arrays.sizes[1, i]].argmax())
+    return label, response, float(arrays.rows[0, i, label, 0]), float(arrays.rows[1, i, response, 0])
 
 
 def simulate_policies(
@@ -183,13 +181,12 @@ def simulate_policies(
 ) -> list[InteractionTrace]:
     """simulate under each ego policy, all policies stepped in lockstep.
 
-    Each round builds the joint spaces of every running policy's state in
-    one Scenario.spaces_at call; a policy leaves the round once it crosses
-    or reaches max_steps.  The traces equal simulate's, policy by policy.
-    A SocialPlanError is the one simulate would raise running the policies
-    in order: the lowest-index failing policy's, whatever the round.  A
-    failing round is redone one policy at a time, in order, to find that
-    policy; it and every later policy stop there, and the earlier ones run on.
+    Each round builds every running policy's state in one arrays_at call
+    and decides each from the arrays and terms (decide); a policy leaves
+    once it crosses or reaches max_steps.  The traces equal simulate's.  A
+    SocialPlanError is the one simulate would raise running the policies in
+    order: the policies before a round's first failing state step on, and
+    it and every later policy stop there.
     """
     if any(policy.kind != "fixed" for policy in ego_policies):
         raise ValueError("the ego car is the leader and needs a fixed-weights policy")
@@ -204,22 +201,15 @@ def simulate_policies(
     error: SocialPlanError | None = None
     while running:
         xs = [states[p][-1] for p in running]
-        try:
-            moves = [
-                _step(space, ego_policies[p].lam, x, dt) for p, x, space in zip(running, xs, scenario.spaces_at(xs))
-            ]
-        except SocialPlanError:  # redo the round one policy at a time, in order, to find the policy that fails
-            moves = []
-            for p, x in zip(running, xs):
-                try:
-                    moves.append(_step(scenario.spaces_at([x])[0], ego_policies[p].lam, x, dt))
-                except SocialPlanError as exc:
-                    # any error kept so far came from a later policy, which simulate would never reach
-                    error = exc
-                    running = running[: len(moves)]
-                    break
-        for p, (ae, ao, x) in zip(running, moves):
-            states[p].append(x)
+        arrays = scenario.arrays_at(xs)
+        terms = arrays.social_terms()
+        if terms.error is not None:
+            # any error kept so far came from a later policy, which simulate would never reach
+            failed, error = terms.error
+            running = running[:failed]
+        for i, (p, x) in enumerate(zip(running, xs)):
+            _, _, ae, ao = decide(arrays, terms, i, ego_policies[p].lam)
+            states[p].append(JointState(step_dynamics(x.ego, ae, dt), step_dynamics(x.other, ao, dt), x.t + 1))
             a_ego[p].append(ae)
             a_other[p].append(ao)
         running = [p for p in running if not _crossed(states[p][-1], conflict) and len(a_ego[p]) < max_steps]

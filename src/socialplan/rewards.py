@@ -67,7 +67,7 @@ class RewardWeights:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (3,):
             raise ValueError("reward weights must be a 3-vector")
-        if (v < -1e-9).any() or abs(v.sum() - 1.0) > 1e-9:
+        if (v < -1e-9).any() or not abs(v.sum() - 1.0) <= 1e-9:  # NaN fails the second test
             raise ValueError(f"reward weights must be non-negative and sum to 1, got {v}")
         object.__setattr__(self, "values", np.maximum(v, 0.0))  # np.clip(v, 0.0, None), without its wrapper cost
 
@@ -285,7 +285,7 @@ def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> So
     reward_ego, reward_other: (..., ne, no); absence_other: (..., no).  Any
     leading axes carry through, and every reduction runs over the last axis,
     so entry i of a batch equals the terms of space i alone.  A beta that
-    overflows leaves NaN terms; check_finite_terms reports it.
+    overflows leaves NaN terms; beta_error names it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         log_p = _log_softmax(beta * reward_other)
@@ -322,10 +322,9 @@ def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> So
     )
 
 
-def check_finite_terms(finite: bool, beta: float) -> None:
-    """Raise NonFiniteRewardError unless the social terms at this beta are finite."""
-    if not finite:
-        raise NonFiniteRewardError(f"rewards.beta = {beta!r} overflows the social reward terms; use a smaller beta")
+def beta_error(beta: float) -> NonFiniteRewardError:
+    """The error for social terms that are not all finite at this beta."""
+    return NonFiniteRewardError(f"rewards.beta = {beta!r} overflows the social reward terms; use a smaller beta")
 
 
 def social_components(space: "JointBehaviorSpace") -> SocialComponents:
@@ -336,7 +335,8 @@ def social_components(space: "JointBehaviorSpace") -> SocialComponents:
     """
     beta = space.reward_cfg.beta
     comps = component_arrays(space.reward_ego, space.reward_other, space.absence_other, beta)
-    check_finite_terms(np.isfinite(comps.terms).all(), beta)
+    if not np.isfinite(comps.terms).all():
+        raise beta_error(beta)
     return comps
 
 

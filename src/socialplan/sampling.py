@@ -16,12 +16,13 @@ run per group of states with equal fan sizes.  build_joint_space is its
 one-state case.
 
 The builder has two stages: build_joint_arrays runs the array pass, and
-JointArrays.spaces() assembles one seat's spaces from it, on the social
-terms and checks of JointArrays.social_terms().  Replay reads those terms
-in batches and builds no per-state spaces.  It serves the other driver's
-seat from the same pass (JointArrays.swapped()): its spaces are the ego
-seat's arrays with the sides swapped and the matrices transposed, plus its
-own absence row and social terms.
+JointArrays.social_terms() checks every state and returns one seat's
+social terms, a SeatTerms, whose leader_label is the leader decision that
+the closed loop and replay both read; no pipeline assembles per-state
+spaces.  JointArrays.spaces() does, for the reference and the public API.
+Replay serves the other driver's seat from the same pass (swapped()): the
+ego seat's arrays with the sides swapped and the matrices transposed, plus
+its own absence row and social terms.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AgentState, ConflictPoint, JointState, ReferencePath, step_dynamics
-from .errors import EmptyCandidateSetError, NonFiniteRewardError
-from .rewards import RewardConfig, SocialComponents, component_arrays, check_finite_terms, social_components
+from .errors import EmptyCandidateSetError, NonFiniteRewardError, SocialPlanError
+from .rewards import RewardConfig, RewardWeights, SocialComponents, beta_error, component_arrays, social_components
 
 
 @dataclass(frozen=True)
@@ -349,17 +350,27 @@ def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRe
 
 @dataclass(frozen=True, eq=False)
 class SeatTerms:
-    """One seat's social terms over a build_joint_arrays pass (JointArrays.social_terms).
+    """One seat's social terms over a build_joint_arrays pass (JointArrays.social_terms), and its leader decisions.
 
-    groups holds (states, ne, no, components) per group of states with
-    equal fan sizes, each field of the components with the group's states
-    on its leading axis; slots[i] = (g, j) says that state i is entry j of
-    group g.
+    groups holds (states, ne, no, components) per group of equal fan sizes,
+    the components batched over the group's states on their leading axis;
+    slots[i] = (g, j) says that state i is entry j of group g.
     """
 
     absence_other: np.ndarray  # (F, nt)
     groups: list[tuple[list[int], int, int, SocialComponents]]
     slots: list[tuple[int, int]]
+    error: tuple[int, SocialPlanError] | None  # (i, its error) for the first failing state i; the ones before are sound
+
+    def leader_label(self, i: int, lam: RewardWeights) -> int:
+        """planner.leader_label on state i's space: one (3,) @ (3, ne) product, the lowest label on ties."""
+        g, j = self.slots[i]
+        return int((lam.values @ self.groups[g][3].terms[j]).argmax())
+
+    def leader_labels(self, lam: RewardWeights) -> list[int]:
+        """leader_label(i, lam) at every state, from one (1, 3) @ (G, 3, ne) product per group."""
+        by_group = [(lam.values[None] @ comps.terms).argmax(axis=-1)[:, 0].tolist() for *_, comps in self.groups]
+        return [by_group[g][j] for g, j in self.slots]
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,14 +428,14 @@ class JointArrays:
         )
 
     def social_terms(self) -> SeatTerms:
-        """The seat's social terms, after checking every state in order.
+        """The seat's social terms, with the first failing state's error in state order.
 
         The social components run once per group of states with equal fan
-        sizes, on just their candidates.  A failing state raises, in this
-        order: a collapsed fan under forbid_singleton, a non-finite feature
-        (naming the state and path values), finite features that overflow
-        under the weights (naming the weight), and social terms that
-        overflow under beta.  The first failing state in order wins.
+        sizes, on just their candidates.  A state fails on, in this order: a
+        collapsed fan under forbid_singleton, a non-finite feature (naming
+        the state and path values), finite features that overflow under the
+        weights (naming the weight), and social terms that overflow under
+        beta.  Nothing here raises; the caller reads SeatTerms.error.
         """
         cfg = self.reward_cfg
         to = cfg.theta_other
@@ -445,30 +456,34 @@ class JointArrays:
             groups.append((idx, ne, no, comps))
             for j, i in enumerate(idx):
                 slots[i] = (g, j)
-        self._check(absence_other, finite_terms)
-        return SeatTerms(absence_other=absence_other, groups=groups, slots=slots)
+        error = self._check(absence_other, finite_terms)
+        return SeatTerms(absence_other=absence_other, groups=groups, slots=slots, error=error)
 
-    def _check(self, absence_other: np.ndarray, finite_terms: np.ndarray) -> None:
-        """Raise the error of the first failing state (see social_terms); one pass over the arrays when none fails."""
+    def _check(self, absence_other: np.ndarray, finite_terms: np.ndarray) -> tuple[int, SocialPlanError] | None:
+        """(i, error) for the first failing state i (see social_terms), else None; one pass when none fails."""
         matrices = (self.reward_ego, self.reward_other, absence_other)
         finite = all(np.isfinite(m).all() for m in matrices)  # padding included: no state can fail on these
         if finite and finite_terms.all() and not any(self.collapsed):
-            return
+            return None
         for i, (x, (ne, no)) in enumerate(zip(self.states, self.sizes.T.tolist())):
             if self.collapsed[i]:
-                raise EmptyCandidateSetError(_COLLAPSED)
+                return i, EmptyCandidateSetError(_COLLAPSED)
             if not finite:
                 weights = _weight_error(
                     self.reward_cfg, self.reward_ego[i, :ne, :no], self.reward_other[i, :ne, :no], absence_other[i, :no]
                 )
                 if weights is not None:  # a non-finite feature, or finite ones that overflow under the weights
                     features = _feature_error(x, self.paths, self.eff[:, i], self.com[:, i], self.safety[i], (ne, no))
-                    raise features or weights
-            check_finite_terms(finite_terms[i], self.reward_cfg.beta)
+                    return i, features or weights
+            if not finite_terms[i]:
+                return i, beta_error(self.reward_cfg.beta)
+        return None
 
     def spaces(self) -> list[JointBehaviorSpace]:
-        """The joint behavior space at each state, each with its components set (errors: see social_terms)."""
+        """The joint behavior space at each state, with its components set; raises the first failing state's error."""
         terms = self.social_terms()
+        if terms.error is not None:
+            raise terms.error[1]
         spaces = []
         for i, (x, (g, j)) in enumerate(zip(self.states, terms.slots)):
             _, ne, no, comps = terms.groups[g]

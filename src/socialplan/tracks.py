@@ -261,17 +261,22 @@ def _exact_substates(s0: float, v0: float, a: float, taus: np.ndarray):
     return s, v
 
 
+def divides_step(frame_period_ms: int, dt: float) -> bool:
+    """Whether a step of dt seconds is a whole number of milliseconds and of frame periods."""
+    dt_ms = round(dt * 1000.0)
+    return abs(dt * 1000.0 - dt_ms) <= 1e-6 and dt_ms % frame_period_ms == 0
+
+
 def trace_to_records(trace: InteractionTrace, frame_period_ms: int = 50) -> list[Track]:
     """Sample a simulated trace into two tracks (ids 0 and 1) at the given frame period.
 
     The dynamics are exactly integrable inside each applied step, so frames
     are exact states, not interpolations.  The step length in milliseconds
-    must be a multiple of the frame period.
+    must be a multiple of the frame period (divides_step).
     """
-    dt_ms = round(trace.dt * 1000.0)
-    if abs(trace.dt * 1000.0 - dt_ms) > 1e-6 or dt_ms % frame_period_ms != 0:
+    if not divides_step(frame_period_ms, trace.dt):
         raise ValueError("frame period must divide the planning step length")
-    taus = (np.arange(dt_ms // frame_period_ms) * frame_period_ms) / 1000.0
+    taus = np.arange(0, round(trace.dt * 1000.0), frame_period_ms) / 1000.0
     tracks = []
     for track_id, path, states, accels in (
         (0, trace.path_ego, [js.ego for js in trace.joint_states], trace.a_ego),

@@ -17,16 +17,15 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config
-from .errors import NonTerminatingError, ParseError, ShortTrackError
+from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackError
 from .inference import InferenceSeries, PairReplay, infer_trace, run_seats
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
-from .planner import (  # noqa: F401
-    InteractionTrace, PolicySpec, Scenario, plan_ego, simulate, simulate_policies,
-)
+from .planner import InteractionTrace, PolicySpec, plan_ego, simulate, simulate_policies  # noqa: F401
 from .rewards import RewardWeights
 from .tracks import (
     ObservedPair,
+    divides_step,
     extract_pairs,
     load_tracks,
     resample_pair,
@@ -284,10 +283,10 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> Generato
             ks = np.asarray(chunk.frames)[entries]
             truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
             mse = metrics.horizon_mse(chunk.ego_xy[entries], truth, dt, REGEN_HORIZONS)
-            scored = chunk, dict(zip(ks.tolist(), mse.tolist())), [chunk.leader_labels(lam) for _, lam in fixed]
+            scored = chunk, dict(zip(ks.tolist(), mse.tolist())), [chunk.terms.leader_labels(lam) for _, lam in fixed]
         _, mse, labels = scored
         decisions = [(name, by_entry[i]) for (name, _), by_entry in zip(fixed, labels)]
-        decisions.append(("estimated", chunk.leader_label(i, lam_at.pop(k))))
+        decisions.append(("estimated", chunk.terms.leader_label(i, lam_at.pop(k))))
         for name, label in decisions:
             for h, per_label in zip(REGEN_HORIZONS, mse[k]):
                 sums[name][h] += per_label[label]
@@ -359,8 +358,11 @@ def make_fixture(
     Returns the path of a scenario config referencing the written files and
     carrying the seed, ready for the infer/regen workflows.  With switch_step
     set, the leader's weights change to lam_after from that step onward;
-    it must lie in 1 .. cfg.max_steps - 1.
+    it must lie in 1 .. cfg.max_steps - 1.  A bad frame period is a SchemaError before anything runs.
     """
+    if not divides_step(cfg.frame_period_ms, cfg.sampler.dt):
+        period, dt = cfg.frame_period_ms, cfg.sampler.dt
+        raise SchemaError(f"config frame_period_ms = {period} does not divide sampler.dt = {dt!r} s")
     if switch_step is not None and not 1 <= switch_step < cfg.max_steps:
         raise ValueError(f"switch_step must be in 1..{cfg.max_steps - 1}, got {switch_step}")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -291,6 +291,41 @@ def test_cli_usage_errors(tmp_path, case_config):
         assert main([*fixture, "--switch-step", step]) == 1
 
 
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("sim", ["--policy", "nan,0.5,0.5"]),
+        ("sim", ["--policy", "0.5,nan,0.5"]),
+        ("sim", ["--policy", "egoism", "--policy", "0.5,0.5,nan"]),
+        ("fixture", ["--lambda", "nan,0.5,0.5"]),
+        ("fixture", ["--lambda", "courtesy", "--switch-step", "4", "--lambda-after", "nan,0.5,0.5"]),
+    ],
+)
+def test_cli_rejects_nan_policy_weights(tmp_path, capsys, command, flags):
+    template = write_scenario_config(fixture_scenario("courtesy"), tmp_path / "template", seed=0)
+    save_config(template, tmp_path / "template" / "config.json")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "template" / "config.json"), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("socialplan: usage: reward weights must be non-negative and sum to 1")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("period", [30, 100])
+def test_cli_fixture_rejects_a_frame_period_that_does_not_divide_the_step(tmp_path, capsys, period):
+    template = write_scenario_config(case_scenario("I"), tmp_path / "template", seed=0, frame_period_ms=period)
+    assert template.sampler.dt == 0.25
+    save_config(template, tmp_path / "template" / "config.json")
+    out = tmp_path / "fix"
+    code = main(["fixture", "--config", str(tmp_path / "template" / "config.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("socialplan: SchemaError: ") and err.count("\n") == 1
+    assert f"frame_period_ms = {period}" in err and "sampler.dt = 0.25" in err
+    assert not out.exists()
+
+
 def test_cli_json_errors(tmp_path, capsys):
     code = main(["--json-errors", "infer", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)])
     assert code == 2

@@ -1,12 +1,16 @@
 """run_sim steps its policies in lockstep; results and errors match running them one after another."""
 import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan import planner, workflows
-from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
-from reference_builder import reference_simulate
+from socialplan import planner, sampling, workflows
+from socialplan.config import load_config
+from socialplan.scenarios import case_scenario, crossing_scenario, fixture_scenario, write_scenario_config
+from reference_builder import reference_simulate, scenario_space
 
 POLICY_NAMES = list(workflows.POLICIES)
 
@@ -54,16 +58,20 @@ def _case_one_runs():
 
 
 def _failing_builder(monkeypatch, fail_at: dict) -> None:
-    """Make every build that meets a state in fail_at raise at the first such state."""
-    build = planner.build_joint_spaces
+    """Make every build that meets a state in fail_at report it as its first failing state.
 
-    def failing(states, *args):
-        for x in states:
+    The error goes in through the check that every build's social terms
+    run, so the closed loop and JointArrays.spaces() see it alike.
+    """
+    check = sampling.JointArrays._check
+
+    def failing(self, *args):
+        for i, x in enumerate(self.states):
             if (x.t, x.ego, x.other) in fail_at:
-                raise sp.NonFiniteRewardError(fail_at[(x.t, x.ego, x.other)])
-        return build(states, *args)
+                return i, sp.NonFiniteRewardError(fail_at[(x.t, x.ego, x.other)])
+        return check(self, *args)
 
-    monkeypatch.setattr(planner, "build_joint_spaces", failing)
+    monkeypatch.setattr(sampling.JointArrays, "_check", failing)
 
 
 @pytest.mark.parametrize(
@@ -73,9 +81,13 @@ def _failing_builder(monkeypatch, fail_at: dict) -> None:
         [(2, 1)],  # policies 0 and 1 run on after policy 2 fails
         [(0, -1), (1, 2), (2, 1)],  # policy 0 keeps stepping to its last state and its error wins
         [(1, 3), (1, 7)],
+        [(2, 2), (1, 2)],  # policies 1 and 2 fail in the same round: the lower index wins
         [],
     ],
-    ids=["later_round_lower_index", "only_the_last", "last_step_of_the_first", "one_policy_twice", "none"],
+    ids=[
+        "later_round_lower_index", "only_the_last", "last_step_of_the_first", "one_policy_twice", "two_in_one_round",
+        "none",
+    ],
 )
 def test_lockstep_raises_the_lowest_index_policys_error(monkeypatch, failures):
     scenario, lams, traces, keys = _case_one_runs()
@@ -98,3 +110,82 @@ def test_lockstep_raises_the_lowest_index_policys_error(monkeypatch, failures):
     else:
         got = sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
         assert [t.a_ego.tolist() for t in got] == [t.a_ego.tolist() for t in traces]
+
+
+_VERTICES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+_lam = st.one_of(
+    st.sampled_from(_VERTICES),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 1e-3).map(lambda w: tuple(x / sum(w) for x in w)),
+)
+_agent_state = st.tuples(
+    st.floats(0.0, 60.0), st.one_of(st.just(0.0), st.floats(0.0, 18.0)), st.floats(-1.5, 1.5)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.integers(1, 30),
+    dt=st.sampled_from([0.08, 0.25]),
+    fractions=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]), min_size=1, max_size=12),
+    a_min=st.floats(-8.0, -1.0),
+    limits=st.tuples(st.floats(3.0, 15.0), st.floats(3.0, 15.0)),
+    rounds=st.lists(st.tuples(_agent_state, _agent_state, _lam), min_size=1, max_size=6),
+)
+# fan sizes (5, 6) from rest and (6, 6) at 5 m/s in one round, and the row braking to 0
+# at 5 m/s takes the stop branch in its last step; each policy at a vertex of the simplex
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], a_min=-6.0, limits=(10.0, 10.0),
+    rounds=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3), _VERTICES[0]), ((40.0, 5.0, -0.2), (45.0, 5.0, 0.0), _VERTICES[1]),
+            ((40.0, 5.0, -0.2), (45.0, 5.0, 0.0), _VERTICES[2])],
+)
+# the other car's fan collapses to one candidate (every target clamps to a_min), so the
+# courtesy and confidence terms tie across the ego fan and the lowest label must win
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25], a_min=-1.0, limits=(10.0, 10.0),
+    rounds=[((40.0, 5.0, 0.0), (45.0, 18.0, 0.0), _VERTICES[1]), ((40.0, 5.0, 0.0), (45.0, 18.0, 0.0), _VERTICES[2]),
+            ((40.0, 18.0, 0.0), (45.0, 5.0, 0.0), _VERTICES[0])],
+)
+# twelve targets, unsorted and repeated, so every fan is padded on the full grid
+@example(
+    steps=30, dt=0.08, fractions=[1.5, 0.0, 0.25, 0.25, 1.0, 0.5, 0.75, 1.25, 1.0, 0.0, 1.5, 0.5], a_min=-6.0,
+    limits=(10.0, 4.0),
+    rounds=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3), (0.2, 0.5, 0.3)),
+            ((40.0, 12.0, -0.2), (45.0, 2.0, 0.0), _VERTICES[2])],
+)
+def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt, fractions, a_min, limits, rounds):
+    """planner.decide on one round's build against leader_label and follower_response on reference_space, as bytes."""
+    sampler = sp.SamplerConfig(horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions), accel_min=a_min)
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
+    xs = [sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(*o)) for e, o, _ in rounds]
+    arrays = scn.arrays_at(xs)
+    terms = arrays.social_terms()
+    assert terms.error is None
+    for i, (x, (*_, values)) in enumerate(zip(xs, rounds)):
+        lam = sp.RewardWeights(np.array(values))
+        space = scenario_space(scn, x)
+        label = sp.leader_label(space, lam)
+        response = sp.follower_response(space, label)
+        controls = space.ego_candidates.accels[label, 0], space.other_candidates.accels[response, 0]
+        got = planner.decide(arrays, terms, i, lam)
+        assert got[:2] == (label, response)
+        assert np.array(got[2:]).tobytes() == np.array(controls).tobytes()
+        assert terms.leader_labels(lam)[i] == label
+
+
+def test_no_pipeline_assembles_a_joint_space(tmp_path, monkeypatch):
+    """Every pipeline decides from a build's arrays and terms; per-state spaces are only the reference."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pipeline assembled a per-state joint space")
+
+    monkeypatch.setattr(sampling.JointArrays, "spaces", refuse)
+    monkeypatch.setattr(sampling.JointBehaviorSpace, "__post_init__", refuse)
+    cfg = write_scenario_config(fixture_scenario("switch"), tmp_path / "template", seed=0)
+    workflows.run_sim(cfg, POLICY_NAMES, tmp_path / "sim")
+    courtesy, confidence = sp.RewardWeights.courtesy(), sp.RewardWeights.confidence()
+    workflows.make_fixture(cfg, confidence, 0, tmp_path / "switched", switch_step=6, lam_after=courtesy)
+    fixture = load_config(workflows.make_fixture(cfg, courtesy, 0, tmp_path / "fixture"))
+    workflows.run_infer(fixture, tmp_path / "infer")
+    workflows.run_regen(fixture, tmp_path / "regen")
+    assert (tmp_path / "regen" / "regen.json").exists()
+    with pytest.raises(AssertionError, match="assembled"):
+        fixture.load_scenario().space_at(fixture.initial)

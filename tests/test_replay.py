@@ -451,9 +451,9 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
             stops = [k for (_, _, k, _), _ in items]
             assert chunk.matched_labels(obs_self.xy, entries, stops).tolist() == [m for _, (*_, m, _) in items]
             for lam in fixed:
-                assert chunk.leader_labels(lam) == [sp.leader_label(space_at[tau], lam) for tau in chunk.frames]
+                assert chunk.terms.leader_labels(lam) == [sp.leader_label(space_at[tau], lam) for tau in chunk.frames]
             for (_, i, _, estimate), _ in items:
-                assert chunk.leader_label(i, estimate) == sp.leader_label(space_at[chunk.frames[i]], estimate)
+                assert chunk.terms.leader_label(i, estimate) == sp.leader_label(space_at[chunk.frames[i]], estimate)
             scored = [i for i, tau in enumerate(chunk.frames) if tau + horizon <= steps]
             truth = np.stack([obs_self.xy[chunk.frames[i] : chunk.frames[i] + horizon + 1] for i in scored] or
                              [np.zeros((horizon + 1, 2))])
