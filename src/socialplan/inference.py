@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .core import AgentState, JointState
-from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError, SocialPlanError
+from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError
 from .planner import Scenario
-from .rewards import RewardWeights, check_ego_label
+from .rewards import RewardWeights, _log_softmax, check_ego_label
 from .sampling import JointArrays, JointBehaviorSpace
 
 
@@ -39,13 +39,13 @@ class PriorSpec:
         if self.kind not in ("uniform", "dirichlet", "dop"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.kind == "dirichlet":
-            if self.alpha is None or len(self.alpha) != 3 or any(a <= 0 for a in self.alpha):
+            if self.alpha is None or len(self.alpha) != 3 or any(not a > 0 for a in self.alpha):  # NaN fails a > 0
                 raise ValueError("dirichlet prior needs three positive alpha values")
         if self.kind == "dop":
             if self.fractions is None or len(self.fractions) != 3:
                 raise ValueError("dop prior needs three dominance fractions")
             # rounded percentages are fine; they get normalized
-            if any(f < 0 for f in self.fractions) or sum(self.fractions) <= 0:
+            if any(not f >= 0 for f in self.fractions) or not sum(self.fractions) > 0:  # NaN fails both
                 raise ValueError("dop fractions must be non-negative with positive sum")
             # below 0 the alpha of dirichlet_alpha drops under 1 and the prior no longer peaks at the fractions
             if not self.concentration >= 0:
@@ -91,7 +91,7 @@ class ParticleSet:
         w = np.asarray(self.weights, dtype=float)
         if lam.ndim != 2 or lam.shape[1] != 3 or lam.shape[0] == 0:
             raise ValueError("lambdas must be a non-empty (n, 3) array")
-        if w.shape != (lam.shape[0],) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if w.shape != (lam.shape[0],) or not (w >= 0).all() or not abs(w.sum() - 1.0) <= 1e-9:  # NaN fails both
             raise ValueError("weights must be non-negative and sum to 1")
 
 
@@ -160,9 +160,7 @@ def match_observed(observed_xy: np.ndarray, candidate_xy: np.ndarray) -> int:
 
 
 def _log_likelihoods(space: JointBehaviorSpace, matched_label: int, lambdas: np.ndarray) -> np.ndarray:
-    scores = lambdas @ space.components().stacked()  # (n_particles, n_candidates)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted[:, matched_label] - np.log(np.exp(shifted).sum(axis=1))
+    return _log_softmax(lambdas @ space.components().stacked())[:, matched_label]  # (n_particles,)
 
 
 def window_likelihood(matched_label: int, lam: RewardWeights, space: JointBehaviorSpace) -> float:
@@ -232,8 +230,8 @@ def observed_state(obs_self, obs_other, k: int) -> JointState:
 
 
 # Observed states per batched build in replay: enough to amortise the
-# per-call overhead of the array pass, few enough that one chunk's arrays
-# stay small.  Only one chunk is alive at a time.
+# per-call overhead of the array pass, few enough that one pass's
+# temporaries stay small.  A pair keeps its chunks' arrays until it is done.
 CHUNK = 8
 
 
@@ -283,10 +281,7 @@ class ReplayChunk:
         for g, (_, _, _, comps) in enumerate(self.terms.groups):
             sel = group == g
             if sel.any():
-                scores = lambdas @ comps.terms  # (G, P, ne)
-                shifted = scores - scores.max(axis=-1, keepdims=True)
-                lse = np.log(np.exp(shifted).sum(axis=-1))
-                out[sel] = shifted[row[sel], :, labels[sel]] - lse[row[sel]]
+                out[sel] = _log_softmax(lambdas @ comps.terms)[row[sel], :, labels[sel]]  # from (G, P, ne)
         return out
 
 
@@ -295,29 +290,30 @@ class PairReplay:
 
     Seat 0 is the agent in the scenario's ego seat (obs_ego) and seat 1 the
     other driver, in scenario.swapped()'s terms.  The observed states are
-    built CHUNK at a time (Scenario.arrays_at); a chunk is built when a seat
-    first asks for it and kept until a seat asks for another, so two seats
-    stepped in lockstep (run_seats) share every build.  Seat 1's arrays are
-    views of seat 0's (JointArrays.swapped) and give, bit for bit, the
-    spaces the swapped scenario would build on its own.
+    built CHUNK at a time (Scenario.arrays_at), when a seat first asks for
+    the chunk, and kept until the pair is done, so the seats, replayed one
+    after the other, share every build.  Seat 1's arrays are views of seat
+    0's (JointArrays.swapped) and give, bit for bit, the spaces the swapped
+    scenario would build on its own.
     """
 
     def __init__(self, obs_ego, obs_other, scenario: Scenario):
         self.obs = (obs_ego, obs_other)
         self.scenario = scenario
         self._swapped = scenario.swapped()
-        self._chunk: list[int] | None = None
-        self._arrays = None
+        self._built: dict[tuple[int, ...], JointArrays] = {}  # seat 0's arrays by the chunk's frames
 
     def chunks(self, seat: int, frames) -> Iterator[ReplayChunk]:
         """The seat's ReplayChunk for each run of CHUNK frames in order."""
         frames = list(frames)
         for i in range(0, len(frames), CHUNK):
             chunk = frames[i : i + CHUNK]
-            if chunk != self._chunk:
-                self._arrays = self.scenario.arrays_at([observed_state(*self.obs, k) for k in chunk])
-                self._chunk = chunk
-            arrays = self._arrays if seat == 0 else self._arrays.swapped(self._swapped.conflict, self._swapped.rewards)
+            key = tuple(chunk)
+            if key not in self._built:
+                self._built[key] = self.scenario.arrays_at([observed_state(*self.obs, k) for k in chunk])
+            arrays = self._built[key]
+            if seat == 1:
+                arrays = arrays.swapped(self._swapped.conflict, self._swapped.rewards)
             yield ReplayChunk(chunk, arrays)
 
     def posterior_steps(
@@ -357,35 +353,6 @@ class PairReplay:
                 yield chunk, i, k, _mean(weights, lambdas)
 
 
-def run_seats(*seats: Generator) -> list:
-    """Step the seats' generators in lockstep, one frame each in turn, and return their results.
-
-    Each generator yields once per frame and returns its result.  Errors
-    come out as if the seats ran one after another: a SocialPlanError stops
-    only its own seat, the first seat's error is raised at once, and a later
-    seat's is held until every seat has finished; then the first held error
-    in seat order is raised.
-    """
-    results: list = [None] * len(seats)
-    errors: dict[int, SocialPlanError] = {}
-    live = dict(enumerate(seats))
-    while live:
-        for i, seat in list(live.items()):
-            try:
-                next(seat)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del live[i]
-            except SocialPlanError as exc:
-                if i == 0:
-                    raise
-                errors[i] = exc
-                del live[i]
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def posterior_steps(
     obs_self,
     obs_other,
@@ -400,13 +367,12 @@ def posterior_steps(
     return PairReplay(obs_self, obs_other, scenario).posterior_steps(0, cfg, seed)
 
 
-def _series(steps) -> Generator[None, None, InferenceSeries]:
-    """One seat's per-frame estimates from its posterior steps, a frame per yield."""
+def _series(steps) -> InferenceSeries:
+    """One seat's per-frame estimates from its posterior steps."""
     frames, lams = [], []
     for *_, k, estimate in steps:
         frames.append(k)
         lams.append(estimate.values)
-        yield
     return InferenceSeries(frames=np.array(frames), lambdas=np.stack(lams))
 
 
@@ -418,16 +384,15 @@ def infer_agent(
     seed: int = 0,
 ) -> InferenceSeries:
     """Per-frame weight estimates for the agent sitting in the scenario's ego seat."""
-    return run_seats(_series(posterior_steps(obs_self, obs_other, scenario, cfg, seed)))[0]
+    return _series(posterior_steps(obs_self, obs_other, scenario, cfg, seed))
 
 
 def infer_trace(pair, scenario: Scenario, cfg: InferenceConfig, seed: int = 0) -> dict[str, InferenceSeries]:
     """Estimate both drivers' weights independently, the other car's in scenario.swapped()'s terms.
 
-    One replay serves both seats: their posteriors step in lockstep on one
-    build per chunk (PairReplay), and the result and any error are those of
-    infer_agent on the ego seat and then on the swapped seat.
+    One replay serves both seats (PairReplay): the ego seat's posterior
+    runs to the end and then the swapped seat's, on one build per chunk, so
+    the result and any error are those of infer_agent on each seat in turn.
     """
     replay = PairReplay(pair.ego, pair.other, scenario)
-    ego, other = run_seats(*(_series(replay.posterior_steps(seat, cfg, seed)) for seat in (0, 1)))
-    return {"ego": ego, "other": other}
+    return {role: _series(replay.posterior_steps(seat, cfg, seed)) for seat, role in enumerate(("ego", "other"))}

@@ -122,7 +122,7 @@ class ResponseDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or len(p) == 0:
             raise ValueError("probs must be a non-empty vector")
-        if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (p > 0.0).all() or not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails both
             raise ValueError("probs must be strictly positive and sum to 1")
         object.__setattr__(self, "probs", p)
 

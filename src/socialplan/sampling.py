@@ -222,23 +222,6 @@ class JointBehaviorSpace:
         )
 
 
-def _rollout_row(s: float, v: float, row: list[float], dt: float) -> tuple[list[float], list[float]]:
-    """One row through core.step_dynamics' float operations, step by step."""
-    s_row, v_row = [s], [v]
-    for a in row:
-        v1 = v + a * dt
-        if v1 < 0.0:
-            t_stop = -v / a
-            s = s + v * t_stop + 0.5 * a * t_stop * t_stop
-            v = 0.0
-        else:
-            s = s + v * dt + 0.5 * a * dt * dt
-            v = v1
-        s_row.append(s)
-        v_row.append(v)
-    return s_row, v_row
-
-
 def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
     """Roll out acceleration sequences accels (..., n, N), row by row from s0, v0.
 
@@ -271,7 +254,10 @@ def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
     if negative.any():
         for row in zip(*negative.any(axis=-1).nonzero()):
             j = int(negative[row].argmax()) - 1  # the step the car stops in
-            S[row][j:], V[row][j:] = _rollout_row(float(S[row][j]), float(V[row][j]), accels[row][j:].tolist(), dt)
+            x = AgentState(s=float(S[row][j]), v=float(V[row][j]))
+            for m, a in enumerate(accels[row][j:].tolist(), start=j + 1):
+                x = step_dynamics(x, a, dt)
+                S[row][m], V[row][m] = x.s, x.v
     return S, V
 
 

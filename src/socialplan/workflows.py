@@ -11,14 +11,13 @@ import math
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Generator
 
 import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config
 from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackError
-from .inference import InferenceSeries, PairReplay, infer_trace, run_seats
+from .inference import InferenceSeries, PairReplay, infer_trace
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
 from .planner import InteractionTrace, PolicySpec, plan_ego, simulate, simulate_policies  # noqa: F401
@@ -248,20 +247,20 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
     return report
 
 
-def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> Generator[None, None, dict]:
+def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     """Mean regeneration MSE per policy and horizon for the agent in one seat of a pair.
 
-    A generator for run_seats: it yields once per frame and returns the
-    table.  The seat's posterior pass (PairReplay.posterior_steps) hands
-    over each window start's chunk; the chunk that holds regeneration frame
-    k serves the leader decisions of all four policies regenerated from k.
-    The estimate used at k is the one recorded at posterior frame k, r
-    frames before the pass starts a window at k.  Frames the pass never
-    starts a window at (window_r above the longest horizon's step count, or
-    growing_window) get their chunks from the replay after the pass.  At a
-    chunk's first regeneration frame, one array pass scores every ego
-    candidate of its regeneration frames at every horizon and takes the
-    fixed policies' decisions; the estimated policy decides per frame.
+    The seat's posterior pass (PairReplay.posterior_steps) hands over each
+    window start's chunk; the chunk that holds regeneration frame k serves
+    the leader decisions of all four policies regenerated from k.  The
+    estimate used at k is the one recorded at posterior frame k, r frames
+    before the pass starts a window at k.  Frames the pass never starts a
+    window at (window_r above the longest horizon's step count, or
+    growing_window) get their chunks from the replay after the pass, which
+    builds each chunk once for both seats.  At a chunk's first
+    regeneration frame, one array pass scores every ego candidate of its
+    regeneration frames at every horizon and takes the fixed policies'
+    decisions; the estimated policy decides per frame.
     """
     obs_self = replay.obs[seat]
     dt = cfg.sampler.dt
@@ -297,11 +296,9 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> Generato
         if chunk.frames[i] == next_k < frames.stop:
             regenerate(chunk, i)
             next_k += 1
-        yield
     for chunk in replay.chunks(seat, range(next_k, frames.stop)):
         for i in range(len(chunk.frames)):
             regenerate(chunk, i)
-            yield
 
     return {
         name: {str(h): round(per_h[h] / len(frames), 6) for h in REGEN_HORIZONS}
@@ -312,9 +309,9 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> Generato
 def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Table of regeneration MSE by policy and horizon (plus change vs egoism).
 
-    Both seats of a pair replay in lockstep on one build per chunk of
-    observed states (PairReplay, run_seats); a pair too short to regenerate
-    is skipped.
+    A pair's ego seat replays to the end and then its other seat, on one
+    build per chunk of observed states (PairReplay); a pair too short to
+    regenerate is skipped.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg.load_scenario()
@@ -322,7 +319,7 @@ def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
     for idx, pair in observed_pairs(cfg):
         replay = PairReplay(pair.ego, pair.other, scenario)
         try:
-            roles = dict(zip(("ego", "other"), run_seats(_regen_agent(replay, 0, cfg), _regen_agent(replay, 1, cfg))))
+            roles = {role: _regen_agent(replay, seat, cfg) for seat, role in enumerate(("ego", "other"))}
         except ShortTrackError as exc:
             _skip(idx, pair.ego.track_id, pair.other.track_id, exc)
             continue

@@ -263,6 +263,24 @@ def test_prior_validation():
         sp.InferenceConfig(init="magic")
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sp.ParticleSet(lambdas=np.full((2, 3), 1 / 3), weights=[_NAN, _NAN]),
+        lambda: sp.ResponseDistribution(probs=[_NAN, 0.5]),
+        lambda: sp.PriorSpec(kind="dirichlet", alpha=(_NAN, 1.0, 1.0)),
+        lambda: sp.PriorSpec(kind="dop", fractions=(_NAN, 1.0, 1.0)),
+    ],
+    ids=["particle_weights", "response_probs", "dirichlet_alpha", "dop_fractions"],
+)
+def test_validators_reject_nan(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_growing_window_option():
     scn = fixture_scenario("courtesy")
     tr = sp.simulate(

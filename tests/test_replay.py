@@ -4,13 +4,15 @@ The definition replays each seat of a pair on its own: the per-frame
 posterior loop (reference_builder.reference_posterior_steps) for the pair's
 ego seat and then for the other seat under scenario.swapped(), and for
 regeneration one fresh leader decision (plan_ego) per policy at every
-regeneration frame.  The workflows instead replay both seats in lockstep
-from one build per chunk of observed states (PairReplay): the other seat's
-arrays are views of the ego seat's, and each chunk's matched labels,
-log-likelihoods, leader decisions and regeneration errors come from one
-array pass (ReplayChunk).  These tests pin that this gives the same bytes
-and raises the definition's first error, builds each observed state at most
-once per pair, and never builds more than one chunk ahead.
+regeneration frame.  The workflows replay the seats in the same order, the
+ego seat to the end and then the other seat, from one build per chunk of
+observed states that the pair keeps until it is done (PairReplay): the
+other seat's arrays are views of the ego seat's, and each chunk's matched
+labels, log-likelihoods, leader decisions and regeneration errors come from
+one array pass (ReplayChunk).  These tests pin that this gives the same
+bytes and raises the definition's first error, builds each observed state at
+most once per pair, builds nothing for the other seat, and never builds
+more than one chunk ahead.
 """
 import itertools
 import json
@@ -158,8 +160,8 @@ def test_outputs_match_seat_by_seat_definition(fixtures, tmp_path, monkeypatch, 
         for idx, pair in workflows.observed_pairs(cfg)
     }
     # run_regen's table assembly and writer, on the seat-by-seat tables
-    replays = iter(tables.values())
-    monkeypatch.setattr(workflows, "run_seats", lambda *seats: next(replays))
+    seat_tables = itertools.chain.from_iterable(tables.values())
+    monkeypatch.setattr(workflows, "_regen_agent", lambda replay, seat, cfg: next(seat_tables))
     workflows.run_regen(cfg, tmp_path / "regen_ref")
     monkeypatch.setattr(workflows, "infer_trace", _seat_by_seat)
     workflows.run_infer(cfg, tmp_path / "infer_ref")
@@ -193,6 +195,45 @@ def test_infer_trace_builds_each_state_once_per_pair(fixture_cfg, monkeypatch):
     total, r = len(pair.ego.s) - 1, fixture_cfg.inference.window_r
     assert len(built) == len(set(built)) == total - r + 1
     assert [len(series.frames) for series in result.values()] == [total - r + 1] * 2
+
+
+@pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS.keys())
+def test_the_other_seat_replays_after_the_ego_seat_from_its_builds(fixture_cfg, tmp_path, monkeypatch, changes):
+    """Every chunk request of the ego seat comes before the other seat's first, and the other seat builds nothing."""
+    cfg = _with_inference(fixture_cfg, **changes)
+    [(_, pair)] = workflows.observed_pairs(cfg)
+    events = []
+    real_chunks, real_build = PairReplay.chunks, planner.build_joint_arrays
+
+    def chunks(self, seat, frames):
+        inner = real_chunks(self, seat, frames)
+        while True:
+            events.append(("request", seat))  # a build for this request comes after it
+            try:
+                chunk = next(inner)
+            except StopIteration:
+                return
+            yield chunk
+
+    def counting(*args):
+        events.append(("build", None))
+        return real_build(*args)
+
+    monkeypatch.setattr(PairReplay, "chunks", chunks)
+    monkeypatch.setattr(planner, "build_joint_arrays", counting)
+    runs = {
+        "infer_trace": lambda: infer_trace(pair, cfg.load_scenario(), cfg.inference, seed=cfg.seed),
+        "run_regen": lambda: workflows.run_regen(cfg, tmp_path),
+    }
+    for name, run in runs.items():
+        events.clear()
+        run()
+        seats = [seat for kind, seat in events if kind == "request"]
+        assert 0 in seats and 1 in seats, name
+        assert seats == sorted(seats), name
+        first_other = events.index(("request", 1))
+        assert ("build", None) in events[:first_other], name
+        assert ("build", None) not in events[first_other:], name
 
 
 def test_growing_window_builds_one_space(fixture_cfg, monkeypatch):
@@ -247,8 +288,8 @@ def _degenerate_at(monkeypatch, r: int, fail_at: set) -> None:
 
     A seat's weights pass from each step to the next, so a step is told by
     the chain its input weights belong to.  Chains start in seat order, in
-    the lockstep replay and in the seat-by-seat definition alike, and the
-    first step of each is at frame r.  Call it again before each run.
+    the replay and in the seat-by-seat definition alike, and the first step
+    of each is at frame r.  Call it again before each run.
     """
     at, seats, kept = {}, itertools.count(), []
 
