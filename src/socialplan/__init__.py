@@ -42,16 +42,13 @@ from .inference import (
     match_observed,
     posterior_steps,
     update_posterior,
-    window_likelihood,
 )
 from .metrics import (
-    InteractionStats,
     ait,
     are,
     dominant_policy,
     dop,
     horizon_mse,
-    interaction_stats,
     psf,
     trajectory_mse,
 )
@@ -65,29 +62,13 @@ from .planner import (
     simulate,
     simulate_policies,
 )
-from .rewards import (
-    FeatureVector,
-    ResponseDistribution,
-    RewardConfig,
-    RewardWeights,
-    absence_distribution,
-    confidence,
-    confidence_reward,
-    courtesy_reward,
-    cumulative_reward,
-    egoism_reward,
-    features,
-    response_distribution,
-    social_reward,
-)
+from .rewards import RewardConfig, RewardWeights
 from .sampling import (
     CandidateFan,
     JointBehaviorSpace,
     SamplerConfig,
-    Trajectory,
     build_joint_space,
     build_joint_spaces,
-    rollout,
     sample_accels,
 )
 

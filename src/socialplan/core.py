@@ -37,10 +37,12 @@ class ReferencePath:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("path needs at least 2 two-dimensional points")
+        if np.isnan(pts).any():
+            raise ValueError("path points must not be NaN")
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(seg <= 0.0):
             raise ValueError("consecutive path points must be distinct")
-        if speed_limit <= 0.0:
+        if not speed_limit > 0.0:  # NaN fails too
             raise ValueError("speed_limit must be positive")
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         return cls(points=pts, cumulative_arclength=cum, speed_limit=float(speed_limit))
@@ -118,9 +120,9 @@ class AgentState:
     d: float = 0.0
 
     def __post_init__(self):
-        if self.v < 0.0:
+        if not self.v >= 0.0:  # NaN fails the comparisons here
             raise ValueError(f"speed must be non-negative, got {self.v}")
-        if self.s < 0.0:
+        if not self.s >= 0.0:
             raise ValueError(f"arclength must be non-negative, got {self.s}")
 
 
@@ -147,7 +149,7 @@ def step_dynamics(state: AgentState, a: float, dt: float) -> AgentState:
     at zero: if the car would stop inside the step, s advances only up to the
     exact stop time and v' = 0 (no reverse motion).
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN fails too
         raise ValueError("dt must be positive")
     v1 = state.v + a * dt
     if v1 < 0.0:

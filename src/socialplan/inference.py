@@ -163,12 +163,6 @@ def _log_likelihoods(space: JointBehaviorSpace, matched_label: int, lambdas: np.
     return _log_softmax(lambdas @ space.components().stacked())[:, matched_label]  # (n_particles,)
 
 
-def window_likelihood(matched_label: int, lam: RewardWeights, space: JointBehaviorSpace) -> float:
-    """Boltzmann probability of the matched action under weights lam."""
-    label = check_ego_label(space, matched_label)
-    return float(np.exp(_log_likelihoods(space, label, lam.values[None, :]))[0])
-
-
 def _reweigh(weights: np.ndarray, loglik: np.ndarray, resample: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """One Bayes step on the particle weights, given each particle's log-likelihood of the matched action.
 

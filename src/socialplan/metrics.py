@@ -1,8 +1,6 @@
 """Evaluation statistics for traces, trajectories, and weight series."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import HorizonExceedsTraceError, NonFiniteDistanceError, NonTerminatingError
@@ -14,19 +12,6 @@ def dominant_policy(lam) -> str:
     """Label of the largest weight component; ties break in label order."""
     values = getattr(lam, "values", lam)
     return POLICY_LABELS[int(np.argmax(np.asarray(values, dtype=float)))]
-
-
-@dataclass(frozen=True)
-class InteractionStats:
-    are: float
-    ait: float
-    min_distance: float
-
-    def __post_init__(self):
-        if not self.are >= self.min_distance >= 0.0:
-            raise ValueError("ARE must bound the minimum distance from above")
-        if self.ait < 0.0:
-            raise ValueError("interaction time cannot be negative")
 
 
 def _pairwise_distances(trace) -> np.ndarray:
@@ -59,10 +44,6 @@ def ait(trace) -> float:
     if not trace.terminated:
         raise NonTerminatingError("trace hit the step limit before a crossing")
     return float((len(trace.joint_states) - 1) * trace.dt)
-
-
-def interaction_stats(trace) -> InteractionStats:
-    return InteractionStats(are=are(trace), ait=ait(trace), min_distance=min_distance(trace))
 
 
 def horizon_mse(generated_xy: np.ndarray, truth_xy: np.ndarray, dt: float, horizons) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Utility features and the social reward terms.
+"""Reward configuration, the mixing weights and the social reward terms.
 
 The per-pair utility is a weighted sum of three accumulated features
-(efficiency, comfort, safety).  On top of the cached utility matrices of a
-joint behavior space, this module evaluates the other car's Boltzmann
+(efficiency, comfort, safety); sampling.build_joint_arrays computes them and
+caches the utility matrices.  On top of those matrices, component_arrays is
+the one implementation of the social terms: the other car's Boltzmann
 response distribution, the expected-utility (egoism) reward, the
-distribution-divergence (courtesy) reward and the top-two-probability-gap
-(confidence) reward, plus their weighted combination.
+distribution-divergence (courtesy) reward exp(-KL(absence || presence)) and
+the top-two-probability-gap (confidence) reward, for every ego candidate of
+one or many spaces at once.  social_reward_vector mixes them.
 
 All softmax and KL computations run in the log domain with max subtraction;
 raw utilities can reach magnitudes of hundreds and would overflow a naive
@@ -21,8 +23,7 @@ import numpy as np
 from .errors import NonFiniteRewardError, UnknownCandidateError
 
 if TYPE_CHECKING:
-    from .core import ConflictPoint, ReferencePath
-    from .sampling import JointBehaviorSpace, Trajectory
+    from .sampling import JointBehaviorSpace
 
 _MINMAX_EPS = 1e-12
 
@@ -48,10 +49,10 @@ class RewardConfig:
     sigma_c: float = 10.0
 
     def __post_init__(self):
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:  # NaN fails too
             raise ValueError("beta must be positive")
         for name in ("d0", "a0", "j0", "sigma_d", "sigma_c"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if not (np.all(np.isfinite(self.theta_ego)) and np.all(np.isfinite(self.theta_other))):
             raise ValueError("utility weights must be finite")
@@ -88,106 +89,6 @@ class RewardWeights:
         return cls.of(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Accumulated (efficiency, comfort, safety) penalties; each is <= 0."""
-
-    efficiency: float
-    comfort: float
-    safety: float
-
-    def __post_init__(self):
-        arr = self.as_array()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("features must be finite")
-        if np.any(arr > 1e-9):
-            raise ValueError("features are penalties and must be non-positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.efficiency, self.comfort, self.safety])
-
-
-@dataclass(frozen=True)
-class ResponseDistribution:
-    """Probabilities over the other car's candidate set.
-
-    conditioning is the ego candidate label, or None for the distribution in
-    the absence of the ego car.
-    """
-
-    probs: np.ndarray
-    conditioning: int | None = None
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or len(p) == 0:
-            raise ValueError("probs must be a non-empty vector")
-        if not (p > 0.0).all() or not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails both
-            raise ValueError("probs must be strictly positive and sum to 1")
-        object.__setattr__(self, "probs", p)
-
-
-def _efficiency(v: np.ndarray, d: float, v_des: float, cfg: RewardConfig) -> float:
-    dev = (v - v_des) / v_des
-    return float(-(np.sum(dev * dev) + len(v) * (d / cfg.d0) ** 2))
-
-def _comfort(accels: np.ndarray, dt: float, cfg: RewardConfig) -> float:
-    jerk = np.diff(accels) / dt
-    return float(-(np.sum((accels / cfg.a0) ** 2) + np.sum((jerk / cfg.j0) ** 2)))
-
-def _safety(traj_self, traj_other, s_c_self: float, s_c_other: float, cfg: RewardConfig) -> float:
-    t = len(traj_self.s) - 1
-    d_rel = np.linalg.norm(traj_self.xy[:t] - traj_other.xy[:t], axis=1)
-    prox = np.abs(traj_self.s[:t] - s_c_self) + np.abs(traj_other.s[:t] - s_c_other)
-    return float(-np.sum(np.exp(-d_rel / cfg.sigma_d) * np.exp(-prox / cfg.sigma_c)))
-
-
-def features(
-    traj_self: "Trajectory",
-    traj_other: "Trajectory | None",
-    path: "ReferencePath",
-    conflict: "ConflictPoint | None",
-    cfg: RewardConfig,
-    conflict_s_self: float | None = None,
-    conflict_s_other: float | None = None,
-) -> FeatureVector:
-    """Accumulate the three utility features of a trajectory over the horizon.
-
-    Steps t = 0..N-1 contribute state traj.s[t], traj.v[t] and control
-    traj.accels[t].  With traj_other absent the safety feature is zero (the
-    other car does not exist for this evaluation).  The conflict arclengths
-    default to (conflict.s_ego, conflict.s_other) and can be overridden when
-    the self/other roles are swapped relative to the conflict object.
-    """
-    n = len(traj_self.s) - 1
-    eff = _efficiency(traj_self.v[:n], traj_self.d, path.speed_limit, cfg)
-    com = _comfort(traj_self.accels, traj_self.dt, cfg)
-    if traj_other is None:
-        saf = 0.0
-    else:
-        if conflict_s_self is None or conflict_s_other is None:
-            if conflict is None:
-                raise ValueError("a conflict point is required when traj_other is present")
-            conflict_s_self = conflict.s_ego if conflict_s_self is None else conflict_s_self
-            conflict_s_other = conflict.s_other if conflict_s_other is None else conflict_s_other
-        saf = _safety(traj_self, traj_other, conflict_s_self, conflict_s_other, cfg)
-    return FeatureVector(efficiency=eff, comfort=com, safety=saf)
-
-
-def cumulative_reward(
-    traj_self,
-    traj_other,
-    theta,
-    path,
-    conflict,
-    cfg: RewardConfig,
-    **conflict_overrides,
-) -> float:
-    """Per-pair utility: theta dot accumulated features."""
-    phi = features(traj_self, traj_other, path, conflict, cfg, **conflict_overrides)
-    return float(np.dot(np.asarray(theta, dtype=float), phi.as_array()))
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -200,58 +101,6 @@ def check_ego_label(space, label: int) -> int:
     if not 0 <= label < len(space.ego_candidates):
         raise UnknownCandidateError(f"no ego candidate labeled {label}")
     return label
-
-
-def response_distribution(space: "JointBehaviorSpace", ego_label: int) -> ResponseDistribution:
-    """Boltzmann distribution over the other car's responses to one ego action."""
-    label = check_ego_label(space, ego_label)
-    probs = np.exp(_log_softmax(space.reward_cfg.beta * space.reward_other[label]))
-    return ResponseDistribution(probs=probs, conditioning=label)
-
-
-def absence_distribution(space: "JointBehaviorSpace") -> ResponseDistribution:
-    """The other car's behavior distribution with the ego car removed.
-
-    Built from efficiency and comfort only; without the ego car there is no
-    interaction and the safety feature does not apply.
-    """
-    probs = np.exp(_log_softmax(space.reward_cfg.beta * space.absence_other))
-    return ResponseDistribution(probs=probs, conditioning=None)
-
-
-def egoism_reward(space, ego_label: int) -> float:
-    """Expected ego utility under the other car's response distribution."""
-    label = check_ego_label(space, ego_label)
-    dist = response_distribution(space, label)
-    return float(np.dot(dist.probs, space.reward_ego[label]))
-
-
-def _kl(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> float:
-    return float(np.sum(p * (log_p - log_q)))
-
-
-def courtesy_reward(space, ego_label: int) -> float:
-    """exp(-KL(absence || presence)): 1 means the ego action leaves the other's plan untouched."""
-    label = check_ego_label(space, ego_label)
-    beta = space.reward_cfg.beta
-    log_q = _log_softmax(beta * space.absence_other)
-    log_p = _log_softmax(beta * space.reward_other[label])
-    kl = max(_kl(np.exp(log_q), log_q, log_p), 0.0)  # floor float noise at KL = 0
-    return float(np.exp(-kl))
-
-
-def confidence(space, ego_label: int) -> float:
-    """Gap between the two highest response probabilities; 1 for a singleton set."""
-    label = check_ego_label(space, ego_label)
-    probs = response_distribution(space, label).probs
-    if len(probs) == 1:
-        return 1.0
-    top = np.sort(probs)[-2:]
-    return float(top[1] - top[0])
-
-
-def confidence_reward(space, ego_label: int) -> float:
-    return float(np.exp(confidence(space, ego_label)))
 
 
 @dataclass(frozen=True)
@@ -348,7 +197,3 @@ def social_reward_vector(space, lam: RewardWeights) -> np.ndarray:
     """
     return lam.values @ space.components().stacked()
 
-
-def social_reward(space, ego_label: int, lam: RewardWeights) -> float:
-    label = check_ego_label(space, ego_label)
-    return float(social_reward_vector(space, lam)[label])

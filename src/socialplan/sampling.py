@@ -50,28 +50,12 @@ class SamplerConfig:
     def __post_init__(self):
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:  # NaN fails the comparisons here
             raise ValueError("dt must be positive")
         if len(self.terminal_speed_fractions) == 0:
             raise ValueError("terminal_speed_fractions must be non-empty")
-        if self.accel_min >= self.accel_max:
+        if not self.accel_min < self.accel_max:
             raise ValueError("accel_min must be below accel_max")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Rolled-out states of a candidate: arrays of length N+1 plus controls.
-
-    xy holds the Cartesian positions mapped through the agent's reference
-    path at the constant lateral offset d.
-    """
-
-    s: np.ndarray
-    v: np.ndarray
-    accels: np.ndarray
-    d: float
-    dt: float
-    xy: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,12 +74,6 @@ class CandidateFan:
 
     def __len__(self) -> int:
         return len(self.accels)
-
-    def trajectory(self, label: int) -> Trajectory:
-        """The candidate labeled label as a single trajectory."""
-        return Trajectory(
-            s=self.s[label], v=self.v[label], accels=self.accels[label], d=self.d, dt=self.dt, xy=self.xy[label]
-        )
 
 
 def _accel_grid(v, speed_limit, cfg: SamplerConfig) -> np.ndarray:
@@ -143,18 +121,6 @@ def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) ->
     return unique
 
 
-def rollout(state: AgentState, accels: np.ndarray, dt: float, path: ReferencePath | None = None) -> Trajectory:
-    """Integrate one acceleration sequence through the step dynamics (N+1 states)."""
-    accels = np.asarray(accels, dtype=float)
-    states = [state]
-    for a in accels:
-        states.append(step_dynamics(states[-1], float(a), dt))
-    s = np.array([st.s for st in states])
-    v = np.array([st.v for st in states])
-    xy = path.position(s, state.d) if path is not None else np.full((len(s), 2), np.nan)
-    return Trajectory(s=s, v=v, accels=accels, d=state.d, dt=dt, xy=xy)
-
-
 @dataclass
 class JointBehaviorSpace:
     """Discrete joint behavior space with cached utility matrices.
@@ -191,35 +157,6 @@ class JointBehaviorSpace:
         if self._components is None:
             self._components = social_components(self)
         return self._components
-
-    @classmethod
-    def from_matrices(
-        cls,
-        reward_ego,
-        reward_other,
-        absence_other=None,
-        reward_cfg: RewardConfig | None = None,
-        dt: float = 0.25,
-    ) -> "JointBehaviorSpace":
-        """Synthetic space from raw matrices (testing and fuzzing); the fans are zero stubs."""
-        reward_ego = np.asarray(reward_ego, dtype=float)
-        reward_other = np.asarray(reward_other, dtype=float)
-        ne, no = reward_other.shape
-        if absence_other is None:
-            absence_other = np.zeros(no)
-
-        def stub(n: int) -> CandidateFan:
-            zeros = np.zeros((n, 2))
-            return CandidateFan(accels=np.zeros((n, 1)), s=zeros, v=zeros, xy=np.zeros((n, 2, 2)), d=0.0, dt=dt)
-
-        return cls(
-            ego_candidates=stub(ne),
-            other_candidates=stub(no),
-            reward_ego=reward_ego,
-            reward_other=reward_other,
-            absence_other=np.asarray(absence_other, dtype=float),
-            reward_cfg=reward_cfg or RewardConfig(),
-        )
 
 
 def rollout_batch(s0, v0, accels: np.ndarray, dt: float):

@@ -105,10 +105,11 @@ def write_tracks(path, tracks: list[Track]) -> None:
 
 
 def load_path_csv(path, speed_limit: float) -> ReferencePath:
+    """Parse a path CSV; consecutive vertices must be distinct (a ParseError names the repeat's row)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split(",") != PATH_HEADER:
         raise SchemaError(f"expected path header {','.join(PATH_HEADER)!r}")
-    pts = []
+    pts, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -119,9 +120,15 @@ def load_path_csv(path, speed_limit: float) -> ReferencePath:
             pts.append((_finite(parts[0]), _finite(parts[1])))
         except ValueError as exc:
             raise ParseError(str(exc), row=lineno) from exc
+        linenos.append(lineno)
     if len(pts) < 2:
         raise ParseError("a path needs at least 2 vertices")
-    return ReferencePath.from_points(np.array(pts), speed_limit)
+    pts = np.array(pts)
+    # ReferencePath.from_points' own test, so no repeat reaches it as a ValueError
+    repeats = np.flatnonzero(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 0.0)
+    if len(repeats):
+        raise ParseError("consecutive path points must be distinct", row=linenos[repeats[0] + 1])
+    return ReferencePath.from_points(pts, speed_limit)
 
 
 def write_path_csv(path, ref: ReferencePath) -> None:

@@ -10,7 +10,10 @@ import math
 import numpy as np
 
 import socialplan as sp
-from socialplan.sampling import JointBehaviorSpace
+from socialplan.sampling import rollout_batch
+from reference_scalar import (
+    FeatureVector, Trajectory, brute_force, cumulative_reward, features, space_from_matrices, window_likelihood,
+)
 
 
 def straight_path(limit=10.0):
@@ -88,6 +91,11 @@ def check_conflict_diagonal():
 
 # --- sampler -----------------------------------------------------------
 
+def _rollout(s, v, accels, dt):
+    """(S, V) of one acceleration sequence, through the library's rollout kernel."""
+    S, V = rollout_batch(s, v, np.asarray(accels, dtype=float)[None], dt)
+    return S[0], V[0]
+
 def check_sample_at_target():
     cfg = sp.SamplerConfig(horizon_steps=4, dt=0.25, terminal_speed_fractions=(1.0,))
     accels = sp.sample_accels(sp.AgentState(s=0, v=10.0), straight_path(), cfg)
@@ -99,8 +107,8 @@ def check_sample_acceleration_grid():
     accels = sp.sample_accels(sp.AgentState(s=0, v=0.0), straight_path(), cfg)
     assert np.allclose(accels, [0.0, 5.0 / 3.0, 10.0 / 3.0], atol=1e-9)
     for a, target in zip(accels, (0.0, 5.0, 10.0)):
-        traj = sp.rollout(sp.AgentState(s=0, v=0.0), np.full(cfg.horizon_steps, a), cfg.dt)
-        assert abs(traj.v[-1] - target) < 1e-9
+        _, v = _rollout(0.0, 0.0, np.full(cfg.horizon_steps, a), cfg.dt)
+        assert abs(v[-1] - target) < 1e-9
 
 def check_sample_default_count():
     # labels are row indices, in ascending target-speed order
@@ -108,18 +116,18 @@ def check_sample_default_count():
     assert len(accels) == 6 and np.all(np.diff(accels) > 0.0)
 
 def check_rollout_uniform():
-    traj = sp.rollout(sp.AgentState(s=0, v=10.0), np.zeros(3), 0.5)
-    assert np.allclose(traj.s, [0, 5, 10, 15], atol=0) and np.all(traj.v == 10.0)
+    s, v = _rollout(0.0, 10.0, np.zeros(3), 0.5)
+    assert np.allclose(s, [0, 5, 10, 15], atol=0) and np.all(v == 10.0)
 
 def check_rollout_from_rest():
-    traj = sp.rollout(sp.AgentState(s=0, v=0.0), np.full(2, 2.0), 1.0)
-    assert np.allclose(traj.s, [0, 1, 4], atol=0) and np.allclose(traj.v, [0, 2, 4], atol=0)
+    s, v = _rollout(0.0, 0.0, np.full(2, 2.0), 1.0)
+    assert np.allclose(s, [0, 1, 4], atol=0) and np.allclose(v, [0, 2, 4], atol=0)
 
 def check_rollout_standstill():
     # derived: stops inside step 0 at s = 0.25, stays put afterward (fine-step oracle)
-    traj = sp.rollout(sp.AgentState(s=0, v=1.0), np.full(4, -2.0), 1.0)
-    assert np.allclose(traj.s, [0, 0.25, 0.25, 0.25, 0.25], atol=1e-12)
-    assert np.all(traj.v[1:] == 0.0)
+    s, v = _rollout(0.0, 1.0, np.full(4, -2.0), 1.0)
+    assert np.allclose(s, [0, 0.25, 0.25, 0.25, 0.25], atol=1e-12)
+    assert np.all(v[1:] == 0.0)
 
 
 # --- rewards -----------------------------------------------------------
@@ -129,17 +137,17 @@ def _traj(v, n, dt=0.25, accels=None, s=None):
     accels = np.zeros(n) if accels is None else np.asarray(accels, float)
     s = np.cumsum(np.concatenate([[0.0], v[:-1] * dt])) if s is None else np.asarray(s, float)
     path = straight_path()
-    return sp.Trajectory(s=s, v=v, accels=accels, d=0.0, dt=dt, xy=path.position(s, 0.0))
+    return Trajectory(s=s, v=v, accels=accels, d=0.0, dt=dt, xy=path.position(s, 0.0))
 
 def check_features_perfect_cruise():
     path = straight_path(limit=10.0)
-    phi = sp.features(_traj(10.0, 4), None, path, None, sp.RewardConfig())
+    phi = features(_traj(10.0, 4), None, path, None, sp.RewardConfig())
     assert (phi.efficiency, phi.comfort, phi.safety) == (0.0, 0.0, 0.0)
 
 def check_features_stopped():
     # derived: efficiency = -sum((v - v_des)^2 / v_des^2) = -4 over 4 steps
     path = straight_path(limit=10.0)
-    phi = sp.features(_traj(0.0, 4), None, path, None, sp.RewardConfig())
+    phi = features(_traj(0.0, 4), None, path, None, sp.RewardConfig())
     assert abs(phi.efficiency + 4.0) < 1e-12 and phi.comfort == 0.0 and phi.safety == 0.0
 
 def check_features_colocated_safety():
@@ -149,49 +157,58 @@ def check_features_colocated_safety():
     s = np.full(n + 1, 3.0)
     a = _traj(0.0, n, s=s)
     conflict = sp.ConflictPoint(position=np.array([3.0, 0.0]), s_ego=3.0, s_other=3.0)
-    phi = sp.features(a, a, path, conflict, cfg)
+    phi = features(a, a, path, conflict, cfg)
     assert abs(phi.safety + n) < 1e-9
 
 def check_cumulative_reward_zero():
     path = straight_path(limit=10.0)
-    r = sp.cumulative_reward(_traj(10.0, 4), None, (3.0, 2.0, 1.0), path, None, sp.RewardConfig())
+    r = cumulative_reward(_traj(10.0, 4), None, (3.0, 2.0, 1.0), path, None, sp.RewardConfig())
     assert r == 0.0
 
 def check_cumulative_reward_single_feature():
     path = straight_path(limit=10.0)
-    r = sp.cumulative_reward(_traj(0.0, 4), None, (1.0, 0.0, 0.0), path, None, sp.RewardConfig())
+    r = cumulative_reward(_traj(0.0, 4), None, (1.0, 0.0, 0.0), path, None, sp.RewardConfig())
     assert abs(r + 4.0) < 1e-12
 
 def check_cumulative_reward_dot():
-    phi = sp.FeatureVector(efficiency=-4.0, comfort=-2.0, safety=-0.1)
+    phi = FeatureVector(efficiency=-4.0, comfort=-2.0, safety=-0.1)
     assert abs(float(np.dot([1.0, 0.5, 10.0], phi.as_array())) + 6.0) < 1e-12
 
 def _space(reward_ego, reward_other, absence=None):
-    return JointBehaviorSpace.from_matrices(reward_ego, reward_other, absence)
+    return space_from_matrices(reward_ego, reward_other, absence)
+
+def _presence(space):
+    """Response probabilities to ego candidate 0, from the social components."""
+    return np.exp(space.components().presence_logp[0])
+
+def _absence(space):
+    """The absence distribution, from the brute-force oracle."""
+    matrices = (space.reward_ego, space.reward_other, space.absence_other)
+    return np.array(brute_force(*(m.tolist() for m in matrices), 0)[1])
 
 def check_response_symmetric():
     space = _space([[0.0, 0.0]], [[0.0, 0.0]])
-    assert np.allclose(sp.response_distribution(space, 0).probs, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(_presence(space), [0.5, 0.5], atol=1e-12)
 
 def check_response_two_to_one():
     # derived: softmax of (1, 0) -> e/(e+1)
     space = _space([[0.0, 0.0]], [[1.0, 0.0]])
-    p = sp.response_distribution(space, 0).probs
+    p = _presence(space)
     assert np.allclose(p, [math.e / (math.e + 1), 1 / (math.e + 1)], atol=1e-4)
 
 def check_response_shift_invariance():
-    base = sp.response_distribution(_space([[0.0] * 3], [[0.0, 1.0, 2.0]]), 0).probs
+    base = _presence(_space([[0.0] * 3], [[0.0, 1.0, 2.0]]))
     for c in (-300.0, 123.456):
-        shifted = sp.response_distribution(_space([[0.0] * 3], [[c, c + 1.0, c + 2.0]]), 0).probs
+        shifted = _presence(_space([[0.0] * 3], [[c, c + 1.0, c + 2.0]]))
         assert np.allclose(base, shifted, atol=1e-12)
 
 def check_absence_singleton():
     space = _space([[0.0]], [[0.0]], absence=[5.0])
-    assert np.allclose(sp.absence_distribution(space).probs, [1.0], atol=0)
+    assert np.allclose(_absence(space), [1.0], atol=0)
 
 def check_absence_equal():
     space = _space([[0.0, 0.0]], [[0.0, 0.0]], absence=[2.0, 2.0])
-    assert np.allclose(sp.absence_distribution(space).probs, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(_absence(space), [0.5, 0.5], atol=1e-12)
 
 def check_absence_prefers_cruise():
     # derived: cruise has strictly higher efficiency+comfort utility than full brake
@@ -201,61 +218,63 @@ def check_absence_prefers_cruise():
     other_path = sp.ReferencePath.from_points([(5, -20), (5, 20)], 10.0)
     scn = sp.Scenario.create(path, other_path, sp.JointState(ego=state, other=state), cfg)
     space = scn.space_at(scn.initial)
-    probs = sp.absence_distribution(space).probs
+    probs = _absence(space)
     assert probs[-1] > 0.5  # labels ascend with target speed; cruise is last
 
 def check_egoism_expectation():
     # derived: hand expectation 0.6*10 + 0.4*0 = 6 with response probs (0.6, 0.4)
     gap = math.log(0.6 / 0.4)
     space = _space([[10.0, 0.0]], [[gap, 0.0]])
-    assert abs(sp.egoism_reward(space, 0) - 6.0) < 1e-9
+    assert abs(space.components().egoism_raw[0] - 6.0) < 1e-9
 
 def check_egoism_constant_rows():
     space = _space([[3.14, 3.14, 3.14]], [[0.3, -0.5, 2.0]])
-    assert abs(sp.egoism_reward(space, 0) - 3.14) < 1e-12
+    assert abs(space.components().egoism_raw[0] - 3.14) < 1e-12
 
 def check_egoism_singleton():
     space = _space([[42.0]], [[0.0]])
-    assert sp.egoism_reward(space, 0) == 42.0
+    assert space.components().egoism_raw[0] == 42.0
 
 def check_courtesy_identical():
     space = _space([[0.0, 0.0]], [[1.0, 2.0]], absence=[1.0, 2.0])
-    assert abs(sp.courtesy_reward(space, 0) - 1.0) < 1e-12
+    assert abs(space.components().courtesy[0] - 1.0) < 1e-12
 
 def check_courtesy_half_to_eight_two():
     # derived: exp(-KL((.5,.5) || (.8,.2))) = sqrt(4*.8*.2) = 0.8
     gap = math.log(0.8 / 0.2)
     space = _space([[0.0, 0.0]], [[gap, 0.0]], absence=[0.0, 0.0])
-    assert abs(sp.courtesy_reward(space, 0) - 0.8) < 1e-4
+    assert abs(space.components().courtesy[0] - 0.8) < 1e-4
 
 def check_courtesy_concentrated():
     # derived: exp(-KL((.5,.5) || (.99,.01))) = sqrt(4*.99*.01) = 0.19899
     gap = math.log(0.99 / 0.01)
     space = _space([[0.0, 0.0]], [[gap, 0.0]], absence=[0.0, 0.0])
-    assert abs(sp.courtesy_reward(space, 0) - math.sqrt(4 * 0.99 * 0.01)) < 1e-9
-    assert abs(sp.courtesy_reward(space, 0) - 0.19899) < 1e-4
+    assert abs(space.components().courtesy[0] - math.sqrt(4 * 0.99 * 0.01)) < 1e-9
+    assert abs(space.components().courtesy[0] - 0.19899) < 1e-4
 
 def check_confidence_sorted_gap():
     # derived: difference model on probs (0.5, 0.3, 0.2) -> 0.2
     row = np.log([0.5, 0.3, 0.2])
     space = _space([[0.0] * 3], [row])
-    assert abs(sp.confidence(space, 0) - 0.2) < 1e-9
+    assert abs(space.components().confidence[0] - 0.2) < 1e-9
 
 def check_confidence_uniform():
     for k in (2, 3, 5):
         space = _space([[0.0] * k], [[7.0] * k])
-        assert abs(sp.confidence(space, 0)) < 1e-12
+        assert abs(space.components().confidence[0]) < 1e-12
 
 def check_confidence_concentrated_limit():
     space = _space([[0.0, 0.0]], [[40.0, 0.0]])
-    assert sp.confidence(space, 0) > 1.0 - 1e-9
+    assert space.components().confidence[0] > 1.0 - 1e-9
 
 def check_confidence_reward_values():
-    assert abs(sp.confidence_reward(_space([[0.0] * 2], [[5.0] * 2]), 0) - 1.0) < 1e-12
+    def reward(space):
+        return space.components().confidence_reward[0]
+
+    assert abs(reward(_space([[0.0] * 2], [[5.0] * 2])) - 1.0) < 1e-12
     row = np.log([0.6, 0.4])
-    assert abs(sp.confidence_reward(_space([[0.0] * 2], [row]), 0) - math.exp(0.2)) < 1e-4
-    space = _space([[0.0, 0.0]], [[60.0, 0.0]])
-    assert abs(sp.confidence_reward(space, 0) - math.e) < 1e-4
+    assert abs(reward(_space([[0.0] * 2], [row])) - math.exp(0.2)) < 1e-4
+    assert abs(reward(_space([[0.0, 0.0]], [[60.0, 0.0]])) - math.e) < 1e-4
 
 def check_social_degenerate_argmaxes():
     rng = np.random.default_rng(7)
@@ -328,9 +347,9 @@ def _candidate_xy(n=4, steps=6, dt=0.25):
         terminal_speed_fractions=tuple(np.linspace(0, 1, n)),
     )
     state = sp.AgentState(s=0.0, v=5.0)
-    return np.stack([
-        sp.rollout(state, np.full(steps, a), dt, path).xy for a in sp.sample_accels(state, path, cfg)
-    ])
+    rows = np.repeat(sp.sample_accels(state, path, cfg)[:, None], steps, axis=-1)
+    s, _ = rollout_batch(state.s, state.v, rows, dt)
+    return path.position(s, state.d)
 
 def check_match_exact():
     xy = _candidate_xy()
@@ -354,18 +373,18 @@ def check_match_offset_stable():
 def check_likelihood_uniform():
     for k in (2, 4, 7):
         space = FakeSpace(np.zeros((3, k)))
-        lik = sp.window_likelihood(0, sp.RewardWeights.egoism(), space)
+        lik = window_likelihood(0, sp.RewardWeights.egoism(), space)
         assert abs(lik - 1.0 / k) < 1e-12
 
 def check_likelihood_tail_bound():
     # derived: softmax with a >= 10 gap is > 0.9999
     space = FakeSpace(np.array([[10.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3]))
-    assert sp.window_likelihood(0, sp.RewardWeights.egoism(), space) > 0.9999
+    assert window_likelihood(0, sp.RewardWeights.egoism(), space) > 0.9999
 
 def check_likelihood_e_ratio():
     # derived: rewards (1, 0) -> e/(e+1)
     space = FakeSpace(np.array([[1.0, 0.0], [0.0] * 2, [0.0] * 2]))
-    lik = sp.window_likelihood(0, sp.RewardWeights.egoism(), space)
+    lik = window_likelihood(0, sp.RewardWeights.egoism(), space)
     assert abs(lik - math.e / (math.e + 1)) < 1e-4
 
 def _fake_space_with_probs(probs_per_basis):

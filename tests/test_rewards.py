@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan.sampling import JointBehaviorSpace
+from socialplan.rewards import social_reward_vector
+from reference_scalar import FeatureVector, brute_force, space_from_matrices, window_likelihood
 from example_checks import (
     check_absence_equal,
     check_absence_prefers_cruise,
@@ -63,38 +64,22 @@ def test_spec_examples():
         fn()
 
 
-def brute_force(reward_ego, reward_other, absence, label, beta=1.0):
-    """Scalar reimplementation of the response/egoism/courtesy/confidence math."""
-    row = [beta * r for r in reward_other[label]]
-    z = sum(math.exp(r - max(row)) for r in row)
-    presence = [math.exp(r - max(row)) / z for r in row]
-    egoism = sum(p * r for p, r in zip(presence, reward_ego[label]))
-    ab = [beta * a for a in absence]
-    za = sum(math.exp(a - max(ab)) for a in ab)
-    q = [math.exp(a - max(ab)) / za for a in ab]
-    kl = sum(qi * math.log(qi / pi) for qi, pi in zip(q, presence))
-    courtesy = math.exp(-max(kl, 0.0))
-    top = sorted(presence, reverse=True)
-    conf = top[0] - top[1] if len(top) > 1 else 1.0
-    return presence, egoism, courtesy, conf, math.exp(conf)
-
-
 def test_brute_force_oracle_3x3():
     rng = np.random.default_rng(42)
     for _ in range(100):
         reward_ego = rng.normal(scale=5.0, size=(3, 3))
         reward_other = rng.normal(scale=5.0, size=(3, 3))
         absence = rng.normal(scale=5.0, size=3)
-        space = JointBehaviorSpace.from_matrices(reward_ego, reward_other, absence)
+        comps = space_from_matrices(reward_ego, reward_other, absence).components()
         for label in range(3):
-            presence, egoism, courtesy, conf, conf_r = brute_force(
+            presence, _, egoism, courtesy, conf, conf_r = brute_force(
                 reward_ego.tolist(), reward_other.tolist(), absence.tolist(), label
             )
-            assert np.allclose(sp.response_distribution(space, label).probs, presence, atol=1e-9)
-            assert abs(sp.egoism_reward(space, label) - egoism) < 1e-9
-            assert abs(sp.courtesy_reward(space, label) - courtesy) < 1e-9
-            assert abs(sp.confidence(space, label) - conf) < 1e-9
-            assert abs(sp.confidence_reward(space, label) - conf_r) < 1e-9
+            assert np.allclose(np.exp(comps.presence_logp[label]), presence, atol=1e-9)
+            assert abs(comps.egoism_raw[label] - egoism) < 1e-9
+            assert abs(comps.courtesy[label] - courtesy) < 1e-9
+            assert abs(comps.confidence[label] - conf) < 1e-9
+            assert abs(comps.confidence_reward[label] - conf_r) < 1e-9
 
 
 def test_distribution_invariants_fuzz():
@@ -102,50 +87,52 @@ def test_distribution_invariants_fuzz():
     for _ in range(300):
         ne, no = rng.integers(1, 7), rng.integers(1, 7)
         scale = 10 ** rng.uniform(-1, 2.0)  # up to reward magnitudes of hundreds
-        space = JointBehaviorSpace.from_matrices(
+        space = space_from_matrices(
             rng.normal(scale=scale, size=(ne, no)),
             rng.normal(scale=scale, size=(ne, no)),
             rng.normal(scale=scale, size=no),
         )
+        comps = space.components()
+        probs = np.exp(comps.presence_logp)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
+        assert np.all(probs > 0.0)
+        assert np.all((comps.courtesy > 0.0) & (comps.courtesy <= 1.0))
+        assert np.all((comps.confidence >= 0.0) & (comps.confidence <= 1.0))
+        assert np.all((comps.confidence_reward >= 1.0) & (comps.confidence_reward <= math.e))
+        rows = space.reward_ego
+        assert np.all((rows.min(axis=1) - 1e-9 <= comps.egoism_raw) & (comps.egoism_raw <= rows.max(axis=1) + 1e-9))
         for label in range(ne):
-            dist = sp.response_distribution(space, label)
-            assert abs(dist.probs.sum() - 1.0) < 1e-9
-            assert np.all(dist.probs > 0.0)
-            court = sp.courtesy_reward(space, label)
-            assert 0.0 < court <= 1.0
-            conf = sp.confidence(space, label)
-            assert 0.0 <= conf <= 1.0
-            assert 1.0 <= sp.confidence_reward(space, label) <= math.e
-            row = space.reward_ego[label]
-            ego = sp.egoism_reward(space, label)
-            assert row.min() - 1e-9 <= ego <= row.max() + 1e-9
+            presence, _, egoism, courtesy, conf, _ = brute_force(
+                rows.tolist(), space.reward_other.tolist(), space.absence_other.tolist(), label
+            )
+            assert np.allclose(probs[label], presence, atol=1e-9)
+            assert abs(comps.egoism_raw[label] - egoism) < 1e-9 * max(1.0, abs(egoism))
+            assert abs(comps.courtesy[label] - courtesy) < 1e-9
+            assert abs(comps.confidence[label] - conf) < 1e-9
 
 
 def test_social_reward_value():
-    space = JointBehaviorSpace.from_matrices(
-        [[3.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [0.5, 0.5]], [0.2, 0.1]
-    )
+    space = space_from_matrices([[3.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [0.5, 0.5]], [0.2, 0.1])
     lam = sp.RewardWeights.of(0.5, 0.3, 0.2)
     comps = space.components()
     expected = (
         0.5 * comps.egoism_norm[1] + 0.3 * comps.courtesy[1] + 0.2 * comps.confidence_reward[1]
     )
-    assert abs(sp.social_reward(space, 1, lam) - expected) < 1e-12
+    assert abs(social_reward_vector(space, lam)[1] - expected) < 1e-12
 
 
 def test_unknown_candidate_errors():
-    space = JointBehaviorSpace.from_matrices([[1.0]], [[1.0]])
-    for fn in (
-        sp.response_distribution,
-        sp.egoism_reward,
-        sp.courtesy_reward,
-        sp.confidence,
-        sp.confidence_reward,
-    ):
-        with pytest.raises(sp.UnknownCandidateError):
-            fn(space, 3)
-    with pytest.raises(sp.UnknownCandidateError):
-        sp.social_reward(space, -2, sp.RewardWeights.egoism())
+    space = space_from_matrices([[1.0]], [[1.0]])
+    cfg = sp.InferenceConfig(n_particles=3)
+    pset = sp.ParticleSet(lambdas=np.eye(3), weights=np.full(3, 1 / 3))
+    for label in (3, -2):
+        for call in (
+            lambda: sp.follower_response(space, label),
+            lambda: sp.update_posterior(pset, label, space, cfg),
+            lambda: window_likelihood(label, sp.RewardWeights.egoism(), space),
+        ):
+            with pytest.raises(sp.UnknownCandidateError):
+                call()
 
 
 def test_reward_weights_validation():
@@ -159,22 +146,13 @@ def test_reward_weights_validation():
 
 def test_feature_vector_validation():
     with pytest.raises(ValueError):
-        sp.FeatureVector(efficiency=0.5, comfort=0.0, safety=0.0)
+        FeatureVector(efficiency=0.5, comfort=0.0, safety=0.0)
     with pytest.raises(ValueError):
-        sp.FeatureVector(efficiency=float("nan"), comfort=0.0, safety=0.0)
-
-
-def test_response_distribution_validation():
-    with pytest.raises(ValueError):
-        sp.ResponseDistribution(probs=np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        sp.ResponseDistribution(probs=np.array([1.2, -0.2]))
+        FeatureVector(efficiency=float("nan"), comfort=0.0, safety=0.0)
 
 
 def test_egoism_normalization_constant_rows():
-    space = JointBehaviorSpace.from_matrices(
-        np.full((3, 2), 7.0), np.zeros((3, 2)), np.zeros(2)
-    )
+    space = space_from_matrices(np.full((3, 2), 7.0), np.zeros((3, 2)), np.zeros(2))
     comps = space.components()
     assert np.allclose(comps.egoism_norm, 0.0, atol=0)
 
@@ -184,7 +162,7 @@ def _spaces(draw):
     ne, no = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     # magnitudes up to 100: inside the log-domain softmax envelope
     value = st.floats(-100.0, 100.0, allow_nan=False)
-    return JointBehaviorSpace.from_matrices(
+    return space_from_matrices(
         np.reshape(draw(st.lists(value, min_size=ne * no, max_size=ne * no)), (ne, no)),
         np.reshape(draw(st.lists(value, min_size=ne * no, max_size=ne * no)), (ne, no)),
         draw(st.lists(value, min_size=no, max_size=no)),
@@ -197,6 +175,3 @@ def test_courtesy_and_confidence_reward_ranges_property(space):
     comps = space.components()
     assert np.all((comps.courtesy > 0.0) & (comps.courtesy <= 1.0))
     assert np.all((comps.confidence_reward >= 1.0) & (comps.confidence_reward <= math.e))
-    for label in range(len(space.ego_candidates)):
-        assert 0.0 < sp.courtesy_reward(space, label) <= 1.0
-        assert 1.0 <= sp.confidence_reward(space, label) <= math.e

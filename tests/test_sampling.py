@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan.rewards import cumulative_reward
+from socialplan.sampling import rollout_batch
 from socialplan.scenarios import crossing_scenario
 from reference_builder import scenario_space
+from reference_scalar import cumulative_reward, features, trajectory
 from example_checks import (
     check_rollout_from_rest,
     check_rollout_standstill,
@@ -111,10 +112,10 @@ def test_rollout_against_fine_integration():
     for _ in range(10):
         accels = rng.uniform(-6, 3, size=8)
         st = sp.AgentState(s=rng.uniform(0, 10), v=rng.uniform(0, 12))
-        traj = sp.rollout(st, accels, 0.25)
+        (s,), (v,) = rollout_batch(st.s, st.v, accels[None], 0.25)
         s_ref, v_ref = fine_rollout_oracle(st, accels, 0.25)
-        assert np.allclose(traj.s, s_ref, atol=1e-5)
-        assert np.allclose(traj.v, v_ref, atol=1e-6)
+        assert np.allclose(s, s_ref, atol=1e-5)
+        assert np.allclose(v, v_ref, atol=1e-6)
 
 
 def _case_space():
@@ -170,9 +171,9 @@ def test_matrix_cache_consistency_against_features():
     scn, space = _case_space()
     cfg = scn.rewards
     for i in range(len(space.ego_candidates)):
-        etraj = space.ego_candidates.trajectory(i)
+        etraj = trajectory(space.ego_candidates, i)
         for j in range(len(space.other_candidates)):
-            otraj = space.other_candidates.trajectory(j)
+            otraj = trajectory(space.other_candidates, j)
             r_e = cumulative_reward(
                 etraj, otraj, cfg.theta_ego, scn.path_ego, scn.conflict, cfg
             )
@@ -188,8 +189,8 @@ def test_absence_excludes_safety():
     scn, space = _case_space()
     cfg = scn.rewards
     for j in range(len(space.other_candidates)):
-        traj = space.other_candidates.trajectory(j)
-        phi = sp.features(traj, None, scn.path_other, None, cfg)
+        traj = trajectory(space.other_candidates, j)
+        phi = features(traj, None, scn.path_other, None, cfg)
         expected = cfg.theta_other[0] * phi.efficiency + cfg.theta_other[1] * phi.comfort
         assert abs(space.absence_other[j] - expected) < 1e-12 * max(1.0, abs(expected))
         assert phi.safety == 0.0

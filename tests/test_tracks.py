@@ -163,6 +163,16 @@ def test_path_csv_too_short(tmp_path):
         tk.load_path_csv(f, 8.0)
 
 
+def test_cli_path_csv_with_a_repeated_vertex_is_a_data_error(tmp_path, capsys):
+    """A repeated vertex once reached ReferencePath.from_points as a ValueError: exit 1, the usage code."""
+    cfg = write_scenario_config(fixture_scenario("courtesy"), tmp_path, seed=0)
+    save_config(cfg, tmp_path / "config.json")
+    (tmp_path / "path_ego.csv").write_text("x,y\n-80.0,0.0\n\n0.0,0.0\n0.0,0.0\n80.0,0.0\n")
+    assert main(["sim", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "socialplan: ParseError: row 5: consecutive path points must be distinct\n"
+
+
 def _fixture(tmp_path, name="courtesy", lam=None, seed=0):
     scn = fixture_scenario(name)
     cfg = write_scenario_config(scn, tmp_path / "template", seed=seed)
