@@ -7,6 +7,7 @@ candidate trajectory.  The control is a scalar longitudinal acceleration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,6 @@ class ReferencePath:
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(seg <= 0.0):
             raise ValueError("consecutive path points must be distinct")
-        if not speed_limit > 0.0:  # NaN fails too
-            raise ValueError("speed_limit must be positive")
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         return cls(points=pts, cumulative_arclength=cum, speed_limit=float(speed_limit))
 
@@ -51,8 +50,10 @@ class ReferencePath:
         cum = self.cumulative_arclength
         if len(self.points) < 2 or len(cum) != len(self.points):
             raise ValueError("points/arclength length mismatch")
-        if cum[0] != 0.0 or np.any(np.diff(cum) <= 0.0):
+        if cum[0] != 0.0 or not np.all(np.diff(cum) > 0.0):  # NaN fails both
             raise ValueError("cumulative arclength must start at 0 and strictly increase")
+        if not self.speed_limit > 0.0:  # NaN fails too
+            raise ValueError("speed_limit must be positive")
         seg = np.diff(self.points, axis=0)
         seg_len = np.linalg.norm(seg, axis=-1)
         unit = seg / seg_len[:, None]
@@ -149,8 +150,8 @@ def step_dynamics(state: AgentState, a: float, dt: float) -> AgentState:
     at zero: if the car would stop inside the step, s advances only up to the
     exact stop time and v' = 0 (no reverse motion).
     """
-    if not dt > 0.0:  # NaN fails too
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:  # NaN fails too
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     v1 = state.v + a * dt
     if v1 < 0.0:
         # stop time t* = -v/a (a < 0 here since v >= 0)

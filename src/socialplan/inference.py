@@ -14,6 +14,7 @@ prior density at each sample.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -22,7 +23,7 @@ import numpy as np
 from .core import AgentState, JointState
 from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError
 from .planner import Scenario
-from .rewards import RewardWeights, _log_softmax, check_ego_label
+from .rewards import RewardWeights, _log_softmax, check_ego_label, off_simplex, weights_error
 from .sampling import JointArrays, JointBehaviorSpace
 
 
@@ -193,14 +194,21 @@ def update_posterior(
     return ParticleSet(lambdas=pset.lambdas if copied is None else pset.lambdas[copied], weights=weights)
 
 
-def _mean(weights: np.ndarray, lambdas: np.ndarray) -> RewardWeights:
-    mean = np.maximum(weights @ lambdas, 0.0)  # np.clip(mean, 0.0, None), without its wrapper cost
+def estimate_lambda(pset: ParticleSet) -> RewardWeights:
+    """Posterior mean, renormalized onto the simplex against rounding."""
+    mean = np.maximum(pset.weights @ pset.lambdas, 0.0)  # np.clip(mean, 0.0, None), without its wrapper cost
     return RewardWeights(mean / mean.sum())
 
 
-def estimate_lambda(pset: ParticleSet) -> RewardWeights:
-    """Posterior mean, renormalized onto the simplex against rounding."""
-    return _mean(pset.weights, pset.lambdas)
+def _means(weights: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """estimate_lambda's values after each of F frames: (F, 3) from the weight rows (F, P).
+
+    lambdas is (P, 3), or (F, P, 3) when each frame has its own particles.
+    One stacked (F, 1, P) @ lambdas product gives each frame the bytes of its
+    own (P,) @ (P, 3) product; a plain (F, P) @ (P, 3) rounds differently.
+    """
+    mean = np.maximum(weights[:, None] @ lambdas, 0.0)[:, 0]
+    return mean / mean.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -224,28 +232,34 @@ def observed_state(obs_self, obs_other, k: int) -> JointState:
 
 
 # Observed states per batched build in replay: enough to amortise the
-# per-call overhead of the array pass, few enough that one pass's
+# roughly 100 numpy calls of one array pass, few enough that its
 # temporaries stay small.  A pair keeps its chunks' arrays until it is done.
-CHUNK = 8
+# 32 was chosen by measurement on a 2-vCPU VM: in paired perfbench/run.py
+# offline_regen runs (10 seeds, 10 s each) the replay at 32 took wall_s from
+# 0.086 to 0.071 s (median) against 8, at 3% more peak memory, and in an
+# in-process probe 16, 64 and one chunk per pair were all slower than 32.
+CHUNK = 32
 
 
 class ReplayChunk:
     """One seat's joint spaces at a chunk of observed states, read in batches.
 
-    frames[i] is the observed state of entry i.  Making a chunk raises its
-    first failing state's error, so its build errors come before any of its
-    frames.  Each method repeats, for many entries at once, the arithmetic
-    of a per-space function, bit for bit, on the seat's terms (SeatTerms,
-    which also holds the leader decisions): products keep one weight matrix
-    on the left, and every reduction runs over the last axis.
+    frames[i] is the observed state of entry i.  Making a chunk raises
+    nothing: its first terms.sound entries are sound, and the next one, if
+    the chunk has it, is the first failing state (terms.error).  A seat's pass
+    reads only sound entries and raises the failing state's error where it
+    first uses that state (check), so the error a replay reports is the one
+    of a replay that builds one state at a time.  Each method repeats, for
+    many entries at once, the arithmetic of a per-space function, bit for
+    bit, on the seat's terms (SeatTerms, which also holds the leader
+    decisions): products keep one weight matrix on the left, and every
+    reduction runs over the last axis.
     """
 
     def __init__(self, frames: list[int], arrays: JointArrays):
         self.frames = frames
         self.arrays = arrays
         self.terms = arrays.social_terms()
-        if self.terms.error is not None:
-            raise self.terms.error[1]
         self.ego_xy = arrays.xy[0]  # (C, nt, N+1, 2), padding rows included
         self._real = np.arange(self.ego_xy.shape[1]) < arrays.sizes[0][:, None]  # (C, nt) real ego candidates
 
@@ -267,15 +281,26 @@ class ReplayChunk:
             labels[sel] = np.where(self._real[entries[sel]], mse, np.inf).argmin(axis=-1)
         return labels
 
+    def check(self, i: int) -> None:
+        """Raise the build error of the failing state if entry i is at or past it."""
+        if i >= self.terms.sound:
+            raise self.terms.error[1]
+
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
-        """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P)."""
+        """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P).
+
+        A group's products stop at the last entry asked for, so the terms of
+        a later (maybe failing) state never reach them.
+        """
         entries, labels = np.asarray(entries), np.asarray(labels)
         group, row = np.array(self.terms.slots)[entries].T
         out = np.empty((len(entries), len(lambdas)))
         for g, (_, _, _, comps) in enumerate(self.terms.groups):
             sel = group == g
             if sel.any():
-                out[sel] = _log_softmax(lambdas @ comps.terms)[row[sel], :, labels[sel]]  # from (G, P, ne)
+                rows = row[sel]
+                logp = _log_softmax(lambdas @ comps.terms[: rows.max() + 1])  # (G, P, ne)
+                out[sel] = logp[rows, :, labels[sel]]
         return out
 
 
@@ -288,7 +313,9 @@ class PairReplay:
     the chunk, and kept until the pair is done, so the seats, replayed one
     after the other, share every build.  Seat 1's arrays are views of seat
     0's (JointArrays.swapped) and give, bit for bit, the spaces the swapped
-    scenario would build on its own.
+    scenario would build on its own.  A state's build error is raised at
+    the frame where the seat first uses the state (ReplayChunk), whatever
+    CHUNK is.
     """
 
     def __init__(self, obs_ego, obs_other, scenario: Scenario):
@@ -312,17 +339,23 @@ class PairReplay:
 
     def posterior_steps(
         self, seat: int, cfg: InferenceConfig, seed: int = 0
-    ) -> Iterator[tuple[ReplayChunk, int, int, RewardWeights]]:
+    ) -> Iterator[tuple[ReplayChunk, int, int, np.ndarray]]:
         """The posterior loop for the agent in the seat, one frame at a time.
 
         Yields (chunk, i, k, estimate) for each posterior frame k in order:
         the chunk whose entry i is the window start tau, and the posterior
-        mean after the window tau..k.  Window starts are built CHUNK at a
-        time (under growing_window the frame-0 state serves every frame).
-        A chunk's matched labels and log-likelihoods come from one array
-        pass; the weight recursion (_reweigh, as in update_posterior, then
-        the mean, as in estimate_lambda) runs per frame.  With resampling,
-        each frame reads its log-likelihoods at the particles it copied.
+        mean after the window tau..k as a weight row (3,).  Window starts
+        are built CHUNK at a time (under growing_window the frame-0 state
+        serves every frame).  A chunk's matched labels and log-likelihoods
+        come from one array pass, and so do the means of its frames, from
+        one stacked product (_means); the weight recursion (_reweigh, as in
+        update_posterior) runs per frame.  With resampling, each frame reads
+        its log-likelihoods at the particles it copied.
+
+        Errors come out at their frame, as in the per-frame loop: a window
+        start's build error at frame tau + r (under growing_window, at frame
+        r), before that frame's update; a degenerate update or an off-simplex
+        mean at its own frame, after every frame before it.
         """
         obs_self = self.obs[seat]
         total = len(obs_self.s) - 1
@@ -338,13 +371,33 @@ class PairReplay:
             else:
                 stops = [tau + r for tau in chunk.frames]
                 entries = list(range(len(stops)))
-            labels = chunk.matched_labels(obs_self.xy, entries, stops)
-            for i, k, loglik in zip(entries, stops, chunk.log_likelihoods(pset.lambdas, entries, labels)):
-                weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
-                if idx is not None:
-                    copied = idx if copied is None else copied[idx]
-                    lambdas = lambdas[idx]
-                yield chunk, i, k, _mean(weights, lambdas)
+            n = bisect_left(entries, chunk.terms.sound)  # frames before the first use of a failing state
+            rows, per_frame, failure = [], [], None
+            if n:
+                labels = chunk.matched_labels(obs_self.xy, entries[:n], stops[:n])
+                for loglik in chunk.log_likelihoods(pset.lambdas, entries[:n], labels):
+                    try:
+                        weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
+                    except DegenerateWeightsError as exc:
+                        failure = exc
+                        break
+                    if idx is not None:
+                        copied = idx if copied is None else copied[idx]
+                        lambdas = lambdas[idx]
+                        per_frame.append(lambdas)
+                    rows.append(weights)
+            if rows:
+                means = _means(np.stack(rows), np.stack(per_frame) if per_frame else lambdas)
+                bad = off_simplex(means)
+                good = int(bad.argmax()) if bad.any() else len(rows)
+                for j in range(good):
+                    yield chunk, entries[j], stops[j], means[j]
+                if good < len(rows):
+                    raise weights_error(means[good])
+            if failure is not None:
+                raise failure
+            if n < len(entries):
+                chunk.check(entries[n])
 
 
 def posterior_steps(
@@ -353,7 +406,7 @@ def posterior_steps(
     scenario: Scenario,
     cfg: InferenceConfig,
     seed: int = 0,
-) -> Iterator[tuple[ReplayChunk, int, int, RewardWeights]]:
+) -> Iterator[tuple[ReplayChunk, int, int, np.ndarray]]:
     """The posterior loop for the agent sitting in the scenario's ego seat (PairReplay.posterior_steps, seat 0).
 
     obs_self/obs_other expose s, v, d, xy arrays on the planning-rate grid.
@@ -366,7 +419,7 @@ def _series(steps) -> InferenceSeries:
     frames, lams = [], []
     for *_, k, estimate in steps:
         frames.append(k)
-        lams.append(estimate.values)
+        lams.append(estimate)
     return InferenceSeries(frames=np.array(frames), lambdas=np.stack(lams))
 
 

@@ -167,7 +167,7 @@ def _crossed(x: JointState, conflict: ConflictPoint) -> bool:
 
 def decide(arrays: JointArrays, terms: SeatTerms, i: int, lam: RewardWeights) -> tuple[int, int, float, float]:
     """leader_label and follower_response at state i of a build: (ego label, other label, their first controls)."""
-    label = terms.leader_label(i, lam)
+    label = terms.leader_label(i, lam.values)
     response = int(arrays.reward_other[i, label, : arrays.sizes[1, i]].argmax())
     return label, response, float(arrays.rows[0, i, label, 0]), float(arrays.rows[1, i, response, 0])
 

@@ -58,6 +58,16 @@ class RewardConfig:
             raise ValueError("utility weights must be finite")
 
 
+def off_simplex(rows: np.ndarray) -> np.ndarray:
+    """Which weight rows (..., 3) are off the 2-simplex: an entry below -1e-9, or a sum off 1 by more than 1e-9."""
+    return (rows < -1e-9).any(axis=-1) | ~(abs(rows.sum(axis=-1) - 1.0) <= 1e-9)  # NaN fails the second test
+
+
+def weights_error(row: np.ndarray) -> ValueError:
+    """The error for a weight row that off_simplex rejects."""
+    return ValueError(f"reward weights must be non-negative and sum to 1, got {row}")
+
+
 @dataclass(frozen=True)
 class RewardWeights:
     """Mixing weights over (egoism, courtesy, confidence); a point on the 2-simplex."""
@@ -68,8 +78,8 @@ class RewardWeights:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (3,):
             raise ValueError("reward weights must be a 3-vector")
-        if (v < -1e-9).any() or not abs(v.sum() - 1.0) <= 1e-9:  # NaN fails the second test
-            raise ValueError(f"reward weights must be non-negative and sum to 1, got {v}")
+        if off_simplex(v):
+            raise weights_error(v)
         object.__setattr__(self, "values", np.maximum(v, 0.0))  # np.clip(v, 0.0, None), without its wrapper cost
 
     @classmethod

@@ -27,13 +27,14 @@ its own absence row and social terms.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import AgentState, ConflictPoint, JointState, ReferencePath, step_dynamics
 from .errors import EmptyCandidateSetError, NonFiniteRewardError, SocialPlanError
-from .rewards import RewardConfig, RewardWeights, SocialComponents, beta_error, component_arrays, social_components
+from .rewards import RewardConfig, SocialComponents, beta_error, component_arrays, social_components
 
 
 @dataclass(frozen=True)
@@ -285,15 +286,28 @@ class SeatTerms:
     slots: list[tuple[int, int]]
     error: tuple[int, SocialPlanError] | None  # (i, its error) for the first failing state i; the ones before are sound
 
-    def leader_label(self, i: int, lam: RewardWeights) -> int:
-        """planner.leader_label on state i's space: one (3,) @ (3, ne) product, the lowest label on ties."""
-        g, j = self.slots[i]
-        return int((lam.values @ self.groups[g][3].terms[j]).argmax())
+    @property
+    def sound(self) -> int:
+        """How many states, from the first, are sound: the first failing state's index, else all of them."""
+        return len(self.slots) if self.error is None else self.error[0]
 
-    def leader_labels(self, lam: RewardWeights) -> list[int]:
-        """leader_label(i, lam) at every state, from one (1, 3) @ (G, 3, ne) product per group."""
-        by_group = [(lam.values[None] @ comps.terms).argmax(axis=-1)[:, 0].tolist() for *_, comps in self.groups]
-        return [by_group[g][j] for g, j in self.slots]
+    def leader_label(self, i: int, lam: np.ndarray) -> int:
+        """planner.leader_label on state i's space, weights lam (3,): one (3,) @ (3, ne) product, ties to the lowest."""
+        g, j = self.slots[i]
+        return int((lam @ self.groups[g][3].terms[j]).argmax())
+
+    def leader_labels(self, lam: np.ndarray) -> list[int]:
+        """leader_label(i, lam) at every sound state, from one (1, 3) @ (G, 3, ne) product per group.
+
+        A group's states run in state order, so its sound ones are a prefix
+        of its terms, and a failing state's terms never reach the product.
+        """
+        n = self.sound
+        by_group = [
+            (lam[None] @ comps.terms[: bisect_left(states, n)]).argmax(axis=-1)[:, 0].tolist()
+            for states, *_, comps in self.groups
+        ]
+        return [by_group[g][j] for g, j in self.slots[:n]]
 
 
 @dataclass(frozen=True, eq=False)

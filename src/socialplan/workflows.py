@@ -257,10 +257,11 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     before the pass starts a window at k.  Frames the pass never starts a
     window at (window_r above the longest horizon's step count, or
     growing_window) get their chunks from the replay after the pass, which
-    builds each chunk once for both seats.  At a chunk's first
-    regeneration frame, one array pass scores every ego candidate of its
-    regeneration frames at every horizon and takes the fixed policies'
-    decisions; the estimated policy decides per frame.
+    builds each chunk once for both seats; a failing state among those
+    raises its build error at its regeneration frame (ReplayChunk.check).
+    At a chunk's first regeneration frame, one array pass scores every ego
+    candidate of its sound regeneration frames at every horizon and takes
+    the fixed policies' decisions; the estimated policy decides per frame.
     """
     obs_self = replay.obs[seat]
     dt = cfg.sampler.dt
@@ -269,16 +270,17 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     frames = range(cfg.inference.window_r, total + 1 - max_steps)
     if not frames:
         raise ShortTrackError("track too short to regenerate at the longest horizon")
-    fixed = [(name, make()) for name, make in POLICIES.items()]
+    fixed = [(name, make().values) for name, make in POLICIES.items()]
     sums = {name: dict.fromkeys(REGEN_HORIZONS, 0.0) for name in [*POLICIES, "estimated"]}
-    lam_at: dict[int, RewardWeights] = {}
+    lam_at: dict[int, np.ndarray] = {}  # the posterior mean recorded at each frame
     scored = None  # (chunk, MSE rows by frame, fixed policies' labels by entry) of the last chunk regenerated from
 
     def regenerate(chunk, i: int) -> None:
         nonlocal scored
+        chunk.check(i)
         k = chunk.frames[i]
         if scored is None or scored[0] is not chunk:
-            entries = [j for j, f in enumerate(chunk.frames) if f in frames]
+            entries = [j for j, f in enumerate(chunk.frames[: chunk.terms.sound]) if f in frames]
             ks = np.asarray(chunk.frames)[entries]
             truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
             mse = metrics.horizon_mse(chunk.ego_xy[entries], truth, dt, REGEN_HORIZONS)

@@ -7,9 +7,10 @@ feature, and the social components are left to JointBehaviorSpace to compute
 on demand.  reference_simulate is the one-policy receding-horizon loop on
 that build.  reference_posterior_steps is the per-frame posterior loop the
 replay used before it read a chunk's arithmetic in batches: match_observed,
-update_posterior and estimate_lambda at every frame, on joint spaces built
-CHUNK window starts at a time.  Tests compare the library against all three
-bit for bit.
+update_posterior and estimate_lambda at every frame, on one joint space
+built per window start, when the loop first uses it, so a window start's
+build error comes out at that frame.  Tests compare the library against all
+three bit for bit, errors included.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from socialplan.core import JointState, step_dynamics
 from socialplan.errors import ShortTrackError
 from socialplan.inference import (
-    CHUNK, InferenceSeries, estimate_lambda, init_particles, match_observed, observed_state, update_posterior,
+    InferenceSeries, estimate_lambda, init_particles, match_observed, observed_state, update_posterior,
 )
 from socialplan.planner import InteractionTrace, follower_response, leader_label
 from socialplan.sampling import CandidateFan, JointBehaviorSpace, rollout_batch, safety_matrix, sample_accels
@@ -112,36 +113,25 @@ def reference_simulate(scenario, lam, max_steps: int = 200, start_state=None, bu
     )
 
 
-def chunk_spaces(obs_self, obs_other, scenario, frames):
-    """(k, the joint space at observed state k) for each frame k in order, CHUNK states a build.
-
-    A chunk is built before any of its frames is handed out, so its build
-    errors come first, as in replay.
-    """
-    frames = list(frames)
-    for i in range(0, len(frames), CHUNK):
-        chunk = frames[i : i + CHUNK]
-        yield from zip(chunk, scenario.spaces_at([observed_state(obs_self, obs_other, k) for k in chunk]))
-
-
 def reference_posterior_steps(obs_self, obs_other, scenario, cfg, seed: int = 0):
     """The posterior loop for the agent in the scenario's ego seat, one frame at a time.
 
     Yields (tau, space, k, matched, estimate) for each posterior frame k:
     the window start tau, the joint space at observed state tau, the label
-    the window tau..k matched, and the posterior mean after it.
+    the window tau..k matched, and the posterior mean after it.  The space
+    at tau is built before the update of the first frame that uses it, so
+    its build error comes out there.
     """
     total = len(obs_self.s) - 1
     r = cfg.window_r
     if total < r:
         raise ShortTrackError(f"track has {total} steps, window needs {r}")
     pset = init_particles(cfg, seed)
-    spaces = chunk_spaces(obs_self, obs_other, scenario, [0] if cfg.growing_window else range(total - r + 1))
     built_at, space = None, None
     for k in range(r, total + 1):
         tau = 0 if cfg.growing_window else k - r
         if tau != built_at:
-            built_at, space = next(spaces)
+            built_at, space = tau, scenario.space_at(observed_state(obs_self, obs_other, tau))
         matched = match_observed(obs_self.xy[tau : k + 1], space.ego_candidates.xy)
         pset = update_posterior(pset, matched, space, cfg)
         yield tau, space, k, matched, estimate_lambda(pset)

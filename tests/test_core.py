@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -220,6 +222,25 @@ def test_invalid_states_rejected():
         sp.AgentState(s=-0.1, v=0.0)
     with pytest.raises(ValueError):
         sp.step_dynamics(sp.AgentState(s=0, v=1), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_step_dynamics_rejects_a_non_finite_dt(dt):
+    """dt = inf would give v + 0 * inf = nan, which the state check blamed on the speed."""
+    with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt!r}"):
+        sp.step_dynamics(sp.AgentState(s=0.0, v=1.0), 0.0, dt)
+
+
+def test_reference_path_built_directly_checks_speed_limit_and_arclength():
+    """The dataclass constructor, not only from_points, rejects a NaN speed limit and a NaN arclength."""
+    points = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="^speed_limit must be positive$"):
+        sp.ReferencePath(points=points, cumulative_arclength=np.array([0.0, 1.0]), speed_limit=math.nan)
+    for cum in ([0.0, math.nan], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="^cumulative arclength must start at 0 and strictly increase$"):
+            sp.ReferencePath(points=points, cumulative_arclength=np.array(cum), speed_limit=10.0)
+    with pytest.raises(ValueError, match="^speed_limit must be positive$"):
+        sp.ReferencePath.from_points(points, math.nan)
 
 
 def test_conflict_point_consistent_on_both_paths():

@@ -10,9 +10,10 @@ observed states that the pair keeps until it is done (PairReplay): the
 other seat's arrays are views of the ego seat's, and each chunk's matched
 labels, log-likelihoods, leader decisions and regeneration errors come from
 one array pass (ReplayChunk).  These tests pin that this gives the same
-bytes and raises the definition's first error, builds each observed state at
-most once per pair, builds nothing for the other seat, and never builds
-more than one chunk ahead.
+bytes and raises the definition's first error at the definition's frame,
+whatever the chunk size, builds each observed state at most once per pair,
+builds nothing for the other seat, and never builds more than one chunk
+ahead.
 """
 import itertools
 import json
@@ -258,25 +259,28 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
         assert n <= len(built) < n + CHUNK
         assert (built[tau][1].s, built[tau][2].s) == (chunk.arrays.S[0, i, 0, 0], chunk.arrays.S[1, i, 0, 0])
         assert chunk.arrays.sizes[0, i] >= 1
-        assert abs(estimate.values.sum() - 1.0) < 1e-9
+        assert estimate.shape == (3,) and abs(estimate.sum() - 1.0) < 1e-9
     assert len(built) == n
 
 
 def _failing_seats(monkeypatch, scenario, fail_at: set) -> None:
-    """Make a seat's build raise at the first of its states whose (seat, frame) is in fail_at.
+    """Make a seat's build fail at the first of its states whose (seat, frame) is in fail_at.
 
-    The error comes from the checks every seat's build runs, in replay and
-    in JointArrays.spaces() alike.  The seat is told by its own car's path,
-    so the swapped scenario's builds count as seat 1 too.
+    The error goes where every seat's build reports its first failing
+    state, SeatTerms.error, unless a real failure comes before it: replay
+    raises it where it first uses the state, and JointArrays.spaces() at
+    once.  The seat is told by its own car's path, so the swapped
+    scenario's builds count as seat 1 too.
     """
     real = sampling.JointArrays.social_terms
 
     def social_terms(self):
+        terms = real(self)
         seat = 0 if np.array_equal(self.paths[0].points, scenario.path_ego.points) else 1
-        for x in self.states:
+        for i, x in enumerate(self.states[: terms.sound]):
             if (seat, x.t) in fail_at:
-                raise sp.DegenerateWeightsError(f"seat {seat} fails at frame {x.t}")
-        return real(self)
+                return replace(terms, error=(i, sp.DegenerateWeightsError(f"seat {seat} fails at frame {x.t}")))
+        return terms
 
     monkeypatch.setattr(sampling.JointArrays, "social_terms", social_terms)
 
@@ -348,19 +352,24 @@ def test_leader_label_breaks_ties_to_lowest_label():
         assert sp.leader_label(space, lam) == 0
 
 
-# r = 10 and CHUNK = 8: chunk 0 holds window starts 0..7 (posterior frames
-# 10..17), chunk 1 window starts 8..15 (frames 18..25)
+# replay chunk sizes: one state, the two sizes CHUNK has had, and one chunk per pair
+_CHUNK_SIZES = (1, 8, 32, 10**6)
+
+
+# r = 10: window start tau is first used at posterior frame tau + 10, before
+# that frame's update, so a build error at tau and a degeneracy at k come out
+# in the order of tau + 10 and k, wherever the chunk boundaries fall
 @pytest.mark.parametrize(
     "degenerate,fail_at,expected",
     [
-        ({(0, 13)}, set(), "seat 0 degenerates at frame 13"),  # inside a chunk
+        ({(0, 13)}, set(), "seat 0 degenerates at frame 13"),
         ({(1, 13)}, set(), "seat 1 degenerates at frame 13"),
         ({(1, 11), (0, 22)}, set(), "seat 0 degenerates at frame 22"),  # the ego seat's later error wins
-        ({(0, 17)}, {(0, 8)}, "seat 0 degenerates at frame 17"),  # late in chunk 0, before chunk 1's build
-        ({(0, 18)}, {(0, 15)}, "seat 0 fails at frame 15"),  # a chunk's build comes before its frames
+        ({(0, 17)}, {(0, 8)}, "seat 0 degenerates at frame 17"),  # window start 8 is first used at frame 18
+        ({(0, 18)}, {(0, 15)}, "seat 0 degenerates at frame 18"),  # window start 15 is first used at frame 25
         ({(0, 30)}, {(1, 8)}, "seat 0 degenerates at frame 30"),
         ({(1, 17)}, {(1, 8)}, "seat 1 degenerates at frame 17"),
-        ({(1, 18)}, {(1, 15)}, "seat 1 fails at frame 15"),
+        ({(1, 18)}, {(1, 15)}, "seat 1 degenerates at frame 18"),
     ],
 )
 def test_frame_errors_come_out_in_frame_order(fixture_cfg, tmp_path, monkeypatch, degenerate, fail_at, expected):
@@ -368,15 +377,52 @@ def test_frame_errors_come_out_in_frame_order(fixture_cfg, tmp_path, monkeypatch
     scenario = fixture_cfg.load_scenario()
     r = fixture_cfg.inference.window_r
     _failing_seats(monkeypatch, scenario, fail_at)
-    runs = (
-        lambda: _seat_by_seat(pair, scenario, fixture_cfg.inference),
-        lambda: infer_trace(pair, scenario, fixture_cfg.inference),
-        lambda: workflows.run_regen(fixture_cfg, tmp_path),
-    )
-    for run in runs:
-        _degenerate_at(monkeypatch, r, degenerate)
-        with pytest.raises(sp.DegenerateWeightsError, match=expected):
-            run()
+    _degenerate_at(monkeypatch, r, degenerate)
+    with pytest.raises(sp.DegenerateWeightsError, match=expected):
+        _seat_by_seat(pair, scenario, fixture_cfg.inference)
+    for size in _CHUNK_SIZES:
+        monkeypatch.setattr(inference, "CHUNK", size)
+        runs = (
+            lambda: infer_trace(pair, scenario, fixture_cfg.inference),
+            lambda: workflows.run_regen(fixture_cfg, tmp_path),
+        )
+        for run in runs:
+            _degenerate_at(monkeypatch, r, degenerate)
+            with pytest.raises(sp.DegenerateWeightsError, match=expected):
+                run()
+
+
+@pytest.mark.parametrize("car", ["ego", "other"])
+def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_path, monkeypatch, car):
+    """A speed of 1e300 at one observed state overflows that state's rollout (the ego car's: its features;
+    the other car's: the social terms as well).  Its error comes out at its own frame, after the frames
+    before it, at every chunk size, and the arithmetic of the states before it raises no RuntimeWarning."""
+    [(_, pair)] = workflows.observed_pairs(fixture_cfg)
+    scenario = fixture_cfg.load_scenario()
+    cfg = fixture_cfg.inference
+    tau = 13  # mid-chunk at 8 and 32
+    v = getattr(pair, car).v.copy()
+    v[tau] = 1e300
+    failing = replace(pair, **{car: replace(getattr(pair, car), v=v)})
+    want = []
+    with pytest.raises(sp.NonFiniteRewardError) as definition:
+        for *_, k, _, estimate in reference_posterior_steps(failing.ego, failing.other, scenario, cfg):
+            want.append((k, estimate.values.tobytes()))
+    assert [k for k, _ in want] == list(range(cfg.window_r, tau + cfg.window_r))
+    monkeypatch.setattr(workflows, "observed_pairs", lambda _: [(0, failing)])
+    for size in _CHUNK_SIZES:
+        monkeypatch.setattr(inference, "CHUNK", size)
+        got = []
+        with pytest.raises(sp.NonFiniteRewardError) as error:
+            for _, _, k, estimate in PairReplay(failing.ego, failing.other, scenario).posterior_steps(0, cfg):
+                got.append((k, estimate.tobytes()))
+        assert str(error.value) == str(definition.value)
+        assert got == want, size
+        # regeneration scores and decides at frames 10..12 of the failing state's chunk first
+        for run in (lambda: infer_trace(failing, scenario, cfg), lambda: workflows.run_regen(fixture_cfg, tmp_path)):
+            with pytest.raises(sp.NonFiniteRewardError) as error:
+                run()
+            assert str(error.value) == str(definition.value)
 
 
 @pytest.mark.parametrize(
@@ -419,8 +465,8 @@ _tracks = st.integers(2, 41).flatmap(
 
 
 def _example_tracks(n: int) -> tuple:
-    """Tracks whose values sweep their whole range once per CHUNK frames."""
-    ramp = np.arange(n) % CHUNK / (CHUNK - 1)
+    """Tracks whose values sweep their whole range once every 8 frames."""
+    ramp = np.arange(n) % 8 / 7
     return tuple((lo + (hi - lo) * (ramp if c % 2 else ramp[::-1])).tolist() for c, (lo, hi) in enumerate(_RANGES))
 
 
@@ -437,8 +483,8 @@ def _example_tracks(n: int) -> tuple:
     n_particles=st.integers(2, 40),
     seed=st.integers(0, 2**16),
 )
-# speeds sweep 0..25 m/s within each chunk, over a 0.5 s rollout: fans of 1 to 4 candidates
-# in one chunk; window_r below CHUNK, resampling
+# speeds sweep 0..25 m/s every 8 frames, over a 0.5 s rollout: fans of 1 to 4 candidates
+# in one chunk; a short window, resampling
 @example(
     horizon=2, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], tracks=_example_tracks(21),
     window_r=3, growing=False, resample=True, prior=_PRIORS[2], n_particles=30, seed=1,
@@ -448,10 +494,20 @@ def _example_tracks(n: int) -> tuple:
     horizon=4, dt=0.08, fractions=[0.0, 0.5, 1.0], tracks=_example_tracks(30),
     window_r=9, growing=False, resample=False, prior=_PRIORS[1], n_particles=7, seed=2,
 )
-# growing_window with a window longer than CHUNK
+# growing_window: one state serves every frame
 @example(
     horizon=12, dt=0.08, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], tracks=_example_tracks(30),
     window_r=12, growing=True, resample=True, prior=_PRIORS[0], n_particles=16, seed=3,
+)
+# resampled means at the particle counts the workloads use (100, and 101 off the square
+# covering), over a chunk boundary and under growing_window
+@example(
+    horizon=6, dt=0.08, fractions=[0.0, 0.25, 0.5, 0.75, 1.0], tracks=_example_tracks(41),
+    window_r=3, growing=False, resample=True, prior=_PRIORS[0], n_particles=100, seed=4,
+)
+@example(
+    horizon=6, dt=0.08, fractions=[0.0, 0.5, 1.0, 1.25], tracks=_example_tracks(41),
+    window_r=5, growing=True, resample=True, prior=_PRIORS[2], n_particles=101, seed=5,
 )
 def test_chunk_arithmetic_matches_the_per_frame_loop(
     horizon, dt, fractions, tracks, window_r, growing, resample, prior, n_particles, seed
@@ -483,7 +539,7 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
         got = list(replay.posterior_steps(seat, cfg, seed))
         want = list(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
         assert [(chunk.frames[i], k) for chunk, i, k, _ in got] == [(tau, k) for tau, _, k, _, _ in want]
-        assert [e.values.tobytes() for *_, e in got] == [e.values.tobytes() for *_, e in want]
+        assert [e.tobytes() for *_, e in got] == [e.values.tobytes() for *_, e in want]
 
         space_at = {tau: space for tau, space, *_ in want}
         for _, items in itertools.groupby(zip(got, want), key=lambda pair: id(pair[0][0])):
@@ -493,9 +549,11 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
             stops = [k for (_, _, k, _), _ in items]
             assert chunk.matched_labels(obs_self.xy, entries, stops).tolist() == [m for _, (*_, m, _) in items]
             for lam in fixed:
-                assert chunk.terms.leader_labels(lam) == [sp.leader_label(space_at[tau], lam) for tau in chunk.frames]
+                want_labels = [sp.leader_label(space_at[tau], lam) for tau in chunk.frames]
+                assert chunk.terms.leader_labels(lam.values) == want_labels
             for (_, i, _, estimate), _ in items:
-                assert chunk.terms.leader_label(i, estimate) == sp.leader_label(space_at[chunk.frames[i]], estimate)
+                want_label = sp.leader_label(space_at[chunk.frames[i]], sp.RewardWeights(estimate))
+                assert chunk.terms.leader_label(i, estimate) == want_label
             scored = [i for i, tau in enumerate(chunk.frames) if tau + horizon <= steps]
             truth = np.stack([obs_self.xy[chunk.frames[i] : chunk.frames[i] + horizon + 1] for i in scored] or
                              [np.zeros((horizon + 1, 2))])
