@@ -40,7 +40,6 @@ from .inference import (
     infer_trace,
     init_particles,
     match_observed,
-    posterior_steps,
     update_posterior,
 )
 from .metrics import (
@@ -68,7 +67,6 @@ from .sampling import (
     JointBehaviorSpace,
     SamplerConfig,
     build_joint_space,
-    build_joint_spaces,
     sample_accels,
 )
 

@@ -17,6 +17,13 @@ from .errors import NoConflictError
 _EPS = 1e-12
 
 
+def _arclength(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment lengths (n-1,) and cumulative arclength (n,) of finite vertices (n, 2); inf where they overflow."""
+    with np.errstate(over="ignore"):
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        return seg, np.concatenate([[0.0], np.cumsum(seg)])
+
+
 @dataclass(frozen=True)
 class ReferencePath:
     """Polyline reference path with cumulative arclength and a speed limit.
@@ -38,12 +45,13 @@ class ReferencePath:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("path needs at least 2 two-dimensional points")
-        if np.isnan(pts).any():
-            raise ValueError("path points must not be NaN")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        if not np.isfinite(pts).all():
+            raise ValueError("path points must be finite")
+        seg, cum = _arclength(pts)
         if np.any(seg <= 0.0):
             raise ValueError("consecutive path points must be distinct")
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        if not np.isfinite(cum[-1]):
+            raise ValueError("path arclength overflows; use smaller coordinates")
         return cls(points=pts, cumulative_arclength=cum, speed_limit=float(speed_limit))
 
     def __post_init__(self):

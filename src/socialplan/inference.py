@@ -161,7 +161,7 @@ def match_observed(observed_xy: np.ndarray, candidate_xy: np.ndarray) -> int:
 
 
 def _log_likelihoods(space: JointBehaviorSpace, matched_label: int, lambdas: np.ndarray) -> np.ndarray:
-    return _log_softmax(lambdas @ space.components().stacked())[:, matched_label]  # (n_particles,)
+    return _log_softmax(lambdas @ space.components().terms)[:, matched_label]  # (n_particles,)
 
 
 def _reweigh(weights: np.ndarray, loglik: np.ndarray, resample: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -400,20 +400,6 @@ class PairReplay:
                 chunk.check(entries[n])
 
 
-def posterior_steps(
-    obs_self,
-    obs_other,
-    scenario: Scenario,
-    cfg: InferenceConfig,
-    seed: int = 0,
-) -> Iterator[tuple[ReplayChunk, int, int, np.ndarray]]:
-    """The posterior loop for the agent sitting in the scenario's ego seat (PairReplay.posterior_steps, seat 0).
-
-    obs_self/obs_other expose s, v, d, xy arrays on the planning-rate grid.
-    """
-    return PairReplay(obs_self, obs_other, scenario).posterior_steps(0, cfg, seed)
-
-
 def _series(steps) -> InferenceSeries:
     """One seat's per-frame estimates from its posterior steps."""
     frames, lams = [], []
@@ -431,7 +417,7 @@ def infer_agent(
     seed: int = 0,
 ) -> InferenceSeries:
     """Per-frame weight estimates for the agent sitting in the scenario's ego seat."""
-    return _series(posterior_steps(obs_self, obs_other, scenario, cfg, seed))
+    return _series(PairReplay(obs_self, obs_other, scenario).posterior_steps(0, cfg, seed))
 
 
 def infer_trace(pair, scenario: Scenario, cfg: InferenceConfig, seed: int = 0) -> dict[str, InferenceSeries]:

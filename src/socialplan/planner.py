@@ -16,7 +16,7 @@ from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point,
 from .errors import SocialPlanError
 from .rewards import RewardConfig, RewardWeights, check_ego_label, social_reward_vector
 from .sampling import JointArrays, JointBehaviorSpace, SamplerConfig, SeatTerms
-from .sampling import build_joint_arrays, build_joint_space, build_joint_spaces
+from .sampling import build_joint_arrays, build_joint_space
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,8 @@ class Scenario:
     def space_at(self, x0: JointState) -> JointBehaviorSpace:
         return build_joint_space(x0, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
-    def spaces_at(self, states: list[JointState]) -> list[JointBehaviorSpace]:
-        """space_at for each state, built in one array pass (see build_joint_spaces)."""
-        return build_joint_spaces(states, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
-
     def arrays_at(self, states: list[JointState]) -> JointArrays:
-        """The array stage of spaces_at, for the ego seat and, through JointArrays.swapped(), the other seat."""
+        """One array pass over the states (build_joint_arrays); JointArrays.swapped() gives the other seat."""
         return build_joint_arrays(states, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
 

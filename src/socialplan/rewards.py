@@ -129,10 +129,6 @@ class SocialComponents:
     confidence_reward: np.ndarray  # (ne,) in [1, e]
     terms: np.ndarray  # (3, ne) read-only stack of egoism_norm, courtesy, confidence_reward
 
-    def stacked(self) -> np.ndarray:
-        """(3, ne) matrix of the mixable terms."""
-        return self.terms
-
     def at(self, i: int) -> "SocialComponents":
         """Entry i along the leading axis of batched components (views, not copies)."""
         return SocialComponents(*(value[i] for value in vars(self).values()))
@@ -205,5 +201,5 @@ def social_reward_vector(space, lam: RewardWeights) -> np.ndarray:
     The egoism term is min-max normalized over the candidate set before
     mixing so that all three terms share an O(1) range.
     """
-    return lam.values @ space.components().stacked()
+    return lam.values @ space.components().terms
 

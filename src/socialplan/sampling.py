@@ -7,22 +7,19 @@ label.  Pairing the two fans yields the discrete joint behavior space; both
 agents' utilities are cached as |ego| x |other| matrices at build time so
 every downstream reward term reduces to row/column operations.
 
-build_joint_spaces is the one builder.  It puts both sides of every state
+build_joint_arrays is the one builder.  It puts both sides of every state
 on the full target grid, padding each fan to the number of terminal speeds,
 and runs rollout, path position, utility vectors, safety and the weighted
 sums once over that grid.  Every kernel reduces over the last axis only, so
-each row and pair gives the same bits as on its own.  Only the social terms
-run per group of states with equal fan sizes.  build_joint_space is its
-one-state case.
-
-The builder has two stages: build_joint_arrays runs the array pass, and
-JointArrays.social_terms() checks every state and returns one seat's
-social terms, a SeatTerms, whose leader_label is the leader decision that
-the closed loop and replay both read; no pipeline assembles per-state
-spaces.  JointArrays.spaces() does, for the reference and the public API.
-Replay serves the other driver's seat from the same pass (swapped()): the
-ego seat's arrays with the sides swapped and the matrices transposed, plus
-its own absence row and social terms.
+each row and pair gives the same bits as on its own.  Then
+JointArrays.social_terms() checks every state and returns one seat's social
+terms, a SeatTerms, computed once per group of states with equal fan sizes;
+its leader_label is the leader decision that the closed loop and replay
+both read.  No pipeline assembles per-state spaces: JointArrays.spaces()
+does, for the reference and the public API, and build_joint_space is its
+one-state case.  Replay serves the other driver's seat from the same pass
+(swapped()): the ego seat's arrays with the sides swapped and the matrices
+transposed, plus its own absence row and social terms.
 """
 from __future__ import annotations
 
@@ -82,12 +79,13 @@ def _accel_grid(v, speed_limit, cfg: SamplerConfig) -> np.ndarray:
 
     a = (v_target - v) / (N dt) toward each terminal speed, ascending, then
     clamped to the acceleration bounds, so equal values are adjacent.
-    speed_limit broadcasts against v.
+    speed_limit broadcasts against v.  An overflow (subnormal dt) saturates.
     """
     targets = np.asarray(cfg.terminal_speed_fractions, dtype=float) * np.asarray(speed_limit)[..., None]
     targets.sort(kind="stable")
     horizon = cfg.horizon_steps * cfg.dt
-    accels = (targets - np.asarray(v, dtype=float)[..., None]) / horizon
+    with np.errstate(over="ignore"):
+        accels = (targets - np.asarray(v, dtype=float)[..., None]) / horizon
     return np.minimum(np.maximum(accels, cfg.accel_min), cfg.accel_max)  # np.clip, without its wrapper cost
 
 
@@ -340,7 +338,7 @@ class JointArrays:
     def swapped(self, conflict: ConflictPoint, reward_cfg: RewardConfig) -> "JointArrays":
         """The other driver's seat, with its conflict point and reward config (as Scenario.swapped() has them).
 
-        Its spaces are the ones build_joint_spaces gives for the swapped
+        Its spaces are the ones build_joint_arrays gives for the swapped
         states under the swapped scenario, bit for bit: the sides swap, the
         safety feature is symmetric in the pair and transposes, and so do
         the reward matrices, each side's weighted sum trading places.
@@ -453,13 +451,13 @@ def build_joint_arrays(
     sampler_cfg: SamplerConfig,
     reward_cfg: RewardConfig,
 ) -> JointArrays:
-    """The array stage of build_joint_spaces: every state's fans, features and reward matrices.
+    """Every state's fans, features and reward matrices, in one array pass.
 
     Both sides of every state sit on one grid (side, state, target): each
     row holds its distinct clamped accelerations first, in order, and 0.0
     after them.  Rollout, path position, utility vectors, safety and the
     weighted sums run on the whole grid; padding rows are computed but never
-    read.  Nothing here raises: each seat's spaces() reports what failed.
+    read.  Nothing here raises: each seat's social_terms() reports what failed.
     """
     paths = (path_ego, path_other)
     n, dt = sampler_cfg.horizon_steps, sampler_cfg.dt
@@ -503,25 +501,6 @@ def build_joint_arrays(
     )
 
 
-def build_joint_spaces(
-    states: list[JointState],
-    path_ego: ReferencePath,
-    path_other: ReferencePath,
-    conflict: ConflictPoint,
-    sampler_cfg: SamplerConfig,
-    reward_cfg: RewardConfig,
-) -> list[JointBehaviorSpace]:
-    """The joint behavior space at each state, all built in one array pass.
-
-    build_joint_arrays runs the pass and JointArrays.spaces() assembles the
-    ego seat's spaces from it (see both for the layout and the errors).
-    Every space holds views into the pass's arrays.
-    """
-    if not states:
-        return []
-    return build_joint_arrays(states, path_ego, path_other, conflict, sampler_cfg, reward_cfg).spaces()
-
-
 def build_joint_space(
     x0: JointState,
     path_ego: ReferencePath,
@@ -530,5 +509,5 @@ def build_joint_space(
     sampler_cfg: SamplerConfig,
     reward_cfg: RewardConfig,
 ) -> JointBehaviorSpace:
-    """The joint behavior space at one state (see build_joint_spaces)."""
-    return build_joint_spaces([x0], path_ego, path_other, conflict, sampler_cfg, reward_cfg)[0]
+    """The joint behavior space at one state: build_joint_arrays on it, assembled by JointArrays.spaces()."""
+    return build_joint_arrays([x0], path_ego, path_other, conflict, sampler_cfg, reward_cfg).spaces()[0]

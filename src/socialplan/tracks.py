@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ReferencePath, project_to_path
+from .core import ReferencePath, _arclength, project_to_path
 from .errors import ParseError, SchemaError, ShortTrackError
 from .planner import InteractionTrace, Scenario
 
@@ -105,7 +105,7 @@ def write_tracks(path, tracks: list[Track]) -> None:
 
 
 def load_path_csv(path, speed_limit: float) -> ReferencePath:
-    """Parse a path CSV; consecutive vertices must be distinct (a ParseError names the repeat's row)."""
+    """Parse a path CSV; consecutive vertices must be distinct and the arclength finite (a ParseError names the row)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split(",") != PATH_HEADER:
         raise SchemaError(f"expected path header {','.join(PATH_HEADER)!r}")
@@ -124,10 +124,13 @@ def load_path_csv(path, speed_limit: float) -> ReferencePath:
     if len(pts) < 2:
         raise ParseError("a path needs at least 2 vertices")
     pts = np.array(pts)
-    # ReferencePath.from_points' own test, so no repeat reaches it as a ValueError
-    repeats = np.flatnonzero(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 0.0)
+    # ReferencePath.from_points' own tests, so neither failure reaches it as a ValueError
+    seg, cum = _arclength(pts)
+    repeats = np.flatnonzero(seg <= 0.0)
     if len(repeats):
         raise ParseError("consecutive path points must be distinct", row=linenos[repeats[0] + 1])
+    if not np.isfinite(cum[-1]):  # the arclength never decreases, so it overflows at its first inf
+        raise ParseError("path arclength overflows; use smaller coordinates", row=linenos[np.isfinite(cum).argmin()])
     return ReferencePath.from_points(pts, speed_limit)
 
 

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -48,42 +46,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _scalar(value) -> str:
-    """One scalar as json writes it."""
-    kind = type(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
-
-
-def _dumps(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for value nested at indent; dict keys must be strings.
-
-    With indent set, json runs its pure-Python encoder item by item.  Here
-    scalars take a short path, and a list renders each distinct item once:
-    items with equal repr render alike, and the per-step weight rows of a
-    trace sidecar are tiles of one vector.
-    """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner) for key, item in sorted(value.items())]
-        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        keys = list(map(repr, value))
-        rendered = {key: _dumps(item, inner) for key, item in dict(zip(keys, value)).items()}
-        return "[\n" + inner + sep.join(map(rendered.__getitem__, keys)) + "\n" + indent + "]"
-    return _scalar(value)
-
-
 def _write_json(path: Path, data) -> None:
-    path.write_text(_dumps(data) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def parse_policy(text: str) -> RewardWeights:

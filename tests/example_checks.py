@@ -21,19 +21,16 @@ def straight_path(limit=10.0):
 
 
 class FakeComponents:
-    def __init__(self, stacked):
-        self._stacked = np.asarray(stacked, dtype=float)
-
-    def stacked(self):
-        return self._stacked
+    def __init__(self, terms):
+        self.terms = np.asarray(terms, dtype=float)
 
 
 class FakeSpace:
     """Duck-typed space exposing arbitrary reward components (softmax-form tests)."""
 
-    def __init__(self, stacked):
-        self._comps = FakeComponents(stacked)
-        self.ego_candidates = [None] * self._comps.stacked().shape[1]
+    def __init__(self, terms):
+        self._comps = FakeComponents(terms)
+        self.ego_candidates = [None] * self._comps.terms.shape[1]
 
     def components(self):
         return self._comps

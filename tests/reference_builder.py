@@ -1,7 +1,7 @@
 """Independent references for the joint-space builder, the closed loop and the posterior.
 
 reference_space is the one-state build the library used before every build
-went through sampling.build_joint_spaces: each side's fan is sampled and
+went through sampling.build_joint_arrays: each side's fan is sampled and
 rolled out on its own, its utility vectors keep the jerk term of the comfort
 feature, and the social components are left to JointBehaviorSpace to compute
 on demand.  reference_simulate is the one-policy receding-horizon loop on

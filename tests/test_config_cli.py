@@ -530,3 +530,13 @@ def test_python_dash_m_socialplan_runs_the_cli(tmp_path):
     assert code == 1 and err.startswith("socialplan: usage: ")
     code, err = run("infer", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o"))
     assert code == 2 and err.startswith("socialplan: ")
+    # both once ended in a RuntimeWarning traceback: a subnormal dt's accelerations overflow into the clamp,
+    # and a path whose arclength overflows is a data error naming its row
+    data = json.loads((tmp_path / "template" / "scenario.json").read_text())
+    data["sampler"]["dt"] = 1e-320
+    tiny_dt = tmp_path / "template" / "tiny_dt.json"
+    tiny_dt.write_text(json.dumps(data))
+    assert run("sim", "--config", str(tiny_dt), "--out", str(tmp_path / "s"), "--policy", "egoism") == (0, "")
+    (tmp_path / "template" / "path_ego.csv").write_text("x,y\n-1e308,0\n1e308,0\n")
+    code, err = run("sim", "--config", str(tmp_path / "template" / "scenario.json"), "--out", str(tmp_path / "p"))
+    assert (code, err) == (2, "socialplan: ParseError: row 3: path arclength overflows; use smaller coordinates\n")

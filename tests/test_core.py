@@ -213,6 +213,10 @@ def test_invalid_path_rejected():
         sp.ReferencePath.from_points([(0, 0), (0, 0)], 10.0)
     with pytest.raises(ValueError):
         sp.ReferencePath.from_points([(0, 0), (1, 0)], -1.0)
+    with pytest.raises(ValueError, match="path points must be finite"):
+        sp.ReferencePath.from_points([(0, 0), (math.inf, 0)], 10.0)
+    with pytest.raises(ValueError, match="path arclength overflows"):
+        sp.ReferencePath.from_points([(-1e308, 0), (1e308, 0)], 10.0)
 
 
 def test_invalid_states_rejected():

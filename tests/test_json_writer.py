@@ -1,4 +1,9 @@
-"""workflows._write_json writes the bytes of json.dumps(data, indent=2, sort_keys=True) plus a newline."""
+"""Every JSON file the workflows write is json.dumps(data, indent=2, sort_keys=True) plus a newline.
+
+Each file is read back and dumped again in that format, which must give its
+bytes back: the sim trace sidecars and stats.json, the fixture's
+scenario.json (save_config), inference.json and regen.json.
+"""
 import json
 
 import pytest
@@ -14,65 +19,28 @@ SIM_SOURCES = [("case", c) for c in ("I", "II", "III")] + [
 ]
 
 
-def _expected(data) -> bytes:
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _recording(monkeypatch) -> list:
-    """Every (path, data) the workflows write as JSON."""
-    written = []
-    real = workflows._write_json
-
-    def recording(path, data):
-        written.append((path, data))
-        real(path, data)
-
-    monkeypatch.setattr(workflows, "_write_json", recording)
-    return written
+def _assert_json_format(out_dir, names):
+    written = sorted(out_dir.glob("*.json"))
+    assert [path.name for path in written] == sorted(names)
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
 
 
 @pytest.mark.parametrize("kind,name", SIM_SOURCES, ids=[f"{k}_{n}" for k, n in SIM_SOURCES])
-def test_sim_sidecars_and_stats(tmp_path, monkeypatch, kind, name):
+def test_sim_sidecars_and_stats(tmp_path, kind, name):
     scenario = case_scenario(name) if kind == "case" else fixture_scenario(name)
     cfg = write_scenario_config(scenario, tmp_path / "config")
-    written = _recording(monkeypatch)
     workflows.run_sim(cfg, list(workflows.POLICIES), tmp_path / "sim")
-    assert sorted(path.name for path, _ in written) == sorted(
-        [f"trace_{p}.json" for p in workflows.POLICIES] + ["stats.json"]
-    )
-    for path, data in written:
-        assert path.read_bytes() == _expected(data), path.name
+    _assert_json_format(tmp_path / "sim", [f"trace_{p}.json" for p in workflows.POLICIES] + ["stats.json"])
 
 
-def test_inference_and_regen_reports(tmp_path, monkeypatch):
+def test_inference_and_regen_reports(tmp_path):
     cfg = write_scenario_config(fixture_scenario("switch"), tmp_path / "template", seed=1)
-    fixture = load_config(workflows.make_fixture(cfg, sp.RewardWeights.egoism(), 1, tmp_path / "fixture"))
-    written = _recording(monkeypatch)
+    config_path = workflows.make_fixture(cfg, sp.RewardWeights.egoism(), 1, tmp_path / "fixture")
+    _assert_json_format(tmp_path / "fixture", ["scenario.json"])
+    fixture = load_config(config_path)
     workflows.run_infer(fixture, tmp_path / "infer")
     workflows.run_regen(fixture, tmp_path / "regen")
-    assert [path.name for path, _ in written] == ["inference.json", "regen.json"]
-    for path, data in written:
-        assert path.read_bytes() == _expected(data), path.name
-
-
-def test_rows_with_signed_zeros_tiny_and_large_values(tmp_path):
-    """Rows equal as numbers but not in sign, and every kind of scalar json writes."""
-    data = {
-        "lambda_ego": [
-            [-0.0, 0.0, 5e-324],
-            [0.0, -0.0, 5e-324],
-            [-0.0, 0.0, 5e-324],
-            [1.7976931348623157e308, -2.2250738585072014e-308, 0.1],
-            [1, 0, 0],
-            [1.0, 0.0, 0.0],
-            [True, False, False],
-            [1e-7, 123456789.123, -1e22],
-        ],
-        "scalars": [None, "é\"\\\n", float("nan"), float("inf"), -float("inf"), 2**70, -0.0],
-        "nested": {"b": [[[1.5]], [], {}], "a": {}, "c": [{"z": 1, "y": [0.0]}, {"z": 1, "y": [-0.0]}]},
-        "empty": [],
-        "tuple": (0.5, 0.25),
-    }
-    path = tmp_path / "out.json"
-    workflows._write_json(path, data)
-    assert path.read_bytes() == _expected(data)
+    _assert_json_format(tmp_path / "infer", ["inference.json"])
+    _assert_json_format(tmp_path / "regen", ["regen.json"])

@@ -250,7 +250,7 @@ def test_growing_window_builds_one_space(fixture_cfg, monkeypatch):
 def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, monkeypatch):
     [(_, pair)] = workflows.observed_pairs(fixture_cfg)
     built = _count_builds(monkeypatch)
-    steps = sp.posterior_steps(pair.ego, pair.other, fixture_cfg.load_scenario(), fixture_cfg.inference)
+    steps = PairReplay(pair.ego, pair.other, fixture_cfg.load_scenario()).posterior_steps(0, fixture_cfg.inference)
     r = fixture_cfg.inference.window_r
     for n, (chunk, i, k, estimate) in enumerate(steps, start=1):
         tau = chunk.frames[i]

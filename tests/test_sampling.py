@@ -273,9 +273,9 @@ def test_build_joint_spaces_matches_one_state_builds(steps, dt, fractions, a_min
         expected.append(space)
     if error is not None:
         with pytest.raises(type(error), match=re.escape(str(error))):
-            scn.spaces_at(xs)
+            scn.arrays_at(xs).spaces()
         return
-    got = scn.spaces_at(xs)
+    got = scn.arrays_at(xs).spaces()
     assert len(got) == len(xs)
     for one, batched in zip(expected, got):
         _assert_same_space(one, batched)
@@ -287,16 +287,16 @@ def test_build_joint_spaces_keeps_the_first_error_in_state_order():
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, sampler=sampler)
     ok = sp.JointState(ego=sp.AgentState(s=40.0, v=5.0), other=sp.AgentState(s=45.0, v=5.0))
     collapsed = sp.JointState(ego=sp.AgentState(s=40.0, v=18.0), other=sp.AgentState(s=45.0, v=5.0))
-    assert len(scn.spaces_at([ok, ok])) == 2
+    assert len(scn.arrays_at([ok, ok]).spaces()) == 2
     with pytest.raises(sp.EmptyCandidateSetError, match="collapsed to a single acceleration"):
-        scn.spaces_at([ok, collapsed, ok])
+        scn.arrays_at([ok, collapsed, ok]).spaces()
     overflow = replace(scn, rewards=sp.RewardConfig(beta=1e308))
     with pytest.raises(sp.NonFiniteRewardError):
         overflow.space_at(ok).components()
     with pytest.raises(sp.EmptyCandidateSetError):
-        overflow.spaces_at([collapsed, ok])
+        overflow.arrays_at([collapsed, ok]).spaces()
     with pytest.raises(sp.NonFiniteRewardError, match="rewards.beta"):
-        overflow.spaces_at([ok, collapsed])
+        overflow.arrays_at([ok, collapsed]).spaces()
 
 
 def test_non_finite_features_name_the_state_in_state_order():
@@ -306,16 +306,16 @@ def test_non_finite_features_name_the_state_in_state_order():
     fast = sp.JointState(ego=sp.AgentState(s=40.0, v=1e200), other=sp.AgentState(s=45.0, v=5.0))
     other_named = re.escape("the other car's utility features overflow at s=45.0, v=5.0, d=1e+200")
     with pytest.raises(sp.NonFiniteRewardError, match=other_named):
-        scn.spaces_at([ok, wide, fast])
+        scn.arrays_at([ok, wide, fast]).spaces()
     ego_named = re.escape("the ego car's utility features overflow at s=40.0, v=1e+200")
     with pytest.raises(sp.NonFiniteRewardError, match=ego_named):
-        scn.spaces_at([fast, wide])
+        scn.arrays_at([fast, wide]).spaces()
     # finite features under a huge weight still name the weight
     heavy = replace(scn, rewards=sp.RewardConfig(theta_other=(1e308, 0.5, 10.0)))
     with pytest.raises(sp.NonFiniteRewardError, match="rewards.theta_other"):
-        heavy.spaces_at([ok, fast])
+        heavy.arrays_at([ok, fast]).spaces()
     with pytest.raises(sp.NonFiniteRewardError, match="the ego car's utility features"):
-        heavy.spaces_at([fast, ok])
+        heavy.arrays_at([fast, ok]).spaces()
 
 
 _FRACTIONS = [k / 8 for k in range(13)]  # 0.0, 0.125, ..., 1.5
@@ -399,6 +399,6 @@ def test_swapped_seat_names_its_own_car_and_weight():
     ):
         swapped = source.swapped()
         with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
-            swapped.spaces_at([x.swapped() for x in xs])
+            swapped.arrays_at([x.swapped() for x in xs]).spaces()
         with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
             source.arrays_at(xs).swapped(swapped.conflict, swapped.rewards).spaces()

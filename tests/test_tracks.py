@@ -72,7 +72,8 @@ def test_out_of_range_frame_or_timestamp_is_parse_error(tmp_path, row):
         tk.load_tracks(f)
 
 
-@pytest.mark.parametrize("row", ["nan,1.0", "1.0,inf"])
+# finite vertices whose segment length, and so the arclength, overflows at row 3
+@pytest.mark.parametrize("row", ["nan,1.0", "1.0,inf", "1e308,0.0", "0.0,-1e200"])
 def test_non_finite_path_value_is_parse_error(tmp_path, row):
     f = tmp_path / "p.csv"
     f.write_text("x,y\n0.0,0.0\n" + row + "\n5.0,5.0\n")
