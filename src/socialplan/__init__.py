@@ -35,12 +35,9 @@ from .inference import (
     InferenceSeries,
     ParticleSet,
     PriorSpec,
-    estimate_lambda,
     infer_agent,
     infer_trace,
     init_particles,
-    match_observed,
-    update_posterior,
 )
 from .metrics import (
     ait,
@@ -49,25 +46,15 @@ from .metrics import (
     dop,
     horizon_mse,
     psf,
-    trajectory_mse,
 )
 from .planner import (
     InteractionTrace,
     PolicySpec,
     Scenario,
-    follower_response,
-    leader_label,
-    plan_ego,
     simulate,
     simulate_policies,
 )
 from .rewards import RewardConfig, RewardWeights
-from .sampling import (
-    CandidateFan,
-    JointBehaviorSpace,
-    SamplerConfig,
-    build_joint_space,
-    sample_accels,
-)
+from .sampling import SamplerConfig
 
 __version__ = "0.1.0"

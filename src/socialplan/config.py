@@ -234,7 +234,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return data
 
 
+def write_json(path, data) -> None:
+    """Write data as 2-space-indented JSON with sorted keys and a final newline, the format of every JSON file written."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def save_config(cfg: ScenarioConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, config_to_dict(cfg))

@@ -143,27 +143,6 @@ def init_particles(cfg: InferenceConfig, seed: int | np.random.Generator = 0) ->
     return ParticleSet(lambdas=lambdas, weights=weights)
 
 
-def match_observed(observed_xy: np.ndarray, candidate_xy: np.ndarray) -> int:
-    """Label of the candidate whose positions are MSE-closest to the observation.
-
-    candidate_xy is (n, N+1, 2), row i the candidate labeled i.  Compared
-    over min(len(observed), N+1) positions; ties break to the lowest label.
-    """
-    candidate_xy = np.asarray(candidate_xy, dtype=float)
-    if len(candidate_xy) == 0:
-        raise EmptyCandidateSetError("cannot match against an empty candidate set")
-    observed_xy = np.asarray(observed_xy, dtype=float)
-    w = min(len(observed_xy), candidate_xy.shape[1])
-    if w < 2:
-        raise ShortTrackError("observation window shorter than one step")
-    diff = candidate_xy[:, :w] - observed_xy[None, :w]
-    return int(np.argmin(np.mean(np.sum(diff * diff, axis=2), axis=1)))
-
-
-def _log_likelihoods(space: JointBehaviorSpace, matched_label: int, lambdas: np.ndarray) -> np.ndarray:
-    return _log_softmax(lambdas @ space.components().terms)[:, matched_label]  # (n_particles,)
-
-
 def _reweigh(weights: np.ndarray, loglik: np.ndarray, resample: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """One Bayes step on the particle weights, given each particle's log-likelihood of the matched action.
 
@@ -185,6 +164,30 @@ def _reweigh(weights: np.ndarray, loglik: np.ndarray, resample: bool) -> tuple[n
     return np.full(n, 1.0 / n), np.searchsorted(np.cumsum(w), positions)
 
 
+# match_observed and update_posterior (with _log_likelihoods) are the per-space
+# steps; they stay only because perfbench/tracing.py wraps inference.match_observed
+# and inference.update_posterior.  Replay runs them in batches (ReplayChunk).
+def match_observed(observed_xy: np.ndarray, candidate_xy: np.ndarray) -> int:
+    """Label of the candidate whose positions are MSE-closest to the observation.
+
+    candidate_xy is (n, N+1, 2), row i the candidate labeled i.  Compared
+    over min(len(observed), N+1) positions; ties break to the lowest label.
+    """
+    candidate_xy = np.asarray(candidate_xy, dtype=float)
+    if len(candidate_xy) == 0:
+        raise EmptyCandidateSetError("cannot match against an empty candidate set")
+    observed_xy = np.asarray(observed_xy, dtype=float)
+    w = min(len(observed_xy), candidate_xy.shape[1])
+    if w < 2:
+        raise ShortTrackError("observation window shorter than one step")
+    diff = candidate_xy[:, :w] - observed_xy[None, :w]
+    return int(np.argmin(np.mean(np.sum(diff * diff, axis=2), axis=1)))
+
+
+def _log_likelihoods(space: JointBehaviorSpace, matched_label: int, lambdas: np.ndarray) -> np.ndarray:
+    return _log_softmax(lambdas @ space.components().terms)[:, matched_label]  # (n_particles,)
+
+
 def update_posterior(
     pset: ParticleSet, matched_label: int, space: JointBehaviorSpace, cfg: InferenceConfig
 ) -> ParticleSet:
@@ -194,14 +197,8 @@ def update_posterior(
     return ParticleSet(lambdas=pset.lambdas if copied is None else pset.lambdas[copied], weights=weights)
 
 
-def estimate_lambda(pset: ParticleSet) -> RewardWeights:
-    """Posterior mean, renormalized onto the simplex against rounding."""
-    mean = np.maximum(pset.weights @ pset.lambdas, 0.0)  # np.clip(mean, 0.0, None), without its wrapper cost
-    return RewardWeights(mean / mean.sum())
-
-
 def _means(weights: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """estimate_lambda's values after each of F frames: (F, 3) from the weight rows (F, P).
+    """The posterior means after each of F frames, renormalized onto the simplex: (F, 3) from the weight rows (F, P).
 
     lambdas is (P, 3), or (F, P, 3) when each frame has its own particles.
     One stacked (F, 1, P) @ lambdas product gives each frame the bytes of its

@@ -69,6 +69,7 @@ def horizon_mse(generated_xy: np.ndarray, truth_xy: np.ndarray, dt: float, horiz
     return np.stack([sq[..., : k + 1].sum(axis=-1) / (k + 1) for k in steps], axis=-2)
 
 
+# Kept only because perfbench/tracing.py wraps metrics.trajectory_mse; the pipelines call horizon_mse.
 def trajectory_mse(generated, ground_truth, horizon: float) -> float:
     """Mean squared Cartesian error over the steps within the horizon.
 

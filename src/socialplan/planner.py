@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
 from .errors import SocialPlanError
-from .rewards import RewardConfig, RewardWeights, check_ego_label, social_reward_vector
+from .rewards import RewardConfig, RewardWeights
 from .sampling import JointArrays, JointBehaviorSpace, SamplerConfig, SeatTerms
 from .sampling import build_joint_arrays, build_joint_space
 
@@ -58,6 +58,7 @@ class Scenario:
             rewards=rew,
         )
 
+    # Kept only for plan_ego (see the comment there).
     def space_at(self, x0: JointState) -> JointBehaviorSpace:
         return build_joint_space(x0, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
@@ -88,24 +89,12 @@ class PolicySpec:
         return cls(kind="follower")
 
 
-def leader_label(space: JointBehaviorSpace, lam: RewardWeights) -> int:
-    """Label of the ego candidate with maximal social reward under weights lam.
-
-    Ties break toward the lowest candidate label (np.argmax takes the first
-    maximum and labels are the candidate indices).
-    """
-    return int(np.argmax(social_reward_vector(space, lam)))
-
-
+# Kept only because perfbench/tracing.py wraps planner.plan_ego, workflows.plan_ego and
+# planner.build_joint_space; no pipeline calls them.
 def plan_ego(x0: JointState, lam: RewardWeights, scenario: Scenario) -> tuple[int, JointBehaviorSpace]:
-    """Leader decision on a fresh joint space at x0: (ego label, space); see leader_label."""
+    """Leader decision on a fresh joint space at x0: (ego label, space), ties to the lowest label (SeatTerms.leader_label)."""
     space = scenario.space_at(x0)
-    return leader_label(space, lam), space
-
-
-def follower_response(space: JointBehaviorSpace, ego_label: int) -> int:
-    """Label of the other car's best response to a committed ego action (Stackelberg follower)."""
-    return int(np.argmax(space.reward_other[check_ego_label(space, ego_label)]))
+    return int((lam.values @ space.components().terms).argmax()), space
 
 
 @dataclass
@@ -162,7 +151,7 @@ def _crossed(x: JointState, conflict: ConflictPoint) -> bool:
 
 
 def decide(arrays: JointArrays, terms: SeatTerms, i: int, lam: RewardWeights) -> tuple[int, int, float, float]:
-    """leader_label and follower_response at state i of a build: (ego label, other label, their first controls)."""
+    """At state i of a build: (the leader's label, the follower's best response to it, their first controls)."""
     label = terms.leader_label(i, lam.values)
     response = int(arrays.reward_other[i, label, : arrays.sizes[1, i]].argmax())
     return label, response, float(arrays.rows[0, i, label, 0]), float(arrays.rows[1, i, response, 0])

@@ -7,7 +7,8 @@ the one implementation of the social terms: the other car's Boltzmann
 response distribution, the expected-utility (egoism) reward, the
 distribution-divergence (courtesy) reward exp(-KL(absence || presence)) and
 the top-two-probability-gap (confidence) reward, for every ego candidate of
-one or many spaces at once.  social_reward_vector mixes them.
+one or many spaces at once.  A leader decision mixes them as lam @ terms
+(sampling.SeatTerms).
 
 All softmax and KL computations run in the log domain with max subtraction;
 raw utilities can reach magnitudes of hundreds and would overflow a naive
@@ -182,6 +183,7 @@ def beta_error(beta: float) -> NonFiniteRewardError:
     return NonFiniteRewardError(f"rewards.beta = {beta!r} overflows the social reward terms; use a smaller beta")
 
 
+# Kept only because perfbench/tracing.py wraps sampling.social_components (JointBehaviorSpace calls it).
 def social_components(space: "JointBehaviorSpace") -> SocialComponents:
     """Evaluate all three reward terms for every ego candidate at once.
 
@@ -193,13 +195,3 @@ def social_components(space: "JointBehaviorSpace") -> SocialComponents:
     if not np.isfinite(comps.terms).all():
         raise beta_error(beta)
     return comps
-
-
-def social_reward_vector(space, lam: RewardWeights) -> np.ndarray:
-    """Combined social reward of every ego candidate under mixing weights lam.
-
-    The egoism term is min-max normalized over the candidate set before
-    mixing so that all three terms share an O(1) range.
-    """
-    return lam.values @ space.components().terms
-

@@ -15,11 +15,12 @@ each row and pair gives the same bits as on its own.  Then
 JointArrays.social_terms() checks every state and returns one seat's social
 terms, a SeatTerms, computed once per group of states with equal fan sizes;
 its leader_label is the leader decision that the closed loop and replay
-both read.  No pipeline assembles per-state spaces: JointArrays.spaces()
-does, for the reference and the public API, and build_joint_space is its
-one-state case.  Replay serves the other driver's seat from the same pass
-(swapped()): the ego seat's arrays with the sides swapped and the matrices
-transposed, plus its own absence row and social terms.
+both read.  No pipeline assembles per-state spaces (JointBehaviorSpace);
+JointArrays.spaces() and its one-state case build_joint_space stay only for
+the benchmark's span tracing (see the comment above JointBehaviorSpace).
+Replay serves the other driver's seat from the same pass (swapped()): the
+ego seat's arrays with the sides swapped and the matrices transposed, plus
+its own absence row and social terms.
 """
 from __future__ import annotations
 
@@ -56,24 +57,6 @@ class SamplerConfig:
             raise ValueError("accel_min must be below accel_max")
 
 
-@dataclass(frozen=True)
-class CandidateFan:
-    """One side's candidates as arrays; row i is the candidate labeled i.
-
-    accels: (n, N); s, v: (n, N+1); xy: (n, N+1, 2) at lateral offset d.
-    """
-
-    accels: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    xy: np.ndarray
-    d: float
-    dt: float
-
-    def __len__(self) -> int:
-        return len(self.accels)
-
-
 def _accel_grid(v, speed_limit, cfg: SamplerConfig) -> np.ndarray:
     """Clamped constant accelerations (..., n_targets) from speeds v (...).
 
@@ -105,19 +88,26 @@ def _forbids_singleton(grid: np.ndarray, cfg: SamplerConfig) -> bool:
 _COLLAPSED = "all candidates collapsed to a single acceleration"
 
 
-def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> np.ndarray:
-    """Constant accelerations (n,) toward each terminal-speed fraction.
+# The per-space layer (CandidateFan, JointBehaviorSpace, JointArrays.spaces,
+# build_joint_space and the social_components import) stays only because
+# perfbench/tracing.py wraps JointBehaviorSpace.components,
+# sampling.social_components and planner.build_joint_space; no pipeline calls it.
+@dataclass(frozen=True)
+class CandidateFan:
+    """One side's candidates as arrays; row i is the candidate labeled i.
 
-    a = (v_target - v) / (N dt), clamped to the acceleration bounds.  The
-    targets ascend, so the clamped values do too and duplicates are
-    adjacent; each run of equal values keeps one entry.  The index of an
-    acceleration is its candidate label.
+    accels: (n, N); s, v: (n, N+1); xy: (n, N+1, 2) at lateral offset d.
     """
-    grid = _accel_grid(state.v, path.speed_limit, cfg)
-    unique = grid[_first_of_runs(grid)]
-    if len(unique) == 1 and _forbids_singleton(grid, cfg):
-        raise EmptyCandidateSetError(_COLLAPSED)
-    return unique
+
+    accels: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    xy: np.ndarray
+    d: float
+    dt: float
+
+    def __len__(self) -> int:
+        return len(self.accels)
 
 
 @dataclass
@@ -290,7 +280,7 @@ class SeatTerms:
         return len(self.slots) if self.error is None else self.error[0]
 
     def leader_label(self, i: int, lam: np.ndarray) -> int:
-        """planner.leader_label on state i's space, weights lam (3,): one (3,) @ (3, ne) product, ties to the lowest."""
+        """The leader's label at state i under weights lam (3,): the argmax of one (3,) @ (3, ne) product, ties to the lowest."""
         g, j = self.slots[i]
         return int((lam @ self.groups[g][3].terms[j]).argmax())
 
@@ -313,9 +303,8 @@ class JointArrays:
     """One seat's view of a build_joint_arrays pass over a list of states.
 
     The side axis runs (this seat's car, the other car), and the matrices'
-    target axes in the same order.  spaces() assembles the seat's joint
-    spaces; swapped() is the other driver's seat, as views of the same
-    arrays.
+    target axes in the same order.  swapped() is the other driver's seat, as
+    views of the same arrays.
     """
 
     states: list[JointState]
@@ -338,7 +327,7 @@ class JointArrays:
     def swapped(self, conflict: ConflictPoint, reward_cfg: RewardConfig) -> "JointArrays":
         """The other driver's seat, with its conflict point and reward config (as Scenario.swapped() has them).
 
-        Its spaces are the ones build_joint_arrays gives for the swapped
+        Its arrays are the ones build_joint_arrays gives for the swapped
         states under the swapped scenario, bit for bit: the sides swap, the
         safety feature is symmetric in the pair and transposes, and so do
         the reward matrices, each side's weighted sum trading places.

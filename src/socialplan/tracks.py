@@ -37,6 +37,7 @@ class Track:
 
 
 def _fmt(x: float) -> str:
+    """The fixed 6-decimal format of every float field in a written CSV."""
     return f"{x:.6f}"
 
 

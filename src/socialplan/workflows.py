@@ -1,11 +1,12 @@
 """The four end-to-end pipelines behind the CLI: sim, infer, regen, fixture.
 
 All file output is deterministic: fixed 6-decimal float formatting, sorted
-JSON keys, and results written in the order the inputs were given.
+JSON keys, and results written in the order the inputs were given.  A
+pipeline creates its output directory and writes only once all its work has
+succeeded, so a run that fails leaves nothing behind.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .config import ScenarioConfig, config_to_dict, save_config
+from .config import ScenarioConfig, config_to_dict, save_config, write_json
 from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackError
 from .inference import InferenceSeries, PairReplay, infer_trace
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
@@ -22,6 +23,7 @@ from .planner import InteractionTrace, PolicySpec, plan_ego, simulate, simulate_
 from .rewards import RewardWeights
 from .tracks import (
     ObservedPair,
+    _fmt,
     divides_step,
     extract_pairs,
     load_tracks,
@@ -40,14 +42,6 @@ REGEN_HORIZONS = (0.3, 0.5, 1.0)
 
 # Skipped pairs are recorded at INFO; with no handler configured that is silent.
 _log = logging.getLogger("socialplan.workflows")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def parse_policy(text: str) -> RewardWeights:
@@ -116,8 +110,8 @@ def run_sim(cfg: ScenarioConfig, policy_names: list[str], out_dir: Path, threads
     for name, trace in zip(policy_names, traces):
         safe = name.replace(",", "_")
         write_trace_csv(out_dir / f"trace_{safe}.csv", trace)
-        _write_json(out_dir / f"trace_{safe}.json", _trace_sidecar(trace, cfg, name))
-    _write_json(out_dir / "stats.json", {"policies": stats})
+        write_json(out_dir / f"trace_{safe}.json", _trace_sidecar(trace, cfg, name))
+    write_json(out_dir / "stats.json", {"policies": stats})
     return stats
 
 
@@ -161,10 +155,11 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
     The report carries per-agent PSF/DOP plus role-level aggregates: a PSF
     histogram and mean dominance fractions over all processed drivers.
+    Nothing is written until every pair has run.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg.load_scenario()
     report: dict[str, dict] = {}
+    lambda_series: dict[int, dict[int, InferenceSeries]] = {}  # per pair index, each agent's series
     psf_values: dict[str, list[int]] = {"ego": [], "other": []}
     dop_sums: dict[str, dict[str, float]] = {
         role: dict.fromkeys(metrics.POLICY_LABELS, 0.0) for role in ("ego", "other")
@@ -179,7 +174,7 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
             pair.ego.track_id: ("ego", result["ego"]),
             pair.other.track_id: ("other", result["other"]),
         }
-        write_lambda_csv(out_dir / f"lambdas_pair{idx}.csv", {k: v for k, (_, v) in by_agent.items()})
+        lambda_series[idx] = {k: v for k, (_, v) in by_agent.items()}
         agents = {}
         for agent_id, (role, series) in sorted(by_agent.items()):
             dop = metrics.dop(series.lambdas)
@@ -207,7 +202,10 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
             "psf_histogram": {str(v): counts.count(v) for v in sorted(set(counts))},
             "dop_mean": {k: round(v / len(counts), 6) for k, v in dop_sums[role].items()},
         }
-    _write_json(out_dir / "inference.json", {"pairs": report, "summary": summary})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for idx, series_by_agent in lambda_series.items():
+        write_lambda_csv(out_dir / f"lambdas_pair{idx}.csv", series_by_agent)
+    write_json(out_dir / "inference.json", {"pairs": report, "summary": summary})
     return report
 
 
@@ -279,7 +277,6 @@ def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
     build per chunk of observed states (PairReplay); a pair too short to
     regenerate is skipped.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg.load_scenario()
     report: dict[str, dict] = {}
     for idx, pair in observed_pairs(cfg):
@@ -304,7 +301,8 @@ def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
         }
     if not report:
         raise ShortTrackError("no pair long enough to regenerate")
-    _write_json(out_dir / "regen.json", {"pairs": report, "horizons": list(REGEN_HORIZONS)})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "regen.json", {"pairs": report, "horizons": list(REGEN_HORIZONS)})
     return report
 
 
@@ -321,21 +319,22 @@ def make_fixture(
     Returns the path of a scenario config referencing the written files and
     carrying the seed, ready for the infer/regen workflows.  With switch_step
     set, the leader's weights change to lam_after from that step onward;
-    it must lie in 1 .. cfg.max_steps - 1.  A bad frame period is a SchemaError before anything runs.
+    it must lie in 1 .. cfg.max_steps - 1, and the two come together.  A bad
+    frame period is a SchemaError before anything runs; nothing is written
+    until the simulation has reached the conflict point.
     """
     if not divides_step(cfg.frame_period_ms, cfg.sampler.dt):
         period, dt = cfg.frame_period_ms, cfg.sampler.dt
         raise SchemaError(f"config frame_period_ms = {period} does not divide sampler.dt = {dt!r} s")
+    if (switch_step is None) != (lam_after is None):
+        raise ValueError("switch_step and lam_after must be given together")
     if switch_step is not None and not 1 <= switch_step < cfg.max_steps:
         raise ValueError(f"switch_step must be in 1..{cfg.max_steps - 1}, got {switch_step}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg.load_scenario()
     follower = PolicySpec.follower()
     if switch_step is None:
         trace = simulate(scenario, PolicySpec.fixed(lam_ego), follower, max_steps=cfg.max_steps)
     else:
-        if lam_after is None:
-            raise ValueError("switch_step needs lam_after")
         head = simulate(scenario, PolicySpec.fixed(lam_ego), follower, max_steps=switch_step)
         if head.terminated:
             trace = head
@@ -351,9 +350,11 @@ def make_fixture(
     if not trace.terminated:
         raise NonTerminatingError("fixture scenario did not reach its conflict point")
 
+    records = trace_to_records(trace, cfg.frame_period_ms)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_path_csv(out_dir / "path_ego.csv", scenario.path_ego)
     write_path_csv(out_dir / "path_other.csv", scenario.path_other)
-    write_tracks(out_dir / "tracks.csv", trace_to_records(trace, cfg.frame_period_ms))
+    write_tracks(out_dir / "tracks.csv", records)
 
     fixture_cfg = replace(
         cfg,

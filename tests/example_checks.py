@@ -6,11 +6,16 @@ computed in the unit tests (fine-step integration, dense sampling, direct
 formula evaluation).
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 import socialplan as sp
-from socialplan.sampling import rollout_batch
+from socialplan.inference import _means, match_observed, update_posterior
+from socialplan.metrics import trajectory_mse
+from socialplan.planner import decide
+from socialplan.rewards import component_arrays
+from socialplan.sampling import SeatTerms, build_joint_arrays, rollout_batch
 from reference_scalar import (
     FeatureVector, Trajectory, brute_force, cumulative_reward, features, space_from_matrices, window_likelihood,
 )
@@ -34,6 +39,44 @@ class FakeSpace:
 
     def components(self):
         return self._comps
+
+
+def one_car_build(state, path, cfg):
+    """build_joint_arrays at one state with the car in both seats on path.
+
+    Its fan is row 0 of seat 0: arrays.rows[0, 0, :arrays.sizes[0, 0]], the
+    candidate labeled i in row i; arrays.collapsed[0] says whether
+    forbid_singleton rejects it.
+    """
+    conflict = sp.ConflictPoint(position=np.zeros(2), s_ego=1e3, s_other=1e3)
+    return build_joint_arrays([sp.JointState(ego=state, other=state)], path, path, conflict, cfg, sp.RewardConfig())
+
+
+def fan_accels(state, path, cfg) -> np.ndarray:
+    """The build's distinct accelerations (n,) for a car in state on path, by label."""
+    arrays = one_car_build(state, path, cfg)
+    return arrays.rows[0, 0, : arrays.sizes[0, 0], 0]
+
+
+def decide_on(space, lam) -> tuple[int, int]:
+    """planner.decide on a one-state build that holds the space's matrices: (leader label, follower response).
+
+    The leader's label comes from a SeatTerms over the space's social terms.
+    """
+    ne, no = space.reward_other.shape
+    comps = component_arrays(
+        space.reward_ego[None], space.reward_other[None], space.absence_other[None], space.reward_cfg.beta
+    )
+    terms = SeatTerms(absence_other=space.absence_other[None], groups=[([0], ne, no, comps)], slots=[(0, 0)], error=None)
+    arrays = SimpleNamespace(
+        reward_other=space.reward_other[None], sizes=np.array([[ne], [no]]), rows=np.zeros((2, 1, max(ne, no), 1))
+    )
+    return decide(arrays, terms, 0, lam)[:2]
+
+
+def posterior_mean(pset) -> np.ndarray:
+    """The posterior mean replay records after a frame (inference._means on a one-frame stack)."""
+    return _means(pset.weights[None], pset.lambdas)[0]
 
 
 # --- core --------------------------------------------------------------
@@ -95,13 +138,13 @@ def _rollout(s, v, accels, dt):
 
 def check_sample_at_target():
     cfg = sp.SamplerConfig(horizon_steps=4, dt=0.25, terminal_speed_fractions=(1.0,))
-    accels = sp.sample_accels(sp.AgentState(s=0, v=10.0), straight_path(), cfg)
+    accels = fan_accels(sp.AgentState(s=0, v=10.0), straight_path(), cfg)
     assert accels.tolist() == [0.0]
 
 def check_sample_acceleration_grid():
     # derived: a = (v_target - v) / (N dt); rollout terminal speeds verify
     cfg = sp.SamplerConfig(horizon_steps=10, dt=0.3, terminal_speed_fractions=(0.0, 0.5, 1.0), accel_max=5.0)
-    accels = sp.sample_accels(sp.AgentState(s=0, v=0.0), straight_path(), cfg)
+    accels = fan_accels(sp.AgentState(s=0, v=0.0), straight_path(), cfg)
     assert np.allclose(accels, [0.0, 5.0 / 3.0, 10.0 / 3.0], atol=1e-9)
     for a, target in zip(accels, (0.0, 5.0, 10.0)):
         _, v = _rollout(0.0, 0.0, np.full(cfg.horizon_steps, a), cfg.dt)
@@ -109,7 +152,7 @@ def check_sample_acceleration_grid():
 
 def check_sample_default_count():
     # labels are row indices, in ascending target-speed order
-    accels = sp.sample_accels(sp.AgentState(s=0, v=5.0), straight_path(), sp.SamplerConfig())
+    accels = fan_accels(sp.AgentState(s=0, v=5.0), straight_path(), sp.SamplerConfig())
     assert len(accels) == 6 and np.all(np.diff(accels) > 0.0)
 
 def check_rollout_uniform():
@@ -280,34 +323,29 @@ def check_social_degenerate_argmaxes():
     absence = rng.normal(size=4)
     space = _space(reward_ego, reward_other, absence)
     comps = space.components()
-    from socialplan.rewards import social_reward_vector
-
     for lam, term in [
         (sp.RewardWeights.egoism(), comps.egoism_norm),
         (sp.RewardWeights.courtesy(), comps.courtesy),
         (sp.RewardWeights.confidence(), comps.confidence_reward),
     ]:
-        assert int(np.argmax(social_reward_vector(space, lam))) == int(np.argmax(term))
+        assert decide_on(space, lam)[0] == int(np.argmax(term))
 
 
 # --- planner -----------------------------------------------------------
 
 def check_follower_argmax():
     space = _space([[0.0] * 3], [[1.0, 5.0, 3.0]])
-    assert sp.follower_response(space, 0) == 1
+    assert decide_on(space, sp.RewardWeights.egoism()) == (0, 1)
 
 def check_follower_tie_break():
     space = _space([[0.0] * 2], [[5.0, 5.0]])
-    assert sp.follower_response(space, 0) == 0
+    assert decide_on(space, sp.RewardWeights.egoism()) == (0, 0)
 
 def check_plan_dominant_candidate():
     reward_ego = np.array([[1.0, 1.0], [5.0, 5.0], [2.0, 2.0]])
     reward_other = np.zeros((3, 2))
     space = _space(reward_ego, reward_other)
-    from socialplan.rewards import social_reward_vector
-
-    scores = social_reward_vector(space, sp.RewardWeights.egoism())
-    assert int(np.argmax(scores)) == 1
+    assert decide_on(space, sp.RewardWeights.egoism())[0] == 1
 
 def check_simulate_already_crossed():
     from socialplan.scenarios import crossing_scenario
@@ -337,20 +375,17 @@ def check_init_deterministic():
     assert np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.weights, b.weights)
 
 def _candidate_xy(n=4, steps=6, dt=0.25):
-    """(n, steps+1, 2) positions of a sampled fan, row i the candidate labeled i."""
-    path = straight_path(limit=10.0)
+    """(n, steps+1, 2) positions of a built fan, row i the candidate labeled i."""
     cfg = sp.SamplerConfig(
         horizon_steps=steps, dt=dt,
         terminal_speed_fractions=tuple(np.linspace(0, 1, n)),
     )
-    state = sp.AgentState(s=0.0, v=5.0)
-    rows = np.repeat(sp.sample_accels(state, path, cfg)[:, None], steps, axis=-1)
-    s, _ = rollout_batch(state.s, state.v, rows, dt)
-    return path.position(s, state.d)
+    arrays = one_car_build(sp.AgentState(s=0.0, v=5.0), straight_path(limit=10.0), cfg)
+    return arrays.xy[0][0, : arrays.sizes[0, 0]]
 
 def check_match_exact():
     xy = _candidate_xy()
-    assert sp.match_observed(xy[2], xy) == 2
+    assert match_observed(xy[2], xy) == 2
 
 def check_match_tie_prefers_low_label():
     def on_x_axis(xs):
@@ -359,13 +394,13 @@ def check_match_tie_prefers_low_label():
 
     cands = np.stack([on_x_axis([0.0, 1.0, 2.0]), on_x_axis([0.0, 1.5, 3.0])])
     midway = on_x_axis([0.0, 1.25, 2.5])  # dyadic: exact MSE tie
-    assert sp.match_observed(midway, cands) == 0
+    assert match_observed(midway, cands) == 0
 
 def check_match_offset_stable():
     # derived: +0.1 m uniform offset preserves the MSE ordering
     xy = _candidate_xy()
     shifted = xy[2] + np.array([0.1, 0.1])
-    assert sp.match_observed(shifted, xy) == 2
+    assert match_observed(shifted, xy) == 2
 
 def check_likelihood_uniform():
     for k in (2, 4, 7):
@@ -391,14 +426,14 @@ def _fake_space_with_probs(probs_per_basis):
 def check_update_proportional():
     space = _fake_space_with_probs([0.5, 0.3, 0.2])
     pset = sp.ParticleSet(lambdas=np.eye(3), weights=np.full(3, 1 / 3))
-    out = sp.update_posterior(pset, 0, space, sp.InferenceConfig(n_particles=3))
+    out = update_posterior(pset, 0, space, sp.InferenceConfig(n_particles=3))
     assert np.allclose(out.weights, [0.5, 0.3, 0.2], atol=1e-12)
 
 def check_update_flat_identity():
     space = _fake_space_with_probs([0.4, 0.4, 0.4])
     weights = np.array([0.2, 0.5, 0.3])
     pset = sp.ParticleSet(lambdas=np.eye(3), weights=weights)
-    out = sp.update_posterior(pset, 0, space, sp.InferenceConfig(n_particles=3))
+    out = update_posterior(pset, 0, space, sp.InferenceConfig(n_particles=3))
     assert np.allclose(out.weights, weights, atol=1e-12)
 
 def check_update_composition():
@@ -406,21 +441,21 @@ def check_update_composition():
     cfg = sp.InferenceConfig(n_particles=3)
     p1, p2 = [0.5, 0.3, 0.2], [0.6, 0.2, 0.7]
     pset = sp.ParticleSet(lambdas=np.eye(3), weights=np.full(3, 1 / 3))
-    seq = sp.update_posterior(
-        sp.update_posterior(pset, 0, _fake_space_with_probs(p1), cfg),
+    seq = update_posterior(
+        update_posterior(pset, 0, _fake_space_with_probs(p1), cfg),
         0, _fake_space_with_probs(p2), cfg,
     )
     product = [a * b for a, b in zip(p1, p2)]
-    once = sp.update_posterior(pset, 0, _fake_space_with_probs(product), cfg)
+    once = update_posterior(pset, 0, _fake_space_with_probs(product), cfg)
     assert np.allclose(seq.weights, once.weights, atol=1e-12)
 
 def check_estimate_single():
     pset = sp.ParticleSet(lambdas=np.array([[1.0, 0.0, 0.0]]), weights=np.array([1.0]))
-    assert np.allclose(sp.estimate_lambda(pset).values, [1, 0, 0], atol=0)
+    assert np.allclose(posterior_mean(pset), [1, 0, 0], atol=0)
 
 def check_estimate_midpoint():
     pset = sp.ParticleSet(lambdas=np.array([[1.0, 0, 0], [0, 1.0, 0]]), weights=np.array([0.5, 0.5]))
-    assert np.allclose(sp.estimate_lambda(pset).values, [0.5, 0.5, 0.0], atol=1e-12)
+    assert np.allclose(posterior_mean(pset), [0.5, 0.5, 0.0], atol=1e-12)
 
 
 # --- metrics -----------------------------------------------------------
@@ -437,13 +472,11 @@ def check_dop_examples():
     assert sp.dop([E, E, C, C]) == {"egoism": 0.5, "courtesy": 0.5, "confidence": 0.0}
 
 def check_mse_examples():
-    from types import SimpleNamespace
-
     xy = np.zeros((6, 2))
     a = SimpleNamespace(xy=xy, dt=0.25)
     b = SimpleNamespace(xy=xy + np.array([0.1, 0.0]), dt=0.25)
-    assert sp.trajectory_mse(a, a, 1.0) == 0.0
-    assert abs(sp.trajectory_mse(a, b, 1.0) - 0.01) < 1e-12
+    assert trajectory_mse(a, a, 1.0) == 0.0
+    assert abs(trajectory_mse(a, b, 1.0) - 0.01) < 1e-12
 
 
 ALL_CHECKS = [

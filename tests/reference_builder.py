@@ -1,5 +1,12 @@
 """Independent references for the joint-space builder, the closed loop and the posterior.
 
+The per-space decisions live here, not in the library, which decides
+through planner.decide and SeatTerms and takes its posterior means with
+inference._means: sample_accels (one side's distinct clamped
+accelerations), social_reward_vector and leader_label (the leader's mixed
+social reward and its argmax), follower_response (the follower's best
+response to a committed ego label) and estimate_lambda (the posterior mean).
+
 reference_space is the one-state build the library used before every build
 went through sampling.build_joint_arrays: each side's fan is sampled and
 rolled out on its own, its utility vectors keep the jerk term of the comfort
@@ -16,13 +23,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from socialplan.core import JointState, step_dynamics
-from socialplan.errors import ShortTrackError
-from socialplan.inference import (
-    InferenceSeries, estimate_lambda, init_particles, match_observed, observed_state, update_posterior,
-)
-from socialplan.planner import InteractionTrace, follower_response, leader_label
-from socialplan.sampling import CandidateFan, JointBehaviorSpace, rollout_batch, safety_matrix, sample_accels
+from socialplan.core import AgentState, JointState, ReferencePath, step_dynamics
+from socialplan.errors import EmptyCandidateSetError, ShortTrackError
+from socialplan.inference import InferenceSeries, init_particles, match_observed, observed_state, update_posterior
+from socialplan.planner import InteractionTrace
+from socialplan.rewards import RewardWeights, check_ego_label
+from socialplan.sampling import CandidateFan, JointBehaviorSpace, SamplerConfig, rollout_batch, safety_matrix
+
+
+def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> np.ndarray:
+    """Constant accelerations (n,) toward each terminal-speed fraction.
+
+    a = (v_target - v) / (N dt), clamped to the acceleration bounds.  The
+    targets ascend, so the clamped values do too and duplicates are
+    adjacent; each run of equal values keeps one entry.  The index of an
+    acceleration is its candidate label.
+    """
+    targets = np.sort(np.asarray(cfg.terminal_speed_fractions, dtype=float) * path.speed_limit, kind="stable")
+    with np.errstate(over="ignore"):
+        grid = (targets - float(state.v)) / (cfg.horizon_steps * cfg.dt)
+    grid = np.minimum(np.maximum(grid, cfg.accel_min), cfg.accel_max)
+    unique = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
+    if len(unique) == 1 and cfg.forbid_singleton and len(grid) > 1:
+        raise EmptyCandidateSetError("all candidates collapsed to a single acceleration")
+    return unique
+
+
+def social_reward_vector(space: JointBehaviorSpace, lam: RewardWeights) -> np.ndarray:
+    """Combined social reward of every ego candidate under mixing weights lam (egoism min-max normalized)."""
+    return lam.values @ space.components().terms
+
+
+def leader_label(space: JointBehaviorSpace, lam: RewardWeights) -> int:
+    """Label of the ego candidate with maximal social reward under weights lam; ties to the lowest label."""
+    return int(np.argmax(social_reward_vector(space, lam)))
+
+
+def follower_response(space: JointBehaviorSpace, ego_label: int) -> int:
+    """Label of the other car's best response to a committed ego action (Stackelberg follower)."""
+    return int(np.argmax(space.reward_other[check_ego_label(space, ego_label)]))
+
+
+def estimate_lambda(pset) -> RewardWeights:
+    """Posterior mean, renormalized onto the simplex against rounding."""
+    mean = np.maximum(pset.weights @ pset.lambdas, 0.0)
+    return RewardWeights(mean / mean.sum())
 
 
 def _fan(accels, state, path, cfg) -> CandidateFan:

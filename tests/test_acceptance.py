@@ -11,6 +11,7 @@ from socialplan import workflows
 from socialplan.cli import main as cli_main
 from socialplan.config import save_config
 from socialplan.inference import infer_agent, infer_trace
+from socialplan.metrics import trajectory_mse
 from socialplan.planner import plan_ego
 from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
 
@@ -190,7 +191,7 @@ def _regen_reduction(fcfg, pair, scn, seed, horizon=1.0):
         for kind in ("est", "ego"):
             lam = sp.RewardWeights(lam_at[k]) if kind == "est" else sp.RewardWeights.egoism()
             label, space = plan_ego(x0, lam, scn)
-            mse = sp.trajectory_mse(trajectory(space.ego_candidates, label), observed, horizon)
+            mse = trajectory_mse(trajectory(space.ego_candidates, label), observed, horizon)
             if kind == "est":
                 mse_est += mse
             else:

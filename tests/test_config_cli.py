@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
+from socialplan import workflows
 from socialplan.cli import main
 from socialplan.config import PathSpec, ScenarioConfig, config_from_dict, config_to_dict, load_config, save_config
 from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
@@ -540,3 +541,66 @@ def test_python_dash_m_socialplan_runs_the_cli(tmp_path):
     (tmp_path / "template" / "path_ego.csv").write_text("x,y\n-1e308,0\n1e308,0\n")
     code, err = run("sim", "--config", str(tmp_path / "template" / "scenario.json"), "--out", str(tmp_path / "p"))
     assert (code, err) == (2, "socialplan: ParseError: row 3: path arclength overflows; use smaller coordinates\n")
+
+
+@pytest.fixture
+def fixture_template(tmp_path):
+    save_config(write_scenario_config(fixture_scenario("courtesy"), tmp_path / "template", seed=0),
+                tmp_path / "template" / "config.json")
+    return tmp_path / "template" / "config.json"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--lambda-after", "confidence"], ["--switch-step", "5"]], ids=["lambda_after_alone", "switch_step_alone"]
+)
+def test_cli_fixture_switch_flags_come_together(tmp_path, fixture_template, capsys, flags):
+    """--lambda-after alone once exited 0 with a fixture that never switched; --switch-step alone left an empty --out."""
+    out = tmp_path / "fix"
+    assert main(["fixture", "--config", str(fixture_template), "--out", str(out), "--lambda", "courtesy", *flags]) == 1
+    assert capsys.readouterr().err == "socialplan: usage: switch_step and lam_after must be given together\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "switch", [{"switch_step": 5}, {"lam_after": sp.RewardWeights.confidence()}], ids=["no_lam_after", "no_switch_step"]
+)
+def test_make_fixture_checks_the_switch_before_writing(tmp_path, fixture_template, switch):
+    out = tmp_path / "fix"
+    with pytest.raises(ValueError, match="switch_step and lam_after must be given together"):
+        workflows.make_fixture(load_config(fixture_template), sp.RewardWeights.courtesy(), 0, out, **switch)
+    assert not out.exists()
+
+
+def test_cli_fixture_that_does_not_terminate_writes_nothing(tmp_path, fixture_template, capsys):
+    short = fixture_template.parent / "short.json"
+    save_config(replace(load_config(fixture_template), max_steps=2), short)
+    out = tmp_path / "fix"
+    assert main(["fixture", "--config", str(short), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "socialplan: NonTerminatingError: fixture scenario did not reach its conflict point\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "regen"])
+def test_cli_replay_without_tracks_writes_nothing(tmp_path, case_config, capsys, command):
+    """A config with no tracks file once left an empty --out directory behind its exit 2."""
+    out = tmp_path / "out"
+    assert main([command, "--config", str(case_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "socialplan: ParseError: config has no tracks file for this workflow\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "regen"])
+def test_cli_replay_writes_nothing_when_a_later_pair_fails(short_overlap, tmp_path, capsys, command):
+    """A second pair whose speeds overflow once left the first pair's lambdas_pair0.csv (infer) or an empty --out (regen)."""
+    source = short_overlap["fixture"].parent
+    lines = (source / "tracks.csv").read_text().splitlines()
+    # track 2 repeats track 1 at vx = 1e300: pair (0, 2) comes second and its features overflow
+    copy = [",".join(["2", *row[1:5], "1e300", row[6]]) for row in (line.split(",") for line in lines[1:]) if row[0] == "1"]
+    (tmp_path / "tracks.csv").write_text("\n".join(lines + copy) + "\n")
+    for path in ("path_ego.csv", "path_other.csv"):
+        (tmp_path / path).write_bytes((source / path).read_bytes())
+    save_config(replace(load_config(short_overlap["fixture"]), base_dir=tmp_path), tmp_path / "scenario.json")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "scenario.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("socialplan: NonFiniteRewardError: ")
+    assert not out.exists()

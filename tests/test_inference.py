@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan.inference import _sample_simplex, infer_agent
+from socialplan.inference import _sample_simplex, infer_agent, match_observed, update_posterior
 from socialplan.scenarios import fixture_scenario
 from reference_scalar import window_likelihood
 from example_checks import (
@@ -25,6 +25,7 @@ from example_checks import (
     check_update_composition,
     check_update_flat_identity,
     check_update_proportional,
+    posterior_mean,
     _fake_space_with_probs,
 )
 
@@ -80,7 +81,7 @@ def test_match_observed_matches_per_row_loop(n, m, w, seed, integral, repeat):
     if repeat and n > 1:  # an exact tie: a later label repeats an earlier one
         i = int(rng.integers(n - 1))
         xy[int(rng.integers(i + 1, n))] = xy[i]
-    assert sp.match_observed(observed, xy) == _per_row_match(observed, xy)
+    assert match_observed(observed, xy) == _per_row_match(observed, xy)
 
 
 def test_simplex_sampling_uniform_and_on_simplex():
@@ -165,7 +166,7 @@ def test_weights_stay_normalized():
         space = _fake_space_with_probs(list(probs))
         # fake space has 3 basis rows; select particles consistently
         sub = sp.ParticleSet(lambdas=np.eye(3), weights=np.full(3, 1 / 3))
-        sub = sp.update_posterior(sub, 0, space, cfg)
+        sub = update_posterior(sub, 0, space, cfg)
         assert abs(sub.weights.sum() - 1.0) < 1e-9
         assert np.all(sub.weights >= 0.0)
 
@@ -175,11 +176,11 @@ def test_update_order_invariance():
     space = _fake_space_with_probs(probs)
     cfg = sp.InferenceConfig(n_particles=3)
     base = sp.ParticleSet(lambdas=np.eye(3), weights=np.array([0.2, 0.5, 0.3]))
-    est = sp.estimate_lambda(sp.update_posterior(base, 0, space, cfg))
+    est = posterior_mean(update_posterior(base, 0, space, cfg))
     perm = np.array([2, 0, 1])
     permuted = sp.ParticleSet(lambdas=np.eye(3)[perm], weights=np.array([0.2, 0.5, 0.3])[perm])
-    est_p = sp.estimate_lambda(sp.update_posterior(permuted, 0, space, cfg))
-    assert np.allclose(est.values, est_p.values, atol=1e-12)
+    est_p = posterior_mean(update_posterior(permuted, 0, space, cfg))
+    assert np.allclose(est, est_p, atol=1e-12)
 
 
 def test_window_likelihood_normalizes_over_candidates():
@@ -233,7 +234,7 @@ def test_monotone_concentration_on_synthetic_data():
 def test_degenerate_weights_guard():
     space = _fake_space_with_probs([0.5, 0.5, 0.5])
     pset = sp.ParticleSet(lambdas=np.eye(3), weights=np.array([1.0, 0.0, 0.0]))
-    out = sp.update_posterior(pset, 0, space, sp.InferenceConfig(n_particles=3))
+    out = update_posterior(pset, 0, space, sp.InferenceConfig(n_particles=3))
     assert abs(out.weights.sum() - 1.0) < 1e-12
 
 
@@ -244,7 +245,7 @@ def test_resampling_preserves_mean_roughly():
     # align dims: use 100 particles against a 2-candidate fake space
     stacked = np.array([[np.log(0.8), np.log(0.2)]] * 3)
     space = FakeSpace(stacked)
-    out = sp.update_posterior(pset, 0, space, cfg)
+    out = update_posterior(pset, 0, space, cfg)
     assert np.allclose(out.weights, 1.0 / len(out.weights), atol=1e-12)
     assert abs(out.weights.sum() - 1.0) < 1e-9
 
@@ -339,15 +340,15 @@ def test_posterior_stays_on_simplex_property(n_particles, init, resample, seed, 
     cfg = sp.InferenceConfig(n_particles=n_particles, init=init, resample=resample)
     pset = sp.init_particles(cfg, seed=seed)
     for matched, flat in updates:
-        pset = sp.update_posterior(pset, matched, FakeSpace(np.reshape(flat, (3, -1))), cfg)
+        pset = update_posterior(pset, matched, FakeSpace(np.reshape(flat, (3, -1))), cfg)
         assert np.all(pset.weights >= 0.0)
         assert abs(pset.weights.sum() - 1.0) < 1e-9
-        est = sp.estimate_lambda(pset).values
+        est = posterior_mean(pset)
         assert np.all(est >= 0.0) and abs(est.sum() - 1.0) < 1e-9
 
 
 def test_clipping_at_zero_keeps_the_bytes_of_np_clip():
-    """RewardWeights and estimate_lambda clip with np.maximum(x, 0.0): the bytes of np.clip(x, 0.0, None)."""
+    """RewardWeights and the posterior means clip with np.maximum(x, 0.0): the bytes of np.clip(x, 0.0, None)."""
     edge = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-10, 1.0, -1.0])
     assert np.maximum(edge, 0.0).tobytes() == np.clip(edge, 0.0, None).tobytes()
     for values in ([-0.0, 0.25, 0.75], [-1e-10, 5e-324, 1.0 + 1e-10], [1.0, 0.0, -0.0]):
@@ -356,4 +357,4 @@ def test_clipping_at_zero_keeps_the_bytes_of_np_clip():
     lambdas = np.array([[1.0, -0.0, 0.0], [1.0, 5e-324, -0.0], [1.0, -1e-300, 0.0]])
     pset = sp.ParticleSet(lambdas=lambdas, weights=np.full(3, 1 / 3))
     mean = np.clip(pset.weights @ pset.lambdas, 0.0, None)
-    assert sp.estimate_lambda(pset).values.tobytes() == np.clip(mean / mean.sum(), 0.0, None).tobytes()
+    assert posterior_mean(pset).tobytes() == np.clip(mean / mean.sum(), 0.0, None).tobytes()

@@ -10,7 +10,7 @@ import socialplan as sp
 from socialplan import planner, sampling, workflows
 from socialplan.config import load_config
 from socialplan.scenarios import case_scenario, crossing_scenario, fixture_scenario, write_scenario_config
-from reference_builder import reference_simulate, scenario_space
+from reference_builder import follower_response, leader_label, reference_simulate, scenario_space
 
 POLICY_NAMES = list(workflows.POLICIES)
 
@@ -163,8 +163,8 @@ def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt
     for i, (x, (*_, values)) in enumerate(zip(xs, rounds)):
         lam = sp.RewardWeights(np.array(values))
         space = scenario_space(scn, x)
-        label = sp.leader_label(space, lam)
-        response = sp.follower_response(space, label)
+        label = leader_label(space, lam)
+        response = follower_response(space, label)
         controls = space.ego_candidates.accels[label, 0], space.other_candidates.accels[response, 0]
         got = planner.decide(arrays, terms, i, lam)
         assert got[:2] == (label, response)

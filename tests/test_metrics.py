@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan.metrics import min_distance
+from socialplan.metrics import min_distance, trajectory_mse
 from socialplan.scenarios import case_scenario
 from reference_scalar import trajectory
 from example_checks import check_dop_examples, check_mse_examples, check_psf_examples
@@ -76,10 +76,10 @@ def test_mse_symmetry_and_zero_iff():
         a = SimpleNamespace(xy=rng.normal(size=(n, 2)), dt=0.25)
         b = SimpleNamespace(xy=rng.normal(size=(n, 2)), dt=0.25)
         h = float((n - 1) * 0.25)
-        assert abs(sp.trajectory_mse(a, b, h) - sp.trajectory_mse(b, a, h)) < 1e-15
-        assert sp.trajectory_mse(a, a, h) == 0.0
+        assert abs(trajectory_mse(a, b, h) - trajectory_mse(b, a, h)) < 1e-15
+        assert trajectory_mse(a, a, h) == 0.0
         if not np.array_equal(a.xy, b.xy):
-            assert sp.trajectory_mse(a, b, h) > 0.0
+            assert trajectory_mse(a, b, h) > 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +102,7 @@ def test_horizon_mse_matches_trajectory_mse_bit_for_bit(n, length, extra, dt, se
     for row, horizon in zip(table, horizons):
         steps = int(np.floor(horizon / dt + 1e-9))
         for label in range(n):
-            one = sp.trajectory_mse(SimpleNamespace(xy=generated[label], dt=dt), observed, horizon)
+            one = trajectory_mse(SimpleNamespace(xy=generated[label], dt=dt), observed, horizon)
             # the one-pair arithmetic trajectory_mse was first written as
             diff = generated[label][: steps + 1] - truth[: steps + 1]
             reference = float(np.mean(np.sum(diff * diff, axis=1)))
@@ -118,10 +118,10 @@ def test_horizon_mse_checks_every_horizon():
 def test_mse_errors():
     a = SimpleNamespace(xy=np.zeros((3, 2)), dt=0.25)
     with pytest.raises(sp.HorizonExceedsTraceError):
-        sp.trajectory_mse(a, a, 1.0)
+        trajectory_mse(a, a, 1.0)
     b = SimpleNamespace(xy=np.zeros((3, 2)), dt=0.1)
     with pytest.raises(ValueError):
-        sp.trajectory_mse(a, b, 0.2)
+        trajectory_mse(a, b, 0.2)
 
 
 def test_psf_dop_relationship():
@@ -187,5 +187,5 @@ def test_regen_self_consistency_on_egoistic_agent():
         observed = NS(xy=xy_obs[k : k + hsteps + 1], dt=tr.dt)
         for name in mse:
             label, space = plan_ego(x0, getattr(sp.RewardWeights, name)(), scn)
-            mse[name] += sp.trajectory_mse(trajectory(space.ego_candidates, label), observed, 1.0)
+            mse[name] += trajectory_mse(trajectory(space.ego_candidates, label), observed, 1.0)
     assert mse["egoism"] < mse["courtesy"]

@@ -1,9 +1,12 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import socialplan as sp
 from socialplan.metrics import min_distance
-from socialplan.rewards import social_reward_vector
+from socialplan.planner import decide
 from socialplan.scenarios import case_scenario
 from reference_scalar import space_from_matrices
 from example_checks import (
@@ -11,6 +14,7 @@ from example_checks import (
     check_follower_tie_break,
     check_plan_dominant_candidate,
     check_simulate_already_crossed,
+    decide_on,
 )
 
 
@@ -26,20 +30,21 @@ def test_single_other_candidate_reduces_to_column_argmax():
     for _ in range(20):
         reward_ego = rng.normal(size=(6, 1)) * 4
         space = space_from_matrices(reward_ego, np.zeros((6, 1)), np.zeros(1))
-        scores = social_reward_vector(space, sp.RewardWeights.egoism())
-        assert int(np.argmax(scores)) == int(np.argmax(reward_ego[:, 0]))
+        assert decide_on(space, sp.RewardWeights.egoism()) == (int(np.argmax(reward_ego[:, 0])), 0)
 
 
 def test_case1_policy_choice_ordering():
     # ego precedes: the courteous leader speeds up, the confident leader slows down
     scn = case_scenario("I")
-    label_e, space = sp.plan_ego(scn.initial, sp.RewardWeights.egoism(), scn)
-    label_c, _ = sp.plan_ego(scn.initial, sp.RewardWeights.courtesy(), scn)
-    label_f, _ = sp.plan_ego(scn.initial, sp.RewardWeights.confidence(), scn)
+    arrays = scn.arrays_at([scn.initial])
+    terms = arrays.social_terms()
+    (label_e, _, first_e, _), (label_c, _, first_c, _), (label_f, _, first_f, _) = (
+        decide(arrays, terms, 0, lam)
+        for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence())
+    )
     assert label_c >= label_e  # labels ascend with target speed
     assert label_f <= label_e
-    first = space.ego_candidates.accels[:, 0]
-    assert first[label_c] > first[label_e] > first[label_f]
+    assert first_c > first_e > first_f
 
 
 def _simulate(scn, lam, max_steps=200):
@@ -129,10 +134,19 @@ def test_trace_concat_guards():
 
 
 def test_follower_unknown_label():
+    """The follower answers with a candidate of its own fan, never with a padding row of the build's grid."""
     scn = case_scenario("I")
-    space = scn.space_at(scn.initial)
-    with pytest.raises(sp.UnknownCandidateError):
-        sp.follower_response(space, 99)
+    at_rest = sp.JointState(ego=scn.initial.ego, other=sp.AgentState(s=scn.initial.other.s, v=0.0))
+    arrays = scn.arrays_at([at_rest])
+    n = int(arrays.sizes[1, 0])
+    assert n < arrays.reward_other.shape[-1]  # from rest the fastest targets clamp to one acceleration
+    reward_other = arrays.reward_other.copy()
+    reward_other[..., n:] = np.inf  # a padding column would win any argmax that reached it
+    padded = replace(arrays, reward_other=reward_other)
+    terms = arrays.social_terms()
+    for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence()):
+        label, response, _, _ = decide(padded, terms, 0, lam)
+        assert response == int(arrays.reward_other[0, label, :n].argmax())
 
 
 def test_case1_min_distance_ordering():
@@ -149,10 +163,12 @@ def test_follower_choice_mirrors_swapped_leader_rows():
     from socialplan.scenarios import crossing_scenario
 
     scn = crossing_scenario(dist_ego=15.0, v_ego=6.0, dist_other=15.0, v_other=6.0)
-    space = scn.space_at(scn.initial)
+    arrays = scn.arrays_at([scn.initial])
     swapped = scn.swapped()
-    space_sw = swapped.space_at(swapped.initial)
-    for i in range(len(space.ego_candidates)):
-        follower = sp.follower_response(space, i)
-        # the same utilities sit in the swapped space's ego matrix, transposed
-        assert follower == int(np.argmax(space_sw.reward_ego[:, i]))
+    arrays_sw = swapped.arrays_at([swapped.initial])
+    ne, no = arrays.sizes[:, 0].tolist()
+    for i in range(ne):
+        committed = SimpleNamespace(leader_label=lambda state, lam: i)  # the leader commits to label i
+        _, follower, _, _ = decide(arrays, committed, 0, sp.RewardWeights.egoism())
+        # the same utilities sit in the swapped build's ego matrix, transposed
+        assert follower == int(np.argmax(arrays_sw.reward_ego[0, :no, i]))

