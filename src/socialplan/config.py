@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
@@ -240,4 +241,9 @@ def write_json(path, data) -> None:
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:
-    write_json(path, config_to_dict(cfg))
+    """Write cfg at path, its relative file names rewritten against path's directory, where load_config resolves them."""
+    data = config_to_dict(cfg)
+    for block, key in ((data["paths"]["ego"], "file"), (data["paths"]["other"], "file"), (data, "tracks")):
+        if key in block and not Path(block[key]).is_absolute():
+            block[key] = os.path.relpath(cfg.resolve(block[key]), Path(path).parent)
+    write_json(path, data)

@@ -129,9 +129,9 @@ def _sample_simplex(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray
     return pts
 
 
-def init_particles(cfg: InferenceConfig, seed: int | np.random.Generator = 0) -> ParticleSet:
+def init_particles(cfg: InferenceConfig, seed: int = 0) -> ParticleSet:
     """Draw the simplex covering and set weights from the prior density."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     lambdas = _sample_simplex(cfg.n_particles, cfg.init, rng)
     alpha = cfg.prior.dirichlet_alpha()
     if alpha is None:
@@ -166,7 +166,7 @@ def _reweigh(weights: np.ndarray, loglik: np.ndarray, resample: bool) -> tuple[n
 
 # match_observed and update_posterior (with _log_likelihoods) are the per-space
 # steps; they stay only because perfbench/tracing.py wraps inference.match_observed
-# and inference.update_posterior.  Replay runs them in batches (ReplayChunk).
+# and inference.update_posterior.  Replay runs them in batches (SeatReplay).
 def match_observed(observed_xy: np.ndarray, candidate_xy: np.ndarray) -> int:
     """Label of the candidate whose positions are MSE-closest to the observation.
 
@@ -228,22 +228,17 @@ def observed_state(obs_self, obs_other, k: int) -> JointState:
     )
 
 
-# Observed states per batched build in replay: enough to amortise the
-# roughly 100 numpy calls of one array pass, few enough that its
-# temporaries stay small.  A pair keeps its chunks' arrays until it is done.
-# 32 was chosen by measurement on a 2-vCPU VM: in paired perfbench/run.py
-# offline_regen runs (10 seeds, 10 s each) the replay at 32 took wall_s from
-# 0.086 to 0.071 s (median) against 8, at 3% more peak memory, and in an
-# in-process probe 16, 64 and one chunk per pair were all slower than 32.
-CHUNK = 32
+def window_starts(obs, cfg: InferenceConfig) -> range:
+    """The window starts the posterior reads on an observed track: 0 .. its steps - window_r, or 0 under growing_window."""
+    return range(1 if cfg.growing_window else len(obs.s) - cfg.window_r)
 
 
-class ReplayChunk:
-    """One seat's joint spaces at a chunk of observed states, read in batches.
+class SeatReplay:
+    """One seat's joint spaces at a pair's observed states, read in batches.
 
-    frames[i] is the observed state of entry i.  Making a chunk raises
+    frames[i] is the observed state of entry i.  Making a reader raises
     nothing: its first terms.sound entries are sound, and the next one, if
-    the chunk has it, is the first failing state (terms.error).  A seat's pass
+    there is one, is the first failing state (terms.error).  A seat's pass
     reads only sound entries and raises the failing state's error where it
     first uses that state (check), so the error a replay reports is the one
     of a replay that builds one state at a time.  Each method repeats, for
@@ -257,8 +252,8 @@ class ReplayChunk:
         self.frames = frames
         self.arrays = arrays
         self.terms = arrays.social_terms()
-        self.ego_xy = arrays.xy[0]  # (C, nt, N+1, 2), padding rows included
-        self._real = np.arange(self.ego_xy.shape[1]) < arrays.sizes[0][:, None]  # (C, nt) real ego candidates
+        self.ego_xy = arrays.xy[0]  # (F, nt, N+1, 2), padding rows included
+        self._real = np.arange(self.ego_xy.shape[1]) < arrays.sizes[0][:, None]  # (F, nt) real ego candidates
 
     def matched_labels(self, observed_xy: np.ndarray, entries, stops) -> np.ndarray:
         """match_observed(observed_xy[tau : k + 1], the ego candidates at tau = frames[i]) for each i, k in zip(entries, stops).
@@ -302,52 +297,46 @@ class ReplayChunk:
 
 
 class PairReplay:
-    """Replay of one observed pair, for both of its seats, from one build per chunk.
+    """Replay of one observed pair, for both of its seats, from one build.
 
     Seat 0 is the agent in the scenario's ego seat (obs_ego) and seat 1 the
-    other driver, in scenario.swapped()'s terms.  The observed states are
-    built CHUNK at a time (Scenario.arrays_at), when a seat first asks for
-    the chunk, and kept until the pair is done, so the seats, replayed one
-    after the other, share every build.  Seat 1's arrays are views of seat
-    0's (JointArrays.swapped) and give, bit for bit, the spaces the swapped
-    scenario would build on its own.  A state's build error is raised at
-    the frame where the seat first uses the state (ReplayChunk), whatever
-    CHUNK is.
+    other driver, in scenario.swapped()'s terms.  frames are the distinct
+    observed frames the run reads, sorted: the posterior's window starts
+    (window_starts), so window start tau is entry tau, and for regeneration
+    its frames too.  The first seat to ask for its reader (seat) builds
+    them in one Scenario.arrays_at call, which the pair keeps, so the other
+    seat builds nothing: its arrays are views of seat 0's
+    (JointArrays.swapped), bit for bit the swapped scenario's own build.
     """
 
-    def __init__(self, obs_ego, obs_other, scenario: Scenario):
+    def __init__(self, obs_ego, obs_other, scenario: Scenario, frames):
         self.obs = (obs_ego, obs_other)
         self.scenario = scenario
-        self._swapped = scenario.swapped()
-        self._built: dict[tuple[int, ...], JointArrays] = {}  # seat 0's arrays by the chunk's frames
+        self.frames = list(frames)
+        self._seats: dict[int, SeatReplay] = {}
 
-    def chunks(self, seat: int, frames) -> Iterator[ReplayChunk]:
-        """The seat's ReplayChunk for each run of CHUNK frames in order."""
-        frames = list(frames)
-        for i in range(0, len(frames), CHUNK):
-            chunk = frames[i : i + CHUNK]
-            key = tuple(chunk)
-            if key not in self._built:
-                self._built[key] = self.scenario.arrays_at([observed_state(*self.obs, k) for k in chunk])
-            arrays = self._built[key]
-            if seat == 1:
-                arrays = arrays.swapped(self._swapped.conflict, self._swapped.rewards)
-            yield ReplayChunk(chunk, arrays)
+    def seat(self, seat: int) -> SeatReplay:
+        """The seat's reader over the pair's build, made when the seat first asks."""
+        if not self._seats:
+            arrays = self.scenario.arrays_at([observed_state(*self.obs, k) for k in self.frames])
+            self._seats[0] = SeatReplay(self.frames, arrays)
+        if seat not in self._seats:  # seat 1, from seat 0's arrays
+            swapped = self.scenario.swapped()
+            self._seats[1] = SeatReplay(self.frames, self._seats[0].arrays.swapped(swapped.conflict, swapped.rewards))
+        return self._seats[seat]
 
     def posterior_steps(
         self, seat: int, cfg: InferenceConfig, seed: int = 0
-    ) -> Iterator[tuple[ReplayChunk, int, int, np.ndarray]]:
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
         """The posterior loop for the agent in the seat, one frame at a time.
 
-        Yields (chunk, i, k, estimate) for each posterior frame k in order:
-        the chunk whose entry i is the window start tau, and the posterior
-        mean after the window tau..k as a weight row (3,).  Window starts
-        are built CHUNK at a time (under growing_window the frame-0 state
-        serves every frame).  A chunk's matched labels and log-likelihoods
-        come from one array pass, and so do the means of its frames, from
-        one stacked product (_means); the weight recursion (_reweigh, as in
-        update_posterior) runs per frame.  With resampling, each frame reads
-        its log-likelihoods at the particles it copied.
+        Yields (i, k, estimate) for each posterior frame k in order: the
+        entry i of the window start tau in the seat's reader (seat), which is
+        tau itself (0 under growing_window), and the posterior mean after the
+        window tau..k as a weight row (3,).  Matched labels, log-likelihoods and means (_means)
+        come from one array pass each; the weight recursion (_reweigh, as in
+        update_posterior) runs per frame, with resampling at the particles
+        each frame copied.
 
         Errors come out at their frame, as in the per-frame loop: a window
         start's build error at frame tau + r (under growing_window, at frame
@@ -361,40 +350,36 @@ class PairReplay:
             raise ShortTrackError(f"track has {total} steps, window needs {r}")
         pset = init_particles(cfg, seed)
         lambdas, weights, copied = pset.lambdas, pset.weights, None
-        for chunk in self.chunks(seat, [0] if cfg.growing_window else range(total - r + 1)):
-            if cfg.growing_window:
-                stops = list(range(r, total + 1))
-                entries = [0] * len(stops)
-            else:
-                stops = [tau + r for tau in chunk.frames]
-                entries = list(range(len(stops)))
-            n = bisect_left(entries, chunk.terms.sound)  # frames before the first use of a failing state
-            rows, per_frame, failure = [], [], None
-            if n:
-                labels = chunk.matched_labels(obs_self.xy, entries[:n], stops[:n])
-                for loglik in chunk.log_likelihoods(pset.lambdas, entries[:n], labels):
-                    try:
-                        weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
-                    except DegenerateWeightsError as exc:
-                        failure = exc
-                        break
-                    if idx is not None:
-                        copied = idx if copied is None else copied[idx]
-                        lambdas = lambdas[idx]
-                        per_frame.append(lambdas)
-                    rows.append(weights)
-            if rows:
-                means = _means(np.stack(rows), np.stack(per_frame) if per_frame else lambdas)
-                bad = off_simplex(means)
-                good = int(bad.argmax()) if bad.any() else len(rows)
-                for j in range(good):
-                    yield chunk, entries[j], stops[j], means[j]
-                if good < len(rows):
-                    raise weights_error(means[good])
-            if failure is not None:
-                raise failure
-            if n < len(entries):
-                chunk.check(entries[n])
+        reader = self.seat(seat)
+        stops = list(range(r, total + 1))
+        entries = [0 if cfg.growing_window else k - r for k in stops]
+        n = bisect_left(entries, reader.terms.sound)  # frames before the first use of a failing state
+        rows, per_frame, failure = [], [], None
+        if n:
+            labels = reader.matched_labels(obs_self.xy, entries[:n], stops[:n])
+            for loglik in reader.log_likelihoods(pset.lambdas, entries[:n], labels):
+                try:
+                    weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
+                except DegenerateWeightsError as exc:
+                    failure = exc
+                    break
+                if idx is not None:
+                    copied = idx if copied is None else copied[idx]
+                    lambdas = lambdas[idx]
+                    per_frame.append(lambdas)
+                rows.append(weights)
+        if rows:
+            means = _means(np.stack(rows), np.stack(per_frame) if per_frame else lambdas)
+            bad = off_simplex(means)
+            good = int(bad.argmax()) if bad.any() else len(rows)
+            for j in range(good):
+                yield entries[j], stops[j], means[j]
+            if good < len(rows):
+                raise weights_error(means[good])
+        if failure is not None:
+            raise failure
+        if n < len(entries):
+            reader.check(entries[n])
 
 
 def _series(steps) -> InferenceSeries:
@@ -414,15 +399,15 @@ def infer_agent(
     seed: int = 0,
 ) -> InferenceSeries:
     """Per-frame weight estimates for the agent sitting in the scenario's ego seat."""
-    return _series(PairReplay(obs_self, obs_other, scenario).posterior_steps(0, cfg, seed))
+    return _series(PairReplay(obs_self, obs_other, scenario, window_starts(obs_self, cfg)).posterior_steps(0, cfg, seed))
 
 
 def infer_trace(pair, scenario: Scenario, cfg: InferenceConfig, seed: int = 0) -> dict[str, InferenceSeries]:
     """Estimate both drivers' weights independently, the other car's in scenario.swapped()'s terms.
 
     One replay serves both seats (PairReplay): the ego seat's posterior
-    runs to the end and then the swapped seat's, on one build per chunk, so
-    the result and any error are those of infer_agent on each seat in turn.
+    runs to the end and then the swapped seat's, on one build, so the
+    result and any error are those of infer_agent on each seat in turn.
     """
-    replay = PairReplay(pair.ego, pair.other, scenario)
+    replay = PairReplay(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))
     return {role: _series(replay.posterior_steps(seat, cfg, seed)) for seat, role in enumerate(("ego", "other"))}

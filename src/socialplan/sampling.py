@@ -209,10 +209,17 @@ def safety_matrix(
     """
     t = xy_ego.shape[-2] - 1
     diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
-    d_rel = np.sqrt((diff * diff).sum(axis=-1))
     prox_e = np.exp(-np.abs(s_ego[..., :t] - s_conflict_ego) / sigma_c)
     prox_o = np.exp(-np.abs(s_other[..., :t] - s_conflict_other) / sigma_c)
-    w = np.exp(-d_rel / sigma_d) * (prox_e[..., :, None, :] * prox_o[..., None, :, :])
+    # in place and in the order of exp(-sqrt(sum diff**2) / sigma_d) * prox: a replay builds a whole pair at once
+    diff *= diff
+    w = diff.sum(axis=-1)
+    del diff
+    np.sqrt(w, out=w)
+    np.negative(w, out=w)
+    w /= sigma_d
+    np.exp(w, out=w)
+    w *= prox_e[..., :, None, :] * prox_o[..., None, :, :]
     return -w.sum(axis=-1)
 
 

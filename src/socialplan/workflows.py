@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config, write_json
 from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackError
-from .inference import InferenceSeries, PairReplay, infer_trace
+from .inference import InferenceSeries, PairReplay, infer_trace, window_starts
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
 from .planner import InteractionTrace, PolicySpec, plan_ego, simulate, simulate_policies  # noqa: F401
@@ -209,60 +209,60 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
     return report
 
 
+def _regen_frames(obs, cfg: ScenarioConfig) -> tuple[range, int]:
+    """The frames a seat regenerates from on an observed track, and the longest horizon's step count."""
+    steps = int(np.floor(max(REGEN_HORIZONS) / cfg.sampler.dt + 1e-9))
+    return range(cfg.inference.window_r, len(obs.s) - steps), steps
+
+
 def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     """Mean regeneration MSE per policy and horizon for the agent in one seat of a pair.
 
-    The seat's posterior pass (PairReplay.posterior_steps) hands over each
-    window start's chunk; the chunk that holds regeneration frame k serves
-    the leader decisions of all four policies regenerated from k.  The
-    estimate used at k is the one recorded at posterior frame k, r frames
-    before the pass starts a window at k.  Frames the pass never starts a
-    window at (window_r above the longest horizon's step count, or
-    growing_window) get their chunks from the replay after the pass, which
-    builds each chunk once for both seats; a failing state among those
-    raises its build error at its regeneration frame (ReplayChunk.check).
-    At a chunk's first regeneration frame, one array pass scores every ego
-    candidate of its sound regeneration frames at every horizon and takes
+    A frame k is regenerated, under the estimate recorded at posterior frame
+    k, when the seat's posterior pass starts a window at k, and frames the
+    pass never starts a window at (window_r above the longest horizon's step
+    count, or growing_window) after the pass, from the same reader by entry;
+    a failing state raises its build error at its frame (SeatReplay.check).
+    At the first regeneration frame, one array pass scores every ego
+    candidate of the sound regeneration frames at every horizon and takes
     the fixed policies' decisions; the estimated policy decides per frame.
     """
     obs_self = replay.obs[seat]
-    dt = cfg.sampler.dt
-    max_steps = int(np.floor(max(REGEN_HORIZONS) / dt + 1e-9))
-    total = len(obs_self.s) - 1
-    frames = range(cfg.inference.window_r, total + 1 - max_steps)
+    frames, max_steps = _regen_frames(obs_self, cfg)
     if not frames:
         raise ShortTrackError("track too short to regenerate at the longest horizon")
     fixed = [(name, make().values) for name, make in POLICIES.items()]
     sums = {name: dict.fromkeys(REGEN_HORIZONS, 0.0) for name in [*POLICIES, "estimated"]}
     lam_at: dict[int, np.ndarray] = {}  # the posterior mean recorded at each frame
-    scored = None  # (chunk, MSE rows by frame, fixed policies' labels by entry) of the last chunk regenerated from
+    reader = replay.seat(seat)
+    scored = None  # (MSE rows by frame, fixed policies' labels by entry), taken at the first regeneration frame
 
-    def regenerate(chunk, i: int) -> None:
+    def regenerate(i: int) -> None:
         nonlocal scored
-        chunk.check(i)
-        k = chunk.frames[i]
-        if scored is None or scored[0] is not chunk:
-            entries = [j for j, f in enumerate(chunk.frames[: chunk.terms.sound]) if f in frames]
-            ks = np.asarray(chunk.frames)[entries]
+        reader.check(i)
+        k = reader.frames[i]
+        if scored is None:
+            entries = [j for j, f in enumerate(reader.frames[: reader.terms.sound]) if f in frames]
+            ks = np.asarray(reader.frames)[entries]
             truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
-            mse = metrics.horizon_mse(chunk.ego_xy[entries], truth, dt, REGEN_HORIZONS)
-            scored = chunk, dict(zip(ks.tolist(), mse.tolist())), [chunk.terms.leader_labels(lam) for _, lam in fixed]
-        _, mse, labels = scored
+            mse = metrics.horizon_mse(reader.ego_xy[entries], truth, cfg.sampler.dt, REGEN_HORIZONS)
+            scored = dict(zip(ks.tolist(), mse.tolist())), [reader.terms.leader_labels(lam) for _, lam in fixed]
+        mse, labels = scored
         decisions = [(name, by_entry[i]) for (name, _), by_entry in zip(fixed, labels)]
-        decisions.append(("estimated", chunk.terms.leader_label(i, lam_at.pop(k))))
+        decisions.append(("estimated", reader.terms.leader_label(i, lam_at.pop(k))))
         for name, label in decisions:
             for h, per_label in zip(REGEN_HORIZONS, mse[k]):
                 sums[name][h] += per_label[label]
 
     next_k = frames.start
-    for chunk, i, k, estimate in replay.posterior_steps(seat, cfg.inference, cfg.seed):
+    for i, k, estimate in replay.posterior_steps(seat, cfg.inference, cfg.seed):
         lam_at[k] = estimate
-        if chunk.frames[i] == next_k < frames.stop:
-            regenerate(chunk, i)
+        if reader.frames[i] == next_k < frames.stop:
+            regenerate(i)
             next_k += 1
-    for chunk in replay.chunks(seat, range(next_k, frames.stop)):
-        for i in range(len(chunk.frames)):
-            regenerate(chunk, i)
+    for i, k in enumerate(reader.frames):
+        if next_k <= k < frames.stop:
+            regenerate(i)
 
     return {
         name: {str(h): round(per_h[h] / len(frames), 6) for h in REGEN_HORIZONS}
@@ -274,13 +274,14 @@ def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Table of regeneration MSE by policy and horizon (plus change vs egoism).
 
     A pair's ego seat replays to the end and then its other seat, on one
-    build per chunk of observed states (PairReplay); a pair too short to
-    regenerate is skipped.
+    build of the window starts and regeneration frames (PairReplay); a pair
+    too short to regenerate is skipped.
     """
     scenario = cfg.load_scenario()
     report: dict[str, dict] = {}
     for idx, pair in observed_pairs(cfg):
-        replay = PairReplay(pair.ego, pair.other, scenario)
+        frames = sorted({*window_starts(pair.ego, cfg.inference), *_regen_frames(pair.ego, cfg)[0]})
+        replay = PairReplay(pair.ego, pair.other, scenario, frames)
         try:
             roles = {role: _regen_agent(replay, seat, cfg) for seat, role in enumerate(("ego", "other"))}
         except ShortTrackError as exc:

@@ -10,10 +10,12 @@ response to a committed ego label) and estimate_lambda (the posterior mean).
 reference_space is the one-state build the library used before every build
 went through sampling.build_joint_arrays: each side's fan is sampled and
 rolled out on its own, its utility vectors keep the jerk term of the comfort
-feature, and the social components are left to JointBehaviorSpace to compute
-on demand.  reference_simulate is the one-policy receding-horizon loop on
+feature, its safety matrix comes from one expression over fresh temporaries
+(reference_safety_matrix, which the library's in-place safety_matrix must
+match bit for bit), and the social components are left to JointBehaviorSpace
+to compute on demand.  reference_simulate is the one-policy receding-horizon loop on
 that build.  reference_posterior_steps is the per-frame posterior loop the
-replay used before it read a chunk's arithmetic in batches: match_observed,
+replay used before it read a seat's arithmetic in batches: match_observed,
 update_posterior and estimate_lambda at every frame, on one joint space
 built per window start, when the loop first uses it, so a window start's
 build error comes out at that frame.  Tests compare the library against all
@@ -28,7 +30,7 @@ from socialplan.errors import EmptyCandidateSetError, ShortTrackError
 from socialplan.inference import InferenceSeries, init_particles, match_observed, observed_state, update_posterior
 from socialplan.planner import InteractionTrace
 from socialplan.rewards import RewardWeights, check_ego_label
-from socialplan.sampling import CandidateFan, JointBehaviorSpace, SamplerConfig, rollout_batch, safety_matrix
+from socialplan.sampling import CandidateFan, JointBehaviorSpace, SamplerConfig, rollout_batch
 
 
 def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) -> np.ndarray:
@@ -70,6 +72,17 @@ def estimate_lambda(pset) -> RewardWeights:
     return RewardWeights(mean / mean.sum())
 
 
+def reference_safety_matrix(xy_ego, xy_other, s_ego, s_other, s_conflict_ego, s_conflict_other, sigma_d, sigma_c):
+    """sampling.safety_matrix as one expression over fresh temporaries, leading batch axes included."""
+    t = xy_ego.shape[-2] - 1
+    diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
+    d_rel = np.sqrt((diff * diff).sum(axis=-1))
+    prox_e = np.exp(-np.abs(s_ego[..., :t] - s_conflict_ego) / sigma_c)
+    prox_o = np.exp(-np.abs(s_other[..., :t] - s_conflict_other) / sigma_c)
+    w = np.exp(-d_rel / sigma_d) * (prox_e[..., :, None, :] * prox_o[..., None, :, :])
+    return -w.sum(axis=-1)
+
+
 def _fan(accels, state, path, cfg) -> CandidateFan:
     rows = np.repeat(accels[:, None], cfg.horizon_steps, -1)
     s, v = rollout_batch(np.asarray(state.s)[None], np.asarray(state.v)[None], rows, cfg.dt)
@@ -96,7 +109,7 @@ def reference_space(x0: JointState, path_ego, path_other, conflict, sampler_cfg,
     )
     eff_e, com_e = _utility_vectors(ego, path_ego.speed_limit, reward_cfg)
     eff_o, com_o = _utility_vectors(other, path_other.speed_limit, reward_cfg)
-    safety = safety_matrix(
+    safety = reference_safety_matrix(
         ego.xy, other.xy, ego.s, other.s, conflict.s_ego, conflict.s_other, reward_cfg.sigma_d, reward_cfg.sigma_c
     )
     te, to = reward_cfg.theta_ego, reward_cfg.theta_other

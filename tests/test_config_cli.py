@@ -34,6 +34,28 @@ def test_config_roundtrip(case_config, tmp_path):
     assert json.loads(again.read_text()) == json.loads(case_config.read_text())
 
 
+def test_save_config_elsewhere_keeps_the_file_references(tmp_path):
+    """A config saved outside its base_dir once kept its names as given, so sim exited 2 on a missing path_ego.csv."""
+    tpl = tmp_path / "tpl"
+    save_config(write_scenario_config(case_scenario("I"), tpl, seed=0), tpl / "config.json")
+    cfg = load_config(tpl / "config.json")
+    save_config(cfg, tmp_path / "moved.json")
+    moved = json.loads((tmp_path / "moved.json").read_text())
+    assert [moved["paths"][role]["file"] for role in ("ego", "other")] == [
+        os.path.join("tpl", "path_ego.csv"), os.path.join("tpl", "path_other.csv")
+    ]
+    assert config_to_dict(cfg)["paths"]["ego"]["file"] == "path_ego.csv"  # the echo in sidecars is unchanged
+    save_config(replace(cfg, tracks_file="tracks.csv"), tmp_path / "tracks.json")
+    assert json.loads((tmp_path / "tracks.json").read_text())["tracks"] == os.path.join("tpl", "tracks.csv")
+    assert main(["sim", "--config", str(tmp_path / "moved.json"), "--out", str(tmp_path / "a")]) == 0
+    assert main(["sim", "--config", str(tpl / "config.json"), "--out", str(tmp_path / "b")]) == 0
+    for name in ("stats.json", "trace_egoism.csv", "trace_courtesy.csv", "trace_confidence.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # saved into its own base_dir, a config keeps its bytes
+    save_config(cfg, tpl / "again.json")
+    assert (tpl / "again.json").read_bytes() == (tpl / "config.json").read_bytes()
+
+
 def test_config_dict_roundtrip_keeps_forbid_singleton(case_config):
     cfg = load_config(case_config)
     cfg = replace(cfg, sampler=replace(cfg.sampler, forbid_singleton=True))

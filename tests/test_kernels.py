@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan import sampling
+from reference_builder import reference_safety_matrix
 
 
 def _random_inputs(rng, n=7, steps=12):
@@ -55,3 +56,28 @@ def test_safety_matrix_reference_value():
     s = np.full((1, steps + 1), 12.0)
     m = sampling.safety_matrix(xy, xy, s, s, 12.0, 12.0, 5.0, 10.0)
     assert abs(m[0, 0] + steps) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    ne=st.integers(1, 6),
+    no=st.integers(1, 6),
+    n=st.integers(1, 30),
+    sigma_d=st.floats(0.1, 20.0),
+    sigma_c=st.floats(0.1, 20.0),
+    conflict=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(batch=[2, 3], ne=4, no=2, n=30, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=0)
+@example(batch=[], ne=1, no=6, n=1, sigma_d=0.1, sigma_c=20.0, conflict=(0.0, 60.0), seed=1)
+def test_safety_matrix_matches_the_reference_bit_for_bit(batch, ne, no, n, sigma_d, sigma_c, conflict, seed):
+    """The in-place safety_matrix gives the bytes of the one-expression reference, over leading batch axes."""
+    rng = np.random.default_rng(seed)
+    lead = tuple(batch)
+    xy_ego, xy_other = (rng.uniform(-20.0, 20.0, lead + (m, n + 1, 2)) for m in (ne, no))
+    s_ego, s_other = (rng.uniform(0.0, 60.0, lead + (m, n + 1)) for m in (ne, no))
+    args = (xy_ego, xy_other, s_ego, s_other, *conflict, sigma_d, sigma_c)
+    got = sampling.safety_matrix(*args)
+    assert got.shape == lead + (ne, no)
+    assert got.tobytes() == reference_safety_matrix(*args).tobytes()

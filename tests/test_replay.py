@@ -5,15 +5,14 @@ posterior loop (reference_builder.reference_posterior_steps) for the pair's
 ego seat and then for the other seat under scenario.swapped(), and for
 regeneration one fresh leader decision (plan_ego) per policy at every
 regeneration frame.  The workflows replay the seats in the same order, the
-ego seat to the end and then the other seat, from one build per chunk of
-observed states that the pair keeps until it is done (PairReplay): the
-other seat's arrays are views of the ego seat's, and each chunk's matched
-labels, log-likelihoods, leader decisions and regeneration errors come from
-one array pass (ReplayChunk).  These tests pin that this gives the same
-bytes and raises the definition's first error at the definition's frame,
-whatever the chunk size, builds each observed state at most once per pair,
-builds nothing for the other seat, and never builds more than one chunk
-ahead.
+ego seat to the end and then the other seat, from one build of the observed
+states the run reads, which the pair keeps until it is done (PairReplay):
+the other seat's arrays are views of the ego seat's, and each seat's
+matched labels, log-likelihoods, leader decisions and regeneration errors
+come from one array pass (SeatReplay).  These tests pin that this gives the
+same bytes and raises the definition's first error at the definition's
+frame, builds each pair in one call of the batch builder, of exactly the
+states the run reads, and builds nothing for the other seat.
 """
 import itertools
 import json
@@ -31,7 +30,7 @@ import socialplan as sp
 from socialplan import inference, planner, sampling, workflows
 from socialplan.cli import main
 from socialplan.config import load_config
-from socialplan.inference import CHUNK, PairReplay, infer_agent, infer_trace
+from socialplan.inference import PairReplay, infer_agent, infer_trace, window_starts
 from socialplan.metrics import trajectory_mse
 from socialplan.planner import plan_ego
 from socialplan.scenarios import crossing_scenario, fixture_scenario, write_scenario_config
@@ -192,6 +191,29 @@ def test_regen_builds_each_state_at_most_once_per_pair(fixture_cfg, tmp_path, mo
         assert len(built) == total - r + 1
 
 
+@pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS.keys())
+def test_a_replayed_pair_is_one_build(fixture_cfg, tmp_path, monkeypatch, changes):
+    """run_regen and infer_trace build a pair's states in one build_joint_arrays call, for both seats."""
+    cfg = _with_inference(fixture_cfg, **changes)
+    [(_, pair)] = workflows.observed_pairs(cfg)
+    calls = []
+    real = planner.build_joint_arrays
+
+    def counting(states, *args):
+        calls.append([x.t for x in states])
+        return real(states, *args)
+
+    monkeypatch.setattr(planner, "build_joint_arrays", counting)
+    total, r = len(pair.ego.s) - 1, cfg.inference.window_r
+    starts = [0] if cfg.inference.growing_window else list(range(total - r + 1))
+    regen = range(r, total + 1 - _longest_steps(cfg))
+    workflows.run_regen(cfg, tmp_path)
+    assert calls == [sorted({*starts, *regen})]
+    calls.clear()
+    infer_trace(pair, cfg.load_scenario(), cfg.inference, seed=cfg.seed)
+    assert calls == [starts]
+
+
 def test_infer_trace_builds_each_state_once_per_pair(fixture_cfg, monkeypatch):
     [(_, pair)] = workflows.observed_pairs(fixture_cfg)
     built = _count_builds(monkeypatch)
@@ -203,27 +225,21 @@ def test_infer_trace_builds_each_state_once_per_pair(fixture_cfg, monkeypatch):
 
 @pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS.keys())
 def test_the_other_seat_replays_after_the_ego_seat_from_its_builds(fixture_cfg, tmp_path, monkeypatch, changes):
-    """Every chunk request of the ego seat comes before the other seat's first, and the other seat builds nothing."""
+    """Every reader request of the ego seat comes before the other seat's first, and the other seat builds nothing."""
     cfg = _with_inference(fixture_cfg, **changes)
     [(_, pair)] = workflows.observed_pairs(cfg)
     events = []
-    real_chunks, real_build = PairReplay.chunks, planner.build_joint_arrays
+    real_seat, real_build = PairReplay.seat, planner.build_joint_arrays
 
-    def chunks(self, seat, frames):
-        inner = real_chunks(self, seat, frames)
-        while True:
-            events.append(("request", seat))  # a build for this request comes after it
-            try:
-                chunk = next(inner)
-            except StopIteration:
-                return
-            yield chunk
+    def seat(self, seat):
+        events.append(("request", seat))  # a build for this request comes after it
+        return real_seat(self, seat)
 
     def counting(*args):
         events.append(("build", None))
         return real_build(*args)
 
-    monkeypatch.setattr(PairReplay, "chunks", chunks)
+    monkeypatch.setattr(PairReplay, "seat", seat)
     monkeypatch.setattr(planner, "build_joint_arrays", counting)
     runs = {
         "infer_trace": lambda: infer_trace(pair, cfg.load_scenario(), cfg.inference, seed=cfg.seed),
@@ -250,19 +266,23 @@ def test_growing_window_builds_one_space(fixture_cfg, monkeypatch):
 
 
 def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, monkeypatch):
+    """One build of exactly the window starts, before the first frame; each frame reads its window start's entry."""
     [(_, pair)] = workflows.observed_pairs(fixture_cfg)
     built = _count_builds(monkeypatch)
-    steps = PairReplay(pair.ego, pair.other, fixture_cfg.load_scenario()).posterior_steps(0, fixture_cfg.inference)
     r = fixture_cfg.inference.window_r
-    for n, (chunk, i, k, estimate) in enumerate(steps, start=1):
-        tau = chunk.frames[i]
-        assert tau == k - r
-        # the n window starts used so far, and the rest of their chunk at most
-        assert n <= len(built) < n + CHUNK
-        assert (built[tau][1].s, built[tau][2].s) == (chunk.arrays.S[0, i, 0, 0], chunk.arrays.S[1, i, 0, 0])
-        assert chunk.arrays.sizes[0, i] >= 1
+    starts = window_starts(pair.ego, fixture_cfg.inference)
+    replay = PairReplay(pair.ego, pair.other, fixture_cfg.load_scenario(), starts)
+    assert built == []
+    for n, (i, k, estimate) in enumerate(replay.posterior_steps(0, fixture_cfg.inference), start=1):
+        reader = replay.seat(0)
+        tau = reader.frames[i]
+        assert tau == k - r == i
+        assert [x.t for x in reader.arrays.states] == list(starts)
+        assert len(built) == len(starts)
+        assert (built[tau][1].s, built[tau][2].s) == (reader.arrays.S[0, i, 0, 0], reader.arrays.S[1, i, 0, 0])
+        assert reader.arrays.sizes[0, i] >= 1
         assert estimate.shape == (3,) and abs(estimate.sum() - 1.0) < 1e-9
-    assert len(built) == n
+    assert n == len(starts) == len(built)
 
 
 def _failing_seats(monkeypatch, scenario, fail_at: set) -> None:
@@ -357,13 +377,9 @@ def test_leader_label_breaks_ties_to_lowest_label():
         assert decide_on(space, lam)[0] == 0
 
 
-# replay chunk sizes: one state, the two sizes CHUNK has had, and one chunk per pair
-_CHUNK_SIZES = (1, 8, 32, 10**6)
-
-
 # r = 10: window start tau is first used at posterior frame tau + 10, before
 # that frame's update, so a build error at tau and a degeneracy at k come out
-# in the order of tau + 10 and k, wherever the chunk boundaries fall
+# in the order of tau + 10 and k
 @pytest.mark.parametrize(
     "degenerate,fail_at,expected",
     [
@@ -385,27 +401,25 @@ def test_frame_errors_come_out_in_frame_order(fixture_cfg, tmp_path, monkeypatch
     _degenerate_at(monkeypatch, r, degenerate)
     with pytest.raises(sp.DegenerateWeightsError, match=expected):
         _seat_by_seat(pair, scenario, fixture_cfg.inference)
-    for size in _CHUNK_SIZES:
-        monkeypatch.setattr(inference, "CHUNK", size)
-        runs = (
-            lambda: infer_trace(pair, scenario, fixture_cfg.inference),
-            lambda: workflows.run_regen(fixture_cfg, tmp_path),
-        )
-        for run in runs:
-            _degenerate_at(monkeypatch, r, degenerate)
-            with pytest.raises(sp.DegenerateWeightsError, match=expected):
-                run()
+    runs = (
+        lambda: infer_trace(pair, scenario, fixture_cfg.inference),
+        lambda: workflows.run_regen(fixture_cfg, tmp_path),
+    )
+    for run in runs:
+        _degenerate_at(monkeypatch, r, degenerate)
+        with pytest.raises(sp.DegenerateWeightsError, match=expected):
+            run()
 
 
 @pytest.mark.parametrize("car", ["ego", "other"])
 def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_path, monkeypatch, car):
     """A speed of 1e300 at one observed state overflows that state's rollout (the ego car's: its features;
     the other car's: the social terms as well).  Its error comes out at its own frame, after the frames
-    before it, at every chunk size, and the arithmetic of the states before it raises no RuntimeWarning."""
+    before it, and the arithmetic of the states before it raises no RuntimeWarning."""
     [(_, pair)] = workflows.observed_pairs(fixture_cfg)
     scenario = fixture_cfg.load_scenario()
     cfg = fixture_cfg.inference
-    tau = 13  # mid-chunk at 8 and 32
+    tau = 13  # mid-build
     v = getattr(pair, car).v.copy()
     v[tau] = 1e300
     failing = replace(pair, **{car: replace(getattr(pair, car), v=v)})
@@ -415,19 +429,18 @@ def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_p
             want.append((k, estimate.values.tobytes()))
     assert [k for k, _ in want] == list(range(cfg.window_r, tau + cfg.window_r))
     monkeypatch.setattr(workflows, "observed_pairs", lambda _: [(0, failing)])
-    for size in _CHUNK_SIZES:
-        monkeypatch.setattr(inference, "CHUNK", size)
-        got = []
+    replay = PairReplay(failing.ego, failing.other, scenario, window_starts(failing.ego, cfg))
+    got = []
+    with pytest.raises(sp.NonFiniteRewardError) as error:
+        for _, k, estimate in replay.posterior_steps(0, cfg):
+            got.append((k, estimate.tobytes()))
+    assert str(error.value) == str(definition.value)
+    assert got == want
+    # regeneration scores and decides at frames 10..12 of the failing state's build first
+    for run in (lambda: infer_trace(failing, scenario, cfg), lambda: workflows.run_regen(fixture_cfg, tmp_path)):
         with pytest.raises(sp.NonFiniteRewardError) as error:
-            for _, _, k, estimate in PairReplay(failing.ego, failing.other, scenario).posterior_steps(0, cfg):
-                got.append((k, estimate.tobytes()))
+            run()
         assert str(error.value) == str(definition.value)
-        assert got == want, size
-        # regeneration scores and decides at frames 10..12 of the failing state's chunk first
-        for run in (lambda: infer_trace(failing, scenario, cfg), lambda: workflows.run_regen(fixture_cfg, tmp_path)):
-            with pytest.raises(sp.NonFiniteRewardError) as error:
-                run()
-            assert str(error.value) == str(definition.value)
 
 
 @pytest.mark.parametrize(
@@ -489,7 +502,7 @@ def _example_tracks(n: int) -> tuple:
     seed=st.integers(0, 2**16),
 )
 # speeds sweep 0..25 m/s every 8 frames, over a 0.5 s rollout: fans of 1 to 4 candidates
-# in one chunk; a short window, resampling
+# in one build; a short window, resampling
 @example(
     horizon=2, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], tracks=_example_tracks(21),
     window_r=3, growing=False, resample=True, prior=_PRIORS[2], n_particles=30, seed=1,
@@ -505,7 +518,7 @@ def _example_tracks(n: int) -> tuple:
     window_r=12, growing=True, resample=True, prior=_PRIORS[0], n_particles=16, seed=3,
 )
 # resampled means at the particle counts the workloads use (100, and 101 off the square
-# covering), over a chunk boundary and under growing_window
+# covering), over 41 frames and under growing_window
 @example(
     horizon=6, dt=0.08, fractions=[0.0, 0.25, 0.5, 0.75, 1.0], tracks=_example_tracks(41),
     window_r=3, growing=False, resample=True, prior=_PRIORS[0], n_particles=100, seed=4,
@@ -517,7 +530,7 @@ def _example_tracks(n: int) -> tuple:
 def test_chunk_arithmetic_matches_the_per_frame_loop(
     horizon, dt, fractions, tracks, window_r, growing, resample, prior, n_particles, seed
 ):
-    """Estimates, matched labels, leader labels and regeneration errors, chunked against per frame, as bytes."""
+    """Estimates, matched labels, leader labels and regeneration errors, batched against per frame, as bytes."""
     sampler = sp.SamplerConfig(horizon_steps=horizon, dt=dt, terminal_speed_fractions=tuple(fractions))
     rewards = sp.RewardConfig(theta_other=(1.0, 1.5, 5.0))
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_other=7.0, sampler=sampler, rewards=rewards)
@@ -529,7 +542,7 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
     for path, columns in ((scn.path_ego, tracks[:4]), (scn.path_other, tracks[4:])):
         s, v, d, off = map(np.array, columns)
         obs.append(SimpleNamespace(s=s, v=v, d=d, xy=path.position(s, d) + off[:, None]))
-    replay = PairReplay(*obs, scn)
+    replay = PairReplay(*obs, scn, window_starts(obs[0], cfg))
     horizons = sorted({dt, horizon * dt})
     fixed = [make() for make in workflows.POLICIES.values()]
     for seat, seat_scenario in enumerate((scn, scn.swapped())):
@@ -543,27 +556,25 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
             continue
         got = list(replay.posterior_steps(seat, cfg, seed))
         want = list(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
-        assert [(chunk.frames[i], k) for chunk, i, k, _ in got] == [(tau, k) for tau, _, k, _, _ in want]
+        reader = replay.seat(seat)
+        assert [(reader.frames[i], k) for i, k, _ in got] == [(tau, k) for tau, _, k, _, _ in want]
         assert [e.tobytes() for *_, e in got] == [e.values.tobytes() for *_, e in want]
 
         space_at = {tau: space for tau, space, *_ in want}
-        for _, items in itertools.groupby(zip(got, want), key=lambda pair: id(pair[0][0])):
-            items = list(items)
-            chunk = items[0][0][0]
-            entries = [i for (_, i, _, _), _ in items]
-            stops = [k for (_, _, k, _), _ in items]
-            assert chunk.matched_labels(obs_self.xy, entries, stops).tolist() == [m for _, (*_, m, _) in items]
-            for lam in fixed:
-                want_labels = [leader_label(space_at[tau], lam) for tau in chunk.frames]
-                assert chunk.terms.leader_labels(lam.values) == want_labels
-            for (_, i, _, estimate), _ in items:
-                want_label = leader_label(space_at[chunk.frames[i]], sp.RewardWeights(estimate))
-                assert chunk.terms.leader_label(i, estimate) == want_label
-            scored = [i for i, tau in enumerate(chunk.frames) if tau + horizon <= steps]
-            truth = np.stack([obs_self.xy[chunk.frames[i] : chunk.frames[i] + horizon + 1] for i in scored] or
-                             [np.zeros((horizon + 1, 2))])
-            mse = sp.horizon_mse(chunk.ego_xy[scored], truth[: len(scored)], dt, horizons)
-            for row, i in zip(mse, scored):
-                xy = space_at[chunk.frames[i]].ego_candidates.xy
-                one = sp.horizon_mse(xy, truth[scored.index(i)], dt, horizons)
-                assert row[:, : len(xy)].tobytes() == one.tobytes()
+        entries = [i for i, _, _ in got]
+        stops = [k for _, k, _ in got]
+        assert reader.matched_labels(obs_self.xy, entries, stops).tolist() == [m for *_, m, _ in want]
+        for lam in fixed:
+            want_labels = [leader_label(space_at[tau], lam) for tau in reader.frames]
+            assert reader.terms.leader_labels(lam.values) == want_labels
+        for i, _, estimate in got:
+            want_label = leader_label(space_at[reader.frames[i]], sp.RewardWeights(estimate))
+            assert reader.terms.leader_label(i, estimate) == want_label
+        scored = [i for i, tau in enumerate(reader.frames) if tau + horizon <= steps]
+        truth = np.stack([obs_self.xy[reader.frames[i] : reader.frames[i] + horizon + 1] for i in scored] or
+                         [np.zeros((horizon + 1, 2))])
+        mse = sp.horizon_mse(reader.ego_xy[scored], truth[: len(scored)], dt, horizons)
+        for row, i in zip(mse, scored):
+            xy = space_at[reader.frames[i]].ego_candidates.xy
+            one = sp.horizon_mse(xy, truth[scored.index(i)], dt, horizons)
+            assert row[:, : len(xy)].tobytes() == one.tobytes()
