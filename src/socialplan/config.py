@@ -241,9 +241,16 @@ def write_json(path, data) -> None:
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:
-    """Write cfg at path, its relative file names rewritten against path's directory, where load_config resolves them."""
+    """Write cfg at path, its relative file names rewritten against path's directory, where load_config resolves them.
+
+    Both directories are resolved through the file system, as opening
+    base_dir / name does, so a '..' after a symlinked directory names the
+    same file from the new place; the file's own name is kept, symlink or not.
+    """
     data = config_to_dict(cfg)
+    target_dir = os.path.realpath(Path(path).parent)
     for block, key in ((data["paths"]["ego"], "file"), (data["paths"]["other"], "file"), (data, "tracks")):
         if key in block and not Path(block[key]).is_absolute():
-            block[key] = os.path.relpath(cfg.resolve(block[key]), Path(path).parent)
+            name = cfg.resolve(block[key])
+            block[key] = os.path.relpath(os.path.join(os.path.realpath(name.parent), name.name), target_dir)
     write_json(path, data)

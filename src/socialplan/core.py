@@ -74,8 +74,10 @@ class ReferencePath:
         return float(self.cumulative_arclength[-1])
 
     def _segment_index(self, s):
-        # the ufuncs and the array method, not np.clip / np.searchsorted: this
-        # runs twice per joint space, and those wrappers cost more than the work
+        # the ufuncs and the array methods, not np.clip / np.searchsorted: this
+        # runs twice per joint space, and those wrappers cost more than the work;
+        # callers gather with ndarray.take for the same reason (fancy indexing
+        # the (n, 2) rows costs several times what take does)
         idx = self.cumulative_arclength.searchsorted(s, side="right") - 1
         return np.minimum(np.maximum(idx, 0), len(self.points) - 2)
 
@@ -87,13 +89,13 @@ class ReferencePath:
         """
         s = np.asarray(s, dtype=float)
         idx = self._segment_index(s)
-        offset = (s - self.cumulative_arclength[idx])[..., None]
-        base = self.points[idx] + offset * self._unit[idx]
-        return base + np.asarray(d, dtype=float)[..., None] * self._normal[idx]
+        offset = (s - self.cumulative_arclength.take(idx))[..., None]
+        base = self.points.take(idx, axis=0) + offset * self._unit.take(idx, axis=0)
+        return base + np.asarray(d, dtype=float)[..., None] * self._normal.take(idx, axis=0)
 
     def tangent(self, s) -> np.ndarray:
         """Unit tangent of the segment containing arclength s."""
-        return self._unit[self._segment_index(np.asarray(s, dtype=float))]
+        return self._unit.take(self._segment_index(np.asarray(s, dtype=float)), axis=0)
 
 
 def project_to_path(points, path: ReferencePath):

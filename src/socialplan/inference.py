@@ -269,7 +269,8 @@ class SeatReplay:
             sel = widths == w
             windows = observed_xy[starts[sel, None] + np.arange(w)]  # (n, w, 2)
             diff = self.ego_xy[entries[sel], :, :w] - windows[:, None]  # (n, nt, w, 2)
-            mse = (diff * diff).sum(axis=-1).sum(axis=-1) / w
+            diff *= diff
+            mse = (diff[..., 0] + diff[..., 1]).sum(axis=-1) / w  # the xy sum as two slices (see metrics.horizon_mse)
             labels[sel] = np.where(self._real[entries[sel]], mse, np.inf).argmin(axis=-1)
         return labels
 

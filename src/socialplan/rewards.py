@@ -128,7 +128,7 @@ class SocialComponents:
     courtesy: np.ndarray  # (ne,) in (0, 1]
     confidence: np.ndarray  # (ne,) in [0, 1]
     confidence_reward: np.ndarray  # (ne,) in [1, e]
-    terms: np.ndarray  # (3, ne) read-only stack of egoism_norm, courtesy, confidence_reward
+    terms: np.ndarray  # (3, ne) read-only rows egoism_norm, courtesy, confidence_reward (those fields are views of them)
 
     def at(self, i: int) -> "SocialComponents":
         """Entry i along the leading axis of batched components (views, not copies)."""
@@ -148,14 +148,16 @@ def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> So
         p = np.exp(log_p)
 
         egoism_raw = (p * reward_ego).sum(axis=-1)
+        # each term is written into its row; zeros, as the egoism row keeps 0 where the span is too small
+        terms = np.zeros(egoism_raw.shape[:-1] + (3, egoism_raw.shape[-1]))
         low = egoism_raw.min(axis=-1, keepdims=True)
         span = egoism_raw.max(axis=-1, keepdims=True) - low
-        egoism_norm = np.divide(egoism_raw - low, span, out=np.zeros(egoism_raw.shape), where=span > _MINMAX_EPS)
+        np.divide(egoism_raw - low, span, out=terms[..., 0, :], where=span > _MINMAX_EPS)
 
         log_q = _log_softmax(beta * absence_other)[..., None, :]
         q = np.exp(log_q)
         kl = (q * (log_q - log_p)).sum(axis=-1)
-        court = np.exp(-np.maximum(kl, 0.0))
+        np.exp(-np.maximum(kl, 0.0), out=terms[..., 1, :])
 
     no = p.shape[-1]
     if no == 1:
@@ -164,16 +166,15 @@ def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> So
         top2 = np.partition(p, no - 2, axis=-1)[..., -2:]
         conf = top2[..., 1] - top2[..., 0]
 
-    conf_reward = np.exp(conf)
-    terms = np.stack([egoism_norm, court, conf_reward], axis=-2)
-    terms.flags.writeable = False
+    np.exp(conf, out=terms[..., 2, :])
+    terms.flags.writeable = False  # before the field views are taken, so that they are read-only too
     return SocialComponents(
         presence_logp=log_p,
         egoism_raw=egoism_raw,
-        egoism_norm=egoism_norm,
-        courtesy=court,
+        egoism_norm=terms[..., 0, :],
+        courtesy=terms[..., 1, :],
         confidence=conf,
-        confidence_reward=conf_reward,
+        confidence_reward=terms[..., 2, :],
         terms=terms,
     )
 

@@ -211,9 +211,10 @@ def safety_matrix(
     diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
     prox_e = np.exp(-np.abs(s_ego[..., :t] - s_conflict_ego) / sigma_c)
     prox_o = np.exp(-np.abs(s_other[..., :t] - s_conflict_other) / sigma_c)
-    # in place and in the order of exp(-sqrt(sum diff**2) / sigma_d) * prox: a replay builds a whole pair at once
+    # in place and in the order of exp(-sqrt(sum diff**2) / sigma_d) * prox: a replay builds a whole pair at once.
+    # The two-slice sum is the one addition that sum(axis=-1) makes over two entries, without its per-element loop
     diff *= diff
-    w = diff.sum(axis=-1)
+    w = diff[..., 0] + diff[..., 1]
     del diff
     np.sqrt(w, out=w)
     np.negative(w, out=w)

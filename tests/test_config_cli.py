@@ -56,6 +56,36 @@ def test_save_config_elsewhere_keeps_the_file_references(tmp_path):
     assert (tpl / "again.json").read_bytes() == (tpl / "config.json").read_bytes()
 
 
+def test_save_config_resolves_symlinked_directories_but_keeps_file_names(tmp_path):
+    """A '..' after a symlinked base_dir once was cut lexically, so the saved name pointed at a missing file."""
+    real = tmp_path / "real"
+    cfg = write_scenario_config(case_scenario("I"), real, seed=0)
+    (real / "sub").mkdir()
+    (tmp_path / "link").symlink_to(real / "sub", target_is_directory=True)
+    (real / "sub" / "alias.csv").symlink_to(real / "path_other.csv")
+    cfg = replace(
+        cfg,
+        path_ego=replace(cfg.path_ego, file="../path_ego.csv"),
+        path_other=replace(cfg.path_other, file="alias.csv"),
+        tracks_file="../tracks.csv",
+        base_dir=tmp_path / "link",
+    )
+    save_config(cfg, tmp_path / "moved.json")
+    saved = json.loads((tmp_path / "moved.json").read_text())
+    assert saved["paths"]["ego"]["file"] == os.path.join("real", "path_ego.csv")
+    assert saved["paths"]["other"]["file"] == os.path.join("real", "sub", "alias.csv")  # the link keeps its name
+    assert saved["tracks"] == os.path.join("real", "tracks.csv")
+    moved = load_config(tmp_path / "moved.json")
+    assert moved.resolve(moved.path_ego.file).samefile(real / "path_ego.csv")
+    assert moved.load_scenario().path_other.points.tolist() == cfg.load_scenario().path_other.points.tolist()
+    # saved into its own base_dir, through the link, a config keeps its names
+    save_config(cfg, tmp_path / "link" / "again.json")
+    again = json.loads((tmp_path / "link" / "again.json").read_text())
+    assert [again["paths"][role]["file"] for role in ("ego", "other")] + [again["tracks"]] == [
+        "../path_ego.csv", "alias.csv", "../tracks.csv"
+    ]
+
+
 def test_config_dict_roundtrip_keeps_forbid_singleton(case_config):
     cfg = load_config(case_config)
     cfg = replace(cfg, sampler=replace(cfg.sampler, forbid_singleton=True))

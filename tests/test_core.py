@@ -296,6 +296,13 @@ def test_position_matches_per_call_segment_formula_bit_for_bit(vertices, fractio
     d_rows = np.full(s.shape, d)
     assert np.array_equal(path.position(s, d_rows), _position_by_segment(path, s, d_rows))
     assert np.array_equal(path.position(s[0, 0], d), _position_by_segment(path, s[0, 0], d))
-    idx = np.clip(np.searchsorted(path.cumulative_arclength, s, side="right") - 1, 0, len(pts) - 2)
-    direction = path.points[idx + 1] - path.points[idx]
-    assert np.array_equal(path.tangent(s), direction / np.linalg.norm(direction, axis=-1, keepdims=True))
+    # the build's call shape: s (F, nt, N+1) with one d per state, (F, 1, 1)
+    s_build = np.stack([s, s[:, ::-1] + 1.0])
+    d_build = np.array([d, 1.5 - d])[:, None, None]
+    assert np.array_equal(path.position(s_build, d_build), _position_by_segment(path, s_build, d_build))
+    for s_t in (s, s[0, 0], np.asarray(s[0, 0])):  # 0-d s too
+        idx = np.clip(np.searchsorted(path.cumulative_arclength, s_t, side="right") - 1, 0, len(pts) - 2)
+        direction = path.points[idx + 1] - path.points[idx]
+        tangent = path.tangent(s_t)
+        assert tangent.shape == np.shape(s_t) + (2,)
+        assert np.array_equal(tangent, direction / np.linalg.norm(direction, axis=-1, keepdims=True))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
+from socialplan.rewards import component_arrays
 from socialplan.inference import update_posterior
 from reference_builder import social_reward_vector
 from reference_scalar import FeatureVector, brute_force, space_from_matrices, window_likelihood
@@ -176,3 +177,19 @@ def test_courtesy_and_confidence_reward_ranges_property(space):
     comps = space.components()
     assert np.all((comps.courtesy > 0.0) & (comps.courtesy <= 1.0))
     assert np.all((comps.confidence_reward >= 1.0) & (comps.confidence_reward <= math.e))
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("ne,no", [(1, 1), (3, 1), (2, 5)])
+def test_no_field_of_component_arrays_can_change_the_terms(lead, ne, no):
+    """terms is read-only, and so is every field that shares its memory, so no caller changes a decision's terms."""
+    rng = np.random.default_rng(10 * ne + no)
+    reward_ego, reward_other = rng.normal(0.0, 5.0, (2,) + lead + (ne, no))
+    comps = component_arrays(reward_ego, reward_other, rng.normal(0.0, 5.0, lead + (no,)), 1.0)
+    assert comps.terms.shape == lead + (3, ne)
+    assert not comps.terms.flags.writeable
+    for k, name in enumerate(("egoism_norm", "courtesy", "confidence_reward")):
+        assert np.array_equal(getattr(comps, name), comps.terms[..., k, :]), name
+    for name, value in vars(comps).items():
+        if np.shares_memory(value, comps.terms):
+            assert not value.flags.writeable, name
