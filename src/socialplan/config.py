@@ -16,6 +16,12 @@ from .rewards import RewardConfig
 from .sampling import SamplerConfig
 
 SCHEMA_VERSION = 1
+# Upper bounds on the size fields, checked when a config loads, before anything is allocated.
+# A build holds several (side, states, candidates, horizon_steps + 1) float arrays; replay holds
+# (frames, n_particles, candidates) log-likelihoods, about 0.5 GB at 100,000 particles on a
+# 40-frame pair.  Past these bounds a run cannot fit in memory, or numpy cannot index it.
+MAX_HORIZON_STEPS = 1_000
+MAX_PARTICLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,14 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
+def _integer(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """A JSON integer; floats and booleans are rejected, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"config {name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise SchemaError(f"config {name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(f"config {name} must be at most {maximum}, got {value}")
     return value
 
 
@@ -148,7 +156,9 @@ def _ego_other(check):
 
 
 _SAMPLER_FIELDS = {
-    "horizon_steps": _integer, "terminal_speed_fractions": _numbers, "forbid_singleton": _boolean,
+    "horizon_steps": partial(_integer, maximum=MAX_HORIZON_STEPS),
+    "terminal_speed_fractions": _numbers,
+    "forbid_singleton": _boolean,
     **dict.fromkeys(("dt", "accel_min", "accel_max"), _number),
 }
 _REWARD_FIELDS = {
@@ -157,7 +167,10 @@ _REWARD_FIELDS = {
 }
 _PRIOR_FIELDS = {"kind": _string, "alpha": _triple, "fractions": _triple, "concentration": _float}
 _INFERENCE_FIELDS = {
-    "n_particles": _integer, "window_r": _integer, "prior": _section(PriorSpec, _PRIOR_FIELDS), "init": _string,
+    "n_particles": partial(_integer, maximum=MAX_PARTICLES),
+    "window_r": _integer,
+    "prior": _section(PriorSpec, _PRIOR_FIELDS),
+    "init": _string,
     **dict.fromkeys(("resample", "growing_window"), _boolean),
 }
 _CONFIG_FIELDS = {

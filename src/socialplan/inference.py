@@ -150,10 +150,9 @@ def _reweigh(weights: np.ndarray, loglik: np.ndarray, resample: bool) -> tuple[n
     resample follows.  Returns the new weights and, after a resample, the
     index of the particle each new one copies (else None).
     """
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights) + loglik
+    logw = np.log(weights) + loglik  # log(0) is -inf: the caller ignores numpy's divide warning
     peak = logw.max()
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise DegenerateWeightsError("all particle weights vanished in an update")
     w = np.exp(logw - peak)
     w = w / w.sum()
@@ -193,7 +192,8 @@ def update_posterior(
 ) -> ParticleSet:
     """One Bayes step: weight *= likelihood of the matched action, renormalize."""
     loglik = _log_likelihoods(space, check_ego_label(space, matched_label), pset.lambdas)
-    weights, copied = _reweigh(pset.weights, loglik, cfg.resample)
+    with np.errstate(divide="ignore"):
+        weights, copied = _reweigh(pset.weights, loglik, cfg.resample)
     return ParticleSet(lambdas=pset.lambdas if copied is None else pset.lambdas[copied], weights=weights)
 
 
@@ -240,7 +240,7 @@ class SeatReplay:
     nothing: its first terms.sound entries are sound, and the next one, if
     there is one, is the first failing state (terms.error).  A seat's pass
     reads only sound entries and raises the failing state's error where it
-    first uses that state (check), so the error a replay reports is the one
+    first uses that state, so the error a replay reports is the one
     of a replay that builds one state at a time.  Each method repeats, for
     many entries at once, the arithmetic of a per-space function, bit for
     bit, on the seat's terms (SeatTerms, which also holds the leader
@@ -274,26 +274,31 @@ class SeatReplay:
             labels[sel] = np.where(self._real[entries[sel]], mse, np.inf).argmin(axis=-1)
         return labels
 
-    def check(self, i: int) -> None:
-        """Raise the build error of the failing state if entry i is at or past it."""
-        if i >= self.terms.sound:
-            raise self.terms.error[1]
-
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
         """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P).
 
         A group's products stop at the last entry asked for, so the terms of
-        a later (maybe failing) state never reach them.
+        a later (maybe failing) state never reach them.  The arithmetic is
+        _log_softmax's, on one (G, P, ne) array worked in place: the max over
+        the ne slices (exact in any order), then the sum over the last axis,
+        as _log_softmax takes it (numpy adds pairwise from 8 terms, so a sum
+        over another axis would change the bits).
         """
         entries, labels = np.asarray(entries), np.asarray(labels)
         group, row = np.array(self.terms.slots)[entries].T
         out = np.empty((len(entries), len(lambdas)))
-        for g, (_, _, _, comps) in enumerate(self.terms.groups):
+        for g, (_, ne, _, comps) in enumerate(self.terms.groups):
             sel = group == g
             if sel.any():
                 rows = row[sel]
-                logp = _log_softmax(lambdas @ comps.terms[: rows.max() + 1])  # (G, P, ne)
-                out[sel] = logp[rows, :, labels[sel]]
+                u = lambdas @ comps.terms[: rows.max() + 1]  # (G, P, ne)
+                peak = u[..., 0].copy()
+                for c in range(1, ne):
+                    np.maximum(peak, u[..., c], out=peak)
+                u -= peak[..., None]
+                picked = u[rows, :, labels[sel]]
+                np.exp(u, out=u)
+                out[sel] = picked - np.log(u.sum(axis=-1))[rows]
         return out
 
 
@@ -308,6 +313,7 @@ class PairReplay:
     them in one Scenario.arrays_at call, which the pair keeps, so the other
     seat builds nothing: its arrays are views of seat 0's
     (JointArrays.swapped), bit for bit the swapped scenario's own build.
+    The seats' particle sets are one draw per config and seed (particles).
     """
 
     def __init__(self, obs_ego, obs_other, scenario: Scenario, frames):
@@ -315,6 +321,7 @@ class PairReplay:
         self.scenario = scenario
         self.frames = list(frames)
         self._seats: dict[int, SeatReplay] = {}
+        self._particles: tuple[InferenceConfig, int, ParticleSet] | None = None  # the last draw, its config and seed
 
     def seat(self, seat: int) -> SeatReplay:
         """The seat's reader over the pair's build, made when the seat first asks."""
@@ -326,61 +333,84 @@ class PairReplay:
             self._seats[1] = SeatReplay(self.frames, self._seats[0].arrays.swapped(swapped.conflict, swapped.rewards))
         return self._seats[seat]
 
-    def posterior_steps(
+    def particles(self, cfg: InferenceConfig, seed: int) -> ParticleSet:
+        """init_particles(cfg, seed), drawn once for both seats; its arrays are read-only."""
+        if self._particles is None or self._particles[:2] != (cfg, seed):
+            pset = init_particles(cfg, seed)
+            pset.lambdas.flags.writeable = pset.weights.flags.writeable = False
+            self._particles = (cfg, seed, pset)
+        return self._particles[2]
+
+    def posterior_pass(
         self, seat: int, cfg: InferenceConfig, seed: int = 0
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The posterior loop for the agent in the seat, one frame at a time.
+    ) -> tuple[list[int], list[int], np.ndarray, Exception | None]:
+        """The posterior loop for the agent in the seat, up to its first error.
 
-        Yields (i, k, estimate) for each posterior frame k in order: the
-        entry i of the window start tau in the seat's reader (seat), which is
-        tau itself (0 under growing_window), and the posterior mean after the
-        window tau..k as a weight row (3,).  Matched labels, log-likelihoods and means (_means)
-        come from one array pass each; the weight recursion (_reweigh, as in
-        update_posterior) runs per frame, with resampling at the particles
-        each frame copied.
+        Returns (entries, stops, means, error): for the j-th posterior frame
+        stops[j] = window_r + j, entries[j] is the entry of its window start
+        tau in the seat's reader (seat), which is tau itself (0 under
+        growing_window), and means[j] the posterior mean after the window
+        tau..stops[j] as a weight row (3,); len(means) frames ran, and error
+        is the one the next frame raises (None if every frame ran).  Matched
+        labels, log-likelihoods and means (_means) come from one array pass
+        each; the weight recursion (_reweigh, as in update_posterior) runs per
+        frame, with resampling at the particles each frame copied.
 
-        Errors come out at their frame, as in the per-frame loop: a window
-        start's build error at frame tau + r (under growing_window, at frame
-        r), before that frame's update; a degenerate update or an off-simplex
-        mean at its own frame, after every frame before it.
+        Errors stop the pass at their frame, as in the per-frame loop: a
+        window start's build error at frame tau + r (under growing_window, at
+        frame r), before that frame's update; a degenerate update or an
+        off-simplex mean at its own frame, after every frame before it.  A
+        track shorter than the window raises ShortTrackError at once.
         """
         obs_self = self.obs[seat]
         total = len(obs_self.s) - 1
         r = cfg.window_r
         if total < r:
             raise ShortTrackError(f"track has {total} steps, window needs {r}")
-        pset = init_particles(cfg, seed)
+        pset = self.particles(cfg, seed)
         lambdas, weights, copied = pset.lambdas, pset.weights, None
         reader = self.seat(seat)
         stops = list(range(r, total + 1))
         entries = [0 if cfg.growing_window else k - r for k in stops]
         n = bisect_left(entries, reader.terms.sound)  # frames before the first use of a failing state
-        rows, per_frame, failure = [], [], None
+        rows, per_frame, error = [], [], None
         if n:
             labels = reader.matched_labels(obs_self.xy, entries[:n], stops[:n])
-            for loglik in reader.log_likelihoods(pset.lambdas, entries[:n], labels):
-                try:
-                    weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
-                except DegenerateWeightsError as exc:
-                    failure = exc
-                    break
-                if idx is not None:
-                    copied = idx if copied is None else copied[idx]
-                    lambdas = lambdas[idx]
-                    per_frame.append(lambdas)
-                rows.append(weights)
+            with np.errstate(divide="ignore"):  # a weight that reached 0 has log -inf
+                for loglik in reader.log_likelihoods(pset.lambdas, entries[:n], labels):
+                    try:
+                        weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
+                    except DegenerateWeightsError as exc:
+                        error = exc
+                        break
+                    if idx is not None:
+                        copied = idx if copied is None else copied[idx]
+                        lambdas = lambdas[idx]
+                        per_frame.append(lambdas)
+                    rows.append(weights)
+        means = np.empty((0, 3))
         if rows:
             means = _means(np.stack(rows), np.stack(per_frame) if per_frame else lambdas)
             bad = off_simplex(means)
-            good = int(bad.argmax()) if bad.any() else len(rows)
-            for j in range(good):
-                yield entries[j], stops[j], means[j]
-            if good < len(rows):
-                raise weights_error(means[good])
-        if failure is not None:
-            raise failure
-        if n < len(entries):
-            reader.check(entries[n])
+            if bad.any():
+                good = int(bad.argmax())
+                means, error = means[:good], weights_error(means[good])
+        if error is None and n < len(entries):
+            error = reader.terms.error[1]  # entry n is at or past the first failing state
+        return entries, stops, means, error
+
+    def posterior_steps(
+        self, seat: int, cfg: InferenceConfig, seed: int = 0
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The posterior loop for the agent in the seat, one frame at a time (posterior_pass).
+
+        Yields (entry, frame, estimate) for each frame the pass ran, then
+        raises the pass's error, if any.
+        """
+        entries, stops, means, error = self.posterior_pass(seat, cfg, seed)
+        yield from zip(entries, stops, means)
+        if error is not None:
+            raise error
 
 
 def _series(steps) -> InferenceSeries:

@@ -14,10 +14,11 @@ sums once over that grid.  Every kernel reduces over the last axis only, so
 each row and pair gives the same bits as on its own.  Then
 JointArrays.social_terms() checks every state and returns one seat's social
 terms, a SeatTerms, computed once per group of states with equal fan sizes;
-its leader_label is the leader decision that the closed loop and replay
-both read.  No pipeline assembles per-state spaces (JointBehaviorSpace);
-JointArrays.spaces() and its one-state case build_joint_space stay only for
-the benchmark's span tracing (see the comment above JointBehaviorSpace).
+its leader_label is the leader decision that the closed loop reads, and
+leader_labels the same decision at many states, which replay reads.  No
+pipeline assembles per-state spaces (JointBehaviorSpace); JointArrays.spaces()
+and its one-state case build_joint_space stay only for the benchmark's span
+tracing (see the comment above JointBehaviorSpace).
 Replay serves the other driver's seat from the same pass (swapped()): the
 ego seat's arrays with the sides swapped and the matrices transposed, plus
 its own absence row and social terms.
@@ -25,7 +26,6 @@ its own absence row and social terms.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,18 +292,20 @@ class SeatTerms:
         g, j = self.slots[i]
         return int((lam @ self.groups[g][3].terms[j]).argmax())
 
-    def leader_labels(self, lam: np.ndarray) -> list[int]:
-        """leader_label(i, lam) at every sound state, from one (1, 3) @ (G, 3, ne) product per group.
+    def leader_labels(self, entries, lams: np.ndarray) -> np.ndarray:
+        """leader_label(i, lam) for each entry i and its weight row lam: (..., len(entries)) from lams (..., len(entries), 3).
 
-        A group's states run in state order, so its sound ones are a prefix
-        of its terms, and a failing state's terms never reach the product.
+        One (..., n, 1, 3) @ (n, 3, ne) product per group; each row is the
+        (3,) @ (3, ne) product of leader_label, bit for bit.  Every entry
+        must be sound.
         """
-        n = self.sound
-        by_group = [
-            (lam[None] @ comps.terms[: bisect_left(states, n)]).argmax(axis=-1)[:, 0].tolist()
-            for states, *_, comps in self.groups
-        ]
-        return [by_group[g][j] for g, j in self.slots[:n]]
+        group, row = np.array(self.slots)[entries].T
+        labels = np.empty(lams.shape[:-1], dtype=np.intp)
+        for g, (*_, comps) in enumerate(self.groups):
+            sel = group == g
+            if sel.any():
+                labels[..., sel] = (lams[..., sel, None, :] @ comps.terms[row[sel]]).argmax(axis=-1)[..., 0]
+        return labels
 
 
 @dataclass(frozen=True, eq=False)

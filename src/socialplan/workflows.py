@@ -8,6 +8,7 @@ succeeded, so a run that fails leaves nothing behind.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackErro
 from .inference import InferenceSeries, PairReplay, infer_trace, window_starts
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
-from .planner import InteractionTrace, PolicySpec, plan_ego, simulate, simulate_policies  # noqa: F401
+from .planner import InteractionTrace, PolicySpec, Scenario, plan_ego, simulate, simulate_policies  # noqa: F401
 from .rewards import RewardWeights
 from .tracks import (
     ObservedPair,
@@ -119,16 +120,18 @@ def _skip(idx: int, ego_track: int, other_track: int, exc: ShortTrackError) -> N
     _log.info("pair %d (tracks %d, %d) skipped: %s", idx, ego_track, other_track, exc)
 
 
-def observed_pairs(cfg: ScenarioConfig) -> list[tuple[int, ObservedPair]]:
+def observed_pairs(cfg: ScenarioConfig, scenario: Scenario | None = None) -> list[tuple[int, ObservedPair]]:
     """(index, pair on the planning-rate grid) for every extracted pair that shares a planning step.
 
     The index is the pair's position in extract_pairs order; a pair that
-    shares less than one planning step is skipped (and logged).
+    shares less than one planning step is skipped (and logged).  scenario is
+    cfg.load_scenario(), loaded here unless the caller has it.
     """
     if not cfg.tracks_file:
         raise ParseError("config has no tracks file for this workflow")
     tracks = load_tracks(cfg.resolve(cfg.tracks_file))
-    scenario = cfg.load_scenario()
+    if scenario is None:
+        scenario = cfg.load_scenario()
     observed = []
     for i, pair in enumerate(extract_pairs(tracks, scenario)):
         try:
@@ -164,7 +167,7 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
     dop_sums: dict[str, dict[str, float]] = {
         role: dict.fromkeys(metrics.POLICY_LABELS, 0.0) for role in ("ego", "other")
     }
-    for idx, pair in observed_pairs(cfg):
+    for idx, pair in observed_pairs(cfg, scenario):
         try:
             result = infer_trace(pair, scenario, cfg.inference, seed=cfg.seed)
         except ShortTrackError as exc:
@@ -215,58 +218,66 @@ def _regen_frames(obs, cfg: ScenarioConfig) -> tuple[range, int]:
     return range(cfg.inference.window_r, len(obs.s) - steps), steps
 
 
+def _frame_sums(mse: np.ndarray, labels: np.ndarray) -> list[list[float]]:
+    """Per policy p and horizon h, the sum over frames f of mse[f, h, labels[p, f]], from mse (F, H, nt) and labels (policies, F).
+
+    The sums add in frame order, from the first term, as a += loop from 0.0
+    does (np.add.accumulate, not a sum, which may add pairwise).
+    """
+    picked = mse[np.arange(mse.shape[0]), :, labels]  # (policies, F, H)
+    return np.add.accumulate(picked, axis=1)[:, -1].tolist()
+
+
 def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     """Mean regeneration MSE per policy and horizon for the agent in one seat of a pair.
 
-    A frame k is regenerated, under the estimate recorded at posterior frame
-    k, when the seat's posterior pass starts a window at k, and frames the
-    pass never starts a window at (window_r above the longest horizon's step
-    count, or growing_window) after the pass, from the same reader by entry;
-    a failing state raises its build error at its frame (SeatReplay.check).
-    At the first regeneration frame, one array pass scores every ego
-    candidate of the sound regeneration frames at every horizon and takes
-    the fixed policies' decisions; the estimated policy decides per frame.
+    Frame k is regenerated under the estimate of posterior frame k.  The
+    per-frame definition regenerates a frame tau right after the posterior
+    frame that starts a window at tau, and the frames that no window starts
+    at (window_r above the longest horizon's step count, or growing_window)
+    after the whole pass; errors come out in that order.  So the frames
+    scheduled before a posterior error (PairReplay.posterior_pass) are
+    scored before it is raised: the first raises the horizon error, and a
+    failing state raises its build error at its frame.  One array pass
+    scores every scheduled frame's ego candidates at every horizon, one
+    product per fan-size group takes each policy's decisions, and each
+    policy's sums add in frame order (_frame_sums).
     """
     obs_self = replay.obs[seat]
     frames, max_steps = _regen_frames(obs_self, cfg)
     if not frames:
         raise ShortTrackError("track too short to regenerate at the longest horizon")
-    fixed = [(name, make().values) for name, make in POLICIES.items()]
-    sums = {name: dict.fromkeys(REGEN_HORIZONS, 0.0) for name in [*POLICIES, "estimated"]}
-    lam_at: dict[int, np.ndarray] = {}  # the posterior mean recorded at each frame
     reader = replay.seat(seat)
-    scored = None  # (MSE rows by frame, fixed policies' labels by entry), taken at the first regeneration frame
-
-    def regenerate(i: int) -> None:
-        nonlocal scored
-        reader.check(i)
-        k = reader.frames[i]
-        if scored is None:
-            entries = [j for j, f in enumerate(reader.frames[: reader.terms.sound]) if f in frames]
-            ks = np.asarray(reader.frames)[entries]
-            truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
-            mse = metrics.horizon_mse(reader.ego_xy[entries], truth, cfg.sampler.dt, REGEN_HORIZONS)
-            scored = dict(zip(ks.tolist(), mse.tolist())), [reader.terms.leader_labels(lam) for _, lam in fixed]
-        mse, labels = scored
-        decisions = [(name, by_entry[i]) for (name, _), by_entry in zip(fixed, labels)]
-        decisions.append(("estimated", reader.terms.leader_label(i, lam_at.pop(k))))
-        for name, label in decisions:
-            for h, per_label in zip(REGEN_HORIZONS, mse[k]):
-                sums[name][h] += per_label[label]
-
-    next_k = frames.start
-    for i, k, estimate in replay.posterior_steps(seat, cfg.inference, cfg.seed):
-        lam_at[k] = estimate
-        if reader.frames[i] == next_k < frames.stop:
-            regenerate(i)
-            next_k += 1
-    for i, k in enumerate(reader.frames):
-        if next_k <= k < frames.stop:
-            regenerate(i)
-
+    entries, _, means, error = replay.posterior_pass(seat, cfg.inference, cfg.seed)
+    if error is None:
+        stop = frames.stop
+    else:  # the regeneration frames whose window start the pass reached
+        starts = {reader.frames[i] for i in entries[: len(means)]}
+        stop = frames.start
+        while stop < frames.stop and stop in starts:
+            stop += 1
+    # the regeneration frames are consecutive integers, so consecutive entries from first
+    first = bisect_left(reader.frames, frames.start)
+    scheduled = stop - frames.start
+    sound = min(max(reader.terms.sound - first, 0), scheduled)  # the scheduled frames before a failing state
+    if scheduled and not sound:
+        raise reader.terms.error[1]
+    if sound:
+        ks = np.arange(frames.start, frames.start + sound)
+        truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
+        mse = metrics.horizon_mse(reader.ego_xy[first : first + sound], truth, cfg.sampler.dt, REGEN_HORIZONS)
+    if sound < scheduled:
+        raise reader.terms.error[1]
+    if error is not None:
+        raise error
+    lams = np.empty((len(POLICIES) + 1, sound, 3))  # each policy's weights at each frame, the estimate's last
+    for lam, make in zip(lams, POLICIES.values()):
+        lam[:] = make().values
+    lams[-1] = means[ks - cfg.inference.window_r]
+    totals = _frame_sums(mse, reader.terms.leader_labels(range(first, first + sound), lams))
     return {
-        name: {str(h): round(per_h[h] / len(frames), 6) for h in REGEN_HORIZONS}
-        for name, per_h in sums.items()
+        name: {str(h): round(total / len(frames), 6) for h, total in zip(REGEN_HORIZONS, per_h)}
+        for name, per_h in zip([*POLICIES, "estimated"], totals)
     }
 
 
@@ -279,7 +290,7 @@ def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """
     scenario = cfg.load_scenario()
     report: dict[str, dict] = {}
-    for idx, pair in observed_pairs(cfg):
+    for idx, pair in observed_pairs(cfg, scenario):
         frames = sorted({*window_starts(pair.ego, cfg.inference), *_regen_frames(pair.ego, cfg)[0]})
         replay = PairReplay(pair.ego, pair.other, scenario, frames)
         try:

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 import socialplan as sp
 from socialplan import workflows
 from socialplan.cli import main
-from socialplan.config import PathSpec, ScenarioConfig, config_from_dict, config_to_dict, load_config, save_config
+from socialplan.config import (
+    MAX_HORIZON_STEPS,
+    MAX_PARTICLES,
+    PathSpec,
+    ScenarioConfig,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    save_config,
+)
 from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
 
 
@@ -106,6 +115,11 @@ def test_config_dict_roundtrip_keeps_forbid_singleton(case_config):
         (None, "seed", -1),
         (None, "frame_period_ms", 0),
         (None, "max_steps", -1),
+        # past the size bounds: an OverflowError and a MemoryError in the build, memory exhausted in replay
+        ("sampler", "horizon_steps", 2**63),
+        ("sampler", "horizon_steps", 10**12),
+        ("sampler", "horizon_steps", 1001),
+        ("inference", "n_particles", 10**6 + 1),
     ],
 )
 def test_config_rejects_bad_integer_fields(tmp_path, case_config, section, key, value):
@@ -116,6 +130,16 @@ def test_config_rejects_bad_integer_fields(tmp_path, case_config, section, key, 
     with pytest.raises(sp.SchemaError, match=key):
         load_config(bad)
     assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_accepts_the_size_bounds(tmp_path, case_config):
+    data = json.loads(case_config.read_text())
+    data["sampler"]["horizon_steps"] = MAX_HORIZON_STEPS
+    data["inference"]["n_particles"] = MAX_PARTICLES
+    path = tmp_path / "largest.json"
+    path.write_text(json.dumps(data))
+    cfg = load_config(path)
+    assert (cfg.sampler.horizon_steps, cfg.inference.n_particles) == (MAX_HORIZON_STEPS, MAX_PARTICLES)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan import sampling
+from socialplan.inference import SeatReplay
+from socialplan.rewards import _log_softmax
 from reference_builder import reference_safety_matrix
 
 
@@ -81,3 +85,52 @@ def test_safety_matrix_matches_the_reference_bit_for_bit(batch, ne, no, n, sigma
     got = sampling.safety_matrix(*args)
     assert got.shape == lead + (ne, no)
     assert got.tobytes() == reference_safety_matrix(*args).tobytes()
+
+
+def _terms(rng, states: int, ne: int, ties: bool) -> np.ndarray:
+    """Social terms (states, 3, ne) in their ranges: egoism [0, 1], courtesy (0, 1], confidence reward [1, e].
+
+    With ties, the values come from a coarse grid, so that candidates tie.
+    """
+    raw = rng.integers(0, 4, (states, 3, ne)) / 3 if ties else rng.random((states, 3, ne))
+    raw[:, 1] = np.maximum(raw[:, 1], 1e-3)
+    raw[:, 2] = np.exp(raw[:, 2])
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ne=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    n_particles=st.integers(2, 300),
+    groups=st.lists(st.integers(0, 1), min_size=1, max_size=12),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=30),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every entry the same state, as under growing_window, at numpy's pairwise threshold of 8 terms
+@example(ne=(8, 8), n_particles=300, groups=[0], picks=[0] * 30, ties=False, seed=0)
+@example(ne=(12, 7), n_particles=101, groups=[1, 0, 0, 1, 1], picks=list(range(20)), ties=True, seed=1)
+def test_log_likelihoods_match_the_per_frame_log_softmax(ne, n_particles, groups, picks, ties, seed):
+    """SeatReplay.log_likelihoods against _log_softmax(lambdas @ terms)[:, label] per entry, as bytes.
+
+    groups[i] is the fan-size group of state i; picks choose the entries
+    (sorted, with repeats) and their labels.
+    """
+    rng = np.random.default_rng(seed)
+    members = [[i for i, g in enumerate(groups) if g == k] for k in (0, 1)]
+    per_group = [_terms(rng, len(states), ne[k], ties) for k, states in enumerate(members)]
+    slots = [(g, members[g].index(i)) for i, g in enumerate(groups)]
+    seat_terms = sampling.SeatTerms(
+        absence_other=None,
+        groups=[(states, ne[k], ne[k], SimpleNamespace(terms=per_group[k])) for k, states in enumerate(members)],
+        slots=slots,
+        error=None,
+    )
+    lambdas = rng.dirichlet(np.ones(3), size=n_particles)
+    entries = sorted(p % len(groups) for p in picks)
+    labels = [p % ne[groups[i]] for p, i in zip(picks, entries)]
+    got = SeatReplay.log_likelihoods(SimpleNamespace(terms=seat_terms), lambdas, entries, labels)
+    assert got.shape == (len(entries), n_particles)
+    for row, i, label in zip(got, entries, labels):
+        g, j = slots[i]
+        assert row.tobytes() == _log_softmax(lambdas @ per_group[g][j])[:, label].tobytes()

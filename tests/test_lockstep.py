@@ -169,7 +169,7 @@ def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt
         got = planner.decide(arrays, terms, i, lam)
         assert got[:2] == (label, response)
         assert np.array(got[2:]).tobytes() == np.array(controls).tobytes()
-        assert terms.leader_labels(lam.values)[i] == label
+        assert terms.leader_labels(range(terms.sound), np.broadcast_to(lam.values, (terms.sound, 3)))[i] == label
 
 
 def test_no_pipeline_assembles_a_joint_space(tmp_path, monkeypatch):

@@ -428,7 +428,7 @@ def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_p
         for *_, k, _, estimate in reference_posterior_steps(failing.ego, failing.other, scenario, cfg):
             want.append((k, estimate.values.tobytes()))
     assert [k for k, _ in want] == list(range(cfg.window_r, tau + cfg.window_r))
-    monkeypatch.setattr(workflows, "observed_pairs", lambda _: [(0, failing)])
+    monkeypatch.setattr(workflows, "observed_pairs", lambda *_: [(0, failing)])
     replay = PairReplay(failing.ego, failing.other, scenario, window_starts(failing.ego, cfg))
     got = []
     with pytest.raises(sp.NonFiniteRewardError) as error:
@@ -482,10 +482,11 @@ _tracks = st.integers(2, 41).flatmap(
 )
 
 
-def _example_tracks(n: int) -> tuple:
-    """Tracks whose values sweep their whole range once every 8 frames."""
+def _example_tracks(n: int, speeds: tuple[float, float] = _RANGES[1]) -> tuple:
+    """Tracks whose values sweep their whole range once every 8 frames, the speeds over speeds."""
     ramp = np.arange(n) % 8 / 7
-    return tuple((lo + (hi - lo) * (ramp if c % 2 else ramp[::-1])).tolist() for c, (lo, hi) in enumerate(_RANGES))
+    ranges = [speeds if c % 4 == 1 else r for c, r in enumerate(_RANGES)]
+    return tuple((lo + (hi - lo) * (ramp if c % 2 else ramp[::-1])).tolist() for c, (lo, hi) in enumerate(ranges))
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,10 +528,20 @@ def _example_tracks(n: int) -> tuple:
     horizon=6, dt=0.08, fractions=[0.0, 0.5, 1.0, 1.25], tracks=_example_tracks(41),
     window_r=5, growing=True, resample=True, prior=_PRIORS[2], n_particles=101, seed=5,
 )
+# nine targets and speeds of 4..6 m/s over a 3 s rollout: nine unclamped candidates on each
+# side, so every softmax sums at least 8 terms, where numpy starts to add pairwise
+@example(
+    horizon=12, dt=0.25, fractions=[k / 8 for k in range(9)], tracks=_example_tracks(30, speeds=(4.0, 6.0)),
+    window_r=5, growing=False, resample=False, prior=_PRIORS[0], n_particles=100, seed=6,
+)
+@example(
+    horizon=12, dt=0.25, fractions=[k / 8 for k in range(9)], tracks=_example_tracks(25, speeds=(4.0, 6.0)),
+    window_r=4, growing=True, resample=True, prior=_PRIORS[2], n_particles=40, seed=7,
+)
 def test_chunk_arithmetic_matches_the_per_frame_loop(
     horizon, dt, fractions, tracks, window_r, growing, resample, prior, n_particles, seed
 ):
-    """Estimates, matched labels, leader labels and regeneration errors, batched against per frame, as bytes."""
+    """Estimates, matched and leader labels, regeneration errors and their sums, batched against per frame, as bytes."""
     sampler = sp.SamplerConfig(horizon_steps=horizon, dt=dt, terminal_speed_fractions=tuple(fractions))
     rewards = sp.RewardConfig(theta_other=(1.0, 1.5, 5.0))
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_other=7.0, sampler=sampler, rewards=rewards)
@@ -564,12 +575,15 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
         entries = [i for i, _, _ in got]
         stops = [k for _, k, _ in got]
         assert reader.matched_labels(obs_self.xy, entries, stops).tolist() == [m for *_, m, _ in want]
+        every = range(reader.terms.sound)
         for lam in fixed:
             want_labels = [leader_label(space_at[tau], lam) for tau in reader.frames]
-            assert reader.terms.leader_labels(lam.values) == want_labels
-        for i, _, estimate in got:
+            got_labels = reader.terms.leader_labels(every, np.broadcast_to(lam.values, (len(every), 3)))
+            assert got_labels.tolist() == want_labels
+        batched = reader.terms.leader_labels(entries, np.stack([e for *_, e in got]))
+        for (i, _, estimate), label in zip(got, batched):
             want_label = leader_label(space_at[reader.frames[i]], sp.RewardWeights(estimate))
-            assert reader.terms.leader_label(i, estimate) == want_label
+            assert label == reader.terms.leader_label(i, estimate) == want_label
         scored = [i for i, tau in enumerate(reader.frames) if tau + horizon <= steps]
         truth = np.stack([obs_self.xy[reader.frames[i] : reader.frames[i] + horizon + 1] for i in scored] or
                          [np.zeros((horizon + 1, 2))])
@@ -578,3 +592,13 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
             xy = space_at[reader.frames[i]].ego_candidates.xy
             one = sp.horizon_mse(xy, truth[scored.index(i)], dt, horizons)
             assert row[:, : len(xy)].tobytes() == one.tobytes()
+        if scored:  # the regeneration sums, as the += loop over frames adds them (not sum(): 3.12 compensates)
+            lams = np.stack([np.tile(lam.values, (len(scored), 1)) for lam in fixed])
+            labels = reader.terms.leader_labels(scored, lams)
+            totals = workflows._frame_sums(mse, labels)
+            for per_h, by_frame in zip(totals, labels):
+                for h, total in enumerate(per_h):
+                    acc = 0.0
+                    for f, label in enumerate(by_frame):
+                        acc += float(mse[f, h, label])
+                    assert np.float64(total).tobytes() == np.float64(acc).tobytes()
