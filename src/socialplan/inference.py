@@ -233,6 +233,9 @@ def window_starts(obs, cfg: InferenceConfig) -> range:
     return range(1 if cfg.growing_window else len(obs.s) - cfg.window_r)
 
 
+_SLICE_ELEMENTS = 1 << 22  # the largest (G, P, ne) array log_likelihoods makes, in float64 elements (32 MiB)
+
+
 class SeatReplay:
     """One seat's joint spaces at a pair's observed states, read in batches.
 
@@ -277,28 +280,38 @@ class SeatReplay:
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
         """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P).
 
-        A group's products stop at the last entry asked for, so the terms of
-        a later (maybe failing) state never reach them.  The arithmetic is
-        _log_softmax's, on one (G, P, ne) array worked in place: the max over
-        the ne slices (exact in any order), then the sum over the last axis,
-        as _log_softmax takes it (numpy adds pairwise from 8 terms, so a sum
+        The products run once per distinct state asked for, per fan-size
+        group and ego fan size ne, on its (3, ne) terms, so the terms of a
+        later (maybe failing) state never reach them; and over slices of
+        those states, so that one (G, P, ne) array holds at most
+        _SLICE_ELEMENTS numbers (or one state's).  The arithmetic is
+        _log_softmax's, on that array worked in place: the max over the ne
+        slices (exact in any order), then the sum over the last axis, as
+        _log_softmax takes it (numpy adds pairwise from 8 terms, so a sum
         over another axis would change the bits).
         """
         entries, labels = np.asarray(entries), np.asarray(labels)
         group, row = np.array(self.terms.slots)[entries].T
+        sizes = self.terms.ne[entries]
         out = np.empty((len(entries), len(lambdas)))
-        for g, (_, ne, _, comps) in enumerate(self.terms.groups):
-            sel = group == g
-            if sel.any():
-                rows = row[sel]
-                u = lambdas @ comps.terms[: rows.max() + 1]  # (G, P, ne)
+        for g, ne in sorted(set(zip(group.tolist(), sizes.tolist()))):
+            at = ((group == g) & (sizes == ne)).nonzero()[0]  # the entries of this group and size
+            asked = np.zeros(row[at].max() + 1, dtype=bool)
+            asked[row[at]] = True
+            states = asked.nonzero()[0]  # their distinct states, in order
+            pos = (asked.cumsum() - 1)[row[at]]  # each entry's state's place in states
+            step = max(1, _SLICE_ELEMENTS // (len(lambdas) * ne))
+            for lo in range(0, len(states), step):
+                u = lambdas @ self.terms.groups[g].terms[states[lo : lo + step], :, :ne]  # (G, P, ne)
                 peak = u[..., 0].copy()
                 for c in range(1, ne):
                     np.maximum(peak, u[..., c], out=peak)
                 u -= peak[..., None]
-                picked = u[rows, :, labels[sel]]
+                here = (pos >= lo) & (pos < lo + step)
+                sub = pos[here] - lo
+                picked = u[sub, :, labels[at[here]]]
                 np.exp(u, out=u)
-                out[sel] = picked - np.log(u.sum(axis=-1))[rows]
+                out[at[here]] = picked - np.log(u.sum(axis=-1))[sub]
         return out
 
 

@@ -130,36 +130,45 @@ class SocialComponents:
     confidence_reward: np.ndarray  # (ne,) in [1, e]
     terms: np.ndarray  # (3, ne) read-only rows egoism_norm, courtesy, confidence_reward (those fields are views of them)
 
-    def at(self, i: int) -> "SocialComponents":
-        """Entry i along the leading axis of batched components (views, not copies)."""
-        return SocialComponents(*(value[i] for value in vars(self).values()))
+    def at(self, i: int, ne: int) -> "SocialComponents":
+        """Entry i along the leading axis of batched components, on its first ne ego candidates (views, not copies)."""
+        fields = {name: value[i, ..., :ne] for name, value in vars(self).items()}
+        fields["presence_logp"] = self.presence_logp[i, :ne]
+        return SocialComponents(**fields)
 
 
-def component_arrays(reward_ego, reward_other, absence_other, beta: float) -> SocialComponents:
+def component_arrays(reward_ego, reward_other, absence_other, beta: float, real=True) -> SocialComponents:
     """The three reward terms of every ego candidate, not checked for overflow.
 
     reward_ego, reward_other: (..., ne, no); absence_other: (..., no).  Any
     leading axes carry through, and every reduction runs over the last axis,
-    so entry i of a batch equals the terms of space i alone.  A beta that
-    overflows leaves NaN terms; beta_error names it.
+    so entry i of a batch equals the terms of space i alone.  real (..., ne)
+    marks the ego rows that are candidates: the egoism min-max runs over
+    those alone, the one reduction along the ego axis, so a padding row
+    changes no bit of a real row's terms.  A beta that overflows leaves NaN
+    terms; beta_error names it.
     """
+    ne, no = reward_other.shape[-2:]
     with np.errstate(over="ignore", invalid="ignore"):
-        log_p = _log_softmax(beta * reward_other)
-        p = np.exp(log_p)
+        # the absence row under the presence rows: the rows are independent, so one log-softmax serves both
+        logits = np.empty(reward_other.shape[:-2] + (ne + 1, no))
+        np.multiply(reward_other, beta, out=logits[..., :ne, :])
+        np.multiply(absence_other, beta, out=logits[..., ne, :])
+        log_all = _log_softmax(logits)
+        p_all = np.exp(log_all)
+        log_p, p = log_all[..., :ne, :], p_all[..., :ne, :]
+        log_q, q = log_all[..., ne:, :], p_all[..., ne:, :]
 
         egoism_raw = (p * reward_ego).sum(axis=-1)
         # each term is written into its row; zeros, as the egoism row keeps 0 where the span is too small
-        terms = np.zeros(egoism_raw.shape[:-1] + (3, egoism_raw.shape[-1]))
-        low = egoism_raw.min(axis=-1, keepdims=True)
-        span = egoism_raw.max(axis=-1, keepdims=True) - low
+        terms = np.zeros(egoism_raw.shape[:-1] + (3, ne))
+        low = np.minimum.reduce(egoism_raw, axis=-1, keepdims=True, initial=np.inf, where=real)
+        span = np.maximum.reduce(egoism_raw, axis=-1, keepdims=True, initial=-np.inf, where=real) - low
         np.divide(egoism_raw - low, span, out=terms[..., 0, :], where=span > _MINMAX_EPS)
 
-        log_q = _log_softmax(beta * absence_other)[..., None, :]
-        q = np.exp(log_q)
         kl = (q * (log_q - log_p)).sum(axis=-1)
         np.exp(-np.maximum(kl, 0.0), out=terms[..., 1, :])
 
-    no = p.shape[-1]
     if no == 1:
         conf = np.ones(p.shape[:-1])
     else:

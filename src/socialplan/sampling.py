@@ -13,8 +13,9 @@ and runs rollout, path position, utility vectors, safety and the weighted
 sums once over that grid.  Every kernel reduces over the last axis only, so
 each row and pair gives the same bits as on its own.  Then
 JointArrays.social_terms() checks every state and returns one seat's social
-terms, a SeatTerms, computed once per group of states with equal fan sizes;
-its leader_label is the leader decision that the closed loop reads, and
+terms, a SeatTerms, computed once per group of states with equal follower
+fan sizes (the ego axis padded to the group's largest fan); its
+leader_label is the leader decision that the closed loop reads, and
 leader_labels the same decision at many states, which replay reads.  No
 pipeline assembles per-state spaces (JointBehaviorSpace); JointArrays.spaces()
 and its one-state case build_joint_space stay only for the benchmark's span
@@ -161,8 +162,10 @@ def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
 
     so the result matches it bit for bit; a closed form or a hoisted
     0.5*dt*dt would round differently.  A row whose speed would go negative
-    is exact up to the step the car stops in; from that step on it is
-    rolled out step by step, through step_dynamics' stop branch.
+    is exact up to the step the car stops in.  Where that is the last step,
+    step_dynamics' stop branch runs on the last column, for all such rows
+    at once; a row that stops earlier is rolled out from its stop step on,
+    step by step, through step_dynamics.
     """
     accels = np.asarray(accels, dtype=float)
     n = accels.shape[-1]
@@ -178,7 +181,15 @@ def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
 
     negative = V < 0.0
     if negative.any():
-        for row in zip(*negative.any(axis=-1).nonzero()):
+        early = negative[..., :-1].any(axis=-1)
+        last = negative[..., -1] > early  # rows whose speed first goes negative in the last step
+        if last.any():
+            # the stop branch's t = -v / a, s + v*t + 0.5*a*t*t and v = 0; (v, a) = (0, -1) where it does not apply
+            v, a = np.where(last, V[..., -2], 0.0), np.where(last, accels[..., -1], -1.0)
+            t = -v / a
+            np.copyto(S[..., -1], S[..., -2] + v * t + 0.5 * a * t * t, where=last)
+            np.copyto(V[..., -1], 0.0, where=last)
+        for row in zip(*early.nonzero()):
             j = int(negative[row].argmax()) - 1  # the step the car stops in
             x = AgentState(s=float(S[row][j]), v=float(V[row][j]))
             for m, a in enumerate(accels[row][j:].tolist(), start=j + 1):
@@ -209,16 +220,18 @@ def safety_matrix(
     """
     t = xy_ego.shape[-2] - 1
     diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
-    prox_e = np.exp(-np.abs(s_ego[..., :t] - s_conflict_ego) / sigma_c)
-    prox_o = np.exp(-np.abs(s_other[..., :t] - s_conflict_other) / sigma_c)
-    # in place and in the order of exp(-sqrt(sum diff**2) / sigma_d) * prox: a replay builds a whole pair at once.
-    # The two-slice sum is the one addition that sum(axis=-1) makes over two entries, without its per-element loop
+    # in place, as a replay builds a whole pair at once; x / -sigma is the float -x / sigma, so the factors keep
+    # the bits of exp(-|s - s_c| / sigma_c) and exp(-sqrt(sum diff**2) / sigma_d), multiplied in that order
+    prox_e, prox_o = np.abs(s_ego[..., :t] - s_conflict_ego), np.abs(s_other[..., :t] - s_conflict_other)
+    for prox in (prox_e, prox_o):
+        prox /= -sigma_c
+        np.exp(prox, out=prox)
+    # the two-slice sum is the one addition that sum(axis=-1) makes over two entries, without its per-element loop
     diff *= diff
     w = diff[..., 0] + diff[..., 1]
     del diff
     np.sqrt(w, out=w)
-    np.negative(w, out=w)
-    w /= sigma_d
+    w /= -sigma_d
     np.exp(w, out=w)
     w *= prox_e[..., :, None, :] * prox_o[..., None, :, :]
     return -w.sum(axis=-1)
@@ -272,14 +285,17 @@ def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRe
 class SeatTerms:
     """One seat's social terms over a build_joint_arrays pass (JointArrays.social_terms), and its leader decisions.
 
-    groups holds (states, ne, no, components) per group of equal fan sizes,
-    the components batched over the group's states on their leading axis;
-    slots[i] = (g, j) says that state i is entry j of group g.
+    groups holds the social components of each group of states with equal
+    follower fan sizes, batched over the group's states on their leading
+    axis and padded along the ego axis to the group's largest ego fan;
+    slots[i] = (g, j) says that state i is entry j of group g, and ne[i] is
+    its ego fan size.  A padding row's terms are never read.
     """
 
     absence_other: np.ndarray  # (F, nt)
-    groups: list[tuple[list[int], int, int, SocialComponents]]
+    groups: list[SocialComponents]
     slots: list[tuple[int, int]]
+    ne: np.ndarray  # (F,)
     error: tuple[int, SocialPlanError] | None  # (i, its error) for the first failing state i; the ones before are sound
 
     @property
@@ -290,21 +306,24 @@ class SeatTerms:
     def leader_label(self, i: int, lam: np.ndarray) -> int:
         """The leader's label at state i under weights lam (3,): the argmax of one (3,) @ (3, ne) product, ties to the lowest."""
         g, j = self.slots[i]
-        return int((lam @ self.groups[g][3].terms[j]).argmax())
+        return int((lam @ self.groups[g].terms[j, :, : self.ne[i]]).argmax())
 
     def leader_labels(self, entries, lams: np.ndarray) -> np.ndarray:
         """leader_label(i, lam) for each entry i and its weight row lam: (..., len(entries)) from lams (..., len(entries), 3).
 
-        One (..., n, 1, 3) @ (n, 3, ne) product per group; each row is the
-        (3,) @ (3, ne) product of leader_label, bit for bit.  Every entry
-        must be sound.
+        One (..., n, 1, 3) @ (n, 3, ne) product per group, its padding
+        columns masked; each real column is the (3,) @ (3, ne) product of
+        leader_label, bit for bit.  Every entry must be sound.
         """
         group, row = np.array(self.slots)[entries].T
+        ne = self.ne[entries]
         labels = np.empty(lams.shape[:-1], dtype=np.intp)
-        for g, (*_, comps) in enumerate(self.groups):
+        for g, comps in enumerate(self.groups):
             sel = group == g
             if sel.any():
-                labels[..., sel] = (lams[..., sel, None, :] @ comps.terms[row[sel]]).argmax(axis=-1)[..., 0]
+                scores = lams[..., sel, None, :] @ comps.terms[row[sel]]  # (..., n, 1, ne)
+                np.copyto(scores, -np.inf, where=np.arange(scores.shape[-1]) >= ne[sel, None, None])
+                labels[..., sel] = scores.argmax(axis=-1)[..., 0]
         return labels
 
 
@@ -364,34 +383,41 @@ class JointArrays:
     def social_terms(self) -> SeatTerms:
         """The seat's social terms, with the first failing state's error in state order.
 
-        The social components run once per group of states with equal fan
-        sizes, on just their candidates.  A state fails on, in this order: a
-        collapsed fan under forbid_singleton, a non-finite feature (naming
-        the state and path values), finite features that overflow under the
-        weights (naming the weight), and social terms that overflow under
-        beta.  Nothing here raises; the caller reads SeatTerms.error.
+        The social components run once per group of states with equal
+        follower fan sizes, on their candidates, the ego axis padded to the
+        group's largest ego fan: every sum runs over the follower's
+        candidates, so a real row's terms keep their bits.  A state fails
+        on, in this order: a collapsed fan under forbid_singleton, a
+        non-finite feature (naming the state and path values), finite
+        features that overflow under the weights (naming the weight), and
+        social terms that overflow under beta.  Nothing here raises; the
+        caller reads SeatTerms.error.
         """
         cfg = self.reward_cfg
         to = cfg.theta_other
         with np.errstate(over="ignore", invalid="ignore"):  # reported per state below
             absence_other = to[0] * self.eff[1] + to[1] * self.com[1]
 
-        by_size: dict[tuple[int, int], list[int]] = {}
-        for i, size in enumerate(self.sizes.T.tolist()):
-            by_size.setdefault(tuple(size), []).append(i)
+        by_size: dict[int, list[int]] = {}
+        for i, no in enumerate(self.sizes[1].tolist()):
+            by_size.setdefault(no, []).append(i)
         groups, slots = [], [(0, 0)] * len(self.states)
         finite_terms = np.empty(len(self.states), dtype=bool)
-        for g, ((ne, no), idx) in enumerate(by_size.items()):
+        for g, (no, idx) in enumerate(by_size.items()):
+            states = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view where it can
+            sizes = self.sizes[0, states]
+            real = np.arange(sizes.max()) < sizes[:, None]  # (G, ne) the real ego rows
             # contiguous, as the other seat's matrices are transposed views: numpy sums
             # 8 or more terms along a strided axis in another order than along a contiguous one
-            matrices = (np.ascontiguousarray(m[idx, :ne, :no]) for m in (self.reward_ego, self.reward_other))
-            comps = component_arrays(*matrices, absence_other[idx, :no], cfg.beta)
-            finite_terms[idx] = np.isfinite(comps.terms).all(axis=(-2, -1))
-            groups.append((idx, ne, no, comps))
+            ne = real.shape[1]
+            matrices = (np.ascontiguousarray(m[states, :ne, :no]) for m in (self.reward_ego, self.reward_other))
+            comps = component_arrays(*matrices, absence_other[states, :no], cfg.beta, real)
+            finite_terms[states] = np.isfinite(comps.terms).all(axis=(-2, -1), where=real[:, None, :])
+            groups.append(comps)
             for j, i in enumerate(idx):
                 slots[i] = (g, j)
         error = self._check(absence_other, finite_terms)
-        return SeatTerms(absence_other=absence_other, groups=groups, slots=slots, error=error)
+        return SeatTerms(absence_other=absence_other, groups=groups, slots=slots, ne=self.sizes[0], error=error)
 
     def _check(self, absence_other: np.ndarray, finite_terms: np.ndarray) -> tuple[int, SocialPlanError] | None:
         """(i, error) for the first failing state i (see social_terms), else None; one pass when none fails."""
@@ -420,7 +446,7 @@ class JointArrays:
             raise terms.error[1]
         spaces = []
         for i, (x, (g, j)) in enumerate(zip(self.states, terms.slots)):
-            _, ne, no, comps = terms.groups[g]
+            ne, no = self.sizes[:, i].tolist()
             fans = [
                 CandidateFan(
                     accels=self.rows[k, i, :m], s=self.S[k, i, :m], v=self.V[k, i, :m], xy=self.xy[k][i, :m],
@@ -436,7 +462,7 @@ class JointArrays:
                 absence_other=terms.absence_other[i, :no],
                 reward_cfg=self.reward_cfg,
                 conflict=self.conflict,
-                _components=comps.at(j),
+                _components=terms.groups[g].at(j, ne),
             )
             spaces.append(space)
         return spaces

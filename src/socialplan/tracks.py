@@ -260,16 +260,19 @@ def resample_pair(tracks: dict[int, Track], pair: InteractionPair, dt: float) ->
     )
 
 
-def _exact_substates(s0: float, v0: float, a: float, taus: np.ndarray):
-    """Closed-form states inside one constant-acceleration step, speed clamped at 0."""
-    if a < 0.0 and v0 + a * taus[-1] < 0.0:
-        t_stop = v0 / -a
-        tt = np.minimum(taus, t_stop)
-    else:
-        tt = taus
-    s = s0 + v0 * tt + 0.5 * a * tt * tt
-    v = np.maximum(v0 + a * tt, 0.0)
-    return s, v
+def _exact_substates(s0: np.ndarray, v0: np.ndarray, a: np.ndarray, taus: np.ndarray):
+    """Closed-form states (steps, frames) at times taus into steps of constant acceleration.
+
+    s0, v0 and a are (steps,), each step's start state and acceleration.
+    Speed is clamped at 0: a step whose speed would go negative by its last
+    frame holds still from its stop time v0 / -a on.  Each entry repeats the
+    float operations of the step on its own, so the bits do not depend on
+    the other steps.
+    """
+    s0, v0, a = s0[:, None], v0[:, None], a[:, None]
+    stops = (a < 0.0) & (v0 + a * taus[-1] < 0.0)
+    tt = np.where(stops, np.minimum(taus, v0 / np.where(stops, -a, 1.0)), taus)
+    return s0 + v0 * tt + 0.5 * a * tt * tt, np.maximum(v0 + a * tt, 0.0)
 
 
 def divides_step(frame_period_ms: int, dt: float) -> bool:
@@ -283,7 +286,8 @@ def trace_to_records(trace: InteractionTrace, frame_period_ms: int = 50) -> list
 
     The dynamics are exactly integrable inside each applied step, so frames
     are exact states, not interpolations.  The step length in milliseconds
-    must be a multiple of the frame period (divides_step).
+    must be a multiple of the frame period (divides_step).  Every step's
+    frames come from one array pass (_exact_substates).
     """
     if not divides_step(frame_period_ms, trace.dt):
         raise ValueError("frame period must divide the planning step length")
@@ -293,9 +297,9 @@ def trace_to_records(trace: InteractionTrace, frame_period_ms: int = 50) -> list
         (0, trace.path_ego, [js.ego for js in trace.joint_states], trace.a_ego),
         (1, trace.path_other, [js.other for js in trace.joint_states], trace.a_other),
     ):
-        steps = [_exact_substates(st.s, st.v, float(a), taus) for st, a in zip(states, accels)]
-        s = np.concatenate([*(s for s, _ in steps), [states[-1].s]])
-        v = np.concatenate([*(v for _, v in steps), [states[-1].v]])
+        s0, v0 = np.array([(x.s, x.v) for x in states[: len(accels)]]).reshape(-1, 2).T
+        s, v = _exact_substates(s0, v0, np.asarray(accels, dtype=float), taus)
+        s, v = np.append(s, states[-1].s), np.append(v, states[-1].v)
         frame = np.arange(len(s))
         xy, vxy = path.position(s, states[0].d), v[:, None] * path.tangent(s)
         tracks.append(Track(track_id, frame, frame * frame_period_ms, xy, vxy))

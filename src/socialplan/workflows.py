@@ -69,7 +69,7 @@ def write_trace_csv(path: Path, trace: InteractionTrace) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _trace_sidecar(trace: InteractionTrace, cfg: ScenarioConfig, policy_name: str) -> dict:
+def _trace_sidecar(trace: InteractionTrace, config: dict, policy_name: str) -> dict:
     return {
         "policy": policy_name,
         "terminated": trace.terminated,
@@ -77,7 +77,7 @@ def _trace_sidecar(trace: InteractionTrace, cfg: ScenarioConfig, policy_name: st
         "dt": trace.dt,
         "lambda_ego": [[round(v, 9) for v in row] for row in trace.lambda_ego.tolist()],
         "lambda_other": [[round(v, 9) for v in row] for row in trace.lambda_other.tolist()],
-        "config": config_to_dict(cfg),
+        "config": config,
     }
 
 
@@ -108,10 +108,11 @@ def run_sim(cfg: ScenarioConfig, policy_names: list[str], out_dir: Path, threads
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    config = config_to_dict(cfg)  # the echo every sidecar carries
     for name, trace in zip(policy_names, traces):
         safe = name.replace(",", "_")
         write_trace_csv(out_dir / f"trace_{safe}.csv", trace)
-        write_json(out_dir / f"trace_{safe}.json", _trace_sidecar(trace, cfg, name))
+        write_json(out_dir / f"trace_{safe}.json", _trace_sidecar(trace, config, name))
     write_json(out_dir / "stats.json", {"policies": stats})
     return stats
 

@@ -67,7 +67,9 @@ def decide_on(space, lam) -> tuple[int, int]:
     comps = component_arrays(
         space.reward_ego[None], space.reward_other[None], space.absence_other[None], space.reward_cfg.beta
     )
-    terms = SeatTerms(absence_other=space.absence_other[None], groups=[([0], ne, no, comps)], slots=[(0, 0)], error=None)
+    terms = SeatTerms(
+        absence_other=space.absence_other[None], groups=[comps], slots=[(0, 0)], ne=np.array([ne]), error=None
+    )
     arrays = SimpleNamespace(
         reward_other=space.reward_other[None], sizes=np.array([[ne], [no]]), rows=np.zeros((2, 1, max(ne, no), 1))
     )

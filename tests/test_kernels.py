@@ -1,11 +1,12 @@
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan import sampling
+from socialplan import inference, sampling
 from socialplan.inference import SeatReplay
 from socialplan.rewards import _log_softmax
 from reference_builder import reference_safety_matrix
@@ -49,6 +50,10 @@ _accel = st.floats(-8.0, 4.0, allow_nan=False)
 )
 @example(s0=5.0, v0=1.0, dt=0.25, rows=[[-8.0, 2.0], [-4.0, -4.0]])  # stops inside step 0
 @example(s0=0.0, v0=0.0, dt=0.1, rows=[[-1.0, 0.0, 3.0]])  # at rest, then pulls away
+# the first row stops in the last step, the second inside step 1
+@example(s0=5.0, v0=1.0, dt=0.25, rows=[[-1.0, -1.0, -1.0, -2.0], [-1.0, -8.0, -1.0, -1.0]])
+# stops in step 0, pulls away, and stops again in the last step: the step-by-step rows, not the last column
+@example(s0=5.0, v0=1.0, dt=0.25, rows=[[-8.0, 4.0, -20.0], [-1.0, -1.0, -8.0]])
 def test_rollout_bit_exact_property(s0, v0, dt, rows):
     _assert_matches_step_dynamics(s0, v0, np.array(rows), dt)
 
@@ -100,37 +105,50 @@ def _terms(rng, states: int, ne: int, ties: bool) -> np.ndarray:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    ne=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    states=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12)), min_size=1, max_size=12),
     n_particles=st.integers(2, 300),
-    groups=st.lists(st.integers(0, 1), min_size=1, max_size=12),
     picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=30),
     ties=st.booleans(),
+    slice_elements=st.one_of(st.just(inference._SLICE_ELEMENTS), st.integers(1, 20_000)),
     seed=st.integers(0, 2**32 - 1),
 )
 # every entry the same state, as under growing_window, at numpy's pairwise threshold of 8 terms
-@example(ne=(8, 8), n_particles=300, groups=[0], picks=[0] * 30, ties=False, seed=0)
-@example(ne=(12, 7), n_particles=101, groups=[1, 0, 0, 1, 1], picks=list(range(20)), ties=True, seed=1)
-def test_log_likelihoods_match_the_per_frame_log_softmax(ne, n_particles, groups, picks, ties, seed):
+@example(states=[(0, 8)], n_particles=300, picks=[0] * 30, ties=False, slice_elements=1 << 22, seed=0)
+@example(
+    states=[(1, 7), (0, 12), (0, 12), (1, 7), (1, 7)], n_particles=101, picks=list(range(20)), ties=True,
+    slice_elements=1 << 22, seed=1,
+)
+# ego fans of 12, 5 and 3 candidates in one group, one state per slice
+@example(
+    states=[(0, 12), (0, 5), (0, 12), (1, 3), (0, 3)], n_particles=50, picks=list(range(0, 40, 3)), ties=False,
+    slice_elements=1, seed=2,
+)
+def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, picks, ties, slice_elements, seed):
     """SeatReplay.log_likelihoods against _log_softmax(lambdas @ terms)[:, label] per entry, as bytes.
 
-    groups[i] is the fan-size group of state i; picks choose the entries
-    (sorted, with repeats) and their labels.
+    states[i] = (fan-size group, ego fan size) of state i; a group's terms
+    are padded with NaN to its largest ego fan, as social_terms pads them.
+    picks choose the entries (sorted, with repeats) and their labels.
+    slice_elements bounds the (G, P, ne) array, so that the states run in
+    slices of one or more.
     """
     rng = np.random.default_rng(seed)
-    members = [[i for i, g in enumerate(groups) if g == k] for k in (0, 1)]
-    per_group = [_terms(rng, len(states), ne[k], ties) for k, states in enumerate(members)]
-    slots = [(g, members[g].index(i)) for i, g in enumerate(groups)]
-    seat_terms = sampling.SeatTerms(
-        absence_other=None,
-        groups=[(states, ne[k], ne[k], SimpleNamespace(terms=per_group[k])) for k, states in enumerate(members)],
-        slots=slots,
-        error=None,
-    )
+    per_state = [_terms(rng, 1, ne, ties)[0] for _, ne in states]
+    members = [[i for i, (g, _) in enumerate(states) if g == k] for k in (0, 1)]
+    groups = []
+    for k, idx in enumerate(members):
+        padded = np.full((len(idx), 3, max([states[i][1] for i in idx], default=1)), np.nan)
+        for j, i in enumerate(idx):
+            padded[j, :, : states[i][1]] = per_state[i]
+        groups.append(SimpleNamespace(terms=padded))
+    slots = [(g, members[g].index(i)) for i, (g, _) in enumerate(states)]
+    ne = np.array([size for _, size in states])
+    seat_terms = sampling.SeatTerms(absence_other=None, groups=groups, slots=slots, ne=ne, error=None)
     lambdas = rng.dirichlet(np.ones(3), size=n_particles)
-    entries = sorted(p % len(groups) for p in picks)
-    labels = [p % ne[groups[i]] for p, i in zip(picks, entries)]
-    got = SeatReplay.log_likelihoods(SimpleNamespace(terms=seat_terms), lambdas, entries, labels)
+    entries = sorted(p % len(states) for p in picks)
+    labels = [p % ne[i] for p, i in zip(picks, entries)]
+    with patch.object(inference, "_SLICE_ELEMENTS", slice_elements):
+        got = SeatReplay.log_likelihoods(SimpleNamespace(terms=seat_terms), lambdas, entries, labels)
     assert got.shape == (len(entries), n_particles)
     for row, i, label in zip(got, entries, labels):
-        g, j = slots[i]
-        assert row.tobytes() == _log_softmax(lambdas @ per_group[g][j])[:, label].tobytes()
+        assert row.tobytes() == _log_softmax(lambdas @ per_state[i])[:, label].tobytes()

@@ -152,6 +152,13 @@ _agent_state = st.tuples(
     rounds=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3), (0.2, 0.5, 0.3)),
             ((40.0, 12.0, -0.2), (45.0, 2.0, 0.0), _VERTICES[2])],
 )
+# ego fans of 6, 4, 1 and 4 candidates under one follower fan of 6 (a_min clamps the faster cars'
+# low targets), so the group's terms are padded along the ego axis
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], a_min=-1.0, limits=(10.0, 10.0),
+    rounds=[((40.0, 5.0, 0.0), (45.0, 5.0, 0.0), _VERTICES[0]), ((40.0, 8.0, 0.2), (30.0, 5.0, 0.0), _VERTICES[1]),
+            ((35.0, 18.0, 0.0), (45.0, 5.0, 0.0), _VERTICES[2]), ((40.0, 8.0, 0.0), (45.0, 5.0, 0.0), (0.2, 0.5, 0.3))],
+)
 def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt, fractions, a_min, limits, rounds):
     """planner.decide on one round's build against leader_label and follower_response on reference_space, as bytes."""
     sampler = sp.SamplerConfig(horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions), accel_min=a_min)

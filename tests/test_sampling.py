@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
+from socialplan.inference import SeatReplay
+from socialplan.rewards import _log_softmax, component_arrays
 from socialplan.sampling import rollout_batch
 from socialplan.scenarios import crossing_scenario
 from reference_builder import scenario_space
@@ -409,3 +411,77 @@ def test_swapped_seat_names_its_own_car_and_weight():
             swapped.arrays_at([x.swapped() for x in xs]).spaces()
         with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
             source.arrays_at(xs).swapped(swapped.conflict, swapped.rewards).spaces()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.integers(1, 30),
+    dt=st.sampled_from([0.08, 0.25]),
+    fractions=st.lists(st.sampled_from(_FRACTIONS), min_size=1, max_size=12),
+    a_min=st.floats(-8.0, -0.5),
+    a_max=st.floats(0.5, 4.0),
+    limits=st.tuples(st.floats(3.0, 15.0), st.floats(3.0, 15.0)),
+    other_speeds=st.tuples(st.floats(0.0, 18.0), st.floats(0.0, 18.0)),
+    states=st.lists(st.tuples(_agent_state, st.floats(0.0, 60.0), st.booleans()), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+# ego fans of 6, 4, 1 and 4 candidates under one follower fan of 6
+@example(
+    steps=12, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], a_min=-1.0, a_max=3.0, limits=(10.0, 10.0),
+    other_speeds=(5.0, 5.0),
+    states=[((40.0, 5.0, 0.0), 45.0, False), ((40.0, 8.0, 0.2), 30.0, False), ((35.0, 18.0, 0.0), 45.0, False),
+            ((40.0, 8.0, 0.0), 45.0, False)],
+    seed=0,
+)
+# twelve targets: ego fans of 11, 8 and 4 under one follower fan of 11, and a follower fan of 4
+@example(
+    steps=30, dt=0.08, fractions=_FRACTIONS[:12], a_min=-3.0, a_max=3.0, limits=(8.0, 8.0),
+    other_speeds=(2.0, 16.0),
+    states=[((40.0, 2.0, 0.0), 45.0, False), ((40.0, 12.0, 0.2), 30.0, False), ((35.0, 16.0, 0.0), 45.0, False),
+            ((20.0, 2.0, 0.0), 50.0, True)],
+    seed=1,
+)
+def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
+    steps, dt, fractions, a_min, a_max, limits, other_speeds, states, seed
+):
+    """Both seats' decisions, log-likelihoods and spaces() against component_arrays on each state alone, as bytes.
+
+    social_terms groups states by the follower's fan size alone and pads
+    the ego axis to the group's largest ego fan; states[i] = (ego state,
+    other s, which of other_speeds), so that ego fans of several sizes
+    share one follower fan.
+    """
+    sampler = sp.SamplerConfig(
+        horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions), accel_min=a_min, accel_max=a_max
+    )
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
+    xs = [
+        sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(s, other_speeds[k]), t=i)
+        for i, (e, s, k) in enumerate(states)
+    ]
+    swapped = scn.swapped()
+    arrays = scn.arrays_at(xs)
+    rng = np.random.default_rng(seed)
+    n = len(xs)
+    for seat in (arrays, arrays.swapped(swapped.conflict, swapped.rewards)):
+        terms = seat.social_terms()
+        assert terms.error is None
+        lams = rng.dirichlet(np.ones(3), size=(2, n))
+        lambdas = rng.dirichlet(np.ones(3), size=40)
+        labels = [int(rng.integers(ne)) for ne in seat.sizes[0].tolist()]
+        loglik = SeatReplay(list(range(n)), seat).log_likelihoods(lambdas, range(n), labels)
+        batched = terms.leader_labels(range(n), lams)
+        for i, space in enumerate(seat.spaces()):
+            ne, no = seat.sizes[:, i].tolist()
+            own = component_arrays(
+                *(np.ascontiguousarray(m[i, :ne, :no])[None] for m in (seat.reward_ego, seat.reward_other)),
+                terms.absence_other[i, :no][None],
+                seat.reward_cfg.beta,
+            )
+            comps = space.components()
+            for name, value in vars(own).items():
+                assert getattr(comps, name).tobytes() == value[0].tobytes(), name
+            for lam in lams[:, i]:
+                assert terms.leader_label(i, lam) == int((lam @ own.terms[0]).argmax())
+            assert batched[:, i].tolist() == [int((lam @ own.terms[0]).argmax()) for lam in lams[:, i]]
+            assert loglik[i].tobytes() == _log_softmax(lambdas @ own.terms[0])[:, labels[i]].tobytes()

@@ -233,6 +233,70 @@ def test_trace_to_records_requires_divisible_period(tmp_path):
         tk.trace_to_records(trace, frame_period_ms=30)  # 80 ms steps, not divisible
 
 
+def _per_step_records(trace, frame_period_ms):
+    """trace_to_records as a loop over the applied steps, each step's frames in closed form on their own."""
+    taus = np.arange(0, round(trace.dt * 1000.0), frame_period_ms) / 1000.0
+    tracks = []
+    for track_id, path, states, accels in (
+        (0, trace.path_ego, [js.ego for js in trace.joint_states], trace.a_ego),
+        (1, trace.path_other, [js.other for js in trace.joint_states], trace.a_other),
+    ):
+        s_steps, v_steps = [], []
+        for x, a in zip(states, accels.tolist()):
+            tt = np.minimum(taus, x.v / -a) if a < 0.0 and x.v + a * taus[-1] < 0.0 else taus
+            s_steps.append(x.s + x.v * tt + 0.5 * a * tt * tt)
+            v_steps.append(np.maximum(x.v + a * tt, 0.0))
+        s = np.concatenate([*s_steps, [states[-1].s]])
+        v = np.concatenate([*v_steps, [states[-1].v]])
+        frame = np.arange(len(s))
+        xy, vxy = path.position(s, states[0].d), v[:, None] * path.tangent(s)
+        tracks.append(tk.Track(track_id, frame, frame * frame_period_ms, xy, vxy))
+    return tracks
+
+
+def _assert_same_tracks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.track_id == b.track_id
+        for name in ("frame", "timestamp_ms", "xy", "vxy"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["egoism", "courtesy", "confidence", "switch"])
+def test_trace_to_records_matches_the_per_step_loop_on_the_fixtures(name):
+    scn = fixture_scenario(name)
+    trace = sp.simulate(scn, sp.PolicySpec.fixed(sp.RewardWeights.courtesy()), sp.PolicySpec.follower(), max_steps=400)
+    for period in (10, 20, 40, 80):
+        _assert_same_tracks(tk.trace_to_records(trace, period), _per_step_records(trace, period))
+
+
+_step = st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 20.0), st.floats(-8.0, 4.0), st.floats(-8.0, 4.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(_step, max_size=12),
+    last=st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 20.0)),
+    dt_ms=st.sampled_from([40, 80, 100, 250]),
+    period=st.sampled_from([1, 5, 10]),
+)
+def test_trace_to_records_matches_the_per_step_loop_with_stops(steps, last, dt_ms, period):
+    """Steps from arbitrary states and accelerations, many of them braking to a stop inside the step, as bytes."""
+    scn = fixture_scenario("courtesy")
+    states = [
+        sp.JointState(ego=sp.AgentState(s=se, v=ve), other=sp.AgentState(s=se / 2, v=ve / 2)) for se, ve, _, _ in steps
+    ] + [sp.JointState(ego=sp.AgentState(*last), other=sp.AgentState(last[0] / 2, last[1] / 2))]
+    a_ego = np.array([a for *_, a, _ in steps], dtype=float)
+    a_other = np.array([a for *_, a in steps], dtype=float)
+    trace = sp.InteractionTrace(
+        joint_states=states, a_ego=a_ego, a_other=a_other, lambda_ego=np.zeros((len(steps), 3)),
+        lambda_other=np.zeros((len(steps), 3)), dt=dt_ms / 1000.0, conflict=scn.conflict,
+        path_ego=scn.path_ego, path_other=scn.path_other, terminated=True,
+    )
+    _assert_same_tracks(tk.trace_to_records(trace, period), _per_step_records(trace, period))
+
+
 def _parallel_paths_config(tmp_path) -> ScenarioConfig:
     """A scenario on two parallel paths, with one track recorded on each."""
     k = np.arange(5)
