@@ -86,12 +86,21 @@ class ReferencePath:
 
         Arclengths beyond the endpoints extrapolate along the end segments, so a
         car that crosses the end of its polyline keeps a well-defined position.
+        d broadcasts to s's shape; the result is (*s.shape, 2).
         """
         s = np.asarray(s, dtype=float)
         idx = self._segment_index(s)
         offset = (s - self.cumulative_arclength.take(idx))[..., None]
-        base = self.points.take(idx, axis=0) + offset * self._unit.take(idx, axis=0)
-        return base + np.asarray(d, dtype=float)[..., None] * self._normal.take(idx, axis=0)
+        # points + offset * unit + d * normal, added in that order, in place over one
+        # (..., 2) temporary (mode="clip" takes into it without a buffer; idx is in range)
+        xy = self.points.take(idx, axis=0)
+        step = self._unit.take(idx, axis=0)
+        step *= offset
+        xy += step
+        step = self._normal.take(idx, axis=0, out=step, mode="clip")
+        step *= np.asarray(d, dtype=float)[..., None]
+        xy += step
+        return xy
 
     def tangent(self, s) -> np.ndarray:
         """Unit tangent of the segment containing arclength s."""

@@ -20,6 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import sampling
 from .core import AgentState, JointState
 from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError
 from .planner import Scenario
@@ -233,9 +234,6 @@ def window_starts(obs, cfg: InferenceConfig) -> range:
     return range(1 if cfg.growing_window else len(obs.s) - cfg.window_r)
 
 
-_SLICE_ELEMENTS = 1 << 22  # the largest (G, P, ne) array log_likelihoods makes, in float64 elements (32 MiB)
-
-
 class SeatReplay:
     """One seat's joint spaces at a pair's observed states, read in batches.
 
@@ -284,7 +282,7 @@ class SeatReplay:
         group and ego fan size ne, on its (3, ne) terms, so the terms of a
         later (maybe failing) state never reach them; and over slices of
         those states, so that one (G, P, ne) array holds at most
-        _SLICE_ELEMENTS numbers (or one state's).  The arithmetic is
+        sampling._BLOCK_ELEMENTS numbers (or one state's).  The arithmetic is
         _log_softmax's, on that array worked in place: the max over the ne
         slices (exact in any order), then the sum over the last axis, as
         _log_softmax takes it (numpy adds pairwise from 8 terms, so a sum
@@ -300,7 +298,7 @@ class SeatReplay:
             asked[row[at]] = True
             states = asked.nonzero()[0]  # their distinct states, in order
             pos = (asked.cumsum() - 1)[row[at]]  # each entry's state's place in states
-            step = max(1, _SLICE_ELEMENTS // (len(lambdas) * ne))
+            step = max(1, sampling._BLOCK_ELEMENTS // (len(lambdas) * ne))
             for lo in range(0, len(states), step):
                 u = lambdas @ self.terms.groups[g].terms[states[lo : lo + step], :, :ne]  # (G, P, ne)
                 peak = u[..., 0].copy()
@@ -364,10 +362,14 @@ class PairReplay:
         tau in the seat's reader (seat), which is tau itself (0 under
         growing_window), and means[j] the posterior mean after the window
         tau..stops[j] as a weight row (3,); len(means) frames ran, and error
-        is the one the next frame raises (None if every frame ran).  Matched
-        labels, log-likelihoods and means (_means) come from one array pass
-        each; the weight recursion (_reweigh, as in update_posterior) runs per
-        frame, with resampling at the particles each frame copied.
+        is the one the next frame raises (None if every frame ran).  The
+        matched labels come from one array pass.  The frames then run in
+        blocks of at most sampling._BLOCK_ELEMENTS // P (or one), so that no
+        (F, P) array lives: each block's log-likelihoods and its means
+        (_means) come from one array pass each, and the weight recursion
+        (_reweigh, as in update_posterior) runs per frame, with resampling at
+        the particles each frame copied.  A frame's numbers do not depend on
+        the block it falls in.
 
         Errors stop the pass at their frame, as in the per-frame loop: a
         window start's build error at frame tau + r (under growing_window, at
@@ -386,11 +388,13 @@ class PairReplay:
         stops = list(range(r, total + 1))
         entries = [0 if cfg.growing_window else k - r for k in stops]
         n = bisect_left(entries, reader.terms.sound)  # frames before the first use of a failing state
-        rows, per_frame, error = [], [], None
-        if n:
-            labels = reader.matched_labels(obs_self.xy, entries[:n], stops[:n])
-            with np.errstate(divide="ignore"):  # a weight that reached 0 has log -inf
-                for loglik in reader.log_likelihoods(pset.lambdas, entries[:n], labels):
+        labels = reader.matched_labels(obs_self.xy, entries[:n], stops[:n]) if n else None
+        step = max(1, sampling._BLOCK_ELEMENTS // len(lambdas))  # frames a block, so no (F, P) array lives
+        blocks, error = [], None
+        with np.errstate(divide="ignore"):  # a weight that reached 0 has log -inf
+            for lo in range(0, n, step):
+                block, rows, per_frame = slice(lo, min(lo + step, n)), [], []
+                for loglik in reader.log_likelihoods(pset.lambdas, entries[block], labels[block]):
                     try:
                         weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
                     except DegenerateWeightsError as exc:
@@ -401,13 +405,16 @@ class PairReplay:
                         lambdas = lambdas[idx]
                         per_frame.append(lambdas)
                     rows.append(weights)
-        means = np.empty((0, 3))
-        if rows:
-            means = _means(np.stack(rows), np.stack(per_frame) if per_frame else lambdas)
-            bad = off_simplex(means)
-            if bad.any():
-                good = int(bad.argmax())
-                means, error = means[:good], weights_error(means[good])
+                if rows:
+                    means = _means(np.stack(rows), np.stack(per_frame) if per_frame else lambdas)
+                    bad = off_simplex(means)
+                    if bad.any():
+                        good = int(bad.argmax())
+                        means, error = means[:good], weights_error(means[good])
+                    blocks.append(means)
+                if error is not None:
+                    break
+        means = np.concatenate(blocks) if blocks else np.empty((0, 3))
         if error is None and n < len(entries):
             error = reader.terms.error[1]  # entry n is at or past the first failing state
         return entries, stops, means, error

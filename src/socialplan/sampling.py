@@ -152,32 +152,39 @@ class JointBehaviorSpace:
 def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
     """Roll out acceleration sequences accels (..., n, N), row by row from s0, v0.
 
-    s0 and v0 broadcast to accels.shape[:-1].  Returns (S, V), each
-    (..., N+1).  Both are running sums along the step axis (np.add.accumulate
-    adds left to right) that repeat the float operations of
-    core.step_dynamics in its order:
+    s0 and v0 broadcast to accels.shape[:-1].  Returns (S, V), each a
+    contiguous (..., N+1) array.  Both are running sums along the step axis
+    (np.add.accumulate adds left to right, here in place) that repeat the
+    float operations of core.step_dynamics in its order:
 
         V over [v0, a0*dt, a1*dt, ...]                    v' = v + a*dt
         S over [s0, v0*dt, 0.5*a0*dt*dt, v1*dt, ...]      s' = s + v*dt + 0.5*a*dt*dt
 
     so the result matches it bit for bit; a closed form or a hoisted
-    0.5*dt*dt would round differently.  A row whose speed would go negative
-    is exact up to the step the car stops in.  Where that is the last step,
-    step_dynamics' stop branch runs on the last column, for all such rows
-    at once; a row that stops earlier is rolled out from its stop step on,
-    step by step, through step_dynamics.
+    0.5*dt*dt would round differently.  S is copied out of its interleaved
+    running sum, so that the (..., 2N+1) array dies here.  A row whose speed
+    would go negative is exact up to the step the car stops in.  Where that
+    is the last step, step_dynamics' stop branch runs on the last column,
+    for all such rows at once; a row that stops earlier is rolled out from
+    its stop step on, step by step, through step_dynamics.
     """
     accels = np.asarray(accels, dtype=float)
     n = accels.shape[-1]
-    dv = np.empty(accels.shape[:-1] + (n + 1,))
-    dv[..., 0] = v0
-    np.multiply(accels, dt, out=dv[..., 1:])
-    V = np.add.accumulate(dv, axis=-1)
+    V = np.empty(accels.shape[:-1] + (n + 1,))
+    V[..., 0] = v0
+    np.multiply(accels, dt, out=V[..., 1:])
+    np.add.accumulate(V, axis=-1, out=V)
     ds = np.empty(accels.shape[:-1] + (2 * n + 1,))
     ds[..., 0] = s0
     np.multiply(V[..., :-1], dt, out=ds[..., 1::2])
-    ds[..., 2::2] = 0.5 * accels * dt * dt
-    S = np.add.accumulate(ds, axis=-1)[..., ::2]
+    half = 0.5 * accels  # ((0.5*a)*dt)*dt, the order of 0.5*a*dt*dt, in place on a contiguous temporary:
+    half *= dt  # numpy works in place on a strided view more slowly than on its own array
+    half *= dt
+    ds[..., 2::2] = half
+    del half
+    np.add.accumulate(ds, axis=-1, out=ds)
+    S = ds[..., ::2].copy()
+    del ds
 
     negative = V < 0.0
     if negative.any():
@@ -198,6 +205,9 @@ def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
     return S, V
 
 
+_BLOCK_ELEMENTS = 1 << 14  # float64 elements (128 KiB) of the largest replay temporary: safety_matrix, SeatReplay, PairReplay
+
+
 def safety_matrix(
     xy_ego: np.ndarray,
     xy_other: np.ndarray,
@@ -211,30 +221,48 @@ def safety_matrix(
     """Accumulated pairwise proximity penalty over the horizon.
 
     xy_ego: (..., ne, N+1, 2), xy_other: (..., no, N+1, 2), s_ego:
-    (..., ne, N+1), s_other: (..., no, N+1).  Entry [..., i, j] is
+    (..., ne, N+1), s_other: (..., no, N+1), with the same leading axes
+    (the states).  Entry [..., i, j] is
 
         -sum_t exp(-|p_e - p_o| / sigma_d)
               * exp(-(|s_e - s_ce| + |s_o - s_co|) / sigma_c)
 
-    summed over steps t = 0..N-1.
+    summed over steps t = 0..N-1.  The states run in blocks, so that each
+    (G, ne, no, N) temporary holds at most _BLOCK_ELEMENTS floats, or one
+    state's (the xy difference holds twice that); a pass of one to three
+    states, as the closed loop builds, is one block.  Every reduction runs
+    over the last axis, so a block gives each state the bits it has alone.
     """
-    t = xy_ego.shape[-2] - 1
-    diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
-    # in place, as a replay builds a whole pair at once; x / -sigma is the float -x / sigma, so the factors keep
-    # the bits of exp(-|s - s_c| / sigma_c) and exp(-sqrt(sum diff**2) / sigma_d), multiplied in that order
-    prox_e, prox_o = np.abs(s_ego[..., :t] - s_conflict_ego), np.abs(s_other[..., :t] - s_conflict_other)
+    if xy_ego.ndim != 4:  # the states on one leading axis
+        lead = xy_ego.shape[:-3]
+        flat = [a.reshape((-1,) + a.shape[len(lead) :]) for a in (xy_ego, xy_other, s_ego, s_other)]
+        out = safety_matrix(*flat, s_conflict_ego, s_conflict_other, sigma_d, sigma_c)
+        return out.reshape(lead + out.shape[1:])
+    ne, no, t = xy_ego.shape[1], xy_other.shape[1], xy_ego.shape[2] - 1
+    # x / -sigma is the float -x / sigma, so the factors keep the bits of
+    # exp(-|s - s_c| / sigma_c) and exp(-sqrt(sum diff**2) / sigma_d), multiplied in that order
+    prox_e, prox_o = s_ego[..., :t] - s_conflict_ego, s_other[..., :t] - s_conflict_other
     for prox in (prox_e, prox_o):
+        np.abs(prox, out=prox)
         prox /= -sigma_c
         np.exp(prox, out=prox)
-    # the two-slice sum is the one addition that sum(axis=-1) makes over two entries, without its per-element loop
-    diff *= diff
-    w = diff[..., 0] + diff[..., 1]
-    del diff
-    np.sqrt(w, out=w)
-    w /= -sigma_d
-    np.exp(w, out=w)
-    w *= prox_e[..., :, None, :] * prox_o[..., None, :, :]
-    return -w.sum(axis=-1)
+    out = np.empty((len(xy_ego), ne, no))
+    step = max(1, _BLOCK_ELEMENTS // (ne * no * t))
+    for lo in range(0, len(out), step):
+        block = slice(lo, lo + step)
+        diff = xy_ego[block, :, None, :t] - xy_other[block, None, :, :t]
+        # in place; the two-slice sum is the one addition that sum(axis=-1) makes over two entries,
+        # without its per-element loop
+        diff *= diff
+        w = diff[..., 0] + diff[..., 1]
+        del diff
+        np.sqrt(w, out=w)
+        w /= -sigma_d
+        np.exp(w, out=w)
+        w *= prox_e[block, :, None] * prox_o[block, None]
+        w.sum(axis=-1, out=out[block])
+    np.negative(out, out=out)
+    return out
 
 
 def _lateral(d: float, n: int, d0: float) -> float:
@@ -505,11 +533,16 @@ def build_joint_arrays(
 
         # accumulated efficiency and comfort over steps 0..N-1; each row's
         # comfort sum runs over its N equal terms (an N * a**2 closed form
-        # would round differently), and its jerk term is exactly 0.0
-        dev = (V[..., :n] - limits[..., None, None]) / limits[..., None, None]
+        # would round differently), and its jerk term is exactly 0.0; x**2 is x*x
+        sq = V[..., :n] - limits[..., None, None]  # one temporary, worked in place
+        sq /= limits[..., None, None]
+        sq *= sq
         lateral = np.array([[_lateral(x, n, reward_cfg.d0) for x in side] for side in d.tolist()])
-        eff = -((dev * dev).sum(axis=-1) + lateral[..., None])  # (side, F, nt)
-        com = -((rows / reward_cfg.a0) ** 2).sum(axis=-1)
+        eff = -(sq.sum(axis=-1) + lateral[..., None])  # (side, F, nt)
+        np.divide(rows, reward_cfg.a0, out=sq)
+        sq *= sq
+        com = -sq.sum(axis=-1)
+        del sq
 
         # the safety feature is symmetric in the pair, so one matrix serves both
         safety = safety_matrix(

@@ -1,0 +1,58 @@
+"""Replay's memory: a build's temporaries stay near the arrays it keeps, and a posterior pass holds no (F, P) array.
+
+Peaks are tracemalloc's, which sees every numpy data buffer.  The inputs
+are the courtesy fixture's observed states and pair.
+"""
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from socialplan import workflows
+from socialplan.config import load_config
+from socialplan.inference import PairReplay, observed_state, window_starts
+from socialplan.scenarios import fixture_scenario, write_scenario_config
+
+
+@pytest.fixture(scope="module")
+def courtesy(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("memory")
+    template = write_scenario_config(fixture_scenario("courtesy"), tmp / "template", seed=0)
+    cfg = load_config(workflows.make_fixture(template, workflows.POLICIES["courtesy"](), seed=0, out_dir=tmp / "f"))
+    [(_, pair)] = workflows.observed_pairs(cfg)
+    return cfg, pair
+
+
+def _peak(run):
+    """run()'s result and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_build_of_2000_states_peaks_near_the_arrays_it_keeps(courtesy):
+    """Once 3.1 times the kept arrays: the safety matrix's whole-build temporaries and the rollout's interleaved sum."""
+    cfg, pair = courtesy
+    scenario = cfg.load_scenario()
+    frames = [observed_state(pair.ego, pair.other, k) for k in range(len(pair.ego.s))]
+    states = [frames[i % len(frames)] for i in range(2000)]
+    arrays, peak = _peak(lambda: scenario.arrays_at(states))
+    kept = [arrays.sizes, arrays.rows, arrays.S, arrays.V, *arrays.xy, arrays.eff, arrays.com, arrays.safety,
+            arrays.reward_ego, arrays.reward_other]
+    assert peak < 1.5 * sum(a.nbytes for a in kept)
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_a_posterior_pass_peaks_below_one_frames_by_particles_array(courtesy, resample):
+    """Once about six (F, P) arrays: the log-likelihood rows, the weight rows twice, and the products' slices."""
+    cfg, pair = courtesy
+    icfg = replace(cfg.inference, n_particles=20_000, resample=resample)
+    replay = PairReplay(pair.ego, pair.other, cfg.load_scenario(), window_starts(pair.ego, icfg))
+    replay.seat(0)  # the build and the particle draw are not the pass's
+    replay.particles(icfg, cfg.seed)
+    (_, stops, means, error), peak = _peak(lambda: replay.posterior_pass(0, icfg, cfg.seed))
+    assert error is None and len(means) == len(stops) > 1
+    assert peak < len(means) * icfg.n_particles * 8

@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
@@ -680,3 +683,122 @@ def test_cli_replay_writes_nothing_when_a_later_pair_fails(short_overlap, tmp_pa
     assert main([command, "--config", str(tmp_path / "scenario.json"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("socialplan: NonFiniteRewardError: ")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_source(tmp_path_factory):
+    """The courtesy fixture's files, read back: (config dict, tracks text, {path file: bytes})."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    save_config(write_scenario_config(fixture_scenario("courtesy"), tmp / "template", seed=0), tmp / "t.json")
+    assert main(["fixture", "--config", str(tmp / "t.json"), "--out", str(tmp / "f")]) == 0
+    paths = {name: (tmp / "f" / name).read_bytes() for name in ("path_ego.csv", "path_other.csv")}
+    return json.loads((tmp / "f" / "scenario.json").read_text()), (tmp / "f" / "tracks.csv").read_text(), paths
+
+
+def _leaves(node, at=()):
+    """The key paths of every leaf of a config dict; a list of numbers counts as a leaf."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items() for leaf in _leaves(value, at + (key,))]
+    return [at]
+
+
+# the size fields draw values the config's bounds reject, or small ones, never a size that would allocate;
+# max_steps, window_r and frame_period_ms draw small values only, and dt nothing below 0.01 s, because
+# neither a sim's step count nor a replay's grid (span / dt) has a bound
+_BOUNDS = {("sampler", "horizon_steps"): MAX_HORIZON_STEPS, ("inference", "n_particles"): MAX_PARTICLES}
+_JUNK = st.sampled_from(
+    [None, True, False, "", "x", "egoism", [], {}, [1.0], [0.2, 0.3, 0.5], {"kind": "dirichlet"}, 0, 1, -1, 0.5, -2.5,
+     1e-300, 1e300, float("nan"), float("inf"), float("-inf")]
+)
+
+
+def _value(leaf):
+    if leaf in _BOUNDS:
+        return st.one_of(st.integers(-2, 40), st.integers(_BOUNDS[leaf] + 1, 2**70), _JUNK)
+    if leaf == ("sampler", "dt"):
+        return st.one_of(st.floats(0.01, 1e300), st.floats(max_value=0.0), _JUNK.filter(lambda v: v != 1e-300))
+    if leaf[-1] == "terminal_speed_fractions":
+        return st.one_of(st.lists(st.floats(-2.0, 3.0), max_size=13), _JUNK)
+    return st.one_of(st.integers(-3, 60), st.floats(-1e3, 1e3), _JUNK)
+
+
+@st.composite
+def _config_mutations(draw, config):
+    """A copy of config with one to three leaves replaced, deleted or joined by an unknown key."""
+    data = json.loads(json.dumps(config))
+    leaves = _leaves(config)
+    for _ in range(draw(st.integers(1, 3))):
+        leaf = draw(st.sampled_from(leaves))
+        parent = data
+        for key in leaf[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue  # an earlier mutation replaced this section
+        kind = draw(st.sampled_from(["replace", "replace", "replace", "delete", "unknown"]))
+        if kind == "replace":
+            parent[leaf[-1]] = draw(_value(leaf))
+        elif kind == "delete":
+            parent.pop(leaf[-1], None)
+        else:
+            parent["unknown_key"] = 1
+    return data
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["", "x", "nan", "inf", "-inf", "1e300", "-1e300", "1e-320", "0", "-1", "1_0", " 2 ", "1.5",
+                     "9223372036854775807", "9223372036854775808", "-9223372036854775809", "0x10"]),
+    st.integers(-10**5, 10**5).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+)
+
+
+@st.composite
+def _track_mutations(draw, text):
+    """text with one to three edits: a field replaced (timestamps stay within 10**5 of one another, so no
+    grid grows past a few thousand steps), a row dropped, repeated or cut short, the file truncated, or a bad header."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if len(lines) < 2:
+            break
+        row = draw(st.integers(1, len(lines) - 1))
+        kind = draw(st.sampled_from(["field", "field", "drop", "repeat", "short", "truncate", "header"]))
+        fields = lines[row].split(",")
+        if kind == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_TOKENS)
+            lines[row] = ",".join(fields)
+        elif kind == "drop":
+            del lines[row]
+        elif kind == "repeat":
+            lines.insert(row, lines[row])
+        elif kind == "short":
+            lines[row] = ",".join(fields[:-1])
+        elif kind == "truncate":
+            del lines[row:]
+        else:
+            lines[0] = draw(st.sampled_from(["", "track_id,frame_id", lines[0] + ",extra", lines[0].upper()]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_documented_code_and_one_line(fuzz_source, data):
+    """Mutated configs and track CSVs through cli.main, under warnings as errors: exit 0, 1 or 2, at most one
+    line on stderr, and never a raised exception or a traceback."""
+    config, tracks, paths = fuzz_source
+    command = data.draw(st.sampled_from(["sim", "fixture", "infer", "regen"]), label="command")
+    mutated_config = data.draw(st.one_of(st.just(config), _config_mutations(config)), label="config")
+    mutated_tracks = data.draw(st.one_of(st.just(tracks), _track_mutations(tracks)), label="tracks")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "scenario.json").write_text(json.dumps(mutated_config))
+        (root / "tracks.csv").write_text(mutated_tracks)
+        for name, content in paths.items():
+            (root / name).write_bytes(content)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(root / "scenario.json"), "--out", str(root / "out")])
+    event(f"{command} exits {code}")
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

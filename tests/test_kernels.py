@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan import inference, sampling
+from socialplan import sampling
 from socialplan.inference import SeatReplay
 from socialplan.rewards import _log_softmax
 from reference_builder import reference_safety_matrix
@@ -77,17 +77,25 @@ def test_safety_matrix_reference_value():
     sigma_c=st.floats(0.1, 20.0),
     conflict=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
     seed=st.integers(0, 2**32 - 1),
+    block=st.one_of(st.none(), st.integers(1, 7)),
 )
-@example(batch=[2, 3], ne=4, no=2, n=30, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=0)
-@example(batch=[], ne=1, no=6, n=1, sigma_d=0.1, sigma_c=20.0, conflict=(0.0, 60.0), seed=1)
-def test_safety_matrix_matches_the_reference_bit_for_bit(batch, ne, no, n, sigma_d, sigma_c, conflict, seed):
-    """The in-place safety_matrix gives the bytes of the one-expression reference, over leading batch axes."""
+@example(batch=[2, 3], ne=4, no=2, n=30, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=0, block=None)
+@example(batch=[], ne=1, no=6, n=1, sigma_d=0.1, sigma_c=20.0, conflict=(0.0, 60.0), seed=1, block=None)
+# four blocks of two states and a last block of one
+@example(batch=[3, 3], ne=6, no=6, n=12, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=2, block=2)
+def test_safety_matrix_matches_the_reference_bit_for_bit(batch, ne, no, n, sigma_d, sigma_c, conflict, seed, block):
+    """The in-place safety_matrix gives the bytes of the one-expression reference, over leading batch axes.
+
+    block, if set, is the number of states (leading entries) a block holds,
+    through a _BLOCK_ELEMENTS of that many states' (ne, no, N) temporaries.
+    """
     rng = np.random.default_rng(seed)
     lead = tuple(batch)
     xy_ego, xy_other = (rng.uniform(-20.0, 20.0, lead + (m, n + 1, 2)) for m in (ne, no))
     s_ego, s_other = (rng.uniform(0.0, 60.0, lead + (m, n + 1)) for m in (ne, no))
     args = (xy_ego, xy_other, s_ego, s_other, *conflict, sigma_d, sigma_c)
-    got = sampling.safety_matrix(*args)
+    with patch.object(sampling, "_BLOCK_ELEMENTS", block * ne * no * n if block else sampling._BLOCK_ELEMENTS):
+        got = sampling.safety_matrix(*args)
     assert got.shape == lead + (ne, no)
     assert got.tobytes() == reference_safety_matrix(*args).tobytes()
 
@@ -109,27 +117,27 @@ def _terms(rng, states: int, ne: int, ties: bool) -> np.ndarray:
     n_particles=st.integers(2, 300),
     picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=30),
     ties=st.booleans(),
-    slice_elements=st.one_of(st.just(inference._SLICE_ELEMENTS), st.integers(1, 20_000)),
+    block_elements=st.one_of(st.just(sampling._BLOCK_ELEMENTS), st.integers(1, 20_000)),
     seed=st.integers(0, 2**32 - 1),
 )
 # every entry the same state, as under growing_window, at numpy's pairwise threshold of 8 terms
-@example(states=[(0, 8)], n_particles=300, picks=[0] * 30, ties=False, slice_elements=1 << 22, seed=0)
+@example(states=[(0, 8)], n_particles=300, picks=[0] * 30, ties=False, block_elements=1 << 22, seed=0)
 @example(
     states=[(1, 7), (0, 12), (0, 12), (1, 7), (1, 7)], n_particles=101, picks=list(range(20)), ties=True,
-    slice_elements=1 << 22, seed=1,
+    block_elements=1 << 22, seed=1,
 )
 # ego fans of 12, 5 and 3 candidates in one group, one state per slice
 @example(
     states=[(0, 12), (0, 5), (0, 12), (1, 3), (0, 3)], n_particles=50, picks=list(range(0, 40, 3)), ties=False,
-    slice_elements=1, seed=2,
+    block_elements=1, seed=2,
 )
-def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, picks, ties, slice_elements, seed):
+def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, picks, ties, block_elements, seed):
     """SeatReplay.log_likelihoods against _log_softmax(lambdas @ terms)[:, label] per entry, as bytes.
 
     states[i] = (fan-size group, ego fan size) of state i; a group's terms
     are padded with NaN to its largest ego fan, as social_terms pads them.
     picks choose the entries (sorted, with repeats) and their labels.
-    slice_elements bounds the (G, P, ne) array, so that the states run in
+    block_elements bounds the (G, P, ne) array, so that the states run in
     slices of one or more.
     """
     rng = np.random.default_rng(seed)
@@ -147,7 +155,7 @@ def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, pi
     lambdas = rng.dirichlet(np.ones(3), size=n_particles)
     entries = sorted(p % len(states) for p in picks)
     labels = [p % ne[i] for p, i in zip(picks, entries)]
-    with patch.object(inference, "_SLICE_ELEMENTS", slice_elements):
+    with patch.object(sampling, "_BLOCK_ELEMENTS", block_elements):
         got = SeatReplay.log_likelihoods(SimpleNamespace(terms=seat_terms), lambdas, entries, labels)
     assert got.shape == (len(entries), n_particles)
     for row, i, label in zip(got, entries, labels):

@@ -14,12 +14,14 @@ same bytes and raises the definition's first error at the definition's
 frame, builds each pair in one call of the batch builder, of exactly the
 states the run reads, and builds nothing for the other seat.
 """
+import contextlib
 import itertools
 import json
 import shutil
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -602,3 +604,83 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
                     for f, label in enumerate(by_frame):
                         acc += float(mse[f, h, label])
                     assert np.float64(total).tobytes() == np.float64(acc).tobytes()
+
+
+def _posterior_pass_with_fault(pair, scenario, cfg, seat, fault, at, block_elements):
+    """PairReplay.posterior_pass under a _BLOCK_ELEMENTS of block_elements, with a fault at posterior frame at.
+
+    fault is None, "build" (the state of frame at's window start fails),
+    "degenerate" (frame at's update) or "off_simplex" (frame at's mean).
+    """
+    real_terms, real_reweigh, real_means = sampling.JointArrays.social_terms, inference._reweigh, inference._means
+    calls, seen = itertools.count(), [0]
+
+    def social_terms(self):
+        terms = real_terms(self)
+        entry = 0 if cfg.growing_window else at
+        return replace(terms, error=(entry, sp.NonFiniteRewardError(f"state {entry} fails")))
+
+    def reweigh(weights, loglik, resample):
+        if next(calls) == at:
+            raise sp.DegenerateWeightsError(f"frame {at} degenerates")
+        return real_reweigh(weights, loglik, resample)
+
+    def means(weights, lambdas):
+        out = real_means(weights, lambdas)
+        if seen[0] <= at < seen[0] + len(out):
+            out[at - seen[0]] = (-1.0, 1.0, 1.0)
+        seen[0] += len(out)
+        return out
+
+    faults = {"build": (sampling.JointArrays, "social_terms", social_terms),
+              "degenerate": (inference, "_reweigh", reweigh), "off_simplex": (inference, "_means", means)}
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(patch.object(sampling, "_BLOCK_ELEMENTS", block_elements))
+        if fault is not None:
+            stack.enter_context(patch.object(*faults[fault]))
+        replay = PairReplay(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))
+        return replay.posterior_pass(seat, cfg, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    per_block=st.integers(1, 7),
+    n_particles=st.integers(2, 40),
+    resample=st.booleans(),
+    growing=st.booleans(),
+    seat=st.integers(0, 1),
+    fault=st.sampled_from([None, "build", "degenerate", "off_simplex"]),
+    block=st.integers(0, 2**16),
+    edge=st.sampled_from(["first", "last"]),
+)
+@example(per_block=3, n_particles=20, resample=True, growing=False, seat=0, fault="degenerate", block=4, edge="first")
+@example(per_block=7, n_particles=9, resample=False, growing=True, seat=1, fault="off_simplex", block=2, edge="last")
+@example(per_block=1, n_particles=2, resample=True, growing=True, seat=0, fault="build", block=0, edge="first")
+@example(per_block=5, n_particles=30, resample=False, growing=False, seat=1, fault="build", block=3, edge="last")
+def test_posterior_pass_in_blocks_of_frames_matches_one_block(
+    fixture_cfg, per_block, n_particles, resample, growing, seat, fault, block, edge
+):
+    """posterior_pass with per_block frames a block against one block: its entries, means as bytes and error.
+
+    A _BLOCK_ELEMENTS of per_block * P makes blocks of per_block frames.
+    The fault sits at the first or the last frame of a block (the last
+    block may be short, and then its last frame takes the fault).
+    """
+    [(_, pair)] = workflows.observed_pairs(fixture_cfg)
+    scenario = fixture_cfg.load_scenario()
+    cfg = replace(fixture_cfg.inference, n_particles=n_particles, resample=resample, growing_window=growing)
+    frames = len(pair.ego.s) - cfg.window_r
+    block %= -(-frames // per_block)
+    at = min(block * per_block + (0 if edge == "first" else per_block - 1), frames - 1)
+    runs = (
+        _posterior_pass_with_fault(pair, scenario, cfg, seat, fault, at, elements)
+        for elements in (frames * n_particles, per_block * n_particles)
+    )
+    (entries, stops, means, error), (got_entries, got_stops, got_means, got_error) = runs
+    assert (got_entries, got_stops) == (entries, stops)
+    assert got_means.tobytes() == means.tobytes()
+    assert type(got_error) is type(error) and str(got_error) == str(error)
+    if fault is None:
+        assert error is None and len(means) == frames
+    else:
+        assert error is not None and len(means) == (0 if fault == "build" and growing else at)

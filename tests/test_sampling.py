@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
+from socialplan import sampling
 from socialplan.inference import SeatReplay
 from socialplan.rewards import _log_softmax, component_arrays
 from socialplan.sampling import rollout_batch
@@ -245,32 +247,49 @@ _agent_state = st.tuples(
     forbid=st.booleans(),
     limits=st.tuples(st.floats(3.0, 15.0), st.floats(3.0, 15.0)),
     states=st.lists(st.tuples(_agent_state, _agent_state), min_size=1, max_size=10),
+    block=st.integers(1, 7),
 )
 # fan sizes (5, 6) from rest and (6, 6) at 5 m/s in one batch; at 5 m/s the
 # row braking to 0 ends a hair below zero, so its last step takes the stop branch
 @example(
     steps=12, dt=0.25, fractions=[0.0, 0.25, 0.5, 0.75, 1.0, 1.25], a_min=-6.0, a_max=3.0, forbid=False,
     limits=(10.0, 10.0), states=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3)), ((40.0, 5.0, -0.2), (45.0, 5.0, 0.0))],
+    block=1,
 )
 # a collapsed ego fan (every target clamps to a_min) is an error under forbid_singleton
 @example(
     steps=12, dt=0.25, fractions=[0.0, 0.25], a_min=-1.0, a_max=3.0, forbid=True,
     limits=(10.0, 10.0), states=[((40.0, 5.0, 0.0), (45.0, 5.0, 0.0)), ((40.0, 18.0, 0.0), (45.0, 5.0, 0.0))],
+    block=7,
 )
 # twelve targets, unsorted and repeated, so every fan is padded on the full grid
 @example(
     steps=30, dt=0.08, fractions=[1.5, 0.0, 0.25, 0.25, 1.0, 0.5, 0.75, 1.25, 1.0, 0.0, 1.5, 0.5], a_min=-6.0,
     a_max=3.0, forbid=False, limits=(10.0, 4.0),
     states=[((60.0, 0.0, 0.0), (50.0, 5.0, 0.3)), ((40.0, 12.0, -0.2), (45.0, 2.0, 0.0))],
+    block=1,
 )
-def test_build_joint_spaces_matches_one_state_builds(steps, dt, fractions, a_min, a_max, forbid, limits, states):
-    """The batch builder against reference_space, the one-side-at-a-time build it replaced."""
+def test_build_joint_spaces_matches_one_state_builds(
+    steps, dt, fractions, a_min, a_max, forbid, limits, states, block
+):
+    """The batch builder against reference_space, the one-side-at-a-time build it replaced.
+
+    A build whose safety matrix runs block states at a time (a _BLOCK_ELEMENTS
+    patched to that many states' (nt, nt, N) temporaries) gives the bytes of
+    one block, in every array.
+    """
     sampler = sp.SamplerConfig(
         horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions),
         accel_min=a_min, accel_max=a_max, forbid_singleton=forbid,
     )
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
     xs = [sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(*o)) for e, o in states]
+    one = scn.arrays_at(xs)
+    with patch.object(sampling, "_BLOCK_ELEMENTS", block * len(fractions) ** 2 * steps):
+        blocked = scn.arrays_at(xs)
+    for name in ("sizes", "rows", "S", "V", "eff", "com", "safety", "reward_ego", "reward_other"):
+        assert _same_bits(getattr(one, name), getattr(blocked, name)), name
+    assert [_same_bits(a, b) for a, b in zip(one.xy, blocked.xy)] == [True, True]
     expected, error = [], None
     for x in xs:  # the reference builds in order, each then asked for its components
         try:
