@@ -8,6 +8,7 @@ first control of their sequences before the next replan (receding horizon).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point,
 from .errors import SocialPlanError
 from .rewards import RewardConfig, RewardWeights
 from .sampling import JointArrays, JointBehaviorSpace, SamplerConfig, SeatTerms
-from .sampling import build_joint_arrays, build_joint_space
+from .sampling import build_joint_arrays, build_joint_space, fan_accels
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,60 @@ def decide(arrays: JointArrays, terms: SeatTerms, i: int, lam: RewardWeights) ->
     return label, response, float(arrays.rows[0, i, label, 0]), float(arrays.rows[1, i, response, 0])
 
 
+# The longest chain of predicted states one policy adds to a build (simulate_policies).
+_LOOKAHEAD = 4
+
+
+@dataclass
+class _Lookahead:
+    """One policy's speculation: its last decision (leader label, follower response) and its next chain's depth."""
+
+    guess: tuple[int, int] | None = None
+    depth: int = 0
+
+    def chain(self, scenario: Scenario, x: JointState, steps: int) -> list[JointState]:
+        """Up to depth states after x, at most steps, each one step on from the last with guess repeated on its fans.
+
+        They are the states the loop reaches if the policy decides guess at
+        x and at each of them.  The chain stops before a crossing, before a
+        state that a label outside a fan would need, and where step_dynamics
+        refuses a step (the loop then meets that refusal itself).
+        """
+        chain: list[JointState] = []
+        if self.guess is None:
+            return chain
+        (label, response), cfg = self.guess, scenario.sampler
+        limits = [scenario.path_ego.speed_limit, scenario.path_other.speed_limit]
+        while len(chain) < min(self.depth, steps):
+            accels, sizes = fan_accels([x.ego.v, x.other.v], limits, cfg)
+            if label >= sizes[0] or response >= sizes[1]:
+                break
+            try:
+                ego = step_dynamics(x.ego, float(accels[0, label]), cfg.dt)
+                other = step_dynamics(x.other, float(accels[1, response]), cfg.dt)
+            except ValueError:
+                break
+            x = JointState(ego, other, x.t + 1)
+            if _crossed(x, scenario.conflict):
+                break
+            chain.append(x)
+        return chain
+
+    def learn(self, decision: tuple[int, int], hits: int, chain_length: int) -> None:
+        """Adapt after a walk that moved to hits of its chain_length predicted states and ended on decision.
+
+        Every decision of the walk before its last equals guess.  A fully
+        verified chain doubles the depth (up to _LOOKAHEAD), a miss sets it
+        to the states verified, and at depth 0 two equal decisions in a row
+        set it to 1.
+        """
+        if chain_length:
+            self.depth = min(2 * self.depth, _LOOKAHEAD) if hits == chain_length else hits
+        if self.depth == 0 and decision == self.guess:
+            self.depth = 1
+        self.guess = decision
+
+
 def simulate_policies(
     scenario: Scenario,
     ego_policies: list[PolicySpec],
@@ -164,14 +219,26 @@ def simulate_policies(
     max_steps: int = 200,
     start_state: JointState | None = None,
 ) -> list[InteractionTrace]:
-    """simulate under each ego policy, all policies stepped in lockstep.
+    """simulate under each ego policy, all policies stepped in lockstep, with speculative lookahead.
 
-    Each round builds every running policy's state in one arrays_at call
-    and decides each from the arrays and terms (decide); a policy leaves
-    once it crosses or reaches max_steps.  The traces equal simulate's.  A
-    SocialPlanError is the one simulate would raise running the policies in
-    order: the policies before a round's first failing state step on, and
-    it and every later policy stop there.
+    Each round makes one arrays_at build: every running policy's state,
+    then, after all of them, each policy's chain of predicted states
+    (_Lookahead.chain): the states it reaches if its last decision (leader
+    label, follower response) repeats.  Each policy decides at its state
+    (decide) and walks on along its chain for as long as its decisions
+    equal the predicted ones, so one build serves every step whose decision
+    repeats.  Labels are compared, not states.  By induction each chain
+    state it walks to is the object the step-by-step loop reaches, and a
+    state's arrays and terms have the bits they have alone, so the traces
+    equal simulate's.  The chain depth adapts per policy (_Lookahead.learn).
+    A policy leaves once it crosses or reaches max_steps.
+
+    A SocialPlanError is the one simulate would raise running the policies
+    in order: the policies before a round's first failing current state step
+    on, and it and every later policy stop there.  A failing predicted state
+    lies at or past terms.sound and only ends a walk; a policy that reaches
+    it meets its error as a current state.  One DEBUG record on the
+    socialplan.planner logger says what the call did.
     """
     if any(policy.kind != "fixed" for policy in ego_policies):
         raise ValueError("the ego car is the leader and needs a fixed-weights policy")
@@ -182,22 +249,48 @@ def simulate_policies(
     states = [[x0] for _ in ego_policies]
     a_ego: list[list[float]] = [[] for _ in ego_policies]
     a_other: list[list[float]] = [[] for _ in ego_policies]
+    looks = [_Lookahead() for _ in ego_policies]
     running = [p for p in range(len(ego_policies)) if not _crossed(x0, conflict) and max_steps > 0]
     error: SocialPlanError | None = None
+    builds = built = predicted = used = 0
     while running:
         xs = [states[p][-1] for p in running]
-        arrays = scenario.arrays_at(xs)
+        chains = [looks[p].chain(scenario, x, max_steps - len(a_ego[p]) - 1) for p, x in zip(running, xs)]
+        build = xs + [x for chain in chains for x in chain]
+        arrays = scenario.arrays_at(build)
         terms = arrays.social_terms()
-        if terms.error is not None:
+        builds, built, predicted = builds + 1, built + len(build), predicted + len(build) - len(xs)
+        if terms.error is not None and terms.error[0] < len(xs):
             # any error kept so far came from a later policy, which simulate would never reach
             failed, error = terms.error
             running = running[:failed]
+        first = len(xs)  # the build index of the next chain's first state
         for i, (p, x) in enumerate(zip(running, xs)):
-            _, _, ae, ao = decide(arrays, terms, i, ego_policies[p].lam)
-            states[p].append(JointState(step_dynamics(x.ego, ae, dt), step_dynamics(x.other, ao, dt), x.t + 1))
-            a_ego[p].append(ae)
-            a_other[p].append(ao)
+            chain, look, lam = chains[i], looks[p], ego_policies[p].lam
+            at, hits = i, 0
+            while True:
+                label, response, ae, ao = decide(arrays, terms, at, lam)
+                a_ego[p].append(ae)
+                a_other[p].append(ao)
+                if hits == len(chain) or (label, response) != look.guess:
+                    states[p].append(JointState(step_dynamics(x.ego, ae, dt), step_dynamics(x.other, ao, dt), x.t + 1))
+                    break
+                x, at = chain[hits], first + hits
+                states[p].append(x)
+                hits += 1
+                if at >= terms.sound:
+                    break
+            used += hits
+            look.learn((label, response), hits, len(chain))
+            first += len(chain)
         running = [p for p in running if not _crossed(states[p][-1], conflict) and len(a_ego[p]) < max_steps]
+    # importing socialplan does not import logging; until something does, nothing can have configured it
+    logging = sys.modules.get("logging")
+    if logging is not None and logging.getLogger("socialplan.planner").isEnabledFor(logging.DEBUG):
+        logging.getLogger("socialplan.planner").debug(
+            "simulate_policies: %d steps, %d builds of %d states, %d of them predicted, %d predicted states used",
+            sum(map(len, a_ego)), builds, built, predicted, used,
+        )
     if error is not None:
         raise error
 

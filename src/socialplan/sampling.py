@@ -7,11 +7,13 @@ label.  Pairing the two fans yields the discrete joint behavior space; both
 agents' utilities are cached as |ego| x |other| matrices at build time so
 every downstream reward term reduces to row/column operations.
 
-build_joint_arrays is the one builder.  It puts both sides of every state
-on the full target grid, padding each fan to the number of terminal speeds,
-and runs rollout, path position, utility vectors, safety and the weighted
-sums once over that grid.  Every kernel reduces over the last axis only, so
-each row and pair gives the same bits as on its own.  Then
+build_joint_arrays is the one builder.  It samples every fan with
+fan_accels, which the closed loop also calls to predict the states its
+lookahead chains reach (planner.simulate_policies).  It puts both sides of
+every state on the full target grid, padding each fan to the number of
+terminal speeds, and runs rollout, path position, utility vectors, safety
+and the weighted sums once over that grid.  Every kernel reduces over the
+last axis only, so each row and pair gives the same bits as on its own.  Then
 JointArrays.social_terms() checks every state and returns one seat's social
 terms, a SeatTerms, computed once per group of states with equal follower
 fan sizes (the ego axis padded to the group's largest fan); its
@@ -84,6 +86,24 @@ def _first_of_runs(grid: np.ndarray) -> np.ndarray:
 def _forbids_singleton(grid: np.ndarray, cfg: SamplerConfig) -> bool:
     """Whether a fan of one distinct acceleration out of grid's targets is an error."""
     return cfg.forbid_singleton and grid.shape[-1] > 1
+
+
+def fan_accels(v, speed_limit, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's candidate fan on the full target grid: (accels (..., nt), sizes (...)) from speeds v (...).
+
+    A row holds its distinct clamped accelerations first, in order, and 0.0
+    after them; its size counts them, and the index of an acceleration is
+    its candidate label.  Every value comes from elementwise operations on
+    its own row, so a row has the same bits in any batch.  build_joint_arrays
+    samples every state's fans here, and the closed loop its predicted states.
+    """
+    grid = _accel_grid(v, speed_limit, cfg)
+    keep = _first_of_runs(grid)
+    sizes = keep.sum(axis=-1)
+    real = np.arange(grid.shape[-1]) < sizes[..., None]  # a row's first `size` entries are its candidates
+    accels = np.zeros(grid.shape)
+    accels[real] = grid[keep]  # both masks run row by row, so each row gets its own values, in order
+    return accels, sizes
 
 
 _COLLAPSED = "all candidates collapsed to a single acceleration"
@@ -517,14 +537,9 @@ def build_joint_arrays(
     s0, v0, d = np.array([[(a.s, a.v, a.d) for a in (x.ego, x.other)] for x in states]).T  # each (side, F)
     limits = np.array([path_ego.speed_limit, path_other.speed_limit])[:, None]
 
-    grid = _accel_grid(v0, limits, sampler_cfg)  # (side, F, nt)
-    keep = _first_of_runs(grid)
-    sizes = keep.sum(axis=-1)  # (side, F) fan sizes
-    real = np.arange(grid.shape[-1]) < sizes[..., None]  # a row's first `size` entries are its candidates
-    accels = np.zeros(grid.shape)
-    accels[real] = grid[keep]  # both masks run row by row, so each row gets its own values, in order
+    accels, sizes = fan_accels(v0, limits, sampler_cfg)  # (side, F, nt), (side, F)
     rows = accels[..., None].repeat(n, axis=-1)  # (side, F, nt, N)
-    forbid = _forbids_singleton(grid, sampler_cfg)
+    forbid = _forbids_singleton(accels, sampler_cfg)
     collapsed = (sizes == 1).any(axis=0).tolist() if forbid else [False] * len(states)
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported per state

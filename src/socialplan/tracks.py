@@ -20,6 +20,7 @@ from .planner import InteractionTrace, Scenario
 TRACK_HEADER = ["track_id", "frame_id", "timestamp_ms", "x", "y", "vx", "vy"]
 PATH_HEADER = ["x", "y"]
 MAX_LATERAL_FIT = 3.0  # m, a track must stay this close to its path
+MAX_GRID_STEPS = 10_000  # planning steps of one pair's shared grid (resample_pair)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compare columns with np.array_equal
@@ -244,13 +245,22 @@ def resample_pair(tracks: dict[int, Track], pair: InteractionPair, dt: float) ->
     """Put both tracks of a pair on a shared planning-rate time grid.
 
     tracks must be the ones the pair was extracted from: the path
-    projections are the ones the pair carries.
+    projections are the ones the pair carries.  A grid of more than
+    MAX_GRID_STEPS steps is a SchemaError, raised before it is allocated:
+    replay builds every step of it in one pass.
     """
     track_e, track_o = tracks[pair.ego_id], tracks[pair.other_id]
     t0 = max(track_e.timestamp_ms[0], track_o.timestamp_ms[0])
     t1 = min(track_e.timestamp_ms[-1], track_o.timestamp_ms[-1])
     dt_ms = dt * 1000.0
-    n = int(np.floor((t1 - t0) / dt_ms + 1e-9))
+    with np.errstate(over="ignore"):  # a subnormal dt overflows to inf, which the bound rejects
+        steps = np.floor((t1 - t0) / dt_ms + 1e-9)
+    if steps > MAX_GRID_STEPS:
+        raise SchemaError(
+            f"sampler.dt = {dt!r} s puts the {t1 - t0} ms that tracks {pair.ego_id} and {pair.other_id} share "
+            f"on more than {MAX_GRID_STEPS} planning steps; use a larger dt"
+        )
+    n = int(steps)
     if n < 1:
         raise ShortTrackError("tracks share less than one planning step of overlap")
     grid = t0 + dt_ms * np.arange(n + 1)

@@ -28,6 +28,7 @@ from socialplan.config import (
     save_config,
 )
 from socialplan.scenarios import case_scenario, fixture_scenario, write_scenario_config
+from socialplan.tracks import MAX_GRID_STEPS
 
 
 @pytest.fixture
@@ -685,6 +686,24 @@ def test_cli_replay_writes_nothing_when_a_later_pair_fails(short_overlap, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "regen"])
+@pytest.mark.parametrize("dt", [1e-7, 1e-300, 5e-324])
+def test_cli_replay_rejects_a_grid_past_its_bound(fuzz_source, tmp_path, capsys, command, dt):
+    """dt 1e-7 on the courtesy fixture once asked for a 580 MiB grid and ended in a MemoryError traceback."""
+    config, tracks, paths = fuzz_source
+    config = dict(config, sampler=dict(config["sampler"], dt=dt))
+    (tmp_path / "scenario.json").write_text(json.dumps(config))
+    (tmp_path / "tracks.csv").write_text(tracks)
+    for name, content in paths.items():
+        (tmp_path / name).write_bytes(content)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "scenario.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"socialplan: SchemaError: sampler.dt = {dt!r} s puts the ") and err.count("\n") == 1
+    assert f"on more than {MAX_GRID_STEPS} planning steps" in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_source(tmp_path_factory):
     """The courtesy fixture's files, read back: (config dict, tracks text, {path file: bytes})."""
@@ -703,8 +722,8 @@ def _leaves(node, at=()):
 
 
 # the size fields draw values the config's bounds reject, or small ones, never a size that would allocate;
-# max_steps, window_r and frame_period_ms draw small values only, and dt nothing below 0.01 s, because
-# neither a sim's step count nor a replay's grid (span / dt) has a bound
+# max_steps, window_r and frame_period_ms draw small values only, because a sim's step count has no bound;
+# dt draws any positive value, as tracks.MAX_GRID_STEPS bounds a replay's grid (span / dt)
 _BOUNDS = {("sampler", "horizon_steps"): MAX_HORIZON_STEPS, ("inference", "n_particles"): MAX_PARTICLES}
 _JUNK = st.sampled_from(
     [None, True, False, "", "x", "egoism", [], {}, [1.0], [0.2, 0.3, 0.5], {"kind": "dirichlet"}, 0, 1, -1, 0.5, -2.5,
@@ -716,7 +735,7 @@ def _value(leaf):
     if leaf in _BOUNDS:
         return st.one_of(st.integers(-2, 40), st.integers(_BOUNDS[leaf] + 1, 2**70), _JUNK)
     if leaf == ("sampler", "dt"):
-        return st.one_of(st.floats(0.01, 1e300), st.floats(max_value=0.0), _JUNK.filter(lambda v: v != 1e-300))
+        return st.one_of(st.floats(0.0, 1e300, exclude_min=True), st.floats(max_value=0.0), _JUNK)
     if leaf[-1] == "terminal_speed_fractions":
         return st.one_of(st.lists(st.floats(-2.0, 3.0), max_size=13), _JUNK)
     return st.one_of(st.integers(-3, 60), st.floats(-1e3, 1e3), _JUNK)

@@ -1,4 +1,5 @@
 """run_sim steps its policies in lockstep; results and errors match running them one after another."""
+import logging
 import re
 
 import numpy as np
@@ -196,3 +197,131 @@ def test_no_pipeline_assembles_a_joint_space(tmp_path, monkeypatch):
     assert (tmp_path / "regen" / "regen.json").exists()
     with pytest.raises(AssertionError, match="assembled"):
         fixture.load_scenario().space_at(fixture.initial)
+
+
+def _trace_bytes(trace) -> bytes:
+    """Every number a trace holds, states first, as bytes."""
+    xs = np.array([(x.t, x.ego.s, x.ego.v, x.ego.d, x.other.s, x.other.v, x.other.d) for x in trace.joint_states])
+    parts = (xs, trace.a_ego, trace.a_other, trace.lambda_ego, trace.lambda_other, np.array([trace.terminated]))
+    return b"|".join(np.ascontiguousarray(a).tobytes() for a in parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.tuples(st.floats(2.0, 30.0), st.floats(0.0, 12.0), st.floats(2.0, 30.0), st.floats(0.0, 12.0)),
+    limits=st.tuples(st.floats(3.0, 15.0), st.floats(3.0, 15.0)),
+    dt=st.sampled_from([0.08, 0.25]),
+    lams=st.lists(_lam, min_size=1, max_size=3),
+    max_steps=st.integers(1, 40),
+    start=st.one_of(st.none(), st.tuples(_agent_state, _agent_state)),
+)
+def test_lookahead_traces_match_the_one_step_loop(geometry, limits, dt, lams, max_steps, start):
+    """simulate_policies against reference_simulate per policy, as bytes, errors included: its chains are cut
+    at max_steps and at the crossing, and a start_state starts them anywhere."""
+    sampler = sp.SamplerConfig(horizon_steps=12, dt=dt)
+    scn = crossing_scenario(*geometry, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
+    start_state = None if start is None else sp.JointState(sp.AgentState(*start[0]), sp.AgentState(*start[1]), t=3)
+    policies = [sp.PolicySpec.fixed(sp.RewardWeights(np.array(lam))) for lam in lams]
+    try:
+        expected = [reference_simulate(scn, p.lam, max_steps, start_state) for p in policies]
+    except sp.SocialPlanError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            sp.simulate_policies(scn, policies, sp.PolicySpec.follower(), max_steps, start_state)
+        return
+    got = sp.simulate_policies(scn, policies, sp.PolicySpec.follower(), max_steps, start_state)
+    assert [_trace_bytes(t) for t in got] == [_trace_bytes(t) for t in expected]
+
+
+def _predicted(monkeypatch, scenario, policies) -> list:
+    """The states the policies' chains predict in one simulate_policies run, keyed as _failing_builder keys them."""
+    predicted = []
+    chain = planner._Lookahead.chain
+
+    def recording(self, *args):
+        states = chain(self, *args)
+        predicted.extend((x.t, x.ego, x.other) for x in states)
+        return states
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner._Lookahead, "chain", recording)
+        sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
+    return predicted
+
+
+def test_a_failing_predicted_state_fails_only_where_the_loop_reaches_it(monkeypatch):
+    """A state only a broken chain builds raises nothing and changes no trace; a state the loop reaches through a
+    verified chain raises the error the policies raise run one after another."""
+    scenario, lams, traces, keys = _case_one_runs()
+    policies = [sp.PolicySpec.fixed(lam) for lam in lams]
+    predicted = _predicted(monkeypatch, scenario, policies)
+    reached = [k for ks in keys for k in ks]
+    broken = [k for k in predicted if k not in reached]
+    verified = [k for k in reached if k in predicted]
+    assert broken and verified
+    for key in broken:
+        with monkeypatch.context() as patch:
+            _failing_builder(patch, {key: "a broken chain's state"})
+            got = sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
+        assert [_trace_bytes(t) for t in got] == [_trace_bytes(t) for t in traces]
+    for key in verified:
+        owner = next(p for p in range(3) if key in keys[p])
+        with monkeypatch.context() as patch:
+            _failing_builder(patch, {key: f"policy {owner}"})
+            with pytest.raises(sp.NonFiniteRewardError, match=f"^policy {owner}$"):
+                sp.simulate(scenario, policies[owner], sp.PolicySpec.follower())
+            with pytest.raises(sp.NonFiniteRewardError, match=f"^policy {owner}$"):
+                sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
+
+
+def test_run_sim_on_case_one_makes_fewer_builds_than_steps(tmp_path, monkeypatch):
+    """Case I under the three policies: one build serves the steps whose decisions repeat."""
+    builds = []
+    arrays_at = planner.Scenario.arrays_at
+
+    def counting(self, states):
+        builds.append(len(states))
+        return arrays_at(self, states)
+
+    cfg = write_scenario_config(case_scenario("I"), tmp_path / "config")
+    monkeypatch.setattr(planner.Scenario, "arrays_at", counting)
+    workflows.run_sim(cfg, POLICY_NAMES, tmp_path / "sim")
+    steps = [len((tmp_path / "sim" / f"trace_{name}.csv").read_text().splitlines()) - 2 for name in POLICY_NAMES]
+    assert len(builds) < max(steps)
+
+
+def test_the_chain_depth_rule():
+    """Decisions that never repeat build no predicted state; two equal ones in a row start a chain of one, a fully
+    verified chain doubles the depth up to the cap, and a miss sets it to the states verified."""
+    scenario = case_scenario("I")
+    x = scenario.initial
+    look = planner._Lookahead()
+    for decision in [(0, 0), (1, 0), (0, 0), (1, 1), (2, 1), (1, 1)]:
+        assert look.chain(scenario, x, 40) == []
+        look.learn(decision, 0, 0)
+    look.learn((1, 1), 0, 0)
+    assert look.depth == 1 and len(look.chain(scenario, x, 40)) == 1
+    depths = []
+    for _ in range(5):
+        look.learn((1, 1), look.depth, look.depth)
+        depths.append(look.depth)
+    assert depths == [min(2**k, planner._LOOKAHEAD) for k in range(1, 6)] and planner._LOOKAHEAD >= 4
+    look.learn((2, 1), 3, 4)
+    assert (look.depth, look.guess) == (3, (2, 1))
+    look.learn((0, 1), 0, 3)
+    assert look.depth == 0
+    assert look.chain(scenario, x, 40) == [] and look.chain(scenario, x, 0) == []
+
+
+def test_simulate_policies_logs_one_debug_record(caplog):
+    """One DEBUG record per call says steps, builds, states built and predicted states used; silent by default."""
+    scenario = case_scenario("I")
+    policies = [sp.PolicySpec.fixed(workflows.POLICIES[name]()) for name in POLICY_NAMES]
+    with caplog.at_level(logging.INFO, logger="socialplan.planner"):
+        sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="socialplan.planner"):
+        traces = sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
+    [record] = caplog.records
+    steps, builds, built, predicted, used = map(int, re.findall(r"\d+", record.getMessage()))
+    assert steps == sum(t.n_steps for t in traces) and builds < max(t.n_steps for t in traces)
+    assert built == steps - used + predicted and 0 < used <= predicted

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -373,3 +374,18 @@ def test_write_load_tracks_roundtrip(tmp_path_factory, tracks):
         assert got.track_id == want.track_id and len(got) == len(want)
         for name in ("frame", "timestamp_ms", "xy", "vxy"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_resample_pair_bounds_its_grid(tmp_path):
+    """A grid of MAX_GRID_STEPS steps is made; one of more steps is a SchemaError before anything is allocated."""
+    _, out, scn = _fixture(tmp_path)
+    tracks = tk.load_tracks(out / "tracks.csv")
+    [pair] = tk.extract_pairs(tracks, scn)
+    span = min(tracks[0].timestamp_ms[-1], tracks[1].timestamp_ms[-1]) - max(
+        tracks[0].timestamp_ms[0], tracks[1].timestamp_ms[0]
+    )
+    dt = span / 1000.0 / tk.MAX_GRID_STEPS
+    assert len(tk.resample_pair(tracks, pair, dt).ego.s) == tk.MAX_GRID_STEPS + 1
+    for finer in (span / 1000.0 / (tk.MAX_GRID_STEPS + 1), 1e-7, 5e-324):
+        with pytest.raises(sp.SchemaError, match=rf"^sampler\.dt = {re.escape(repr(finer))} s puts the {span} ms"):
+            tk.resample_pair(tracks, pair, finer)
