@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
 from .errors import SocialPlanError
-from .rewards import RewardConfig, RewardWeights
+from .rewards import RewardConfig, RewardWeights, leader_scores
 from .sampling import JointArrays, JointBehaviorSpace, SamplerConfig, SeatTerms
 from .sampling import build_joint_arrays, build_joint_space, fan_accels
 
@@ -95,7 +95,7 @@ class PolicySpec:
 def plan_ego(x0: JointState, lam: RewardWeights, scenario: Scenario) -> tuple[int, JointBehaviorSpace]:
     """Leader decision on a fresh joint space at x0: (ego label, space), ties to the lowest label (SeatTerms.leader_label)."""
     space = scenario.space_at(x0)
-    return int((lam.values @ space.components().terms).argmax()), space
+    return int(leader_scores(lam.values, space.components().terms).argmax()), space
 
 
 @dataclass
@@ -158,58 +158,39 @@ def decide(arrays: JointArrays, terms: SeatTerms, i: int, lam: RewardWeights) ->
     return label, response, float(arrays.rows[0, i, label, 0]), float(arrays.rows[1, i, response, 0])
 
 
-# The longest chain of predicted states one policy adds to a build (simulate_policies).
+# The predicted states each policy adds to a build once it has decided, fewer where its chain stops (simulate_policies).
 _LOOKAHEAD = 4
 
 
-@dataclass
-class _Lookahead:
-    """One policy's speculation: its last decision (leader label, follower response) and its next chain's depth."""
+def _chain(scenario: Scenario, x: JointState, guess: tuple[int, int] | None, steps: int) -> list[JointState]:
+    """Up to min(_LOOKAHEAD, steps) states after x, each one step on from the last with guess repeated on its fans.
 
-    guess: tuple[int, int] | None = None
-    depth: int = 0
-
-    def chain(self, scenario: Scenario, x: JointState, steps: int) -> list[JointState]:
-        """Up to depth states after x, at most steps, each one step on from the last with guess repeated on its fans.
-
-        They are the states the loop reaches if the policy decides guess at
-        x and at each of them.  The chain stops before a crossing, before a
-        state that a label outside a fan would need, and where step_dynamics
-        refuses a step (the loop then meets that refusal itself).
-        """
-        chain: list[JointState] = []
-        if self.guess is None:
-            return chain
-        (label, response), cfg = self.guess, scenario.sampler
-        limits = [scenario.path_ego.speed_limit, scenario.path_other.speed_limit]
-        while len(chain) < min(self.depth, steps):
-            accels, sizes = fan_accels([x.ego.v, x.other.v], limits, cfg)
-            if label >= sizes[0] or response >= sizes[1]:
-                break
-            try:
-                ego = step_dynamics(x.ego, float(accels[0, label]), cfg.dt)
-                other = step_dynamics(x.other, float(accels[1, response]), cfg.dt)
-            except ValueError:
-                break
-            x = JointState(ego, other, x.t + 1)
-            if _crossed(x, scenario.conflict):
-                break
-            chain.append(x)
+    guess is a policy's last decision (leader label, follower response),
+    None before its first; the states are the ones the loop reaches if the
+    policy decides guess at x and at each of them.  The chain stops before a
+    crossing, before a state that a label outside a fan would need, and
+    where step_dynamics refuses a step (the loop then meets that refusal
+    itself).
+    """
+    chain: list[JointState] = []
+    if guess is None:
         return chain
-
-    def learn(self, decision: tuple[int, int], hits: int, chain_length: int) -> None:
-        """Adapt after a walk that moved to hits of its chain_length predicted states and ended on decision.
-
-        Every decision of the walk before its last equals guess.  A fully
-        verified chain doubles the depth (up to _LOOKAHEAD), a miss sets it
-        to the states verified, and at depth 0 two equal decisions in a row
-        set it to 1.
-        """
-        if chain_length:
-            self.depth = min(2 * self.depth, _LOOKAHEAD) if hits == chain_length else hits
-        if self.depth == 0 and decision == self.guess:
-            self.depth = 1
-        self.guess = decision
+    (label, response), cfg = guess, scenario.sampler
+    limits = [scenario.path_ego.speed_limit, scenario.path_other.speed_limit]
+    while len(chain) < min(_LOOKAHEAD, steps):
+        accels, sizes = fan_accels([x.ego.v, x.other.v], limits, cfg)
+        if label >= sizes[0] or response >= sizes[1]:
+            break
+        try:
+            ego = step_dynamics(x.ego, float(accels[0, label]), cfg.dt)
+            other = step_dynamics(x.other, float(accels[1, response]), cfg.dt)
+        except ValueError:
+            break
+        x = JointState(ego, other, x.t + 1)
+        if _crossed(x, scenario.conflict):
+            break
+        chain.append(x)
+    return chain
 
 
 def simulate_policies(
@@ -223,15 +204,17 @@ def simulate_policies(
 
     Each round makes one arrays_at build: every running policy's state,
     then, after all of them, each policy's chain of predicted states
-    (_Lookahead.chain): the states it reaches if its last decision (leader
-    label, follower response) repeats.  Each policy decides at its state
-    (decide) and walks on along its chain for as long as its decisions
-    equal the predicted ones, so one build serves every step whose decision
-    repeats.  Labels are compared, not states.  By induction each chain
-    state it walks to is the object the step-by-step loop reaches, and a
-    state's arrays and terms have the bits they have alone, so the traces
-    equal simulate's.  The chain depth adapts per policy (_Lookahead.learn).
-    A policy leaves once it crosses or reaches max_steps.
+    (_chain): once a policy has decided, always the min(_LOOKAHEAD, steps
+    left) states it reaches if its last decision (leader label, follower
+    response) repeats, cut by the chain's stops.  Each policy decides at
+    its state (decide) and walks on along its chain for as long as its
+    decisions equal the predicted ones, so one build serves every step
+    whose decision repeats; a miss wastes at most _LOOKAHEAD built states
+    per policy per round.  Labels are compared, not states.  By induction
+    each chain state it walks to is the object the step-by-step loop
+    reaches, and a state's arrays and terms have the bits they have alone,
+    so the traces equal simulate's.  A policy leaves once it crosses or
+    reaches max_steps.
 
     A SocialPlanError is the one simulate would raise running the policies
     in order: the policies before a round's first failing current state step
@@ -249,13 +232,13 @@ def simulate_policies(
     states = [[x0] for _ in ego_policies]
     a_ego: list[list[float]] = [[] for _ in ego_policies]
     a_other: list[list[float]] = [[] for _ in ego_policies]
-    looks = [_Lookahead() for _ in ego_policies]
+    guesses: list[tuple[int, int] | None] = [None for _ in ego_policies]  # each policy's last decision
     running = [p for p in range(len(ego_policies)) if not _crossed(x0, conflict) and max_steps > 0]
     error: SocialPlanError | None = None
     builds = built = predicted = used = 0
     while running:
         xs = [states[p][-1] for p in running]
-        chains = [looks[p].chain(scenario, x, max_steps - len(a_ego[p]) - 1) for p, x in zip(running, xs)]
+        chains = [_chain(scenario, x, guesses[p], max_steps - len(a_ego[p]) - 1) for p, x in zip(running, xs)]
         build = xs + [x for chain in chains for x in chain]
         arrays = scenario.arrays_at(build)
         terms = arrays.social_terms()
@@ -266,13 +249,13 @@ def simulate_policies(
             running = running[:failed]
         first = len(xs)  # the build index of the next chain's first state
         for i, (p, x) in enumerate(zip(running, xs)):
-            chain, look, lam = chains[i], looks[p], ego_policies[p].lam
+            chain, lam = chains[i], ego_policies[p].lam
             at, hits = i, 0
             while True:
                 label, response, ae, ao = decide(arrays, terms, at, lam)
                 a_ego[p].append(ae)
                 a_other[p].append(ao)
-                if hits == len(chain) or (label, response) != look.guess:
+                if hits == len(chain) or (label, response) != guesses[p]:
                     states[p].append(JointState(step_dynamics(x.ego, ae, dt), step_dynamics(x.other, ao, dt), x.t + 1))
                     break
                 x, at = chain[hits], first + hits
@@ -281,7 +264,7 @@ def simulate_policies(
                 if at >= terms.sound:
                     break
             used += hits
-            look.learn((label, response), hits, len(chain))
+            guesses[p] = label, response
             first += len(chain)
         running = [p for p in running if not _crossed(states[p][-1], conflict) and len(a_ego[p]) < max_steps]
     # importing socialplan does not import logging; until something does, nothing can have configured it

@@ -7,7 +7,7 @@ the one implementation of the social terms: the other car's Boltzmann
 response distribution, the expected-utility (egoism) reward, the
 distribution-divergence (courtesy) reward exp(-KL(absence || presence)) and
 the top-two-probability-gap (confidence) reward, for every ego candidate of
-one or many spaces at once.  A leader decision mixes them as lam @ terms
+one or many spaces at once.  A leader decision mixes them with leader_scores
 (sampling.SeatTerms).
 
 All softmax and KL computations run in the log domain with max subtraction;
@@ -98,6 +98,18 @@ class RewardWeights:
     @classmethod
     def confidence(cls) -> "RewardWeights":
         return cls.of(0.0, 0.0, 1.0)
+
+
+def leader_scores(lam: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The leader's score of every ego candidate, lam[0] * egoism + lam[1] * courtesy + lam[2] * confidence.
+
+    lam (3, ...) broadcasts against terms (3, ..., ne), both with the three
+    terms on the first axis.  The sum is written out elementwise rather than
+    as a matrix product, whose last bits depend on its shapes and padding: a
+    candidate's score has the same bits in any batch, so every leader
+    decision agrees on a near-tie.
+    """
+    return lam[0] * terms[0] + lam[1] * terms[1] + lam[2] * terms[2]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

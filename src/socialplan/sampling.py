@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import AgentState, ConflictPoint, JointState, ReferencePath, step_dynamics
 from .errors import EmptyCandidateSetError, NonFiniteRewardError, SocialPlanError
-from .rewards import RewardConfig, SocialComponents, beta_error, component_arrays, social_components
+from .rewards import RewardConfig, SocialComponents, beta_error, component_arrays, leader_scores, social_components
 
 
 @dataclass(frozen=True)
@@ -352,16 +352,15 @@ class SeatTerms:
         return len(self.slots) if self.error is None else self.error[0]
 
     def leader_label(self, i: int, lam: np.ndarray) -> int:
-        """The leader's label at state i under weights lam (3,): the argmax of one (3,) @ (3, ne) product, ties to the lowest."""
+        """The leader's label at state i under weights lam (3,): the argmax of its leader_scores, ties to the lowest."""
         g, j = self.slots[i]
-        return int((lam @ self.groups[g].terms[j, :, : self.ne[i]]).argmax())
+        return int(leader_scores(lam, self.groups[g].terms[j, :, : self.ne[i]]).argmax())
 
     def leader_labels(self, entries, lams: np.ndarray) -> np.ndarray:
         """leader_label(i, lam) for each entry i and its weight row lam: (..., len(entries)) from lams (..., len(entries), 3).
 
-        One (..., n, 1, 3) @ (n, 3, ne) product per group, its padding
-        columns masked; each real column is the (3,) @ (3, ne) product of
-        leader_label, bit for bit.  Every entry must be sound.
+        One leader_scores pass per group, its padding columns masked; each
+        real column has the bits of leader_label's.  Every entry must be sound.
         """
         group, row = np.array(self.slots)[entries].T
         ne = self.ne[entries]
@@ -369,9 +368,10 @@ class SeatTerms:
         for g, comps in enumerate(self.groups):
             sel = group == g
             if sel.any():
-                scores = lams[..., sel, None, :] @ comps.terms[row[sel]]  # (..., n, 1, ne)
-                np.copyto(scores, -np.inf, where=np.arange(scores.shape[-1]) >= ne[sel, None, None])
-                labels[..., sel] = scores.argmax(axis=-1)[..., 0]
+                lam = np.moveaxis(lams[..., sel, :], -1, 0)[..., None]  # (3, ..., n, 1)
+                scores = leader_scores(lam, comps.terms[row[sel]].swapaxes(0, 1))  # (..., n, ne)
+                np.copyto(scores, -np.inf, where=np.arange(scores.shape[-1]) >= ne[sel, None])
+                labels[..., sel] = scores.argmax(axis=-1)
         return labels
 
 

@@ -4,8 +4,9 @@ The per-space decisions live here, not in the library, which decides
 through planner.decide and SeatTerms and takes its posterior means with
 inference._means: sample_accels (one side's distinct clamped
 accelerations), social_reward_vector and leader_label (the leader's mixed
-social reward and its argmax), follower_response (the follower's best
-response to a committed ego label) and estimate_lambda (the posterior mean).
+social reward, rewards.leader_scores on the space's terms, and its argmax),
+follower_response (the follower's best response to a committed ego label)
+and estimate_lambda (the posterior mean).
 
 reference_space is the one-state build the library used before every build
 went through sampling.build_joint_arrays: each side's fan is sampled and
@@ -29,7 +30,7 @@ from socialplan.core import AgentState, JointState, ReferencePath, step_dynamics
 from socialplan.errors import EmptyCandidateSetError, ShortTrackError
 from socialplan.inference import InferenceSeries, init_particles, match_observed, observed_state, update_posterior
 from socialplan.planner import InteractionTrace
-from socialplan.rewards import RewardWeights, check_ego_label
+from socialplan.rewards import RewardWeights, check_ego_label, leader_scores
 from socialplan.sampling import CandidateFan, JointBehaviorSpace, SamplerConfig, rollout_batch
 
 
@@ -53,7 +54,7 @@ def sample_accels(state: AgentState, path: ReferencePath, cfg: SamplerConfig) ->
 
 def social_reward_vector(space: JointBehaviorSpace, lam: RewardWeights) -> np.ndarray:
     """Combined social reward of every ego candidate under mixing weights lam (egoism min-max normalized)."""
-    return lam.values @ space.components().terms
+    return leader_scores(lam.values, space.components().terms)
 
 
 def leader_label(space: JointBehaviorSpace, lam: RewardWeights) -> int:

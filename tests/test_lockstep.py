@@ -1,6 +1,7 @@
 """run_sim steps its policies in lockstep; results and errors match running them one after another."""
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +161,13 @@ _agent_state = st.tuples(
     rounds=[((40.0, 5.0, 0.0), (45.0, 5.0, 0.0), _VERTICES[0]), ((40.0, 8.0, 0.2), (30.0, 5.0, 0.0), _VERTICES[1]),
             ((35.0, 18.0, 0.0), (45.0, 5.0, 0.0), _VERTICES[2]), ((40.0, 8.0, 0.0), (45.0, 5.0, 0.0), (0.2, 0.5, 0.3))],
 )
+# a near-tie: the three ego scores print 2.14004059 each in the second round, and a matrix
+# product's last bits depend on its shapes, so a decision that is one must agree with them all
+@example(
+    steps=13, dt=0.08, fractions=[0.0, 0.25, 0.75, 1.0, 1.5], a_min=-5.0, limits=(5.0, 10.0),
+    rounds=[((4.0, 5.0, 0.0), (6.0, 11.0, 1.0), (0.0, 1 / 3, 2 / 3)),
+            ((4.0, 0.0, 0.0), (6.0, 11.0, 1.0), (0.0, 1 / 3, 2 / 3))],
+)
 def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt, fractions, a_min, limits, rounds):
     """planner.decide on one round's build against leader_label and follower_response on reference_space, as bytes."""
     sampler = sp.SamplerConfig(horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions), accel_min=a_min)
@@ -178,6 +186,27 @@ def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt
         assert got[:2] == (label, response)
         assert np.array(got[2:]).tobytes() == np.array(controls).tobytes()
         assert terms.leader_labels(range(terms.sound), np.broadcast_to(lam.values, (terms.sound, 3)))[i] == label
+
+
+def test_every_leader_decision_agrees_on_a_near_tie():
+    """decide, leader_label, leader_labels and the per-space leader_label read the same label where the ego
+    scores tie to the last bit, and it is the lowest."""
+    sampler = sp.SamplerConfig(
+        horizon_steps=13, dt=0.08, terminal_speed_fractions=(0.0, 0.25, 0.75, 1.0, 1.5), accel_min=-5.0
+    )
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=5.0, limit_other=10.0, sampler=sampler)
+    other = sp.AgentState(6.0, 11.0, 1.0)
+    xs = [sp.JointState(sp.AgentState(4.0, 5.0, 0.0), other), sp.JointState(sp.AgentState(4.0, 0.0, 0.0), other)]
+    lam = sp.RewardWeights(np.array([0.0, 1 / 3, 2 / 3]))
+    arrays = scn.arrays_at(xs)
+    terms = arrays.social_terms()
+    labels = [
+        planner.decide(arrays, terms, 1, lam)[0],
+        terms.leader_label(1, lam.values),
+        int(terms.leader_labels(range(2), np.broadcast_to(lam.values, (2, 3)))[1]),
+        leader_label(scenario_space(scn, xs[1]), lam),
+    ]
+    assert labels == [0, 0, 0, 0]
 
 
 def test_no_pipeline_assembles_a_joint_space(tmp_path, monkeypatch):
@@ -217,7 +246,7 @@ def _trace_bytes(trace) -> bytes:
 )
 def test_lookahead_traces_match_the_one_step_loop(geometry, limits, dt, lams, max_steps, start):
     """simulate_policies against reference_simulate per policy, as bytes, errors included: its chains are cut
-    at max_steps and at the crossing, and a start_state starts them anywhere."""
+    at max_steps and at the crossing, a start_state starts them anywhere, and no chain depth changes a byte."""
     sampler = sp.SamplerConfig(horizon_steps=12, dt=dt)
     scn = crossing_scenario(*geometry, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
     start_state = None if start is None else sp.JointState(sp.AgentState(*start[0]), sp.AgentState(*start[1]), t=3)
@@ -225,25 +254,29 @@ def test_lookahead_traces_match_the_one_step_loop(geometry, limits, dt, lams, ma
     try:
         expected = [reference_simulate(scn, p.lam, max_steps, start_state) for p in policies]
     except sp.SocialPlanError as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            sp.simulate_policies(scn, policies, sp.PolicySpec.follower(), max_steps, start_state)
-        return
-    got = sp.simulate_policies(scn, policies, sp.PolicySpec.follower(), max_steps, start_state)
-    assert [_trace_bytes(t) for t in got] == [_trace_bytes(t) for t in expected]
+        expected = exc
+    for depth in (1, planner._LOOKAHEAD, 7):
+        with mock.patch.object(planner, "_LOOKAHEAD", depth):
+            if isinstance(expected, sp.SocialPlanError):
+                with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                    sp.simulate_policies(scn, policies, sp.PolicySpec.follower(), max_steps, start_state)
+            else:
+                got = sp.simulate_policies(scn, policies, sp.PolicySpec.follower(), max_steps, start_state)
+                assert [_trace_bytes(t) for t in got] == [_trace_bytes(t) for t in expected], depth
 
 
 def _predicted(monkeypatch, scenario, policies) -> list:
     """The states the policies' chains predict in one simulate_policies run, keyed as _failing_builder keys them."""
     predicted = []
-    chain = planner._Lookahead.chain
+    chain = planner._chain
 
-    def recording(self, *args):
-        states = chain(self, *args)
+    def recording(*args):
+        states = chain(*args)
         predicted.extend((x.t, x.ego, x.other) for x in states)
         return states
 
     with monkeypatch.context() as patch:
-        patch.setattr(planner._Lookahead, "chain", recording)
+        patch.setattr(planner, "_chain", recording)
         sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
     return predicted
 
@@ -289,27 +322,21 @@ def test_run_sim_on_case_one_makes_fewer_builds_than_steps(tmp_path, monkeypatch
     assert len(builds) < max(steps)
 
 
-def test_the_chain_depth_rule():
-    """Decisions that never repeat build no predicted state; two equal ones in a row start a chain of one, a fully
-    verified chain doubles the depth up to the cap, and a miss sets it to the states verified."""
+def test_the_chain_rule():
+    """No chain before a policy's first decision; after it, min(_LOOKAHEAD, steps) states along that decision on
+    case I, none at steps 0, the first one step_dynamics step on and each shorter chain a prefix of the longest."""
     scenario = case_scenario("I")
     x = scenario.initial
-    look = planner._Lookahead()
-    for decision in [(0, 0), (1, 0), (0, 0), (1, 1), (2, 1), (1, 1)]:
-        assert look.chain(scenario, x, 40) == []
-        look.learn(decision, 0, 0)
-    look.learn((1, 1), 0, 0)
-    assert look.depth == 1 and len(look.chain(scenario, x, 40)) == 1
-    depths = []
-    for _ in range(5):
-        look.learn((1, 1), look.depth, look.depth)
-        depths.append(look.depth)
-    assert depths == [min(2**k, planner._LOOKAHEAD) for k in range(1, 6)] and planner._LOOKAHEAD >= 4
-    look.learn((2, 1), 3, 4)
-    assert (look.depth, look.guess) == (3, (2, 1))
-    look.learn((0, 1), 0, 3)
-    assert look.depth == 0
-    assert look.chain(scenario, x, 40) == [] and look.chain(scenario, x, 0) == []
+    arrays = scenario.arrays_at([x])
+    label, response, ae, ao = planner.decide(arrays, arrays.social_terms(), 0, sp.RewardWeights.courtesy())
+    assert planner._chain(scenario, x, None, 40) == []
+    chains = [planner._chain(scenario, x, (label, response), steps) for steps in range(planner._LOOKAHEAD + 3)]
+    assert [len(c) for c in chains] == [min(planner._LOOKAHEAD, steps) for steps in range(planner._LOOKAHEAD + 3)]
+    first, dt = chains[-1][0], scenario.sampler.dt
+    assert (first.t, first.ego, first.other) == (
+        x.t + 1, sp.step_dynamics(x.ego, ae, dt), sp.step_dynamics(x.other, ao, dt)
+    )
+    assert all(c == chains[-1][: len(c)] for c in chains)
 
 
 def test_simulate_policies_logs_one_debug_record(caplog):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import socialplan as sp
 from socialplan import sampling
 from socialplan.inference import SeatReplay
-from socialplan.rewards import _log_softmax, component_arrays
+from socialplan.rewards import _log_softmax, component_arrays, leader_scores
 from socialplan.sampling import rollout_batch
 from socialplan.scenarios import crossing_scenario
 from reference_builder import scenario_space
@@ -501,6 +501,6 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
             for name, value in vars(own).items():
                 assert getattr(comps, name).tobytes() == value[0].tobytes(), name
             for lam in lams[:, i]:
-                assert terms.leader_label(i, lam) == int((lam @ own.terms[0]).argmax())
-            assert batched[:, i].tolist() == [int((lam @ own.terms[0]).argmax()) for lam in lams[:, i]]
+                assert terms.leader_label(i, lam) == int(leader_scores(lam, own.terms[0]).argmax())
+            assert batched[:, i].tolist() == [int(leader_scores(lam, own.terms[0]).argmax()) for lam in lams[:, i]]
             assert loglik[i].tobytes() == _log_softmax(lambdas @ own.terms[0])[:, labels[i]].tobytes()
