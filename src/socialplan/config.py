@@ -22,6 +22,10 @@ SCHEMA_VERSION = 1
 # 40-frame pair.  Past these bounds a run cannot fit in memory, or numpy cannot index it.
 MAX_HORIZON_STEPS = 1_000
 MAX_PARTICLES = 1_000_000
+# Each fan has up to one candidate per terminal speed, and the safety matrix's temporaries hold
+# candidates**2 * horizon_steps floats three times over: at 100 candidates and the horizon bound one
+# state's are about 0.25 GB.  The bound also refuses longer lists that would run at short horizons.
+MAX_TERMINAL_SPEEDS = 100
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,13 @@ def _of_type(kind, what: str):
     return check
 
 
+def _fractions(value, name: str) -> tuple:
+    """The terminal-speed fractions: a list of at most MAX_TERMINAL_SPEEDS finite numbers."""
+    if isinstance(value, list) and len(value) > MAX_TERMINAL_SPEEDS:
+        raise SchemaError(f"config {name} must hold at most {MAX_TERMINAL_SPEEDS} numbers, got {len(value)}")
+    return _numbers(value, name)
+
+
 _triple = partial(_numbers, length=3)
 _object = _of_type(dict, "an object")
 _boolean = _of_type(bool, "true or false")
@@ -157,7 +168,7 @@ def _ego_other(check):
 
 _SAMPLER_FIELDS = {
     "horizon_steps": partial(_integer, maximum=MAX_HORIZON_STEPS),
-    "terminal_speed_fractions": _numbers,
+    "terminal_speed_fractions": _fractions,
     "forbid_singleton": _boolean,
     **dict.fromkeys(("dt", "accel_min", "accel_max"), _number),
 }

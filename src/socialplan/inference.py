@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -278,29 +277,28 @@ class SeatReplay:
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
         """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P).
 
-        The products run once per distinct state asked for, per fan-size
-        group and ego fan size ne, on its (3, ne) terms, so the terms of a
-        later (maybe failing) state never reach them; and over slices of
-        those states, so that one (G, P, ne) array holds at most
-        sampling._BLOCK_ELEMENTS numbers (or one state's).  The arithmetic is
-        _log_softmax's, on that array worked in place: the max over the ne
-        slices (exact in any order), then the sum over the last axis, as
-        _log_softmax takes it (numpy adds pairwise from 8 terms, so a sum
-        over another axis would change the bits).
+        The products run once per distinct state asked for, per ego fan size
+        ne, on its (3, ne) terms, so the terms of a later (maybe failing)
+        state never reach them; and over slices of those states, so that
+        one (G, P, ne) array holds at most sampling._BLOCK_ELEMENTS numbers
+        (or one state's).  The arithmetic is _log_softmax's, on that array
+        worked in place: the max over the ne slices (exact in any order),
+        then the sum over the last axis, as _log_softmax takes it (numpy
+        adds pairwise from 8 terms, so a sum over another axis would change
+        the bits).
         """
         entries, labels = np.asarray(entries), np.asarray(labels)
-        group, row = np.array(self.terms.slots)[entries].T
         sizes = self.terms.ne[entries]
         out = np.empty((len(entries), len(lambdas)))
-        for g, ne in sorted(set(zip(group.tolist(), sizes.tolist()))):
-            at = ((group == g) & (sizes == ne)).nonzero()[0]  # the entries of this group and size
-            asked = np.zeros(row[at].max() + 1, dtype=bool)
-            asked[row[at]] = True
+        for ne in sorted(set(sizes.tolist())):
+            at = (sizes == ne).nonzero()[0]  # the entries of this size
+            asked = np.zeros(entries[at].max() + 1, dtype=bool)
+            asked[entries[at]] = True
             states = asked.nonzero()[0]  # their distinct states, in order
-            pos = (asked.cumsum() - 1)[row[at]]  # each entry's state's place in states
+            pos = (asked.cumsum() - 1)[entries[at]]  # each entry's state's place in states
             step = max(1, sampling._BLOCK_ELEMENTS // (len(lambdas) * ne))
             for lo in range(0, len(states), step):
-                u = lambdas @ self.terms.groups[g].terms[states[lo : lo + step], :, :ne]  # (G, P, ne)
+                u = lambdas @ self.terms.terms[states[lo : lo + step], :, :ne]  # (G, P, ne)
                 peak = u[..., 0].copy()
                 for c in range(1, ne):
                     np.maximum(peak, u[..., c], out=peak)
@@ -419,27 +417,12 @@ class PairReplay:
             error = reader.terms.error[1]  # entry n is at or past the first failing state
         return entries, stops, means, error
 
-    def posterior_steps(
-        self, seat: int, cfg: InferenceConfig, seed: int = 0
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The posterior loop for the agent in the seat, one frame at a time (posterior_pass).
-
-        Yields (entry, frame, estimate) for each frame the pass ran, then
-        raises the pass's error, if any.
-        """
-        entries, stops, means, error = self.posterior_pass(seat, cfg, seed)
-        yield from zip(entries, stops, means)
-        if error is not None:
-            raise error
-
-
-def _series(steps) -> InferenceSeries:
-    """One seat's per-frame estimates from its posterior steps."""
-    frames, lams = [], []
-    for *_, k, estimate in steps:
-        frames.append(k)
-        lams.append(estimate)
-    return InferenceSeries(frames=np.array(frames), lambdas=np.stack(lams))
+def _series(replay: PairReplay, seat: int, cfg: InferenceConfig, seed: int) -> InferenceSeries:
+    """The seat's per-frame estimates from its posterior pass; raises the pass's error, if any."""
+    _, stops, means, error = replay.posterior_pass(seat, cfg, seed)
+    if error is not None:
+        raise error
+    return InferenceSeries(frames=np.array(stops), lambdas=means)
 
 
 def infer_agent(
@@ -450,7 +433,7 @@ def infer_agent(
     seed: int = 0,
 ) -> InferenceSeries:
     """Per-frame weight estimates for the agent sitting in the scenario's ego seat."""
-    return _series(PairReplay(obs_self, obs_other, scenario, window_starts(obs_self, cfg)).posterior_steps(0, cfg, seed))
+    return _series(PairReplay(obs_self, obs_other, scenario, window_starts(obs_self, cfg)), 0, cfg, seed)
 
 
 def infer_trace(pair, scenario: Scenario, cfg: InferenceConfig, seed: int = 0) -> dict[str, InferenceSeries]:
@@ -461,4 +444,4 @@ def infer_trace(pair, scenario: Scenario, cfg: InferenceConfig, seed: int = 0) -
     result and any error are those of infer_agent on each seat in turn.
     """
     replay = PairReplay(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))
-    return {role: _series(replay.posterior_steps(seat, cfg, seed)) for seat, role in enumerate(("ego", "other"))}
+    return {role: _series(replay, seat, cfg, seed) for seat, role in enumerate(("ego", "other"))}

@@ -93,7 +93,7 @@ class PolicySpec:
 # Kept only because perfbench/tracing.py wraps planner.plan_ego, workflows.plan_ego and
 # planner.build_joint_space; no pipeline calls them.
 def plan_ego(x0: JointState, lam: RewardWeights, scenario: Scenario) -> tuple[int, JointBehaviorSpace]:
-    """Leader decision on a fresh joint space at x0: (ego label, space), ties to the lowest label (SeatTerms.leader_label)."""
+    """Leader decision on a fresh joint space at x0: (ego label, space), ties to the lowest label (SeatTerms.leader_labels)."""
     space = scenario.space_at(x0)
     return int(leader_scores(lam.values, space.components().terms).argmax()), space
 
@@ -151,11 +151,16 @@ def _crossed(x: JointState, conflict: ConflictPoint) -> bool:
     return x.ego.s >= conflict.s_ego or x.other.s >= conflict.s_other
 
 
-def decide(arrays: JointArrays, terms: SeatTerms, i: int, lam: RewardWeights) -> tuple[int, int, float, float]:
-    """At state i of a build: (the leader's label, the follower's best response to it, their first controls)."""
-    label = terms.leader_label(i, lam.values)
-    response = int(arrays.reward_other[i, label, : arrays.sizes[1, i]].argmax())
-    return label, response, float(arrays.rows[0, i, label, 0]), float(arrays.rows[1, i, response, 0])
+def decisions(arrays: JointArrays, terms: SeatTerms, lams: np.ndarray) -> tuple[list, list, list, list]:
+    """At each state i < len(lams) of a build, all sound, under weights lams[i]: the leader's labels
+    (SeatTerms.leader_labels), the follower's best responses in its own fan and their first controls, as lists."""
+    entries = np.arange(len(lams))
+    labels = terms.leader_labels(entries, lams)
+    rewards = arrays.reward_other[entries, labels]  # (n, nt) each state's row of its leader's label
+    rewards[np.arange(rewards.shape[-1]) >= arrays.sizes[1, entries, None]] = -np.inf
+    responses = rewards.argmax(axis=-1)
+    a_ego, a_other = arrays.rows[0, entries, labels, 0], arrays.rows[1, entries, responses, 0]
+    return labels.tolist(), responses.tolist(), a_ego.tolist(), a_other.tolist()
 
 
 # The predicted states each policy adds to a build once it has decided, fewer where its chain stops (simulate_policies).
@@ -206,11 +211,13 @@ def simulate_policies(
     then, after all of them, each policy's chain of predicted states
     (_chain): once a policy has decided, always the min(_LOOKAHEAD, steps
     left) states it reaches if its last decision (leader label, follower
-    response) repeats, cut by the chain's stops.  Each policy decides at
-    its state (decide) and walks on along its chain for as long as its
-    decisions equal the predicted ones, so one build serves every step
-    whose decision repeats; a miss wastes at most _LOOKAHEAD built states
-    per policy per round.  Labels are compared, not states.  By induction
+    response) repeats, cut by the chain's stops.  One decisions call
+    decides every sound state of the build, each under its policy's
+    weights.  Each policy reads its decision at its state and walks on
+    along its chain for as long as its decisions equal the predicted ones,
+    so one build serves every step whose decision repeats; a miss wastes
+    at most _LOOKAHEAD built states per policy per round, and the
+    decisions at them.  Labels are compared, not states.  By induction
     each chain state it walks to is the object the step-by-step loop
     reaches, and a state's arrays and terms have the bits they have alone,
     so the traces equal simulate's.  A policy leaves once it crosses or
@@ -233,6 +240,7 @@ def simulate_policies(
     a_ego: list[list[float]] = [[] for _ in ego_policies]
     a_other: list[list[float]] = [[] for _ in ego_policies]
     guesses: list[tuple[int, int] | None] = [None for _ in ego_policies]  # each policy's last decision
+    weights = np.array([policy.lam.values for policy in ego_policies])
     running = [p for p in range(len(ego_policies)) if not _crossed(x0, conflict) and max_steps > 0]
     error: SocialPlanError | None = None
     builds = built = predicted = used = 0
@@ -240,6 +248,7 @@ def simulate_policies(
         xs = [states[p][-1] for p in running]
         chains = [_chain(scenario, x, guesses[p], max_steps - len(a_ego[p]) - 1) for p, x in zip(running, xs)]
         build = xs + [x for chain in chains for x in chain]
+        owners = running + [p for p, chain in zip(running, chains) for _ in chain]  # the policy of each state
         arrays = scenario.arrays_at(build)
         terms = arrays.social_terms()
         builds, built, predicted = builds + 1, built + len(build), predicted + len(build) - len(xs)
@@ -247,16 +256,17 @@ def simulate_policies(
             # any error kept so far came from a later policy, which simulate would never reach
             failed, error = terms.error
             running = running[:failed]
+        labels, responses, a_e, a_o = decisions(arrays, terms, weights[owners[: terms.sound]])
         first = len(xs)  # the build index of the next chain's first state
         for i, (p, x) in enumerate(zip(running, xs)):
-            chain, lam = chains[i], ego_policies[p].lam
-            at, hits = i, 0
+            chain, at, hits = chains[i], i, 0
             while True:
-                label, response, ae, ao = decide(arrays, terms, at, lam)
-                a_ego[p].append(ae)
-                a_other[p].append(ao)
+                label, response = labels[at], responses[at]
+                a_ego[p].append(a_e[at])
+                a_other[p].append(a_o[at])
                 if hits == len(chain) or (label, response) != guesses[p]:
-                    states[p].append(JointState(step_dynamics(x.ego, ae, dt), step_dynamics(x.other, ao, dt), x.t + 1))
+                    ego, other = step_dynamics(x.ego, a_e[at], dt), step_dynamics(x.other, a_o[at], dt)
+                    states[p].append(JointState(ego, other, x.t + 1))
                     break
                 x, at = chain[hits], first + hits
                 states[p].append(x)

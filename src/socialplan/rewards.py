@@ -142,12 +142,6 @@ class SocialComponents:
     confidence_reward: np.ndarray  # (ne,) in [1, e]
     terms: np.ndarray  # (3, ne) read-only rows egoism_norm, courtesy, confidence_reward (those fields are views of them)
 
-    def at(self, i: int, ne: int) -> "SocialComponents":
-        """Entry i along the leading axis of batched components, on its first ne ego candidates (views, not copies)."""
-        fields = {name: value[i, ..., :ne] for name, value in vars(self).items()}
-        fields["presence_logp"] = self.presence_logp[i, :ne]
-        return SocialComponents(**fields)
-
 
 def component_arrays(reward_ego, reward_other, absence_other, beta: float, real=True) -> SocialComponents:
     """The three reward terms of every ego candidate, not checked for overflow.

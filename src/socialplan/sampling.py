@@ -15,13 +15,14 @@ terminal speeds, and runs rollout, path position, utility vectors, safety
 and the weighted sums once over that grid.  Every kernel reduces over the
 last axis only, so each row and pair gives the same bits as on its own.  Then
 JointArrays.social_terms() checks every state and returns one seat's social
-terms, a SeatTerms, computed once per group of states with equal follower
-fan sizes (the ego axis padded to the group's largest fan); its
-leader_label is the leader decision that the closed loop reads, and
-leader_labels the same decision at many states, which replay reads.  No
-pipeline assembles per-state spaces (JointBehaviorSpace); JointArrays.spaces()
-and its one-state case build_joint_space stay only for the benchmark's span
-tracing (see the comment above JointBehaviorSpace).
+terms, a SeatTerms: one (states, 3, targets) array, computed once per group
+of states with equal follower fan sizes (the ego axis padded to the group's
+largest fan) and put back in state order.  Its leader_labels is the one
+leader decision, at many states at once, which the closed loop
+(planner.decisions) and regeneration read.  No pipeline assembles per-state
+spaces (JointBehaviorSpace); JointArrays.spaces() and its one-state case
+build_joint_space stay only for the benchmark's span tracing (see the
+comment above JointBehaviorSpace).
 Replay serves the other driver's seat from the same pass (swapped()): the
 ego seat's arrays with the sides swapped and the matrices transposed, plus
 its own absence row and social terms.
@@ -333,46 +334,32 @@ def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRe
 class SeatTerms:
     """One seat's social terms over a build_joint_arrays pass (JointArrays.social_terms), and its leader decisions.
 
-    groups holds the social components of each group of states with equal
-    follower fan sizes, batched over the group's states on their leading
-    axis and padded along the ego axis to the group's largest ego fan;
-    slots[i] = (g, j) says that state i is entry j of group g, and ne[i] is
-    its ego fan size.  A padding row's terms are never read.
+    terms[i] holds state i's terms (egoism, courtesy, confidence reward)
+    in its first ne[i] columns, ne[i] being its ego fan size, and zeros
+    after them.
     """
 
     absence_other: np.ndarray  # (F, nt)
-    groups: list[SocialComponents]
-    slots: list[tuple[int, int]]
+    terms: np.ndarray  # (F, 3, nt), read-only
     ne: np.ndarray  # (F,)
     error: tuple[int, SocialPlanError] | None  # (i, its error) for the first failing state i; the ones before are sound
 
     @property
     def sound(self) -> int:
         """How many states, from the first, are sound: the first failing state's index, else all of them."""
-        return len(self.slots) if self.error is None else self.error[0]
-
-    def leader_label(self, i: int, lam: np.ndarray) -> int:
-        """The leader's label at state i under weights lam (3,): the argmax of its leader_scores, ties to the lowest."""
-        g, j = self.slots[i]
-        return int(leader_scores(lam, self.groups[g].terms[j, :, : self.ne[i]]).argmax())
+        return len(self.ne) if self.error is None else self.error[0]
 
     def leader_labels(self, entries, lams: np.ndarray) -> np.ndarray:
-        """leader_label(i, lam) for each entry i and its weight row lam: (..., len(entries)) from lams (..., len(entries), 3).
+        """The leader's label at each entry i under its weight row: (..., len(entries)) from lams (..., len(entries), 3).
 
-        One leader_scores pass per group, its padding columns masked; each
-        real column has the bits of leader_label's.  Every entry must be sound.
+        The argmax of the entry's leader_scores over its ego candidates,
+        ties to the lowest label; one leader_scores pass with the padding
+        columns masked.  Every entry must be sound.
         """
-        group, row = np.array(self.slots)[entries].T
-        ne = self.ne[entries]
-        labels = np.empty(lams.shape[:-1], dtype=np.intp)
-        for g, comps in enumerate(self.groups):
-            sel = group == g
-            if sel.any():
-                lam = np.moveaxis(lams[..., sel, :], -1, 0)[..., None]  # (3, ..., n, 1)
-                scores = leader_scores(lam, comps.terms[row[sel]].swapaxes(0, 1))  # (..., n, ne)
-                np.copyto(scores, -np.inf, where=np.arange(scores.shape[-1]) >= ne[sel, None])
-                labels[..., sel] = scores.argmax(axis=-1)
-        return labels
+        lam = np.moveaxis(lams, -1, 0)[..., None]  # (3, ..., n, 1)
+        scores = leader_scores(lam, self.terms[entries].swapaxes(0, 1))  # (..., n, nt)
+        np.copyto(scores, -np.inf, where=np.arange(scores.shape[-1]) >= self.ne[entries, None])
+        return scores.argmax(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,8 +421,9 @@ class JointArrays:
         The social components run once per group of states with equal
         follower fan sizes, on their candidates, the ego axis padded to the
         group's largest ego fan: every sum runs over the follower's
-        candidates, so a real row's terms keep their bits.  A state fails
-        on, in this order: a collapsed fan under forbid_singleton, a
+        candidates, so a real row's terms keep their bits.  Each state's
+        real rows then go back to its place in SeatTerms.terms.  A state
+        fails on, in this order: a collapsed fan under forbid_singleton, a
         non-finite feature (naming the state and path values), finite
         features that overflow under the weights (naming the weight), and
         social terms that overflow under beta.  Nothing here raises; the
@@ -449,9 +437,9 @@ class JointArrays:
         by_size: dict[int, list[int]] = {}
         for i, no in enumerate(self.sizes[1].tolist()):
             by_size.setdefault(no, []).append(i)
-        groups, slots = [], [(0, 0)] * len(self.states)
+        terms = np.zeros((len(self.states), 3, self.reward_ego.shape[-1]))
         finite_terms = np.empty(len(self.states), dtype=bool)
-        for g, (no, idx) in enumerate(by_size.items()):
+        for no, idx in by_size.items():
             states = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view where it can
             sizes = self.sizes[0, states]
             real = np.arange(sizes.max()) < sizes[:, None]  # (G, ne) the real ego rows
@@ -461,11 +449,10 @@ class JointArrays:
             matrices = (np.ascontiguousarray(m[states, :ne, :no]) for m in (self.reward_ego, self.reward_other))
             comps = component_arrays(*matrices, absence_other[states, :no], cfg.beta, real)
             finite_terms[states] = np.isfinite(comps.terms).all(axis=(-2, -1), where=real[:, None, :])
-            groups.append(comps)
-            for j, i in enumerate(idx):
-                slots[i] = (g, j)
+            terms[states, :, :ne] = np.where(real[:, None, :], comps.terms, 0.0)
+        terms.flags.writeable = False
         error = self._check(absence_other, finite_terms)
-        return SeatTerms(absence_other=absence_other, groups=groups, slots=slots, ne=self.sizes[0], error=error)
+        return SeatTerms(absence_other=absence_other, terms=terms, ne=self.sizes[0], error=error)
 
     def _check(self, absence_other: np.ndarray, finite_terms: np.ndarray) -> tuple[int, SocialPlanError] | None:
         """(i, error) for the first failing state i (see social_terms), else None; one pass when none fails."""
@@ -488,12 +475,16 @@ class JointArrays:
         return None
 
     def spaces(self) -> list[JointBehaviorSpace]:
-        """The joint behavior space at each state, with its components set; raises the first failing state's error."""
+        """The joint behavior space at each state, with its components set; raises the first failing state's error.
+
+        Each space's components come from component_arrays on its own
+        contiguous matrices, which gives the bits of social_terms.
+        """
         terms = self.social_terms()
         if terms.error is not None:
             raise terms.error[1]
         spaces = []
-        for i, (x, (g, j)) in enumerate(zip(self.states, terms.slots)):
+        for i, x in enumerate(self.states):
             ne, no = self.sizes[:, i].tolist()
             fans = [
                 CandidateFan(
@@ -502,6 +493,7 @@ class JointArrays:
                 )
                 for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
             ]
+            matrices = [np.ascontiguousarray(m[i, :ne, :no]) for m in (self.reward_ego, self.reward_other)]
             space = JointBehaviorSpace(
                 ego_candidates=fans[0],
                 other_candidates=fans[1],
@@ -510,7 +502,7 @@ class JointArrays:
                 absence_other=terms.absence_other[i, :no],
                 reward_cfg=self.reward_cfg,
                 conflict=self.conflict,
-                _components=terms.groups[g].at(j, ne),
+                _components=component_arrays(*matrices, terms.absence_other[i, :no], self.reward_cfg.beta),
             )
             spaces.append(space)
         return spaces

@@ -241,8 +241,8 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     scored before it is raised: the first raises the horizon error, and a
     failing state raises its build error at its frame.  One array pass
     scores every scheduled frame's ego candidates at every horizon, one
-    product per fan-size group takes each policy's decisions, and each
-    policy's sums add in frame order (_frame_sums).
+    leader_labels pass takes every policy's decisions, and each policy's
+    sums add in frame order (_frame_sums).
     """
     obs_self = replay.obs[seat]
     frames, max_steps = _regen_frames(obs_self, cfg)

@@ -13,7 +13,7 @@ import numpy as np
 import socialplan as sp
 from socialplan.inference import _means, match_observed, update_posterior
 from socialplan.metrics import trajectory_mse
-from socialplan.planner import decide
+from socialplan.planner import decisions
 from socialplan.rewards import component_arrays
 from socialplan.sampling import SeatTerms, build_joint_arrays, rollout_batch
 from reference_scalar import (
@@ -59,7 +59,7 @@ def fan_accels(state, path, cfg) -> np.ndarray:
 
 
 def decide_on(space, lam) -> tuple[int, int]:
-    """planner.decide on a one-state build that holds the space's matrices: (leader label, follower response).
+    """planner.decisions on a one-state build that holds the space's matrices: (leader label, follower response).
 
     The leader's label comes from a SeatTerms over the space's social terms.
     """
@@ -67,13 +67,12 @@ def decide_on(space, lam) -> tuple[int, int]:
     comps = component_arrays(
         space.reward_ego[None], space.reward_other[None], space.absence_other[None], space.reward_cfg.beta
     )
-    terms = SeatTerms(
-        absence_other=space.absence_other[None], groups=[comps], slots=[(0, 0)], ne=np.array([ne]), error=None
-    )
+    terms = SeatTerms(absence_other=space.absence_other[None], terms=comps.terms, ne=np.array([ne]), error=None)
     arrays = SimpleNamespace(
         reward_other=space.reward_other[None], sizes=np.array([[ne], [no]]), rows=np.zeros((2, 1, max(ne, no), 1))
     )
-    return decide(arrays, terms, 0, lam)[:2]
+    labels, responses, _, _ = decisions(arrays, terms, lam.values[None])
+    return labels[0], responses[0]
 
 
 def posterior_mean(pset) -> np.ndarray:

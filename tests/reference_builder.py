@@ -1,10 +1,11 @@
 """Independent references for the joint-space builder, the closed loop and the posterior.
 
-The per-space decisions live here, not in the library, which decides
-through planner.decide and SeatTerms and takes its posterior means with
-inference._means: sample_accels (one side's distinct clamped
-accelerations), social_reward_vector and leader_label (the leader's mixed
-social reward, rewards.leader_scores on the space's terms, and its argmax),
+The per-space decisions live here, not in the library, which decides at
+many states at once through SeatTerms.leader_labels (planner.decisions in
+the closed loop) and takes its posterior means with inference._means:
+sample_accels (one side's distinct clamped accelerations),
+social_reward_vector and leader_label (the leader's mixed social reward,
+rewards.leader_scores on one space's terms, and its argmax),
 follower_response (the follower's best response to a committed ego label)
 and estimate_lambda (the posterior mean).
 

@@ -20,6 +20,7 @@ from socialplan.cli import main
 from socialplan.config import (
     MAX_HORIZON_STEPS,
     MAX_PARTICLES,
+    MAX_TERMINAL_SPEEDS,
     PathSpec,
     ScenarioConfig,
     config_from_dict,
@@ -140,10 +141,26 @@ def test_config_accepts_the_size_bounds(tmp_path, case_config):
     data = json.loads(case_config.read_text())
     data["sampler"]["horizon_steps"] = MAX_HORIZON_STEPS
     data["inference"]["n_particles"] = MAX_PARTICLES
+    data["sampler"]["terminal_speed_fractions"] = [k / MAX_TERMINAL_SPEEDS for k in range(MAX_TERMINAL_SPEEDS)]
     path = tmp_path / "largest.json"
     path.write_text(json.dumps(data))
     cfg = load_config(path)
     assert (cfg.sampler.horizon_steps, cfg.inference.n_particles) == (MAX_HORIZON_STEPS, MAX_PARTICLES)
+    assert len(cfg.sampler.terminal_speed_fractions) == MAX_TERMINAL_SPEEDS
+
+
+# 100,000 terminal speeds once asked safety_matrix for 74.5 GiB on case I
+@pytest.mark.parametrize("count", [MAX_TERMINAL_SPEEDS + 1, 100_000])
+def test_config_rejects_terminal_speeds_past_the_bound(tmp_path, case_config, capsys, count):
+    data = json.loads(case_config.read_text())
+    data["sampler"]["terminal_speed_fractions"] = [k / count for k in range(count)]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(sp.SchemaError, match="terminal_speed_fractions"):
+        load_config(bad)
+    assert main(["sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert f"at most {MAX_TERMINAL_SPEEDS} numbers, got {count}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -721,7 +738,8 @@ def _leaves(node, at=()):
     return [at]
 
 
-# the size fields draw values the config's bounds reject, or small ones, never a size that would allocate;
+# the size fields, terminal_speed_fractions' length among them, draw values the config's bounds reject, or
+# small ones, never a size that would allocate;
 # max_steps, window_r and frame_period_ms draw small values only, because a sim's step count has no bound;
 # dt draws any positive value, as tracks.MAX_GRID_STEPS bounds a replay's grid (span / dt)
 _BOUNDS = {("sampler", "horizon_steps"): MAX_HORIZON_STEPS, ("inference", "n_particles"): MAX_PARTICLES}
@@ -737,7 +755,8 @@ def _value(leaf):
     if leaf == ("sampler", "dt"):
         return st.one_of(st.floats(0.0, 1e300, exclude_min=True), st.floats(max_value=0.0), _JUNK)
     if leaf[-1] == "terminal_speed_fractions":
-        return st.one_of(st.lists(st.floats(-2.0, 3.0), max_size=13), _JUNK)
+        just_past = st.lists(st.floats(-2.0, 3.0), min_size=MAX_TERMINAL_SPEEDS + 1, max_size=MAX_TERMINAL_SPEEDS + 3)
+        return st.one_of(st.lists(st.floats(-2.0, 3.0), max_size=13), just_past, _JUNK)
     return st.one_of(st.integers(-3, 60), st.floats(-1e3, 1e3), _JUNK)
 
 

@@ -113,7 +113,7 @@ def _terms(rng, states: int, ne: int, ties: bool) -> np.ndarray:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    states=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12)), min_size=1, max_size=12),
+    states=st.lists(st.integers(1, 12), min_size=1, max_size=12),
     n_particles=st.integers(2, 300),
     picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=30),
     ties=st.booleans(),
@@ -121,37 +121,26 @@ def _terms(rng, states: int, ne: int, ties: bool) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
 )
 # every entry the same state, as under growing_window, at numpy's pairwise threshold of 8 terms
-@example(states=[(0, 8)], n_particles=300, picks=[0] * 30, ties=False, block_elements=1 << 22, seed=0)
-@example(
-    states=[(1, 7), (0, 12), (0, 12), (1, 7), (1, 7)], n_particles=101, picks=list(range(20)), ties=True,
-    block_elements=1 << 22, seed=1,
-)
-# ego fans of 12, 5 and 3 candidates in one group, one state per slice
-@example(
-    states=[(0, 12), (0, 5), (0, 12), (1, 3), (0, 3)], n_particles=50, picks=list(range(0, 40, 3)), ties=False,
-    block_elements=1, seed=2,
-)
+@example(states=[8], n_particles=300, picks=[0] * 30, ties=False, block_elements=1 << 22, seed=0)
+@example(states=[7, 12, 12, 7, 7], n_particles=101, picks=list(range(20)), ties=True, block_elements=1 << 22, seed=1)
+# ego fans of 12, 5 and 3 candidates, one state per slice
+@example(states=[12, 5, 12, 3, 3], n_particles=50, picks=list(range(0, 40, 3)), ties=False, block_elements=1, seed=2)
 def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, picks, ties, block_elements, seed):
     """SeatReplay.log_likelihoods against _log_softmax(lambdas @ terms)[:, label] per entry, as bytes.
 
-    states[i] = (fan-size group, ego fan size) of state i; a group's terms
-    are padded with NaN to its largest ego fan, as social_terms pads them.
-    picks choose the entries (sorted, with repeats) and their labels.
-    block_elements bounds the (G, P, ne) array, so that the states run in
-    slices of one or more.
+    states[i] is the ego fan size of state i; the terms are padded with NaN
+    to the largest one, where social_terms pads them with zeros, so that a
+    padding column that reached a product would show.  picks choose the
+    entries (sorted, with repeats) and their labels.  block_elements bounds
+    the (G, P, ne) array, so that the states run in slices of one or more.
     """
     rng = np.random.default_rng(seed)
-    per_state = [_terms(rng, 1, ne, ties)[0] for _, ne in states]
-    members = [[i for i, (g, _) in enumerate(states) if g == k] for k in (0, 1)]
-    groups = []
-    for k, idx in enumerate(members):
-        padded = np.full((len(idx), 3, max([states[i][1] for i in idx], default=1)), np.nan)
-        for j, i in enumerate(idx):
-            padded[j, :, : states[i][1]] = per_state[i]
-        groups.append(SimpleNamespace(terms=padded))
-    slots = [(g, members[g].index(i)) for i, (g, _) in enumerate(states)]
-    ne = np.array([size for _, size in states])
-    seat_terms = sampling.SeatTerms(absence_other=None, groups=groups, slots=slots, ne=ne, error=None)
+    per_state = [_terms(rng, 1, ne, ties)[0] for ne in states]
+    terms = np.full((len(states), 3, max(states)), np.nan)
+    for i, ne in enumerate(states):
+        terms[i, :, :ne] = per_state[i]
+    ne = np.array(states)
+    seat_terms = sampling.SeatTerms(absence_other=None, terms=terms, ne=ne, error=None)
     lambdas = rng.dirichlet(np.ones(3), size=n_particles)
     entries = sorted(p % len(states) for p in picks)
     labels = [p % ne[i] for p, i in zip(picks, entries)]

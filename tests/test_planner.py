@@ -6,7 +6,7 @@ import pytest
 
 import socialplan as sp
 from socialplan.metrics import min_distance
-from socialplan.planner import decide
+from socialplan.planner import decisions
 from socialplan.scenarios import case_scenario
 from reference_scalar import space_from_matrices
 from example_checks import (
@@ -39,7 +39,7 @@ def test_case1_policy_choice_ordering():
     arrays = scn.arrays_at([scn.initial])
     terms = arrays.social_terms()
     (label_e, _, first_e, _), (label_c, _, first_c, _), (label_f, _, first_f, _) = (
-        decide(arrays, terms, 0, lam)
+        [column[0] for column in decisions(arrays, terms, lam.values[None])]
         for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence())
     )
     assert label_c >= label_e  # labels ascend with target speed
@@ -145,7 +145,7 @@ def test_follower_unknown_label():
     padded = replace(arrays, reward_other=reward_other)
     terms = arrays.social_terms()
     for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence()):
-        label, response, _, _ = decide(padded, terms, 0, lam)
+        [label], [response], _, _ = decisions(padded, terms, lam.values[None])
         assert response == int(arrays.reward_other[0, label, :n].argmax())
 
 
@@ -168,7 +168,8 @@ def test_follower_choice_mirrors_swapped_leader_rows():
     arrays_sw = swapped.arrays_at([swapped.initial])
     ne, no = arrays.sizes[:, 0].tolist()
     for i in range(ne):
-        committed = SimpleNamespace(leader_label=lambda state, lam: i)  # the leader commits to label i
-        _, follower, _, _ = decide(arrays, committed, 0, sp.RewardWeights.egoism())
+        # the leader commits to label i
+        committed = SimpleNamespace(leader_labels=lambda entries, lams: np.full(len(entries), i))
+        _, [follower], _, _ = decisions(arrays, committed, sp.RewardWeights.egoism().values[None])
         # the same utilities sit in the swapped build's ego matrix, transposed
         assert follower == int(np.argmax(arrays_sw.reward_ego[0, :no, i]))

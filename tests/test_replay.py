@@ -275,7 +275,9 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
     starts = window_starts(pair.ego, fixture_cfg.inference)
     replay = PairReplay(pair.ego, pair.other, fixture_cfg.load_scenario(), starts)
     assert built == []
-    for n, (i, k, estimate) in enumerate(replay.posterior_steps(0, fixture_cfg.inference), start=1):
+    entries, stops, means, error = replay.posterior_pass(0, fixture_cfg.inference)
+    assert error is None
+    for n, (i, k, estimate) in enumerate(zip(entries, stops, means), start=1):
         reader = replay.seat(0)
         tau = reader.frames[i]
         assert tau == k - r == i
@@ -432,11 +434,10 @@ def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_p
     assert [k for k, _ in want] == list(range(cfg.window_r, tau + cfg.window_r))
     monkeypatch.setattr(workflows, "observed_pairs", lambda *_: [(0, failing)])
     replay = PairReplay(failing.ego, failing.other, scenario, window_starts(failing.ego, cfg))
-    got = []
-    with pytest.raises(sp.NonFiniteRewardError) as error:
-        for _, k, estimate in replay.posterior_steps(0, cfg):
-            got.append((k, estimate.tobytes()))
-    assert str(error.value) == str(definition.value)
+    _, stops, means, error = replay.posterior_pass(0, cfg)
+    got = [(k, estimate.tobytes()) for k, estimate in zip(stops, means)]
+    assert isinstance(error, sp.NonFiniteRewardError)
+    assert str(error) == str(definition.value)
     assert got == want
     # regeneration scores and decides at frames 10..12 of the failing state's build first
     for run in (lambda: infer_trace(failing, scenario, cfg), lambda: workflows.run_regen(fixture_cfg, tmp_path)):
@@ -561,31 +562,30 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
     for seat, seat_scenario in enumerate((scn, scn.swapped())):
         obs_self, obs_other = obs[seat], obs[1 - seat]
         if steps < window_r:
-            for steps_of in (replay.posterior_steps(seat, cfg, seed), reference_posterior_steps(
-                obs_self, obs_other, seat_scenario, cfg, seed
-            )):
-                with pytest.raises(sp.ShortTrackError):
-                    next(steps_of)
+            with pytest.raises(sp.ShortTrackError):
+                replay.posterior_pass(seat, cfg, seed)
+            with pytest.raises(sp.ShortTrackError):
+                next(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
             continue
-        got = list(replay.posterior_steps(seat, cfg, seed))
+        entries, stops, means, error = replay.posterior_pass(seat, cfg, seed)
+        assert error is None
+        got = list(zip(entries, stops, means))
         want = list(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
         reader = replay.seat(seat)
         assert [(reader.frames[i], k) for i, k, _ in got] == [(tau, k) for tau, _, k, _, _ in want]
         assert [e.tobytes() for *_, e in got] == [e.values.tobytes() for *_, e in want]
 
         space_at = {tau: space for tau, space, *_ in want}
-        entries = [i for i, _, _ in got]
-        stops = [k for _, k, _ in got]
         assert reader.matched_labels(obs_self.xy, entries, stops).tolist() == [m for *_, m, _ in want]
         every = range(reader.terms.sound)
         for lam in fixed:
             want_labels = [leader_label(space_at[tau], lam) for tau in reader.frames]
             got_labels = reader.terms.leader_labels(every, np.broadcast_to(lam.values, (len(every), 3)))
             assert got_labels.tolist() == want_labels
-        batched = reader.terms.leader_labels(entries, np.stack([e for *_, e in got]))
+        batched = reader.terms.leader_labels(entries, means)
         for (i, _, estimate), label in zip(got, batched):
             want_label = leader_label(space_at[reader.frames[i]], sp.RewardWeights(estimate))
-            assert label == reader.terms.leader_label(i, estimate) == want_label
+            assert label == reader.terms.leader_labels([i], estimate[None])[0] == want_label
         scored = [i for i, tau in enumerate(reader.frames) if tau + horizon <= steps]
         truth = np.stack([obs_self.xy[reader.frames[i] : reader.frames[i] + horizon + 1] for i in scored] or
                          [np.zeros((horizon + 1, 2))])

@@ -465,10 +465,11 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
 ):
     """Both seats' decisions, log-likelihoods and spaces() against component_arrays on each state alone, as bytes.
 
-    social_terms groups states by the follower's fan size alone and pads
-    the ego axis to the group's largest ego fan; states[i] = (ego state,
-    other s, which of other_speeds), so that ego fans of several sizes
-    share one follower fan.
+    social_terms groups states by the follower's fan size alone, pads the
+    ego axis to the group's largest ego fan and puts each state's terms
+    back in its row of SeatTerms.terms, zeros after its ego fan;
+    states[i] = (ego state, other s, which of other_speeds), so that ego
+    fans of several sizes share one follower fan.
     """
     sampler = sp.SamplerConfig(
         horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions), accel_min=a_min, accel_max=a_max
@@ -498,9 +499,10 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
                 seat.reward_cfg.beta,
             )
             comps = space.components()
+            assert terms.terms[i, :, :ne].tobytes() == own.terms[0].tobytes() and not terms.terms[i, :, ne:].any()
             for name, value in vars(own).items():
                 assert getattr(comps, name).tobytes() == value[0].tobytes(), name
             for lam in lams[:, i]:
-                assert terms.leader_label(i, lam) == int(leader_scores(lam, own.terms[0]).argmax())
+                assert terms.leader_labels([i], lam[None]).tolist() == [int(leader_scores(lam, own.terms[0]).argmax())]
             assert batched[:, i].tolist() == [int(leader_scores(lam, own.terms[0]).argmax()) for lam in lams[:, i]]
             assert loglik[i].tobytes() == _log_softmax(lambdas @ own.terms[0])[:, labels[i]].tobytes()
