@@ -96,14 +96,14 @@ class ParticleSet:
             raise ValueError("weights must be non-negative and sum to 1")
 
 
-def _subdivided_triangles(k: int) -> np.ndarray:
-    """Barycentric corner triples (k^2, 3, 3) of the k^2 congruent subtriangles of the simplex.
+def _subdivided_triangles(k: int, first: int, stop: int) -> np.ndarray:
+    """Barycentric corner triples (m, 3, 3) of the subtriangles in rows first..stop-1 of the simplex's k^2 congruent ones.
 
-    Row by row: for i = 0..k-1 and j = 0..k-1-i the upward triangle at
-    (i, j), then the downward one next to it while i + j < k - 1.
+    Row by row: for i = first..stop-1 and j = 0..k-1-i the upward triangle
+    at (i, j), then the downward one next to it while i + j < k - 1.
     """
-    per_row = np.arange(k, 0, -1)
-    i = np.repeat(np.arange(k), per_row)
+    per_row = np.arange(k - first, k - stop, -1)
+    i = np.repeat(np.arange(first, stop), per_row)
     j = np.arange(len(i)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
     # grid offsets of the corners of the upward and the downward triangle at (i, j)
     ci = i[:, None, None] + np.array([[0, 1, 0], [1, 1, 0]])
@@ -113,19 +113,26 @@ def _subdivided_triangles(k: int) -> np.ndarray:
 
 
 def _sample_simplex(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
+    """n points on the simplex: iid Dirichlet(1, 1, 1), or a uniform point in each of the k^2 subtriangles
+    (k = isqrt(n)) and iid ones after them.  The subtriangles run a block of rows at a time, each block's
+    corners near _BLOCK_ELEMENTS floats (or one row's); every value is elementwise, so a point keeps its bits.
+    """
     if scheme == "iid":
         return rng.dirichlet(np.ones(3), size=n)
     k = int(math.isqrt(n))
-    corners = _subdivided_triangles(k)  # (k^2, 3, 3)
-    r1 = np.sqrt(rng.random(len(corners)))
-    r2 = rng.random(len(corners))
-    pts = (
-        (1.0 - r1)[:, None] * corners[:, 0]
-        + (r1 * (1.0 - r2))[:, None] * corners[:, 1]
-        + (r1 * r2)[:, None] * corners[:, 2]
-    )
-    if n > len(pts):
-        pts = np.concatenate([pts, rng.dirichlet(np.ones(3), size=n - len(pts))])
+    r1 = np.sqrt(rng.random(k * k))
+    r2 = rng.random(k * k)
+    pts = np.empty((n, 3))
+    rows = max(1, sampling._BLOCK_ELEMENTS // (18 * k))  # a row's corners: at most k upward triangles, (k, 2, 3, 3)
+    lo = 0
+    for first in range(0, k, rows):
+        corners = _subdivided_triangles(k, first, min(first + rows, k))
+        hi = lo + len(corners)
+        a, b = r1[lo:hi, None], r2[lo:hi, None]
+        pts[lo:hi] = (1.0 - a) * corners[:, 0] + (a * (1.0 - b)) * corners[:, 1] + (a * b) * corners[:, 2]
+        lo = hi
+    if n > lo:
+        pts[lo:] = rng.dirichlet(np.ones(3), size=n - lo)
     return pts
 
 

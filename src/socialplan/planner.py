@@ -152,14 +152,15 @@ def _crossed(x: JointState, conflict: ConflictPoint) -> bool:
 
 
 def decisions(arrays: JointArrays, terms: SeatTerms, lams: np.ndarray) -> tuple[list, list, list, list]:
-    """At each state i < len(lams) of a build, all sound, under weights lams[i]: the leader's labels
-    (SeatTerms.leader_labels), the follower's best responses in its own fan and their first controls, as lists."""
-    entries = np.arange(len(lams))
+    """At each state i < n of a build, all sound, under weights lams[:, i] (lams (3, n)): the leader's labels
+    (SeatTerms.leader_labels), the follower's best responses in its own fan and their first controls (the
+    candidates' constant accelerations), as lists."""
+    entries = np.arange(lams.shape[-1])
     labels = terms.leader_labels(entries, lams)
     rewards = arrays.reward_other[entries, labels]  # (n, nt) each state's row of its leader's label
     rewards[np.arange(rewards.shape[-1]) >= arrays.sizes[1, entries, None]] = -np.inf
     responses = rewards.argmax(axis=-1)
-    a_ego, a_other = arrays.rows[0, entries, labels, 0], arrays.rows[1, entries, responses, 0]
+    a_ego, a_other = arrays.accels[0, entries, labels], arrays.accels[1, entries, responses]
     return labels.tolist(), responses.tolist(), a_ego.tolist(), a_other.tolist()
 
 
@@ -240,7 +241,7 @@ def simulate_policies(
     a_ego: list[list[float]] = [[] for _ in ego_policies]
     a_other: list[list[float]] = [[] for _ in ego_policies]
     guesses: list[tuple[int, int] | None] = [None for _ in ego_policies]  # each policy's last decision
-    weights = np.array([policy.lam.values for policy in ego_policies])
+    weights = np.array([policy.lam.values for policy in ego_policies]).T  # (3, policies)
     running = [p for p in range(len(ego_policies)) if not _crossed(x0, conflict) and max_steps > 0]
     error: SocialPlanError | None = None
     builds = built = predicted = used = 0
@@ -256,7 +257,7 @@ def simulate_policies(
             # any error kept so far came from a later policy, which simulate would never reach
             failed, error = terms.error
             running = running[:failed]
-        labels, responses, a_e, a_o = decisions(arrays, terms, weights[owners[: terms.sound]])
+        labels, responses, a_e, a_o = decisions(arrays, terms, weights[:, owners[: terms.sound]])
         first = len(xs)  # the build index of the next chain's first state
         for i, (p, x) in enumerate(zip(running, xs)):
             chain, at, hits = chains[i], i, 0

@@ -3,9 +3,11 @@
 Each agent's candidate set is a fan of constant-acceleration profiles toward
 a grid of terminal speeds (fractions of the path speed limit).  A fan is
 held as arrays with one row per candidate; the row index is the candidate's
-label.  Pairing the two fans yields the discrete joint behavior space; both
-agents' utilities are cached as |ego| x |other| matrices at build time so
-every downstream reward term reduces to row/column operations.
+label, and a candidate is one number, its acceleration, which is also its
+first control (rollout_batch rolls it out).  Pairing the two fans yields the
+discrete joint behavior space; both agents' utilities are cached as
+|ego| x |other| matrices at build time so every downstream reward term
+reduces to row/column operations.
 
 build_joint_arrays is the one builder.  It samples every fan with
 fan_accels, which the closed loop also calls to predict the states its
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AgentState, ConflictPoint, JointState, ReferencePath, step_dynamics
+from .core import ConflictPoint, JointState, ReferencePath
 from .errors import EmptyCandidateSetError, NonFiniteRewardError, SocialPlanError
 from .rewards import RewardConfig, SocialComponents, beta_error, component_arrays, leader_scores, social_components
 
@@ -118,7 +120,8 @@ _COLLAPSED = "all candidates collapsed to a single acceleration"
 class CandidateFan:
     """One side's candidates as arrays; row i is the candidate labeled i.
 
-    accels: (n, N); s, v: (n, N+1); xy: (n, N+1, 2) at lateral offset d.
+    accels: (n,), each candidate's constant acceleration; s, v: (n, N+1);
+    xy: (n, N+1, 2) at lateral offset d.
     """
 
     accels: np.ndarray
@@ -170,59 +173,48 @@ class JointBehaviorSpace:
         return self._components
 
 
-def rollout_batch(s0, v0, accels: np.ndarray, dt: float):
-    """Roll out acceleration sequences accels (..., n, N), row by row from s0, v0.
+def rollout_batch(s0, v0, accels: np.ndarray, steps: int, dt: float):
+    """Roll out constant accelerations accels (..., n) over steps steps, row by row from s0, v0.
 
-    s0 and v0 broadcast to accels.shape[:-1].  Returns (S, V), each a
-    contiguous (..., N+1) array.  Both are running sums along the step axis
+    s0 and v0 broadcast to accels.shape.  Returns (S, V), each a contiguous
+    (..., n, steps+1) array.  Both are running sums along the step axis
     (np.add.accumulate adds left to right, here in place) that repeat the
     float operations of core.step_dynamics in its order:
 
-        V over [v0, a0*dt, a1*dt, ...]                    v' = v + a*dt
-        S over [s0, v0*dt, 0.5*a0*dt*dt, v1*dt, ...]      s' = s + v*dt + 0.5*a*dt*dt
+        V over [v0, a*dt, a*dt, ...]                    v' = v + a*dt
+        S over [s0, v0*dt, 0.5*a*dt*dt, v1*dt, ...]     s' = s + v*dt + 0.5*a*dt*dt
 
     so the result matches it bit for bit; a closed form or a hoisted
     0.5*dt*dt would round differently.  S is copied out of its interleaved
-    running sum, so that the (..., 2N+1) array dies here.  A row whose speed
-    would go negative is exact up to the step the car stops in.  Where that
-    is the last step, step_dynamics' stop branch runs on the last column,
-    for all such rows at once; a row that stops earlier is rolled out from
-    its stop step on, step by step, through step_dynamics.
+    running sum, so that the (..., 2*steps+1) array dies here.  A row whose
+    speed goes negative (a < 0) keeps it negative from then on, so the last
+    column finds every row that stops.  For those rows step_dynamics' stop
+    branch runs at the step the car stops in: t = -v / a, s + v*t + 0.5*a*t*t
+    and v = 0.  From a stop, every later step gives the same s again and
+    v = 0, so S holds that value and V holds 0.0 after it.
     """
     accels = np.asarray(accels, dtype=float)
-    n = accels.shape[-1]
-    V = np.empty(accels.shape[:-1] + (n + 1,))
+    V = np.empty(accels.shape + (steps + 1,))
     V[..., 0] = v0
-    np.multiply(accels, dt, out=V[..., 1:])
+    np.multiply(accels[..., None], dt, out=V[..., 1:])
     np.add.accumulate(V, axis=-1, out=V)
-    ds = np.empty(accels.shape[:-1] + (2 * n + 1,))
+    ds = np.empty(accels.shape + (2 * steps + 1,))
     ds[..., 0] = s0
     np.multiply(V[..., :-1], dt, out=ds[..., 1::2])
-    half = 0.5 * accels  # ((0.5*a)*dt)*dt, the order of 0.5*a*dt*dt, in place on a contiguous temporary:
-    half *= dt  # numpy works in place on a strided view more slowly than on its own array
-    half *= dt
-    ds[..., 2::2] = half
-    del half
+    ds[..., 2::2] = (0.5 * accels * dt * dt)[..., None]  # ((0.5*a)*dt)*dt, the order of 0.5*a*dt*dt
     np.add.accumulate(ds, axis=-1, out=ds)
     S = ds[..., ::2].copy()
     del ds
 
-    negative = V < 0.0
-    if negative.any():
-        early = negative[..., :-1].any(axis=-1)
-        last = negative[..., -1] > early  # rows whose speed first goes negative in the last step
-        if last.any():
-            # the stop branch's t = -v / a, s + v*t + 0.5*a*t*t and v = 0; (v, a) = (0, -1) where it does not apply
-            v, a = np.where(last, V[..., -2], 0.0), np.where(last, accels[..., -1], -1.0)
-            t = -v / a
-            np.copyto(S[..., -1], S[..., -2] + v * t + 0.5 * a * t * t, where=last)
-            np.copyto(V[..., -1], 0.0, where=last)
-        for row in zip(*early.nonzero()):
-            j = int(negative[row].argmax()) - 1  # the step the car stops in
-            x = AgentState(s=float(S[row][j]), v=float(V[row][j]))
-            for m, a in enumerate(accels[row][j:].tolist(), start=j + 1):
-                x = step_dynamics(x, a, dt)
-                S[row][m], V[row][m] = x.s, x.v
+    stop = V[..., -1] < 0.0
+    if stop.any():
+        a, s, v = accels[stop][:, None], S[stop], V[stop]
+        after = v < 0.0  # the steps after the stop
+        j = after.argmax(axis=-1)[:, None] - 1  # the step the car stops in
+        vj = np.take_along_axis(v, j, axis=-1)
+        t = -vj / a
+        S[stop] = np.where(after, np.take_along_axis(s, j, axis=-1) + vj * t + 0.5 * a * t * t, s)
+        V[stop] = np.where(after, 0.0, v)
     return S, V
 
 
@@ -241,9 +233,9 @@ def safety_matrix(
 ) -> np.ndarray:
     """Accumulated pairwise proximity penalty over the horizon.
 
-    xy_ego: (..., ne, N+1, 2), xy_other: (..., no, N+1, 2), s_ego:
-    (..., ne, N+1), s_other: (..., no, N+1), with the same leading axes
-    (the states).  Entry [..., i, j] is
+    xy_ego: (F, ne, N+1, 2), xy_other: (F, no, N+1, 2), s_ego:
+    (F, ne, N+1), s_other: (F, no, N+1), over the same F states.  Entry
+    [f, i, j] is
 
         -sum_t exp(-|p_e - p_o| / sigma_d)
               * exp(-(|s_e - s_ce| + |s_o - s_co|) / sigma_c)
@@ -254,11 +246,6 @@ def safety_matrix(
     states, as the closed loop builds, is one block.  Every reduction runs
     over the last axis, so a block gives each state the bits it has alone.
     """
-    if xy_ego.ndim != 4:  # the states on one leading axis
-        lead = xy_ego.shape[:-3]
-        flat = [a.reshape((-1,) + a.shape[len(lead) :]) for a in (xy_ego, xy_other, s_ego, s_other)]
-        out = safety_matrix(*flat, s_conflict_ego, s_conflict_other, sigma_d, sigma_c)
-        return out.reshape(lead + out.shape[1:])
     ne, no, t = xy_ego.shape[1], xy_other.shape[1], xy_ego.shape[2] - 1
     # x / -sigma is the float -x / sigma, so the factors keep the bits of
     # exp(-|s - s_c| / sigma_c) and exp(-sqrt(sum diff**2) / sigma_d), multiplied in that order
@@ -350,14 +337,13 @@ class SeatTerms:
         return len(self.ne) if self.error is None else self.error[0]
 
     def leader_labels(self, entries, lams: np.ndarray) -> np.ndarray:
-        """The leader's label at each entry i under its weight row: (..., len(entries)) from lams (..., len(entries), 3).
+        """The leader's label at each entry i under its weights: (..., len(entries)) from lams (3, ..., len(entries)).
 
         The argmax of the entry's leader_scores over its ego candidates,
         ties to the lowest label; one leader_scores pass with the padding
         columns masked.  Every entry must be sound.
         """
-        lam = np.moveaxis(lams, -1, 0)[..., None]  # (3, ..., n, 1)
-        scores = leader_scores(lam, self.terms[entries].swapaxes(0, 1))  # (..., n, nt)
+        scores = leader_scores(lams[..., None], self.terms[entries].swapaxes(0, 1))  # (..., n, nt)
         np.copyto(scores, -np.inf, where=np.arange(scores.shape[-1]) >= self.ne[entries, None])
         return scores.argmax(axis=-1)
 
@@ -378,7 +364,7 @@ class JointArrays:
     dt: float
     collapsed: list[bool]  # per state: a fan collapsed under forbid_singleton
     sizes: np.ndarray  # (side, F) fan sizes
-    rows: np.ndarray  # (side, F, nt, N)
+    accels: np.ndarray  # (side, F, nt) each candidate's constant acceleration, its first control
     S: np.ndarray  # (side, F, nt, N+1)
     V: np.ndarray  # (side, F, nt, N+1)
     xy: list[np.ndarray]  # per side (F, nt, N+1, 2)
@@ -404,7 +390,7 @@ class JointArrays:
             dt=self.dt,
             collapsed=self.collapsed,
             sizes=self.sizes[::-1],
-            rows=self.rows[::-1],
+            accels=self.accels[::-1],
             S=self.S[::-1],
             V=self.V[::-1],
             xy=self.xy[::-1],
@@ -488,7 +474,7 @@ class JointArrays:
             ne, no = self.sizes[:, i].tolist()
             fans = [
                 CandidateFan(
-                    accels=self.rows[k, i, :m], s=self.S[k, i, :m], v=self.V[k, i, :m], xy=self.xy[k][i, :m],
+                    accels=self.accels[k, i, :m], s=self.S[k, i, :m], v=self.V[k, i, :m], xy=self.xy[k][i, :m],
                     d=a.d, dt=self.dt,
                 )
                 for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
@@ -530,12 +516,11 @@ def build_joint_arrays(
     limits = np.array([path_ego.speed_limit, path_other.speed_limit])[:, None]
 
     accels, sizes = fan_accels(v0, limits, sampler_cfg)  # (side, F, nt), (side, F)
-    rows = accels[..., None].repeat(n, axis=-1)  # (side, F, nt, N)
     forbid = _forbids_singleton(accels, sampler_cfg)
     collapsed = (sizes == 1).any(axis=0).tolist() if forbid else [False] * len(states)
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported per state
-        S, V = rollout_batch(s0[..., None], v0[..., None], rows, dt)
+        S, V = rollout_batch(s0[..., None], v0[..., None], accels, n, dt)
         xy = [paths[k].position(S[k], d[k][:, None, None]) for k in (0, 1)]  # each (F, nt, N+1, 2)
 
         # accumulated efficiency and comfort over steps 0..N-1; each row's
@@ -546,7 +531,7 @@ def build_joint_arrays(
         sq *= sq
         lateral = np.array([[_lateral(x, n, reward_cfg.d0) for x in side] for side in d.tolist()])
         eff = -(sq.sum(axis=-1) + lateral[..., None])  # (side, F, nt)
-        np.divide(rows, reward_cfg.a0, out=sq)
+        np.divide(accels[..., None], reward_cfg.a0, out=sq)  # each row's acceleration in each of its N steps
         sq *= sq
         com = -sq.sum(axis=-1)
         del sq
@@ -561,7 +546,7 @@ def build_joint_arrays(
 
     return JointArrays(
         states=list(states), paths=paths, conflict=conflict, reward_cfg=reward_cfg, dt=dt, collapsed=collapsed,
-        sizes=sizes, rows=rows, S=S, V=V, xy=xy, eff=eff, com=com, safety=safety,
+        sizes=sizes, accels=accels, S=S, V=V, xy=xy, eff=eff, com=com, safety=safety,
         reward_ego=reward_ego, reward_other=reward_other,
     )
 

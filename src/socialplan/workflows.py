@@ -271,10 +271,10 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
         raise reader.terms.error[1]
     if error is not None:
         raise error
-    lams = np.empty((len(POLICIES) + 1, sound, 3))  # each policy's weights at each frame, the estimate's last
-    for lam, make in zip(lams, POLICIES.values()):
-        lam[:] = make().values
-    lams[-1] = means[ks - cfg.inference.window_r]
+    lams = np.empty((3, len(POLICIES) + 1, sound))  # each policy's weights at each frame, the estimate's last
+    for p, make in enumerate(POLICIES.values()):
+        lams[:, p] = make().values[:, None]
+    lams[:, -1] = means[ks - cfg.inference.window_r].T
     totals = _frame_sums(mse, reader.terms.leader_labels(range(first, first + sound), lams))
     return {
         name: {str(h): round(total / len(frames), 6) for h, total in zip(REGEN_HORIZONS, per_h)}

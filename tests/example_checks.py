@@ -44,7 +44,7 @@ class FakeSpace:
 def one_car_build(state, path, cfg):
     """build_joint_arrays at one state with the car in both seats on path.
 
-    Its fan is row 0 of seat 0: arrays.rows[0, 0, :arrays.sizes[0, 0]], the
+    Its fan is row 0 of seat 0: arrays.accels[0, 0, :arrays.sizes[0, 0]], the
     candidate labeled i in row i; arrays.collapsed[0] says whether
     forbid_singleton rejects it.
     """
@@ -55,7 +55,7 @@ def one_car_build(state, path, cfg):
 def fan_accels(state, path, cfg) -> np.ndarray:
     """The build's distinct accelerations (n,) for a car in state on path, by label."""
     arrays = one_car_build(state, path, cfg)
-    return arrays.rows[0, 0, : arrays.sizes[0, 0], 0]
+    return arrays.accels[0, 0, : arrays.sizes[0, 0]]
 
 
 def decide_on(space, lam) -> tuple[int, int]:
@@ -69,9 +69,9 @@ def decide_on(space, lam) -> tuple[int, int]:
     )
     terms = SeatTerms(absence_other=space.absence_other[None], terms=comps.terms, ne=np.array([ne]), error=None)
     arrays = SimpleNamespace(
-        reward_other=space.reward_other[None], sizes=np.array([[ne], [no]]), rows=np.zeros((2, 1, max(ne, no), 1))
+        reward_other=space.reward_other[None], sizes=np.array([[ne], [no]]), accels=np.zeros((2, 1, max(ne, no)))
     )
-    labels, responses, _, _ = decisions(arrays, terms, lam.values[None])
+    labels, responses, _, _ = decisions(arrays, terms, lam.values[:, None])
     return labels[0], responses[0]
 
 
@@ -132,9 +132,9 @@ def check_conflict_diagonal():
 
 # --- sampler -----------------------------------------------------------
 
-def _rollout(s, v, accels, dt):
-    """(S, V) of one acceleration sequence, through the library's rollout kernel."""
-    S, V = rollout_batch(s, v, np.asarray(accels, dtype=float)[None], dt)
+def _rollout(s, v, a, steps, dt):
+    """(S, V) of one constant acceleration a over steps steps, through the library's rollout kernel."""
+    S, V = rollout_batch(s, v, np.array([a], dtype=float), steps, dt)
     return S[0], V[0]
 
 def check_sample_at_target():
@@ -148,7 +148,7 @@ def check_sample_acceleration_grid():
     accels = fan_accels(sp.AgentState(s=0, v=0.0), straight_path(), cfg)
     assert np.allclose(accels, [0.0, 5.0 / 3.0, 10.0 / 3.0], atol=1e-9)
     for a, target in zip(accels, (0.0, 5.0, 10.0)):
-        _, v = _rollout(0.0, 0.0, np.full(cfg.horizon_steps, a), cfg.dt)
+        _, v = _rollout(0.0, 0.0, a, cfg.horizon_steps, cfg.dt)
         assert abs(v[-1] - target) < 1e-9
 
 def check_sample_default_count():
@@ -157,16 +157,16 @@ def check_sample_default_count():
     assert len(accels) == 6 and np.all(np.diff(accels) > 0.0)
 
 def check_rollout_uniform():
-    s, v = _rollout(0.0, 10.0, np.zeros(3), 0.5)
+    s, v = _rollout(0.0, 10.0, 0.0, 3, 0.5)
     assert np.allclose(s, [0, 5, 10, 15], atol=0) and np.all(v == 10.0)
 
 def check_rollout_from_rest():
-    s, v = _rollout(0.0, 0.0, np.full(2, 2.0), 1.0)
+    s, v = _rollout(0.0, 0.0, 2.0, 2, 1.0)
     assert np.allclose(s, [0, 1, 4], atol=0) and np.allclose(v, [0, 2, 4], atol=0)
 
 def check_rollout_standstill():
     # derived: stops inside step 0 at s = 0.25, stays put afterward (fine-step oracle)
-    s, v = _rollout(0.0, 1.0, np.full(4, -2.0), 1.0)
+    s, v = _rollout(0.0, 1.0, -2.0, 4, 1.0)
     assert np.allclose(s, [0, 0.25, 0.25, 0.25, 0.25], atol=1e-12)
     assert np.all(v[1:] == 0.0)
 

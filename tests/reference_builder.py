@@ -86,16 +86,15 @@ def reference_safety_matrix(xy_ego, xy_other, s_ego, s_other, s_conflict_ego, s_
 
 
 def _fan(accels, state, path, cfg) -> CandidateFan:
-    rows = np.repeat(accels[:, None], cfg.horizon_steps, -1)
-    s, v = rollout_batch(np.asarray(state.s)[None], np.asarray(state.v)[None], rows, cfg.dt)
+    s, v = rollout_batch(np.asarray(state.s)[None], np.asarray(state.v)[None], accels, cfg.horizon_steps, cfg.dt)
     xy = path.position(s, np.asarray(state.d, dtype=float)[None, None])
-    return CandidateFan(accels=rows, s=s, v=v, xy=xy, d=state.d, dt=cfg.dt)
+    return CandidateFan(accels=accels, s=s, v=v, xy=xy, d=state.d, dt=cfg.dt)
 
 
 def _utility_vectors(fan: CandidateFan, v_des: float, cfg):
     """Accumulated efficiency and comfort (steps 0..N-1) of every candidate, jerk term included."""
-    accels = fan.accels
-    n = accels.shape[-1]
+    n = fan.v.shape[-1] - 1
+    accels = np.repeat(fan.accels[:, None], n, -1)  # each candidate's control at each of its N steps
     dev = (fan.v[:, :n] - v_des) / v_des
     eff = -(np.sum(dev * dev, axis=-1) + n * (fan.d / cfg.d0) ** 2)
     jerk = np.diff(accels, axis=-1) / fan.dt
@@ -148,8 +147,8 @@ def reference_simulate(scenario, lam, max_steps: int = 200, start_state=None, bu
     while not crossed(x) and len(a_ego) < max_steps:
         space = build(scenario, x)
         label = leader_label(space, lam)
-        ae = float(space.ego_candidates.accels[label, 0])
-        ao = float(space.other_candidates.accels[follower_response(space, label), 0])
+        ae = float(space.ego_candidates.accels[label])
+        ao = float(space.other_candidates.accels[follower_response(space, label)])
         x = JointState(
             ego=step_dynamics(x.ego, ae, scenario.sampler.dt),
             other=step_dynamics(x.other, ao, scenario.sampler.dt),

@@ -38,8 +38,9 @@ class Trajectory:
 
 
 def trajectory(fan: CandidateFan, label: int) -> Trajectory:
-    """The candidate labeled label as a single trajectory."""
-    return Trajectory(s=fan.s[label], v=fan.v[label], accels=fan.accels[label], d=fan.d, dt=fan.dt, xy=fan.xy[label])
+    """The candidate labeled label as a single trajectory, its constant acceleration at each of its N steps."""
+    accels = np.full(fan.s.shape[-1] - 1, fan.accels[label])
+    return Trajectory(s=fan.s[label], v=fan.v[label], accels=accels, d=fan.d, dt=fan.dt, xy=fan.xy[label])
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def space_from_matrices(reward_ego, reward_other, absence_other=None, reward_cfg
 
     def stub(n: int) -> CandidateFan:
         zeros = np.zeros((n, 2))
-        return CandidateFan(accels=np.zeros((n, 1)), s=zeros, v=zeros, xy=np.zeros((n, 2, 2)), d=0.0, dt=0.25)
+        return CandidateFan(accels=np.zeros(n), s=zeros, v=zeros, xy=np.zeros((n, 2, 2)), d=0.0, dt=0.25)
 
     return JointBehaviorSpace(
         ego_candidates=stub(ne),

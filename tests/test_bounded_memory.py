@@ -1,4 +1,5 @@
-"""Replay's memory: a build's temporaries stay near the arrays it keeps, and a posterior pass holds no (F, P) array.
+"""Replay's memory: a build's temporaries stay near the arrays it keeps, a posterior pass holds no (F, P) array,
+and the particle draw stays near the particles it returns.
 
 Peaks are tracemalloc's, which sees every numpy data buffer.  The inputs
 are the courtesy fixture's observed states and pair.
@@ -10,7 +11,7 @@ import pytest
 
 from socialplan import workflows
 from socialplan.config import load_config
-from socialplan.inference import PairReplay, observed_state, window_starts
+from socialplan.inference import InferenceConfig, PairReplay, init_particles, observed_state, window_starts
 from socialplan.scenarios import fixture_scenario, write_scenario_config
 
 
@@ -40,7 +41,7 @@ def test_a_build_of_2000_states_peaks_near_the_arrays_it_keeps(courtesy):
     frames = [observed_state(pair.ego, pair.other, k) for k in range(len(pair.ego.s))]
     states = [frames[i % len(frames)] for i in range(2000)]
     arrays, peak = _peak(lambda: scenario.arrays_at(states))
-    kept = [arrays.sizes, arrays.rows, arrays.S, arrays.V, *arrays.xy, arrays.eff, arrays.com, arrays.safety,
+    kept = [arrays.sizes, arrays.accels, arrays.S, arrays.V, *arrays.xy, arrays.eff, arrays.com, arrays.safety,
             arrays.reward_ego, arrays.reward_other]
     assert peak < 1.5 * sum(a.nbytes for a in kept)
 
@@ -56,3 +57,9 @@ def test_a_posterior_pass_peaks_below_one_frames_by_particles_array(courtesy, re
     (_, stops, means, error), peak = _peak(lambda: replay.posterior_pass(0, icfg, cfg.seed))
     assert error is None and len(means) == len(stops) > 1
     assert peak < len(means) * icfg.n_particles * 8
+
+
+def test_the_particle_draw_peaks_below_twice_the_particles_it_returns():
+    """Once 6.8 times: the stratified draw's corners and points were whole (k**2, 2, 3, 3) and (k**2, 3) arrays."""
+    pset, peak = _peak(lambda: init_particles(InferenceConfig(n_particles=10**6), seed=0))
+    assert peak < 2 * (pset.lambdas.nbytes + pset.weights.nbytes)

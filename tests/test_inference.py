@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
+from socialplan import sampling
 from socialplan.inference import _sample_simplex, infer_agent, match_observed, update_posterior
 from socialplan.scenarios import fixture_scenario
 from reference_scalar import window_likelihood
@@ -147,6 +149,18 @@ def test_init_particles_matches_reference_bit_for_bit(n, init, prior):
         pset = sp.init_particles(cfg, seed)
         lambdas, weights = _reference_init_particles(cfg, seed)
         assert pset.lambdas.tobytes() == lambdas.tobytes() and pset.weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 137, 1000])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_the_stratified_draw_in_blocks_of_rows_matches_reference(n, rows):
+    """A _BLOCK_ELEMENTS patched to rows rows of (k, 2, 3, 3) corners draws the subtriangles that many rows at
+    a time, with the bytes of the whole draw."""
+    cfg = sp.InferenceConfig(n_particles=n)
+    with patch.object(sampling, "_BLOCK_ELEMENTS", rows * 18 * math.isqrt(n)):
+        pset = sp.init_particles(cfg, seed=5)
+    lambdas, weights = _reference_init_particles(cfg, 5)
+    assert pset.lambdas.tobytes() == lambdas.tobytes() and pset.weights.tobytes() == weights.tobytes()
 
 
 def test_stratified_covers_corners():

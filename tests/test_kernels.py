@@ -13,27 +13,26 @@ from reference_builder import reference_safety_matrix
 
 
 def _random_inputs(rng, n=7, steps=12):
-    accels = rng.uniform(-6, 3, size=(n, steps))
+    accels = rng.uniform(-6, 3, size=n)
     s0, v0 = rng.uniform(0, 40), rng.uniform(0, 12)
-    return s0, v0, accels
+    return s0, v0, accels, steps
 
 
-def _assert_matches_step_dynamics(s0, v0, accels, dt):
-    S, V = sampling.rollout_batch(s0, v0, accels, dt)
-    assert S.shape == V.shape == (accels.shape[0], accels.shape[1] + 1)
-    for i in range(accels.shape[0]):
+def _assert_matches_step_dynamics(s0, v0, accels, steps, dt):
+    S, V = sampling.rollout_batch(s0, v0, accels, steps, dt)
+    assert S.shape == V.shape == (len(accels), steps + 1)
+    for i, a in enumerate(accels.tolist()):
         state = sp.AgentState(s=s0, v=v0)
         assert S[i, 0] == s0 and V[i, 0] == v0
-        for k, a in enumerate(accels[i]):
-            state = sp.step_dynamics(state, float(a), dt)
+        for k in range(steps):
+            state = sp.step_dynamics(state, a, dt)
             assert state.s == S[i, k + 1] and state.v == V[i, k + 1]
 
 
 def test_rollout_matches_scalar_dynamics_exactly():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        s0, v0, accels = _random_inputs(rng)
-        _assert_matches_step_dynamics(s0, v0, accels, 0.25)
+        _assert_matches_step_dynamics(*_random_inputs(rng), 0.25)
 
 
 _accel = st.floats(-8.0, 4.0, allow_nan=False)
@@ -44,32 +43,32 @@ _accel = st.floats(-8.0, 4.0, allow_nan=False)
     s0=st.floats(0.0, 100.0, allow_nan=False),
     v0=st.one_of(st.just(0.0), st.floats(0.0, 20.0, allow_nan=False)),
     dt=st.floats(0.01, 0.5, allow_nan=False),
-    rows=st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.lists(_accel, min_size=n, max_size=n), min_size=1, max_size=6)
-    ),
+    steps=st.integers(1, 6),
+    accels=st.lists(_accel, min_size=1, max_size=6),
 )
-@example(s0=5.0, v0=1.0, dt=0.25, rows=[[-8.0, 2.0], [-4.0, -4.0]])  # stops inside step 0
-@example(s0=0.0, v0=0.0, dt=0.1, rows=[[-1.0, 0.0, 3.0]])  # at rest, then pulls away
-# the first row stops in the last step, the second inside step 1
-@example(s0=5.0, v0=1.0, dt=0.25, rows=[[-1.0, -1.0, -1.0, -2.0], [-1.0, -8.0, -1.0, -1.0]])
-# stops in step 0, pulls away, and stops again in the last step: the step-by-step rows, not the last column
-@example(s0=5.0, v0=1.0, dt=0.25, rows=[[-8.0, 4.0, -20.0], [-1.0, -1.0, -8.0]])
-def test_rollout_bit_exact_property(s0, v0, dt, rows):
-    _assert_matches_step_dynamics(s0, v0, np.array(rows), dt)
+@example(s0=5.0, v0=1.0, dt=0.25, steps=3, accels=[-8.0])  # stops inside step 0
+@example(s0=0.0, v0=0.0, dt=0.1, steps=3, accels=[-1.0])  # at rest under a < 0: stays put
+@example(s0=5.0, v0=1.0, dt=0.25, steps=4, accels=[-1.2])  # stops in the last step
+@example(s0=5.0, v0=1.0, dt=0.25, steps=6, accels=[-1.5])  # stops mid-horizon, in step 2
+@example(s0=5.0, v0=1.0, dt=0.25, steps=6, accels=[-2.0])  # speed exactly 0.0 after step 1, stops in step 2
+# stopping rows among moving ones: in step 0, at rest after step 0, mid-horizon, in the last step
+@example(s0=5.0, v0=1.0, dt=0.25, steps=4, accels=[-8.0, 0.0, -4.0, 2.0, -1.5, 3.0, -1.2])
+def test_rollout_bit_exact_property(s0, v0, dt, steps, accels):
+    _assert_matches_step_dynamics(s0, v0, np.array(accels), steps, dt)
 
 
 def test_safety_matrix_reference_value():
     # one pair co-located at the conflict point every step: each step contributes -1
     steps = 6
-    xy = np.zeros((1, steps + 1, 2))
-    s = np.full((1, steps + 1), 12.0)
+    xy = np.zeros((1, 1, steps + 1, 2))
+    s = np.full((1, 1, steps + 1), 12.0)
     m = sampling.safety_matrix(xy, xy, s, s, 12.0, 12.0, 5.0, 10.0)
-    assert abs(m[0, 0] + steps) < 1e-12
+    assert abs(m[0, 0, 0] + steps) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    batch=st.lists(st.integers(1, 3), max_size=2),
+    states=st.integers(1, 6),
     ne=st.integers(1, 6),
     no=st.integers(1, 6),
     n=st.integers(1, 30),
@@ -79,24 +78,23 @@ def test_safety_matrix_reference_value():
     seed=st.integers(0, 2**32 - 1),
     block=st.one_of(st.none(), st.integers(1, 7)),
 )
-@example(batch=[2, 3], ne=4, no=2, n=30, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=0, block=None)
-@example(batch=[], ne=1, no=6, n=1, sigma_d=0.1, sigma_c=20.0, conflict=(0.0, 60.0), seed=1, block=None)
+@example(states=6, ne=4, no=2, n=30, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=0, block=None)
+@example(states=1, ne=1, no=6, n=1, sigma_d=0.1, sigma_c=20.0, conflict=(0.0, 60.0), seed=1, block=None)
 # four blocks of two states and a last block of one
-@example(batch=[3, 3], ne=6, no=6, n=12, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=2, block=2)
-def test_safety_matrix_matches_the_reference_bit_for_bit(batch, ne, no, n, sigma_d, sigma_c, conflict, seed, block):
-    """The in-place safety_matrix gives the bytes of the one-expression reference, over leading batch axes.
+@example(states=9, ne=6, no=6, n=12, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=2, block=2)
+def test_safety_matrix_matches_the_reference_bit_for_bit(states, ne, no, n, sigma_d, sigma_c, conflict, seed, block):
+    """The in-place safety_matrix gives the bytes of the one-expression reference, over the states' axis.
 
-    block, if set, is the number of states (leading entries) a block holds,
-    through a _BLOCK_ELEMENTS of that many states' (ne, no, N) temporaries.
+    block, if set, is the number of states a block holds, through a
+    _BLOCK_ELEMENTS of that many states' (ne, no, N) temporaries.
     """
     rng = np.random.default_rng(seed)
-    lead = tuple(batch)
-    xy_ego, xy_other = (rng.uniform(-20.0, 20.0, lead + (m, n + 1, 2)) for m in (ne, no))
-    s_ego, s_other = (rng.uniform(0.0, 60.0, lead + (m, n + 1)) for m in (ne, no))
+    xy_ego, xy_other = (rng.uniform(-20.0, 20.0, (states, m, n + 1, 2)) for m in (ne, no))
+    s_ego, s_other = (rng.uniform(0.0, 60.0, (states, m, n + 1)) for m in (ne, no))
     args = (xy_ego, xy_other, s_ego, s_other, *conflict, sigma_d, sigma_c)
     with patch.object(sampling, "_BLOCK_ELEMENTS", block * ne * no * n if block else sampling._BLOCK_ELEMENTS):
         got = sampling.safety_matrix(*args)
-    assert got.shape == lead + (ne, no)
+    assert got.shape == (states, ne, no)
     assert got.tobytes() == reference_safety_matrix(*args).tobytes()
 
 

@@ -180,15 +180,15 @@ def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt
     terms = arrays.social_terms()
     assert terms.error is None
     lams = [sp.RewardWeights(np.array(values)) for *_, values in rounds]
-    labels, responses, a_ego, a_other = planner.decisions(arrays, terms, np.array([lam.values for lam in lams]))
+    labels, responses, a_ego, a_other = planner.decisions(arrays, terms, np.array([lam.values for lam in lams]).T)
     for i, (x, lam) in enumerate(zip(xs, lams)):
         space = scenario_space(scn, x)
         label = leader_label(space, lam)
         response = follower_response(space, label)
-        controls = space.ego_candidates.accels[label, 0], space.other_candidates.accels[response, 0]
+        controls = space.ego_candidates.accels[label], space.other_candidates.accels[response]
         assert (labels[i], responses[i]) == (label, response)
         assert np.array([a_ego[i], a_other[i]]).tobytes() == np.array(controls).tobytes()
-        assert terms.leader_labels(range(terms.sound), np.broadcast_to(lam.values, (terms.sound, 3)))[i] == label
+        assert terms.leader_labels(range(terms.sound), np.broadcast_to(lam.values[:, None], (3, terms.sound)))[i] == label
 
 
 def test_every_leader_decision_agrees_on_a_near_tie():
@@ -204,9 +204,9 @@ def test_every_leader_decision_agrees_on_a_near_tie():
     arrays = scn.arrays_at(xs)
     terms = arrays.social_terms()
     labels = [
-        planner.decisions(arrays, terms, np.tile(lam.values, (2, 1)))[0][1],
-        int(terms.leader_labels([1], lam.values[None])[0]),
-        int(terms.leader_labels(range(2), np.broadcast_to(lam.values, (2, 3)))[1]),
+        planner.decisions(arrays, terms, np.tile(lam.values[:, None], (1, 2)))[0][1],
+        int(terms.leader_labels([1], lam.values[:, None])[0]),
+        int(terms.leader_labels(range(2), np.broadcast_to(lam.values[:, None], (3, 2)))[1]),
         leader_label(scenario_space(scn, xs[1]), lam),
     ]
     assert labels == [0, 0, 0, 0]
@@ -331,7 +331,7 @@ def test_the_chain_rule():
     scenario = case_scenario("I")
     x = scenario.initial
     arrays = scenario.arrays_at([x])
-    lam = sp.RewardWeights.courtesy().values[None]
+    lam = sp.RewardWeights.courtesy().values[:, None]
     [label], [response], [ae], [ao] = planner.decisions(arrays, arrays.social_terms(), lam)
     assert planner._chain(scenario, x, None, 40) == []
     chains = [planner._chain(scenario, x, (label, response), steps) for steps in range(planner._LOOKAHEAD + 3)]

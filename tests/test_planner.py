@@ -39,7 +39,7 @@ def test_case1_policy_choice_ordering():
     arrays = scn.arrays_at([scn.initial])
     terms = arrays.social_terms()
     (label_e, _, first_e, _), (label_c, _, first_c, _), (label_f, _, first_f, _) = (
-        [column[0] for column in decisions(arrays, terms, lam.values[None])]
+        [column[0] for column in decisions(arrays, terms, lam.values[:, None])]
         for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence())
     )
     assert label_c >= label_e  # labels ascend with target speed
@@ -145,7 +145,7 @@ def test_follower_unknown_label():
     padded = replace(arrays, reward_other=reward_other)
     terms = arrays.social_terms()
     for lam in (sp.RewardWeights.egoism(), sp.RewardWeights.courtesy(), sp.RewardWeights.confidence()):
-        [label], [response], _, _ = decisions(padded, terms, lam.values[None])
+        [label], [response], _, _ = decisions(padded, terms, lam.values[:, None])
         assert response == int(arrays.reward_other[0, label, :n].argmax())
 
 
@@ -170,6 +170,6 @@ def test_follower_choice_mirrors_swapped_leader_rows():
     for i in range(ne):
         # the leader commits to label i
         committed = SimpleNamespace(leader_labels=lambda entries, lams: np.full(len(entries), i))
-        _, [follower], _, _ = decisions(arrays, committed, sp.RewardWeights.egoism().values[None])
+        _, [follower], _, _ = decisions(arrays, committed, sp.RewardWeights.egoism().values[:, None])
         # the same utilities sit in the swapped build's ego matrix, transposed
         assert follower == int(np.argmax(arrays_sw.reward_ego[0, :no, i]))

@@ -580,12 +580,12 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
         every = range(reader.terms.sound)
         for lam in fixed:
             want_labels = [leader_label(space_at[tau], lam) for tau in reader.frames]
-            got_labels = reader.terms.leader_labels(every, np.broadcast_to(lam.values, (len(every), 3)))
+            got_labels = reader.terms.leader_labels(every, np.broadcast_to(lam.values[:, None], (3, len(every))))
             assert got_labels.tolist() == want_labels
-        batched = reader.terms.leader_labels(entries, means)
+        batched = reader.terms.leader_labels(entries, means.T)
         for (i, _, estimate), label in zip(got, batched):
             want_label = leader_label(space_at[reader.frames[i]], sp.RewardWeights(estimate))
-            assert label == reader.terms.leader_labels([i], estimate[None])[0] == want_label
+            assert label == reader.terms.leader_labels([i], estimate[:, None])[0] == want_label
         scored = [i for i, tau in enumerate(reader.frames) if tau + horizon <= steps]
         truth = np.stack([obs_self.xy[reader.frames[i] : reader.frames[i] + horizon + 1] for i in scored] or
                          [np.zeros((horizon + 1, 2))])
@@ -595,7 +595,7 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
             one = sp.horizon_mse(xy, truth[scored.index(i)], dt, horizons)
             assert row[:, : len(xy)].tobytes() == one.tobytes()
         if scored:  # the regeneration sums, as the += loop over frames adds them (not sum(): 3.12 compensates)
-            lams = np.stack([np.tile(lam.values, (len(scored), 1)) for lam in fixed])
+            lams = np.stack([np.tile(lam.values[:, None], (1, len(scored))) for lam in fixed], axis=1)
             labels = reader.terms.leader_labels(scored, lams)
             totals = workflows._frame_sums(mse, labels)
             for per_h, by_frame in zip(totals, labels):

@@ -90,8 +90,8 @@ def test_build_fans_match_clip_then_dedup(v, limit, fractions, steps, dt, a_min,
     expected = _clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max)
     arrays = one_car_build(sp.AgentState(s=0.0, v=v), path, cfg)
     n = arrays.sizes[0, 0]
-    assert arrays.rows[0, 0, :n, 0].tolist() == expected
-    assert not arrays.rows[0, 0, n:].any()  # padding rows are zero
+    assert arrays.accels[0, 0, :n].tolist() == expected
+    assert not arrays.accels[0, 0, n:].any()  # padding rows are zero
     collapsed = forbid and len(expected) == 1 and len(fractions) > 1
     assert arrays.collapsed == [collapsed]
     if collapsed:
@@ -121,12 +121,13 @@ def fine_rollout_oracle(state, accels, dt, n_sub=2000):
 def test_rollout_against_fine_integration():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        accels = rng.uniform(-6, 3, size=8)
+        accels = rng.uniform(-6, 3, size=4)
         st = sp.AgentState(s=rng.uniform(0, 10), v=rng.uniform(0, 12))
-        (s,), (v,) = rollout_batch(st.s, st.v, accels[None], 0.25)
-        s_ref, v_ref = fine_rollout_oracle(st, accels, 0.25)
-        assert np.allclose(s, s_ref, atol=1e-5)
-        assert np.allclose(v, v_ref, atol=1e-6)
+        S, V = rollout_batch(st.s, st.v, accels, 8, 0.25)
+        for a, s, v in zip(accels, S, V):
+            s_ref, v_ref = fine_rollout_oracle(st, np.full(8, a), 0.25)
+            assert np.allclose(s, s_ref, atol=1e-5)
+            assert np.allclose(v, v_ref, atol=1e-6)
 
 
 def _case_space():
@@ -163,10 +164,33 @@ def test_trajectories_satisfy_dynamics_exactly():
     for fan in (space.ego_candidates, space.other_candidates):
         for i in range(len(fan)):
             st = sp.AgentState(s=float(fan.s[i, 0]), v=float(fan.v[i, 0]), d=fan.d)
-            for k, a in enumerate(fan.accels[i]):
-                st = sp.step_dynamics(st, float(a), dt)
+            for k in range(fan.s.shape[-1] - 1):
+                st = sp.step_dynamics(st, float(fan.accels[i]), dt)
                 assert st.s == fan.s[i, k + 1]
                 assert st.v == fan.v[i, k + 1]
+
+
+def test_a_build_with_a_negative_terminal_speed_stops_as_step_dynamics_does():
+    """Every real row of a build's S and V is the step_dynamics chain of its constant acceleration, as bytes,
+    where a negative terminal-speed fraction stops cars inside step 0, mid-horizon and in the last step."""
+    sampler = sp.SamplerConfig(terminal_speed_fractions=(-0.5, 0.0, 0.25, 0.5, 0.75, 1.0))
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, sampler=sampler)
+    speeds = (0.0, 0.4, 2.0, 5.0, 9.0, 12.0)
+    xs = [sp.JointState(ego=sp.AgentState(10.0, v), other=sp.AgentState(15.0, w)) for v in speeds for w in speeds[::-1]]
+    arrays = scn.arrays_at(xs)
+    steps, dt = sampler.horizon_steps, sampler.dt
+    stops = set()
+    for k in (0, 1):
+        for i, x in enumerate(xs):
+            for label in range(arrays.sizes[k, i]):
+                state, a = (x.ego, x.other)[k], float(arrays.accels[k, i, label])
+                chain = [state]
+                for _ in range(steps):
+                    chain.append(sp.step_dynamics(chain[-1], a, dt))
+                assert arrays.S[k, i, label].tobytes() == np.array([y.s for y in chain]).tobytes()
+                assert arrays.V[k, i, label].tobytes() == np.array([y.v for y in chain]).tobytes()
+                stops.add(next((m for m in range(steps) if a < 0.0 and chain[m + 1].v == 0.0), None))
+    assert {0, steps - 1} <= stops and stops & set(range(1, steps - 1))  # the step each stopping row stops in
 
 
 def test_build_deterministic():
@@ -287,7 +311,7 @@ def test_build_joint_spaces_matches_one_state_builds(
     one = scn.arrays_at(xs)
     with patch.object(sampling, "_BLOCK_ELEMENTS", block * len(fractions) ** 2 * steps):
         blocked = scn.arrays_at(xs)
-    for name in ("sizes", "rows", "S", "V", "eff", "com", "safety", "reward_ego", "reward_other"):
+    for name in ("sizes", "accels", "S", "V", "eff", "com", "safety", "reward_ego", "reward_other"):
         assert _same_bits(getattr(one, name), getattr(blocked, name)), name
     assert [_same_bits(a, b) for a, b in zip(one.xy, blocked.xy)] == [True, True]
     expected, error = [], None
@@ -490,7 +514,7 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
         lambdas = rng.dirichlet(np.ones(3), size=40)
         labels = [int(rng.integers(ne)) for ne in seat.sizes[0].tolist()]
         loglik = SeatReplay(list(range(n)), seat).log_likelihoods(lambdas, range(n), labels)
-        batched = terms.leader_labels(range(n), lams)
+        batched = terms.leader_labels(range(n), lams.transpose(2, 0, 1))
         for i, space in enumerate(seat.spaces()):
             ne, no = seat.sizes[:, i].tolist()
             own = component_arrays(
@@ -503,6 +527,6 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
             for name, value in vars(own).items():
                 assert getattr(comps, name).tobytes() == value[0].tobytes(), name
             for lam in lams[:, i]:
-                assert terms.leader_labels([i], lam[None]).tolist() == [int(leader_scores(lam, own.terms[0]).argmax())]
+                assert terms.leader_labels([i], lam[:, None]).tolist() == [int(leader_scores(lam, own.terms[0]).argmax())]
             assert batched[:, i].tolist() == [int(leader_scores(lam, own.terms[0]).argmax()) for lam in lams[:, i]]
             assert loglik[i].tobytes() == _log_softmax(lambdas @ own.terms[0])[:, labels[i]].tobytes()
