@@ -22,6 +22,7 @@ import numpy as np
 from . import sampling
 from .core import AgentState, JointState
 from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError
+from .metrics import horizon_mse
 from .planner import Scenario
 from .rewards import RewardWeights, _log_softmax, check_ego_label, off_simplex, weights_error
 from .sampling import JointArrays, JointBehaviorSpace
@@ -265,8 +266,8 @@ class SeatReplay:
     def matched_labels(self, observed_xy: np.ndarray, entries, stops) -> np.ndarray:
         """match_observed(observed_xy[tau : k + 1], the ego candidates at tau = frames[i]) for each i, k in zip(entries, stops).
 
-        One pass per window width; each mean is sum / width, as np.mean
-        computes it, and padding rows never match.
+        One pass per window width w: a window's MSE is metrics.horizon_mse's
+        over its w samples at dt 1.0, and padding rows never match.
         """
         entries = np.asarray(entries)
         starts = np.asarray(self.frames)[entries]
@@ -275,46 +276,38 @@ class SeatReplay:
         for w in set(widths.tolist()):  # not np.unique: it imports numpy.ma, about 1 MB
             sel = widths == w
             windows = observed_xy[starts[sel, None] + np.arange(w)]  # (n, w, 2)
-            diff = self.ego_xy[entries[sel], :, :w] - windows[:, None]  # (n, nt, w, 2)
-            diff *= diff
-            mse = (diff[..., 0] + diff[..., 1]).sum(axis=-1) / w  # the xy sum as two slices (see metrics.horizon_mse)
+            mse = horizon_mse(self.ego_xy[entries[sel], :, :w], windows, 1.0, (w - 1,))[:, 0]  # (n, nt)
             labels[sel] = np.where(self._real[entries[sel]], mse, np.inf).argmin(axis=-1)
         return labels
 
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
         """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P).
 
-        The products run once per distinct state asked for, per ego fan size
-        ne, on its (3, ne) terms, so the terms of a later (maybe failing)
-        state never reach them; and over slices of those states, so that
-        one (G, P, ne) array holds at most sampling._BLOCK_ELEMENTS numbers
-        (or one state's).  The arithmetic is _log_softmax's, on that array
-        worked in place: the max over the ne slices (exact in any order),
-        then the sum over the last axis, as _log_softmax takes it (numpy
-        adds pairwise from 8 terms, so a sum over another axis would change
-        the bits).
+        Per ego fan size ne, one product runs over the distinct states of
+        that size (the runs of the sorted entries) on their (3, ne) terms, so
+        the terms of a later (maybe failing) state never reach it.  Only
+        posterior_pass's blocks bound its (G, P, ne) array: _BLOCK_ELEMENTS * ne
+        floats, or one frame's P * ne.  The arithmetic is _log_softmax's, on
+        that array worked in place: the max over the ne slices (exact in any
+        order), then the sum over the last axis, as _log_softmax takes it
+        (numpy adds pairwise from 8 terms, so a sum over another axis would
+        change the bits).
         """
         entries, labels = np.asarray(entries), np.asarray(labels)
         sizes = self.terms.ne[entries]
         out = np.empty((len(entries), len(lambdas)))
         for ne in sorted(set(sizes.tolist())):
             at = (sizes == ne).nonzero()[0]  # the entries of this size
-            asked = np.zeros(entries[at].max() + 1, dtype=bool)
-            asked[entries[at]] = True
-            states = asked.nonzero()[0]  # their distinct states, in order
-            pos = (asked.cumsum() - 1)[entries[at]]  # each entry's state's place in states
-            step = max(1, sampling._BLOCK_ELEMENTS // (len(lambdas) * ne))
-            for lo in range(0, len(states), step):
-                u = lambdas @ self.terms.terms[states[lo : lo + step], :, :ne]  # (G, P, ne)
-                peak = u[..., 0].copy()
-                for c in range(1, ne):
-                    np.maximum(peak, u[..., c], out=peak)
-                u -= peak[..., None]
-                here = (pos >= lo) & (pos < lo + step)
-                sub = pos[here] - lo
-                picked = u[sub, :, labels[at[here]]]
-                np.exp(u, out=u)
-                out[at[here]] = picked - np.log(u.sum(axis=-1))[sub]
+            first = sampling._first_of_runs(entries[at])
+            pos = first.cumsum() - 1  # each entry's state's row in u
+            u = lambdas @ self.terms.terms[entries[at[first]], :, :ne]  # (G, P, ne)
+            peak = u[..., 0].copy()
+            for c in range(1, ne):
+                np.maximum(peak, u[..., c], out=peak)
+            u -= peak[..., None]
+            picked = u[pos, :, labels[at]]
+            np.exp(u, out=u)
+            out[at] = picked - np.log(u.sum(axis=-1))[pos]
         return out
 
 
@@ -370,11 +363,12 @@ class PairReplay:
         is the one the next frame raises (None if every frame ran).  The
         matched labels come from one array pass.  The frames then run in
         blocks of at most sampling._BLOCK_ELEMENTS // P (or one), so that no
-        (F, P) array lives: each block's log-likelihoods and its means
-        (_means) come from one array pass each, and the weight recursion
-        (_reweigh, as in update_posterior) runs per frame, with resampling at
-        the particles each frame copied.  A frame's numbers do not depend on
-        the block it falls in.
+        (F, P) array lives: each block's log-likelihoods (_BLOCK_ELEMENTS * ne
+        floats, 12.5 MiB at config.MAX_TERMINAL_SPEEDS, or one frame's P * ne)
+        and its means (_means) come from one array pass each, and the weight
+        recursion (_reweigh, as in update_posterior) runs per frame, with
+        resampling at the particles each frame copied.  A frame's numbers do
+        not depend on the block it falls in.
 
         Errors stop the pass at their frame, as in the per-frame loop: a
         window start's build error at frame tau + r (under growing_window, at

@@ -46,23 +46,30 @@ def ait(trace) -> float:
     return float((len(trace.joint_states) - 1) * trace.dt)
 
 
+def horizon_steps(generated: int, truth: int, dt: float, horizons) -> list[int]:
+    """The last step k (k*dt <= h) of each horizon h, for traces of generated and truth samples every dt.
+
+    Raises HorizonExceedsTraceError for the first horizon either trace is too short for.
+    """
+    steps = []
+    for horizon in horizons:
+        k = int(np.floor(horizon / dt + 1e-9))
+        if k >= generated or k >= truth:
+            raise HorizonExceedsTraceError(f"horizon {horizon} s needs {k + 1} samples, have {generated} and {truth}")
+        steps.append(k)
+    return steps
+
+
 def horizon_mse(generated_xy: np.ndarray, truth_xy: np.ndarray, dt: float, horizons) -> np.ndarray:
     """Mean squared Cartesian error of each generated row at each horizon: (..., len(horizons), n).
 
     generated_xy (..., n, T, 2) holds n trajectories and truth_xy (..., m, 2)
     the ground truth, all sampled every dt from the same start; leading axes
     broadcast, and each entry equals its own call.  At horizon h the steps
-    k with k*dt <= h contribute.  One squared-distance array serves every
-    horizon; each takes the mean of its prefix (sum / count, as np.mean).
+    k with k*dt <= h contribute (horizon_steps).  One squared-distance array
+    serves every horizon; each takes its prefix's mean (sum / count, as np.mean).
     """
-    steps = []
-    for horizon in horizons:
-        k = int(np.floor(horizon / dt + 1e-9))
-        if k >= generated_xy.shape[-2] or k >= truth_xy.shape[-2]:
-            raise HorizonExceedsTraceError(
-                f"horizon {horizon} s needs {k + 1} samples, have {generated_xy.shape[-2]} and {truth_xy.shape[-2]}"
-            )
-        steps.append(k)
+    steps = horizon_steps(generated_xy.shape[-2], truth_xy.shape[-2], dt, horizons)
     w = max(steps) + 1
     diff = generated_xy[..., :w, :] - truth_xy[..., None, :w, :]
     diff *= diff

@@ -142,7 +142,8 @@ class JointBehaviorSpace:
     reward_ego[i, j] and reward_other[i, j] are the Eq.-style accumulated
     utilities of the pair (ego candidate i, other candidate j);
     absence_other[j] is the other car's efficiency+comfort utility with the
-    ego car removed.
+    ego car removed.  Making a space checks the matrices under the weights;
+    components() computes the social terms on first use and caches them.
     """
 
     ego_candidates: CandidateFan
@@ -152,7 +153,7 @@ class JointBehaviorSpace:
     absence_other: np.ndarray
     reward_cfg: RewardConfig
     conflict: ConflictPoint | None = None
-    _components: SocialComponents | None = field(default=None, repr=False)
+    _components: SocialComponents | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         ne, no = len(self.ego_candidates), len(self.other_candidates)
@@ -160,11 +161,9 @@ class JointBehaviorSpace:
             raise EmptyCandidateSetError("joint space needs candidates on both sides")
         if self.reward_ego.shape != (ne, no) or self.reward_other.shape != (ne, no):
             raise ValueError("reward matrix shape does not match candidate counts")
-        # JointArrays.spaces() passes components only with matrices it has checked (social_terms)
-        if self._components is None:
-            error = _weight_error(self.reward_cfg, self.reward_ego, self.reward_other, self.absence_other)
-            if error is not None:
-                raise error
+        error = _weight_error(self.reward_cfg, self.reward_ego, self.reward_other, self.absence_other)
+        if error is not None:
+            raise error
 
     def components(self) -> SocialComponents:
         """The social reward terms at the configured beta, computed once."""
@@ -218,7 +217,7 @@ def rollout_batch(s0, v0, accels: np.ndarray, steps: int, dt: float):
     return S, V
 
 
-_BLOCK_ELEMENTS = 1 << 14  # float64 elements (128 KiB) of the largest replay temporary: safety_matrix, SeatReplay, PairReplay
+_BLOCK_ELEMENTS = 1 << 14  # float64 elements (128 KiB) of safety_matrix's temporary; frames x particles of a PairReplay block
 
 
 def safety_matrix(
@@ -461,10 +460,10 @@ class JointArrays:
         return None
 
     def spaces(self) -> list[JointBehaviorSpace]:
-        """The joint behavior space at each state, with its components set; raises the first failing state's error.
+        """The joint behavior space at each state; raises the first failing state's error.
 
-        Each space's components come from component_arrays on its own
-        contiguous matrices, which gives the bits of social_terms.
+        Each space holds contiguous copies of its state's matrices, so the
+        components it computes on demand have the bits of social_terms.
         """
         terms = self.social_terms()
         if terms.error is not None:
@@ -479,16 +478,14 @@ class JointArrays:
                 )
                 for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
             ]
-            matrices = [np.ascontiguousarray(m[i, :ne, :no]) for m in (self.reward_ego, self.reward_other)]
             space = JointBehaviorSpace(
                 ego_candidates=fans[0],
                 other_candidates=fans[1],
-                reward_ego=self.reward_ego[i, :ne, :no],
-                reward_other=self.reward_other[i, :ne, :no],
+                reward_ego=np.ascontiguousarray(self.reward_ego[i, :ne, :no]),
+                reward_other=np.ascontiguousarray(self.reward_other[i, :ne, :no]),
                 absence_other=terms.absence_other[i, :no],
                 reward_cfg=self.reward_cfg,
                 conflict=self.conflict,
-                _components=component_arrays(*matrices, terms.absence_other[i, :no], self.reward_cfg.beta),
             )
             spaces.append(space)
         return spaces

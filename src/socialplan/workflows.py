@@ -232,15 +232,15 @@ def _frame_sums(mse: np.ndarray, labels: np.ndarray) -> list[list[float]]:
 def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     """Mean regeneration MSE per policy and horizon for the agent in one seat of a pair.
 
-    Frame k is regenerated under the estimate of posterior frame k.  The
-    per-frame definition regenerates a frame tau right after the posterior
-    frame that starts a window at tau, and the frames that no window starts
-    at (window_r above the longest horizon's step count, or growing_window)
-    after the whole pass; errors come out in that order.  So the frames
-    scheduled before a posterior error (PairReplay.posterior_pass) are
-    scored before it is raised: the first raises the horizon error, and a
-    failing state raises its build error at its frame.  One array pass
-    scores every scheduled frame's ego candidates at every horizon, one
+    Frame k is regenerated under the estimate of posterior frame k.  A
+    horizon longer than the rollout is an error of the config alone, raised
+    before any build.  The per-frame definition regenerates a frame tau right
+    after the posterior frame that starts a window at tau, and the frames
+    that no window starts at (window_r above the longest horizon's step
+    count, or growing_window) after the whole pass; errors come out in that
+    order.  So a failing state among the frames scheduled before a posterior
+    error (PairReplay.posterior_pass) raises its build error first.  One
+    array pass scores every frame's ego candidates at every horizon, one
     leader_labels pass takes every policy's decisions, and each policy's
     sums add in frame order (_frame_sums).
     """
@@ -248,6 +248,7 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     frames, max_steps = _regen_frames(obs_self, cfg)
     if not frames:
         raise ShortTrackError("track too short to regenerate at the longest horizon")
+    metrics.horizon_steps(cfg.sampler.horizon_steps + 1, max_steps + 1, cfg.sampler.dt, REGEN_HORIZONS)
     reader = replay.seat(seat)
     entries, _, means, error = replay.posterior_pass(seat, cfg.inference, cfg.seed)
     if error is None:
@@ -259,23 +260,18 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
             stop += 1
     # the regeneration frames are consecutive integers, so consecutive entries from first
     first = bisect_left(reader.frames, frames.start)
-    scheduled = stop - frames.start
-    sound = min(max(reader.terms.sound - first, 0), scheduled)  # the scheduled frames before a failing state
-    if scheduled and not sound:
-        raise reader.terms.error[1]
-    if sound:
-        ks = np.arange(frames.start, frames.start + sound)
-        truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
-        mse = metrics.horizon_mse(reader.ego_xy[first : first + sound], truth, cfg.sampler.dt, REGEN_HORIZONS)
-    if sound < scheduled:
+    if max(reader.terms.sound - first, 0) < stop - frames.start:  # a failing state among the scheduled frames
         raise reader.terms.error[1]
     if error is not None:
         raise error
-    lams = np.empty((3, len(POLICIES) + 1, sound))  # each policy's weights at each frame, the estimate's last
+    ks = np.arange(frames.start, frames.stop)
+    truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
+    mse = metrics.horizon_mse(reader.ego_xy[first : first + len(ks)], truth, cfg.sampler.dt, REGEN_HORIZONS)
+    lams = np.empty((3, len(POLICIES) + 1, len(ks)))  # each policy's weights at each frame, the estimate's last
     for p, make in enumerate(POLICIES.values()):
         lams[:, p] = make().values[:, None]
     lams[:, -1] = means[ks - cfg.inference.window_r].T
-    totals = _frame_sums(mse, reader.terms.leader_labels(range(first, first + sound), lams))
+    totals = _frame_sums(mse, reader.terms.leader_labels(range(first, first + len(ks)), lams))
     return {
         name: {str(h): round(total / len(frames), 6) for h, total in zip(REGEN_HORIZONS, per_h)}
         for name, per_h in zip([*POLICIES, "estimated"], totals)

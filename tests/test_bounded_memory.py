@@ -48,7 +48,7 @@ def test_a_build_of_2000_states_peaks_near_the_arrays_it_keeps(courtesy):
 
 @pytest.mark.parametrize("resample", [False, True])
 def test_a_posterior_pass_peaks_below_one_frames_by_particles_array(courtesy, resample):
-    """Once about six (F, P) arrays: the log-likelihood rows, the weight rows twice, and the products' slices."""
+    """Once about six (F, P) arrays: the log-likelihood rows, the weight rows twice, and one (F, P, ne) product."""
     cfg, pair = courtesy
     icfg = replace(cfg.inference, n_particles=20_000, resample=resample)
     replay = PairReplay(pair.ego, pair.other, cfg.load_scenario(), window_starts(pair.ego, icfg))

@@ -115,22 +115,23 @@ def _terms(rng, states: int, ne: int, ties: bool) -> np.ndarray:
     n_particles=st.integers(2, 300),
     picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=30),
     ties=st.booleans(),
-    block_elements=st.one_of(st.just(sampling._BLOCK_ELEMENTS), st.integers(1, 20_000)),
     seed=st.integers(0, 2**32 - 1),
 )
 # every entry the same state, as under growing_window, at numpy's pairwise threshold of 8 terms
-@example(states=[8], n_particles=300, picks=[0] * 30, ties=False, block_elements=1 << 22, seed=0)
-@example(states=[7, 12, 12, 7, 7], n_particles=101, picks=list(range(20)), ties=True, block_elements=1 << 22, seed=1)
-# ego fans of 12, 5 and 3 candidates, one state per slice
-@example(states=[12, 5, 12, 3, 3], n_particles=50, picks=list(range(0, 40, 3)), ties=False, block_elements=1, seed=2)
-def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, picks, ties, block_elements, seed):
+@example(states=[8], n_particles=300, picks=[0] * 30, ties=False, seed=0)
+@example(states=[7, 12, 12, 7, 7], n_particles=101, picks=list(range(20)), ties=True, seed=1)
+# ego fans of 12, 5 and 3 candidates
+@example(states=[12, 5, 12, 3, 3], n_particles=50, picks=list(range(0, 40, 3)), ties=False, seed=2)
+# ego fans of 9 and 4 candidates in turn, each state asked for three times
+@example(states=[9, 4, 9, 4, 9, 4], n_particles=40, picks=[i + 6 * j for i in range(6) for j in range(3)], ties=False,
+         seed=3)
+def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, picks, ties, seed):
     """SeatReplay.log_likelihoods against _log_softmax(lambdas @ terms)[:, label] per entry, as bytes.
 
     states[i] is the ego fan size of state i; the terms are padded with NaN
     to the largest one, where social_terms pads them with zeros, so that a
     padding column that reached a product would show.  picks choose the
-    entries (sorted, with repeats) and their labels.  block_elements bounds
-    the (G, P, ne) array, so that the states run in slices of one or more.
+    entries (sorted, with repeats) and their labels.
     """
     rng = np.random.default_rng(seed)
     per_state = [_terms(rng, 1, ne, ties)[0] for ne in states]
@@ -142,8 +143,7 @@ def test_log_likelihoods_match_the_per_frame_log_softmax(states, n_particles, pi
     lambdas = rng.dirichlet(np.ones(3), size=n_particles)
     entries = sorted(p % len(states) for p in picks)
     labels = [p % ne[i] for p, i in zip(picks, entries)]
-    with patch.object(sampling, "_BLOCK_ELEMENTS", block_elements):
-        got = SeatReplay.log_likelihoods(SimpleNamespace(terms=seat_terms), lambdas, entries, labels)
+    got = SeatReplay.log_likelihoods(SimpleNamespace(terms=seat_terms), lambdas, entries, labels)
     assert got.shape == (len(entries), n_particles)
     for row, i, label in zip(got, entries, labels):
         assert row.tobytes() == _log_softmax(lambdas @ per_state[i])[:, label].tobytes()

@@ -446,28 +446,76 @@ def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_p
         assert str(error.value) == str(definition.value)
 
 
+def _with_sampler(cfg, tmp_path, **changes):
+    """A copy of the fixture under tmp_path / "in" with the sampler's changes; returns its config path."""
+    shutil.copytree(cfg.base_dir, tmp_path / "in")
+    config = tmp_path / "in" / "scenario.json"
+    data = json.loads(config.read_text())
+    data["sampler"].update(changes)
+    config.write_text(json.dumps(data))
+    return config
+
+
+_HORIZON_ERROR = "HorizonExceedsTraceError: horizon 1.0 s needs 13 samples, have 11 and 13"
+
+
 @pytest.mark.parametrize(
     "degenerate,expected",
     [
-        (set(), "HorizonExceedsTraceError: horizon 1.0 s needs 13 samples, have 11 and 13"),
-        # the first regeneration frame, 10, is regenerated after the posterior step at frame 20
-        ({(0, 20)}, "DegenerateWeightsError: seat 0 degenerates at frame 20"),
-        ({(0, 21)}, "HorizonExceedsTraceError: horizon 1.0 s needs 13 samples"),
-        ({(1, 15)}, "HorizonExceedsTraceError: horizon 1.0 s needs 13 samples"),
+        (set(), _HORIZON_ERROR),
+        # the config alone decides the horizon error, so it comes before any posterior error, such as this one
+        ({(0, 20)}, _HORIZON_ERROR),
+        ({(0, 21)}, _HORIZON_ERROR),
+        ({(1, 15)}, _HORIZON_ERROR),
     ],
 )
 def test_regen_raises_the_horizon_error_at_the_first_regeneration_frame(
     fixtures, tmp_path, monkeypatch, capsys, degenerate, expected
 ):
-    """horizon_steps 10 at dt 0.08 rolls out 11 samples, and the 1.0 s horizon needs 13."""
+    """horizon_steps 10 at dt 0.08 rolls out 11 samples, and the 1.0 s horizon needs 13: an error before any build."""
     cfg = fixtures["egoism"]
-    shutil.copytree(cfg.base_dir, tmp_path / "in")
-    data = json.loads((tmp_path / "in" / "scenario.json").read_text())
-    data["sampler"]["horizon_steps"] = 10
-    (tmp_path / "in" / "scenario.json").write_text(json.dumps(data))
+    config = _with_sampler(cfg, tmp_path, horizon_steps=10)
     _degenerate_at(monkeypatch, cfg.inference.window_r, degenerate)
-    assert main(["regen", "--config", str(tmp_path / "in" / "scenario.json"), "--out", str(tmp_path / "o")]) == 2
+    assert main(["regen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"socialplan: {expected}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_regen_skips_a_pair_too_short_to_regenerate_before_the_horizon_error(
+    fixtures, tmp_path, monkeypatch, capsys, caplog
+):
+    """A pair of 22 frames has no regeneration frame at 12 steps a horizon: it is skipped, and the next raises."""
+    cfg = fixtures["egoism"]
+    config = _with_sampler(cfg, tmp_path, horizon_steps=10)
+    observed_pairs = workflows.observed_pairs
+
+    def with_a_short_pair(*args):
+        [(_, pair)] = observed_pairs(*args)
+        head = {car: replace(getattr(pair, car), **{f: getattr(getattr(pair, car), f)[:22]
+                                                    for f in ("times_ms", "s", "v", "d", "xy")})
+                for car in ("ego", "other")}
+        return [(0, replace(pair, **head)), (1, pair)]
+
+    monkeypatch.setattr(workflows, "observed_pairs", with_a_short_pair)
+    caplog.set_level("INFO", logger="socialplan.workflows")
+    assert main(["regen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"socialplan: {_HORIZON_ERROR}")
+    assert [r.getMessage() for r in caplog.records] == [
+        "pair 0 (tracks 0, 1) skipped: track too short to regenerate at the longest horizon"
+    ]
+
+
+def test_regen_builds_nothing_before_a_horizon_error(fixtures, tmp_path, monkeypatch, capsys):
+    """At dt 0.00076 the courtesy fixture's grid has about 2,000 steps: a build of them would take about 1.5 s
+    and 490 MB, for an error the config alone decides."""
+    cfg = fixtures["courtesy"]
+    config = _with_sampler(cfg, tmp_path, dt=0.00076)
+    built = []
+    monkeypatch.setattr(planner.Scenario, "arrays_at", lambda self, states: built.append(len(states)))
+    assert main(["regen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("socialplan: HorizonExceedsTraceError: horizon 0.3 s needs 395 samples, have 31 and 1316")
+    assert built == []
 
 
 _FRACTIONS = [k / 8 for k in range(13)]

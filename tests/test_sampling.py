@@ -248,8 +248,6 @@ def _assert_same_space(one, batched):
         assert (a.d, a.dt) == (b.d, b.dt)
     for name in ("reward_ego", "reward_other", "absence_other"):
         assert _same_bits(getattr(one, name), getattr(batched, name)), name
-    # the batch sets the components at build time; the reference space computes them now
-    assert batched._components is not None
     ca, cb = one.components(), batched.components()
     for name in ("presence_logp", "egoism_raw", "egoism_norm", "courtesy", "confidence", "confidence_reward", "terms"):
         assert _same_bits(getattr(ca, name), getattr(cb, name)), name
