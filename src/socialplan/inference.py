@@ -25,7 +25,7 @@ from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackEr
 from .metrics import horizon_mse
 from .planner import Scenario
 from .rewards import RewardWeights, _log_softmax, check_ego_label, off_simplex, weights_error
-from .sampling import JointArrays, JointBehaviorSpace
+from .sampling import JointBehaviorSpace, SeatTerms
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def _subdivided_triangles(k: int, first: int, stop: int) -> np.ndarray:
 
 def _sample_simplex(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
     """n points on the simplex: iid Dirichlet(1, 1, 1), or a uniform point in each of the k^2 subtriangles
-    (k = isqrt(n)) and iid ones after them.  The subtriangles run a block of rows at a time, each block's
-    corners near _BLOCK_ELEMENTS floats (or one row's); every value is elementwise, so a point keeps its bits.
+    (k = isqrt(n)) and iid ones after them.  The subtriangles run in blocks of rows (sampling.block_slices), a
+    block's corners near _BLOCK_ELEMENTS floats (or one row's); all is elementwise, so a point keeps its bits.
     """
     if scheme == "iid":
         return rng.dirichlet(np.ones(3), size=n)
@@ -124,10 +124,9 @@ def _sample_simplex(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray
     r1 = np.sqrt(rng.random(k * k))
     r2 = rng.random(k * k)
     pts = np.empty((n, 3))
-    rows = max(1, sampling._BLOCK_ELEMENTS // (18 * k))  # a row's corners: at most k upward triangles, (k, 2, 3, 3)
     lo = 0
-    for first in range(0, k, rows):
-        corners = _subdivided_triangles(k, first, min(first + rows, k))
+    for rows in sampling.block_slices(k, 18 * k):  # a row's corners: at most k upward triangles, (k, 2, 3, 3)
+        corners = _subdivided_triangles(k, rows.start, rows.stop)
         hi = lo + len(corners)
         a, b = r1[lo:hi, None], r2[lo:hi, None]
         pts[lo:hi] = (1.0 - a) * corners[:, 0] + (a * (1.0 - b)) * corners[:, 1] + (a * b) * corners[:, 2]
@@ -237,34 +236,39 @@ def observed_state(obs_self, obs_other, k: int) -> JointState:
 
 
 def window_starts(obs, cfg: InferenceConfig) -> range:
-    """The window starts the posterior reads on an observed track: 0 .. its steps - window_r, or 0 under growing_window."""
+    """The window starts the posterior reads on an observed track: 0 .. its steps - window_r, or 0 under growing_window.
+
+    A track shorter than the window raises ShortTrackError, before anything is built.
+    """
+    if len(obs.s) - 1 < cfg.window_r:
+        raise ShortTrackError(f"track has {len(obs.s) - 1} steps, window needs {cfg.window_r}")
     return range(1 if cfg.growing_window else len(obs.s) - cfg.window_r)
 
 
+@dataclass(frozen=True, eq=False)
 class SeatReplay:
     """One seat's joint spaces at a pair's observed states, read in batches.
 
-    frames[i] is the observed state of entry i.  Making a reader raises
-    nothing: its first terms.sound entries are sound, and the next one, if
-    there is one, is the first failing state (terms.error).  A seat's pass
-    reads only sound entries and raises the failing state's error where it
-    first uses that state, so the error a replay reports is the one
-    of a replay that builds one state at a time.  Each method repeats, for
-    many entries at once, the arithmetic of a per-space function, bit for
-    bit, on the seat's terms (SeatTerms, which also holds the leader
-    decisions): products keep one weight matrix on the left, and every
-    reduction runs over the last axis.
+    obs is the seat's own observed track, frames[i] the observed state of
+    entry i.  A reader (replay_seats) keeps only what it reads: the seat's
+    terms (SeatTerms, which also holds the leader decisions) and its ego
+    candidates' positions ego_xy (F, nt, N+1, 2), padding rows included.
+    Its first terms.sound entries are sound, the next one (if any) the first
+    failing state (terms.error).  A seat's pass reads only sound entries and
+    raises the failing state's error where it first uses that state, so the
+    error a replay reports is the one of a replay that builds one state at a
+    time.  Each method repeats, for many entries at once, the arithmetic of
+    a per-space function, bit for bit, on the seat's terms: products keep
+    one weight matrix on the left, and every reduction runs over the last axis.
     """
 
-    def __init__(self, frames: list[int], arrays: JointArrays):
-        self.frames = frames
-        self.arrays = arrays
-        self.terms = arrays.social_terms()
-        self.ego_xy = arrays.xy[0]  # (F, nt, N+1, 2), padding rows included
-        self._real = np.arange(self.ego_xy.shape[1]) < arrays.sizes[0][:, None]  # (F, nt) real ego candidates
+    obs: object
+    frames: list[int]
+    terms: SeatTerms
+    ego_xy: np.ndarray
 
-    def matched_labels(self, observed_xy: np.ndarray, entries, stops) -> np.ndarray:
-        """match_observed(observed_xy[tau : k + 1], the ego candidates at tau = frames[i]) for each i, k in zip(entries, stops).
+    def matched_labels(self, entries, stops) -> np.ndarray:
+        """match_observed(obs.xy[tau : k + 1], the ego candidates at tau = frames[i]) for each i, k in zip(entries, stops).
 
         One pass per window width w: a window's MSE is metrics.horizon_mse's
         over its w samples at dt 1.0, and padding rows never match.
@@ -275,9 +279,10 @@ class SeatReplay:
         labels = np.empty(len(entries), dtype=np.intp)
         for w in set(widths.tolist()):  # not np.unique: it imports numpy.ma, about 1 MB
             sel = widths == w
-            windows = observed_xy[starts[sel, None] + np.arange(w)]  # (n, w, 2)
+            windows = self.obs.xy[starts[sel, None] + np.arange(w)]  # (n, w, 2)
             mse = horizon_mse(self.ego_xy[entries[sel], :, :w], windows, 1.0, (w - 1,))[:, 0]  # (n, nt)
-            labels[sel] = np.where(self._real[entries[sel]], mse, np.inf).argmin(axis=-1)
+            real = np.arange(mse.shape[-1]) < self.terms.ne[entries[sel], None]
+            labels[sel] = np.where(real, mse, np.inf).argmin(axis=-1)
         return labels
 
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
@@ -310,62 +315,23 @@ class SeatReplay:
             out[at] = picked - np.log(u.sum(axis=-1))[pos]
         return out
 
-
-class PairReplay:
-    """Replay of one observed pair, for both of its seats, from one build.
-
-    Seat 0 is the agent in the scenario's ego seat (obs_ego) and seat 1 the
-    other driver, in scenario.swapped()'s terms.  frames are the distinct
-    observed frames the run reads, sorted: the posterior's window starts
-    (window_starts), so window start tau is entry tau, and for regeneration
-    its frames too.  The first seat to ask for its reader (seat) builds
-    them in one Scenario.arrays_at call, which the pair keeps, so the other
-    seat builds nothing: its arrays are views of seat 0's
-    (JointArrays.swapped), bit for bit the swapped scenario's own build.
-    The seats' particle sets are one draw per config and seed (particles).
-    """
-
-    def __init__(self, obs_ego, obs_other, scenario: Scenario, frames):
-        self.obs = (obs_ego, obs_other)
-        self.scenario = scenario
-        self.frames = list(frames)
-        self._seats: dict[int, SeatReplay] = {}
-        self._particles: tuple[InferenceConfig, int, ParticleSet] | None = None  # the last draw, its config and seed
-
-    def seat(self, seat: int) -> SeatReplay:
-        """The seat's reader over the pair's build, made when the seat first asks."""
-        if not self._seats:
-            arrays = self.scenario.arrays_at([observed_state(*self.obs, k) for k in self.frames])
-            self._seats[0] = SeatReplay(self.frames, arrays)
-        if seat not in self._seats:  # seat 1, from seat 0's arrays
-            swapped = self.scenario.swapped()
-            self._seats[1] = SeatReplay(self.frames, self._seats[0].arrays.swapped(swapped.conflict, swapped.rewards))
-        return self._seats[seat]
-
-    def particles(self, cfg: InferenceConfig, seed: int) -> ParticleSet:
-        """init_particles(cfg, seed), drawn once for both seats; its arrays are read-only."""
-        if self._particles is None or self._particles[:2] != (cfg, seed):
-            pset = init_particles(cfg, seed)
-            pset.lambdas.flags.writeable = pset.weights.flags.writeable = False
-            self._particles = (cfg, seed, pset)
-        return self._particles[2]
-
     def posterior_pass(
-        self, seat: int, cfg: InferenceConfig, seed: int = 0
+        self, cfg: InferenceConfig, pset: ParticleSet
     ) -> tuple[list[int], list[int], np.ndarray, Exception | None]:
-        """The posterior loop for the agent in the seat, up to its first error.
+        """The posterior loop for the seat's agent from the particles pset, up to its first error.
 
         Returns (entries, stops, means, error): for the j-th posterior frame
         stops[j] = window_r + j, entries[j] is the entry of its window start
-        tau in the seat's reader (seat), which is tau itself (0 under
-        growing_window), and means[j] the posterior mean after the window
-        tau..stops[j] as a weight row (3,); len(means) frames ran, and error
-        is the one the next frame raises (None if every frame ran).  The
-        matched labels come from one array pass.  The frames then run in
-        blocks of at most sampling._BLOCK_ELEMENTS // P (or one), so that no
-        (F, P) array lives: each block's log-likelihoods (_BLOCK_ELEMENTS * ne
-        floats, 12.5 MiB at config.MAX_TERMINAL_SPEEDS, or one frame's P * ne)
-        and its means (_means) come from one array pass each, and the weight
+        tau, which is tau itself (0 under growing_window), and means[j] the
+        posterior mean after the window tau..stops[j] as a weight row (3,);
+        len(means) frames ran, and error is the one the next frame raises
+        (None if every frame ran).  The track covers one window
+        (window_starts checks it).  The matched labels come from one array
+        pass.  The frames then run in blocks (sampling.block_slices) of at
+        most sampling._BLOCK_ELEMENTS // P (or one), so that no (F, P) array
+        lives: each block's log-likelihoods (_BLOCK_ELEMENTS * ne floats,
+        12.5 MiB at config.MAX_TERMINAL_SPEEDS, or one frame's P * ne) and
+        its means (_means) come from one array pass each, and the weight
         recursion (_reweigh, as in update_posterior) runs per frame, with
         resampling at the particles each frame copied.  A frame's numbers do
         not depend on the block it falls in.
@@ -373,27 +339,19 @@ class PairReplay:
         Errors stop the pass at their frame, as in the per-frame loop: a
         window start's build error at frame tau + r (under growing_window, at
         frame r), before that frame's update; a degenerate update or an
-        off-simplex mean at its own frame, after every frame before it.  A
-        track shorter than the window raises ShortTrackError at once.
+        off-simplex mean at its own frame, after every frame before it.
         """
-        obs_self = self.obs[seat]
-        total = len(obs_self.s) - 1
         r = cfg.window_r
-        if total < r:
-            raise ShortTrackError(f"track has {total} steps, window needs {r}")
-        pset = self.particles(cfg, seed)
         lambdas, weights, copied = pset.lambdas, pset.weights, None
-        reader = self.seat(seat)
-        stops = list(range(r, total + 1))
+        stops = list(range(r, len(self.obs.s)))
         entries = [0 if cfg.growing_window else k - r for k in stops]
-        n = bisect_left(entries, reader.terms.sound)  # frames before the first use of a failing state
-        labels = reader.matched_labels(obs_self.xy, entries[:n], stops[:n]) if n else None
-        step = max(1, sampling._BLOCK_ELEMENTS // len(lambdas))  # frames a block, so no (F, P) array lives
+        n = bisect_left(entries, self.terms.sound)  # frames before the first use of a failing state
+        labels = self.matched_labels(entries[:n], stops[:n]) if n else None
         blocks, error = [], None
         with np.errstate(divide="ignore"):  # a weight that reached 0 has log -inf
-            for lo in range(0, n, step):
-                block, rows, per_frame = slice(lo, min(lo + step, n)), [], []
-                for loglik in reader.log_likelihoods(pset.lambdas, entries[block], labels[block]):
+            for block in sampling.block_slices(n, len(lambdas)):  # so no (F, P) array lives
+                rows, per_frame = [], []
+                for loglik in self.log_likelihoods(pset.lambdas, entries[block], labels[block]):
                     try:
                         weights, idx = _reweigh(weights, loglik if copied is None else loglik[copied], cfg.resample)
                     except DegenerateWeightsError as exc:
@@ -415,12 +373,32 @@ class PairReplay:
                     break
         means = np.concatenate(blocks) if blocks else np.empty((0, 3))
         if error is None and n < len(entries):
-            error = reader.terms.error[1]  # entry n is at or past the first failing state
+            error = self.terms.error[1]  # entry n is at or past the first failing state
         return entries, stops, means, error
 
-def _series(replay: PairReplay, seat: int, cfg: InferenceConfig, seed: int) -> InferenceSeries:
+
+def replay_seats(obs_ego, obs_other, scenario: Scenario, frames) -> tuple[SeatReplay, SeatReplay]:
+    """Both seats' readers of one observed pair, from one build.
+
+    Seat 0 is the agent in the scenario's ego seat (obs_ego) and seat 1 the
+    other driver, in scenario.swapped()'s terms.  frames are the distinct
+    observed frames the run reads, sorted: the posterior's window starts
+    (window_starts), so window start tau is entry tau, and for regeneration
+    its frames too.  One Scenario.arrays_at call builds them; the other
+    seat's arrays are views of that build (JointArrays.swapped), bit for bit
+    the swapped scenario's own build.  The build goes once both readers
+    hold what they read.
+    """
+    frames = list(frames)
+    arrays = scenario.arrays_at([observed_state(obs_ego, obs_other, k) for k in frames])
+    swapped = scenario.swapped()
+    seats = ((obs_ego, arrays), (obs_other, arrays.swapped(swapped.conflict, swapped.rewards)))
+    return tuple(SeatReplay(obs, frames, seat.social_terms(), seat.xy[0]) for obs, seat in seats)
+
+
+def _series(reader: SeatReplay, cfg: InferenceConfig, pset: ParticleSet) -> InferenceSeries:
     """The seat's per-frame estimates from its posterior pass; raises the pass's error, if any."""
-    _, stops, means, error = replay.posterior_pass(seat, cfg, seed)
+    _, stops, means, error = reader.posterior_pass(cfg, pset)
     if error is not None:
         raise error
     return InferenceSeries(frames=np.array(stops), lambdas=means)
@@ -433,16 +411,24 @@ def infer_agent(
     cfg: InferenceConfig,
     seed: int = 0,
 ) -> InferenceSeries:
-    """Per-frame weight estimates for the agent sitting in the scenario's ego seat."""
-    return _series(PairReplay(obs_self, obs_other, scenario, window_starts(obs_self, cfg)), 0, cfg, seed)
+    """Per-frame weight estimates for the agent sitting in the scenario's ego seat (replay_seats' seat 0 alone)."""
+    frames = list(window_starts(obs_self, cfg))
+    arrays = scenario.arrays_at([observed_state(obs_self, obs_other, k) for k in frames])
+    return _series(SeatReplay(obs_self, frames, arrays.social_terms(), arrays.xy[0]), cfg, init_particles(cfg, seed))
+
+
+def _infer_pair(pair, scenario: Scenario, cfg: InferenceConfig, particles) -> dict[str, InferenceSeries]:
+    """infer_trace's estimates from the particle set particles() returns, asked for once the pair is built."""
+    seats = replay_seats(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))
+    pset = particles()
+    return {role: _series(seat, cfg, pset) for role, seat in zip(("ego", "other"), seats)}
 
 
 def infer_trace(pair, scenario: Scenario, cfg: InferenceConfig, seed: int = 0) -> dict[str, InferenceSeries]:
     """Estimate both drivers' weights independently, the other car's in scenario.swapped()'s terms.
 
-    One replay serves both seats (PairReplay): the ego seat's posterior
-    runs to the end and then the swapped seat's, on one build, so the
+    One build and one particle draw serve both seats (_infer_pair): the ego
+    seat's posterior runs to the end and then the swapped seat's, so the
     result and any error are those of infer_agent on each seat in turn.
     """
-    replay = PairReplay(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))
-    return {role: _series(replay, seat, cfg, seed) for seat, role in enumerate(("ego", "other"))}
+    return _infer_pair(pair, scenario, cfg, lambda: init_particles(cfg, seed))

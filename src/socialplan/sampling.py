@@ -217,7 +217,16 @@ def rollout_batch(s0, v0, accels: np.ndarray, steps: int, dt: float):
     return S, V
 
 
-_BLOCK_ELEMENTS = 1 << 14  # float64 elements (128 KiB) of safety_matrix's temporary; frames x particles of a PairReplay block
+_BLOCK_ELEMENTS = 1 << 14  # float64 elements (128 KiB) of one block of block_slices
+
+
+def block_slices(n: int, per_item: int):
+    """Slices of range(n), in order, of max(1, _BLOCK_ELEMENTS // per_item) items each (the last may be short).
+
+    The one blocking rule: a block holds at most _BLOCK_ELEMENTS elements, or one item's (read at the call).
+    """
+    step = max(1, _BLOCK_ELEMENTS // per_item)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def safety_matrix(
@@ -239,11 +248,13 @@ def safety_matrix(
         -sum_t exp(-|p_e - p_o| / sigma_d)
               * exp(-(|s_e - s_ce| + |s_o - s_co|) / sigma_c)
 
-    summed over steps t = 0..N-1.  The states run in blocks, so that each
-    (G, ne, no, N) temporary holds at most _BLOCK_ELEMENTS floats, or one
-    state's (the xy difference holds twice that); a pass of one to three
-    states, as the closed loop builds, is one block.  Every reduction runs
-    over the last axis, so a block gives each state the bits it has alone.
+    summed over steps t = 0..N-1.  The states run in blocks (block_slices),
+    so each (G, ne, no, N) temporary holds at most _BLOCK_ELEMENTS floats,
+    or one state's (the xy difference twice that).  A closed-loop build of
+    the three default policies holds up to 15 states, each policy's own and
+    its planner._LOOKAHEAD predicted ones; with six targets a block holds 37
+    states at horizon 12 and 15 at horizon 30, so such a build is one block.
+    Every reduction runs over the last axis: a state keeps its bits alone.
     """
     ne, no, t = xy_ego.shape[1], xy_other.shape[1], xy_ego.shape[2] - 1
     # x / -sigma is the float -x / sigma, so the factors keep the bits of
@@ -254,9 +265,7 @@ def safety_matrix(
         prox /= -sigma_c
         np.exp(prox, out=prox)
     out = np.empty((len(xy_ego), ne, no))
-    step = max(1, _BLOCK_ELEMENTS // (ne * no * t))
-    for lo in range(0, len(out), step):
-        block = slice(lo, lo + step)
+    for block in block_slices(len(out), ne * no * t):
         diff = xy_ego[block, :, None, :t] - xy_other[block, None, :, :t]
         # in place; the two-slice sum is the one addition that sum(axis=-1) makes over two entries,
         # without its per-element loop

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config, write_json
 from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackError
-from .inference import InferenceSeries, PairReplay, infer_trace, window_starts
+from .inference import InferenceSeries, SeatReplay, _infer_pair, init_particles, replay_seats, window_starts
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
 from .planner import InteractionTrace, PolicySpec, Scenario, plan_ego, simulate, simulate_policies  # noqa: F401
@@ -117,8 +118,8 @@ def run_sim(cfg: ScenarioConfig, policy_names: list[str], out_dir: Path, threads
     return stats
 
 
-def _skip(idx: int, ego_track: int, other_track: int, exc: ShortTrackError) -> None:
-    _log.info("pair %d (tracks %d, %d) skipped: %s", idx, ego_track, other_track, exc)
+def _skip(idx: int, ego_track: int, other_track: int, reason) -> None:
+    _log.info("pair %d (tracks %d, %d) skipped: %s", idx, ego_track, other_track, reason)
 
 
 def observed_pairs(cfg: ScenarioConfig, scenario: Scenario | None = None) -> list[tuple[int, ObservedPair]]:
@@ -159,9 +160,11 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
     The report carries per-agent PSF/DOP plus role-level aggregates: a PSF
     histogram and mean dominance fractions over all processed drivers.
-    Nothing is written until every pair has run.
+    Nothing is written until every pair has run.  The run draws its
+    particles once, at the first pair that reaches a posterior.
     """
     scenario = cfg.load_scenario()
+    particles = cache(lambda: init_particles(cfg.inference, cfg.seed))
     report: dict[str, dict] = {}
     lambda_series: dict[int, dict[int, InferenceSeries]] = {}  # per pair index, each agent's series
     psf_values: dict[str, list[int]] = {"ego": [], "other": []}
@@ -170,7 +173,7 @@ def run_infer(cfg: ScenarioConfig, out_dir: Path) -> dict:
     }
     for idx, pair in observed_pairs(cfg, scenario):
         try:
-            result = infer_trace(pair, scenario, cfg.inference, seed=cfg.seed)
+            result = _infer_pair(pair, scenario, cfg.inference, particles)
         except ShortTrackError as exc:
             _skip(idx, pair.ego.track_id, pair.other.track_id, exc)
             continue
@@ -229,28 +232,23 @@ def _frame_sums(mse: np.ndarray, labels: np.ndarray) -> list[list[float]]:
     return np.add.accumulate(picked, axis=1)[:, -1].tolist()
 
 
-def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
-    """Mean regeneration MSE per policy and horizon for the agent in one seat of a pair.
+def _regen_agent(reader: SeatReplay, cfg: ScenarioConfig, pset) -> dict:
+    """Mean regeneration MSE per policy and horizon for the seat's agent, its posterior run from the particles pset.
 
-    Frame k is regenerated under the estimate of posterior frame k.  A
-    horizon longer than the rollout is an error of the config alone, raised
-    before any build.  The per-frame definition regenerates a frame tau right
+    Frame k is regenerated under the estimate of posterior frame k; run_regen
+    has checked that there are regeneration frames and that the horizons fit
+    the rollout.  The per-frame definition regenerates a frame tau right
     after the posterior frame that starts a window at tau, and the frames
     that no window starts at (window_r above the longest horizon's step
     count, or growing_window) after the whole pass; errors come out in that
     order.  So a failing state among the frames scheduled before a posterior
-    error (PairReplay.posterior_pass) raises its build error first.  One
+    error (SeatReplay.posterior_pass) raises its build error first.  One
     array pass scores every frame's ego candidates at every horizon, one
     leader_labels pass takes every policy's decisions, and each policy's
     sums add in frame order (_frame_sums).
     """
-    obs_self = replay.obs[seat]
-    frames, max_steps = _regen_frames(obs_self, cfg)
-    if not frames:
-        raise ShortTrackError("track too short to regenerate at the longest horizon")
-    metrics.horizon_steps(cfg.sampler.horizon_steps + 1, max_steps + 1, cfg.sampler.dt, REGEN_HORIZONS)
-    reader = replay.seat(seat)
-    entries, _, means, error = replay.posterior_pass(seat, cfg.inference, cfg.seed)
+    frames, max_steps = _regen_frames(reader.obs, cfg)
+    entries, _, means, error = reader.posterior_pass(cfg.inference, pset)
     if error is None:
         stop = frames.stop
     else:  # the regeneration frames whose window start the pass reached
@@ -265,7 +263,7 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
     if error is not None:
         raise error
     ks = np.arange(frames.start, frames.stop)
-    truth = obs_self.xy[ks[:, None] + np.arange(max_steps + 1)]
+    truth = reader.obs.xy[ks[:, None] + np.arange(max_steps + 1)]
     mse = metrics.horizon_mse(reader.ego_xy[first : first + len(ks)], truth, cfg.sampler.dt, REGEN_HORIZONS)
     lams = np.empty((3, len(POLICIES) + 1, len(ks)))  # each policy's weights at each frame, the estimate's last
     for p, make in enumerate(POLICIES.values()):
@@ -281,20 +279,25 @@ def _regen_agent(replay: PairReplay, seat: int, cfg: ScenarioConfig) -> dict:
 def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Table of regeneration MSE by policy and horizon (plus change vs egoism).
 
-    A pair's ego seat replays to the end and then its other seat, on one
-    build of the window starts and regeneration frames (PairReplay); a pair
-    too short to regenerate is skipped.
+    A pair too short to regenerate is skipped; then a horizon longer than
+    the rollout is an error of the config alone, raised before any build
+    (both checks are the pair's: its seats share its grid).  The ego seat
+    replays to the end and then the other seat, from one build of the
+    window starts and regeneration frames (replay_seats).  The run draws
+    its particles once, at the first pair that reaches a posterior.
     """
     scenario = cfg.load_scenario()
+    particles = cache(lambda: init_particles(cfg.inference, cfg.seed))
     report: dict[str, dict] = {}
     for idx, pair in observed_pairs(cfg, scenario):
-        frames = sorted({*window_starts(pair.ego, cfg.inference), *_regen_frames(pair.ego, cfg)[0]})
-        replay = PairReplay(pair.ego, pair.other, scenario, frames)
-        try:
-            roles = {role: _regen_agent(replay, seat, cfg) for seat, role in enumerate(("ego", "other"))}
-        except ShortTrackError as exc:
-            _skip(idx, pair.ego.track_id, pair.other.track_id, exc)
+        regen, max_steps = _regen_frames(pair.ego, cfg)
+        if not regen:
+            _skip(idx, pair.ego.track_id, pair.other.track_id, "track too short to regenerate at the longest horizon")
             continue
+        metrics.horizon_steps(cfg.sampler.horizon_steps + 1, max_steps + 1, cfg.sampler.dt, REGEN_HORIZONS)
+        seats = replay_seats(pair.ego, pair.other, scenario, sorted({*window_starts(pair.ego, cfg.inference), *regen}))
+        pset = particles()
+        roles = {role: _regen_agent(seat, cfg, pset) for role, seat in zip(("ego", "other"), seats)}
         for role, table in roles.items():
             for name, per_h in list(table.items()):
                 if name == "egoism":

@@ -1,9 +1,10 @@
-"""Replay's memory: a build's temporaries stay near the arrays it keeps, a posterior pass holds no (F, P) array,
-and the particle draw stays near the particles it returns.
+"""Replay's memory: a build's temporaries stay near the arrays it keeps, a pair's readers keep only what they read,
+a posterior pass holds no (F, P) array, and the particle draw stays near the particles it returns.
 
 Peaks are tracemalloc's, which sees every numpy data buffer.  The inputs
 are the courtesy fixture's observed states and pair.
 """
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import pytest
 
 from socialplan import workflows
 from socialplan.config import load_config
-from socialplan.inference import InferenceConfig, PairReplay, init_particles, observed_state, window_starts
+from socialplan.inference import InferenceConfig, init_particles, observed_state, replay_seats, window_starts
 from socialplan.scenarios import fixture_scenario, write_scenario_config
 
 
@@ -46,15 +47,33 @@ def test_a_build_of_2000_states_peaks_near_the_arrays_it_keeps(courtesy):
     assert peak < 1.5 * sum(a.nbytes for a in kept)
 
 
+def test_a_pairs_readers_keep_only_what_they_read(courtesy):
+    """Both seats' readers on 2,162 window starts (dt 0.0035, horizon 30): once 2.2 times their ego_xy and terms,
+    when each kept the pair's whole build."""
+    cfg, _ = courtesy
+    fine = replace(cfg, sampler=replace(cfg.sampler, dt=0.0035))
+    [(_, pair)] = workflows.observed_pairs(fine)
+    scenario, starts = fine.load_scenario(), window_starts(pair.ego, fine.inference)
+    tracemalloc.start()
+    try:
+        seats = replay_seats(pair.ego, pair.other, scenario, starts)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == 2162
+    assert held < 1.25 * sum(seat.ego_xy.nbytes + seat.terms.terms.nbytes for seat in seats)
+
+
 @pytest.mark.parametrize("resample", [False, True])
 def test_a_posterior_pass_peaks_below_one_frames_by_particles_array(courtesy, resample):
     """Once about six (F, P) arrays: the log-likelihood rows, the weight rows twice, and one (F, P, ne) product."""
     cfg, pair = courtesy
     icfg = replace(cfg.inference, n_particles=20_000, resample=resample)
-    replay = PairReplay(pair.ego, pair.other, cfg.load_scenario(), window_starts(pair.ego, icfg))
-    replay.seat(0)  # the build and the particle draw are not the pass's
-    replay.particles(icfg, cfg.seed)
-    (_, stops, means, error), peak = _peak(lambda: replay.posterior_pass(0, icfg, cfg.seed))
+    # the build and the particle draw are not the pass's
+    reader, _ = replay_seats(pair.ego, pair.other, cfg.load_scenario(), window_starts(pair.ego, icfg))
+    pset = init_particles(icfg, cfg.seed)
+    (_, stops, means, error), peak = _peak(lambda: reader.posterior_pass(icfg, pset))
     assert error is None and len(means) == len(stops) > 1
     assert peak < len(means) * icfg.n_particles * 8
 

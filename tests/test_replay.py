@@ -6,11 +6,11 @@ ego seat and then for the other seat under scenario.swapped(), and for
 regeneration one fresh leader decision (plan_ego) per policy at every
 regeneration frame.  The workflows replay the seats in the same order, the
 ego seat to the end and then the other seat, from one build of the observed
-states the run reads, which the pair keeps until it is done (PairReplay):
-the other seat's arrays are views of the ego seat's, and each seat's
-matched labels, log-likelihoods, leader decisions and regeneration errors
-come from one array pass (SeatReplay).  These tests pin that this gives the
-same bytes and raises the definition's first error at the definition's
+states the run reads (replay_seats): the other seat's arrays are views of
+the ego seat's, and each seat's reader (SeatReplay) keeps only what it
+reads, and takes its matched labels, log-likelihoods, leader decisions and
+regeneration errors from one array pass.  These tests pin that this gives
+the same bytes and raises the definition's first error at the definition's
 frame, builds each pair in one call of the batch builder, of exactly the
 states the run reads, and builds nothing for the other seat.
 """
@@ -32,7 +32,15 @@ import socialplan as sp
 from socialplan import inference, planner, sampling, workflows
 from socialplan.cli import main
 from socialplan.config import load_config
-from socialplan.inference import PairReplay, infer_agent, infer_trace, window_starts
+from socialplan.inference import (
+    SeatReplay,
+    infer_agent,
+    infer_trace,
+    init_particles,
+    observed_state,
+    replay_seats,
+    window_starts,
+)
 from socialplan.metrics import trajectory_mse
 from socialplan.planner import plan_ego
 from socialplan.scenarios import crossing_scenario, fixture_scenario, write_scenario_config
@@ -166,9 +174,10 @@ def test_outputs_match_seat_by_seat_definition(fixtures, tmp_path, monkeypatch, 
     }
     # run_regen's table assembly and writer, on the seat-by-seat tables
     seat_tables = itertools.chain.from_iterable(tables.values())
-    monkeypatch.setattr(workflows, "_regen_agent", lambda replay, seat, cfg: next(seat_tables))
+    monkeypatch.setattr(workflows, "_regen_agent", lambda reader, cfg, pset: next(seat_tables))
     workflows.run_regen(cfg, tmp_path / "regen_ref")
-    monkeypatch.setattr(workflows, "infer_trace", _seat_by_seat)
+    seat_by_seat = lambda pair, scenario, icfg, particles: _seat_by_seat(pair, scenario, icfg, cfg.seed)  # noqa: E731
+    monkeypatch.setattr(workflows, "_infer_pair", seat_by_seat)
     workflows.run_infer(cfg, tmp_path / "infer_ref")
 
     assert _files(tmp_path / "regen") == _files(tmp_path / "regen_ref")
@@ -227,21 +236,21 @@ def test_infer_trace_builds_each_state_once_per_pair(fixture_cfg, monkeypatch):
 
 @pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS.keys())
 def test_the_other_seat_replays_after_the_ego_seat_from_its_builds(fixture_cfg, tmp_path, monkeypatch, changes):
-    """Every reader request of the ego seat comes before the other seat's first, and the other seat builds nothing."""
+    """Every posterior pass of the ego seat comes before the other seat's first, and the other seat builds nothing."""
     cfg = _with_inference(fixture_cfg, **changes)
     [(_, pair)] = workflows.observed_pairs(cfg)
     events = []
-    real_seat, real_build = PairReplay.seat, planner.build_joint_arrays
+    real_pass, real_build = SeatReplay.posterior_pass, planner.build_joint_arrays
 
-    def seat(self, seat):
-        events.append(("request", seat))  # a build for this request comes after it
-        return real_seat(self, seat)
+    def posterior_pass(self, *args):
+        events.append(("request", 0 if self.obs.track_id == pair.ego.track_id else 1))
+        return real_pass(self, *args)
 
     def counting(*args):
         events.append(("build", None))
         return real_build(*args)
 
-    monkeypatch.setattr(PairReplay, "seat", seat)
+    monkeypatch.setattr(SeatReplay, "posterior_pass", posterior_pass)
     monkeypatch.setattr(planner, "build_joint_arrays", counting)
     runs = {
         "infer_trace": lambda: infer_trace(pair, cfg.load_scenario(), cfg.inference, seed=cfg.seed),
@@ -256,6 +265,33 @@ def test_the_other_seat_replays_after_the_ego_seat_from_its_builds(fixture_cfg, 
         first_other = events.index(("request", 1))
         assert ("build", None) in events[:first_other], name
         assert ("build", None) not in events[first_other:], name
+
+
+def test_a_run_draws_its_particles_once_and_each_pair_keeps_its_bytes(tmp_path, monkeypatch):
+    """One track file of the courtesy fixture's tracks and an egoism fixture's, their ids shifted by 2, gives four
+    pairs.  run_infer and run_regen draw the particles once on it, and pair 0 writes what the courtesy fixture
+    alone writes."""
+    template = write_scenario_config(fixture_scenario("courtesy"), tmp_path / "template", seed=0)
+    for name in ("courtesy", "egoism"):
+        workflows.make_fixture(template, workflows.POLICIES[name](), seed=0, out_dir=tmp_path / name)
+    shutil.copytree(tmp_path / "courtesy", tmp_path / "pairs")
+    rows = (tmp_path / "egoism" / "tracks.csv").read_text().splitlines()[1:]
+    with open(tmp_path / "pairs" / "tracks.csv", "a", encoding="utf-8") as f:
+        f.writelines(f"{int(tid) + 2},{rest}\n" for tid, rest in (row.split(",", 1) for row in rows))
+    draws, real = [], workflows.init_particles
+    monkeypatch.setattr(workflows, "init_particles", lambda *args: draws.append(args) or real(*args))
+    for run, artefact in ((workflows.run_infer, "inference.json"), (workflows.run_regen, "regen.json")):
+        pairs = {}
+        for fixture in ("courtesy", "pairs"):
+            draws.clear()
+            out = tmp_path / run.__name__ / fixture
+            run(load_config(tmp_path / fixture / "scenario.json"), out)
+            assert len(draws) == 1, (run.__name__, fixture)
+            pairs[fixture] = json.loads((out / artefact).read_text())["pairs"]
+        assert sorted(pairs["courtesy"]) == ["0"] and sorted(pairs["pairs"]) == ["0", "1", "2", "3"]
+        assert pairs["pairs"]["0"] == pairs["courtesy"]["0"]
+    alone, together = ((tmp_path / "run_infer" / fixture / "lambdas_pair0.csv").read_bytes() for fixture in pairs)
+    assert together == alone
 
 
 def test_growing_window_builds_one_space(fixture_cfg, monkeypatch):
@@ -273,18 +309,17 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
     built = _count_builds(monkeypatch)
     r = fixture_cfg.inference.window_r
     starts = window_starts(pair.ego, fixture_cfg.inference)
-    replay = PairReplay(pair.ego, pair.other, fixture_cfg.load_scenario(), starts)
-    assert built == []
-    entries, stops, means, error = replay.posterior_pass(0, fixture_cfg.inference)
+    reader, _ = replay_seats(pair.ego, pair.other, fixture_cfg.load_scenario(), starts)
+    entries, stops, means, error = reader.posterior_pass(fixture_cfg.inference, init_particles(fixture_cfg.inference))
     assert error is None
     for n, (i, k, estimate) in enumerate(zip(entries, stops, means), start=1):
-        reader = replay.seat(0)
         tau = reader.frames[i]
         assert tau == k - r == i
-        assert [x.t for x in reader.arrays.states] == list(starts)
+        assert reader.frames == list(starts)
         assert len(built) == len(starts)
-        assert (built[tau][1].s, built[tau][2].s) == (reader.arrays.S[0, i, 0, 0], reader.arrays.S[1, i, 0, 0])
-        assert reader.arrays.sizes[0, i] >= 1
+        x = observed_state(pair.ego, pair.other, tau)
+        assert (built[tau][1], built[tau][2]) == (x.ego, x.other)
+        assert reader.terms.ne[i] >= 1
         assert estimate.shape == (3,) and abs(estimate.sum() - 1.0) < 1e-9
     assert n == len(starts) == len(built)
 
@@ -433,8 +468,8 @@ def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_p
             want.append((k, estimate.values.tobytes()))
     assert [k for k, _ in want] == list(range(cfg.window_r, tau + cfg.window_r))
     monkeypatch.setattr(workflows, "observed_pairs", lambda *_: [(0, failing)])
-    replay = PairReplay(failing.ego, failing.other, scenario, window_starts(failing.ego, cfg))
-    _, stops, means, error = replay.posterior_pass(0, cfg)
+    reader, _ = replay_seats(failing.ego, failing.other, scenario, window_starts(failing.ego, cfg))
+    _, stops, means, error = reader.posterior_pass(cfg, init_particles(cfg))
     got = [(k, estimate.tobytes()) for k, estimate in zip(stops, means)]
     assert isinstance(error, sp.NonFiniteRewardError)
     assert str(error) == str(definition.value)
@@ -604,27 +639,28 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
     for path, columns in ((scn.path_ego, tracks[:4]), (scn.path_other, tracks[4:])):
         s, v, d, off = map(np.array, columns)
         obs.append(SimpleNamespace(s=s, v=v, d=d, xy=path.position(s, d) + off[:, None]))
-    replay = PairReplay(*obs, scn, window_starts(obs[0], cfg))
+    seats = replay_seats(*obs, scn, window_starts(obs[0], cfg)) if steps >= window_r else None
+    pset = init_particles(cfg, seed)
     horizons = sorted({dt, horizon * dt})
     fixed = [make() for make in workflows.POLICIES.values()]
     for seat, seat_scenario in enumerate((scn, scn.swapped())):
         obs_self, obs_other = obs[seat], obs[1 - seat]
         if steps < window_r:
             with pytest.raises(sp.ShortTrackError):
-                replay.posterior_pass(seat, cfg, seed)
+                window_starts(obs_self, cfg)
             with pytest.raises(sp.ShortTrackError):
                 next(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
             continue
-        entries, stops, means, error = replay.posterior_pass(seat, cfg, seed)
+        reader = seats[seat]
+        entries, stops, means, error = reader.posterior_pass(cfg, pset)
         assert error is None
         got = list(zip(entries, stops, means))
         want = list(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
-        reader = replay.seat(seat)
         assert [(reader.frames[i], k) for i, k, _ in got] == [(tau, k) for tau, _, k, _, _ in want]
         assert [e.tobytes() for *_, e in got] == [e.values.tobytes() for *_, e in want]
 
         space_at = {tau: space for tau, space, *_ in want}
-        assert reader.matched_labels(obs_self.xy, entries, stops).tolist() == [m for *_, m, _ in want]
+        assert reader.matched_labels(entries, stops).tolist() == [m for *_, m, _ in want]
         every = range(reader.terms.sound)
         for lam in fixed:
             want_labels = [leader_label(space_at[tau], lam) for tau in reader.frames]
@@ -655,7 +691,7 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
 
 
 def _posterior_pass_with_fault(pair, scenario, cfg, seat, fault, at, block_elements):
-    """PairReplay.posterior_pass under a _BLOCK_ELEMENTS of block_elements, with a fault at posterior frame at.
+    """SeatReplay.posterior_pass under a _BLOCK_ELEMENTS of block_elements, with a fault at posterior frame at.
 
     fault is None, "build" (the state of frame at's window start fails),
     "degenerate" (frame at's update) or "off_simplex" (frame at's mean).
@@ -686,8 +722,8 @@ def _posterior_pass_with_fault(pair, scenario, cfg, seat, fault, at, block_eleme
         stack.enter_context(patch.object(sampling, "_BLOCK_ELEMENTS", block_elements))
         if fault is not None:
             stack.enter_context(patch.object(*faults[fault]))
-        replay = PairReplay(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))
-        return replay.posterior_pass(seat, cfg, seed=3)
+        reader = replay_seats(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))[seat]
+        return reader.posterior_pass(cfg, init_particles(cfg, seed=3))
 
 
 @settings(max_examples=40, deadline=None)

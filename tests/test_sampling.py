@@ -511,7 +511,7 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
         lams = rng.dirichlet(np.ones(3), size=(2, n))
         lambdas = rng.dirichlet(np.ones(3), size=40)
         labels = [int(rng.integers(ne)) for ne in seat.sizes[0].tolist()]
-        loglik = SeatReplay(list(range(n)), seat).log_likelihoods(lambdas, range(n), labels)
+        loglik = SeatReplay(None, list(range(n)), terms, seat.xy[0]).log_likelihoods(lambdas, range(n), labels)
         batched = terms.leader_labels(range(n), lams.transpose(2, 0, 1))
         for i, space in enumerate(seat.spaces()):
             ne, no = seat.sizes[:, i].tolist()
