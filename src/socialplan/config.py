@@ -214,7 +214,7 @@ def config_from_dict(data: dict, base_dir: Path | str = ".") -> ScenarioConfig:
             base_dir=Path(base_dir),
             **top,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: the repr of a value nested too deep
         raise SchemaError(f"invalid config value: {exc}") from exc
 
 
@@ -224,6 +224,8 @@ def load_config(path) -> ScenarioConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past int's digit limit, nesting too deep
+        raise SchemaError(f"config cannot be read: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("config root must be a JSON object")
     return config_from_dict(data, base_dir=path.parent)

@@ -315,26 +315,24 @@ class SeatReplay:
             out[at] = picked - np.log(u.sum(axis=-1))[pos]
         return out
 
-    def posterior_pass(
-        self, cfg: InferenceConfig, pset: ParticleSet
-    ) -> tuple[list[int], list[int], np.ndarray, Exception | None]:
+    def posterior_pass(self, cfg: InferenceConfig, pset: ParticleSet) -> tuple[list[int], np.ndarray, Exception | None]:
         """The posterior loop for the seat's agent from the particles pset, up to its first error.
 
-        Returns (entries, stops, means, error): for the j-th posterior frame
-        stops[j] = window_r + j, entries[j] is the entry of its window start
-        tau, which is tau itself (0 under growing_window), and means[j] the
-        posterior mean after the window tau..stops[j] as a weight row (3,);
-        len(means) frames ran, and error is the one the next frame raises
-        (None if every frame ran).  The track covers one window
-        (window_starts checks it).  The matched labels come from one array
-        pass.  The frames then run in blocks (sampling.block_slices) of at
-        most sampling._BLOCK_ELEMENTS // P (or one), so that no (F, P) array
+        Returns (stops, means, error): for the j-th posterior frame
+        stops[j] = window_r + j, and means[j] is the posterior mean after the
+        window tau..stops[j] as a weight row (3,), tau being j (0 under
+        growing_window), which is also its entry in frames; len(means) frames
+        ran, and error is the one the next frame raises (None if every frame
+        ran).  The track covers one window (window_starts checks it).  The
+        matched labels come from one array pass.  The frames then run in
+        blocks (sampling.block_slices) of at most
+        sampling._BLOCK_ELEMENTS // P (or one), so that no (F, P) array
         lives: each block's log-likelihoods (_BLOCK_ELEMENTS * ne floats,
-        12.5 MiB at config.MAX_TERMINAL_SPEEDS, or one frame's P * ne) and
-        its means (_means) come from one array pass each, and the weight
-        recursion (_reweigh, as in update_posterior) runs per frame, with
-        resampling at the particles each frame copied.  A frame's numbers do
-        not depend on the block it falls in.
+        12.5 MiB at config.MAX_TERMINAL_SPEEDS, or one frame's P * ne) and its
+        means (_means) come from one array pass each, and the weight recursion
+        (_reweigh, as in update_posterior) runs per frame, with resampling at
+        the particles each frame copied.  A frame's numbers do not depend on
+        the block it falls in.
 
         Errors stop the pass at their frame, as in the per-frame loop: a
         window start's build error at frame tau + r (under growing_window, at
@@ -374,7 +372,7 @@ class SeatReplay:
         means = np.concatenate(blocks) if blocks else np.empty((0, 3))
         if error is None and n < len(entries):
             error = self.terms.error[1]  # entry n is at or past the first failing state
-        return entries, stops, means, error
+        return stops, means, error
 
 
 def replay_seats(obs_ego, obs_other, scenario: Scenario, frames) -> tuple[SeatReplay, SeatReplay]:
@@ -391,14 +389,13 @@ def replay_seats(obs_ego, obs_other, scenario: Scenario, frames) -> tuple[SeatRe
     """
     frames = list(frames)
     arrays = scenario.arrays_at([observed_state(obs_ego, obs_other, k) for k in frames])
-    swapped = scenario.swapped()
-    seats = ((obs_ego, arrays), (obs_other, arrays.swapped(swapped.conflict, swapped.rewards)))
+    seats = ((obs_ego, arrays), (obs_other, arrays.swapped(scenario.swapped().rewards)))
     return tuple(SeatReplay(obs, frames, seat.social_terms(), seat.xy[0]) for obs, seat in seats)
 
 
 def _series(reader: SeatReplay, cfg: InferenceConfig, pset: ParticleSet) -> InferenceSeries:
     """The seat's per-frame estimates from its posterior pass; raises the pass's error, if any."""
-    _, stops, means, error = reader.posterior_pass(cfg, pset)
+    stops, means, error = reader.posterior_pass(cfg, pset)
     if error is not None:
         raise error
     return InferenceSeries(frames=np.array(stops), lambdas=means)
@@ -411,10 +408,9 @@ def infer_agent(
     cfg: InferenceConfig,
     seed: int = 0,
 ) -> InferenceSeries:
-    """Per-frame weight estimates for the agent sitting in the scenario's ego seat (replay_seats' seat 0 alone)."""
-    frames = list(window_starts(obs_self, cfg))
-    arrays = scenario.arrays_at([observed_state(obs_self, obs_other, k) for k in frames])
-    return _series(SeatReplay(obs_self, frames, arrays.social_terms(), arrays.xy[0]), cfg, init_particles(cfg, seed))
+    """Per-frame weight estimates for the agent sitting in the scenario's ego seat: replay_seats' seat 0."""
+    reader, _ = replay_seats(obs_self, obs_other, scenario, window_starts(obs_self, cfg))
+    return _series(reader, cfg, init_particles(cfg, seed))
 
 
 def _infer_pair(pair, scenario: Scenario, cfg: InferenceConfig, particles) -> dict[str, InferenceSeries]:

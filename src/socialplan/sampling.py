@@ -152,7 +152,6 @@ class JointBehaviorSpace:
     reward_other: np.ndarray
     absence_other: np.ndarray
     reward_cfg: RewardConfig
-    conflict: ConflictPoint | None = None
     _components: SocialComponents | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -367,7 +366,6 @@ class JointArrays:
 
     states: list[JointState]
     paths: tuple[ReferencePath, ReferencePath]
-    conflict: ConflictPoint
     reward_cfg: RewardConfig
     dt: float
     collapsed: list[bool]  # per state: a fan collapsed under forbid_singleton
@@ -382,8 +380,8 @@ class JointArrays:
     reward_ego: np.ndarray  # (F, nt, nt)
     reward_other: np.ndarray  # (F, nt, nt)
 
-    def swapped(self, conflict: ConflictPoint, reward_cfg: RewardConfig) -> "JointArrays":
-        """The other driver's seat, with its conflict point and reward config (as Scenario.swapped() has them).
+    def swapped(self, reward_cfg: RewardConfig) -> "JointArrays":
+        """The other driver's seat, with its reward config (as Scenario.swapped() has it).
 
         Its arrays are the ones build_joint_arrays gives for the swapped
         states under the swapped scenario, bit for bit: the sides swap, the
@@ -393,7 +391,6 @@ class JointArrays:
         return JointArrays(
             states=[x.swapped() for x in self.states],
             paths=self.paths[::-1],
-            conflict=conflict,
             reward_cfg=reward_cfg,
             dt=self.dt,
             collapsed=self.collapsed,
@@ -428,13 +425,10 @@ class JointArrays:
         with np.errstate(over="ignore", invalid="ignore"):  # reported per state below
             absence_other = to[0] * self.eff[1] + to[1] * self.com[1]
 
-        by_size: dict[int, list[int]] = {}
-        for i, no in enumerate(self.sizes[1].tolist()):
-            by_size.setdefault(no, []).append(i)
         terms = np.zeros((len(self.states), 3, self.reward_ego.shape[-1]))
         finite_terms = np.empty(len(self.states), dtype=bool)
-        for no, idx in by_size.items():
-            states = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view where it can
+        for no in set(self.sizes[1].tolist()):
+            states = (self.sizes[1] == no).nonzero()[0]
             sizes = self.sizes[0, states]
             real = np.arange(sizes.max()) < sizes[:, None]  # (G, ne) the real ego rows
             # contiguous, as the other seat's matrices are transposed views: numpy sums
@@ -494,7 +488,6 @@ class JointArrays:
                 reward_other=np.ascontiguousarray(self.reward_other[i, :ne, :no]),
                 absence_other=terms.absence_other[i, :no],
                 reward_cfg=self.reward_cfg,
-                conflict=self.conflict,
             )
             spaces.append(space)
         return spaces
@@ -551,7 +544,7 @@ def build_joint_arrays(
         reward_other = to[0] * eff[1][..., None, :] + to[1] * com[1][..., None, :] + to[2] * safety
 
     return JointArrays(
-        states=list(states), paths=paths, conflict=conflict, reward_cfg=reward_cfg, dt=dt, collapsed=collapsed,
+        states=list(states), paths=paths, reward_cfg=reward_cfg, dt=dt, collapsed=collapsed,
         sizes=sizes, accels=accels, S=S, V=V, xy=xy, eff=eff, com=com, safety=safety,
         reward_ego=reward_ego, reward_other=reward_other,
     )

@@ -56,13 +56,21 @@ def _int64(text: str) -> int:
     return value
 
 
+def _lines(path, kind: str) -> list[str]:
+    """The lines of a CSV file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{kind} file is not UTF-8: {exc}") from exc
+
+
 def load_tracks(path) -> dict[int, Track]:
     """Parse and group a track CSV.
 
     Within each track the frames must increase and the timestamps must
     increase by one constant frame period.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _lines(path, "track")
     if not lines or lines[0].split(",") != TRACK_HEADER:
         raise SchemaError(f"expected track header {','.join(TRACK_HEADER)!r}")
     rows: dict[int, list[tuple]] = {}  # track id -> (frame, timestamp_ms, x, y, vx, vy) rows
@@ -108,7 +116,7 @@ def write_tracks(path, tracks: list[Track]) -> None:
 
 def load_path_csv(path, speed_limit: float) -> ReferencePath:
     """Parse a path CSV; consecutive vertices must be distinct and the arclength finite (a ParseError names the row)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _lines(path, "path")
     if not lines or lines[0].split(",") != PATH_HEADER:
         raise SchemaError(f"expected path header {','.join(PATH_HEADER)!r}")
     pts, linenos = [], []

@@ -248,14 +248,12 @@ def _regen_agent(reader: SeatReplay, cfg: ScenarioConfig, pset) -> dict:
     sums add in frame order (_frame_sums).
     """
     frames, max_steps = _regen_frames(reader.obs, cfg)
-    entries, _, means, error = reader.posterior_pass(cfg.inference, pset)
+    _, means, error = reader.posterior_pass(cfg.inference, pset)
     if error is None:
         stop = frames.stop
-    else:  # the regeneration frames whose window start the pass reached
-        starts = {reader.frames[i] for i in entries[: len(means)]}
-        stop = frames.start
-        while stop < frames.stop and stop in starts:
-            stop += 1
+    else:  # the regeneration frames whose window start the pass reached: window start j is posterior frame j's,
+        # and under growing_window every window starts at frame 0, below window_r
+        stop = frames.start if cfg.inference.growing_window else min(max(frames.start, len(means)), frames.stop)
     # the regeneration frames are consecutive integers, so consecutive entries from first
     first = bisect_left(reader.frames, frames.start)
     if max(reader.terms.sound - first, 0) < stop - frames.start:  # a failing state among the scheduled frames

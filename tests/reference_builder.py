@@ -125,7 +125,6 @@ def reference_space(x0: JointState, path_ego, path_other, conflict, sampler_cfg,
         reward_other=reward_other,
         absence_other=absence_other,
         reward_cfg=reward_cfg,
-        conflict=conflict,
     )
 
 

@@ -73,7 +73,7 @@ def test_a_posterior_pass_peaks_below_one_frames_by_particles_array(courtesy, re
     # the build and the particle draw are not the pass's
     reader, _ = replay_seats(pair.ego, pair.other, cfg.load_scenario(), window_starts(pair.ego, icfg))
     pset = init_particles(icfg, cfg.seed)
-    (_, stops, means, error), peak = _peak(lambda: reader.posterior_pass(icfg, pset))
+    (stops, means, error), peak = _peak(lambda: reader.posterior_pass(icfg, pset))
     assert error is None and len(means) == len(stops) > 1
     assert peak < len(means) * icfg.n_particles * 8
 

@@ -731,6 +731,36 @@ def fuzz_source(tmp_path_factory):
     return json.loads((tmp / "f" / "scenario.json").read_text()), (tmp / "f" / "tracks.csv").read_text(), paths
 
 
+# each entry: the file it spoils, how, and the start of the one-line message
+_UNREADABLE = {
+    "config_not_utf8": ("scenario.json", lambda b: b.replace(b'"seed"', b'"s\xffeed"'),
+                        "SchemaError: config cannot be read: 'utf-8' codec can't decode byte 0xff"),
+    "tracks_not_utf8": ("tracks.csv", lambda b: b + b"\xff\n", "ParseError: track file is not UTF-8: "),
+    "path_not_utf8": ("path_other.csv", lambda b: b + b"1,\xe9\n", "ParseError: path file is not UTF-8: "),
+    "seed_of_5001_digits": ("scenario.json", lambda b: b.replace(b'"seed": 0', b'"seed": ' + b"1" * 5001),
+                            "SchemaError: config cannot be read: Exceeds the limit (4300 digits)"),
+    "nested_100000_deep": ("scenario.json",
+                           lambda b: b.replace(b'"seed": 0', b'"seed": ' + b"[" * 10**5 + b"]" * 10**5),
+                           "SchemaError: config cannot be read: maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("case", _UNREADABLE)
+def test_cli_rejects_files_it_cannot_read_as_data_errors(fuzz_source, tmp_path, capsys, case):
+    """Bytes that are not UTF-8 once exited 1 as usage errors, as did an integer past int's digit limit; nesting
+    100,000 deep ended in a RecursionError traceback."""
+    config, tracks, paths = fuzz_source
+    files = {"scenario.json": json.dumps(config).encode(), "tracks.csv": tracks.encode(), **paths}
+    name, spoil, message = _UNREADABLE[case]
+    for file, content in files.items():
+        (tmp_path / file).write_bytes(spoil(content) if file == name else content)
+    out = tmp_path / "out"
+    assert main(["infer", "--config", str(tmp_path / "scenario.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"socialplan: {message}") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def _leaves(node, at=()):
     """The key paths of every leaf of a config dict; a list of numbers counts as a leaf."""
     if isinstance(node, dict):

@@ -310,8 +310,9 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
     r = fixture_cfg.inference.window_r
     starts = window_starts(pair.ego, fixture_cfg.inference)
     reader, _ = replay_seats(pair.ego, pair.other, fixture_cfg.load_scenario(), starts)
-    entries, stops, means, error = reader.posterior_pass(fixture_cfg.inference, init_particles(fixture_cfg.inference))
+    stops, means, error = reader.posterior_pass(fixture_cfg.inference, init_particles(fixture_cfg.inference))
     assert error is None
+    entries = [k - r for k in stops]
     for n, (i, k, estimate) in enumerate(zip(entries, stops, means), start=1):
         tau = reader.frames[i]
         assert tau == k - r == i
@@ -450,6 +451,39 @@ def test_frame_errors_come_out_in_frame_order(fixture_cfg, tmp_path, monkeypatch
             run()
 
 
+# dt 0.08 and the 1.0 s longest horizon leave regeneration frames r .. 32 on the fixture's 45 frames.  The
+# per-frame definition (the rule in workflows._regen_agent) regenerates a window start tau, and raises its build
+# error, at posterior frame tau + r, and a frame that starts no window after the seat's whole pass; a degeneracy
+# at k comes out at frame k.  Under window_r 14 the window starts are 0 .. 30, so frames 31 and 32 start none;
+# under growing_window every window starts at frame 0, so no regeneration frame starts one
+@pytest.mark.parametrize(
+    "changes,degenerate,fail_at,expected",
+    [
+        ({"window_r": 14}, {(0, 40)}, {(0, 31)}, "seat 0 degenerates at frame 40"),  # 31 waits for the whole pass
+        ({"window_r": 14}, set(), {(0, 32)}, "seat 0 fails at frame 32"),
+        ({"window_r": 14}, {(0, 35)}, {(0, 20)}, "seat 0 fails at frame 20"),  # window start 20 is used at frame 34
+        ({"window_r": 14}, {(0, 30)}, {(0, 20)}, "seat 0 degenerates at frame 30"),
+        ({"window_r": 14}, {(1, 44)}, {(1, 31)}, "seat 1 degenerates at frame 44"),
+        ({"window_r": 14}, {(1, 20)}, {(0, 31)}, "seat 0 fails at frame 31"),  # the ego seat regenerates first
+        ({"growing_window": True}, {(0, 30)}, {(0, 12)}, "seat 0 degenerates at frame 30"),
+        ({"growing_window": True}, set(), {(0, 12)}, "seat 0 fails at frame 12"),
+        ({"growing_window": True}, {(0, 20)}, {(0, 25)}, "seat 0 degenerates at frame 20"),
+        ({"growing_window": True}, {(1, 40)}, {(1, 15)}, "seat 1 degenerates at frame 40"),
+        ({"growing_window": True}, {(1, 11)}, {(0, 32)}, "seat 0 fails at frame 32"),
+    ],
+)
+def test_regeneration_errors_come_out_in_schedule_order_where_frames_start_no_window(
+    fixture_cfg, tmp_path, monkeypatch, changes, degenerate, fail_at, expected
+):
+    cfg = _with_inference(fixture_cfg, **changes)
+    [(_, pair)] = workflows.observed_pairs(cfg)
+    assert len(pair.ego.s) == 45 and _longest_steps(cfg) == 12
+    _failing_seats(monkeypatch, cfg.load_scenario(), fail_at)
+    _degenerate_at(monkeypatch, cfg.inference.window_r, degenerate)
+    with pytest.raises(sp.DegenerateWeightsError, match=f"^{expected}$"):
+        workflows.run_regen(cfg, tmp_path)
+
+
 @pytest.mark.parametrize("car", ["ego", "other"])
 def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_path, monkeypatch, car):
     """A speed of 1e300 at one observed state overflows that state's rollout (the ego car's: its features;
@@ -469,7 +503,7 @@ def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_p
     assert [k for k, _ in want] == list(range(cfg.window_r, tau + cfg.window_r))
     monkeypatch.setattr(workflows, "observed_pairs", lambda *_: [(0, failing)])
     reader, _ = replay_seats(failing.ego, failing.other, scenario, window_starts(failing.ego, cfg))
-    _, stops, means, error = reader.posterior_pass(cfg, init_particles(cfg))
+    stops, means, error = reader.posterior_pass(cfg, init_particles(cfg))
     got = [(k, estimate.tobytes()) for k, estimate in zip(stops, means)]
     assert isinstance(error, sp.NonFiniteRewardError)
     assert str(error) == str(definition.value)
@@ -652,8 +686,9 @@ def test_chunk_arithmetic_matches_the_per_frame_loop(
                 next(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
             continue
         reader = seats[seat]
-        entries, stops, means, error = reader.posterior_pass(cfg, pset)
+        stops, means, error = reader.posterior_pass(cfg, pset)
         assert error is None
+        entries = [0 if growing else k - window_r for k in stops]
         got = list(zip(entries, stops, means))
         want = list(reference_posterior_steps(obs_self, obs_other, seat_scenario, cfg, seed))
         assert [(reader.frames[i], k) for i, k, _ in got] == [(tau, k) for tau, _, k, _, _ in want]
@@ -744,7 +779,7 @@ def _posterior_pass_with_fault(pair, scenario, cfg, seat, fault, at, block_eleme
 def test_posterior_pass_in_blocks_of_frames_matches_one_block(
     fixture_cfg, per_block, n_particles, resample, growing, seat, fault, block, edge
 ):
-    """posterior_pass with per_block frames a block against one block: its entries, means as bytes and error.
+    """posterior_pass with per_block frames a block against one block: its stops, means as bytes and error.
 
     A _BLOCK_ELEMENTS of per_block * P makes blocks of per_block frames.
     The fault sits at the first or the last frame of a block (the last
@@ -760,8 +795,8 @@ def test_posterior_pass_in_blocks_of_frames_matches_one_block(
         _posterior_pass_with_fault(pair, scenario, cfg, seat, fault, at, elements)
         for elements in (frames * n_particles, per_block * n_particles)
     )
-    (entries, stops, means, error), (got_entries, got_stops, got_means, got_error) = runs
-    assert (got_entries, got_stops) == (entries, stops)
+    (stops, means, error), (got_stops, got_means, got_error) = runs
+    assert got_stops == stops
     assert got_means.tobytes() == means.tobytes()
     assert type(got_error) is type(error) and str(got_error) == str(error)
     if fault is None:

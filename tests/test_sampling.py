@@ -425,7 +425,7 @@ def test_swapped_seat_of_a_shared_build_matches_its_own_build(
             error = exc
             break
         expected.append(space)
-    seat = scn.arrays_at(xs).swapped(swapped.conflict, swapped.rewards)
+    seat = scn.arrays_at(xs).swapped(swapped.rewards)
     if error is not None:
         with pytest.raises(type(error), match=re.escape(str(error))):
             seat.spaces()
@@ -434,7 +434,7 @@ def test_swapped_seat_of_a_shared_build_matches_its_own_build(
     assert len(got) == len(xs)
     for one, shared in zip(expected, got):
         _assert_same_space(one, shared)
-        assert (shared.reward_cfg, shared.conflict) == (swapped.rewards, swapped.conflict)
+        assert shared.reward_cfg == swapped.rewards
 
 
 def test_swapped_seat_names_its_own_car_and_weight():
@@ -451,7 +451,7 @@ def test_swapped_seat_names_its_own_car_and_weight():
         with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
             swapped.arrays_at([x.swapped() for x in xs]).spaces()
         with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
-            source.arrays_at(xs).swapped(swapped.conflict, swapped.rewards).spaces()
+            source.arrays_at(xs).swapped(swapped.rewards).spaces()
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,7 +505,7 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
     arrays = scn.arrays_at(xs)
     rng = np.random.default_rng(seed)
     n = len(xs)
-    for seat in (arrays, arrays.swapped(swapped.conflict, swapped.rewards)):
+    for seat in (arrays, arrays.swapped(swapped.rewards)):
         terms = seat.social_terms()
         assert terms.error is None
         lams = rng.dirichlet(np.ones(3), size=(2, n))
