@@ -119,7 +119,19 @@ _triple = partial(_numbers, length=3)
 _object = _of_type(dict, "an object")
 _boolean = _of_type(bool, "true or false")
 _string = _of_type(str, "a string")
-_file_name = _of_type((str, type(None)), "a file name")
+
+
+def _file_name(kind, what: str):
+    """The check of a key naming a file, of type kind (what names it): a name the OS cannot open is a data error."""
+    def check(value, name: str):
+        value = _of_type(kind, what)(value, name)
+        try:
+            if not isinstance(value, str) or b"\0" not in os.fsencode(value):
+                return value
+        except UnicodeEncodeError:  # a lone surrogate the file system's encoding refuses
+            pass
+        raise SchemaError(f"config {name} must be a file name the OS can open, got {value!r}")
+    return check
 
 
 def _checked(obj, context: str, kinds: dict) -> dict:
@@ -187,12 +199,12 @@ _INFERENCE_FIELDS = {
 _CONFIG_FIELDS = {
     "schema_version": _integer,  # its value is checked first
     "seed": partial(_integer, minimum=0),
-    "paths": _ego_other(_section(PathSpec, {"file": _string, "speed_limit": _positive})),
+    "paths": _ego_other(_section(PathSpec, {"file": _file_name(str, "a string"), "speed_limit": _positive})),
     "initial": _ego_other(_section(AgentState, dict.fromkeys(("s", "v", "d"), _float))),
     "sampler": _section(SamplerConfig, _SAMPLER_FIELDS),
     "rewards": _section(RewardConfig, _REWARD_FIELDS),
     "inference": _section(InferenceConfig, _INFERENCE_FIELDS),
-    "tracks": _file_name,
+    "tracks": _file_name((str, type(None)), "a file name"),
     **dict.fromkeys(("frame_period_ms", "max_steps"), partial(_integer, minimum=1)),
 }
 

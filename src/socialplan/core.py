@@ -162,6 +162,11 @@ class JointState:
         return JointState(ego=self.other, other=self.ego, t=self.t)
 
 
+def state_columns(states) -> np.ndarray:
+    """The joint states' (s, v, d) per car as one (3, side, F) array: x[:, 0, i] holds state i's ego car."""
+    return np.array([[(a.s, a.v, a.d) for a in (x.ego, x.other)] for x in states]).reshape(-1, 2, 3).T
+
+
 def step_dynamics(state: AgentState, a: float, dt: float) -> AgentState:
     """One exact Euler-integrable step of the longitudinal double integrator.
 

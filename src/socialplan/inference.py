@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sampling
-from .core import AgentState, JointState
 from .errors import DegenerateWeightsError, EmptyCandidateSetError, ShortTrackError
 from .metrics import horizon_mse
 from .planner import Scenario
@@ -226,15 +225,6 @@ class InferenceSeries:
         return RewardWeights(self.lambdas[-1] / self.lambdas[-1].sum())
 
 
-def observed_state(obs_self, obs_other, k: int) -> JointState:
-    """Joint state at grid index k of two observed tracks (obs_self in the ego seat)."""
-    return JointState(
-        ego=AgentState(s=float(obs_self.s[k]), v=float(obs_self.v[k]), d=float(obs_self.d[k])),
-        other=AgentState(s=float(obs_other.s[k]), v=float(obs_other.v[k]), d=float(obs_other.d[k])),
-        t=k,
-    )
-
-
 def window_starts(obs, cfg: InferenceConfig) -> range:
     """The window starts the posterior reads on an observed track: 0 .. its steps - window_r, or 0 under growing_window.
 
@@ -382,13 +372,13 @@ def replay_seats(obs_ego, obs_other, scenario: Scenario, frames) -> tuple[SeatRe
     other driver, in scenario.swapped()'s terms.  frames are the distinct
     observed frames the run reads, sorted: the posterior's window starts
     (window_starts), so window start tau is entry tau, and for regeneration
-    its frames too.  One Scenario.arrays_at call builds them; the other
-    seat's arrays are views of that build (JointArrays.swapped), bit for bit
-    the swapped scenario's own build.  The build goes once both readers
-    hold what they read.
+    its frames too.  One Scenario.arrays_at call builds them, on the
+    tracks' (s, v, d) columns at those frames; the other seat's arrays are
+    views of that build (JointArrays.swapped), bit for bit the swapped
+    scenario's own build.  The build goes once both readers hold what they read.
     """
     frames = list(frames)
-    arrays = scenario.arrays_at([observed_state(obs_ego, obs_other, k) for k in frames])
+    arrays = scenario.arrays_at(np.stack([(o.s, o.v, o.d) for o in (obs_ego, obs_other)], axis=1)[..., frames])
     seats = ((obs_ego, arrays), (obs_other, arrays.swapped(scenario.swapped().rewards)))
     return tuple(SeatReplay(obs, frames, seat.social_terms(), seat.xy[0]) for obs, seat in seats)
 

@@ -8,10 +8,17 @@ from .errors import HorizonExceedsTraceError, NonFiniteDistanceError, NonTermina
 POLICY_LABELS = ("egoism", "courtesy", "confidence")
 
 
+def dominant_labels(lambda_series) -> np.ndarray:
+    """The index in POLICY_LABELS of each weight row's largest component, ties to the first: (F,) from (F, 3)."""
+    labels = np.asarray(lambda_series, dtype=float).reshape(-1, len(POLICY_LABELS)).argmax(axis=-1)
+    if not len(labels):
+        raise ValueError("empty weight series")
+    return labels
+
+
 def dominant_policy(lam) -> str:
     """Label of the largest weight component; ties break in label order."""
-    values = getattr(lam, "values", lam)
-    return POLICY_LABELS[int(np.argmax(np.asarray(values, dtype=float)))]
+    return POLICY_LABELS[dominant_labels(getattr(lam, "values", lam))[0]]
 
 
 def _pairwise_distances(trace) -> np.ndarray:
@@ -88,21 +95,14 @@ def trajectory_mse(generated, ground_truth, horizon: float) -> float:
     return float(horizon_mse(generated.xy[None], ground_truth.xy, generated.dt, (horizon,))[0, 0])
 
 
-def _dominant_series(lambda_series) -> list[str]:
-    return [dominant_policy(lam) for lam in lambda_series]
-
-
 def psf(lambda_series) -> int:
     """Policy-switch frequency: count of dominant-label changes along the series."""
-    labels = _dominant_series(lambda_series)
-    if not labels:
-        raise ValueError("empty weight series")
-    return int(sum(a != b for a, b in zip(labels, labels[1:])))
+    labels = dominant_labels(lambda_series)
+    return int((labels[1:] != labels[:-1]).sum())
 
 
 def dop(lambda_series) -> dict[str, float]:
     """Dominance of policy: fraction of frames each label dominates."""
-    labels = _dominant_series(lambda_series)
-    if not labels:
-        raise ValueError("empty weight series")
-    return {name: labels.count(name) / len(labels) for name in POLICY_LABELS}
+    labels = dominant_labels(lambda_series)
+    counts = np.bincount(labels, minlength=len(POLICY_LABELS)).tolist()  # Python ints, divided as such
+    return {name: count / len(labels) for name, count in zip(POLICY_LABELS, counts)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, step_dynamics
+from .core import ConflictPoint, JointState, ReferencePath, find_conflict_point, state_columns, step_dynamics
 from .errors import SocialPlanError
 from .rewards import RewardConfig, RewardWeights, leader_scores
 from .sampling import JointArrays, JointBehaviorSpace, SamplerConfig, SeatTerms
@@ -63,9 +63,9 @@ class Scenario:
     def space_at(self, x0: JointState) -> JointBehaviorSpace:
         return build_joint_space(x0, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
-    def arrays_at(self, states: list[JointState]) -> JointArrays:
-        """One array pass over the states (build_joint_arrays); JointArrays.swapped() gives the other seat."""
-        return build_joint_arrays(states, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
+    def arrays_at(self, x: np.ndarray) -> JointArrays:
+        """One build_joint_arrays pass over state columns x (3, side, F); JointArrays.swapped() gives the other seat."""
+        return build_joint_arrays(x, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,8 @@ class InteractionTrace:
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """Cartesian positions of both cars at every recorded state."""
-        se = np.array([js.ego.s for js in self.joint_states])
-        so = np.array([js.other.s for js in self.joint_states])
-        de = np.array([js.ego.d for js in self.joint_states])
-        do = np.array([js.other.d for js in self.joint_states])
-        return self.path_ego.position(se, de), self.path_other.position(so, do)
+        s, _, d = state_columns(self.joint_states)
+        return self.path_ego.position(s[0], d[0]), self.path_other.position(s[1], d[1])
 
     def concat(self, tail: "InteractionTrace") -> "InteractionTrace":
         """Join a continuation trace whose first state equals this trace's last."""
@@ -250,7 +247,7 @@ def simulate_policies(
         chains = [_chain(scenario, x, guesses[p], max_steps - len(a_ego[p]) - 1) for p, x in zip(running, xs)]
         build = xs + [x for chain in chains for x in chain]
         owners = running + [p for p, chain in zip(running, chains) for _ in chain]  # the policy of each state
-        arrays = scenario.arrays_at(build)
+        arrays = scenario.arrays_at(state_columns(build))
         terms = arrays.social_terms()
         builds, built, predicted = builds + 1, built + len(build), predicted + len(build) - len(xs)
         if terms.error is not None and terms.error[0] < len(xs):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConflictPoint, JointState, ReferencePath
+from .core import ConflictPoint, JointState, ReferencePath, state_columns
 from .errors import EmptyCandidateSetError, NonFiniteRewardError, SocialPlanError
 from .rewards import RewardConfig, SocialComponents, beta_error, component_arrays, leader_scores, social_components
 
@@ -305,21 +305,21 @@ def _weight_error(reward_cfg: RewardConfig, reward_ego, reward_other, absence_ot
     return NonFiniteRewardError(f"rewards.{name} = {theta!r} overflows the utility matrices; use smaller weights")
 
 
-def _feature_error(x: JointState, paths, eff, com, safety, sizes) -> NonFiniteRewardError | None:
+def _feature_error(x: list, paths, eff, com, safety, sizes) -> NonFiniteRewardError | None:
     """The error for one state whose real candidates have a non-finite feature, else None.
 
-    eff, com: (side, nt); safety: (nt, nt); sizes: (side,) fan sizes.
+    x: [s, v, d] per car, in Python floats; eff, com: (side, nt); safety: (nt, nt); sizes: (side,) fan sizes.
     """
-    for k, (side, agent) in enumerate((("ego", x.ego), ("other", x.other))):
+    for k, (side, (s, v, d)) in enumerate(zip(("ego", "other"), x)):
         n = sizes[k]
         if not (np.isfinite(eff[k, :n]).all() and np.isfinite(com[k, :n]).all()):
             return NonFiniteRewardError(
-                f"the {side} car's utility features overflow at s={agent.s!r}, v={agent.v!r}, d={agent.d!r} "
+                f"the {side} car's utility features overflow at s={s!r}, v={v!r}, d={d!r} "
                 f"with path speed_limit={paths[k].speed_limit!r}; use smaller state values or a larger speed limit"
             )
     if not np.isfinite(safety[: sizes[0], : sizes[1]]).all():
         return NonFiniteRewardError(
-            f"the safety feature overflows at ego s={x.ego.s!r}, other s={x.other.s!r}; use smaller state values"
+            f"the safety feature overflows at ego s={x[0][0]!r}, other s={x[1][0]!r}; use smaller state values"
         )
     return None
 
@@ -357,14 +357,14 @@ class SeatTerms:
 
 @dataclass(frozen=True, eq=False)
 class JointArrays:
-    """One seat's view of a build_joint_arrays pass over a list of states.
+    """One seat's view of a build_joint_arrays pass over F states.
 
     The side axis runs (this seat's car, the other car), and the matrices'
     target axes in the same order.  swapped() is the other driver's seat, as
     views of the same arrays.
     """
 
-    states: list[JointState]
+    states: np.ndarray  # (3, side, F) each state's (s, v, d) per car, build_joint_arrays' input
     paths: tuple[ReferencePath, ReferencePath]
     reward_cfg: RewardConfig
     dt: float
@@ -389,7 +389,7 @@ class JointArrays:
         the reward matrices, each side's weighted sum trading places.
         """
         return JointArrays(
-            states=[x.swapped() for x in self.states],
+            states=self.states[:, ::-1],
             paths=self.paths[::-1],
             reward_cfg=reward_cfg,
             dt=self.dt,
@@ -425,8 +425,8 @@ class JointArrays:
         with np.errstate(over="ignore", invalid="ignore"):  # reported per state below
             absence_other = to[0] * self.eff[1] + to[1] * self.com[1]
 
-        terms = np.zeros((len(self.states), 3, self.reward_ego.shape[-1]))
-        finite_terms = np.empty(len(self.states), dtype=bool)
+        terms = np.zeros((self.states.shape[-1], 3, self.reward_ego.shape[-1]))
+        finite_terms = np.empty(self.states.shape[-1], dtype=bool)
         for no in set(self.sizes[1].tolist()):
             states = (self.sizes[1] == no).nonzero()[0]
             sizes = self.sizes[0, states]
@@ -448,7 +448,7 @@ class JointArrays:
         finite = all(np.isfinite(m).all() for m in matrices)  # padding included: no state can fail on these
         if finite and finite_terms.all() and not any(self.collapsed):
             return None
-        for i, (x, (ne, no)) in enumerate(zip(self.states, self.sizes.T.tolist())):
+        for i, (x, (ne, no)) in enumerate(zip(self.states.T.tolist(), self.sizes.T.tolist())):
             if self.collapsed[i]:
                 return i, EmptyCandidateSetError(_COLLAPSED)
             if not finite:
@@ -472,14 +472,13 @@ class JointArrays:
         if terms.error is not None:
             raise terms.error[1]
         spaces = []
-        for i, x in enumerate(self.states):
-            ne, no = self.sizes[:, i].tolist()
+        for i, (d, (ne, no)) in enumerate(zip(self.states[2].T.tolist(), self.sizes.T.tolist())):
             fans = [
                 CandidateFan(
                     accels=self.accels[k, i, :m], s=self.S[k, i, :m], v=self.V[k, i, :m], xy=self.xy[k][i, :m],
-                    d=a.d, dt=self.dt,
+                    d=d[k], dt=self.dt,
                 )
-                for k, (m, a) in enumerate(((ne, x.ego), (no, x.other)))
+                for k, m in enumerate((ne, no))
             ]
             space = JointBehaviorSpace(
                 ego_candidates=fans[0],
@@ -494,14 +493,14 @@ class JointArrays:
 
 
 def build_joint_arrays(
-    states: list[JointState],
+    x: np.ndarray,
     path_ego: ReferencePath,
     path_other: ReferencePath,
     conflict: ConflictPoint,
     sampler_cfg: SamplerConfig,
     reward_cfg: RewardConfig,
 ) -> JointArrays:
-    """Every state's fans, features and reward matrices, in one array pass.
+    """Every state's fans, features and reward matrices, in one array pass over the state columns x (3, side, F).
 
     Both sides of every state sit on one grid (side, state, target): each
     row holds its distinct clamped accelerations first, in order, and 0.0
@@ -511,12 +510,12 @@ def build_joint_arrays(
     """
     paths = (path_ego, path_other)
     n, dt = sampler_cfg.horizon_steps, sampler_cfg.dt
-    s0, v0, d = np.array([[(a.s, a.v, a.d) for a in (x.ego, x.other)] for x in states]).T  # each (side, F)
+    s0, v0, d = x  # each (side, F)
     limits = np.array([path_ego.speed_limit, path_other.speed_limit])[:, None]
 
     accels, sizes = fan_accels(v0, limits, sampler_cfg)  # (side, F, nt), (side, F)
     forbid = _forbids_singleton(accels, sampler_cfg)
-    collapsed = (sizes == 1).any(axis=0).tolist() if forbid else [False] * len(states)
+    collapsed = (sizes == 1).any(axis=0).tolist() if forbid else [False] * x.shape[-1]
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported per state
         S, V = rollout_batch(s0[..., None], v0[..., None], accels, n, dt)
@@ -544,7 +543,7 @@ def build_joint_arrays(
         reward_other = to[0] * eff[1][..., None, :] + to[1] * com[1][..., None, :] + to[2] * safety
 
     return JointArrays(
-        states=list(states), paths=paths, reward_cfg=reward_cfg, dt=dt, collapsed=collapsed,
+        states=x, paths=paths, reward_cfg=reward_cfg, dt=dt, collapsed=collapsed,
         sizes=sizes, accels=accels, S=S, V=V, xy=xy, eff=eff, com=com, safety=safety,
         reward_ego=reward_ego, reward_other=reward_other,
     )
@@ -559,4 +558,4 @@ def build_joint_space(
     reward_cfg: RewardConfig,
 ) -> JointBehaviorSpace:
     """The joint behavior space at one state: build_joint_arrays on it, assembled by JointArrays.spaces()."""
-    return build_joint_arrays([x0], path_ego, path_other, conflict, sampler_cfg, reward_cfg).spaces()[0]
+    return build_joint_arrays(state_columns([x0]), path_ego, path_other, conflict, sampler_cfg, reward_cfg).spaces()[0]

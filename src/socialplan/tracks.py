@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ReferencePath, _arclength, project_to_path
+from .core import ReferencePath, _arclength, project_to_path, state_columns
 from .errors import ParseError, SchemaError, ShortTrackError
 from .planner import InteractionTrace, Scenario
 
@@ -310,15 +310,12 @@ def trace_to_records(trace: InteractionTrace, frame_period_ms: int = 50) -> list
     if not divides_step(frame_period_ms, trace.dt):
         raise ValueError("frame period must divide the planning step length")
     taus = np.arange(0, round(trace.dt * 1000.0), frame_period_ms) / 1000.0
-    tracks = []
-    for track_id, path, states, accels in (
-        (0, trace.path_ego, [js.ego for js in trace.joint_states], trace.a_ego),
-        (1, trace.path_other, [js.other for js in trace.joint_states], trace.a_other),
-    ):
-        s0, v0 = np.array([(x.s, x.v) for x in states[: len(accels)]]).reshape(-1, 2).T
-        s, v = _exact_substates(s0, v0, np.asarray(accels, dtype=float), taus)
-        s, v = np.append(s, states[-1].s), np.append(v, states[-1].v)
+    x, tracks = state_columns(trace.joint_states), []
+    for track_id, path, accels in ((0, trace.path_ego, trace.a_ego), (1, trace.path_other, trace.a_other)):
+        (s0, v0, d), n = x[:, track_id], len(accels)
+        s, v = _exact_substates(s0[:n], v0[:n], np.asarray(accels, dtype=float), taus)
+        s, v = np.append(s, s0[-1]), np.append(v, v0[-1])
         frame = np.arange(len(s))
-        xy, vxy = path.position(s, states[0].d), v[:, None] * path.tangent(s)
+        xy, vxy = path.position(s, d[0]), v[:, None] * path.tangent(s)
         tracks.append(Track(track_id, frame, frame * frame_period_ms, xy, vxy))
     return tracks

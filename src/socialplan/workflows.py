@@ -17,6 +17,7 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config, write_json
+from .core import state_columns
 from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackError
 from .inference import InferenceSeries, SeatReplay, _infer_pair, init_particles, replay_seats, window_starts
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
@@ -59,14 +60,11 @@ def parse_policy(text: str) -> RewardWeights:
 def write_trace_csv(path: Path, trace: InteractionTrace) -> None:
     """Trace table; the final row has no applied controls (empty fields)."""
     rows = ["t,s_ego,v_ego,s_other,v_other,a_ego,a_other,dist_conflict_ego,dist_conflict_other"]
-    for k, js in enumerate(trace.joint_states):
-        a_e = _fmt(trace.a_ego[k]) if k < trace.n_steps else ""
-        a_o = _fmt(trace.a_other[k]) if k < trace.n_steps else ""
-        rows.append(
-            f"{k},{_fmt(js.ego.s)},{_fmt(js.ego.v)},{_fmt(js.other.s)},{_fmt(js.other.v)},"
-            f"{a_e},{a_o},"
-            f"{_fmt(trace.conflict.s_ego - js.ego.s)},{_fmt(trace.conflict.s_other - js.other.s)}"
-        )
+    (s_ego, s_other), (v_ego, v_other), _ = state_columns(trace.joint_states).tolist()
+    controls = [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(trace.a_ego, trace.a_other)] + [","]  # none at the last state
+    c = trace.conflict
+    for k, (se, ve, so, vo, a) in enumerate(zip(s_ego, v_ego, s_other, v_other, controls)):
+        rows.append(f"{k},{_fmt(se)},{_fmt(ve)},{_fmt(so)},{_fmt(vo)},{a},{_fmt(c.s_ego - se)},{_fmt(c.s_other - so)}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -147,10 +145,10 @@ def write_lambda_csv(path: Path, series_by_agent: dict[int, InferenceSeries]) ->
     rows = ["frame,agent_id,lambda_egoism,lambda_courtesy,lambda_confidence,dominant_policy"]
     for agent_id in sorted(series_by_agent):
         series = series_by_agent[agent_id]
-        for frame, lam in zip(series.frames, series.lambdas):
+        for frame, lam, label in zip(series.frames, series.lambdas, metrics.dominant_labels(series.lambdas).tolist()):
             rows.append(
                 f"{frame},{agent_id},{_fmt(lam[0])},{_fmt(lam[1])},{_fmt(lam[2])},"
-                f"{metrics.dominant_policy(lam)}"
+                f"{metrics.POLICY_LABELS[label]}"
             )
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 

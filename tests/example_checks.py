@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import socialplan as sp
+from socialplan.core import state_columns
 from socialplan.inference import _means, match_observed, update_posterior
 from socialplan.metrics import trajectory_mse
 from socialplan.planner import decisions
@@ -49,7 +50,8 @@ def one_car_build(state, path, cfg):
     forbid_singleton rejects it.
     """
     conflict = sp.ConflictPoint(position=np.zeros(2), s_ego=1e3, s_other=1e3)
-    return build_joint_arrays([sp.JointState(ego=state, other=state)], path, path, conflict, cfg, sp.RewardConfig())
+    x = state_columns([sp.JointState(ego=state, other=state)])
+    return build_joint_arrays(x, path, path, conflict, cfg, sp.RewardConfig())
 
 
 def fan_accels(state, path, cfg) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from socialplan.core import AgentState, JointState, ReferencePath, step_dynamics
 from socialplan.errors import EmptyCandidateSetError, ShortTrackError
-from socialplan.inference import InferenceSeries, init_particles, match_observed, observed_state, update_posterior
+from socialplan.inference import InferenceSeries, init_particles, match_observed, update_posterior
 from socialplan.planner import InteractionTrace
 from socialplan.rewards import RewardWeights, check_ego_label, leader_scores
 from socialplan.sampling import CandidateFan, JointBehaviorSpace, SamplerConfig, rollout_batch
@@ -168,6 +168,15 @@ def reference_simulate(scenario, lam, max_steps: int = 200, start_state=None, bu
         path_ego=scenario.path_ego,
         path_other=scenario.path_other,
         terminated=crossed(x),
+    )
+
+
+def observed_state(obs_self, obs_other, k: int) -> JointState:
+    """Joint state at grid index k of two observed tracks (obs_self in the ego seat)."""
+    return JointState(
+        ego=AgentState(s=float(obs_self.s[k]), v=float(obs_self.v[k]), d=float(obs_self.d[k])),
+        other=AgentState(s=float(obs_other.s[k]), v=float(obs_other.v[k]), d=float(obs_other.d[k])),
+        t=k,
     )
 
 

@@ -12,8 +12,10 @@ import pytest
 
 from socialplan import workflows
 from socialplan.config import load_config
-from socialplan.inference import InferenceConfig, init_particles, observed_state, replay_seats, window_starts
+from socialplan.core import state_columns
+from socialplan.inference import InferenceConfig, init_particles, replay_seats, window_starts
 from socialplan.scenarios import fixture_scenario, write_scenario_config
+from reference_builder import observed_state
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +42,8 @@ def test_a_build_of_2000_states_peaks_near_the_arrays_it_keeps(courtesy):
     cfg, pair = courtesy
     scenario = cfg.load_scenario()
     frames = [observed_state(pair.ego, pair.other, k) for k in range(len(pair.ego.s))]
-    states = [frames[i % len(frames)] for i in range(2000)]
-    arrays, peak = _peak(lambda: scenario.arrays_at(states))
+    x = state_columns([frames[i % len(frames)] for i in range(2000)])
+    arrays, peak = _peak(lambda: scenario.arrays_at(x))
     kept = [arrays.sizes, arrays.accels, arrays.S, arrays.V, *arrays.xy, arrays.eff, arrays.com, arrays.safety,
             arrays.reward_ego, arrays.reward_other]
     assert peak < 1.5 * sum(a.nbytes for a in kept)

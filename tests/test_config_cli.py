@@ -336,10 +336,26 @@ _configs = st.builds(
 )
 
 
+def _cannot_open(name) -> bool:
+    """Whether the OS cannot take name as a file name: it holds a NUL character or does not encode."""
+    try:
+        return name is not None and b"\0" in os.fsencode(name)
+    except UnicodeEncodeError:
+        return True
+
+
 @settings(max_examples=200, deadline=None)
 @given(cfg=_configs)
 def test_config_dict_roundtrip_property(cfg):
-    assert config_from_dict(config_to_dict(cfg), base_dir=cfg.base_dir) == cfg
+    """A config round-trips through its dict, unless a file name is one the OS cannot open: then the first such
+    key, in the order the config checks them, is a SchemaError."""
+    names = {"paths.ego.file": cfg.path_ego.file, "paths.other.file": cfg.path_other.file, "tracks": cfg.tracks_file}
+    refused = [key for key, name in names.items() if _cannot_open(name)]
+    if refused:
+        with pytest.raises(sp.SchemaError, match=f"^config {refused[0]} must be a file name the OS can open, got "):
+            config_from_dict(config_to_dict(cfg), base_dir=cfg.base_dir)
+    else:
+        assert config_from_dict(config_to_dict(cfg), base_dir=cfg.base_dir) == cfg
 
 
 def test_config_rejects_bad_version(tmp_path, case_config):
@@ -758,6 +774,28 @@ def test_cli_rejects_files_it_cannot_read_as_data_errors(fuzz_source, tmp_path, 
     assert main(["infer", "--config", str(tmp_path / "scenario.json"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"socialplan: {message}") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sim", "infer"])
+@pytest.mark.parametrize("key", ["paths.ego.file", "tracks"])
+@pytest.mark.parametrize("name", ["\ud800.csv", "a\x00.csv"], ids=["lone_surrogate", "nul"])
+def test_cli_rejects_file_names_the_os_cannot_open_as_data_errors(fuzz_source, tmp_path, capsys, command, key, name):
+    """A lone surrogate (valid JSON, which the file system's encoding refuses) or a NUL character in a config's file
+    name once exited 1 as a usage error where the file was opened, or 0 in tracks under sim, which opens no tracks."""
+    config, tracks, paths = fuzz_source
+    config = json.loads(json.dumps(config))
+    if key == "tracks":
+        config["tracks"] = name
+    else:
+        config["paths"]["ego"]["file"] = name
+    for file, content in {"tracks.csv": tracks.encode(), **paths}.items():
+        (tmp_path / file).write_bytes(content)
+    (tmp_path / "scenario.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "scenario.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"socialplan: SchemaError: config {key} must be a file name the OS can open, got {name!r}\n"
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import socialplan as sp
 from socialplan import planner, sampling, workflows
 from socialplan.config import load_config
+from socialplan.core import state_columns
 from socialplan.scenarios import case_scenario, crossing_scenario, fixture_scenario, write_scenario_config
 from reference_builder import follower_response, leader_label, reference_simulate, scenario_space
 
@@ -55,14 +56,14 @@ def _case_one_runs():
     scenario = case_scenario("I")
     lams = [workflows.POLICIES[name]() for name in POLICY_NAMES]
     traces = [reference_simulate(scenario, lam) for lam in lams]
-    keys = [[(x.t, x.ego, x.other) for x in trace.joint_states] for trace in traces]
+    keys = [[(x.ego, x.other) for x in trace.joint_states] for trace in traces]
     later = [set(k[1:]) for k in keys]
     assert all(not (later[p] & later[q]) for p in range(3) for q in range(p))
     return scenario, lams, traces, keys
 
 
 def _failing_builder(monkeypatch, fail_at: dict) -> None:
-    """Make every build that meets a state in fail_at report it as its first failing state.
+    """Make every build that meets a state in fail_at, keyed (ego, other), report it as its first failing state.
 
     The error goes in through the check that every build's social terms
     run, so the closed loop and JointArrays.spaces() see it alike.
@@ -70,9 +71,10 @@ def _failing_builder(monkeypatch, fail_at: dict) -> None:
     check = sampling.JointArrays._check
 
     def failing(self, *args):
-        for i, x in enumerate(self.states):
-            if (x.t, x.ego, x.other) in fail_at:
-                return i, sp.NonFiniteRewardError(fail_at[(x.t, x.ego, x.other)])
+        for i, (ego, other) in enumerate(zip(self.states[:, 0].T.tolist(), self.states[:, 1].T.tolist())):
+            key = sp.AgentState(*ego), sp.AgentState(*other)
+            if key in fail_at:
+                return i, sp.NonFiniteRewardError(fail_at[key])
         return check(self, *args)
 
     monkeypatch.setattr(sampling.JointArrays, "_check", failing)
@@ -176,7 +178,7 @@ def test_the_decision_read_from_a_build_matches_the_per_space_decision(steps, dt
     sampler = sp.SamplerConfig(horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions), accel_min=a_min)
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
     xs = [sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(*o)) for e, o, _ in rounds]
-    arrays = scn.arrays_at(xs)
+    arrays = scn.arrays_at(state_columns(xs))
     terms = arrays.social_terms()
     assert terms.error is None
     lams = [sp.RewardWeights(np.array(values)) for *_, values in rounds]
@@ -201,7 +203,7 @@ def test_every_leader_decision_agrees_on_a_near_tie():
     other = sp.AgentState(6.0, 11.0, 1.0)
     xs = [sp.JointState(sp.AgentState(4.0, 5.0, 0.0), other), sp.JointState(sp.AgentState(4.0, 0.0, 0.0), other)]
     lam = sp.RewardWeights(np.array([0.0, 1 / 3, 2 / 3]))
-    arrays = scn.arrays_at(xs)
+    arrays = scn.arrays_at(state_columns(xs))
     terms = arrays.social_terms()
     labels = [
         planner.decisions(arrays, terms, np.tile(lam.values[:, None], (1, 2)))[0][1],
@@ -275,7 +277,7 @@ def _predicted(monkeypatch, scenario, policies) -> list:
 
     def recording(*args):
         states = chain(*args)
-        predicted.extend((x.t, x.ego, x.other) for x in states)
+        predicted.extend((x.ego, x.other) for x in states)
         return states
 
     with monkeypatch.context() as patch:
@@ -330,7 +332,7 @@ def test_the_chain_rule():
     case I, none at steps 0, the first one step_dynamics step on and each shorter chain a prefix of the longest."""
     scenario = case_scenario("I")
     x = scenario.initial
-    arrays = scenario.arrays_at([x])
+    arrays = scenario.arrays_at(state_columns([x]))
     lam = sp.RewardWeights.courtesy().values[:, None]
     [label], [response], [ae], [ao] = planner.decisions(arrays, arrays.social_terms(), lam)
     assert planner._chain(scenario, x, None, 40) == []

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
-from socialplan.metrics import min_distance, trajectory_mse
+from socialplan.inference import InferenceSeries
+from socialplan.metrics import POLICY_LABELS, min_distance, trajectory_mse
 from socialplan.scenarios import case_scenario
+from socialplan.workflows import write_lambda_csv
 from reference_scalar import trajectory
 from example_checks import check_dop_examples, check_mse_examples, check_psf_examples
 
@@ -23,6 +25,20 @@ def test_dominance_tie_breaks_in_label_order():
     assert sp.dominant_policy([third, third, third]) == "egoism"
     assert sp.dominant_policy([0.1, 0.45, 0.45]) == "courtesy"
     assert sp.dominant_policy(sp.RewardWeights.confidence()) == "confidence"
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0])] * 3), min_size=1, max_size=30))
+def test_dominance_statistics_follow_the_per_row_rule_on_tie_heavy_series(tmp_path_factory, rows):
+    """psf, dop, dominant_policy and the lambda CSV's dominant_policy column, which read one argmax over the series,
+    against the per-row rule: the label of the first largest component."""
+    labels = [POLICY_LABELS[max(range(3), key=row.__getitem__)] for row in rows]
+    assert sp.psf(rows) == sum(a != b for a, b in zip(labels, labels[1:]))
+    assert sp.dop(rows) == {name: labels.count(name) / len(labels) for name in POLICY_LABELS}
+    assert [sp.dominant_policy(row) for row in rows] == labels
+    path = tmp_path_factory.mktemp("lambdas") / "lambdas.csv"
+    write_lambda_csv(path, {7: InferenceSeries(frames=np.arange(len(rows)), lambdas=np.array(rows))})
+    assert [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] == labels
 
 
 def _constant_distance_trace(sep, n=4):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import socialplan as sp
+from socialplan.core import state_columns
 from socialplan.metrics import min_distance
 from socialplan.planner import decisions
 from socialplan.scenarios import case_scenario
@@ -36,7 +37,7 @@ def test_single_other_candidate_reduces_to_column_argmax():
 def test_case1_policy_choice_ordering():
     # ego precedes: the courteous leader speeds up, the confident leader slows down
     scn = case_scenario("I")
-    arrays = scn.arrays_at([scn.initial])
+    arrays = scn.arrays_at(state_columns([scn.initial]))
     terms = arrays.social_terms()
     (label_e, _, first_e, _), (label_c, _, first_c, _), (label_f, _, first_f, _) = (
         [column[0] for column in decisions(arrays, terms, lam.values[:, None])]
@@ -137,7 +138,7 @@ def test_follower_unknown_label():
     """The follower answers with a candidate of its own fan, never with a padding row of the build's grid."""
     scn = case_scenario("I")
     at_rest = sp.JointState(ego=scn.initial.ego, other=sp.AgentState(s=scn.initial.other.s, v=0.0))
-    arrays = scn.arrays_at([at_rest])
+    arrays = scn.arrays_at(state_columns([at_rest]))
     n = int(arrays.sizes[1, 0])
     assert n < arrays.reward_other.shape[-1]  # from rest the fastest targets clamp to one acceleration
     reward_other = arrays.reward_other.copy()
@@ -163,9 +164,9 @@ def test_follower_choice_mirrors_swapped_leader_rows():
     from socialplan.scenarios import crossing_scenario
 
     scn = crossing_scenario(dist_ego=15.0, v_ego=6.0, dist_other=15.0, v_other=6.0)
-    arrays = scn.arrays_at([scn.initial])
+    arrays = scn.arrays_at(state_columns([scn.initial]))
     swapped = scn.swapped()
-    arrays_sw = swapped.arrays_at([swapped.initial])
+    arrays_sw = swapped.arrays_at(state_columns([swapped.initial]))
     ne, no = arrays.sizes[:, 0].tolist()
     for i in range(ne):
         # the leader commits to label i

@@ -32,19 +32,19 @@ import socialplan as sp
 from socialplan import inference, planner, sampling, workflows
 from socialplan.cli import main
 from socialplan.config import load_config
+from socialplan.core import state_columns
 from socialplan.inference import (
     SeatReplay,
     infer_agent,
     infer_trace,
     init_particles,
-    observed_state,
     replay_seats,
     window_starts,
 )
 from socialplan.metrics import trajectory_mse
 from socialplan.planner import plan_ego
 from socialplan.scenarios import crossing_scenario, fixture_scenario, write_scenario_config
-from reference_builder import leader_label, reference_infer, reference_posterior_steps
+from reference_builder import leader_label, observed_state, reference_infer, reference_posterior_steps
 from reference_scalar import space_from_matrices, trajectory
 from example_checks import decide_on
 
@@ -121,6 +121,11 @@ def _files(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
+def _observed_columns(pair, frames) -> list:
+    """state_columns of the pair's observed states at frames, as nested lists."""
+    return state_columns([observed_state(pair.ego, pair.other, k) for k in frames]).tolist()
+
+
 def _count_builds(monkeypatch) -> list:
     """Record (seat path, ego state, other state) of every state a joint space is built at.
 
@@ -130,9 +135,10 @@ def _count_builds(monkeypatch) -> list:
     built = []
     real = planner.build_joint_arrays
 
-    def counting(states, path_ego, *args):
-        built.extend((id(path_ego), x0.ego, x0.other) for x0 in states)
-        return real(states, path_ego, *args)
+    def counting(x, path_ego, *args):
+        cars = zip(x[:, 0].T.tolist(), x[:, 1].T.tolist())  # each state's (s, v, d) per car
+        built.extend((id(path_ego), sp.AgentState(*ego), sp.AgentState(*other)) for ego, other in cars)
+        return real(x, path_ego, *args)
 
     def one_state(*args):
         raise AssertionError("replay built a joint space outside the batch builder")
@@ -210,19 +216,19 @@ def test_a_replayed_pair_is_one_build(fixture_cfg, tmp_path, monkeypatch, change
     calls = []
     real = planner.build_joint_arrays
 
-    def counting(states, *args):
-        calls.append([x.t for x in states])
-        return real(states, *args)
+    def counting(x, *args):
+        calls.append(x.tolist())
+        return real(x, *args)
 
     monkeypatch.setattr(planner, "build_joint_arrays", counting)
     total, r = len(pair.ego.s) - 1, cfg.inference.window_r
     starts = [0] if cfg.inference.growing_window else list(range(total - r + 1))
     regen = range(r, total + 1 - _longest_steps(cfg))
     workflows.run_regen(cfg, tmp_path)
-    assert calls == [sorted({*starts, *regen})]
+    assert calls == [_observed_columns(pair, sorted({*starts, *regen}))]
     calls.clear()
     infer_trace(pair, cfg.load_scenario(), cfg.inference, seed=cfg.seed)
-    assert calls == [starts]
+    assert calls == [_observed_columns(pair, starts)]
 
 
 def test_infer_trace_builds_each_state_once_per_pair(fixture_cfg, monkeypatch):
@@ -325,23 +331,28 @@ def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, 
     assert n == len(starts) == len(built)
 
 
-def _failing_seats(monkeypatch, scenario, fail_at: set) -> None:
-    """Make a seat's build fail at the first of its states whose (seat, frame) is in fail_at.
+def _failing_seats(monkeypatch, pair, scenario, fail_at: set) -> None:
+    """Make a seat's build of the pair's states fail at the first of its states whose (seat, frame) is in fail_at.
 
     The error goes where every seat's build reports its first failing
     state, SeatTerms.error, unless a real failure comes before it: replay
     raises it where it first uses the state, and JointArrays.spaces() at
     once.  The seat is told by its own car's path, so the swapped
-    scenario's builds count as seat 1 too.
+    scenario's builds count as seat 1 too, and a state's frame by its two
+    cars' arclengths, which no two frames of the pair share.
     """
     real = sampling.JointArrays.social_terms
+    frames = {key: k for k, key in enumerate(zip(pair.ego.s.tolist(), pair.other.s.tolist()))}
+    assert len(frames) == len(pair.ego.s)
 
     def social_terms(self):
         terms = real(self)
         seat = 0 if np.array_equal(self.paths[0].points, scenario.path_ego.points) else 1
-        for i, x in enumerate(self.states[: terms.sound]):
-            if (seat, x.t) in fail_at:
-                return replace(terms, error=(i, sp.DegenerateWeightsError(f"seat {seat} fails at frame {x.t}")))
+        s = self.states[0, :, : terms.sound]  # (this seat's car, the other car)
+        for i, key in enumerate(zip(*(s if seat == 0 else s[::-1]).tolist())):
+            if (seat, frames[key]) in fail_at:
+                error = sp.DegenerateWeightsError(f"seat {seat} fails at frame {frames[key]}")
+                return replace(terms, error=(i, error))
         return terms
 
     monkeypatch.setattr(sampling.JointArrays, "social_terms", social_terms)
@@ -384,7 +395,7 @@ def _degenerate_at(monkeypatch, r: int, fail_at: set) -> None:
 def test_errors_come_out_as_seat_by_seat(fixture_cfg, tmp_path, monkeypatch, fail_at, expected):
     [(_, pair)] = workflows.observed_pairs(fixture_cfg)
     scenario = fixture_cfg.load_scenario()
-    _failing_seats(monkeypatch, scenario, fail_at)
+    _failing_seats(monkeypatch, pair, scenario, fail_at)
     with pytest.raises(sp.DegenerateWeightsError, match=expected):
         _seat_by_seat(pair, scenario, fixture_cfg.inference)
     with pytest.raises(sp.DegenerateWeightsError, match=expected):
@@ -437,7 +448,7 @@ def test_frame_errors_come_out_in_frame_order(fixture_cfg, tmp_path, monkeypatch
     [(_, pair)] = workflows.observed_pairs(fixture_cfg)
     scenario = fixture_cfg.load_scenario()
     r = fixture_cfg.inference.window_r
-    _failing_seats(monkeypatch, scenario, fail_at)
+    _failing_seats(monkeypatch, pair, scenario, fail_at)
     _degenerate_at(monkeypatch, r, degenerate)
     with pytest.raises(sp.DegenerateWeightsError, match=expected):
         _seat_by_seat(pair, scenario, fixture_cfg.inference)
@@ -478,7 +489,7 @@ def test_regeneration_errors_come_out_in_schedule_order_where_frames_start_no_wi
     cfg = _with_inference(fixture_cfg, **changes)
     [(_, pair)] = workflows.observed_pairs(cfg)
     assert len(pair.ego.s) == 45 and _longest_steps(cfg) == 12
-    _failing_seats(monkeypatch, cfg.load_scenario(), fail_at)
+    _failing_seats(monkeypatch, pair, cfg.load_scenario(), fail_at)
     _degenerate_at(monkeypatch, cfg.inference.window_r, degenerate)
     with pytest.raises(sp.DegenerateWeightsError, match=f"^{expected}$"):
         workflows.run_regen(cfg, tmp_path)
@@ -580,7 +591,7 @@ def test_regen_builds_nothing_before_a_horizon_error(fixtures, tmp_path, monkeyp
     cfg = fixtures["courtesy"]
     config = _with_sampler(cfg, tmp_path, dt=0.00076)
     built = []
-    monkeypatch.setattr(planner.Scenario, "arrays_at", lambda self, states: built.append(len(states)))
+    monkeypatch.setattr(planner.Scenario, "arrays_at", lambda self, x: built.append(x.shape[-1]))
     assert main(["regen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("socialplan: HorizonExceedsTraceError: horizon 0.3 s needs 395 samples, have 31 and 1316")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import socialplan as sp
 from socialplan import sampling
+from socialplan.core import state_columns
 from socialplan.inference import SeatReplay
 from socialplan.rewards import _log_softmax, component_arrays, leader_scores
 from socialplan.sampling import rollout_batch
@@ -177,7 +178,7 @@ def test_a_build_with_a_negative_terminal_speed_stops_as_step_dynamics_does():
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, sampler=sampler)
     speeds = (0.0, 0.4, 2.0, 5.0, 9.0, 12.0)
     xs = [sp.JointState(ego=sp.AgentState(10.0, v), other=sp.AgentState(15.0, w)) for v in speeds for w in speeds[::-1]]
-    arrays = scn.arrays_at(xs)
+    arrays = scn.arrays_at(state_columns(xs))
     steps, dt = sampler.horizon_steps, sampler.dt
     stops = set()
     for k in (0, 1):
@@ -306,9 +307,9 @@ def test_build_joint_spaces_matches_one_state_builds(
     )
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, limit_ego=limits[0], limit_other=limits[1], sampler=sampler)
     xs = [sp.JointState(ego=sp.AgentState(*e), other=sp.AgentState(*o)) for e, o in states]
-    one = scn.arrays_at(xs)
+    one = scn.arrays_at(state_columns(xs))
     with patch.object(sampling, "_BLOCK_ELEMENTS", block * len(fractions) ** 2 * steps):
-        blocked = scn.arrays_at(xs)
+        blocked = scn.arrays_at(state_columns(xs))
     for name in ("sizes", "accels", "S", "V", "eff", "com", "safety", "reward_ego", "reward_other"):
         assert _same_bits(getattr(one, name), getattr(blocked, name)), name
     assert [_same_bits(a, b) for a, b in zip(one.xy, blocked.xy)] == [True, True]
@@ -323,9 +324,9 @@ def test_build_joint_spaces_matches_one_state_builds(
         expected.append(space)
     if error is not None:
         with pytest.raises(type(error), match=re.escape(str(error))):
-            scn.arrays_at(xs).spaces()
+            scn.arrays_at(state_columns(xs)).spaces()
         return
-    got = scn.arrays_at(xs).spaces()
+    got = scn.arrays_at(state_columns(xs)).spaces()
     assert len(got) == len(xs)
     for one, batched in zip(expected, got):
         _assert_same_space(one, batched)
@@ -337,16 +338,16 @@ def test_build_joint_spaces_keeps_the_first_error_in_state_order():
     scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, sampler=sampler)
     ok = sp.JointState(ego=sp.AgentState(s=40.0, v=5.0), other=sp.AgentState(s=45.0, v=5.0))
     collapsed = sp.JointState(ego=sp.AgentState(s=40.0, v=18.0), other=sp.AgentState(s=45.0, v=5.0))
-    assert len(scn.arrays_at([ok, ok]).spaces()) == 2
+    assert len(scn.arrays_at(state_columns([ok, ok])).spaces()) == 2
     with pytest.raises(sp.EmptyCandidateSetError, match="collapsed to a single acceleration"):
-        scn.arrays_at([ok, collapsed, ok]).spaces()
+        scn.arrays_at(state_columns([ok, collapsed, ok])).spaces()
     overflow = replace(scn, rewards=sp.RewardConfig(beta=1e308))
     with pytest.raises(sp.NonFiniteRewardError):
         overflow.space_at(ok).components()
     with pytest.raises(sp.EmptyCandidateSetError):
-        overflow.arrays_at([collapsed, ok]).spaces()
+        overflow.arrays_at(state_columns([collapsed, ok])).spaces()
     with pytest.raises(sp.NonFiniteRewardError, match="rewards.beta"):
-        overflow.arrays_at([ok, collapsed]).spaces()
+        overflow.arrays_at(state_columns([ok, collapsed])).spaces()
 
 
 def test_non_finite_features_name_the_state_in_state_order():
@@ -356,16 +357,16 @@ def test_non_finite_features_name_the_state_in_state_order():
     fast = sp.JointState(ego=sp.AgentState(s=40.0, v=1e200), other=sp.AgentState(s=45.0, v=5.0))
     other_named = re.escape("the other car's utility features overflow at s=45.0, v=5.0, d=1e+200")
     with pytest.raises(sp.NonFiniteRewardError, match=other_named):
-        scn.arrays_at([ok, wide, fast]).spaces()
+        scn.arrays_at(state_columns([ok, wide, fast])).spaces()
     ego_named = re.escape("the ego car's utility features overflow at s=40.0, v=1e+200")
     with pytest.raises(sp.NonFiniteRewardError, match=ego_named):
-        scn.arrays_at([fast, wide]).spaces()
+        scn.arrays_at(state_columns([fast, wide])).spaces()
     # finite features under a huge weight still name the weight
     heavy = replace(scn, rewards=sp.RewardConfig(theta_other=(1e308, 0.5, 10.0)))
     with pytest.raises(sp.NonFiniteRewardError, match="rewards.theta_other"):
-        heavy.arrays_at([ok, fast]).spaces()
+        heavy.arrays_at(state_columns([ok, fast])).spaces()
     with pytest.raises(sp.NonFiniteRewardError, match="the ego car's utility features"):
-        heavy.arrays_at([fast, ok]).spaces()
+        heavy.arrays_at(state_columns([fast, ok])).spaces()
 
 
 _FRACTIONS = [k / 8 for k in range(13)]  # 0.0, 0.125, ..., 1.5
@@ -425,7 +426,7 @@ def test_swapped_seat_of_a_shared_build_matches_its_own_build(
             error = exc
             break
         expected.append(space)
-    seat = scn.arrays_at(xs).swapped(swapped.rewards)
+    seat = scn.arrays_at(state_columns(xs)).swapped(swapped.rewards)
     if error is not None:
         with pytest.raises(type(error), match=re.escape(str(error))):
             seat.spaces()
@@ -449,9 +450,9 @@ def test_swapped_seat_names_its_own_car_and_weight():
     ):
         swapped = source.swapped()
         with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
-            swapped.arrays_at([x.swapped() for x in xs]).spaces()
+            swapped.arrays_at(state_columns([x.swapped() for x in xs])).spaces()
         with pytest.raises(sp.NonFiniteRewardError, match=re.escape(named)):
-            source.arrays_at(xs).swapped(swapped.rewards).spaces()
+            source.arrays_at(state_columns(xs)).swapped(swapped.rewards).spaces()
 
 
 @settings(max_examples=60, deadline=None)
@@ -502,7 +503,7 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
         for i, (e, s, k) in enumerate(states)
     ]
     swapped = scn.swapped()
-    arrays = scn.arrays_at(xs)
+    arrays = scn.arrays_at(state_columns(xs))
     rng = np.random.default_rng(seed)
     n = len(xs)
     for seat in (arrays, arrays.swapped(swapped.rewards)):
