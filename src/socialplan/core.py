@@ -26,45 +26,37 @@ def _arclength(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ReferencePath:
-    """Polyline reference path with cumulative arclength and a speed limit.
+    """Polyline reference path with a speed limit; the cumulative arclength is derived.
 
-    points: (n, 2) vertex array in meters, n >= 2, consecutive vertices distinct.
+    points: (n, 2) vertex array in meters, n >= 2, finite, consecutive vertices distinct.
     """
 
     points: np.ndarray
-    cumulative_arclength: np.ndarray
     speed_limit: float
-    # per-segment geometry, derived in __post_init__: lengths, unit
-    # directions and left normals
+    # derived in __post_init__: cumulative arclength (n,), segment lengths, unit directions, left normals
+    cumulative_arclength: np.ndarray = field(init=False)
     _seg_len: np.ndarray = field(init=False, repr=False, compare=False)
     _unit: np.ndarray = field(init=False, repr=False, compare=False)
     _normal: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_points(cls, points, speed_limit: float) -> "ReferencePath":
-        pts = np.asarray(points, dtype=float)
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float)  # a copy: writes to the caller's array leave the path as checked
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("path needs at least 2 two-dimensional points")
         if not np.isfinite(pts).all():
             raise ValueError("path points must be finite")
-        seg, cum = _arclength(pts)
-        if np.any(seg <= 0.0):
+        seg_len, cum = _arclength(pts)
+        if np.any(seg_len <= 0.0):
             raise ValueError("consecutive path points must be distinct")
         if not np.isfinite(cum[-1]):
             raise ValueError("path arclength overflows; use smaller coordinates")
-        return cls(points=pts, cumulative_arclength=cum, speed_limit=float(speed_limit))
-
-    def __post_init__(self):
-        cum = self.cumulative_arclength
-        if len(self.points) < 2 or len(cum) != len(self.points):
-            raise ValueError("points/arclength length mismatch")
-        if cum[0] != 0.0 or not np.all(np.diff(cum) > 0.0):  # NaN fails both
-            raise ValueError("cumulative arclength must start at 0 and strictly increase")
-        if not self.speed_limit > 0.0:  # NaN fails too
+        speed_limit = float(self.speed_limit)
+        if not speed_limit > 0.0:  # NaN fails too
             raise ValueError("speed_limit must be positive")
-        seg = np.diff(self.points, axis=0)
-        seg_len = np.linalg.norm(seg, axis=-1)
-        unit = seg / seg_len[:, None]
+        unit = np.diff(pts, axis=0) / seg_len[:, None]
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "speed_limit", speed_limit)
+        object.__setattr__(self, "cumulative_arclength", cum)
         object.__setattr__(self, "_seg_len", seg_len)
         object.__setattr__(self, "_unit", unit)
         object.__setattr__(self, "_normal", np.stack([-unit[:, 1], unit[:, 0]], axis=-1))

@@ -260,20 +260,20 @@ class SeatReplay:
     def matched_labels(self, entries, stops) -> np.ndarray:
         """match_observed(obs.xy[tau : k + 1], the ego candidates at tau = frames[i]) for each i, k in zip(entries, stops).
 
-        One pass per window width w: a window's MSE is metrics.horizon_mse's
-        over its w samples at dt 1.0, and padding rows never match.
+        One metrics.horizon_mse call at dt 1.0 serves every window: a row per distinct state (the runs of the
+        entries), a horizon w - 1 per width w.  A horizon reads only its w samples, so a start's truth rows past the
+        track's end may be clipped.  Padding rows never match.
         """
         entries = np.asarray(entries)
+        first = sampling._first_of_runs(entries)
         starts = np.asarray(self.frames)[entries]
         widths = np.minimum(np.asarray(stops) - starts + 1, self.ego_xy.shape[-2])
-        labels = np.empty(len(entries), dtype=np.intp)
-        for w in set(widths.tolist()):  # not np.unique: it imports numpy.ma, about 1 MB
-            sel = widths == w
-            windows = self.obs.xy[starts[sel, None] + np.arange(w)]  # (n, w, 2)
-            mse = horizon_mse(self.ego_xy[entries[sel], :, :w], windows, 1.0, (w - 1,))[:, 0]  # (n, nt)
-            real = np.arange(mse.shape[-1]) < self.terms.ne[entries[sel], None]
-            labels[sel] = np.where(real, mse, np.inf).argmin(axis=-1)
-        return labels
+        ws = sorted(set(widths.tolist()))  # not np.unique: it imports numpy.ma, about 1 MB
+        at = np.minimum(starts[first, None] + np.arange(ws[-1]), len(self.obs.xy) - 1)
+        mse = horizon_mse(self.ego_xy[entries[first], :, : ws[-1]], self.obs.xy[at], 1.0, [w - 1 for w in ws])
+        mse = mse[first.cumsum() - 1, np.searchsorted(ws, widths)]  # (n, nt): each entry's state and width
+        real = np.arange(mse.shape[-1]) < self.terms.ne[entries, None]
+        return np.where(real, mse, np.inf).argmin(axis=-1)
 
     def log_likelihoods(self, lambdas: np.ndarray, entries, labels) -> np.ndarray:
         """Each particle's log-probability of the matched label at each entry, as update_posterior computes it: (len(entries), P).

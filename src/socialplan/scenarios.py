@@ -18,8 +18,8 @@ from .sampling import SamplerConfig
 
 
 def crossing_paths(half_length: float, limit_ego: float, limit_other: float):
-    ego = ReferencePath.from_points([(-half_length, 0.0), (half_length, 0.0)], limit_ego)
-    other = ReferencePath.from_points([(0.0, -half_length), (0.0, half_length)], limit_other)
+    ego = ReferencePath([(-half_length, 0.0), (half_length, 0.0)], limit_ego)
+    other = ReferencePath([(0.0, -half_length), (0.0, half_length)], limit_other)
     return ego, other
 
 

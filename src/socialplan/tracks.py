@@ -134,14 +134,14 @@ def load_path_csv(path, speed_limit: float) -> ReferencePath:
     if len(pts) < 2:
         raise ParseError("a path needs at least 2 vertices")
     pts = np.array(pts)
-    # ReferencePath.from_points' own tests, so neither failure reaches it as a ValueError
+    # ReferencePath's own tests, so neither failure reaches it as a ValueError
     seg, cum = _arclength(pts)
     repeats = np.flatnonzero(seg <= 0.0)
     if len(repeats):
         raise ParseError("consecutive path points must be distinct", row=linenos[repeats[0] + 1])
     if not np.isfinite(cum[-1]):  # the arclength never decreases, so it overflows at its first inf
         raise ParseError("path arclength overflows; use smaller coordinates", row=linenos[np.isfinite(cum).argmin()])
-    return ReferencePath.from_points(pts, speed_limit)
+    return ReferencePath(pts, speed_limit)
 
 
 def write_path_csv(path, ref: ReferencePath) -> None:

@@ -25,6 +25,7 @@ from .inference import InferenceSeries, SeatReplay, _infer_pair, init_particles,
 from .planner import InteractionTrace, PolicySpec, Scenario, plan_ego, simulate, simulate_policies  # noqa: F401
 from .rewards import RewardWeights
 from .tracks import (
+    MAX_LATERAL_FIT,
     ObservedPair,
     _fmt,
     divides_step,
@@ -124,16 +125,23 @@ def observed_pairs(cfg: ScenarioConfig, scenario: Scenario | None = None) -> lis
     """(index, pair on the planning-rate grid) for every extracted pair that shares a planning step.
 
     The index is the pair's position in extract_pairs order; a pair that
-    shares less than one planning step is skipped (and logged).  scenario is
-    cfg.load_scenario(), loaded here unless the caller has it.
+    shares less than one planning step is skipped (and logged), and a file
+    with no pair at all is a ShortTrackError naming what a pair needs.
+    scenario is cfg.load_scenario(), loaded here unless the caller has it.
     """
     if not cfg.tracks_file:
         raise ParseError("config has no tracks file for this workflow")
     tracks = load_tracks(cfg.resolve(cfg.tracks_file))
     if scenario is None:
         scenario = cfg.load_scenario()
+    pairs = extract_pairs(tracks, scenario)
+    if not pairs:
+        raise ShortTrackError(
+            f"no track pair fits the paths: a pair needs a track within {MAX_LATERAL_FIT} m of each path "
+            "(MAX_LATERAL_FIT), conflict crossings within 10 s of each other and a shared frame"
+        )
     observed = []
-    for i, pair in enumerate(extract_pairs(tracks, scenario)):
+    for i, pair in enumerate(pairs):
         try:
             observed.append((i, resample_pair(tracks, pair, cfg.sampler.dt)))
         except ShortTrackError as exc:

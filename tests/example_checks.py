@@ -23,7 +23,7 @@ from reference_scalar import (
 
 
 def straight_path(limit=10.0):
-    return sp.ReferencePath.from_points([(0.0, 0.0), (10.0, 0.0)], limit)
+    return sp.ReferencePath([(0.0, 0.0), (10.0, 0.0)], limit)
 
 
 class FakeComponents:
@@ -107,15 +107,15 @@ def check_step_exact_stop():
     assert abs(out.s - 0.25) < 1e-12 and out.v == 0.0
 
 def check_conflict_perpendicular():
-    pe = sp.ReferencePath.from_points([(-10, 0), (10, 0)], 10.0)
-    po = sp.ReferencePath.from_points([(0, -10), (0, 10)], 10.0)
+    pe = sp.ReferencePath([(-10, 0), (10, 0)], 10.0)
+    po = sp.ReferencePath([(0, -10), (0, 10)], 10.0)
     c = sp.find_conflict_point(pe, po)
     assert np.allclose(c.position, [0, 0], atol=1e-12)
     assert c.s_ego == 10.0 and c.s_other == 10.0
 
 def check_conflict_parallel():
-    pe = sp.ReferencePath.from_points([(-10, 0), (10, 0)], 10.0)
-    po = sp.ReferencePath.from_points([(-10, 5), (10, 5)], 10.0)
+    pe = sp.ReferencePath([(-10, 0), (10, 0)], 10.0)
+    po = sp.ReferencePath([(-10, 5), (10, 5)], 10.0)
     try:
         sp.find_conflict_point(pe, po)
     except sp.NoConflictError:
@@ -124,8 +124,8 @@ def check_conflict_parallel():
 
 def check_conflict_diagonal():
     # derived: segment intersection at (5, 0); dense-sampling oracle in test_core agrees
-    pe = sp.ReferencePath.from_points([(-10, 0), (10, 0)], 10.0)
-    po = sp.ReferencePath.from_points([(0, -5), (10, 5)], 10.0)
+    pe = sp.ReferencePath([(-10, 0), (10, 0)], 10.0)
+    po = sp.ReferencePath([(0, -5), (10, 5)], 10.0)
     c = sp.find_conflict_point(pe, po)
     assert abs(c.s_ego - 15.0) < 1e-9
     assert abs(c.s_other - math.sqrt(50.0)) < 1e-9
@@ -258,7 +258,7 @@ def check_absence_prefers_cruise():
     path = straight_path(limit=10.0)
     state = sp.AgentState(s=0.0, v=10.0)
     cfg = sp.SamplerConfig(horizon_steps=8, dt=0.25, terminal_speed_fractions=(0.0, 1.0))
-    other_path = sp.ReferencePath.from_points([(5, -20), (5, 20)], 10.0)
+    other_path = sp.ReferencePath([(5, -20), (5, 20)], 10.0)
     scn = sp.Scenario.create(path, other_path, sp.JointState(ego=state, other=state), cfg)
     space = scn.space_at(scn.initial)
     probs = _absence(space)

@@ -80,7 +80,7 @@ def random_polyline(rng, n=8):
     for _ in range(n - 1):
         heading += rng.uniform(-0.5, 0.5)
         pts.append(pts[-1] + rng.uniform(2.0, 6.0) * np.array([np.cos(heading), np.sin(heading)]))
-    return sp.ReferencePath.from_points(np.array(pts), 10.0)
+    return sp.ReferencePath(np.array(pts), 10.0)
 
 
 def test_projection_roundtrip():
@@ -95,7 +95,7 @@ def test_projection_roundtrip():
 
 
 def test_projection_offset_sign():
-    path = sp.ReferencePath.from_points([(0, 0), (0, 10)], 10.0)  # travel +y
+    path = sp.ReferencePath([(0, 0), (0, 10)], 10.0)  # travel +y
     s, d = sp.project_to_path((-2.0, 5.0), path)  # left of travel is -x
     assert abs(s - 5.0) < 1e-12 and abs(d - 2.0) < 1e-12
     s, d = sp.project_to_path((2.0, 5.0), path)
@@ -128,7 +128,7 @@ def _polyline_and_points(draw):
     verts = draw(st.lists(st.tuples(_grid_coord, _grid_coord), min_size=2, max_size=6))
     verts = [v for k, v in enumerate(verts) if k == 0 or v != verts[k - 1]]
     assume(len(verts) >= 2)
-    path = sp.ReferencePath.from_points(verts, 10.0)
+    path = sp.ReferencePath(verts, 10.0)
     reach = draw(st.floats(0.0, 30.0))
     beyond = [path.points[0] - reach * path._unit[0], path.points[-1] + reach * path._unit[-1]]
     extra = draw(st.lists(st.tuples(_grid_coord, _grid_coord), max_size=12))
@@ -169,8 +169,8 @@ def dense_conflict_oracle(pa, pb, n=200001):
 
 
 def test_conflict_against_dense_sampling():
-    pe = sp.ReferencePath.from_points([(-10, 0), (10, 0)], 10.0)
-    po = sp.ReferencePath.from_points([(0, -5), (10, 5)], 10.0)
+    pe = sp.ReferencePath([(-10, 0), (10, 0)], 10.0)
+    po = sp.ReferencePath([(0, -5), (10, 5)], 10.0)
     c = sp.find_conflict_point(pe, po)
     s_a, s_b = dense_conflict_oracle(pe, po)
     assert abs(c.s_ego - s_a) < 1e-3
@@ -182,10 +182,10 @@ def test_conflict_symmetry():
     for _ in range(50):
         # two single-crossing straight-ish paths through a shared region
         ang = rng.uniform(0.4, np.pi - 0.4)
-        pe = sp.ReferencePath.from_points([(-20, 0), (20, 0)], 10.0)
+        pe = sp.ReferencePath([(-20, 0), (20, 0)], 10.0)
         direction = np.array([np.cos(ang), np.sin(ang)])
         mid = np.array([rng.uniform(-10, 10), 0.0])
-        po = sp.ReferencePath.from_points([mid - 15 * direction, mid + 15 * direction], 10.0)
+        po = sp.ReferencePath([mid - 15 * direction, mid + 15 * direction], 10.0)
         a = sp.find_conflict_point(pe, po)
         b = sp.find_conflict_point(po, pe)
         assert abs(a.s_ego - b.s_other) < 1e-9
@@ -194,29 +194,29 @@ def test_conflict_symmetry():
 
 
 def test_multi_crossing_takes_smallest_ego_arclength():
-    zigzag = sp.ReferencePath.from_points([(0, -2), (4, 2), (8, -2), (12, 2)], 10.0)
-    pe = sp.ReferencePath.from_points([(-5, 0), (15, 0)], 10.0)
+    zigzag = sp.ReferencePath([(0, -2), (4, 2), (8, -2), (12, 2)], 10.0)
+    pe = sp.ReferencePath([(-5, 0), (15, 0)], 10.0)
     c = sp.find_conflict_point(pe, zigzag)
     assert abs(c.s_ego - 7.0) < 1e-9  # first crossing at x = 2
 
 
 def test_position_extrapolates_beyond_ends():
-    path = sp.ReferencePath.from_points([(0, 0), (10, 0)], 10.0)
+    path = sp.ReferencePath([(0, 0), (10, 0)], 10.0)
     assert np.allclose(path.position(12.0, 0.0), [12.0, 0.0], atol=1e-12)
     assert np.allclose(path.position(-3.0, 0.0), [-3.0, 0.0], atol=1e-12)
 
 
 def test_invalid_path_rejected():
     with pytest.raises(ValueError):
-        sp.ReferencePath.from_points([(0, 0)], 10.0)
+        sp.ReferencePath([(0, 0)], 10.0)
     with pytest.raises(ValueError):
-        sp.ReferencePath.from_points([(0, 0), (0, 0)], 10.0)
+        sp.ReferencePath([(0, 0), (0, 0)], 10.0)
     with pytest.raises(ValueError):
-        sp.ReferencePath.from_points([(0, 0), (1, 0)], -1.0)
+        sp.ReferencePath([(0, 0), (1, 0)], -1.0)
     with pytest.raises(ValueError, match="path points must be finite"):
-        sp.ReferencePath.from_points([(0, 0), (math.inf, 0)], 10.0)
+        sp.ReferencePath([(0, 0), (math.inf, 0)], 10.0)
     with pytest.raises(ValueError, match="path arclength overflows"):
-        sp.ReferencePath.from_points([(-1e308, 0), (1e308, 0)], 10.0)
+        sp.ReferencePath([(-1e308, 0), (1e308, 0)], 10.0)
 
 
 def test_invalid_states_rejected():
@@ -236,15 +236,25 @@ def test_step_dynamics_rejects_a_non_finite_dt(dt):
 
 
 def test_reference_path_built_directly_checks_speed_limit_and_arclength():
-    """The dataclass constructor, not only from_points, rejects a NaN speed limit and a NaN arclength."""
+    """The one constructor checks the points and the speed limit and derives the arclength from the points.
+
+    A repeated vertex once built a path whose positions were NaN, and a
+    caller's arclength could disagree with the points.
+    """
     points = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="^speed_limit must be positive$"):
-        sp.ReferencePath(points=points, cumulative_arclength=np.array([0.0, 1.0]), speed_limit=math.nan)
-    for cum in ([0.0, math.nan], [math.nan, 1.0]):
-        with pytest.raises(ValueError, match="^cumulative arclength must start at 0 and strictly increase$"):
-            sp.ReferencePath(points=points, cumulative_arclength=np.array(cum), speed_limit=10.0)
+        sp.ReferencePath(points=points, speed_limit=math.nan)
     with pytest.raises(ValueError, match="^speed_limit must be positive$"):
-        sp.ReferencePath.from_points(points, math.nan)
+        sp.ReferencePath(points, math.nan)
+    with pytest.raises(ValueError, match="^consecutive path points must be distinct$"):
+        sp.ReferencePath(points=[[0, 0], [0, 0], [1, 0]], speed_limit=10)
+    given = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    path = sp.ReferencePath(points=given, speed_limit=10)
+    given[2] = [1.0, 5.0]  # the path keeps its own copy of the points
+    assert path.length == 2.0
+    assert path.cumulative_arclength.tolist() == [0.0, 1.0, 2.0]
+    assert path.position(2.0).tolist() == [1.0, 1.0]
+    assert path.speed_limit == 10.0 and type(path.speed_limit) is float
 
 
 def test_conflict_point_consistent_on_both_paths():
@@ -254,7 +264,7 @@ def test_conflict_point_consistent_on_both_paths():
         pe = random_polyline(rng)
         direction = np.array([np.cos(ang), np.sin(ang)])
         mid = pe.position(rng.uniform(0.2, 0.8) * pe.length, 0.0)
-        po = sp.ReferencePath.from_points([mid - 25 * direction, mid + 25 * direction], 10.0)
+        po = sp.ReferencePath([mid - 25 * direction, mid + 25 * direction], 10.0)
         try:
             c = sp.find_conflict_point(pe, po)
         except sp.NoConflictError:
@@ -289,7 +299,7 @@ _coord = st.floats(-200.0, 200.0, allow_nan=False)
 def test_position_matches_per_call_segment_formula_bit_for_bit(vertices, fractions, rows, d):
     pts = np.array(vertices)
     assume(np.all(np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-6))
-    path = sp.ReferencePath.from_points(pts, 10.0)
+    path = sp.ReferencePath(pts, 10.0)
     # fractions outside [0, 1] put arclengths beyond both endpoints
     s = np.tile(np.array(fractions) * path.length, (rows, 1))
     assert np.array_equal(path.position(s, d), _position_by_segment(path, s, d))

@@ -298,8 +298,8 @@ _NAN = float("nan")
         lambda: sp.AgentState(s=_NAN, v=1.0),
         lambda: sp.AgentState(s=0.0, v=_NAN),
         lambda: sp.step_dynamics(sp.AgentState(s=0.0, v=1.0), 0.0, _NAN),
-        lambda: sp.ReferencePath.from_points([(0.0, 0.0), (10.0, 0.0)], _NAN),
-        lambda: sp.ReferencePath.from_points([(0.0, 0.0), (_NAN, 0.0)], 10.0),
+        lambda: sp.ReferencePath([(0.0, 0.0), (10.0, 0.0)], _NAN),
+        lambda: sp.ReferencePath([(0.0, 0.0), (_NAN, 0.0)], 10.0),
     ],
     ids=[
         "particle_weights", "dirichlet_alpha", "dop_fractions", "sampler_dt", "accel_min", "accel_max",

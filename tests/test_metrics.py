@@ -42,8 +42,8 @@ def test_dominance_statistics_follow_the_per_row_rule_on_tie_heavy_series(tmp_pa
 
 
 def _constant_distance_trace(sep, n=4):
-    path_e = sp.ReferencePath.from_points([(0, 0), (100, 0)], 10.0)
-    path_o = sp.ReferencePath.from_points([(0, sep), (100, sep)], 10.0)
+    path_e = sp.ReferencePath([(0, 0), (100, 0)], 10.0)
+    path_o = sp.ReferencePath([(0, sep), (100, sep)], 10.0)
     states = [
         sp.JointState(ego=sp.AgentState(s=5.0 * k, v=5.0), other=sp.AgentState(s=5.0 * k, v=5.0), t=k)
         for k in range(n + 1)
@@ -167,7 +167,7 @@ def test_are_ait_rigid_motion_invariance():
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
 
     def moved(path):
-        return sp.ReferencePath.from_points(path.points @ rot.T + shift, path.speed_limit)
+        return sp.ReferencePath(path.points @ rot.T + shift, path.speed_limit)
 
     moved_scn = sp.Scenario.create(
         moved(base.path_ego), moved(base.path_other), base.initial, base.sampler, base.rewards

@@ -309,6 +309,25 @@ def test_growing_window_builds_one_space(fixture_cfg, monkeypatch):
     assert len(built) == 1
 
 
+def test_a_growing_window_posterior_pass_makes_one_horizon_mse_call(fixture_cfg, monkeypatch):
+    """Every window starts at frame 0 with its own width: one call, one horizon a distinct width, matches them all."""
+    cfg = _with_inference(fixture_cfg, growing_window=True)
+    [(_, pair)] = workflows.observed_pairs(cfg)
+    reader, _ = replay_seats(pair.ego, pair.other, cfg.load_scenario(), window_starts(pair.ego, cfg.inference))
+    calls = []
+    real = inference.horizon_mse
+
+    def counting(generated_xy, truth_xy, dt, horizons):
+        calls.append(list(horizons))
+        return real(generated_xy, truth_xy, dt, horizons)
+
+    monkeypatch.setattr(inference, "horizon_mse", counting)
+    stops, means, error = reader.posterior_pass(cfg.inference, init_particles(cfg.inference))
+    assert error is None and len(means) == len(stops) > 1
+    widths = sorted({min(k + 1, cfg.sampler.horizon_steps + 1) for k in stops})
+    assert calls == [[w - 1 for w in widths]] and len(widths) > 1
+
+
 def test_posterior_steps_rebuilds_only_when_the_window_start_moves(fixture_cfg, monkeypatch):
     """One build of exactly the window starts, before the first frame; each frame reads its window start's entry."""
     [(_, pair)] = workflows.observed_pairs(fixture_cfg)
@@ -526,12 +545,12 @@ def test_a_state_that_fails_mid_chunk_raises_at_its_own_frame(fixture_cfg, tmp_p
         assert str(error.value) == str(definition.value)
 
 
-def _with_sampler(cfg, tmp_path, **changes):
-    """A copy of the fixture under tmp_path / "in" with the sampler's changes; returns its config path."""
+def _fixture_copy(cfg, tmp_path, section="sampler", **changes):
+    """A copy of the fixture under tmp_path / "in" with the changes to a config section; returns its config path."""
     shutil.copytree(cfg.base_dir, tmp_path / "in")
     config = tmp_path / "in" / "scenario.json"
     data = json.loads(config.read_text())
-    data["sampler"].update(changes)
+    data[section].update(changes)
     config.write_text(json.dumps(data))
     return config
 
@@ -554,11 +573,25 @@ def test_regen_raises_the_horizon_error_at_the_first_regeneration_frame(
 ):
     """horizon_steps 10 at dt 0.08 rolls out 11 samples, and the 1.0 s horizon needs 13: an error before any build."""
     cfg = fixtures["egoism"]
-    config = _with_sampler(cfg, tmp_path, horizon_steps=10)
+    config = _fixture_copy(cfg, tmp_path, horizon_steps=10)
     _degenerate_at(monkeypatch, cfg.inference.window_r, degenerate)
     assert main(["regen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"socialplan: {expected}")
     assert not (tmp_path / "o").exists()
+
+
+def _a_short_pair_first(monkeypatch, frames: int) -> None:
+    """Make observed_pairs return the fixture's one pair cut to its first frames as pair 0, then the whole pair as pair 1."""
+    observed_pairs = workflows.observed_pairs
+
+    def with_a_short_pair(*args):
+        [(_, pair)] = observed_pairs(*args)
+        head = {car: replace(getattr(pair, car), **{f: getattr(getattr(pair, car), f)[:frames]
+                                                    for f in ("times_ms", "s", "v", "d", "xy")})
+                for car in ("ego", "other")}
+        return [(0, replace(pair, **head)), (1, pair)]
+
+    monkeypatch.setattr(workflows, "observed_pairs", with_a_short_pair)
 
 
 def test_regen_skips_a_pair_too_short_to_regenerate_before_the_horizon_error(
@@ -566,17 +599,8 @@ def test_regen_skips_a_pair_too_short_to_regenerate_before_the_horizon_error(
 ):
     """A pair of 22 frames has no regeneration frame at 12 steps a horizon: it is skipped, and the next raises."""
     cfg = fixtures["egoism"]
-    config = _with_sampler(cfg, tmp_path, horizon_steps=10)
-    observed_pairs = workflows.observed_pairs
-
-    def with_a_short_pair(*args):
-        [(_, pair)] = observed_pairs(*args)
-        head = {car: replace(getattr(pair, car), **{f: getattr(getattr(pair, car), f)[:22]
-                                                    for f in ("times_ms", "s", "v", "d", "xy")})
-                for car in ("ego", "other")}
-        return [(0, replace(pair, **head)), (1, pair)]
-
-    monkeypatch.setattr(workflows, "observed_pairs", with_a_short_pair)
+    config = _fixture_copy(cfg, tmp_path, horizon_steps=10)
+    _a_short_pair_first(monkeypatch, 22)
     caplog.set_level("INFO", logger="socialplan.workflows")
     assert main(["regen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"socialplan: {_HORIZON_ERROR}")
@@ -585,11 +609,56 @@ def test_regen_skips_a_pair_too_short_to_regenerate_before_the_horizon_error(
     ]
 
 
+def test_infer_skips_a_pair_shorter_than_one_window_and_writes_the_next(fixtures, tmp_path, monkeypatch, caplog):
+    """A pair cut to window_r frames (window_r - 1 steps) is skipped and logged; the full pair after it is reported."""
+    cfg = fixtures["egoism"]
+    r = cfg.inference.window_r
+    _a_short_pair_first(monkeypatch, r)
+    caplog.set_level("INFO", logger="socialplan.workflows")
+    report = workflows.run_infer(cfg, tmp_path / "o")
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"pair 0 (tracks 0, 1) skipped: track has {r - 1} steps, window needs {r}"
+    ]
+    assert list(report) == ["1"]
+    assert json.loads((tmp_path / "o" / "inference.json").read_text())["pairs"].keys() == {"1"}
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["inference.json", "lambdas_pair1.csv"]
+
+
+@pytest.mark.parametrize(
+    "command,message", [("infer", "for one observation window"), ("regen", "to regenerate")]
+)
+def test_a_window_longer_than_every_track_leaves_no_pair(fixtures, tmp_path, capsys, command, message):
+    config = _fixture_copy(fixtures["courtesy"], tmp_path, "inference", window_r=10_000)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"socialplan: ShortTrackError: no pair long enough {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "regen"])
+def test_tracks_that_fit_no_path_are_reported_as_such(fixtures, tmp_path, capsys, command):
+    """Both tracks are full length but 5 m off their paths: the error names what a pair needs, not the length."""
+    shutil.copytree(fixtures["courtesy"].base_dir, tmp_path / "in")
+    tracks = tmp_path / "in" / "tracks.csv"
+    header, *rows = tracks.read_text().splitlines()
+    shifted = []
+    for row in rows:
+        tid, frame, stamp, x, y, vx, vy = row.split(",")
+        shifted.append(",".join([tid, frame, stamp, repr(float(x) + 5.0), repr(float(y) + 5.0), vx, vy]))
+    tracks.write_text("\n".join([header, *shifted]) + "\n")
+    config = tmp_path / "in" / "scenario.json"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "socialplan: ShortTrackError: no track pair fits the paths: a pair needs a track within 3.0 m of each path "
+        "(MAX_LATERAL_FIT), conflict crossings within 10 s of each other and a shared frame\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_regen_builds_nothing_before_a_horizon_error(fixtures, tmp_path, monkeypatch, capsys):
     """At dt 0.00076 the courtesy fixture's grid has about 2,000 steps: a build of them would take about 1.5 s
     and 490 MB, for an error the config alone decides."""
     cfg = fixtures["courtesy"]
-    config = _with_sampler(cfg, tmp_path, dt=0.00076)
+    config = _fixture_copy(cfg, tmp_path, dt=0.00076)
     built = []
     monkeypatch.setattr(planner.Scenario, "arrays_at", lambda self, x: built.append(x.shape[-1]))
     assert main(["regen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

@@ -38,7 +38,7 @@ def test_spec_examples():
 
 
 def test_dedup_after_clamping():
-    path = sp.ReferencePath.from_points([(0, 0), (100, 0)], 10.0)
+    path = sp.ReferencePath([(0, 0), (100, 0)], 10.0)
     # from rest, targets 10 and 12.5 both clamp to accel_max
     cfg = sp.SamplerConfig(horizon_steps=4, dt=0.25, terminal_speed_fractions=(0.0, 1.0, 1.25))
     accels = fan_accels(sp.AgentState(s=0, v=0.0), path, cfg)
@@ -46,7 +46,7 @@ def test_dedup_after_clamping():
 
 
 def test_forbid_singleton():
-    path = sp.ReferencePath.from_points([(0, 0), (100, 0)], 10.0)
+    path = sp.ReferencePath([(0, 0), (100, 0)], 10.0)
     cfg = sp.SamplerConfig(
         horizon_steps=2, dt=0.1, terminal_speed_fractions=(1.0, 1.25), forbid_singleton=True
     )
@@ -83,7 +83,7 @@ def _clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max):
 @example(v=25.0, limit=10.0, fractions=[0.0, 0.25, 0.5], steps=1, dt=0.08, a_min=-6.0, a_max=3.0, forbid=True)
 def test_build_fans_match_clip_then_dedup(v, limit, fractions, steps, dt, a_min, a_max, forbid):
     """Each built fan holds the distinct clamped accelerations in label order; a fan of one is an error under forbid_singleton."""
-    path = sp.ReferencePath.from_points([(0, 0), (100, 0)], limit)
+    path = sp.ReferencePath([(0, 0), (100, 0)], limit)
     cfg = sp.SamplerConfig(
         horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions),
         accel_min=a_min, accel_max=a_max, forbid_singleton=forbid,

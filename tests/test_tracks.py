@@ -147,7 +147,7 @@ def test_header_fuzz_rejected(tmp_path):
 
 
 def test_path_csv_roundtrip(tmp_path):
-    path = sp.ReferencePath.from_points([(0, 0), (3.5, 1.25), (10, 0)], 8.0)
+    path = sp.ReferencePath([(0, 0), (3.5, 1.25), (10, 0)], 8.0)
     f = tmp_path / "p.csv"
     tk.write_path_csv(f, path)
     loaded = tk.load_path_csv(f, 8.0)
@@ -166,7 +166,7 @@ def test_path_csv_too_short(tmp_path):
 
 
 def test_cli_path_csv_with_a_repeated_vertex_is_a_data_error(tmp_path, capsys):
-    """A repeated vertex once reached ReferencePath.from_points as a ValueError: exit 1, the usage code."""
+    """A repeated vertex once reached the ReferencePath constructor as a ValueError: exit 1, the usage code."""
     cfg = write_scenario_config(fixture_scenario("courtesy"), tmp_path, seed=0)
     save_config(cfg, tmp_path / "config.json")
     (tmp_path / "path_ego.csv").write_text("x,y\n-80.0,0.0\n\n0.0,0.0\n0.0,0.0\n80.0,0.0\n")
@@ -302,7 +302,7 @@ def _parallel_paths_config(tmp_path) -> ScenarioConfig:
     """A scenario on two parallel paths, with one track recorded on each."""
     k = np.arange(5)
     for name, y in (("a.csv", 0.0), ("b.csv", 5.0)):
-        tk.write_path_csv(tmp_path / name, sp.ReferencePath.from_points([(0, y), (100, y)], 10.0))
+        tk.write_path_csv(tmp_path / name, sp.ReferencePath([(0, y), (100, y)], 10.0))
     tk.write_tracks(tmp_path / "tracks.csv", [
         tk.Track(tid, k, 100 * k, np.stack([k.astype(float), np.full(5, y)], axis=1), np.tile([5.0, 0.0], (5, 1)))
         for tid, y in ((1, 0.0), (2, 5.0))
