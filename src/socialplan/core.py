@@ -24,7 +24,7 @@ def _arclength(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return seg, np.concatenate([[0.0], np.cumsum(seg)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: paths compare and hash by identity
 class ReferencePath:
     """Polyline reference path with a speed limit; the cumulative arclength is derived.
 
@@ -35,9 +35,9 @@ class ReferencePath:
     speed_limit: float
     # derived in __post_init__: cumulative arclength (n,), segment lengths, unit directions, left normals
     cumulative_arclength: np.ndarray = field(init=False)
-    _seg_len: np.ndarray = field(init=False, repr=False, compare=False)
-    _unit: np.ndarray = field(init=False, repr=False, compare=False)
-    _normal: np.ndarray = field(init=False, repr=False, compare=False)
+    _seg_len: np.ndarray = field(init=False, repr=False)
+    _unit: np.ndarray = field(init=False, repr=False)
+    _normal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: writes to the caller's array leave the path as checked
@@ -177,7 +177,7 @@ def step_dynamics(state: AgentState, a: float, dt: float) -> AgentState:
     return AgentState(s=state.s + state.v * dt + 0.5 * a * dt * dt, v=v1, d=state.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field: compares and hashes by identity
 class ConflictPoint:
     """Intersection of the two cars' reference paths."""
 

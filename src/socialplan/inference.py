@@ -235,6 +235,12 @@ def window_starts(obs, cfg: InferenceConfig) -> range:
     return range(1 if cfg.growing_window else len(obs.s) - cfg.window_r)
 
 
+def window_columns(cfg: InferenceConfig, n: int) -> int:
+    """The rollout columns a posterior reads at horizon n: max(n, w), w its widest window's samples as
+    match_observed caps them at n + 1 (window_r + 1, or n + 1 under growing_window)."""
+    return n + 1 if cfg.growing_window else max(n, min(cfg.window_r + 1, n + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class SeatReplay:
     """One seat's joint spaces at a pair's observed states, read in batches.
@@ -242,7 +248,8 @@ class SeatReplay:
     obs is the seat's own observed track, frames[i] the observed state of
     entry i.  A reader (replay_seats) keeps only what it reads: the seat's
     terms (SeatTerms, which also holds the leader decisions) and its ego
-    candidates' positions ego_xy (F, nt, N+1, 2), padding rows included.
+    candidates' positions ego_xy (F, nt, C, 2), padding rows included, C
+    the build's rollout columns.
     Its first terms.sound entries are sound, the next one (if any) the first
     failing state (terms.error).  A seat's pass reads only sound entries and
     raises the failing state's error where it first uses that state, so the
@@ -365,20 +372,23 @@ class SeatReplay:
         return stops, means, error
 
 
-def replay_seats(obs_ego, obs_other, scenario: Scenario, frames) -> tuple[SeatReplay, SeatReplay]:
-    """Both seats' readers of one observed pair, from one build.
+def replay_seats(obs_ego, obs_other, scenario: Scenario, frames, columns=None) -> tuple[SeatReplay, SeatReplay]:
+    """Both seats' readers of one observed pair, from one build of columns rollout columns (Scenario.arrays_at).
 
     Seat 0 is the agent in the scenario's ego seat (obs_ego) and seat 1 the
     other driver, in scenario.swapped()'s terms.  frames are the distinct
     observed frames the run reads, sorted: the posterior's window starts
     (window_starts), so window start tau is entry tau, and for regeneration
-    its frames too.  One Scenario.arrays_at call builds them, on the
-    tracks' (s, v, d) columns at those frames; the other seat's arrays are
-    views of that build (JointArrays.swapped), bit for bit the swapped
-    scenario's own build.  The build goes once both readers hold what they read.
+    its frames too.  columns covers the widest prefix the run matches
+    (window_columns, and for regeneration its longest horizon); None keeps
+    all N+1.  One Scenario.arrays_at call builds them, on the tracks'
+    (s, v, d) columns at those frames; the other seat's arrays are views of
+    that build (JointArrays.swapped), bit for bit the swapped scenario's own
+    build.  The build goes once both readers hold what they read.
     """
     frames = list(frames)
-    arrays = scenario.arrays_at(np.stack([(o.s, o.v, o.d) for o in (obs_ego, obs_other)], axis=1)[..., frames])
+    x = np.stack([(o.s, o.v, o.d) for o in (obs_ego, obs_other)], axis=1)[..., frames]
+    arrays = scenario.arrays_at(x, columns)
     seats = ((obs_ego, arrays), (obs_other, arrays.swapped(scenario.swapped().rewards)))
     return tuple(SeatReplay(obs, frames, seat.social_terms(), seat.xy[0]) for obs, seat in seats)
 
@@ -399,13 +409,15 @@ def infer_agent(
     seed: int = 0,
 ) -> InferenceSeries:
     """Per-frame weight estimates for the agent sitting in the scenario's ego seat: replay_seats' seat 0."""
-    reader, _ = replay_seats(obs_self, obs_other, scenario, window_starts(obs_self, cfg))
+    columns = window_columns(cfg, scenario.sampler.horizon_steps)
+    reader, _ = replay_seats(obs_self, obs_other, scenario, window_starts(obs_self, cfg), columns)
     return _series(reader, cfg, init_particles(cfg, seed))
 
 
 def _infer_pair(pair, scenario: Scenario, cfg: InferenceConfig, particles) -> dict[str, InferenceSeries]:
     """infer_trace's estimates from the particle set particles() returns, asked for once the pair is built."""
-    seats = replay_seats(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg))
+    columns = window_columns(cfg, scenario.sampler.horizon_steps)
+    seats = replay_seats(pair.ego, pair.other, scenario, window_starts(pair.ego, cfg), columns)
     pset = particles()
     return {role: _series(seat, cfg, pset) for role, seat in zip(("ego", "other"), seats)}
 

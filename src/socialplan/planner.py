@@ -63,9 +63,12 @@ class Scenario:
     def space_at(self, x0: JointState) -> JointBehaviorSpace:
         return build_joint_space(x0, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
 
-    def arrays_at(self, x: np.ndarray) -> JointArrays:
-        """One build_joint_arrays pass over state columns x (3, side, F); JointArrays.swapped() gives the other seat."""
-        return build_joint_arrays(x, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards)
+    def arrays_at(self, x: np.ndarray, columns: int | None = None) -> JointArrays:
+        """One build_joint_arrays pass over state columns x (3, side, F); JointArrays.swapped() gives the other seat.
+
+        columns is the rollout columns the caller reads, N or N+1 (the default).
+        """
+        return build_joint_arrays(x, self.path_ego, self.path_other, self.conflict, self.sampler, self.rewards, columns)
 
 
 @dataclass(frozen=True)
@@ -165,35 +168,47 @@ def decisions(arrays: JointArrays, terms: SeatTerms, lams: np.ndarray) -> tuple[
 _LOOKAHEAD = 4
 
 
-def _chain(scenario: Scenario, x: JointState, guess: tuple[int, int] | None, steps: int) -> list[JointState]:
-    """Up to min(_LOOKAHEAD, steps) states after x, each one step on from the last with guess repeated on its fans.
+def _chains(scenario: Scenario, xs: list[JointState], guesses: list, steps: list[int]) -> list[list[JointState]]:
+    """Each policy's chain: up to min(_LOOKAHEAD, steps[i]) states after xs[i], each one step on from the last with
+    guesses[i] repeated on its fans.
 
-    guess is a policy's last decision (leader label, follower response),
-    None before its first; the states are the ones the loop reaches if the
-    policy decides guess at x and at each of them.  The chain stops before a
-    crossing, before a state that a label outside a fan would need, and
-    where step_dynamics refuses a step (the loop then meets that refusal
-    itself).
+    guesses[i] is a policy's last decision (leader label, follower
+    response), None before its first; its states are the ones the loop
+    reaches if the policy decides it at xs[i] and at each of them.  A chain
+    stops before a crossing, before a state that a label outside a fan
+    would need, and where step_dynamics refuses a step (the loop then meets
+    that refusal itself).  The chains grow level by level: one fan_accels
+    call samples the fans at every chain's last state, as a row of fan_accels
+    has the same bits in any batch.
     """
-    chain: list[JointState] = []
-    if guess is None:
-        return chain
-    (label, response), cfg = guess, scenario.sampler
+    chains: list[list[JointState]] = [[] for _ in xs]
+    tips = list(xs)  # each chain's last state
+    depths = [0 if guess is None else min(_LOOKAHEAD, k) for guess, k in zip(guesses, steps)]
+    growing = [i for i, depth in enumerate(depths) if depth > 0]
+    cfg = scenario.sampler
     limits = [scenario.path_ego.speed_limit, scenario.path_other.speed_limit]
-    while len(chain) < min(_LOOKAHEAD, steps):
-        accels, sizes = fan_accels([x.ego.v, x.other.v], limits, cfg)
-        if label >= sizes[0] or response >= sizes[1]:
-            break
-        try:
-            ego = step_dynamics(x.ego, float(accels[0, label]), cfg.dt)
-            other = step_dynamics(x.other, float(accels[1, response]), cfg.dt)
-        except ValueError:
-            break
-        x = JointState(ego, other, x.t + 1)
-        if _crossed(x, scenario.conflict):
-            break
-        chain.append(x)
-    return chain
+    while growing:
+        accels, sizes = fan_accels([[tips[i].ego.v, tips[i].other.v] for i in growing], limits, cfg)
+        accels, sizes = accels.tolist(), sizes.tolist()
+        still = []
+        for row, i in enumerate(growing):
+            (label, response), x = guesses[i], tips[i]
+            if label >= sizes[row][0] or response >= sizes[row][1]:
+                continue
+            try:
+                ego = step_dynamics(x.ego, accels[row][0][label], cfg.dt)
+                other = step_dynamics(x.other, accels[row][1][response], cfg.dt)
+            except ValueError:
+                continue
+            x = JointState(ego, other, x.t + 1)
+            if _crossed(x, scenario.conflict):
+                continue
+            chains[i].append(x)
+            tips[i] = x
+            if len(chains[i]) < depths[i]:
+                still.append(i)
+        growing = still
+    return chains
 
 
 def simulate_policies(
@@ -205,17 +220,18 @@ def simulate_policies(
 ) -> list[InteractionTrace]:
     """simulate under each ego policy, all policies stepped in lockstep, with speculative lookahead.
 
-    Each round makes one arrays_at build: every running policy's state,
-    then, after all of them, each policy's chain of predicted states
-    (_chain): once a policy has decided, always the min(_LOOKAHEAD, steps
-    left) states it reaches if its last decision (leader label, follower
-    response) repeats, cut by the chain's stops.  One decisions call
-    decides every sound state of the build, each under its policy's
-    weights.  Each policy reads its decision at its state and walks on
-    along its chain for as long as its decisions equal the predicted ones,
-    so one build serves every step whose decision repeats; a miss wastes
-    at most _LOOKAHEAD built states per policy per round, and the
-    decisions at them.  Labels are compared, not states.  By induction
+    Each round makes one arrays_at build of N rollout columns, all that the
+    decisions read: every running policy's state, then, after all of them,
+    each policy's chain of predicted states (_chains, one fan_accels call
+    per chain level for all policies): once a policy has decided, always
+    the min(_LOOKAHEAD, steps left) states it reaches if its last decision
+    (leader label, follower response) repeats, cut by the chain's stops.
+    One decisions call decides every sound state of the build, each under
+    its policy's weights.  Each policy reads its decision at its state and
+    walks on along its chain for as long as its decisions equal the
+    predicted ones, so one build serves every step whose decision repeats;
+    a miss wastes at most _LOOKAHEAD built states per policy per round, and
+    the decisions at them.  Labels are compared, not states.  By induction
     each chain state it walks to is the object the step-by-step loop
     reaches, and a state's arrays and terms have the bits they have alone,
     so the traces equal simulate's.  A policy leaves once it crosses or
@@ -244,10 +260,11 @@ def simulate_policies(
     builds = built = predicted = used = 0
     while running:
         xs = [states[p][-1] for p in running]
-        chains = [_chain(scenario, x, guesses[p], max_steps - len(a_ego[p]) - 1) for p, x in zip(running, xs)]
+        steps_left = [max_steps - len(a_ego[p]) - 1 for p in running]  # after this round's step
+        chains = _chains(scenario, xs, [guesses[p] for p in running], steps_left)
         build = xs + [x for chain in chains for x in chain]
         owners = running + [p for p, chain in zip(running, chains) for _ in chain]  # the policy of each state
-        arrays = scenario.arrays_at(state_columns(build))
+        arrays = scenario.arrays_at(state_columns(build), scenario.sampler.horizon_steps)
         terms = arrays.social_terms()
         builds, built, predicted = builds + 1, built + len(build), predicted + len(build) - len(xs)
         if terms.error is not None and terms.error[0] < len(xs):

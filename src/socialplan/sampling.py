@@ -11,11 +11,17 @@ reduces to row/column operations.
 
 build_joint_arrays is the one builder.  It samples every fan with
 fan_accels, which the closed loop also calls to predict the states its
-lookahead chains reach (planner.simulate_policies).  It puts both sides of
-every state on the full target grid, padding each fan to the number of
-terminal speeds, and runs rollout, path position, utility vectors, safety
-and the weighted sums once over that grid.  Every kernel reduces over the
-last axis only, so each row and pair gives the same bits as on its own.  Then
+lookahead chains reach, one call per chain level for every policy
+(planner.simulate_policies).  It puts both sides of every state on the full
+target grid, padding each fan to the number of terminal speeds, and runs
+rollout, path position, utility vectors, safety and the weighted sums once
+over that grid.  Every kernel reduces over the last axis only, so each row
+and pair gives the same bits as on its own.  The rollout keeps C columns,
+N <= C <= N+1, as many as the caller reads: the features read the first N,
+the closed loop nothing more, and replay the widest window or regeneration
+horizon it matches, up to N+1.  Running sums add left to right and the stop
+rule rewrites a row only from the step it stops in, so a build's first C
+columns, and every feature and matrix, have the bits of any wider one.  Then
 JointArrays.social_terms() checks every state and returns one seat's social
 terms, a SeatTerms: one (states, 3, targets) array, computed once per group
 of states with equal follower fan sizes (the ego axis padded to the group's
@@ -120,8 +126,8 @@ _COLLAPSED = "all candidates collapsed to a single acceleration"
 class CandidateFan:
     """One side's candidates as arrays; row i is the candidate labeled i.
 
-    accels: (n,), each candidate's constant acceleration; s, v: (n, N+1);
-    xy: (n, N+1, 2) at lateral offset d.
+    accels: (n,), each candidate's constant acceleration; s, v: (n, C);
+    xy: (n, C, 2) at lateral offset d, C rollout columns (build_joint_arrays).
     """
 
     accels: np.ndarray
@@ -175,7 +181,8 @@ def rollout_batch(s0, v0, accels: np.ndarray, steps: int, dt: float):
     """Roll out constant accelerations accels (..., n) over steps steps, row by row from s0, v0.
 
     s0 and v0 broadcast to accels.shape.  Returns (S, V), each a contiguous
-    (..., n, steps+1) array.  Both are running sums along the step axis
+    (..., n, steps+1) array; build_joint_arrays asks for C - 1 steps, C its
+    rollout columns.  Both are running sums along the step axis
     (np.add.accumulate adds left to right, here in place) that repeat the
     float operations of core.step_dynamics in its order:
 
@@ -189,7 +196,10 @@ def rollout_batch(s0, v0, accels: np.ndarray, steps: int, dt: float):
     column finds every row that stops.  For those rows step_dynamics' stop
     branch runs at the step the car stops in: t = -v / a, s + v*t + 0.5*a*t*t
     and v = 0.  From a stop, every later step gives the same s again and
-    v = 0, so S holds that value and V holds 0.0 after it.
+    v = 0, so S holds that value and V holds 0.0 after it.  Neither the sums
+    nor the stop rule read a later column, so a shorter rollout gives the
+    first columns of a longer one, bit for bit; a row that stops only after
+    the last column is not rewritten.
     """
     accels = np.asarray(accels, dtype=float)
     V = np.empty(accels.shape + (steps + 1,))
@@ -238,16 +248,16 @@ def safety_matrix(
     sigma_d: float,
     sigma_c: float,
 ) -> np.ndarray:
-    """Accumulated pairwise proximity penalty over the horizon.
+    """Accumulated pairwise proximity penalty over the columns given.
 
-    xy_ego: (F, ne, N+1, 2), xy_other: (F, no, N+1, 2), s_ego:
-    (F, ne, N+1), s_other: (F, no, N+1), over the same F states.  Entry
-    [f, i, j] is
+    xy_ego: (F, ne, T, 2), xy_other: (F, no, T, 2), s_ego: (F, ne, T),
+    s_other: (F, no, T), over the same F states.  Entry [f, i, j] is
 
         -sum_t exp(-|p_e - p_o| / sigma_d)
               * exp(-(|s_e - s_ce| + |s_o - s_co|) / sigma_c)
 
-    summed over steps t = 0..N-1.  The states run in blocks (block_slices),
+    summed over the T columns t = 0..T-1; build_joint_arrays passes the
+    first N, steps 0..N-1.  The states run in blocks (block_slices),
     so each (G, ne, no, N) temporary holds at most _BLOCK_ELEMENTS floats,
     or one state's (the xy difference twice that).  A closed-loop build of
     the three default policies holds up to 15 states, each policy's own and
@@ -255,17 +265,17 @@ def safety_matrix(
     states at horizon 12 and 15 at horizon 30, so such a build is one block.
     Every reduction runs over the last axis: a state keeps its bits alone.
     """
-    ne, no, t = xy_ego.shape[1], xy_other.shape[1], xy_ego.shape[2] - 1
+    ne, no, t = xy_ego.shape[1], xy_other.shape[1], xy_ego.shape[2]
     # x / -sigma is the float -x / sigma, so the factors keep the bits of
     # exp(-|s - s_c| / sigma_c) and exp(-sqrt(sum diff**2) / sigma_d), multiplied in that order
-    prox_e, prox_o = s_ego[..., :t] - s_conflict_ego, s_other[..., :t] - s_conflict_other
+    prox_e, prox_o = s_ego - s_conflict_ego, s_other - s_conflict_other
     for prox in (prox_e, prox_o):
         np.abs(prox, out=prox)
         prox /= -sigma_c
         np.exp(prox, out=prox)
     out = np.empty((len(xy_ego), ne, no))
     for block in block_slices(len(out), ne * no * t):
-        diff = xy_ego[block, :, None, :t] - xy_other[block, None, :, :t]
+        diff = xy_ego[block, :, None] - xy_other[block, None]
         # in place; the two-slice sum is the one addition that sum(axis=-1) makes over two entries,
         # without its per-element loop
         diff *= diff
@@ -371,9 +381,9 @@ class JointArrays:
     collapsed: list[bool]  # per state: a fan collapsed under forbid_singleton
     sizes: np.ndarray  # (side, F) fan sizes
     accels: np.ndarray  # (side, F, nt) each candidate's constant acceleration, its first control
-    S: np.ndarray  # (side, F, nt, N+1)
-    V: np.ndarray  # (side, F, nt, N+1)
-    xy: list[np.ndarray]  # per side (F, nt, N+1, 2)
+    S: np.ndarray  # (side, F, nt, C), C the build's rollout columns
+    V: np.ndarray  # (side, F, nt, C)
+    xy: list[np.ndarray]  # per side (F, nt, C, 2)
     eff: np.ndarray  # (side, F, nt)
     com: np.ndarray  # (side, F, nt)
     safety: np.ndarray  # (F, nt, nt)
@@ -499,6 +509,7 @@ def build_joint_arrays(
     conflict: ConflictPoint,
     sampler_cfg: SamplerConfig,
     reward_cfg: RewardConfig,
+    columns: int | None = None,
 ) -> JointArrays:
     """Every state's fans, features and reward matrices, in one array pass over the state columns x (3, side, F).
 
@@ -506,10 +517,16 @@ def build_joint_arrays(
     row holds its distinct clamped accelerations first, in order, and 0.0
     after them.  Rollout, path position, utility vectors, safety and the
     weighted sums run on the whole grid; padding rows are computed but never
-    read.  Nothing here raises: each seat's social_terms() reports what failed.
+    read.  The rollout keeps columns C (N <= C <= N+1, N+1 by default)
+    samples per row; the features read the first N, so they have the same
+    bits for either C.
+    Nothing here raises: each seat's social_terms() reports what failed.
     """
     paths = (path_ego, path_other)
     n, dt = sampler_cfg.horizon_steps, sampler_cfg.dt
+    columns = n + 1 if columns is None else columns
+    if not n <= columns <= n + 1:
+        raise ValueError(f"a build keeps {n} or {n + 1} rollout columns, not {columns}")
     s0, v0, d = x  # each (side, F)
     limits = np.array([path_ego.speed_limit, path_other.speed_limit])[:, None]
 
@@ -518,8 +535,8 @@ def build_joint_arrays(
     collapsed = (sizes == 1).any(axis=0).tolist() if forbid else [False] * x.shape[-1]
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported per state
-        S, V = rollout_batch(s0[..., None], v0[..., None], accels, n, dt)
-        xy = [paths[k].position(S[k], d[k][:, None, None]) for k in (0, 1)]  # each (F, nt, N+1, 2)
+        S, V = rollout_batch(s0[..., None], v0[..., None], accels, columns - 1, dt)
+        xy = [paths[k].position(S[k], d[k][:, None, None]) for k in (0, 1)]  # each (F, nt, C, 2)
 
         # accumulated efficiency and comfort over steps 0..N-1; each row's
         # comfort sum runs over its N equal terms (an N * a**2 closed form
@@ -536,7 +553,8 @@ def build_joint_arrays(
 
         # the safety feature is symmetric in the pair, so one matrix serves both
         safety = safety_matrix(
-            xy[0], xy[1], S[0], S[1], conflict.s_ego, conflict.s_other, reward_cfg.sigma_d, reward_cfg.sigma_c
+            xy[0][..., :n, :], xy[1][..., :n, :], S[0, ..., :n], S[1, ..., :n],
+            conflict.s_ego, conflict.s_other, reward_cfg.sigma_d, reward_cfg.sigma_c,
         )  # (F, nt, nt)
         te, to = reward_cfg.theta_ego, reward_cfg.theta_other
         reward_ego = te[0] * eff[0][..., :, None] + te[1] * com[0][..., :, None] + te[2] * safety

@@ -19,7 +19,15 @@ from . import metrics
 from .config import ScenarioConfig, config_to_dict, save_config, write_json
 from .core import state_columns
 from .errors import NonTerminatingError, ParseError, SchemaError, ShortTrackError
-from .inference import InferenceSeries, SeatReplay, _infer_pair, init_particles, replay_seats, window_starts
+from .inference import (
+    InferenceSeries,
+    SeatReplay,
+    _infer_pair,
+    init_particles,
+    replay_seats,
+    window_columns,
+    window_starts,
+)
 # plan_ego is not called here, but perfbench/tracing.py wraps workflows.plan_ego
 # by attribute lookup, so the name must stay importable from this module.
 from .planner import InteractionTrace, PolicySpec, Scenario, plan_ego, simulate, simulate_policies  # noqa: F401
@@ -299,7 +307,9 @@ def run_regen(cfg: ScenarioConfig, out_dir: Path) -> dict:
             _skip(idx, pair.ego.track_id, pair.other.track_id, "track too short to regenerate at the longest horizon")
             continue
         metrics.horizon_steps(cfg.sampler.horizon_steps + 1, max_steps + 1, cfg.sampler.dt, REGEN_HORIZONS)
-        seats = replay_seats(pair.ego, pair.other, scenario, sorted({*window_starts(pair.ego, cfg.inference), *regen}))
+        frames = sorted({*window_starts(pair.ego, cfg.inference), *regen})
+        columns = max(window_columns(cfg.inference, cfg.sampler.horizon_steps), max_steps + 1)
+        seats = replay_seats(pair.ego, pair.other, scenario, frames, columns)
         pset = particles()
         roles = {role: _regen_agent(seat, cfg, pset) for role, seat in zip(("ego", "other"), seats)}
         for role, table in roles.items():

@@ -75,12 +75,12 @@ def estimate_lambda(pset) -> RewardWeights:
 
 
 def reference_safety_matrix(xy_ego, xy_other, s_ego, s_other, s_conflict_ego, s_conflict_other, sigma_d, sigma_c):
-    """sampling.safety_matrix as one expression over fresh temporaries, leading batch axes included."""
-    t = xy_ego.shape[-2] - 1
-    diff = xy_ego[..., :, None, :t, :] - xy_other[..., None, :, :t, :]
+    """sampling.safety_matrix as one expression over fresh temporaries, leading batch axes included: a sum over
+    every column given."""
+    diff = xy_ego[..., :, None, :, :] - xy_other[..., None, :, :, :]
     d_rel = np.sqrt((diff * diff).sum(axis=-1))
-    prox_e = np.exp(-np.abs(s_ego[..., :t] - s_conflict_ego) / sigma_c)
-    prox_o = np.exp(-np.abs(s_other[..., :t] - s_conflict_other) / sigma_c)
+    prox_e = np.exp(-np.abs(s_ego - s_conflict_ego) / sigma_c)
+    prox_o = np.exp(-np.abs(s_other - s_conflict_other) / sigma_c)
     w = np.exp(-d_rel / sigma_d) * (prox_e[..., :, None, :] * prox_o[..., None, :, :])
     return -w.sum(axis=-1)
 
@@ -110,8 +110,10 @@ def reference_space(x0: JointState, path_ego, path_other, conflict, sampler_cfg,
     )
     eff_e, com_e = _utility_vectors(ego, path_ego.speed_limit, reward_cfg)
     eff_o, com_o = _utility_vectors(other, path_other.speed_limit, reward_cfg)
+    n = sampler_cfg.horizon_steps  # steps 0..N-1
     safety = reference_safety_matrix(
-        ego.xy, other.xy, ego.s, other.s, conflict.s_ego, conflict.s_other, reward_cfg.sigma_d, reward_cfg.sigma_c
+        ego.xy[:, :n], other.xy[:, :n], ego.s[:, :n], other.s[:, :n], conflict.s_ego, conflict.s_other,
+        reward_cfg.sigma_d, reward_cfg.sigma_c,
     )
     te, to = reward_cfg.theta_ego, reward_cfg.theta_other
     with np.errstate(over="ignore", invalid="ignore"):  # JointBehaviorSpace reports what overflowed

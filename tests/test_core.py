@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import socialplan as sp
+from socialplan.scenarios import case_scenario
 from example_checks import (
     check_conflict_diagonal,
     check_conflict_parallel,
@@ -255,6 +256,17 @@ def test_reference_path_built_directly_checks_speed_limit_and_arclength():
     assert path.cumulative_arclength.tolist() == [0.0, 1.0, 2.0]
     assert path.position(2.0).tolist() == [1.0, 1.0]
     assert path.speed_limit == 10.0 and type(path.speed_limit) is float
+
+
+def test_paths_conflict_points_and_scenarios_compare_and_hash():
+    """A path and a conflict point hold arrays, so they compare by identity; a scenario holding them compares
+    field by field, and all three hash."""
+    a, b = case_scenario("I"), case_scenario("I")
+    for x, y in ((a.path_ego, b.path_ego), (a.conflict, b.conflict), (a, b)):
+        assert x == x and x != y
+        assert hash(x) == hash(x)
+    assert a == sp.Scenario(a.path_ego, a.path_other, a.conflict, a.initial, a.sampler, a.rewards)
+    assert len({a, b, a}) == 2
 
 
 def test_conflict_point_consistent_on_both_paths():

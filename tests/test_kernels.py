@@ -58,10 +58,10 @@ def test_rollout_bit_exact_property(s0, v0, dt, steps, accels):
 
 
 def test_safety_matrix_reference_value():
-    # one pair co-located at the conflict point every step: each step contributes -1
+    # one pair co-located at the conflict point in every column given: each contributes -1
     steps = 6
-    xy = np.zeros((1, 1, steps + 1, 2))
-    s = np.full((1, 1, steps + 1), 12.0)
+    xy = np.zeros((1, 1, steps, 2))
+    s = np.full((1, 1, steps), 12.0)
     m = sampling.safety_matrix(xy, xy, s, s, 12.0, 12.0, 5.0, 10.0)
     assert abs(m[0, 0, 0] + steps) < 1e-12
 
@@ -83,14 +83,15 @@ def test_safety_matrix_reference_value():
 # four blocks of two states and a last block of one
 @example(states=9, ne=6, no=6, n=12, sigma_d=5.0, sigma_c=10.0, conflict=(12.0, 30.0), seed=2, block=2)
 def test_safety_matrix_matches_the_reference_bit_for_bit(states, ne, no, n, sigma_d, sigma_c, conflict, seed, block):
-    """The in-place safety_matrix gives the bytes of the one-expression reference, over the states' axis.
+    """The in-place safety_matrix gives the bytes of the one-expression reference, over the states' axis and the
+    n columns given.
 
     block, if set, is the number of states a block holds, through a
     _BLOCK_ELEMENTS of that many states' (ne, no, N) temporaries.
     """
     rng = np.random.default_rng(seed)
-    xy_ego, xy_other = (rng.uniform(-20.0, 20.0, (states, m, n + 1, 2)) for m in (ne, no))
-    s_ego, s_other = (rng.uniform(0.0, 60.0, (states, m, n + 1)) for m in (ne, no))
+    xy_ego, xy_other = (rng.uniform(-20.0, 20.0, (states, m, n, 2)) for m in (ne, no))
+    s_ego, s_other = (rng.uniform(0.0, 60.0, (states, m, n)) for m in (ne, no))
     args = (xy_ego, xy_other, s_ego, s_other, *conflict, sigma_d, sigma_c)
     with patch.object(sampling, "_BLOCK_ELEMENTS", block * ne * no * n if block else sampling._BLOCK_ELEMENTS):
         got = sampling.safety_matrix(*args)

@@ -273,15 +273,15 @@ def test_lookahead_traces_match_the_one_step_loop(geometry, limits, dt, lams, ma
 def _predicted(monkeypatch, scenario, policies) -> list:
     """The states the policies' chains predict in one simulate_policies run, keyed as _failing_builder keys them."""
     predicted = []
-    chain = planner._chain
+    chains = planner._chains
 
     def recording(*args):
-        states = chain(*args)
-        predicted.extend((x.ego, x.other) for x in states)
+        states = chains(*args)
+        predicted.extend((x.ego, x.other) for chain in states for x in chain)
         return states
 
     with monkeypatch.context() as patch:
-        patch.setattr(planner, "_chain", recording)
+        patch.setattr(planner, "_chains", recording)
         sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
     return predicted
 
@@ -316,9 +316,9 @@ def test_run_sim_on_case_one_makes_fewer_builds_than_steps(tmp_path, monkeypatch
     builds = []
     arrays_at = planner.Scenario.arrays_at
 
-    def counting(self, states):
+    def counting(self, states, columns=None):
         builds.append(len(states))
-        return arrays_at(self, states)
+        return arrays_at(self, states, columns)
 
     cfg = write_scenario_config(case_scenario("I"), tmp_path / "config")
     monkeypatch.setattr(planner.Scenario, "arrays_at", counting)
@@ -335,14 +335,41 @@ def test_the_chain_rule():
     arrays = scenario.arrays_at(state_columns([x]))
     lam = sp.RewardWeights.courtesy().values[:, None]
     [label], [response], [ae], [ao] = planner.decisions(arrays, arrays.social_terms(), lam)
-    assert planner._chain(scenario, x, None, 40) == []
-    chains = [planner._chain(scenario, x, (label, response), steps) for steps in range(planner._LOOKAHEAD + 3)]
-    assert [len(c) for c in chains] == [min(planner._LOOKAHEAD, steps) for steps in range(planner._LOOKAHEAD + 3)]
+    assert planner._chains(scenario, [x], [None], [40]) == [[]]
+    steps = list(range(planner._LOOKAHEAD + 3))
+    chains = planner._chains(scenario, [x] * len(steps), [(label, response)] * len(steps), steps)
+    assert [len(c) for c in chains] == [min(planner._LOOKAHEAD, k) for k in steps]
     first, dt = chains[-1][0], scenario.sampler.dt
     assert (first.t, first.ego, first.other) == (
         x.t + 1, sp.step_dynamics(x.ego, ae, dt), sp.step_dynamics(x.other, ao, dt)
     )
     assert all(c == chains[-1][: len(c)] for c in chains)
+
+
+def test_a_round_samples_its_chains_with_one_fan_call_per_level(monkeypatch):
+    """Each round of the three policies on case I makes at most _LOOKAHEAD fan_accels calls for its chains, one per
+    level for every policy, and builds N rollout columns, all that its decisions read."""
+    rounds, calls = [], []
+    fan_accels, arrays_at = planner.fan_accels, planner.Scenario.arrays_at
+
+    def counting(*args):
+        calls.append(args)
+        return fan_accels(*args)
+
+    def building(self, x, *columns):
+        rounds.append((len(calls), x.shape[-1], columns))
+        calls.clear()
+        return arrays_at(self, x, *columns)
+
+    monkeypatch.setattr(planner, "fan_accels", counting)
+    monkeypatch.setattr(planner.Scenario, "arrays_at", building)
+    scenario = case_scenario("I")
+    policies = [sp.PolicySpec.fixed(workflows.POLICIES[name]()) for name in POLICY_NAMES]
+    sp.simulate_policies(scenario, policies, sp.PolicySpec.follower())
+    assert max(n for n, _, _ in rounds) <= planner._LOOKAHEAD
+    # a round whose chains hold more states than there are levels: several policies' chains shared a call
+    assert any(states - len(policies) > planner._LOOKAHEAD for _, states, _ in rounds)
+    assert {columns for *_, columns in rounds} == {(scenario.sampler.horizon_steps,)}
 
 
 def test_simulate_policies_logs_one_debug_record(caplog):

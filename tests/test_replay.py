@@ -654,6 +654,44 @@ def test_tracks_that_fit_no_path_are_reported_as_such(fixtures, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+# the switch fixture: N = 30 at dt 0.08, a window of window_r + 1 = 11 samples, and 13 for the 1.0 s horizon
+@pytest.mark.parametrize(
+    "sampler,changes,infer_columns,regen_columns",
+    [
+        ({}, {}, 30, 30),
+        ({}, {"window_r": 14}, 30, 30),
+        ({}, {"window_r": 29}, 30, 30),
+        ({}, {"window_r": 30}, 31, 31),  # a window of N + 1 samples
+        ({}, {"growing_window": True}, 31, 31),
+        ({"horizon_steps": 12}, {}, 12, 13),  # the longest horizon needs N + 1 samples
+    ],
+)
+def test_replay_builds_the_columns_its_readers_read(
+    fixture_cfg, tmp_path, monkeypatch, sampler, changes, infer_columns, regen_columns
+):
+    """Replay asks for max(N, w) rollout columns, w the widest prefix it matches (capped at N + 1), and writes the
+    bytes that builds of N + 1 columns give."""
+    cfg = _with_inference(replace(fixture_cfg, sampler=replace(fixture_cfg.sampler, **sampler)), **changes)
+    asked = []
+    arrays_at = planner.Scenario.arrays_at
+
+    def recording(self, x, *columns):
+        asked.extend(columns)
+        return arrays_at(self, x, *columns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner.Scenario, "arrays_at", recording)
+        workflows.run_regen(cfg, tmp_path / "regen")
+        workflows.run_infer(cfg, tmp_path / "infer")
+        [(_, pair)] = workflows.observed_pairs(cfg)
+        infer_agent(pair.ego, pair.other, cfg.load_scenario(), cfg.inference)
+    assert asked == [regen_columns, infer_columns, infer_columns]
+    monkeypatch.setattr(planner.Scenario, "arrays_at", lambda self, x, *columns: arrays_at(self, x))
+    for run, name in ((workflows.run_regen, "regen"), (workflows.run_infer, "infer")):
+        run(cfg, tmp_path / f"{name}_full")
+        assert _files(tmp_path / name) == _files(tmp_path / f"{name}_full")
+
+
 def test_regen_builds_nothing_before_a_horizon_error(fixtures, tmp_path, monkeypatch, capsys):
     """At dt 0.00076 the courtesy fixture's grid has about 2,000 steps: a build of them would take about 1.5 s
     and 490 MB, for an error the config alone decides."""

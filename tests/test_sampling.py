@@ -529,3 +529,52 @@ def test_social_terms_on_a_padded_ego_axis_match_each_state_alone(
                 assert terms.leader_labels([i], lam[:, None]).tolist() == [int(leader_scores(lam, own.terms[0]).argmax())]
             assert batched[:, i].tolist() == [int(leader_scores(lam, own.terms[0]).argmax()) for lam in lams[:, i]]
             assert loglik[i].tobytes() == _log_softmax(lambdas @ own.terms[0])[:, labels[i]].tobytes()
+
+
+_state = st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 20.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.integers(1, 30),
+    dt=st.sampled_from([0.08, 0.25]),
+    fractions=st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25]), min_size=1, max_size=7),
+    states=st.lists(st.tuples(_state, _state), min_size=1, max_size=6),
+)
+# the 0.0 fraction from 5 m/s at horizon 12 and dt 0.25: the speed sum ends a few ulps below zero in column N only
+@example(steps=12, dt=0.25, fractions=[0.0, 0.5, 1.0], states=[((10.0, 5.0, 0.0), (15.0, 5.0, 0.0))])
+# a negative fraction: cars stop inside step 0, mid-horizon and in the last step
+@example(
+    steps=12, dt=0.25, fractions=[-0.5, 0.0, 0.25, 0.5, 0.75, 1.0],
+    states=[((10.0, v, 0.0), (15.0, w, 0.2)) for v, w in ((0.4, 12.0), (2.0, 9.0), (5.0, 0.0))],
+)
+def test_a_build_of_n_columns_keeps_the_bits_of_n_plus_one(steps, dt, fractions, states):
+    """A build with C = N rollout columns has the first N columns of the N+1 build's S, V and xy, and the bytes of
+    its features, safety, reward matrices and both seats' SeatTerms."""
+    sampler = sp.SamplerConfig(horizon_steps=steps, dt=dt, terminal_speed_fractions=tuple(fractions))
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0, sampler=sampler)
+    x = state_columns([sp.JointState(sp.AgentState(*e), sp.AgentState(*o)) for e, o in states])
+    short, full = scn.arrays_at(x, steps), scn.arrays_at(x, steps + 1)
+    assert short.S.shape[-1] == steps and full.S.shape[-1] == steps + 1
+    assert short.S.tobytes() == full.S[..., :steps].copy().tobytes()
+    assert short.V.tobytes() == full.V[..., :steps].copy().tobytes()
+    for k in (0, 1):
+        assert short.xy[k].tobytes() == full.xy[k][..., :steps, :].copy().tobytes()
+    for name in ("sizes", "accels", "eff", "com", "safety", "reward_ego", "reward_other"):
+        assert getattr(short, name).tobytes() == getattr(full, name).tobytes(), name
+    rewards = scn.swapped().rewards
+    for a, b in ((short, full), (short.swapped(rewards), full.swapped(rewards))):
+        ta, tb = a.social_terms(), b.social_terms()
+        assert ta.terms.tobytes() == tb.terms.tobytes() and ta.absence_other.tobytes() == tb.absence_other.tobytes()
+        assert ta.ne.tobytes() == tb.ne.tobytes()
+        assert repr(ta.error) == repr(tb.error)
+
+
+def test_a_build_keeps_n_or_n_plus_one_columns():
+    scn = crossing_scenario(20.0, 5.0, 25.0, 5.0)
+    x = state_columns([scn.initial])
+    n = scn.sampler.horizon_steps
+    assert scn.arrays_at(x).S.shape[-1] == n + 1
+    for columns in (n - 1, n + 2):
+        with pytest.raises(ValueError, match=f"^a build keeps {n} or {n + 1} rollout columns, not {columns}$"):
+            scn.arrays_at(x, columns)
